@@ -10,7 +10,7 @@
 //! waypoints and rejects chains that would revisit a switch.
 
 use crate::error::KarError;
-use kar_topology::{NodeId, Topology};
+use kar_topology::{paths, NodeId, Topology};
 use std::collections::HashSet;
 
 /// Computes a loop-free path `src → w₁ → … → wₙ → dst`.
@@ -63,10 +63,13 @@ pub fn chain_path(
             // slip through as silent zero-length legs).
             return Err(KarError::DuplicateWaypoint { node: stop });
         }
-        let leg = bfs_avoiding_nodes(topo, cur, stop, &used).ok_or(KarError::NoPath {
-            src: cur,
-            dst: stop,
-        })?;
+        // Shortest leg through switches no earlier leg consumed (`stop`
+        // itself is not in `used`, checked above).
+        let leg = paths::bfs_shortest_path_where(topo, cur, stop, |n, _| !used.contains(&n))
+            .ok_or(KarError::NoPath {
+                src: cur,
+                dst: stop,
+            })?;
         for &n in &leg[1..] {
             used.insert(n);
             full.push(n);
@@ -74,46 +77,6 @@ pub fn chain_path(
         cur = stop;
     }
     Ok(full)
-}
-
-/// BFS shortest path avoiding a set of nodes (except the endpoints).
-fn bfs_avoiding_nodes(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    avoid: &HashSet<NodeId>,
-) -> Option<Vec<NodeId>> {
-    use std::collections::VecDeque;
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[src.0] = true;
-    let mut q = VecDeque::from([src]);
-    while let Some(n) = q.pop_front() {
-        let mut peers: Vec<NodeId> = topo.neighbors(n).map(|(_, _, p)| p).collect();
-        peers.sort();
-        for peer in peers {
-            if seen[peer.0] || (avoid.contains(&peer) && peer != dst) {
-                continue;
-            }
-            seen[peer.0] = true;
-            prev[peer.0] = Some(n);
-            if peer == dst {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = prev[cur.0].expect("predecessor chain intact");
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            q.push_back(peer);
-        }
-    }
-    None
 }
 
 /// Returns `true` if `path` visits `waypoints` in order.

@@ -210,7 +210,7 @@ impl Controller {
         dst: NodeId,
     ) -> Result<Vec<NodeId>, KarError> {
         let path = if self.failure_aware && !self.failed.is_empty() {
-            bfs_avoiding(topo, src, dst, &self.failed)
+            paths::bfs_avoiding(topo, src, dst, &self.failed)
         } else {
             paths::bfs_shortest_path(topo, src, dst)
         };
@@ -280,45 +280,6 @@ impl Controller {
         self.table.insert((src, dst), route.clone());
         Ok(route)
     }
-}
-
-/// BFS shortest path avoiding a set of links (also used by the verifier
-/// to distinguish disconnections from routing failures).
-pub(crate) fn bfs_avoiding(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    avoid: &HashSet<LinkId>,
-) -> Option<Vec<NodeId>> {
-    use std::collections::VecDeque;
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[src.0] = true;
-    let mut q = VecDeque::from([src]);
-    while let Some(n) = q.pop_front() {
-        for (_, l, peer) in topo.neighbors(n) {
-            if avoid.contains(&l) || seen[peer.0] {
-                continue;
-            }
-            seen[peer.0] = true;
-            prev[peer.0] = Some(n);
-            if peer == dst {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = prev[cur.0].expect("predecessor chain intact");
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            q.push_back(peer);
-        }
-    }
-    None
 }
 
 impl EdgeLogic for Controller {

@@ -43,7 +43,6 @@
 //! `fig_hier` benchmark and the regression tests enforce.
 
 use crate::cache::EncodingCache;
-use crate::controller::bfs_avoiding;
 use crate::deflect::DeflectionTechnique;
 use crate::error::KarError;
 use crate::protection::{encode_with_protection, Protection};
@@ -247,7 +246,7 @@ impl HierController {
         dst: NodeId,
     ) -> Result<Vec<NodeId>, KarError> {
         let path = if self.failure_aware && !self.failed.is_empty() {
-            bfs_avoiding(topo, from, dst, &self.failed)
+            paths::bfs_avoiding(topo, from, dst, &self.failed)
         } else {
             paths::bfs_shortest_path(topo, from, dst)
         };

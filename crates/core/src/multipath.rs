@@ -13,8 +13,8 @@ use crate::error::KarError;
 use crate::protection::Protection;
 use crate::route::EncodedRoute;
 use kar_simnet::{EdgeLogic, Packet, RerouteDecision, RouteTag, SimTime};
-use kar_topology::{LinkId, NodeId, PortIx, Topology};
-use std::collections::{HashMap, HashSet, VecDeque};
+use kar_topology::{paths, LinkId, NodeId, PortIx, Topology};
+use std::collections::{HashMap, HashSet};
 
 /// Finds up to `k` paths from `src` to `dst` whose *core* links are
 /// pairwise disjoint (greedy: repeated BFS, removing the core links of
@@ -32,7 +32,8 @@ pub fn edge_disjoint_paths(
     let mut used: HashSet<LinkId> = HashSet::new();
     let mut out: Vec<Vec<NodeId>> = Vec::new();
     while out.len() < k {
-        let Some(path) = bfs_avoiding_links(topo, src, dst, &used) else {
+        let Some(path) = paths::bfs_shortest_path_where(topo, src, dst, |_, l| !used.contains(&l))
+        else {
             break;
         };
         if out.contains(&path) {
@@ -64,44 +65,6 @@ pub fn edge_disjoint_paths(
         out.push(path);
     }
     out
-}
-
-fn bfs_avoiding_links(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    avoid: &HashSet<LinkId>,
-) -> Option<Vec<NodeId>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[src.0] = true;
-    let mut q = VecDeque::from([src]);
-    while let Some(n) = q.pop_front() {
-        let mut adj: Vec<(LinkId, NodeId)> = topo.neighbors(n).map(|(_, l, p)| (l, p)).collect();
-        adj.sort_by_key(|&(_, p)| p);
-        for (l, peer) in adj {
-            if avoid.contains(&l) || seen[peer.0] {
-                continue;
-            }
-            seen[peer.0] = true;
-            prev[peer.0] = Some(n);
-            if peer == dst {
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    cur = prev[cur.0].expect("predecessor chain intact");
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            q.push_back(peer);
-        }
-    }
-    None
 }
 
 /// Edge logic holding several route IDs per `(src, dst)` pair and

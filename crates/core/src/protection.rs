@@ -11,7 +11,7 @@
 use crate::route::{EncodedRoute, RouteSpec};
 use kar_rns::route_id_bit_length;
 use kar_topology::{NodeId, Topology};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// Protection level requested when installing a route.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,29 +32,24 @@ pub enum Protection {
 }
 
 /// Breadth-first next-hop tree toward `root`, restricted to core switches
-/// not in `forbidden` (plus `root` itself, which may be an edge).
-fn tree_toward(
-    topo: &Topology,
-    root: NodeId,
-    forbidden: &HashSet<NodeId>,
-) -> HashMap<NodeId, NodeId> {
-    let mut next: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut q = VecDeque::new();
-    q.push_back(root);
-    let mut seen: HashSet<NodeId> = [root].into_iter().collect();
-    while let Some(n) = q.pop_front() {
-        let mut peers: Vec<NodeId> = topo.neighbors(n).map(|(_, _, p)| p).collect();
-        peers.sort();
-        for peer in peers {
-            if seen.contains(&peer) || forbidden.contains(&peer) {
+/// not in `forbidden` (plus `root` itself, which may be an edge):
+/// `tree[n]` is `n`'s next hop toward `root`, `None` for `root` and for
+/// nodes outside the tree. Ties break by node id, like primary paths.
+fn tree_toward(topo: &Topology, root: NodeId, forbidden: &HashSet<NodeId>) -> Vec<Option<NodeId>> {
+    let mut next = vec![None; topo.node_count()];
+    let mut queue = vec![root];
+    let mut head = 0;
+    while let Some(&n) = queue.get(head) {
+        head += 1;
+        for (_, peer) in topo.neighbors_by_id(n) {
+            if peer == root || next[peer.0].is_some() || forbidden.contains(&peer) {
                 continue;
             }
             if topo.switch_id(peer).is_none() {
                 continue; // edges do not forward
             }
-            seen.insert(peer);
-            next.insert(peer, n);
-            q.push_back(peer);
+            next[peer.0] = Some(n);
+            queue.push(peer);
         }
     }
     next
@@ -122,7 +117,7 @@ pub fn plan_full(topo: &Topology, primary: &[NodeId]) -> Vec<(NodeId, NodeId)> {
                 if included.contains(&cur) {
                     break; // already wired toward the destination
                 }
-                let Some(&parent) = tree.get(&cur) else {
+                let Some(parent) = tree[cur.0] else {
                     break; // unreachable without the primary path
                 };
                 segments.push((cur, parent));

@@ -70,7 +70,6 @@
 //! [`KarForwarder`]: crate::KarForwarder
 
 use crate::cache::EncodingCache;
-use crate::controller::bfs_avoiding;
 use crate::deflect::DeflectionTechnique;
 use crate::error::KarError;
 use crate::protection::Protection;
@@ -768,13 +767,13 @@ pub fn verify_failure_sets(
                             d
                         } else {
                             let set: HashSet<LinkId> = failed.iter().copied().collect();
-                            let d = bfs_avoiding(topo, src, dst, &set).is_none();
+                            let d = paths::bfs_avoiding(topo, src, dst, &set).is_none();
                             orbit_cache.insert(key, d);
                             d
                         }
                     } else {
                         let set: HashSet<LinkId> = failed.iter().copied().collect();
-                        bfs_avoiding(topo, src, dst, &set).is_none()
+                        paths::bfs_avoiding(topo, src, dst, &set).is_none()
                     };
                     if disconnected && !by_subset && s < k {
                         disconnecting.push(failed.clone());
@@ -852,7 +851,7 @@ pub fn min_failure_set(
                 continue; // superset of a cut: disconnected, not a violation
             }
             let set: HashSet<LinkId> = failed.iter().copied().collect();
-            if bfs_avoiding(topo, src, dst, &set).is_none() {
+            if paths::bfs_avoiding(topo, src, dst, &set).is_none() {
                 disconnecting.push(failed);
                 continue;
             }

@@ -90,6 +90,12 @@ pub enum IdStrategy {
 pub struct IdAllocator {
     strategy: IdStrategy,
     allocated: Vec<u64>,
+    /// A contiguous run of candidates known unusable for good. IDs are
+    /// never released and the strategy is fixed, so a candidate rejected
+    /// once (not prime, or sharing a factor with an allocated ID — which
+    /// includes every ID handed out) is rejected forever; `allocate`
+    /// jumps over the run instead of re-testing it.
+    dead: std::ops::Range<u64>,
 }
 
 impl IdAllocator {
@@ -98,6 +104,7 @@ impl IdAllocator {
         IdAllocator {
             strategy,
             allocated: Vec::new(),
+            dead: 0..0,
         }
     }
 
@@ -121,6 +128,7 @@ impl IdAllocator {
         Ok(IdAllocator {
             strategy,
             allocated: reserved.to_vec(),
+            dead: 0..0,
         })
     }
 
@@ -153,12 +161,18 @@ impl IdAllocator {
             IdStrategy::PrimesFrom(f) => f.max(ports as u64 + 1),
             _ => ports as u64 + 1,
         };
-        let mut candidate = floor.max(2);
+        let start = floor.max(2);
+        let mut candidate = start;
         let bound = match self.strategy {
             IdStrategy::PrimesBelow(ceiling) => ceiling.min(1u64 << 32),
             _ => 1u64 << 32,
         };
+        let mut found = None;
         while candidate < bound {
+            if self.dead.contains(&candidate) {
+                candidate = self.dead.end;
+                continue;
+            }
             let ok = match self.strategy {
                 IdStrategy::SmallestCoprime => true,
                 IdStrategy::SmallestPrimes
@@ -166,12 +180,23 @@ impl IdAllocator {
                 | IdStrategy::PrimesBelow(_) => is_prime(candidate),
             };
             if ok && self.allocated.iter().all(|&a| gcd(a, candidate) == 1) {
-                self.allocated.push(candidate);
-                return Ok(candidate);
+                found = Some(candidate);
+                break;
             }
             candidate += 1;
         }
-        Err(IdError::Exhausted { ports })
+        // Everything in `start..end` is now unusable (the accepted ID
+        // included): grow the remembered run when the two touch, else
+        // keep the longer one.
+        let end = found.map_or(candidate, |id| id + 1);
+        if start <= self.dead.end && self.dead.start <= end {
+            self.dead = self.dead.start.min(start)..self.dead.end.max(end);
+        } else if end - start > self.dead.end - self.dead.start {
+            self.dead = start..end;
+        }
+        let id = found.ok_or(IdError::Exhausted { ports })?;
+        self.allocated.push(id);
+        Ok(id)
     }
 }
 
@@ -382,6 +407,69 @@ mod tests {
         }
         assert_eq!(got.len(), 53);
         assert!(pairwise_coprime(&got));
+    }
+
+    /// The allocator as it was before the dead-run shortcut: every call
+    /// rescans from the floor. Kept verbatim as the differential oracle.
+    fn allocate_rescanning(
+        strategy: IdStrategy,
+        allocated: &mut Vec<u64>,
+        ports: usize,
+    ) -> Result<u64, IdError> {
+        let floor = match strategy {
+            IdStrategy::PrimesFrom(f) => f.max(ports as u64 + 1),
+            _ => ports as u64 + 1,
+        };
+        let mut candidate = floor.max(2);
+        let bound = match strategy {
+            IdStrategy::PrimesBelow(ceiling) => ceiling.min(1u64 << 32),
+            _ => 1u64 << 32,
+        };
+        while candidate < bound {
+            let ok = match strategy {
+                IdStrategy::SmallestCoprime => true,
+                IdStrategy::SmallestPrimes
+                | IdStrategy::PrimesFrom(_)
+                | IdStrategy::PrimesBelow(_) => is_prime(candidate),
+            };
+            if ok && allocated.iter().all(|&a| gcd(a, candidate) == 1) {
+                allocated.push(candidate);
+                return Ok(candidate);
+            }
+            candidate += 1;
+        }
+        Err(IdError::Exhausted { ports })
+    }
+
+    #[test]
+    fn dead_run_shortcut_matches_the_rescanning_allocator() {
+        use rand::{Rng, SeedableRng};
+        const RESERVED: [u64; 3] = [4, 9, 35];
+        let strategies = [
+            IdStrategy::SmallestPrimes,
+            IdStrategy::SmallestCoprime,
+            IdStrategy::PrimesFrom(100),
+            IdStrategy::PrimesBelow(1024), // 172 primes: exhausts mid-run
+        ];
+        for (seed, strategy) in strategies.into_iter().enumerate() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+            let mut fast = IdAllocator::with_reserved(strategy, &RESERVED).unwrap();
+            let mut slow = RESERVED.to_vec();
+            let mut exhausted = 0;
+            for i in 0..300 {
+                let ports = rng.gen_range(0..=40usize);
+                let got = fast.allocate(ports);
+                let want = allocate_rescanning(strategy, &mut slow, ports);
+                assert_eq!(got, want, "{strategy:?}, allocation {i}, {ports} ports");
+                exhausted += usize::from(got.is_err());
+            }
+            assert_eq!(fast.allocated(), slow);
+            assert_eq!(
+                exhausted > 0,
+                matches!(strategy, IdStrategy::PrimesBelow(_)),
+                "{strategy:?}: {exhausted} exhausted"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Incremental construction and validation of [`Topology`] values.
 
-use crate::graph::{Link, LinkId, LinkParams, Node, NodeId, NodeKind, Topology};
+use crate::graph::{AdjIndex, Link, LinkId, LinkParams, Node, NodeId, NodeKind, Topology};
 use kar_rns::{first_common_factor, pairwise_coprime};
 use std::collections::HashMap;
 use std::fmt;
@@ -102,7 +102,8 @@ impl TopologyBuilder {
         self.link(an, bn, params)
     }
 
-    /// Validates and freezes the topology.
+    /// Validates and freezes the topology, deriving its adjacency index
+    /// (the one place a [`Topology`] is constructed).
     ///
     /// # Errors
     ///
@@ -112,6 +113,11 @@ impl TopologyBuilder {
     ///   address all of its ports as residues (`id <= degree - 1` would be
     ///   enough, but we require `id > degree` so the ID can also encode a
     ///   "no valid port" residue).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node count or twice the link count reaches `u32::MAX`
+    /// (the adjacency index stores `u32` ids).
     pub fn build(self) -> Result<Topology, TopologyError> {
         if let Some(name) = self.duplicate_name {
             return Err(TopologyError::DuplicateName { name });
@@ -146,6 +152,7 @@ impl TopologyBuilder {
             }
         }
         Ok(Topology {
+            adj: AdjIndex::build(&self.nodes, &self.links),
             nodes: self.nodes,
             links: self.links,
             by_name: self.by_name,

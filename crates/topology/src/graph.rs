@@ -162,6 +162,72 @@ impl Link {
     }
 }
 
+/// One directed adjacency entry: a neighbor and the link that reaches it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Adj {
+    pub(crate) peer: u32,
+    pub(crate) link: u32,
+}
+
+/// Flat (CSR) adjacency index: node `n` owns
+/// `offsets[n]..offsets[n + 1]` of both entry arrays, once in port order
+/// and once sorted by peer id (stable, so parallel links keep port order).
+///
+/// Derived data — a pure function of `nodes[*].ports` and `links`, built
+/// once in [`TopologyBuilder::build`](crate::TopologyBuilder::build) and
+/// never serialized. Every graph walk reads it instead of chasing
+/// `ports[p] → links[l] → peer_of(n)`.
+#[derive(Debug, Clone)]
+pub(crate) struct AdjIndex {
+    offsets: Vec<u32>,
+    by_port: Vec<Adj>,
+    by_peer: Vec<Adj>,
+}
+
+impl Default for AdjIndex {
+    /// The index of the empty topology (`offsets.len() == nodes + 1`).
+    fn default() -> Self {
+        AdjIndex::build(&[], &[])
+    }
+}
+
+impl AdjIndex {
+    /// # Panics
+    ///
+    /// Panics if the node count or the number of link ends does not fit
+    /// the index's `u32` entries.
+    pub(crate) fn build(nodes: &[Node], links: &[Link]) -> Self {
+        // `u32::MAX` itself is the BFS "unseen" mark in `paths`.
+        assert!(
+            nodes.len() < u32::MAX as usize && links.len() <= (u32::MAX / 2) as usize,
+            "topology too large for the u32 adjacency index"
+        );
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut by_port = Vec::with_capacity(2 * links.len());
+        offsets.push(0);
+        for (n, node) in nodes.iter().enumerate() {
+            by_port.extend(node.ports.iter().map(|&l| Adj {
+                peer: links[l.0].peer_of(NodeId(n)).0 as u32,
+                link: l.0 as u32,
+            }));
+            offsets.push(by_port.len() as u32);
+        }
+        let mut by_peer = by_port.clone();
+        for w in offsets.windows(2) {
+            by_peer[w[0] as usize..w[1] as usize].sort_by_key(|a| a.peer);
+        }
+        AdjIndex {
+            offsets,
+            by_port,
+            by_peer,
+        }
+    }
+
+    fn range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.offsets[n.0] as usize..self.offsets[n.0 + 1] as usize
+    }
+}
+
 /// An immutable-after-build network topology.
 ///
 /// Build one with [`TopologyBuilder`](crate::TopologyBuilder), or use the
@@ -172,6 +238,7 @@ pub struct Topology {
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
     pub(crate) by_name: HashMap<String, NodeId>,
+    pub(crate) adj: AdjIndex,
 }
 
 impl Topology {
@@ -233,13 +300,34 @@ impl Topology {
         self.node(n).kind.switch_id()
     }
 
-    /// Iterator over `(port, link, peer)` triples of `n`.
+    /// Node `n`'s adjacency entries in port order (`[p]` is port `p`).
+    pub(crate) fn adj_by_port(&self, n: NodeId) -> &[Adj] {
+        &self.adj.by_port[self.adj.range(n)]
+    }
+
+    /// Node `n`'s adjacency entries sorted by peer id.
+    pub(crate) fn adj_by_peer(&self, n: NodeId) -> &[Adj] {
+        &self.adj.by_peer[self.adj.range(n)]
+    }
+
+    /// Iterator over `(port, link, peer)` triples of `n`, in port order.
     pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (PortIx, LinkId, NodeId)> + '_ {
-        self.node(n)
-            .ports
+        self.adj_by_port(n).iter().enumerate().map(|(p, a)| {
+            (
+                p as PortIx,
+                LinkId(a.link as usize),
+                NodeId(a.peer as usize),
+            )
+        })
+    }
+
+    /// Iterator over `(link, peer)` pairs of `n`, lowest peer id first
+    /// (parallel links to one peer in port order) — the visiting order
+    /// of [`bfs_shortest_path`](crate::paths::bfs_shortest_path).
+    pub fn neighbors_by_id(&self, n: NodeId) -> impl Iterator<Item = (LinkId, NodeId)> + '_ {
+        self.adj_by_peer(n)
             .iter()
-            .enumerate()
-            .map(move |(p, &l)| (p as PortIx, l, self.link(l).peer_of(n)))
+            .map(|a| (LinkId(a.link as usize), NodeId(a.peer as usize)))
     }
 
     /// The port on `from` that leads directly to `to`, if adjacent.

@@ -2,37 +2,99 @@
 //! (delay-weighted), and helpers that turn node paths into the
 //! `(switch_id, port)` pairs KAR encodes.
 
-use crate::graph::{LinkId, NodeId, PortIx, Topology};
+use crate::graph::{Adj, LinkId, NodeId, PortIx, Topology};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 
 /// A simple path as a node sequence (first = source, last = destination).
 pub type NodePath = Vec<NodeId>;
 
 /// Shortest path by hop count (BFS). Returns `None` if unreachable.
 ///
-/// Ties are broken deterministically by node id, so reconstructed paper
-/// scenarios are stable across runs.
+/// **Tie-break: lowest node id first.** Each dequeued node offers its
+/// neighbors in ascending node-id order, so among equally short paths
+/// the one found is independent of link-insertion (port) order and
+/// reconstructed paper scenarios are stable across runs. Every primary
+/// route, pinned fixture and committed `BENCH_*.json` depends on it.
 pub fn bfs_shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<NodePath> {
+    bfs_shortest_path_where(topo, src, dst, |_, _| true)
+}
+
+/// [`bfs_shortest_path`] over the sub-graph whose steps `admit(peer,
+/// link)` accepts: same search, same lowest-node-id tie-break, a step
+/// into `peer` over `link` taken only when admitted.
+pub fn bfs_shortest_path_where(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    admit: impl Fn(NodeId, LinkId) -> bool,
+) -> Option<NodePath> {
+    bfs(topo, src, dst, Topology::adj_by_peer, admit)
+}
+
+/// Shortest path by hop count that crosses no link in `avoid` — the
+/// controller's failure-aware detour search, and the verifier's test for
+/// "this failure set disconnects the pair".
+///
+/// **Tie-break: lowest port first.** Each dequeued node offers its
+/// neighbors in port order, *not* the node-id order of
+/// [`bfs_shortest_path`]; with an empty `avoid` the two can return
+/// different (equally short) paths. Re-encoded routes and the pinned
+/// verifier fixtures depend on this order.
+pub fn bfs_avoiding(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    avoid: &HashSet<LinkId>,
+) -> Option<NodePath> {
+    bfs(topo, src, dst, Topology::adj_by_port, |_, l| {
+        !avoid.contains(&l)
+    })
+}
+
+/// The one hop-count BFS. `order` picks each node's adjacency slice (and
+/// with it the tie-break); `prev` doubles as the seen set and the queue
+/// is one preallocated `Vec` between two cursors, so a search allocates
+/// twice and sorts nothing.
+fn bfs<'t>(
+    topo: &'t Topology,
+    src: NodeId,
+    dst: NodeId,
+    order: impl Fn(&'t Topology, NodeId) -> &'t [Adj],
+    admit: impl Fn(NodeId, LinkId) -> bool,
+) -> Option<NodePath> {
     if src == dst {
         return Some(vec![src]);
     }
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut seen = vec![false; topo.node_count()];
-    seen[src.0] = true;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(n) = q.pop_front() {
-        let mut peers: Vec<NodeId> = topo.neighbors(n).map(|(_, _, p)| p).collect();
-        peers.sort();
-        for peer in peers {
-            if !seen[peer.0] {
-                seen[peer.0] = true;
-                prev[peer.0] = Some(n);
-                if peer == dst {
-                    return Some(reconstruct(&prev, src, dst));
+    const UNSEEN: u32 = u32::MAX; // `AdjIndex::build` keeps node ids below it
+    let mut prev = vec![UNSEEN; topo.node_count()];
+    prev[src.0] = src.0 as u32;
+    // Every node enters the queue at most once; the spare slot takes the
+    // unconditional store below when the queue is already full.
+    let mut queue = vec![0u32; topo.node_count() + 1];
+    queue[0] = src.0 as u32;
+    let (mut head, mut tail) = (0, 1);
+    while head < tail {
+        let n = queue[head];
+        head += 1;
+        for a in order(topo, NodeId(n as usize)) {
+            let peer = a.peer as usize;
+            let take = prev[peer] == UNSEEN && admit(NodeId(peer), LinkId(a.link as usize));
+            // Branch-free on purpose: whether a neighbor is new is a coin
+            // flip the predictor loses, so the step is a select and the
+            // push a store plus a conditional bump.
+            prev[peer] = if take { n } else { prev[peer] };
+            queue[tail] = a.peer;
+            tail += usize::from(take);
+            if take && peer == dst.0 {
+                let mut path = vec![dst];
+                let mut cur = peer;
+                while cur != src.0 {
+                    cur = prev[cur] as usize;
+                    path.push(NodeId(cur));
                 }
-                q.push_back(peer);
+                path.reverse();
+                return Some(path);
             }
         }
     }
