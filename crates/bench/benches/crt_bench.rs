@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kar::{EncodedRoute, EncodingCache, Protection, RouteSpec};
-use kar_rns::{crt_decode, crt_encode, crt_extend, is_prime, residue, BigUint, CrtCache, RnsBasis};
+use kar_rns::{crt_decode, crt_encode, crt_extend, is_prime, residue, BigUint, RnsBasis};
 use kar_topology::topo15;
 
 fn basis_of(len: usize) -> (RnsBasis, Vec<u64>) {
@@ -65,24 +65,6 @@ fn bench_residue(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_encode_cached(c: &mut Criterion) {
-    // Repeated-path workload: a sweep asks for the same route over and
-    // over (every Fig. 5 cell re-encodes the same primary + protection).
-    // The cache turns the CRT arithmetic into one hash lookup.
-    let mut group = c.benchmark_group("crt_encode_repeated");
-    for len in [4usize, 16, 64] {
-        let (basis, ports) = basis_of(len);
-        group.bench_with_input(BenchmarkId::new("uncached", len), &len, |b, _| {
-            b.iter(|| crt_encode(black_box(&basis), black_box(&ports)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("cached", len), &len, |b, _| {
-            let mut cache = CrtCache::new();
-            b.iter(|| cache.encode(black_box(&basis), black_box(&ports)).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn bench_route_encode_cached(c: &mut Criterion) {
     // The full controller path on topo15 with full protection (the
     // route every Fig. 5 full-protection run installs).
@@ -132,7 +114,6 @@ criterion_group!(
     bench_decode,
     bench_extend,
     bench_residue,
-    bench_encode_cached,
     bench_route_encode_cached,
     bench_biguint_ops
 );

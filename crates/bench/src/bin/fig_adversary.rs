@@ -4,14 +4,13 @@
 //! the table-based baselines, every scheme facing the identical attack
 //! trace.
 //!
-//! Flags (on top of the common quartet):
+//! Flags (on top of the common set, of which `--out` defaults to
+//! `BENCH_adversary.json` at the repository root):
 //!
 //! * `--topo NAME` — `topo15`, `rnp28` or `both` (default `both`);
 //! * `--probes N` — probes per flow (default 120);
 //! * `--intensities LIST` — comma-separated attack intensities
-//!   (default `1,2,4`);
-//! * `--out PATH` (or `KAR_ADVERSARY_OUT`) — where to write the JSON
-//!   document (default `BENCH_adversary.json` at the repository root).
+//!   (default `1,2,4`).
 //!
 //! The document contains no wall-clock fields: it is a pure function of
 //! the configuration, byte-identical across runs, and committed at the
@@ -23,21 +22,16 @@
 
 use kar_bench::cli::{flag_value, CommonArgs};
 use kar_bench::experiments::adversary::{self, AdversaryConfig};
-use kar_bench::telemetry::{self, AdversaryRecord};
 use kar_topology::{rnp28, topo15};
-use std::path::PathBuf;
 
 fn main() {
     let common = CommonArgs::parse(23);
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = AdversaryConfig {
         seed: common.seed,
         ..AdversaryConfig::default()
     };
-    if let Some(p) = flag_value(&args, "--probes").and_then(|v| v.parse().ok()) {
-        cfg.probes = p;
-    }
-    if let Some(list) = flag_value(&args, "--intensities") {
+    cfg.probes = common.flag("--probes", cfg.probes);
+    if let Some(list) = flag_value(&common.args, "--intensities") {
         let parsed: Vec<u32> = list
             .split(',')
             .filter_map(|v| v.trim().parse().ok())
@@ -46,24 +40,12 @@ fn main() {
             cfg.intensities = parsed;
         }
     }
-    let which = flag_value(&args, "--topo").unwrap_or_else(|| "both".into());
-    let mut points = Vec::new();
-    if which == "both" || which == "topo15" {
-        points.extend(adversary::run_topology(
-            &topo15::build(),
-            "topo15",
-            &cfg,
-            common.jobs,
-        ));
-    }
-    if which == "both" || which == "rnp28" {
-        points.extend(adversary::run_topology(
-            &rnp28::build(),
-            "rnp28",
-            &cfg,
-            common.jobs,
-        ));
-    }
+    let (t15, rnp) = (topo15::build(), rnp28::build());
+    let topos: Vec<(&str, &kar_topology::Topology)> = [("topo15", &t15), ("rnp28", &rnp)]
+        .into_iter()
+        .filter(|(name, _)| common.wants_topo(name))
+        .collect();
+    let points = adversary::run(&cfg, &topos, &common.sweep());
     let gaps = adversary::targeted_vs_random(&points);
     print!("{}", adversary::render(&points, &gaps));
     eprintln!(
@@ -72,35 +54,11 @@ fn main() {
         cfg.intensities.len(),
         gaps.len()
     );
-    let records: Vec<AdversaryRecord> = points
-        .iter()
-        .map(|p| AdversaryRecord {
-            experiment: "fig_adversary".to_string(),
-            topo: p.topo.to_string(),
-            attack: p.attack.label().to_string(),
-            intensity: p.intensity,
-            scheme: p.scheme.clone(),
-            injected: p.injected,
-            delivered: p.delivered,
-            reachability: p.reachability,
-            stretch: p.stretch,
-            corrupted_residue_drops: p.corrupted_residue_drops,
-            adversary_drops: p.adversary_drops,
-            recovered_flows: p.recovered_flows,
-            mean_recovery_latency_s: p.mean_recovery_latency_s,
-        })
-        .collect();
-    telemetry::emit(&records);
-    let out = flag_value(&args, "--out")
-        .or_else(|| std::env::var("KAR_ADVERSARY_OUT").ok())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adversary.json")
-        });
-    match std::fs::write(&out, adversary::to_json(&points, &gaps)) {
-        Ok(()) => eprintln!("fig_adversary: wrote {}", out.display()),
-        Err(e) => eprintln!("fig_adversary: cannot write {}: {e}", out.display()),
-    }
+    common.write_document(
+        "fig_adversary",
+        Some("BENCH_adversary.json"),
+        &adversary::to_json(&points, &gaps),
+    );
     common.finish();
     // Acceptance gate: the betweenness-targeted campaign must beat its
     // matched random control on the backbone at the highest intensity.

@@ -4,61 +4,43 @@
 //! `min_failure_set`, witness replayed through the real forwarder, and
 //! the table-based baselines measured under the identical failures.
 //!
-//! Flags (on top of the common quartet):
+//! Flags (on top of the common set, of which `--out` defaults to
+//! `BENCH_breaking.json` at the repository root):
 //!
 //! * `--max-k N` — largest failure-set size searched (default 3);
 //! * `--topo NAME` — `topo15`, `rnp28` or `both` (default `both`);
-//! * `--probes N` — probes per replay (default 20);
-//! * `--out PATH` (or `KAR_BREAKING_OUT`) — where to write the JSON
-//!   document (default `BENCH_breaking.json` at the repository root).
+//! * `--probes N` — probes per replay (default 20).
 //!
 //! The document contains no wall-clock fields: it is a pure function of
 //! the configuration, byte-identical across runs, and is committed at
 //! the repository root so changes to the resilience frontier show up in
 //! review diffs.
 
-use kar_bench::cli::{flag_value, CommonArgs};
+use kar_bench::cli::CommonArgs;
 use kar_bench::experiments::breaking;
+use kar_bench::harness::Scenario;
 use kar_topology::{rnp28, topo15};
-use std::path::PathBuf;
 
 fn main() {
     let common = CommonArgs::parse(11);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_k: usize = flag_value(&args, "--max-k")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let probes: u64 = flag_value(&args, "--probes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let which = flag_value(&args, "--topo").unwrap_or_else(|| "both".into());
-    let mut cells = Vec::new();
-    if which == "both" || which == "topo15" {
-        let topo = topo15::build();
-        cells.extend(breaking::run_pair(
-            &topo,
-            "topo15",
-            "AS1",
-            "AS3",
-            max_k,
-            common.seed,
-            probes,
-        ));
-    }
-    if which == "both" || which == "rnp28" {
-        let topo = rnp28::build();
-        for (src, dst) in [("E_BV", "E_SP"), ("E_BH", "E_113")] {
-            cells.extend(breaking::run_pair(
-                &topo,
-                "rnp28",
-                src,
-                dst,
-                max_k,
-                common.seed,
-                probes,
-            ));
-        }
-    }
+    let max_k: usize = common.flag("--max-k", 3);
+    let probes: u64 = common.flag("--probes", 20);
+    let (t15, rnp) = (topo15::build(), rnp28::build());
+    let pairs: Vec<Scenario<'_>> = [
+        ("topo15", &t15, "AS1", "AS3"),
+        ("rnp28", &rnp, "E_BV", "E_SP"),
+        ("rnp28", &rnp, "E_BH", "E_113"),
+    ]
+    .into_iter()
+    .filter(|(name, ..)| common.wants_topo(name))
+    .map(|(topo_name, topo, src, dst)| Scenario {
+        topo_name,
+        topo,
+        src,
+        dst,
+    })
+    .collect();
+    let cells = breaking::run(&pairs, max_k, common.seed, probes, &common.sweep());
     print!("{}", breaking::render(&cells));
     let broken = cells.iter().filter(|c| c.breaking.is_some()).count();
     let unconfirmed: Vec<&breaking::BreakingCell> = cells
@@ -72,16 +54,11 @@ fn main() {
         max_k,
         unconfirmed.len()
     );
-    let out = flag_value(&args, "--out")
-        .or_else(|| std::env::var("KAR_BREAKING_OUT").ok())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_breaking.json")
-        });
-    match std::fs::write(&out, breaking::to_json(&cells)) {
-        Ok(()) => eprintln!("fig_breaking: wrote {}", out.display()),
-        Err(e) => eprintln!("fig_breaking: cannot write {}: {e}", out.display()),
-    }
+    common.write_document(
+        "fig_breaking",
+        Some("BENCH_breaking.json"),
+        &breaking::to_json(&cells),
+    );
     common.finish();
     if !unconfirmed.is_empty() {
         for c in &unconfirmed {

@@ -1,10 +1,12 @@
 //! Dynamic fault processes (repair, flap, node crash) with the
 //! failure-reactive controller loop: delivery, packets saved by
 //! deflection, and per-flow recovery latency per technique.
+//!
+//! A sweep binary: `--jobs`, `--checkpoint` and `--out` (the JSON
+//! document; nothing is written without it) work as on the others.
 use kar_bench::cli::CommonArgs;
 use kar_bench::experiments::dynamic;
 use kar_bench::harness::env_knob;
-use kar_bench::telemetry::{self, DynamicRecord};
 use kar_simnet::SimTime;
 
 fn main() {
@@ -15,24 +17,8 @@ fn main() {
         seed: common.seed,
         ..dynamic::DynamicConfig::default()
     };
-    let points = dynamic::run(cfg, common.jobs);
+    let points = dynamic::run(cfg, &common.sweep());
     print!("{}", dynamic::render(&points));
-    let records: Vec<DynamicRecord> = points
-        .iter()
-        .map(|p| DynamicRecord {
-            experiment: "fig_dynamic".to_string(),
-            scenario: p.scenario.clone(),
-            technique: p.technique.label().to_string(),
-            injected: p.injected,
-            delivered: p.delivered,
-            dropped: p.dropped,
-            saved_by_deflection: p.saved_by_deflection,
-            link_failures: p.link_failures,
-            link_repairs: p.link_repairs,
-            recovered_flows: p.recovered_flows,
-            mean_recovery_latency_s: p.mean_recovery_latency_s,
-        })
-        .collect();
-    telemetry::emit(&records);
+    common.write_document("fig_dynamic", None, &dynamic::to_json(&points));
     common.finish();
 }

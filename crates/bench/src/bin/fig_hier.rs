@@ -3,14 +3,13 @@
 //! forwarding state, delivery, stretch, and a flat-vs-hier verification
 //! sample per cell. See `kar_bench::experiments::hier`.
 //!
-//! Flags (on top of the common quartet):
+//! Flags (on top of the common set, of which `--out` defaults to
+//! `BENCH_hier.json` at the repository root):
 //!
 //! * `--max-switches N` — largest cell to run (default 4096). Passing
 //!   `N < 512` switches to the small smoke grid `[32, 64, 128]` whose
 //!   cell names are disjoint from the committed document, so a CI run
-//!   trend-checks trivially as single-point series;
-//! * `--out PATH` (or `KAR_HIER_OUT`) — where to write the JSON
-//!   document (default `BENCH_hier.json` at the repository root).
+//!   trend-checks trivially as single-point series.
 //!
 //! Environment knobs: `KAR_HIER_PAIRS` (pairs per cell, default 24),
 //! `KAR_HIER_PKTS` (packets per pair, default 8), `KAR_HIER_DOMAIN`
@@ -18,19 +17,14 @@
 //! contains wall-clock fields — it is a pure function of the
 //! configuration, byte-identical across runs and machines.
 
-use kar_bench::campaign::json_field;
-use kar_bench::cli::{flag_value, CommonArgs};
-use kar_bench::experiments::hier::{run, HierConfig};
+use kar_bench::cli::CommonArgs;
+use kar_bench::experiments::hier::{self, HierConfig};
 use kar_bench::harness::env_knob;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let common = CommonArgs::parse(1);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_switches: usize = flag_value(&args, "--max-switches")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096);
+    let max_switches: usize = common.flag("--max-switches", 4096);
     let grid: &[usize] = if max_switches < 512 {
         &[32, 64, 128]
     } else {
@@ -52,34 +46,17 @@ fn main() -> ExitCode {
         domain_target,
         pairs: env_knob("KAR_HIER_PAIRS", 24) as usize,
         packets_per_pair: env_knob("KAR_HIER_PKTS", 8),
-        jobs: common.jobs,
         ..HierConfig::default()
     };
-    let total = cfg.cells().len();
-    let result = run(&cfg);
-    eprintln!("fig_hier: {} cells", total);
-    print!("{}", result.render_table());
-    let out = flag_value(&args, "--out")
-        .or_else(|| std::env::var("KAR_HIER_OUT").ok())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hier.json"));
-    match std::fs::write(&out, result.to_json()) {
-        Ok(()) => eprintln!("fig_hier: wrote {}", out.display()),
-        Err(e) => eprintln!("fig_hier: cannot write {}: {e}", out.display()),
-    }
+    let records = hier::run(&cfg, &common.sweep());
+    eprintln!("fig_hier: {} cells", records.len());
+    print!("{}", hier::render_table(&records));
+    let document = hier::to_json(&cfg, &records);
+    common.write_document("fig_hier", Some("BENCH_hier.json"), &document);
     common.finish();
     // Acceptance gate: boundary re-encoding must not introduce loop or
     // blackhole classes flat KAR doesn't have (deployed posture).
-    let bad: Vec<&str> = result
-        .records
-        .iter()
-        .filter(|(_, json)| {
-            json_field(json, "verify_new_classes")
-                .and_then(|v| v.parse::<usize>().ok())
-                .is_some_and(|n| n > 0)
-        })
-        .map(|(cell, _)| cell.as_str())
-        .collect();
+    let bad = hier::cells_with_new_classes(&records);
     if bad.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -4,14 +4,11 @@
 //! percentiles, event throughput and sampled verification counts versus
 //! network size.
 //!
-//! Flags (on top of the common quartet):
+//! Flags (on top of the common set, of which `--out` defaults to
+//! `BENCH_scale.json` at the repository root):
 //!
 //! * `--max-switches N` — largest cell to run (default 256; pass 512
-//!   for the full sweep, 64 for a CI smoke run);
-//! * `--checkpoint PATH` — JSON-lines checkpoint; an interrupted sweep
-//!   re-run with the same flags resumes at the last completed cell;
-//! * `--out PATH` (or `KAR_SCALE_OUT`) — where to write the JSON
-//!   document (default `BENCH_scale.json` at the repository root).
+//!   for the full sweep, 64 for a CI smoke run).
 //!
 //! Environment knobs: `KAR_SCALE_FLOWS` (flows per switch, default 2),
 //! `KAR_SCALE_PKTS` (packets per flow, default 30), `KAR_SCALE_WALL=0`
@@ -19,17 +16,13 @@
 //! function of the configuration, byte-identical across runs and
 //! machines).
 
-use kar_bench::campaign::{run_campaign, CampaignConfig};
-use kar_bench::cli::{flag_value, CommonArgs};
+use kar_bench::campaign::{self, CampaignConfig};
+use kar_bench::cli::CommonArgs;
 use kar_bench::harness::env_knob;
-use std::path::PathBuf;
 
 fn main() {
     let common = CommonArgs::parse(1);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_switches: usize = flag_value(&args, "--max-switches")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
+    let max_switches: usize = common.flag("--max-switches", 256);
     let sizes: Vec<usize> = [16usize, 32, 64, 128, 256, 512]
         .into_iter()
         .filter(|&n| n <= max_switches)
@@ -39,37 +32,22 @@ fn main() {
         sizes,
         flows_per_switch: env_knob("KAR_SCALE_FLOWS", 2) as usize,
         packets_per_flow: env_knob("KAR_SCALE_PKTS", 30),
-        checkpoint: flag_value(&args, "--checkpoint").map(PathBuf::from),
-        jobs: common.jobs,
         ..CampaignConfig::default()
     };
-    let total = cfg.cells().len();
-    let result = run_campaign(&cfg);
-    eprintln!(
-        "fig_scale: {} cells ({} computed, {} from checkpoint)",
-        total,
-        result.computed,
-        total - result.computed
-    );
-    print!("{}", result.render_table());
+    let records = campaign::run_campaign(&cfg, &common.sweep());
+    eprintln!("fig_scale: {} cells", records.len());
+    print!("{}", campaign::render_table(&records));
+    let key_growth = campaign::key_growth_study(&cfg.sizes);
     println!();
     println!("| Strategy | Requested | Achieved | Route-ID bits |");
     println!("|---|---|---|---|");
-    for row in &result.key_growth {
+    for row in &key_growth {
         println!(
             "| {} | {} | {} | {} |",
             row.strategy, row.requested, row.achieved, row.bits
         );
     }
-    let out = flag_value(&args, "--out")
-        .or_else(|| std::env::var("KAR_SCALE_OUT").ok())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json")
-        });
-    match std::fs::write(&out, result.to_json()) {
-        Ok(()) => eprintln!("fig_scale: wrote {}", out.display()),
-        Err(e) => eprintln!("fig_scale: cannot write {}: {e}", out.display()),
-    }
+    let document = campaign::to_json(&cfg, &records, &key_growth);
+    common.write_document("fig_scale", Some("BENCH_scale.json"), &document);
     common.finish();
 }

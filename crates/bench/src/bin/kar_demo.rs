@@ -30,7 +30,9 @@
 
 use kar::analysis::render_residue_table;
 use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_simnet::{FlowId, PacketKind, SimTime};
+use kar_bench::harness::{ProbeRun, ProbeScheme};
+use kar_bench::obs::RunObs;
+use kar_simnet::SimTime;
 use kar_topology::{rnp28, to_dot, topo15, NodeId, Topology};
 use std::process::ExitCode;
 
@@ -171,31 +173,33 @@ fn run() -> Result<(), String> {
         "probe" => {
             let (from, to) = endpoints(&topo, &args)?;
             let prot = protection(&topo, &args)?;
-            let mut net = KarNetwork::builder(&topo, args.technique)
-                .seed(args.seed)
-                .ttl(255)
-                .build();
-            net.encode(&EncodeRequest::new(from, to).with_protection(prot))
-                .map_err(|e| e.to_string())?;
-            let mut sim = net.into_sim();
+            let mut down = Vec::new();
             if let Some(spec) = &args.fail {
                 let (a, b) = spec
                     .split_once('-')
                     .ok_or("use --fail A-B with node names")?;
-                let link = topo
-                    .link_between(
+                down.push(
+                    topo.link_between(
                         topo.find(a).ok_or(format!("no node {a}"))?,
                         topo.find(b).ok_or(format!("no node {b}"))?,
                     )
-                    .ok_or(format!("no link {spec}"))?;
-                sim.schedule_link_down(SimTime::ZERO, link);
+                    .ok_or(format!("no link {spec}"))?,
+                );
             }
-            for i in 0..args.probes {
-                sim.run_until(SimTime(i * 200_000));
-                sim.inject(from, to, FlowId(0), i, PacketKind::Probe, 500);
+            let scheme = ProbeScheme::Kar {
+                technique: args.technique,
+                protection: prot,
+                recovery: None,
+            };
+            let outcome = ProbeRun {
+                probes: args.probes,
+                gap: SimTime::from_micros(200),
+                seed: args.seed,
+                down: &down,
+                ..ProbeRun::new(&topo, scheme, &[(from, to)])
             }
-            sim.run_to_quiescence();
-            let s = sim.stats();
+            .run(&RunObs::default());
+            let s = &outcome.stats;
             println!(
                 "{} / {} delivered | {} deflections | mean {:.1} hops (max {}) | mean latency {:.2} ms",
                 s.delivered,

@@ -21,8 +21,8 @@
 //! `kar-inspect <dump> forensics` instead renders the flight-recorder
 //! captures (anomaly-frozen event windows plus the causal chain from
 //! fault to drop, with detection-lag / re-encode-latency / blind-window
-//! annotations). `--json` switches the run list and per-switch table to
-//! a machine-readable JSON document on stdout.
+//! annotations). `--json` switches the run list, run summaries and
+//! per-switch tables to a machine-readable JSON document on stdout.
 //!
 //! Either view warns when a run's event ring overflowed
 //! (`evicted > 0`): timelines and forensics are then missing their
@@ -33,6 +33,7 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
+use kar_obs::json::{Json, Obj};
 use kar_obs::{fmt_ns, read_dumps, DumpRecord, RunDump};
 use kar_simnet::DropReason;
 
@@ -163,79 +164,58 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Machine-readable view of the dump: the run list plus each run's ring
-/// accounting and per-switch activity table, as one JSON document.
-fn json_report(path: &str, dumps: &[RunDump]) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"path\":{},\"runs\":[", json_str(path)));
-    for (i, d) in dumps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"label\":{},\"records\":{}",
-            json_str(&d.label),
-            d.records.len()
-        ));
-        if let Some((pushed, evicted, cap)) = ring_stats(d) {
-            out.push_str(&format!(
-                ",\"ring\":{{\"pushed\":{pushed},\"evicted\":{evicted},\"cap\":{cap}}}"
-            ));
-        }
-        out.push_str(",\"switches\":[");
-        for (j, (name, metrics)) in switch_counters(d).iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let get = |m: &str| metrics.get(m).copied().unwrap_or(0);
-            out.push_str(&format!(
-                "\n  {{\"name\":{},\"injected\":{},\"forwarded\":{},\"delivered\":{}",
-                json_str(name),
-                get("injected"),
-                get("forwarded"),
-                get("delivered")
-            ));
-            let mut first = true;
-            for (metric, value) in metrics.iter() {
-                if let Some(technique) = metric.strip_prefix("deflect.") {
-                    if first {
-                        out.push_str(",\"deflect\":{");
-                        first = false;
-                    } else {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{}:{value}", json_str(technique)));
-                }
-            }
-            if !first {
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+/// The run's `summary` record: its experiment's result line, as members.
+fn summary(run: &RunDump) -> Option<&[(String, Json)]> {
+    run.records.iter().find_map(|r| match r {
+        DumpRecord::Summary { fields } => Some(fields.as_slice()),
+        _ => None,
+    })
 }
 
-/// JSON string literal with the escapes our labels can actually contain
-/// (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Machine-readable view of the dump: the run list plus each run's
+/// summary, ring accounting and per-switch activity table, as one JSON
+/// document (one run per line, one switch per line inside it).
+fn json_report(path: &str, dumps: &[RunDump]) -> String {
+    let array = |indent: &str, items: Vec<String>| {
+        let lines: Vec<String> = items.iter().map(|i| format!("\n{indent}{i}")).collect();
+        format!("[{}]", lines.join(","))
+    };
+    let runs = dumps.iter().map(|d| {
+        let switches = switch_counters(d).into_iter().map(|(name, metrics)| {
+            let get = |m: &str| metrics.get(m).copied().unwrap_or(0);
+            let mut deflect = metrics
+                .iter()
+                .filter_map(|(m, v)| Some((m.strip_prefix("deflect.")?, v)))
+                .peekable();
+            let any = deflect.peek().is_some();
+            let deflect = deflect.fold(Obj::new(), |o, (technique, v)| o.num(technique, v));
+            Obj::new()
+                .str("name", name)
+                .num("injected", get("injected"))
+                .num("forwarded", get("forwarded"))
+                .num("delivered", get("delivered"))
+                .opt("deflect", any.then(|| deflect.finish()))
+                .finish()
+        });
+        let ring = ring_stats(d).map(|(pushed, evicted, cap)| {
+            Obj::new()
+                .num("pushed", pushed)
+                .num("evicted", evicted)
+                .num("cap", cap)
+                .finish()
+        });
+        Obj::new()
+            .str("label", &d.label)
+            .num("records", d.records.len())
+            .opt("summary", summary(d).map(|f| Json::Obj(f.to_vec())))
+            .opt("ring", ring)
+            .raw("switches", array("  ", switches.collect()))
+            .finish()
+    });
+    Obj::new()
+        .str("path", path)
+        .raw("runs", array("", runs.collect()))
+        .finish()
 }
 
 /// Node-scoped counters per switch: `name -> metric -> value`, the
@@ -260,6 +240,13 @@ fn switch_counters(run: &RunDump) -> BTreeMap<&str, BTreeMap<&str, u64>> {
 fn render(run: &RunDump, pkt: Option<u64>) {
     println!("=== run {} ===", run.label);
     warn_evicted(run);
+    if let Some(fields) = summary(run) {
+        println!("summary:");
+        for (name, value) in fields {
+            println!("  {name} = {value}");
+        }
+        println!();
+    }
     render_switch_table(run);
     render_link_heat(run);
     render_drops(run);
@@ -689,9 +676,20 @@ mod tests {
                     evicted: 4,
                     cap: 6,
                 },
+                DumpRecord::Summary {
+                    fields: vec![
+                        ("experiment".into(), Json::Str("fig4".into())),
+                        ("seed".into(), Json::Num("11981841711409792483".into())),
+                    ],
+                },
             ],
         };
         let doc = json_report("d.jsonl", &[run]);
+        assert!(
+            doc.contains("\"summary\":{\"experiment\":\"fig4\",\"seed\":11981841711409792483}"),
+            "{doc}"
+        );
+        assert!(Json::parse(&doc).is_ok(), "{doc}");
         assert!(doc.contains("\"label\":\"fig4/\\\"quoted\\\"\""), "{doc}");
         assert!(
             doc.contains("\"ring\":{\"pushed\":10,\"evicted\":4,\"cap\":6}"),

@@ -7,13 +7,12 @@
 //! serialization, so the committed document doubles as a byte-identity
 //! witness at load.
 //!
-//! Flags (on top of the common quartet):
+//! Flags (on top of the common set, of which `--out` defaults to
+//! `BENCH_service.json` at the repository root):
 //!
 //! * `--requests N` — total encode round-trips; accepts `k`/`m`
 //!   suffixes (`10k`, `1m`; default `1m`);
-//! * `--connections N` — concurrent client connections (default 4);
-//! * `--out PATH` (or `KAR_SERVICE_OUT`) — where to write the JSON
-//!   document (default `BENCH_service.json` at the repository root).
+//! * `--connections N` — concurrent client connections (default 4).
 //!
 //! The document's `mode` field is `"full"` when at least one million
 //! requests were driven — only then are the wall-clock metrics (QPS,
@@ -25,7 +24,6 @@ use kar::{EncodeRequest, Protection, WireMode};
 use kar_bench::cli::{flag_value, CommonArgs};
 use kar_service::{expected_header, Daemon, ServiceClient, ServiceConfig};
 use kar_topology::topo15;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,14 +123,10 @@ fn to_json(
 
 fn main() {
     let common = CommonArgs::parse(17);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let requests = flag_value(&args, "--requests")
+    let requests = flag_value(&common.args, "--requests")
         .and_then(|v| parse_requests(&v))
         .unwrap_or(1_000_000);
-    let connections: usize = flag_value(&args, "--connections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
+    let connections: usize = common.flag("--connections", 4).max(1);
 
     let topo = topo15::build();
     let recovery = ServiceConfig::new(topo.clone()).recovery.clone();
@@ -229,12 +223,6 @@ fn main() {
         if full { "full" } else { "smoke" },
     );
 
-    let out = flag_value(&args, "--out")
-        .or_else(|| std::env::var("KAR_SERVICE_OUT").ok())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json")
-        });
     let doc = to_json(
         requests,
         connections,
@@ -246,10 +234,7 @@ fn main() {
         &latencies,
         &stats,
     );
-    match std::fs::write(&out, doc) {
-        Ok(()) => eprintln!("kar_service_load: wrote {}", out.display()),
-        Err(e) => eprintln!("kar_service_load: cannot write {}: {e}", out.display()),
-    }
+    common.write_document("kar_service_load", Some("BENCH_service.json"), &doc);
     common.finish();
     if errors > 0 || byte_mismatches > 0 {
         eprintln!("kar_service_load: FAILED — errors or byte mismatches under load");

@@ -5,10 +5,10 @@
 //!
 //! Walks every committed revision of the `BENCH_*.json` documents
 //! (`git log` / `git show`, plus the working tree) and builds
-//! per-metric trajectories: residue-reduction geomean, event-queue
-//! speedup, per-cell reachability under attack, breaking-point k (and
-//! the k≤2 violation count), bits-per-route and delivery ratio at each
-//! scale point. It then:
+//! per-metric trajectories: per-cell reachability under attack,
+//! breaking-point k (and the k≤2 violation count), bits-per-route and
+//! delivery ratio at each scale point, header bits and stretch per
+//! hierarchy cell, service errors and throughput. It then:
 //!
 //! - writes the full trajectory document to `BENCH_trend.json`
 //!   (`--out` to relocate),
@@ -74,7 +74,7 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Args, String> {
 }
 
 /// Which BENCH document a `--check` file stands in for, from its name:
-/// `regressed_dataplane.json` → `BENCH_dataplane.json`.
+/// `regressed_scale.json` → `BENCH_scale.json`.
 fn doc_for_check(path: &Path) -> Option<&'static str> {
     let name = path.file_name()?.to_str()?;
     TREND_DOCS.iter().copied().find(|doc| {
@@ -103,7 +103,7 @@ fn main() -> ExitCode {
         let Some(doc) = doc_for_check(check) else {
             eprintln!(
                 "kar-trend: cannot tell which BENCH document {} stands in for \
-                 (name must contain dataplane/scale/breaking/adversary/service/hier)",
+                 (name must contain scale/breaking/adversary/service/hier)",
                 check.display()
             );
             return ExitCode::from(2);
@@ -178,14 +178,14 @@ mod tests {
             "--tolerance",
             "0.1",
             "--check",
-            "bad_dataplane.json",
+            "bad_scale.json",
             "--quiet",
         ])
         .unwrap();
         assert_eq!(args.repo, PathBuf::from("/r"));
         assert_eq!(args.out, PathBuf::from("/tmp/t.json"));
         assert_eq!(args.tolerance, 0.1);
-        assert_eq!(args.checks, vec![PathBuf::from("bad_dataplane.json")]);
+        assert_eq!(args.checks, vec![PathBuf::from("bad_scale.json")]);
         assert!(args.quiet);
         assert!(parse(&["--tolerance", "x"]).is_err());
         assert!(parse(&["stray"]).is_err());
@@ -194,10 +194,7 @@ mod tests {
     #[test]
     fn check_files_map_to_their_documents() {
         let doc = |n: &str| doc_for_check(Path::new(n));
-        assert_eq!(
-            doc("regressed_dataplane.json"),
-            Some("BENCH_dataplane.json")
-        );
+        assert_eq!(doc("regressed_dataplane.json"), None, "no such document");
         assert_eq!(doc("/tmp/x/scale_candidate.json"), Some("BENCH_scale.json"));
         assert_eq!(doc("breaking.json"), Some("BENCH_breaking.json"));
         assert_eq!(doc("adversary2.json"), Some("BENCH_adversary.json"));

@@ -19,15 +19,14 @@
 //! motivates NIP with (§2.1). At k=2 *every* technique has pinned
 //! counts: two simultaneous failures defeat even NIP on some cases, and
 //! the gate's job is to freeze exactly which.
-use kar::verify::{summarize, summarize_sets, SweepStats, VerifySummary};
-use kar::{
-    verify_failure_sets, verify_single_failures, DeflectionTechnique, EncodingCache, Outcome,
-    Protection,
-};
-use kar_bench::cli::{flag_value, CommonArgs};
+use kar::verify::{summarize_sets, FailureSetResult, SweepStats, VerifySummary};
+use kar::{verify_failure_sets, DeflectionTechnique, EncodingCache, Outcome, Protection};
+use kar_bench::cli::CommonArgs;
+use kar_bench::harness::link_names;
 use kar_bench::obs::RunObs;
 use kar_obs::Entity;
-use kar_topology::{rnp28, topo15, LinkId, NodeId, Topology};
+use kar_topology::{rnp28, topo15, LinkId, Topology};
+use std::ops::RangeInclusive;
 
 /// Records one technique's verification sweep into a metrics dump:
 /// global outcome counters plus per-failed-link blackhole/loop counters
@@ -77,33 +76,25 @@ fn record<'c>(
 /// failed link, outcome as tag), then a `verifier-gate` capture — so a
 /// failed CI gate ships its own black box inside the metrics dump
 /// (`kar-inspect forensics` renders it).
-fn record_gate_mismatch(
-    topo: &Topology,
-    label: &str,
-    offenders: &[(NodeId, NodeId, Vec<LinkId>, &'static str)],
-) {
+fn record_gate_mismatch(topo: &Topology, label: &str, offenders: &[&FailureSetResult]) {
     let run = RunObs::begin();
     let Some(o) = run.handle.get() else { return };
-    for (i, (src, dst, links, outcome)) in offenders.iter().enumerate() {
+    for (i, case) in offenders.iter().enumerate() {
         let mut ev = kar_obs::Event::new(i as u64, kar_obs::EventKind::Note);
-        ev.node = Some(src.0 as u32);
-        ev.aux = dst.0 as u64;
-        ev.link = links.first().map(|l| l.0 as u32);
-        ev.tag = outcome;
+        ev.node = Some(case.src.0 as u32);
+        ev.aux = case.dst.0 as u64;
+        ev.link = case.failed.first().map(|l| l.0 as u32);
+        ev.tag = match case.report.outcome {
+            Outcome::Loop => "loop",
+            Outcome::Blackhole => "blackhole",
+            Outcome::TtlExceeded => "ttl-exceeded",
+            Outcome::WrongEdge => "wrong-edge",
+            Outcome::Delivered => "delivered",
+        };
         o.events.push(ev);
     }
     o.forensics.capture("verifier-gate", 0, None, &o.events);
     run.submit(label, topo);
-}
-
-fn outcome_tag(outcome: Outcome) -> &'static str {
-    match outcome {
-        Outcome::Loop => "loop",
-        Outcome::Blackhole => "blackhole",
-        Outcome::TtlExceeded => "ttl-exceeded",
-        Outcome::WrongEdge => "wrong-edge",
-        Outcome::Delivered => "delivered",
-    }
 }
 
 fn print_header(name: &str, k: usize) {
@@ -127,117 +118,58 @@ fn print_row(technique: DeflectionTechnique, s: &VerifySummary) {
     );
 }
 
-fn link_names(topo: &Topology, links: &[LinkId]) -> String {
-    links
-        .iter()
-        .map(|&l| {
-            let link = topo.link(l);
-            format!("{}-{}", topo.node(link.a).name, topo.node(link.b).name)
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn check(topo: &Topology, name: &str, avp_allowance: usize) -> bool {
-    let cache = EncodingCache::new();
-    let mut ok = true;
-    print_header(name, 1);
-    for technique in DeflectionTechnique::ALL {
-        let results = verify_single_failures(topo, technique, &Protection::AutoFull, &cache)
-            .expect("verification runs");
-        let s = summarize(&results);
-        record(
-            topo,
-            &format!("verify/{name}/{}", technique.label()),
-            results
-                .iter()
-                .map(|c| (c.report.outcome, std::slice::from_ref(&c.failed))),
-            &s,
-        );
-        print_row(technique, &s);
-        if technique == DeflectionTechnique::None {
-            continue; // drop-on-failure is the baseline, not a guarantee
-        }
-        let allowance = if technique == DeflectionTechnique::Avp {
-            avp_allowance
-        } else {
-            0
-        };
-        if s.violations > allowance {
-            ok = false;
-            let offenders: Vec<(NodeId, NodeId, Vec<LinkId>, &'static str)> = results
-                .iter()
-                .filter(|c| {
-                    !c.disconnected
-                        && matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop)
-                })
-                .take(10)
-                .map(|c| (c.src, c.dst, vec![c.failed], outcome_tag(c.report.outcome)))
-                .collect();
-            record_gate_mismatch(
-                topo,
-                &format!("verify/{name}/{}/gate-mismatch", technique.label()),
-                &offenders,
-            );
-            for case in results
-                .iter()
-                .filter(|c| {
-                    !c.disconnected
-                        && matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop)
-                })
-                .take(10)
-            {
-                eprintln!(
-                    "VIOLATION {name}/{}: {} -> {} with {} failed: {} (witness {:?})",
-                    technique.label(),
-                    topo.node(case.src).name,
-                    topo.node(case.dst).name,
-                    link_names(topo, &[case.failed]),
-                    case.report.outcome,
-                    case.report
-                        .loop_witness
-                        .as_ref()
-                        .or(case.report.blackhole_witness.as_ref()),
-                );
-            }
-        }
-    }
-    println!();
-    ok
-}
-
-/// Pinned k=2 violation counts under AutoFull — the `--k 2` gate.
-/// These numbers are the committed classification fixtures
-/// (`crates/core/tests/fixtures/k2_{topo15,rnp28}.tsv`) projected to
-/// the one column that gates; the fixture test pins the full tables.
-fn pinned_k2_violations(name: &str, technique: DeflectionTechnique) -> Option<usize> {
-    match (name, technique) {
-        ("topo15", DeflectionTechnique::HotPotato) => Some(0),
-        ("topo15", DeflectionTechnique::Avp) => Some(20),
-        ("topo15", DeflectionTechnique::Nip) => Some(14),
-        ("rnp28", DeflectionTechnique::HotPotato) => Some(0),
-        ("rnp28", DeflectionTechnique::Avp) => Some(186),
-        ("rnp28", DeflectionTechnique::Nip) => Some(240),
-        _ => None,
+/// The violation counts `technique` may show on `name` at failure-set
+/// size `k`, or `None` where the sweep only reports.
+///
+/// k=1: the drop-on-failure dataplane never gates, HP and NIP must be
+/// clean, and AVP gets its pinned allowance (rnp28 has 3 known
+/// input-port ping-pong loops around SW107-SW113). k=2: exactly the
+/// committed classification fixtures
+/// (`crates/core/tests/fixtures/k2_{topo15,rnp28}.tsv`) projected to the
+/// one column that gates; the fixture test pins the full tables.
+fn allowed_violations(
+    name: &str,
+    k: usize,
+    technique: DeflectionTechnique,
+) -> Option<RangeInclusive<usize>> {
+    use DeflectionTechnique::*;
+    let exactly = |n| Some(n..=n);
+    match (k, name, technique) {
+        (1, _, None) => Option::None,
+        (1, "rnp28", Avp) => Some(0..=3),
+        (1, ..) => exactly(0),
+        (2, "topo15", HotPotato) | (2, "rnp28", HotPotato) => exactly(0),
+        (2, "topo15", Avp) => exactly(20),
+        (2, "topo15", Nip) => exactly(14),
+        (2, "rnp28", Avp) => exactly(186),
+        (2, "rnp28", Nip) => exactly(240),
+        _ => Option::None,
     }
 }
 
-fn check_k(topo: &Topology, name: &str, k: usize) -> bool {
+/// Sweeps every `k`-failure set of `topo` per technique, prints the
+/// classification table and gates it against [`allowed_violations`].
+fn check(topo: &Topology, name: &str, k: usize) -> bool {
     let cache = EncodingCache::new();
     let mut ok = true;
     print_header(name, k);
     let mut stats = SweepStats::default();
+    // The k=1 sweep predates `--k`; its labels and table stay as they were.
+    let scope = if k == 1 {
+        name.to_string()
+    } else {
+        format!("{name}/k{k}")
+    };
     for technique in DeflectionTechnique::ALL {
         let sweep = verify_failure_sets(topo, technique, &Protection::AutoFull, &cache, k)
             .expect("verification runs");
         let s = summarize_sets(&sweep.results);
+        let label = format!("verify/{scope}/{}", technique.label());
+        let cases = sweep.results.iter();
         record(
             topo,
-            &format!("verify/{name}/k{k}/{}", technique.label()),
-            sweep
-                .results
-                .iter()
-                .map(|c| (c.report.outcome, c.failed.as_slice())),
+            &label,
+            cases.map(|c| (c.report.outcome, c.failed.as_slice())),
             &s,
         );
         print_row(technique, &s);
@@ -246,95 +178,65 @@ fn check_k(topo: &Topology, name: &str, k: usize) -> bool {
         stats.memo_hits += sweep.stats.memo_hits;
         stats.disconnect_pruned += sweep.stats.disconnect_pruned;
         stats.symmetry_hits += sweep.stats.symmetry_hits;
-        let pinned = if k == 2 {
-            pinned_k2_violations(name, technique)
-        } else {
-            None
+        let Some(allowed) = allowed_violations(name, k, technique) else {
+            continue;
         };
-        let Some(pinned) = pinned else { continue };
-        if s.violations != pinned {
-            ok = false;
+        if allowed.contains(&s.violations) {
+            continue;
+        }
+        ok = false;
+        eprintln!(
+            "GATE {scope}/{}: {} violations, allowed {allowed:?}",
+            technique.label(),
+            s.violations
+        );
+        let offenders: Vec<&FailureSetResult> = sweep
+            .results
+            .iter()
+            .filter(|c| !c.disconnected)
+            .filter(|c| matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop))
+            .take(10)
+            .collect();
+        record_gate_mismatch(topo, &format!("{label}/gate-mismatch"), &offenders);
+        for case in offenders {
             eprintln!(
-                "UNPINNED {name}/k{k}/{}: {} violations, pinned {}",
-                technique.label(),
-                s.violations,
-                pinned
+                "  {} -> {} with {} failed: {} (witness {:?})",
+                topo.node(case.src).name,
+                topo.node(case.dst).name,
+                link_names(topo, &case.failed).join(", "),
+                case.report.outcome,
+                case.report
+                    .loop_witness
+                    .as_ref()
+                    .or(case.report.blackhole_witness.as_ref()),
             );
-            let offenders: Vec<(NodeId, NodeId, Vec<LinkId>, &'static str)> = sweep
-                .results
-                .iter()
-                .filter(|c| {
-                    !c.disconnected
-                        && matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop)
-                })
-                .take(10)
-                .map(|c| {
-                    (
-                        c.src,
-                        c.dst,
-                        c.failed.clone(),
-                        outcome_tag(c.report.outcome),
-                    )
-                })
-                .collect();
-            record_gate_mismatch(
-                topo,
-                &format!("verify/{name}/k{k}/{}/gate-mismatch", technique.label()),
-                &offenders,
-            );
-            for case in sweep
-                .results
-                .iter()
-                .filter(|c| {
-                    !c.disconnected
-                        && matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop)
-                })
-                .take(10)
-            {
-                let (src, dst): (NodeId, NodeId) = (case.src, case.dst);
-                eprintln!(
-                    "  {} -> {} with {} failed: {}",
-                    topo.node(src).name,
-                    topo.node(dst).name,
-                    link_names(topo, &case.failed),
-                    case.report.outcome,
-                );
-            }
         }
     }
-    println!(
-        "{name}: {} cases, {} explorations ({} memo hits, {} disconnect-pruned, {} symmetry hits)",
-        stats.cases, stats.explored, stats.memo_hits, stats.disconnect_pruned, stats.symmetry_hits
-    );
+    if k > 1 {
+        println!(
+            "{name}: {} cases, {} explorations ({} memo hits, {} disconnect-pruned, {} symmetry hits)",
+            stats.cases,
+            stats.explored,
+            stats.memo_hits,
+            stats.disconnect_pruned,
+            stats.symmetry_hits
+        );
+    }
     println!();
     ok
 }
 
 fn main() {
     let common = CommonArgs::parse(1);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let k: usize = flag_value(&args, "--k")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let which = flag_value(&args, "--topo").unwrap_or_else(|| "both".into());
-    let run15 = which == "both" || which == "topo15";
-    let run28 = which == "both" || which == "rnp28";
+    let k: usize = common.flag("--k", 1);
+    let run15 = common.wants_topo("topo15");
+    let run28 = common.wants_topo("rnp28");
     let mut ok = true;
-    if k == 1 {
-        if run15 {
-            ok &= check(&topo15::build(), "topo15", 0);
-        }
-        if run28 {
-            // 3 known AVP input-port ping-pong loops around SW107-SW113.
-            ok &= check(&rnp28::build(), "rnp28", 3);
-        }
-    } else {
-        if run15 {
-            ok &= check_k(&topo15::build(), "topo15", k);
-        }
-        if run28 {
-            ok &= check_k(&rnp28::build(), "rnp28", k);
-        }
+    if run15 {
+        ok &= check(&topo15::build(), "topo15", k);
+    }
+    if run28 {
+        ok &= check(&rnp28::build(), "rnp28", k);
     }
     common.finish();
     if !ok {

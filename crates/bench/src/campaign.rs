@@ -1,6 +1,6 @@
-//! Scale-sweep campaign engine: families of generated topologies,
-//! hundreds of concurrent CBR flows per cell, streaming aggregation,
-//! and checkpointed resume.
+//! Scale-sweep campaign: families of generated topologies, hundreds of
+//! concurrent CBR flows per cell and streaming aggregation, run on the
+//! [`crate::sweep`] engine.
 //!
 //! A *campaign* is a grid of cells — `(topology family, switch count,
 //! protection level)` — each of which builds a coprime-ID topology from
@@ -19,29 +19,21 @@
 //! uninterrupted one. Host wall-clock measurements (encode latency,
 //! events/sec) are the one exception; `KAR_SCALE_WALL=0` omits them so
 //! whole-file byte-identity is testable.
-//!
-//! Interruption is handled with a JSON-lines checkpoint file: a
-//! fingerprint header (campaign configuration) followed by one line per
-//! completed cell carrying the cell's record verbatim. On resume,
-//! matching cells are spliced back without recomputation; a fingerprint
-//! mismatch discards the file.
 
 use crate::harness::env_knob;
-use crate::runner::run_map;
+use crate::record::{record, Record};
+use crate::sweep::{self, keyed_seed, splitmix64};
 use kar::{
     verify_route, DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Outcome,
     Protection,
 };
+use kar_obs::json::{f64_or_null, Json, Obj};
 use kar_obs::{Entity, HistogramSummary, ObsHandle, Profiler};
 use kar_rns::{route_id_bit_length, IdAllocator, IdStrategy};
-use kar_simnet::{App, FlowId, HostCtx, Packet, PacketKind, SimTime};
+use kar_simnet::{App, FlowId, HostCtx, Packet, PacketKind, Sim, SimTime};
 use kar_topology::{gen, paths, LinkId, LinkParams, NodeId, Topology};
 use std::collections::{BTreeMap, HashSet};
-use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Topology family of a campaign cell.
@@ -189,10 +181,6 @@ pub struct CampaignConfig {
     pub packets_per_flow: u64,
     /// Switch-ID allocation strategy for generated topologies.
     pub strategy: IdStrategy,
-    /// Checkpoint file (JSON lines); `None` disables checkpointing.
-    pub checkpoint: Option<PathBuf>,
-    /// Worker threads for the cell sweep.
-    pub jobs: usize,
     /// Include host wall-clock fields (encode latency, events/sec) in
     /// records. Off, the emitted JSON is a pure function of the
     /// configuration — byte-identical across runs and hosts.
@@ -209,8 +197,6 @@ impl Default for CampaignConfig {
             flows_per_switch: 2,
             packets_per_flow: 30,
             strategy: IdStrategy::SmallestPrimes,
-            checkpoint: None,
-            jobs: 1,
             wall: env_knob("KAR_SCALE_WALL", 1) != 0,
         }
     }
@@ -236,9 +222,8 @@ impl CampaignConfig {
     }
 
     /// Configuration fingerprint: two checkpoints interoperate exactly
-    /// when their fingerprints match. Deliberately excludes `jobs`,
-    /// `wall` and the checkpoint path — none of them affects simulated
-    /// results.
+    /// when their fingerprints match. Deliberately excludes `wall` — it
+    /// does not affect simulated results.
     pub fn fingerprint(&self) -> String {
         let join = |parts: Vec<String>| parts.join("+");
         format!(
@@ -261,25 +246,8 @@ impl CampaignConfig {
     /// The seed of one cell: a splitmix64 of the campaign seed and the
     /// FNV-1a hash of the cell key.
     pub fn cell_seed(&self, cell: &Cell) -> u64 {
-        splitmix64(self.seed ^ fnv1a(&cell.key()))
+        keyed_seed(self.seed, &cell.key())
     }
-}
-
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A deterministic sequence of pseudo-random draws for flow placement —
@@ -352,6 +320,60 @@ impl App for FlowFleet {
     }
 }
 
+/// Seeded `(src, dst)` draws over `hosts`, self-pairs excluded.
+pub(crate) fn sample_pairs(
+    hosts: &[NodeId],
+    n: usize,
+    draws: &mut DrawStream,
+) -> Vec<(NodeId, NodeId)> {
+    (0..n)
+        .map(|_| {
+            let src = hosts[draws.below(hosts.len())];
+            let mut dst = hosts[draws.below(hosts.len())];
+            while dst == src {
+                dst = hosts[draws.below(hosts.len())];
+            }
+            (src, dst)
+        })
+        .collect()
+}
+
+/// Drives `pairs` as CBR flows of `limit` datagrams each: one
+/// [`FlowFleet`] app per source host, per-flow interval and start offset
+/// seeded from `draws`.
+pub(crate) fn add_fleets(
+    sim: &mut Sim<'_>,
+    pairs: &[(NodeId, NodeId)],
+    draws: &mut DrawStream,
+    limit: u64,
+) {
+    let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
+    for (i, &(src, dst)) in pairs.iter().enumerate() {
+        let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
+        let offset = SimTime::from_micros(draws.below(2_000) as u64);
+        fleets.entry(src.0).or_default().push(FleetFlow {
+            dst,
+            flow: FlowId(i as u32),
+            interval,
+            offset,
+            packet_bytes: 700,
+            limit,
+            sent: 0,
+        });
+    }
+    for (src, flows) in fleets {
+        sim.add_app(NodeId(src), Box::new(FlowFleet { flows }));
+    }
+}
+
+/// Core-core links along a path, in path order.
+pub(crate) fn core_links_along(topo: &Topology, path: &[NodeId]) -> Vec<LinkId> {
+    path.windows(2)
+        .filter(|w| topo.switch_id(w[0]).is_some() && topo.switch_id(w[1]).is_some())
+        .filter_map(|w| topo.link_between(w[0], w[1]))
+        .collect()
+}
+
 /// Everything one completed cell reports. Serialized with
 /// [`CellRecord::to_json`]; the checkpoint stores the JSON verbatim so a
 /// resumed campaign reproduces its output byte-for-byte without
@@ -421,92 +443,56 @@ pub struct CellRecord {
 impl CellRecord {
     /// Serializes as one JSON object on a single line.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(512);
-        o.push('{');
-        write!(o, "\"cell\":\"{}\"", self.key).unwrap();
-        write!(o, ",\"family\":\"{}\"", self.family).unwrap();
-        write!(o, ",\"switches\":{}", self.switches).unwrap();
-        write!(o, ",\"protection\":\"{}\"", self.protection).unwrap();
-        write!(o, ",\"seed\":{}", self.seed).unwrap();
-        if let Some(achieved) = self.gen_error {
-            write!(o, ",\"gen_error_achieved\":{achieved}").unwrap();
-        }
-        write!(o, ",\"hosts\":{}", self.hosts).unwrap();
-        write!(o, ",\"links\":{}", self.links).unwrap();
-        write!(o, ",\"flows\":{}", self.flows).unwrap();
-        write!(o, ",\"routes\":{}", self.routes).unwrap();
-        write!(o, ",\"network_bits\":{}", self.network_bits).unwrap();
-        write!(o, ",\"route_bits_max\":{}", self.route_bits_max).unwrap();
-        write!(o, ",\"injected\":{}", self.injected).unwrap();
-        write!(o, ",\"delivered\":{}", self.delivered).unwrap();
-        write!(o, ",\"delivery_ratio\":{}", json_f64(self.delivery_ratio)).unwrap();
-        write!(o, ",\"dropped\":{}", self.dropped).unwrap();
-        write!(o, ",\"deflections\":{}", self.deflections).unwrap();
-        write!(o, ",\"latency_ns\":{}", summary_json(&self.latency)).unwrap();
-        write!(o, ",\"hops\":{}", summary_json(&self.hops)).unwrap();
-        write!(o, ",\"events\":{}", self.events).unwrap();
-        write!(o, ",\"verify_cases\":{}", self.verify_cases).unwrap();
-        write!(o, ",\"verify_loops\":{}", self.verify_loops).unwrap();
-        write!(o, ",\"verify_blackholes\":{}", self.verify_blackholes).unwrap();
-        write!(o, ",\"verify_delivered\":{}", self.verify_delivered).unwrap();
-        if let Some(v) = self.encode_ns_mean {
-            write!(o, ",\"encode_ns_mean\":{}", json_f64(v)).unwrap();
-        }
-        if let Some(v) = self.sim_wall_ms {
-            write!(o, ",\"sim_wall_ms\":{}", json_f64(v)).unwrap();
-        }
-        if let Some(v) = self.events_per_sec {
-            write!(o, ",\"events_per_sec\":{}", json_f64(v)).unwrap();
-        }
-        o.push('}');
-        o
+        let summary = |s: &HistogramSummary| {
+            Obj::new()
+                .num("count", s.count)
+                .f64("mean", s.mean)
+                .num("p50", s.p50)
+                .num("p95", s.p95)
+                .num("p99", s.p99)
+                .finish()
+        };
+        Obj::new()
+            .str("cell", &self.key)
+            .str("family", &self.family)
+            .num("switches", self.switches)
+            .str("protection", &self.protection)
+            .num("seed", self.seed)
+            .opt("gen_error_achieved", self.gen_error)
+            .num("hosts", self.hosts)
+            .num("links", self.links)
+            .num("flows", self.flows)
+            .num("routes", self.routes)
+            .num("network_bits", self.network_bits)
+            .num("route_bits_max", self.route_bits_max)
+            .num("injected", self.injected)
+            .num("delivered", self.delivered)
+            .f64("delivery_ratio", self.delivery_ratio)
+            .num("dropped", self.dropped)
+            .num("deflections", self.deflections)
+            .raw("latency_ns", summary(&self.latency))
+            .raw("hops", summary(&self.hops))
+            .num("events", self.events)
+            .num("verify_cases", self.verify_cases)
+            .num("verify_loops", self.verify_loops)
+            .num("verify_blackholes", self.verify_blackholes)
+            .num("verify_delivered", self.verify_delivered)
+            .opt("encode_ns_mean", self.encode_ns_mean.map(f64_or_null))
+            .opt("sim_wall_ms", self.sim_wall_ms.map(f64_or_null))
+            .opt("events_per_sec", self.events_per_sec.map(f64_or_null))
+            .finish()
     }
 }
 
-fn summary_json(s: &HistogramSummary) -> String {
-    format!(
-        "{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-        s.count,
-        json_f64(s.mean),
-        s.p50,
-        s.p95,
-        s.p99
-    )
-}
-
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// A record member as table text: the number or string as written, `-`
+/// when the record has no such member.
+pub(crate) fn cell_text(record: &Json, path: &[&str]) -> String {
+    match record.path(path) {
+        Some(Json::Num(raw)) => raw.clone(),
+        Some(Json::Str(s)) => s.clone(),
+        Some(other) => other.to_string(),
+        None => "-".to_string(),
     }
-}
-
-/// Extracts the value of a top-level `"field":` from a single-line JSON
-/// record — enough for table rendering and tests without a JSON parser.
-/// Returns the raw token (number, string with quotes, or object).
-pub fn json_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let mut depth = 0usize;
-    let mut in_str = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '"' if !in_str => in_str = true,
-            '"' if in_str => in_str = false,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => {
-                if depth == 0 {
-                    return Some(&rest[..i]);
-                }
-                depth -= 1;
-            }
-            ',' if !in_str && depth == 0 => return Some(&rest[..i]),
-            _ => {}
-        }
-    }
-    Some(rest)
 }
 
 /// Runs one campaign cell to completion and returns its record.
@@ -538,20 +524,12 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let hosts = topo.edge_nodes();
     let n_flows = (cfg.flows_per_switch * cell.switches).clamp(64, 1024);
     let mut draws = DrawStream::new(seed);
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(n_flows);
-    for _ in 0..n_flows {
-        let src = hosts[draws.below(hosts.len())];
-        let mut dst = hosts[draws.below(hosts.len())];
-        while dst == src {
-            dst = hosts[draws.below(hosts.len())];
-        }
-        pairs.push((src, dst));
-    }
+    let pairs = sample_pairs(&hosts, n_flows, &mut draws);
     record.flows = pairs.len();
 
     // Install one route per distinct pair through a per-cell encoding
-    // cache (the CrtCache/Reducer stress the tentpole is after happens
-    // inside these encodes and in the fast-path dataplane below).
+    // cache (the CRT and `Reducer` stress happens inside these encodes
+    // and in the fast-path dataplane below).
     let protection = cell.prot.protection();
     let ttl = ((cell.switches * 4).clamp(64, 4096)) as u16;
     let obs = ObsHandle::enabled();
@@ -606,23 +584,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     if let Some(link) = failed {
         sim.schedule_link_down(SimTime::ZERO, link);
     }
-    let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
-        let offset = SimTime::from_micros(draws.below(2_000) as u64);
-        fleets.entry(src.0).or_default().push(FleetFlow {
-            dst,
-            flow: FlowId(i as u32),
-            interval,
-            offset,
-            packet_bytes: 700,
-            limit: cfg.packets_per_flow,
-            sent: 0,
-        });
-    }
-    for (src, flows) in fleets {
-        sim.add_app(NodeId(src), Box::new(FlowFleet { flows }));
-    }
+    add_fleets(&mut sim, &pairs, &mut draws, cfg.packets_per_flow);
     let t0 = Instant::now();
     sim.run_to_quiescence();
     let sim_wall = t0.elapsed();
@@ -680,37 +642,21 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     record
 }
 
-/// Core-core links along a path, in path order.
-fn core_links_along(topo: &Topology, path: &[NodeId]) -> Vec<LinkId> {
-    path.windows(2)
-        .filter(|w| topo.switch_id(w[0]).is_some() && topo.switch_id(w[1]).is_some())
-        .filter_map(|w| topo.link_between(w[0], w[1]))
-        .collect()
-}
-
-/// One row of the key-growth study: how far an [`IdStrategy`] stretches
-/// on ring-degree switches, and the worst-case route-ID bit length at
-/// the achieved size.
-#[derive(Debug, Clone)]
-pub struct KeyGrowthRow {
-    /// Strategy label.
-    pub strategy: String,
-    /// Ring size requested.
-    pub requested: usize,
-    /// Switches that received an ID (`== requested` when the build
-    /// succeeded).
-    pub achieved: usize,
-    /// Worst-case route-ID bit length over the achieved ID set.
-    pub bits: u32,
-}
-
-impl KeyGrowthRow {
-    /// Serializes as one JSON object on a single line.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"strategy\":\"{}\",\"requested\":{},\"achieved\":{},\"bits\":{}}}",
-            self.strategy, self.requested, self.achieved, self.bits
-        )
+record! {
+    /// One row of the key-growth study: how far an [`IdStrategy`]
+    /// stretches on ring-degree switches, and the worst-case route-ID bit
+    /// length at the achieved size.
+    #[derive(Debug, Clone)]
+    pub struct KeyGrowthRow {
+        /// Strategy label.
+        pub strategy: String,
+        /// Ring size requested.
+        pub requested: usize,
+        /// Switches that received an ID (`== requested` when the build
+        /// succeeded).
+        pub achieved: usize,
+        /// Worst-case route-ID bit length over the achieved ID set.
+        pub bits: u32,
     }
 }
 
@@ -754,180 +700,50 @@ pub fn key_growth_study(sizes: &[usize]) -> Vec<KeyGrowthRow> {
     rows
 }
 
-/// Outcome of [`run_campaign`].
-#[derive(Debug, Clone)]
-pub struct CampaignResult {
-    /// Configuration fingerprint the records belong to.
-    pub fingerprint: String,
-    /// `(cell key, record JSON)` in grid order.
-    pub records: Vec<(String, String)>,
-    /// Cells simulated in this invocation (the rest came from the
-    /// checkpoint).
-    pub computed: usize,
-    /// Key-growth study rows.
-    pub key_growth: Vec<KeyGrowthRow>,
+/// Renders the full `BENCH_scale.json` document from the campaign's
+/// records: one cell record per line (line-oriented so diffs stay
+/// readable), then the key-growth study.
+pub fn to_json(cfg: &CampaignConfig, records: &[Json], key_growth: &[KeyGrowthRow]) -> String {
+    let rows = sweep::lines(key_growth.iter().map(Record::to_json));
+    let tail = format!(",\n\"key_growth\":[\n{rows}]");
+    sweep::campaign_document("scale", &cfg.fingerprint(), records, &tail)
 }
 
-impl CampaignResult {
-    /// Renders the full `BENCH_scale.json` document: a JSON object with
-    /// one cell record per line (line-oriented so diffs stay readable).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"campaign\":\"scale\",\n");
+/// A human-readable summary table (stdout side of `fig_scale`).
+pub fn render_table(records: &[Json]) -> String {
+    let mut out = String::from(
+        "| Cell | Bits(max) | Flows | Delivery | p99 lat (ms) | Defl | Loops | Blackholes |\n\
+         |---|---|---|---|---|---|---|---|\n",
+    );
+    for record in records {
+        let get = |f: &str| cell_text(record, &[f]);
+        let p99_ms = record
+            .path(&["latency_ns", "p99"])
+            .and_then(Json::as_f64)
+            .map(|ns| format!("{:.2}", ns / 1e6))
+            .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
-            "\"fingerprint\":\"{}\",\n\"cells\":[\n",
-            self.fingerprint
+            "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
+            get("cell"),
+            get("route_bits_max"),
+            get("flows"),
+            get("delivery_ratio"),
+            p99_ms,
+            get("deflections"),
+            get("verify_loops"),
+            get("verify_blackholes"),
         ));
-        for (i, (_, json)) in self.records.iter().enumerate() {
-            out.push_str(json);
-            out.push_str(if i + 1 < self.records.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("],\n\"key_growth\":[\n");
-        for (i, row) in self.key_growth.iter().enumerate() {
-            out.push_str(&row.to_json());
-            out.push_str(if i + 1 < self.key_growth.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("]}\n");
-        out
     }
-
-    /// A human-readable summary table (stdout side of `fig_scale`).
-    pub fn render_table(&self) -> String {
-        let mut out = String::from(
-            "| Cell | Bits(max) | Flows | Delivery | p99 lat (ms) | Defl | Loops | Blackholes |\n\
-             |---|---|---|---|---|---|---|---|\n",
-        );
-        for (key, json) in &self.records {
-            let get = |f: &str| json_field(json, f).unwrap_or("-").to_string();
-            let p99_ms = json_field(json, "latency_ns")
-                .and_then(|obj| json_field(obj, "p99"))
-                .and_then(|v| v.parse::<f64>().ok())
-                .map(|ns| format!("{:.2}", ns / 1e6))
-                .unwrap_or_else(|| "-".to_string());
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                key,
-                get("route_bits_max"),
-                get("flows"),
-                get("delivery_ratio"),
-                p99_ms,
-                get("deflections"),
-                get("verify_loops"),
-                get("verify_blackholes"),
-            ));
-        }
-        out
-    }
+    out
 }
 
-/// Loads a checkpoint's completed cells, keyed by cell key. Returns an
-/// empty map when the file is missing or its fingerprint differs.
-fn load_checkpoint(path: &Path, fingerprint: &str) -> BTreeMap<String, String> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        return BTreeMap::new();
-    };
-    match json_field(header, "campaign_checkpoint") {
-        Some(fp) if fp.trim_matches('"') == fingerprint => {}
-        _ => return BTreeMap::new(),
-    }
-    let mut done = BTreeMap::new();
-    for line in lines {
-        let Some(key) = json_field(line, "cell") else {
-            continue; // torn tail write from an interrupted run
-        };
-        let Some(record_start) = line.find("\"record\":") else {
-            continue;
-        };
-        let record = line[record_start + "\"record\":".len()..].trim_end();
-        let record = record.strip_suffix('}').unwrap_or(record);
-        if record.ends_with('}') {
-            done.insert(key.trim_matches('"').to_string(), record.to_string());
-        }
-    }
-    done
-}
-
-/// Runs the campaign: resumes from the checkpoint (if configured and
-/// fingerprint-compatible), simulates the remaining cells in parallel,
-/// streams each completed cell to the checkpoint as it finishes, and
-/// returns every record in grid order.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let fingerprint = cfg.fingerprint();
-    let cells = cfg.cells();
-    let done = match &cfg.checkpoint {
-        Some(path) => load_checkpoint(path, &fingerprint),
-        None => BTreeMap::new(),
-    };
-    // (Re)write the checkpoint: header plus the still-valid cells, then
-    // append streaming. A fingerprint mismatch starts the file over.
-    let sink = cfg.checkpoint.as_ref().map(|path| {
-        let mut text = format!("{{\"campaign_checkpoint\":\"{fingerprint}\"}}\n");
-        for (key, record) in &done {
-            text.push_str(&format!("{{\"cell\":\"{key}\",\"record\":{record}}}\n"));
-        }
-        fs::write(path, &text).unwrap_or_else(|e| {
-            eprintln!("campaign: cannot write checkpoint {}: {e}", path.display());
-        });
-        Mutex::new(
-            fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .expect("checkpoint just written"),
-        )
-    });
-    let pending: Vec<Cell> = cells
-        .iter()
-        .filter(|c| !done.contains_key(&c.key()))
-        .copied()
-        .collect();
-    let computed = pending.len();
-    let fresh = run_map(&pending, cfg.jobs, |cell| {
-        let record = run_cell(cfg, cell);
-        let json = record.to_json();
-        if let Some(file) = &sink {
-            // Stream the finished cell out immediately (completion
-            // order): an interrupt after this line never recomputes the
-            // cell. The final document is assembled in grid order from
-            // the returned values, so the file order does not matter.
-            let mut file = file
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = writeln!(file, "{{\"cell\":\"{}\",\"record\":{json}}}", record.key);
-            let _ = file.flush();
-        }
-        (record.key, json)
-    });
-    let fresh: BTreeMap<String, String> = fresh.into_iter().collect();
-    let records = cells
-        .iter()
-        .map(|c| {
-            let key = c.key();
-            let json = fresh
-                .get(&key)
-                .or_else(|| done.get(&key))
-                .expect("every cell computed or restored")
-                .clone();
-            (key, json)
-        })
-        .collect();
-    CampaignResult {
-        fingerprint,
-        records,
-        computed,
-        key_growth: key_growth_study(&cfg.sizes),
-    }
+/// Runs the campaign on the sweep engine (resuming from
+/// `opts.checkpoint` when it is fingerprint-compatible) and returns
+/// every cell's record in grid order.
+pub fn run_campaign(cfg: &CampaignConfig, opts: &sweep::Opts) -> Vec<Json> {
+    sweep::run(opts, &cfg.fingerprint(), &cfg.cells(), Cell::key, |cell| {
+        run_cell(cfg, cell).to_json()
+    })
 }
 
 #[cfg(test)]
@@ -942,7 +758,6 @@ mod tests {
             prots: vec![ProtLevel::None, ProtLevel::Full],
             flows_per_switch: 2,
             packets_per_flow: 4,
-            jobs: 2,
             wall: false,
             ..CampaignConfig::default()
         }
@@ -1035,42 +850,39 @@ mod tests {
     #[test]
     fn campaign_grid_order_and_json_shape() {
         let cfg = smoke_config();
-        let result = run_campaign(&cfg);
-        assert_eq!(result.computed, 4);
-        assert_eq!(result.records.len(), 4);
-        let keys: Vec<&str> = result.records.iter().map(|(k, _)| k.as_str()).collect();
+        let records = run_campaign(&cfg, &sweep::Opts::jobs(2));
+        let keys: Vec<String> = records.iter().map(|r| cell_text(r, &["cell"])).collect();
         assert_eq!(
             keys,
             ["ring/8/none", "ring/8/full", "grid/8/none", "grid/8/full"]
         );
-        let doc = result.to_json();
+        let doc = to_json(&cfg, &records, &key_growth_study(&cfg.sizes));
         assert!(doc.starts_with("{\"campaign\":\"scale\""));
         assert!(doc.contains("\"key_growth\":["));
-        assert!(result.render_table().contains("ring/8/none"));
+        assert!(render_table(&records).contains("ring/8/none"));
     }
 
     #[test]
     fn parallel_campaign_matches_serial() {
-        let serial = run_campaign(&CampaignConfig {
-            jobs: 1,
-            ..smoke_config()
-        });
-        let parallel = run_campaign(&CampaignConfig {
-            jobs: 4,
-            ..smoke_config()
-        });
-        assert_eq!(serial.to_json(), parallel.to_json());
+        let serial = run_campaign(&smoke_config(), &sweep::Opts::jobs(1));
+        let parallel = run_campaign(&smoke_config(), &sweep::Opts::jobs(4));
+        assert_eq!(serial, parallel);
     }
 
+    /// What the tables rely on: a record member reads back as exactly
+    /// the token it was written with, `-` when the record has none.
     #[test]
     fn json_field_extracts_tokens() {
-        let line = r#"{"a":1,"b":"x,y","c":{"d":[1,2],"e":3},"f":4}"#;
-        assert_eq!(json_field(line, "a"), Some("1"));
-        assert_eq!(json_field(line, "b"), Some("\"x,y\""));
-        assert_eq!(json_field(line, "c"), Some("{\"d\":[1,2],\"e\":3}"));
-        assert_eq!(json_field(line, "f"), Some("4"));
-        assert_eq!(json_field(line, "missing"), None);
-        assert_eq!(json_field(json_field(line, "c").unwrap(), "e"), Some("3"));
+        let line =
+            r#"{"a":1,"b":"x,y","c":{"d":[1,2],"e":3},"f":null,"seed":11981841711409792483}"#;
+        let json = Json::parse(line).unwrap();
+        assert_eq!(cell_text(&json, &["a"]), "1");
+        assert_eq!(cell_text(&json, &["b"]), "x,y");
+        assert_eq!(cell_text(&json, &["c"]), "{\"d\":[1,2],\"e\":3}");
+        assert_eq!(cell_text(&json, &["c", "e"]), "3");
+        assert_eq!(cell_text(&json, &["f"]), "null");
+        assert_eq!(cell_text(&json, &["seed"]), "11981841711409792483");
+        assert_eq!(cell_text(&json, &["missing"]), "-");
     }
 
     #[test]

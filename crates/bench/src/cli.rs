@@ -1,11 +1,16 @@
 //! Shared command-line handling for the experiment binaries.
 //!
-//! Every sweep binary accepts the same quartet of knobs; before this
-//! module each `main` re-implemented the parsing by hand. One
-//! [`CommonArgs::parse`] call now handles:
+//! One [`CommonArgs::parse`] call handles, for every binary:
 //!
 //! * `--jobs N` / `--jobs=N` (or `KAR_JOBS`) — worker threads for the
 //!   [`crate::runner`] pool;
+//! * `--checkpoint PATH` — on the sweep binaries (`fig_scale`,
+//!   `fig_hier`, `fig_adversary`, `fig_breaking`, `multi_failure`,
+//!   `fig_dynamic`), the [`crate::sweep`] checkpoint: an interrupted
+//!   sweep re-run with the same flags resumes at the last completed
+//!   cell;
+//! * `--out PATH` — on the same binaries, where to write the sweep's
+//!   JSON document (see [`CommonArgs::write_document`]);
 //! * `--metrics PATH` / `--metrics=PATH` (or `KAR_METRICS`) — enables
 //!   the [`crate::obs`] dump sink;
 //! * `--trace PATH` / `--trace=PATH` (or `KAR_TRACE`) — also enables
@@ -15,20 +20,18 @@
 //! * `--events-cap N` / `--events-cap=N` (or `KAR_EVENTS_CAP`) — event
 //!   ring capacity per run, for when the default window evicts the
 //!   events a forensic capture needed;
-//! * `--telemetry TARGET` / `--telemetry=TARGET` — sugar for the
-//!   `KAR_TELEMETRY` environment variable read by
-//!   [`crate::telemetry::emit`] (`-` for stderr, anything else a file
-//!   path to append to);
 //! * `--seed N` (or `KAR_SEED`) — base RNG seed, with a per-experiment
 //!   default.
 //!
 //! None of the knobs changes simulation results except the seed: jobs
-//! only schedules work, and metrics/telemetry are pure observation.
-//! Call [`CommonArgs::finish`] at the end of `main` to flush any
-//! requested metrics dump.
+//! and checkpoints only schedule work, and metrics are pure
+//! observation. Call [`CommonArgs::finish`] at the end of `main` to
+//! flush any requested metrics dump.
 
 use crate::harness::env_knob;
-use crate::{obs, runner};
+use crate::{obs, runner, sweep};
+use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The flags and environment knobs shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -40,39 +43,78 @@ pub struct CommonArgs {
     /// Whether observability collection is on (a metrics dump and/or a
     /// Chrome trace was requested).
     pub metrics: bool,
-    /// The `--telemetry` target, when given on the command line.
-    pub telemetry: Option<String>,
+    /// Sweep checkpoint file (`--checkpoint`).
+    pub checkpoint: Option<PathBuf>,
+    /// Where the sweep document goes (`--out`).
+    pub out: Option<PathBuf>,
+    /// The raw arguments, for a binary's own flags (see
+    /// [`CommonArgs::flag`]).
+    pub args: Vec<String>,
 }
 
 impl CommonArgs {
     /// Parses the process arguments (skipping `argv[0]`), enabling the
-    /// metrics sink and exporting the telemetry target as a side effect.
-    /// `default_seed` is the experiment's seed when neither `--seed` nor
-    /// `KAR_SEED` is present.
+    /// metrics sink as a side effect. `default_seed` is the experiment's
+    /// seed when neither `--seed` nor `KAR_SEED` is present.
     pub fn parse(default_seed: u64) -> CommonArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        if let Some(target) = flag_value(&args, "--telemetry") {
-            // `telemetry::emit` reads the environment; the flag is sugar.
-            std::env::set_var("KAR_TELEMETRY", target);
-        }
         let mut common = CommonArgs::parse_pure(&args, default_seed);
         common.metrics = obs::init(args);
         common
     }
 
     /// The side-effect-free core of [`CommonArgs::parse`]: resolves
-    /// `jobs` and `seed` from flags and environment without touching the
-    /// metrics sink or the telemetry environment (so tests can exercise
-    /// precedence in isolation). `metrics` is left `false`.
+    /// everything from flags and environment without touching the
+    /// metrics sink (so tests can exercise precedence in isolation).
+    /// `metrics` is left `false`.
     pub fn parse_pure(args: &[String], default_seed: u64) -> CommonArgs {
         let seed = flag_value(args, "--seed")
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| env_knob("KAR_SEED", default_seed));
         CommonArgs {
-            jobs: runner::jobs_from_args(args.iter().cloned()),
+            jobs: runner::jobs_from_args(args),
             seed,
             metrics: false,
-            telemetry: flag_value(args, "--telemetry"),
+            checkpoint: flag_value(args, "--checkpoint").map(PathBuf::from),
+            out: flag_value(args, "--out").map(PathBuf::from),
+            args: args.to_vec(),
+        }
+    }
+
+    /// A binary's own `--name <value>` flag (`--max-switches`, `--k`,
+    /// …), or `default` when absent or unparsable.
+    pub fn flag<T: FromStr>(&self, name: &str, default: T) -> T {
+        flag_value(&self.args, name)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// Whether `--topo` (`topo15`, `rnp28` or the default `both`)
+    /// selects the topology called `name`.
+    pub fn wants_topo(&self, name: &str) -> bool {
+        let which = self.flag("--topo", "both".to_string());
+        which == "both" || which == name
+    }
+
+    /// How a sweep binary executes its sweep (`--jobs`, `--checkpoint`).
+    pub fn sweep(&self) -> sweep::Opts {
+        sweep::Opts {
+            jobs: self.jobs,
+            checkpoint: self.checkpoint.clone(),
+        }
+    }
+
+    /// Writes a sweep's JSON document to `--out`, or to `default_name`
+    /// at the repository root (the committed `BENCH_*.json` files), or
+    /// nowhere when neither is given. Reports on stderr as `tool`.
+    pub fn write_document(&self, tool: &str, default_name: Option<&str>, text: &str) {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let Some(out) = self.out.clone().or(default_name.map(|n| root.join(n))) else {
+            return;
+        };
+        match std::fs::write(&out, text) {
+            Ok(()) => eprintln!("{tool}: wrote {}", out.display()),
+            Err(e) => eprintln!("{tool}: cannot write {}: {e}", out.display()),
         }
     }
 
@@ -84,9 +126,7 @@ impl CommonArgs {
 }
 
 /// Extracts `--name <value>` or `--name=<value>`; the last occurrence
-/// wins (matching [`crate::obs::metrics_path`]'s convention). Public so
-/// binaries with extra flags (`fig_scale`'s `--checkpoint`,
-/// `--max-switches`) parse them the same way.
+/// wins (matching [`crate::obs::metrics_path`]'s convention).
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
     let mut iter = args.iter();
     let mut value = None;
@@ -127,13 +167,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flag_is_captured() {
-        let args = argv(&["--telemetry", "-"]);
-        assert_eq!(
-            CommonArgs::parse_pure(&args, 1).telemetry.as_deref(),
-            Some("-")
-        );
-        assert_eq!(CommonArgs::parse_pure(&[], 1).telemetry, None);
+    fn sweep_flags_are_parsed_in_one_place() {
+        let args = argv(&["--checkpoint", "c.ckpt", "--out=doc.json", "--jobs", "2"]);
+        let c = CommonArgs::parse_pure(&args, 1);
+        assert_eq!(c.out, Some(PathBuf::from("doc.json")));
+        let opts = c.sweep();
+        assert_eq!(opts.jobs, 2);
+        assert_eq!(opts.checkpoint, Some(PathBuf::from("c.ckpt")));
+        let c = CommonArgs::parse_pure(&[], 1);
+        assert_eq!((c.checkpoint, c.out), (None, None));
     }
 
     #[test]

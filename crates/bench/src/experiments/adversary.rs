@@ -22,22 +22,22 @@
 //! [`kar_baselines`] — faces the **identical attack trace**: the fault
 //! plan and Byzantine placement are seeded from `(topology, attack,
 //! intensity)` only, never from the scheme, so the comparison isolates
-//! the routing scheme. The grid fans out through
-//! [`crate::runner::run_map`] and every point carries a digest, so
+//! the routing scheme. The grid is a [`crate::sweep`] (`--jobs`,
+//! `--checkpoint`, `--out`) and every point is one canonical line, so
 //! `--jobs N` determinism is testable; the JSON document contains no
 //! wall-clock fields and is committed at the repository root.
 
-use crate::harness::row;
-use crate::runner::run_map;
+use crate::harness::{row, ProbeRun, ProbeScheme};
+use crate::record::{label_record, record, Record};
+use crate::sweep::{self, keyed_seed};
 use kar::recovery::RecoveryConfig;
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_baselines::{TableEdge, TableScheme};
-use kar_simnet::{Behavior, DropReason, FaultPlan, FlowId, PacketKind, Sim, SimConfig, SimTime};
-use kar_topology::{analysis, paths, rnp28, topo15, NodeId, Topology};
+use kar::{DeflectionTechnique, Protection};
+use kar_baselines::TableScheme;
+use kar_simnet::{Behavior, DropReason, FaultPlan, FlowId, SimTime};
+use kar_topology::{analysis, paths, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 
 /// One attack family, parameterized by an intensity `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,6 +100,8 @@ impl std::fmt::Display for AttackKind {
         f.write_str(self.label())
     }
 }
+
+label_record!(AttackKind, AttackKind::ALL);
 
 /// One routing scheme under attack: a KAR technique at a protection
 /// level, or a table-based baseline.
@@ -179,110 +181,71 @@ impl Default for AdversaryConfig {
     }
 }
 
-/// One measured grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdversaryPoint {
-    /// Topology name (`"topo15"`, `"rnp28"`).
-    pub topo: &'static str,
-    /// Attack family.
-    pub attack: AttackKind,
-    /// Attack intensity `n`.
-    pub intensity: u32,
-    /// Scheme label (see [`SchemeSpec::label`]).
-    pub scheme: String,
-    /// Probes injected (all flows).
-    pub injected: u64,
-    /// Probes delivered.
-    pub delivered: u64,
-    /// Probes dropped (all reasons).
-    pub dropped: u64,
-    /// Delivered / injected.
-    pub reachability: f64,
-    /// Mean delivered hops relative to each flow's fault-free shortest
-    /// path (NaN when nothing was delivered).
-    pub stretch: f64,
-    /// Drops classified as tampered residues
-    /// ([`DropReason::CorruptedResidue`]) — corruption *detected* by the
-    /// residue range check.
-    pub corrupted_residue_drops: u64,
-    /// Packets a Byzantine switch silently discarded.
-    pub adversary_drops: u64,
-    /// Packets pushed out a port the honest forwarder did not choose.
-    pub byzantine_misforwards: u64,
-    /// Route tags rewritten in flight.
-    pub byzantine_corruptions: u64,
-    /// Packets discarded by [`Behavior::DropSilently`] switches as
-    /// counted by the engine's Byzantine counter (must equal the
-    /// [`DropReason::AdversaryDrop`] bucket).
-    pub byzantine_drops: u64,
-    /// Physical link up→down transitions.
-    pub link_failures: u64,
-    /// Physical down→up transitions.
-    pub link_repairs: u64,
-    /// Flows the controller re-encoded onto a detour (0 for baselines,
-    /// which have no controller).
-    pub recovered_flows: usize,
-    /// Mean failure-detection → recovered-traffic latency in seconds
-    /// (NaN when no flow recovered).
-    pub mean_recovery_latency_s: f64,
-}
-
-impl AdversaryPoint {
-    /// Canonical serialization of every simulated quantity; two runs of
-    /// the same grid point are deterministic exactly when digests match
+record! {
+    /// One measured grid point — its `BENCH_adversary.json` cell and,
+    /// prefixed with `experiment`, its run summary in the metrics dump.
+    /// The line carries every simulated quantity, so two runs of the
+    /// same grid point are deterministic exactly when their lines match
     /// (the `--jobs` conformance property).
-    pub fn digest(&self) -> String {
-        format!(
-            "{}/{}/n{}/{} injected={} delivered={} dropped={} stretch={:?} corrupt_drops={} adv_drops={} misfwd={} corruptions={} byz_drops={} failures={} repairs={} recovered={} latency={:?}",
-            self.topo,
-            self.attack,
-            self.intensity,
-            self.scheme,
-            self.injected,
-            self.delivered,
-            self.dropped,
-            self.stretch,
-            self.corrupted_residue_drops,
-            self.adversary_drops,
-            self.byzantine_misforwards,
-            self.byzantine_corruptions,
-            self.byzantine_drops,
-            self.link_failures,
-            self.link_repairs,
-            self.recovered_flows,
-            self.mean_recovery_latency_s,
-        )
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct AdversaryPoint {
+        /// Topology name (`"topo15"`, `"rnp28"`).
+        pub topo: String,
+        /// Attack family.
+        pub attack: AttackKind,
+        /// Attack intensity `n`.
+        pub intensity: u32,
+        /// Scheme label (see [`SchemeSpec::label`]).
+        pub scheme: String,
+        /// Probes injected (all flows).
+        pub injected: u64,
+        /// Probes delivered.
+        pub delivered: u64,
+        /// Probes dropped (all reasons).
+        pub dropped: u64,
+        /// Delivered / injected.
+        pub reachability: f64,
+        /// Mean delivered hops relative to each flow's fault-free
+        /// shortest path (NaN when nothing was delivered).
+        pub stretch: f64,
+        /// Drops classified as tampered residues
+        /// ([`DropReason::CorruptedResidue`]) — corruption *detected* by
+        /// the residue range check.
+        pub corrupted_residue_drops: u64,
+        /// Packets a Byzantine switch silently discarded.
+        pub adversary_drops: u64,
+        /// Packets pushed out a port the honest forwarder did not choose.
+        pub byzantine_misforwards: u64,
+        /// Route tags rewritten in flight.
+        pub byzantine_corruptions: u64,
+        /// Packets discarded by [`Behavior::DropSilently`] switches as
+        /// counted by the engine's Byzantine counter (must equal the
+        /// [`DropReason::AdversaryDrop`] bucket).
+        pub byzantine_drops: u64,
+        /// Physical link up→down transitions.
+        pub link_failures: u64,
+        /// Physical down→up transitions.
+        pub link_repairs: u64,
+        /// Flows the controller re-encoded onto a detour (0 for
+        /// baselines, which have no controller).
+        pub recovered_flows: usize,
+        /// Mean failure-detection → recovered-traffic latency in seconds
+        /// (NaN when no flow recovered).
+        pub mean_recovery_latency_s: f64,
     }
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Seed of the attack trace — a function of `(topology, attack,
 /// intensity)` and the base seed ONLY, so every scheme in a cell faces
 /// the identical trace.
 fn attack_seed(cfg: &AdversaryConfig, topo: &str, attack: AttackKind, n: u32) -> u64 {
-    splitmix64(cfg.seed ^ fnv1a(&format!("{topo}/{attack}/{n}")))
+    keyed_seed(cfg.seed, &format!("{topo}/{attack}/{n}"))
 }
 
 /// Seed of one scheme's simulation (adds the scheme to the key so e.g.
 /// HP's random walk and PathSplicing's slices draw independent streams).
 fn sim_seed(cfg: &AdversaryConfig, topo: &str, attack: AttackKind, n: u32, scheme: &str) -> u64 {
-    splitmix64(cfg.seed ^ fnv1a(&format!("{topo}/{attack}/{n}/{scheme}")))
+    keyed_seed(cfg.seed, &format!("{topo}/{attack}/{n}/{scheme}"))
 }
 
 /// All campaigns start here: flows are warmed up, then the attack lands
@@ -358,22 +321,12 @@ fn nominal_hops(topo: &Topology, flows: &[(NodeId, NodeId)]) -> Vec<u64> {
         .collect()
 }
 
-fn drive(sim: &mut Sim, flows: &[(NodeId, NodeId)], cfg: &AdversaryConfig) {
-    for i in 0..cfg.probes {
-        sim.run_until(SimTime(i * cfg.gap.as_nanos()));
-        for (f, &(src, dst)) in flows.iter().enumerate() {
-            sim.inject(src, dst, FlowId(f as u32), i, PacketKind::Probe, 500);
-        }
-    }
-    sim.run_to_quiescence();
-}
-
 /// Runs one `(topology, attack, intensity, scheme)` point. The fault
 /// plan and Byzantine placement derive from the attack trace seed
 /// (scheme-independent); only the simulation seed knows the scheme.
 pub fn run_point(
     topo: &Topology,
-    topo_name: &'static str,
+    topo_name: &str,
     flows: &[(NodeId, NodeId)],
     attack: AttackKind,
     intensity: u32,
@@ -381,100 +334,52 @@ pub fn run_point(
     cfg: &AdversaryConfig,
 ) -> AdversaryPoint {
     let plan_seed = attack_seed(cfg, topo_name, attack, intensity);
-    let run_seed = sim_seed(cfg, topo_name, attack, intensity, &scheme.label());
     let plan = attack_plan(topo, attack, intensity, plan_seed);
     let byz = byzantine_set(topo, attack, intensity);
-    let obs = crate::obs::RunObs::begin();
-    let (stats, recovered_flows, mean_recovery_latency_s) = match scheme {
+    let probe_scheme = match scheme {
         SchemeSpec::Kar {
             technique,
             protection,
-        } => {
-            let protection = match protection {
+        } => ProbeScheme::Kar {
+            technique,
+            protection: match protection {
                 "none" => Protection::None,
                 "full" => Protection::AutoFull,
                 other => unreachable!("unknown protection level {other}"),
-            };
-            let mut builder = KarNetwork::builder(topo, technique)
-                .seed(run_seed)
-                .ttl(255)
-                .detection_delay(cfg.detection)
-                .obs(obs.handle.clone());
-            if let Some(profiler) = &obs.profiler {
-                builder = builder.profiler(profiler.clone());
-            }
-            for &(node, behavior) in &byz {
-                builder = builder.byzantine(node, behavior);
-            }
-            let mut net = builder
-                .recovery(RecoveryConfig {
-                    notification_delay: cfg.notification,
-                    protection: Protection::None,
-                })
-                .build();
-            let log = net.recovery_log().expect("recovery enabled");
-            for &(src, dst) in flows {
-                net.encode(&EncodeRequest::new(src, dst).with_protection(protection.clone()))
-                    .expect("route installs");
-            }
-            let mut sim = net.into_sim();
-            if let Some(plan) = &plan {
-                plan.apply(&mut sim);
-            }
-            drive(&mut sim, flows, cfg);
-            let log = log.lock().expect("recovery log lock");
-            (
-                sim.stats().clone(),
-                log.flows.len(),
-                log.mean_recovery_latency_s(),
-            )
-        }
-        SchemeSpec::Table(table) => {
-            let endpoints: Vec<NodeId> = flows.iter().flat_map(|&(s, d)| [s, d]).collect();
-            let mut sim = Sim::new(
-                topo,
-                table.forwarder(topo, &endpoints, run_seed),
-                Box::new(TableEdge),
-                SimConfig {
-                    seed: run_seed,
-                    default_ttl: 255,
-                    detection_delay: cfg.detection,
-                    ..SimConfig::default()
-                },
-            );
-            sim.attach_obs(&obs.handle);
-            for &(node, behavior) in &byz {
-                sim.set_behavior(node, behavior);
-            }
-            if let Some(plan) = &plan {
-                plan.apply(&mut sim);
-            }
-            drive(&mut sim, flows, cfg);
-            (sim.stats().clone(), 0, f64::NAN)
-        }
+            },
+            recovery: Some(RecoveryConfig {
+                notification_delay: cfg.notification,
+                protection: Protection::None,
+            }),
+        },
+        SchemeSpec::Table(table) => ProbeScheme::Table(table),
     };
-    obs.submit(
-        &format!(
-            "fig_adversary/{topo_name}/{}/n{intensity}/{}",
-            attack.label(),
-            scheme.label()
-        ),
-        topo,
-    );
+    let obs = crate::obs::RunObs::begin();
+    let outcome = ProbeRun {
+        probes: cfg.probes,
+        gap: cfg.gap,
+        seed: sim_seed(cfg, topo_name, attack, intensity, &scheme.label()),
+        detection: cfg.detection,
+        plan: plan.as_ref(),
+        byzantine: &byz,
+        ..ProbeRun::new(topo, probe_scheme, flows)
+    }
+    .run(&obs);
+    let stats = &outcome.stats;
     let nominals = nominal_hops(topo, flows);
-    let nominal_total: u64 = flows
+    let nominal_total: u64 = nominals
         .iter()
         .enumerate()
-        .map(|(f, _)| {
+        .map(|(f, nominal)| {
             let delivered = stats
                 .flows
                 .get(&FlowId(f as u32))
                 .map_or(0, |fs| fs.delivered_pkts);
-            delivered * nominals[f]
+            delivered * nominal
         })
         .sum();
-    AdversaryPoint {
-        topo: topo_name,
+    let point = AdversaryPoint {
+        topo: topo_name.to_string(),
         attack,
         intensity,
         scheme: scheme.label(),
@@ -490,9 +395,20 @@ pub fn run_point(
         byzantine_drops: stats.byzantine_drops,
         link_failures: stats.link_failures,
         link_repairs: stats.link_repairs,
-        recovered_flows,
-        mean_recovery_latency_s,
-    }
+        recovered_flows: outcome.recovered_flows(),
+        mean_recovery_latency_s: outcome.mean_recovery_latency_s(),
+    };
+    obs.submit_summary(
+        &format!(
+            "fig_adversary/{topo_name}/{}/n{intensity}/{}",
+            attack.label(),
+            scheme.label()
+        ),
+        topo,
+        "fig_adversary",
+        &point.to_json(),
+    );
+    point
 }
 
 /// The flow set of one topology: every attack runs the same multi-flow
@@ -519,61 +435,77 @@ pub fn flow_set(topo: &Topology, topo_name: &str) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Runs the attack × intensity × scheme grid on one topology across
-/// `jobs` workers (byte-identical results at any job count).
-pub fn run_topology(
-    topo: &Topology,
-    topo_name: &'static str,
+/// Runs the attack × intensity × scheme grid on each `(name, topology)`
+/// (byte-identical results at any job count, resumable from
+/// `opts.checkpoint`).
+pub fn run(
     cfg: &AdversaryConfig,
-    jobs: usize,
+    topos: &[(&str, &Topology)],
+    opts: &sweep::Opts,
 ) -> Vec<AdversaryPoint> {
-    let flows = flow_set(topo, topo_name);
-    let grid: Vec<(AttackKind, u32, SchemeSpec)> = AttackKind::ALL
-        .into_iter()
-        .flat_map(|a| {
-            cfg.intensities
-                .iter()
-                .flat_map(move |&n| schemes().into_iter().map(move |s| (a, n, s)))
-        })
+    let flows: Vec<Vec<(NodeId, NodeId)>> = topos
+        .iter()
+        .map(|(name, topo)| flow_set(topo, name))
         .collect();
-    run_map(&grid, jobs, |&(attack, intensity, scheme)| {
-        run_point(topo, topo_name, &flows, attack, intensity, scheme, cfg)
-    })
+    let mut grid: Vec<(usize, AttackKind, u32, SchemeSpec)> = Vec::new();
+    for t in 0..topos.len() {
+        for attack in AttackKind::ALL {
+            for &n in &cfg.intensities {
+                grid.extend(schemes().into_iter().map(|s| (t, attack, n, s)));
+            }
+        }
+    }
+    let join = |parts: Vec<String>| parts.join("+");
+    let fingerprint = format!(
+        "adversary-v1 seed={} probes={} gap={} detection={} notification={} intensities={} topos={}",
+        cfg.seed,
+        cfg.probes,
+        cfg.gap.0,
+        cfg.detection.0,
+        cfg.notification.0,
+        join(cfg.intensities.iter().map(u32::to_string).collect()),
+        join(topos.iter().map(|(name, _)| name.to_string()).collect()),
+    );
+    sweep::typed(&sweep::run(
+        opts,
+        &fingerprint,
+        &grid,
+        |&(t, attack, n, scheme)| format!("{}/{attack}/{n}/{}", topos[t].0, scheme.label()),
+        |&(t, attack, n, scheme)| {
+            let (name, topo) = topos[t];
+            run_point(topo, name, &flows[t], attack, n, scheme, cfg).to_json()
+        },
+    ))
 }
 
-/// Runs the full suite on the paper's two topologies.
-pub fn run(cfg: &AdversaryConfig, jobs: usize) -> Vec<AdversaryPoint> {
-    let mut out = run_topology(&topo15::build(), "topo15", cfg, jobs);
-    out.extend(run_topology(&rnp28::build(), "rnp28", cfg, jobs));
-    out
-}
-
-/// Mean reachability of the targeted campaign vs its matched-intensity
-/// random control, per `(topology, intensity)` — positive `gap` means
-/// the targeted attack degrades reachability faster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GapReport {
-    /// Topology name.
-    pub topo: &'static str,
-    /// Attack intensity.
-    pub intensity: u32,
-    /// Mean reachability under [`AttackKind::TargetedLinks`].
-    pub targeted: f64,
-    /// Mean reachability under [`AttackKind::RandomLinks`].
-    pub random: f64,
-    /// `random - targeted`.
-    pub gap: f64,
+record! {
+    /// Mean reachability of the targeted campaign vs its
+    /// matched-intensity random control, per `(topology, intensity)` —
+    /// positive `gap` means the targeted attack degrades reachability
+    /// faster.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct GapReport {
+        /// Topology name.
+        pub topo: String,
+        /// Attack intensity.
+        pub intensity: u32,
+        /// Mean reachability under [`AttackKind::TargetedLinks`].
+        pub targeted: f64,
+        /// Mean reachability under [`AttackKind::RandomLinks`].
+        pub random: f64,
+        /// `random - targeted`.
+        pub gap: f64,
+    }
 }
 
 /// Computes the targeted-vs-random gap over all schemes of each
 /// `(topology, intensity)` cell present in `points`.
 pub fn targeted_vs_random(points: &[AdversaryPoint]) -> Vec<GapReport> {
-    let mut keys: Vec<(&'static str, u32)> = points
+    let mut keys: Vec<(&str, u32)> = points
         .iter()
         .filter(|p| p.attack == AttackKind::TargetedLinks)
-        .map(|p| (p.topo, p.intensity))
+        .map(|p| (p.topo.as_str(), p.intensity))
         .collect();
-    keys.dedup();
     keys.sort();
     keys.dedup();
     let mean = |topo: &str, n: u32, attack: AttackKind| -> f64 {
@@ -589,7 +521,7 @@ pub fn targeted_vs_random(points: &[AdversaryPoint]) -> Vec<GapReport> {
             let targeted = mean(topo, n, AttackKind::TargetedLinks);
             let random = mean(topo, n, AttackKind::RandomLinks);
             GapReport {
-                topo,
+                topo: topo.to_string(),
                 intensity: n,
                 targeted,
                 random,
@@ -652,86 +584,29 @@ pub fn render(points: &[AdversaryPoint], gaps: &[GapReport]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Serializes the sweep as the `BENCH_adversary.json` document. No
 /// wall-clock fields: a pure function of the configuration,
 /// byte-identical across runs and machines, committed at the repository
 /// root so shifts in the attack-resilience frontier show up in review
 /// diffs.
 pub fn to_json(points: &[AdversaryPoint], gaps: &[GapReport]) -> String {
-    let mut o = String::from("{\n\"experiment\":\"adversary\",\n\"cells\":[\n");
-    for (i, p) in points.iter().enumerate() {
-        o.push('{');
-        write!(
-            o,
-            "\"topo\":\"{}\",\"attack\":\"{}\",\"intensity\":{},\"scheme\":\"{}\",\
-             \"injected\":{},\"delivered\":{},\"dropped\":{},\"reachability\":{},\
-             \"stretch\":{},\"corrupted_residue_drops\":{},\"adversary_drops\":{},\
-             \"byzantine_misforwards\":{},\"byzantine_corruptions\":{},\
-             \"byzantine_drops\":{},\
-             \"link_failures\":{},\"link_repairs\":{},\"recovered_flows\":{},\
-             \"mean_recovery_latency_s\":{}",
-            p.topo,
-            p.attack,
-            p.intensity,
-            json_escape(&p.scheme),
-            p.injected,
-            p.delivered,
-            p.dropped,
-            json_f64(p.reachability),
-            json_f64(p.stretch),
-            p.corrupted_residue_drops,
-            p.adversary_drops,
-            p.byzantine_misforwards,
-            p.byzantine_corruptions,
-            p.byzantine_drops,
-            p.link_failures,
-            p.link_repairs,
-            p.recovered_flows,
-            json_f64(p.mean_recovery_latency_s),
-        )
-        .unwrap();
-        o.push('}');
-        if i + 1 < points.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("],\n\"targeted_vs_random\":[\n");
-    for (i, g) in gaps.iter().enumerate() {
-        write!(
-            o,
-            "{{\"topo\":\"{}\",\"intensity\":{},\"targeted\":{},\"random\":{},\"gap\":{}}}",
-            g.topo,
-            g.intensity,
-            json_f64(g.targeted),
-            json_f64(g.random),
-            json_f64(g.gap),
-        )
-        .unwrap();
-        if i + 1 < gaps.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("]}\n");
-    o
+    let gaps = sweep::lines(gaps.iter().map(GapReport::to_json));
+    let tail = format!(",\n\"targeted_vs_random\":[\n{gaps}]");
+    sweep::document("adversary", points.iter().map(Record::to_json), &tail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kar_topology::topo15;
+
+    fn run_topo15(cfg: &AdversaryConfig, jobs: usize) -> Vec<AdversaryPoint> {
+        run(
+            cfg,
+            &[("topo15", &topo15::build())],
+            &sweep::Opts::jobs(jobs),
+        )
+    }
 
     /// A grid small enough for debug-mode CI: one intensity, topo15.
     fn quick() -> AdversaryConfig {
@@ -744,26 +619,26 @@ mod tests {
 
     #[test]
     fn grid_covers_attacks_and_schemes() {
-        let topo = topo15::build();
         let cfg = quick();
-        let points = run_topology(&topo, "topo15", &cfg, 2);
+        let points = run_topo15(&cfg, 2);
         assert_eq!(points.len(), AttackKind::ALL.len() * schemes().len());
         for p in &points {
-            assert_eq!(p.injected, 40 * 4, "{}", p.digest());
-            assert_eq!(p.injected, p.delivered + p.dropped, "{}", p.digest());
-            assert!((0.0..=1.0).contains(&p.reachability), "{}", p.digest());
+            assert_eq!(p.injected, 40 * 4, "{}", p.to_json());
+            assert_eq!(p.injected, p.delivered + p.dropped, "{}", p.to_json());
+            assert!((0.0..=1.0).contains(&p.reachability), "{}", p.to_json());
         }
     }
 
     #[test]
     fn parallel_grid_is_byte_identical_to_serial() {
-        let topo = topo15::build();
         let cfg = quick();
-        let serial = run_topology(&topo, "topo15", &cfg, 1);
-        let parallel = run_topology(&topo, "topo15", &cfg, 4);
-        let s: Vec<String> = serial.iter().map(AdversaryPoint::digest).collect();
-        let p: Vec<String> = parallel.iter().map(AdversaryPoint::digest).collect();
-        assert_eq!(s, p);
+        let serial = run_topo15(&cfg, 1);
+        let parallel = run_topo15(&cfg, 4);
+        // Lines, not values: NaN fields compare unequal to themselves.
+        let lines = |ps: &[AdversaryPoint]| -> Vec<String> {
+            ps.iter().map(AdversaryPoint::to_json).collect()
+        };
+        assert_eq!(lines(&serial), lines(&parallel));
     }
 
     #[test]
@@ -776,7 +651,7 @@ mod tests {
             protection: "none",
         };
         let drop = run_point(&topo, "topo15", &flows, AttackKind::ByzDrop, 1, nip, &cfg);
-        assert!(drop.adversary_drops > 0, "{}", drop.digest());
+        assert!(drop.adversary_drops > 0, "{}", drop.to_json());
         assert_eq!(drop.adversary_drops, drop.byzantine_drops);
         // Deflecting techniques absorb a tampered residue as a
         // deflection, so corruption surfaces as path stretch, not drops.
@@ -789,11 +664,11 @@ mod tests {
             nip,
             &cfg,
         );
-        assert!(corrupt.byzantine_corruptions > 0, "{}", corrupt.digest());
+        assert!(corrupt.byzantine_corruptions > 0, "{}", corrupt.to_json());
         assert!(
             corrupt.stretch > 1.5,
             "corruption under NIP shows up as detours: {}",
-            corrupt.digest()
+            corrupt.to_json()
         );
         // The drop-on-failure plane is where the residue range check
         // actually classifies tampering (DropReason::CorruptedResidue).
@@ -813,7 +688,7 @@ mod tests {
         assert!(
             caught.corrupted_residue_drops > 0,
             "tampered residues must trip the range check: {}",
-            caught.digest()
+            caught.to_json()
         );
         let misfwd = run_point(
             &topo,
@@ -824,7 +699,7 @@ mod tests {
             nip,
             &cfg,
         );
-        assert!(misfwd.byzantine_misforwards > 0, "{}", misfwd.digest());
+        assert!(misfwd.byzantine_misforwards > 0, "{}", misfwd.to_json());
     }
 
     #[test]
@@ -848,9 +723,8 @@ mod tests {
 
     #[test]
     fn gap_report_covers_every_cell_once() {
-        let topo = topo15::build();
         let cfg = quick();
-        let points = run_topology(&topo, "topo15", &cfg, 2);
+        let points = run_topo15(&cfg, 2);
         let gaps = targeted_vs_random(&points);
         assert_eq!(gaps.len(), 1);
         assert_eq!(gaps[0].topo, "topo15");

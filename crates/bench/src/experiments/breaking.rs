@@ -20,13 +20,14 @@
 //! seeds before a packet walks into the trap; the replay retries a
 //! bounded seed window and records the confirming seed.
 
+use crate::harness::{link_names, ProbeRun, ProbeScheme, Scenario};
+use crate::obs::RunObs;
+use crate::record::{record, Record};
+use crate::sweep;
 use kar::verify::BreakingPoint;
-use kar::{
-    min_failure_set, DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Outcome,
-    Protection,
-};
-use kar_baselines::{TableEdge, TableScheme};
-use kar_simnet::{DropReason, FlowId, PacketKind, Sim, SimConfig, SimTime};
+use kar::{min_failure_set, DeflectionTechnique, EncodingCache, Outcome, Protection};
+use kar_baselines::TableScheme;
+use kar_simnet::{DropReason, Stats};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::fmt::Write as _;
 
@@ -47,72 +48,83 @@ pub fn protection_levels() -> [(&'static str, Protection); 3] {
     ]
 }
 
-/// One replay of a witness failure set through the real forwarder.
-#[derive(Debug, Clone)]
-pub struct Replay {
-    /// Seed that produced this record (the confirming one, or the last
-    /// tried when nothing confirmed).
-    pub seed: u64,
-    /// Whether the run reproduced the predicted failure class.
-    pub confirms: bool,
-    /// Probes injected.
-    pub injected: u64,
-    /// Probes delivered.
-    pub delivered: u64,
-    /// Drops by TTL expiry (the `Loop` signature).
-    pub ttl_drops: u64,
-    /// Drops inside the core with nowhere to forward (the `Blackhole`
-    /// signature: dead port, no route, residue out of range).
-    pub blackhole_drops: u64,
+record! {
+    /// One replay of a witness failure set through the real forwarder.
+    #[derive(Debug, Clone)]
+    pub struct Replay {
+        /// Seed that produced this record (the confirming one, or the
+        /// last tried when nothing confirmed).
+        pub seed: u64,
+        /// Whether the run reproduced the predicted failure class.
+        pub confirms: bool,
+        /// Probes injected.
+        pub injected: u64,
+        /// Probes delivered.
+        pub delivered: u64,
+        /// Drops by TTL expiry (the `Loop` signature).
+        pub ttl_drops: u64,
+        /// Drops inside the core with nowhere to forward (the
+        /// `Blackhole` signature: dead port, no route, residue out of
+        /// range).
+        pub blackhole_drops: u64,
+    }
 }
 
-/// A baseline scheme measured under the identical witness failure set.
-#[derive(Debug, Clone)]
-pub struct BaselineRun {
-    /// Scheme label.
-    pub scheme: &'static str,
-    /// Probes injected.
-    pub injected: u64,
-    /// Probes delivered.
-    pub delivered: u64,
+record! {
+    /// A baseline scheme measured under the identical witness failure set.
+    #[derive(Debug, Clone)]
+    pub struct BaselineRun {
+        /// Scheme label.
+        pub scheme: String,
+        /// Probes injected.
+        pub injected: u64,
+        /// Probes delivered.
+        pub delivered: u64,
+    }
 }
 
-/// The breaking point of one cell, replay attached.
-#[derive(Debug, Clone)]
-pub struct BreakingDetail {
-    /// Witness set size (the minimum that breaks the cell).
-    pub k: usize,
-    /// Witness links by endpoint names, e.g. `SW10-SW17`.
-    pub links: Vec<String>,
-    /// Predicted failure class (`Loop` or `Blackhole`).
-    pub outcome: Outcome,
-    /// The forwarder replay of the witness set.
-    pub replay: Replay,
-    /// Table-based baselines under the same failures.
-    pub baselines: Vec<BaselineRun>,
+record! {
+    /// The breaking point of one cell, replay attached.
+    #[derive(Debug, Clone)]
+    pub struct BreakingDetail {
+        /// Witness set size (the minimum that breaks the cell).
+        pub k: usize,
+        /// Witness links by endpoint names, e.g. `SW10-SW17`.
+        pub links: Vec<String>,
+        /// Predicted failure class (`Loop` or `Blackhole`).
+        pub outcome: Outcome,
+        /// The forwarder replay of the witness set.
+        pub replay: Replay,
+        /// Table-based baselines under the same failures.
+        pub baselines: Vec<BaselineRun>,
+    }
 }
 
-/// One (pair, technique, protection) cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct BreakingCell {
-    /// Topology name.
-    pub topo: &'static str,
-    /// Source edge name.
-    pub src: &'static str,
-    /// Destination edge name.
-    pub dst: &'static str,
-    /// Deflection technique.
-    pub technique: DeflectionTechnique,
-    /// Protection level label (see [`protection_levels`]).
-    pub protection: &'static str,
-    /// Largest failure-set size searched.
-    pub max_k: usize,
-    /// The breaking point, or `None` if the cell survives every
-    /// connectivity-preserving failure set up to `max_k`.
-    pub breaking: Option<BreakingDetail>,
+record! {
+    /// One (pair, technique, protection) cell of the sweep — its
+    /// `BENCH_breaking.json` record and, prefixed with `experiment`, its
+    /// run summary in the metrics dump.
+    #[derive(Debug, Clone)]
+    pub struct BreakingCell {
+        /// Topology name.
+        pub topo: String,
+        /// Source edge name.
+        pub src: String,
+        /// Destination edge name.
+        pub dst: String,
+        /// Deflection technique.
+        pub technique: DeflectionTechnique,
+        /// Protection level label (see [`protection_levels`]).
+        pub protection: String,
+        /// Largest failure-set size searched.
+        pub max_k: usize,
+        /// The breaking point, or `None` if the cell survives every
+        /// connectivity-preserving failure set up to `max_k`.
+        pub breaking: Option<BreakingDetail>,
+    }
 }
 
-fn blackhole_drops(stats: &kar_simnet::Stats) -> u64 {
+fn blackhole_drops(stats: &Stats) -> u64 {
     [
         DropReason::PortDown,
         DropReason::NoRoute,
@@ -123,185 +135,178 @@ fn blackhole_drops(stats: &kar_simnet::Stats) -> u64 {
     .sum()
 }
 
-fn drive(sim: &mut Sim, src: NodeId, dst: NodeId, probes: u64) {
-    for i in 0..probes {
-        // Paced injections: measure routing, not burst absorption.
-        sim.run_until(SimTime(i * 500_000));
-        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
-    }
-    sim.run_to_quiescence();
+/// `probes` paced probes from `src` to `dst` under `scheme` with the
+/// witness links `failed` down from t = 0.
+fn probe(
+    topo: &Topology,
+    pair: (NodeId, NodeId),
+    scheme: ProbeScheme,
+    failed: &[LinkId],
+    seed: u64,
+    probes: u64,
+    obs: &RunObs,
+) -> Stats {
+    let flows = [pair];
+    let run = ProbeRun {
+        probes,
+        seed,
+        down: failed,
+        ..ProbeRun::new(topo, scheme, &flows)
+    };
+    run.run(obs).stats
 }
 
-/// Everything a witness replay needs besides the seed: the cell under
-/// test and the observability sink its runs report into.
-pub struct ReplayCtx<'a> {
-    /// Topology under test.
-    pub topo: &'a Topology,
-    /// `(src, dst)` edge pair.
-    pub pair: (NodeId, NodeId),
-    /// Deflection technique of the cell.
-    pub technique: DeflectionTechnique,
-    /// Protection level of the cell.
-    pub protection: &'a Protection,
-    /// Probes injected per replay.
-    pub probes: u64,
-    /// Metrics sink the replays attach to.
-    pub obs: &'a crate::obs::RunObs,
-}
-
-impl ReplayCtx<'_> {
-    fn replay_once(&self, failed: &[LinkId], outcome: Outcome, seed: u64) -> Replay {
-        let (src, dst) = self.pair;
-        let mut net = KarNetwork::builder(self.topo, self.technique)
-            .seed(seed)
-            .ttl(255)
-            .build();
-        net.encode(&EncodeRequest::new(src, dst).with_protection(self.protection.clone()))
-            .expect("route installs");
-        let mut sim = net.into_sim();
-        sim.attach_obs(&self.obs.handle);
-        for &l in failed {
-            sim.schedule_link_down(SimTime::ZERO, l);
-        }
-        drive(&mut sim, src, dst, self.probes);
-        let stats = sim.stats();
-        let ttl_drops = stats
-            .drops
-            .get(&DropReason::TtlExpired)
-            .copied()
-            .unwrap_or(0);
-        let bh_drops = blackhole_drops(stats);
-        let confirms = match outcome {
-            Outcome::Loop => ttl_drops > 0,
-            Outcome::Blackhole => bh_drops > 0,
-            _ => false,
-        };
-        Replay {
+/// Replays a witness set through the real forwarder, retrying up to
+/// [`REPLAY_SEED_TRIES`] seeds until one reproduces the predicted
+/// failure class.
+fn replay_witness(
+    replay_once: impl Fn(u64) -> Stats,
+    bp: &BreakingPoint,
+    base_seed: u64,
+) -> Replay {
+    let mut last = None;
+    for seed in base_seed..base_seed + REPLAY_SEED_TRIES {
+        let stats = replay_once(seed);
+        let ttl_drops = stats.dropped_for(DropReason::TtlExpired);
+        let bh_drops = blackhole_drops(&stats);
+        let replay = Replay {
             seed,
-            confirms,
+            confirms: match bp.outcome {
+                Outcome::Loop => ttl_drops > 0,
+                Outcome::Blackhole => bh_drops > 0,
+                _ => false,
+            },
             injected: stats.injected,
             delivered: stats.delivered,
             ttl_drops,
             blackhole_drops: bh_drops,
+        };
+        if replay.confirms {
+            return replay;
         }
+        last = Some(replay);
     }
-
-    /// Replays a witness set, retrying up to [`REPLAY_SEED_TRIES`] seeds
-    /// until one reproduces the predicted failure class.
-    pub fn replay_witness(&self, bp: &BreakingPoint, base_seed: u64) -> Replay {
-        let mut last = None;
-        for offset in 0..REPLAY_SEED_TRIES {
-            let r = self.replay_once(&bp.failed, bp.outcome, base_seed + offset);
-            if r.confirms {
-                return r;
-            }
-            last = Some(r);
-        }
-        last.expect("at least one replay ran")
-    }
+    last.expect("at least one replay ran")
 }
 
-fn run_baselines(
-    topo: &Topology,
-    (src, dst): (NodeId, NodeId),
-    failed: &[LinkId],
-    seed: u64,
-    probes: u64,
-) -> Vec<BaselineRun> {
-    TableScheme::DEFAULT
-        .into_iter()
-        .map(|scheme| {
-            let mut sim = Sim::new(
-                topo,
-                scheme.forwarder(topo, &[src, dst], seed),
-                Box::new(TableEdge),
-                SimConfig {
-                    seed,
-                    default_ttl: 255,
-                    ..SimConfig::default()
-                },
-            );
-            for &l in failed {
-                sim.schedule_link_down(SimTime::ZERO, l);
-            }
-            drive(&mut sim, src, dst, probes);
-            BaselineRun {
-                scheme: scheme.label(),
-                injected: sim.stats().injected,
-                delivered: sim.stats().delivered,
-            }
-        })
-        .collect()
-}
-
-fn link_names(topo: &Topology, links: &[LinkId]) -> Vec<String> {
-    links
-        .iter()
-        .map(|&l| {
-            let link = topo.link(l);
-            format!("{}-{}", topo.node(link.a).name, topo.node(link.b).name)
-        })
-        .collect()
-}
-
-/// Runs the sweep for one pair on one topology: every technique × every
-/// protection level, breaking points searched up to `max_k`.
-pub fn run_pair(
-    topo: &Topology,
-    topo_name: &'static str,
-    src_name: &'static str,
-    dst_name: &'static str,
+/// Runs one cell: the breaking-point search, then — when there is a
+/// breaking point — the witness replay and the baselines under the same
+/// failures.
+fn run_cell(
+    pair: &Scenario<'_>,
+    (pname, protection): &(&str, Protection),
+    technique: DeflectionTechnique,
     max_k: usize,
     seed: u64,
     probes: u64,
-) -> Vec<BreakingCell> {
-    let src = topo.expect(src_name);
-    let dst = topo.expect(dst_name);
+) -> BreakingCell {
+    let topo = pair.topo;
+    let ends = pair.pair();
+    let obs = RunObs::begin();
     let cache = EncodingCache::new();
-    let mut out = Vec::new();
-    for (pname, protection) in protection_levels() {
-        for technique in DeflectionTechnique::ALL {
-            let obs = crate::obs::RunObs::begin();
-            let bp = min_failure_set(topo, src, dst, technique, &protection, &cache, max_k)
-                .expect("breaking-point search runs");
-            let ctx = ReplayCtx {
-                topo,
-                pair: (src, dst),
-                technique,
-                protection: &protection,
-                probes,
-                obs: &obs,
-            };
-            let breaking = bp.map(|bp| {
-                let replay = ctx.replay_witness(&bp, seed);
-                let baselines = run_baselines(topo, (src, dst), &bp.failed, seed, probes);
-                BreakingDetail {
-                    k: bp.failed.len(),
-                    links: link_names(topo, &bp.failed),
-                    outcome: bp.outcome,
-                    replay,
-                    baselines,
+    let bp = min_failure_set(topo, ends.0, ends.1, technique, protection, &cache, max_k)
+        .expect("breaking-point search runs");
+    let breaking = bp.map(|bp| {
+        let kar = ProbeScheme::Kar {
+            technique,
+            protection: protection.clone(),
+            recovery: None,
+        };
+        let replay = replay_witness(
+            |seed| probe(topo, ends, kar.clone(), &bp.failed, seed, probes, &obs),
+            &bp,
+            seed,
+        );
+        // The baselines are measured, not observed: the cell's dump
+        // describes the KAR replays only.
+        let baselines = TableScheme::DEFAULT
+            .into_iter()
+            .map(|scheme| {
+                let table = ProbeScheme::Table(scheme);
+                let stats = probe(
+                    topo,
+                    ends,
+                    table,
+                    &bp.failed,
+                    seed,
+                    probes,
+                    &RunObs::default(),
+                );
+                BaselineRun {
+                    scheme: scheme.label().to_string(),
+                    injected: stats.injected,
+                    delivered: stats.delivered,
                 }
-            });
-            obs.submit(
-                &format!(
-                    "breaking/{topo_name}/{src_name}-{dst_name}/{}/{pname}",
-                    technique.label()
-                ),
-                topo,
-            );
-            out.push(BreakingCell {
-                topo: topo_name,
-                src: src_name,
-                dst: dst_name,
-                technique,
-                protection: pname,
-                max_k,
-                breaking,
-            });
+            })
+            .collect();
+        BreakingDetail {
+            k: bp.failed.len(),
+            links: link_names(topo, &bp.failed),
+            outcome: bp.outcome,
+            replay,
+            baselines,
+        }
+    });
+    let cell = BreakingCell {
+        topo: pair.topo_name.to_string(),
+        src: pair.src.to_string(),
+        dst: pair.dst.to_string(),
+        technique,
+        protection: pname.to_string(),
+        max_k,
+        breaking,
+    };
+    obs.submit_summary(
+        &format!("breaking/{}", cell_key(pair, pname, technique)),
+        topo,
+        "fig_breaking",
+        &cell.to_json(),
+    );
+    cell
+}
+
+fn cell_key(pair: &Scenario<'_>, protection: &str, technique: DeflectionTechnique) -> String {
+    format!(
+        "{}/{}-{}/{}/{protection}",
+        pair.topo_name,
+        pair.src,
+        pair.dst,
+        technique.label()
+    )
+}
+
+/// Runs the sweep: for every pair, every protection level × every
+/// technique, breaking points searched up to `max_k` (byte-identical
+/// results at any job count, resumable from `opts.checkpoint`).
+pub fn run(
+    pairs: &[Scenario<'_>],
+    max_k: usize,
+    seed: u64,
+    probes: u64,
+    opts: &sweep::Opts,
+) -> Vec<BreakingCell> {
+    let levels = protection_levels();
+    let mut grid = Vec::new();
+    for pair in pairs {
+        for level in &levels {
+            grid.extend(DeflectionTechnique::ALL.map(|technique| (pair, level, technique)));
         }
     }
-    out
+    let names: Vec<String> = pairs
+        .iter()
+        .map(|p| format!("{}/{}-{}", p.topo_name, p.src, p.dst))
+        .collect();
+    let fingerprint = format!(
+        "breaking-v1 seed={seed} max_k={max_k} probes={probes} pairs={}",
+        names.join("+")
+    );
+    sweep::typed(&sweep::run(
+        opts,
+        &fingerprint,
+        &grid,
+        |(pair, level, technique)| cell_key(pair, level.0, *technique),
+        |&(pair, level, technique)| run_cell(pair, level, technique, max_k, seed, probes).to_json(),
+    ))
 }
 
 /// Renders the sweep as a markdown table.
@@ -361,80 +366,12 @@ pub fn render(cells: &[BreakingCell]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Serializes the sweep as the `BENCH_breaking.json` document. Contains
 /// no wall-clock fields: the document is a pure function of the
 /// configuration, byte-identical across runs and machines, so it can be
 /// committed and diffed.
 pub fn to_json(cells: &[BreakingCell]) -> String {
-    let mut o = String::from("{\n\"experiment\":\"breaking\",\n\"cells\":[\n");
-    for (i, c) in cells.iter().enumerate() {
-        o.push('{');
-        write!(
-            o,
-            "\"topo\":\"{}\",\"src\":\"{}\",\"dst\":\"{}\",\"technique\":\"{}\",\"protection\":\"{}\",\"max_k\":{}",
-            c.topo,
-            c.src,
-            c.dst,
-            json_escape(c.technique.label()),
-            c.protection,
-            c.max_k
-        )
-        .unwrap();
-        match &c.breaking {
-            None => o.push_str(",\"breaking\":null"),
-            Some(d) => {
-                write!(
-                    o,
-                    ",\"breaking\":{{\"k\":{},\"links\":[{}],\"outcome\":\"{}\"",
-                    d.k,
-                    d.links
-                        .iter()
-                        .map(|l| format!("\"{}\"", json_escape(l)))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    d.outcome
-                )
-                .unwrap();
-                write!(
-                    o,
-                    ",\"replay\":{{\"seed\":{},\"confirms\":{},\"injected\":{},\"delivered\":{},\"ttl_drops\":{},\"blackhole_drops\":{}}}",
-                    d.replay.seed,
-                    d.replay.confirms,
-                    d.replay.injected,
-                    d.replay.delivered,
-                    d.replay.ttl_drops,
-                    d.replay.blackhole_drops
-                )
-                .unwrap();
-                o.push_str(",\"baselines\":[");
-                for (j, b) in d.baselines.iter().enumerate() {
-                    if j > 0 {
-                        o.push(',');
-                    }
-                    write!(
-                        o,
-                        "{{\"scheme\":\"{}\",\"injected\":{},\"delivered\":{}}}",
-                        json_escape(b.scheme),
-                        b.injected,
-                        b.delivered
-                    )
-                    .unwrap();
-                }
-                o.push_str("]}");
-            }
-        }
-        o.push('}');
-        if i + 1 < cells.len() {
-            o.push(',');
-        }
-        o.push('\n');
-    }
-    o.push_str("]}\n");
-    o
+    sweep::document("breaking", cells.iter().map(Record::to_json), "")
 }
 
 #[cfg(test)]
@@ -442,10 +379,19 @@ mod tests {
     use super::*;
     use kar_topology::topo15;
 
+    fn run_pair(max_k: usize, seed: u64, probes: u64) -> Vec<BreakingCell> {
+        let pair = Scenario {
+            topo_name: "topo15",
+            topo: &topo15::build(),
+            src: "AS1",
+            dst: "AS3",
+        };
+        run(&[pair], max_k, seed, probes, &sweep::Opts::jobs(2))
+    }
+
     #[test]
     fn unprotected_cells_break_and_replays_confirm() {
-        let topo = topo15::build();
-        let cells = run_pair(&topo, "topo15", "AS1", "AS3", 2, 11, 20);
+        let cells = run_pair(2, 11, 20);
         assert_eq!(cells.len(), 3 * DeflectionTechnique::ALL.len());
         // Drop-on-failure without protection breaks on the first primary
         // link — the Fig. 4 premise.
@@ -477,8 +423,7 @@ mod tests {
 
     #[test]
     fn protection_never_lowers_the_breaking_point() {
-        let topo = topo15::build();
-        let cells = run_pair(&topo, "topo15", "AS1", "AS3", 2, 3, 10);
+        let cells = run_pair(2, 3, 10);
         let breaks_at = |tech, prot: &str| {
             cells
                 .iter()
@@ -499,14 +444,13 @@ mod tests {
 
     #[test]
     fn json_is_wellformed_enough_to_commit() {
-        let topo = topo15::build();
-        let cells = run_pair(&topo, "topo15", "AS1", "AS3", 1, 5, 10);
+        let cells = run_pair(1, 5, 10);
         let json = to_json(&cells);
         assert!(json.starts_with("{\n\"experiment\":\"breaking\""));
         assert_eq!(json.matches("\"technique\"").count(), cells.len());
         assert!(json.contains("\"breaking\":{") || json.contains("\"breaking\":null"));
         // Deterministic: same configuration, byte-identical document.
-        let again = to_json(&run_pair(&topo, "topo15", "AS1", "AS3", 1, 5, 10));
+        let again = to_json(&run_pair(1, 5, 10));
         assert_eq!(json, again);
         let text = render(&cells);
         assert!(text.contains("breaking points") || text.contains("Breaking points"));

@@ -8,8 +8,10 @@
 //! detection delay — quantifying an assumption the paper leaves
 //! implicit.
 
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_simnet::{FlowId, PacketKind, SimTime};
+use crate::harness::{ProbeRun, ProbeScheme};
+use crate::obs::RunObs;
+use kar::{DeflectionTechnique, Protection};
+use kar_simnet::{FaultPlan, SimTime};
 use kar_topology::topo15;
 
 /// One sweep point.
@@ -27,33 +29,34 @@ pub struct DetectionPoint {
 /// failure strikes mid-stream while `probes` paced probes cross.
 pub fn run(delays_us: &[u64], probes: u64, seed: u64) -> Vec<DetectionPoint> {
     let topo = topo15::build();
-    let as1 = topo.expect("AS1");
-    let as3 = topo.expect("AS3");
+    let flows = [(topo.expect("AS1"), topo.expect("AS3"))];
+    // Fail mid-stream: probes are paced at one per 100 µs.
+    let plan = FaultPlan::new(seed).fail(
+        topo.expect_link("SW7", "SW13"),
+        SimTime::from_micros(probes * 50),
+    );
+    let scheme = ProbeScheme::Kar {
+        technique: DeflectionTechnique::Nip,
+        protection: Protection::AutoFull,
+        recovery: None,
+    };
     delays_us
         .iter()
         .map(|&delay_us| {
-            let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
-                .seed(seed)
-                .ttl(255)
-                .detection_delay(SimTime::from_micros(delay_us))
-                .build();
-            net.encode(&EncodeRequest::new(as1, as3).with_protection(Protection::AutoFull))
-                .expect("route installs");
-            let mut sim = net.into_sim();
-            // Fail mid-stream: probes are paced at one per 100 µs.
-            sim.schedule_link_down(
-                SimTime::from_micros(probes * 50),
-                topo.expect_link("SW7", "SW13"),
-            );
-            for i in 0..probes {
-                sim.run_until(SimTime::from_micros(i * 100));
-                sim.inject(as1, as3, FlowId(0), i, PacketKind::Probe, 500);
+            let stats = ProbeRun {
+                probes,
+                gap: SimTime::from_micros(100),
+                seed,
+                detection: SimTime::from_micros(delay_us),
+                plan: Some(&plan),
+                ..ProbeRun::new(&topo, scheme.clone(), &flows)
             }
-            sim.run_to_quiescence();
+            .run(&RunObs::default())
+            .stats;
             DetectionPoint {
                 delay_us,
-                delivered: sim.stats().delivered,
-                lost: sim.stats().dropped(),
+                delivered: stats.delivered,
+                lost: stats.dropped(),
             }
         })
         .collect()

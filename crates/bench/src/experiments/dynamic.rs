@@ -14,14 +14,16 @@
 //! * how many flows the controller re-encoded and the **mean recovery
 //!   latency** from failure detection to recovered traffic.
 //!
-//! The grid fans out through [`crate::runner::run_map`], and every
-//! point carries a digest so `--jobs N` determinism is testable.
+//! The grid is a [`crate::sweep`] (so `--jobs`, `--checkpoint` and
+//! `--out` work as on every sweep), and every point is one canonical line so
+//! `--jobs N` determinism is testable.
 
-use crate::harness::row;
-use crate::runner::run_map;
+use crate::harness::{row, ProbeRun, ProbeScheme};
+use crate::record::{record, Record};
+use crate::sweep;
 use kar::recovery::RecoveryConfig;
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_simnet::{FaultPlan, FlowId, PacketKind, SimTime};
+use kar::{DeflectionTechnique, Protection};
+use kar_simnet::{FaultPlan, SimTime};
 use kar_topology::{topo15, Topology};
 
 /// A named dynamic fault process (a plan builder, so it can be compiled
@@ -104,50 +106,35 @@ impl Default for DynamicConfig {
     }
 }
 
-/// One measured grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynamicPoint {
-    /// Scenario name.
-    pub scenario: String,
-    /// Deflection technique.
-    pub technique: DeflectionTechnique,
-    /// Probes injected.
-    pub injected: u64,
-    /// Probes delivered.
-    pub delivered: u64,
-    /// Probes dropped (all reasons).
-    pub dropped: u64,
-    /// Delivered probes that were deflected at least once — the packets
-    /// saved by deflection.
-    pub saved_by_deflection: u64,
-    /// Physical link up→down transitions the engine processed.
-    pub link_failures: u64,
-    /// Physical down→up transitions.
-    pub link_repairs: u64,
-    /// Flows the controller re-encoded onto a detour.
-    pub recovered_flows: usize,
-    /// Mean failure-detection → recovered-traffic latency in seconds.
-    pub mean_recovery_latency_s: f64,
-}
-
-impl DynamicPoint {
-    /// Canonical serialization of every simulated quantity; two runs of
-    /// the same grid point are deterministic exactly when digests match
-    /// (the `--jobs` conformance property).
-    pub fn digest(&self) -> String {
-        format!(
-            "{}/{} injected={} delivered={} dropped={} saved={} failures={} repairs={} recovered={} latency={:?}",
-            self.scenario,
-            self.technique.label(),
-            self.injected,
-            self.delivered,
-            self.dropped,
-            self.saved_by_deflection,
-            self.link_failures,
-            self.link_repairs,
-            self.recovered_flows,
-            self.mean_recovery_latency_s,
-        )
+record! {
+    /// One measured grid point — its document record and, prefixed with
+    /// `experiment`, its run summary in the metrics dump. The line
+    /// carries every simulated quantity, so two runs of the same grid
+    /// point are deterministic exactly when their lines match (the
+    /// `--jobs` conformance property).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DynamicPoint {
+        /// Scenario name.
+        pub scenario: String,
+        /// Deflection technique.
+        pub technique: DeflectionTechnique,
+        /// Probes injected.
+        pub injected: u64,
+        /// Probes delivered.
+        pub delivered: u64,
+        /// Probes dropped (all reasons).
+        pub dropped: u64,
+        /// Delivered probes that were deflected at least once — the
+        /// packets saved by deflection.
+        pub saved_by_deflection: u64,
+        /// Physical link up→down transitions the engine processed.
+        pub link_failures: u64,
+        /// Physical down→up transitions.
+        pub link_repairs: u64,
+        /// Flows the controller re-encoded onto a detour.
+        pub recovered_flows: usize,
+        /// Mean failure-detection → recovered-traffic latency in seconds.
+        pub mean_recovery_latency_s: f64,
     }
 }
 
@@ -158,40 +145,31 @@ pub fn run_point(
     technique: DeflectionTechnique,
     cfg: DynamicConfig,
 ) -> DynamicPoint {
-    let src = topo.expect("AS1");
-    let dst = topo.expect("AS3");
+    let flows = [(topo.expect("AS1"), topo.expect("AS3"))];
+    let plan = (scenario.build)(topo);
     let obs = crate::obs::RunObs::begin();
-    let mut builder = KarNetwork::builder(topo, technique)
-        .seed(cfg.seed)
-        .ttl(255)
-        .detection_delay(cfg.detection)
-        .obs(obs.handle.clone());
-    if let Some(profiler) = &obs.profiler {
-        builder = builder.profiler(profiler.clone());
+    let outcome = ProbeRun {
+        probes: cfg.probes,
+        gap: cfg.gap,
+        seed: cfg.seed,
+        detection: cfg.detection,
+        plan: Some(&plan),
+        ..ProbeRun::new(
+            topo,
+            ProbeScheme::Kar {
+                technique,
+                protection: Protection::AutoFull,
+                recovery: Some(RecoveryConfig {
+                    notification_delay: cfg.notification,
+                    protection: Protection::None,
+                }),
+            },
+            &flows,
+        )
     }
-    let mut net = builder
-        .recovery(RecoveryConfig {
-            notification_delay: cfg.notification,
-            protection: Protection::None,
-        })
-        .build();
-    let log = net.recovery_log().expect("recovery enabled");
-    net.encode(&EncodeRequest::new(src, dst).with_protection(Protection::AutoFull))
-        .expect("route installs");
-    let mut sim = net.into_sim();
-    (scenario.build)(topo).apply(&mut sim);
-    for i in 0..cfg.probes {
-        sim.run_until(SimTime(i * cfg.gap.as_nanos()));
-        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
-    }
-    sim.run_to_quiescence();
-    obs.submit(
-        &format!("fig_dynamic/{}/{}", scenario.name, technique.label()),
-        topo,
-    );
-    let stats = sim.stats();
-    let log = log.lock().expect("recovery log lock");
-    DynamicPoint {
+    .run(&obs);
+    let stats = &outcome.stats;
+    let point = DynamicPoint {
         scenario: scenario.name.to_string(),
         technique,
         injected: stats.injected,
@@ -200,22 +178,43 @@ pub fn run_point(
         saved_by_deflection: stats.deflected_delivered,
         link_failures: stats.link_failures,
         link_repairs: stats.link_repairs,
-        recovered_flows: log.flows.len(),
-        mean_recovery_latency_s: log.mean_recovery_latency_s(),
-    }
+        recovered_flows: outcome.recovered_flows(),
+        mean_recovery_latency_s: outcome.mean_recovery_latency_s(),
+    };
+    obs.submit_summary(
+        &format!("fig_dynamic/{}/{}", scenario.name, technique.label()),
+        topo,
+        "fig_dynamic",
+        &point.to_json(),
+    );
+    point
 }
 
-/// Runs the full scenario × technique grid on topo15 across `jobs`
-/// workers (byte-identical results at any job count).
-pub fn run(cfg: DynamicConfig, jobs: usize) -> Vec<DynamicPoint> {
+/// Runs the full scenario × technique grid on topo15 (byte-identical
+/// results at any job count, resumable from `opts.checkpoint`).
+pub fn run(cfg: DynamicConfig, opts: &sweep::Opts) -> Vec<DynamicPoint> {
     let topo = topo15::build();
     let grid: Vec<(Scenario, DeflectionTechnique)> = scenarios()
         .into_iter()
         .flat_map(|s| DeflectionTechnique::ALL.into_iter().map(move |t| (s, t)))
         .collect();
-    run_map(&grid, jobs, |&(scenario, technique)| {
-        run_point(&topo, scenario, technique, cfg)
-    })
+    let fingerprint = format!(
+        "dynamic-v1 seed={} probes={} gap={} detection={} notification={}",
+        cfg.seed, cfg.probes, cfg.gap.0, cfg.detection.0, cfg.notification.0
+    );
+    sweep::typed(&sweep::run(
+        opts,
+        &fingerprint,
+        &grid,
+        |(scenario, technique)| format!("{}/{}", scenario.name, technique.label()),
+        |&(scenario, technique)| run_point(&topo, scenario, technique, cfg).to_json(),
+    ))
+}
+
+/// The sweep's JSON document (`fig_dynamic --out`): no wall-clock
+/// fields, a pure function of the configuration.
+pub fn to_json(points: &[DynamicPoint]) -> String {
+    sweep::document("dynamic", points.iter().map(DynamicPoint::to_json), "")
 }
 
 /// Renders the grid as a table.
@@ -258,21 +257,19 @@ mod tests {
 
     #[test]
     fn grid_covers_scenarios_and_techniques() {
-        let points = run(quick(), 2);
+        let points = run(quick(), &sweep::Opts::jobs(2));
         assert_eq!(points.len(), 3 * 4);
         for p in &points {
             assert_eq!(p.injected, 60);
-            assert_eq!(p.injected, p.delivered + p.dropped, "{}", p.digest());
+            assert_eq!(p.injected, p.delivered + p.dropped, "{}", p.to_json());
         }
     }
 
     #[test]
     fn parallel_grid_is_byte_identical_to_serial() {
-        let serial = run(quick(), 1);
-        let parallel = run(quick(), 4);
-        let s: Vec<String> = serial.iter().map(DynamicPoint::digest).collect();
-        let p: Vec<String> = parallel.iter().map(DynamicPoint::digest).collect();
-        assert_eq!(s, p);
+        let serial = run(quick(), &sweep::Opts::jobs(1));
+        let parallel = run(quick(), &sweep::Opts::jobs(4));
+        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -283,13 +280,13 @@ mod tests {
         assert!(
             nip.saved_by_deflection > 0,
             "deflection carries the detection+notification window: {}",
-            nip.digest()
+            nip.to_json()
         );
-        assert_eq!(nip.recovered_flows, 1, "{}", nip.digest());
+        assert_eq!(nip.recovered_flows, 1, "{}", nip.to_json());
         assert!(
             nip.mean_recovery_latency_s >= 1e-3,
             "latency includes the 1 ms notification delay: {}",
-            nip.digest()
+            nip.to_json()
         );
         assert_eq!(nip.link_failures, 1);
         assert_eq!(nip.link_repairs, 1);
@@ -297,7 +294,7 @@ mod tests {
         // the detection + notification window still costs deliveries.
         let none = run_point(&topo, repair, DeflectionTechnique::None, quick());
         assert_eq!(none.saved_by_deflection, 0);
-        assert!(none.delivered < nip.delivered, "{}", none.digest());
+        assert!(none.delivered < nip.delivered, "{}", none.to_json());
     }
 
     #[test]
@@ -305,7 +302,7 @@ mod tests {
         let topo = topo15::build();
         let flap = scenarios()[1];
         let p = run_point(&topo, flap, DeflectionTechnique::Nip, quick());
-        assert_eq!(p.link_failures, 4, "{}", p.digest());
-        assert_eq!(p.link_repairs, 4, "{}", p.digest());
+        assert_eq!(p.link_failures, 4, "{}", p.to_json());
+        assert_eq!(p.link_repairs, 4, "{}", p.to_json());
     }
 }

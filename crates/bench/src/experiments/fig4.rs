@@ -10,7 +10,6 @@
 
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
-use crate::telemetry::{self, RunRecord};
 use kar::{DeflectionTechnique, EncodingCache, Protection};
 use kar_simnet::SimTime;
 use kar_topology::topo15;
@@ -86,20 +85,6 @@ pub fn run_jobs(cfg: Fig4Config, jobs: usize) -> Vec<Fig4Series> {
         })
         .collect();
     let results = runner::run_all(&specs, jobs);
-    let records: Vec<RunRecord> = results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| {
-            RunRecord::new(
-                "fig4",
-                DeflectionTechnique::ALL[i].label(),
-                i,
-                &specs[i],
-                res,
-            )
-        })
-        .collect();
-    telemetry::emit(&records);
     results
         .iter()
         .zip(DeflectionTechnique::ALL)

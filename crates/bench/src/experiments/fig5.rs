@@ -11,7 +11,6 @@
 
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
-use crate::telemetry::{self, RunRecord};
 use kar::{DeflectionTechnique, EncodingCache, Protection};
 use kar_simnet::SimTime;
 use kar_tcp::SampleStats;
@@ -127,14 +126,8 @@ pub fn spec_set(
 /// cell, on `jobs` worker threads (results are independent of `jobs`).
 pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Vec<Fig5Cell> {
     let topo = topo15::build();
-    let (specs, labels) = spec_set(&topo, runs, secs, base_seed);
+    let (specs, _) = spec_set(&topo, runs, secs, base_seed);
     let results = runner::run_all(&specs, jobs);
-    let records: Vec<RunRecord> = results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| RunRecord::new("fig5", &labels[i], i, &specs[i], res))
-        .collect();
-    telemetry::emit(&records);
     let mut cells = Vec::new();
     let mut next = results.iter();
     for (a, b) in topo15::FAILURE_LOCATIONS {

@@ -10,7 +10,6 @@
 
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
-use crate::telemetry::{self, RunRecord};
 use kar::{DeflectionTechnique, EncodingCache, Protection};
 use kar_simnet::SimTime;
 use kar_tcp::SampleStats;
@@ -47,7 +46,6 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Vec<Fig7
     }
     let cache = Arc::new(EncodingCache::new());
     let mut specs = Vec::new();
-    let mut labels = Vec::new();
     for (name, link) in &cases {
         for r in 0..runs {
             specs.push(TcpRun {
@@ -67,16 +65,9 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Vec<Fig7
                 label: format!("fig7/{name}/r{r}"),
                 ..TcpRun::new(&topo, primary.clone())
             });
-            labels.push(format!("{name}/r{r}"));
         }
     }
     let results = runner::run_all(&specs, jobs);
-    let records: Vec<RunRecord> = results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| RunRecord::new("fig7", &labels[i], i, &specs[i], res))
-        .collect();
-    telemetry::emit(&records);
     let mut cells: Vec<Fig7Cell> = cases
         .iter()
         .enumerate()

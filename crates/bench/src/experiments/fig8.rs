@@ -9,7 +9,6 @@
 
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
-use crate::telemetry::{self, RunRecord};
 use kar::{DeflectionTechnique, EncodingCache, Protection};
 use kar_simnet::SimTime;
 use kar_tcp::SampleStats;
@@ -59,7 +58,6 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Fig8Resu
         ),
     ];
     let mut specs = Vec::new();
-    let mut labels = Vec::new();
     for (name, failure) in cases {
         for r in 0..runs {
             specs.push(TcpRun {
@@ -75,16 +73,9 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Fig8Resu
                 label: format!("fig8/{name}/r{r}"),
                 ..TcpRun::new(&topo, primary.clone())
             });
-            labels.push(format!("{name}/r{r}"));
         }
     }
     let results = runner::run_all(&specs, jobs);
-    let records: Vec<RunRecord> = results
-        .iter()
-        .enumerate()
-        .map(|(i, res)| RunRecord::new("fig8", &labels[i], i, &specs[i], res))
-        .collect();
-    telemetry::emit(&records);
     let mut hops = [0.0f64; 2];
     let mut samples = [Vec::new(), Vec::new()];
     for (idx, case_results) in results.chunks(runs.max(1)).enumerate() {

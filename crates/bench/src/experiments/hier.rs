@@ -23,18 +23,19 @@
 //! pure function of the configuration, byte-identical across machines,
 //! so the `kar-trend` gate can diff it across commits.
 
-use crate::campaign::{fnv1a, json_f64, splitmix64, DrawStream, Family, FleetFlow, FlowFleet};
-use crate::runner::run_map;
+use crate::campaign::{add_fleets, cell_text, core_links_along, sample_pairs, DrawStream, Family};
+use crate::sweep::{self, keyed_seed};
 use kar::{
     verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, HierController,
     KarNetwork, Outcome, Protection, RecoveryConfig,
 };
 use kar_baselines::{FastFailover, PathSplicing};
+use kar_obs::json::{Json, Obj};
 use kar_rns::IdStrategy;
 use kar_simnet::{EdgeLogic, SimTime};
 use kar_topology::{paths, LinkId, NodeId, Partition, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt::Write as _;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Routing scheme of a sweep cell.
@@ -115,8 +116,6 @@ pub struct HierConfig {
     /// Single-link failures verified per pair (primary-path links
     /// first, then a stride over the remaining links).
     pub verify_links: usize,
-    /// Worker threads for the cell sweep.
-    pub jobs: usize,
 }
 
 impl Default for HierConfig {
@@ -130,7 +129,6 @@ impl Default for HierConfig {
             packets_per_pair: 8,
             verify_pairs: 2,
             verify_links: 16,
-            jobs: 1,
         }
     }
 }
@@ -154,8 +152,8 @@ impl HierConfig {
         out
     }
 
-    /// Configuration fingerprint (see the campaign engine's contract:
-    /// two documents interoperate exactly when fingerprints match).
+    /// Configuration fingerprint (see the sweep engine's contract: two
+    /// checkpoints interoperate exactly when fingerprints match).
     pub fn fingerprint(&self) -> String {
         let join = |parts: Vec<String>| parts.join("+");
         format!(
@@ -179,7 +177,7 @@ impl HierConfig {
     /// The placement seed of a `(family, switches)` point — shared by
     /// every scheme so their pair samples are identical.
     fn placement_seed(&self, family: Family, switches: usize) -> u64 {
-        splitmix64(self.seed ^ fnv1a(&format!("{}/{}", family.label(), switches)))
+        keyed_seed(self.seed, &format!("{}/{}", family.label(), switches))
     }
 
     /// Domains requested for `switches` switches.
@@ -290,57 +288,45 @@ pub struct VerifyOutcome {
 impl HierRecord {
     /// Serializes as one JSON object on a single line.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(512);
-        o.push('{');
-        write!(o, "\"cell\":\"{}\"", self.key).unwrap();
-        write!(o, ",\"family\":\"{}\"", self.family).unwrap();
-        write!(o, ",\"switches\":{}", self.switches).unwrap();
-        write!(o, ",\"scheme\":\"{}\"", self.scheme).unwrap();
-        write!(o, ",\"seed\":{}", self.seed).unwrap();
-        if let Some(achieved) = self.gen_error {
-            write!(o, ",\"gen_error_achieved\":{achieved}").unwrap();
-        }
-        write!(o, ",\"hosts\":{}", self.hosts).unwrap();
-        write!(o, ",\"links\":{}", self.links).unwrap();
-        write!(o, ",\"pairs\":{}", self.pairs).unwrap();
-        write!(o, ",\"domains\":{}", self.domains).unwrap();
-        write!(o, ",\"boundary_links\":{}", self.boundary_links).unwrap();
-        write!(o, ",\"header_bits_max\":{}", self.header_bits_max).unwrap();
-        write!(o, ",\"state_entries\":{}", self.state_entries).unwrap();
-        write!(
-            o,
-            ",\"nominal_hops_mean\":{}",
-            json_f64(self.nominal_hops_mean)
-        )
-        .unwrap();
-        write!(o, ",\"planned_reencodes\":{}", self.planned_reencodes).unwrap();
+        let mut o = Obj::new()
+            .str("cell", &self.key)
+            .str("family", &self.family)
+            .num("switches", self.switches)
+            .str("scheme", &self.scheme)
+            .num("seed", self.seed)
+            .opt("gen_error_achieved", self.gen_error)
+            .num("hosts", self.hosts)
+            .num("links", self.links)
+            .num("pairs", self.pairs)
+            .num("domains", self.domains)
+            .num("boundary_links", self.boundary_links)
+            .num("header_bits_max", self.header_bits_max)
+            .num("state_entries", self.state_entries)
+            .f64("nominal_hops_mean", self.nominal_hops_mean)
+            .num("planned_reencodes", self.planned_reencodes);
         if let Some(t) = &self.traffic {
-            write!(o, ",\"injected\":{}", t.injected).unwrap();
-            write!(o, ",\"delivered\":{}", t.delivered).unwrap();
-            write!(o, ",\"delivery_ratio\":{}", json_f64(t.delivery_ratio)).unwrap();
-            write!(o, ",\"mean_hops\":{}", json_f64(t.mean_hops)).unwrap();
-            write!(o, ",\"stretch\":{}", json_f64(t.stretch)).unwrap();
-            write!(o, ",\"deflections\":{}", t.deflections).unwrap();
-            write!(o, ",\"boundary_restamps\":{}", t.boundary_restamps).unwrap();
+            o = o
+                .num("injected", t.injected)
+                .num("delivered", t.delivered)
+                .f64("delivery_ratio", t.delivery_ratio)
+                .f64("mean_hops", t.mean_hops)
+                .f64("stretch", t.stretch)
+                .num("deflections", t.deflections)
+                .num("boundary_restamps", t.boundary_restamps);
         }
         if let Some(v) = &self.verify {
-            write!(o, ",\"verify_cases\":{}", v.cases).unwrap();
-            write!(o, ",\"flat_loops\":{}", v.flat_loops).unwrap();
-            write!(o, ",\"flat_blackholes\":{}", v.flat_blackholes).unwrap();
-            write!(o, ",\"hier_loops\":{}", v.hier_loops).unwrap();
-            write!(o, ",\"hier_blackholes\":{}", v.hier_blackholes).unwrap();
-            write!(o, ",\"transient_hier_loops\":{}", v.transient_hier_loops).unwrap();
-            write!(
-                o,
-                ",\"transient_hier_blackholes\":{}",
-                v.transient_hier_blackholes
-            )
-            .unwrap();
-            write!(o, ",\"verify_new_classes\":{}", v.new_violation_classes).unwrap();
-            write!(o, ",\"transient_new_classes\":{}", v.transient_new_classes).unwrap();
+            o = o
+                .num("verify_cases", v.cases)
+                .num("flat_loops", v.flat_loops)
+                .num("flat_blackholes", v.flat_blackholes)
+                .num("hier_loops", v.hier_loops)
+                .num("hier_blackholes", v.hier_blackholes)
+                .num("transient_hier_loops", v.transient_hier_loops)
+                .num("transient_hier_blackholes", v.transient_hier_blackholes)
+                .num("verify_new_classes", v.new_violation_classes)
+                .num("transient_new_classes", v.transient_new_classes);
         }
-        o.push('}');
-        o
+        o.finish()
     }
 }
 
@@ -360,16 +346,7 @@ fn build_point(cfg: &HierConfig, cell: &HierCell) -> Result<Point, usize> {
         .build(cell.switches, seed, IdStrategy::SmallestPrimes)
         .map_err(|e| e.assigned)?;
     let hosts = topo.edge_nodes();
-    let mut draws = DrawStream::new(seed);
-    let mut pairs = Vec::with_capacity(cfg.pairs);
-    for _ in 0..cfg.pairs {
-        let src = hosts[draws.below(hosts.len())];
-        let mut dst = hosts[draws.below(hosts.len())];
-        while dst == src {
-            dst = hosts[draws.below(hosts.len())];
-        }
-        pairs.push((src, dst));
-    }
+    let pairs = sample_pairs(&hosts, cfg.pairs, &mut DrawStream::new(seed));
     let distinct: Vec<(NodeId, NodeId)> = pairs
         .iter()
         .copied()
@@ -396,44 +373,19 @@ fn build_point(cfg: &HierConfig, cell: &HierCell) -> Result<Point, usize> {
 fn failure_of(point: &Point) -> Option<LinkId> {
     let (src, dst) = point.pairs[0];
     let primary = paths::bfs_shortest_path(&point.topo, src, dst)?;
-    let core_links: Vec<LinkId> = primary
-        .windows(2)
-        .filter(|w| point.topo.switch_id(w[0]).is_some() && point.topo.switch_id(w[1]).is_some())
-        .filter_map(|w| point.topo.link_between(w[0], w[1]))
-        .collect();
+    let core_links = core_links_along(&point.topo, &primary);
     core_links.get(core_links.len() / 2).copied()
 }
 
 /// Drives the point's pairs through a simulation of `net` with one
 /// mid-path failure, CBR pacing seeded from the placement stream.
-fn drive(
-    point: &Point,
-    net: KarNetwork<'_>,
-    packets_per_pair: u64,
-    nominal_hops_mean: f64,
-) -> TrafficOutcome {
+fn drive(point: &Point, net: KarNetwork<'_>, packets_per_pair: u64) -> TrafficOutcome {
     let mut sim = net.into_sim();
     if let Some(link) = failure_of(point) {
         sim.schedule_link_down(SimTime::ZERO, link);
     }
     let mut draws = DrawStream::new(point.seed ^ 0x7261_6666_6963); // "raffic"
-    let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
-    for (i, &(src, dst)) in point.pairs.iter().enumerate() {
-        let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
-        let offset = SimTime::from_micros(draws.below(2_000) as u64);
-        fleets.entry(src.0).or_default().push(FleetFlow {
-            dst,
-            flow: kar_simnet::FlowId(i as u32),
-            interval,
-            offset,
-            packet_bytes: 700,
-            limit: packets_per_pair,
-            sent: 0,
-        });
-    }
-    for (src, flows) in fleets {
-        sim.add_app(NodeId(src), Box::new(FlowFleet { flows }));
-    }
+    add_fleets(&mut sim, &point.pairs, &mut draws, packets_per_pair);
     sim.run_to_quiescence();
     let stats = sim.stats();
     let mean_hops = stats.mean_hops().unwrap_or(0.0);
@@ -442,8 +394,8 @@ fn drive(
         delivered: stats.delivered,
         delivery_ratio: stats.delivery_ratio(),
         mean_hops,
-        stretch: if nominal_hops_mean > 0.0 {
-            mean_hops / nominal_hops_mean
+        stretch: if point.nominal_hops_mean > 0.0 {
+            mean_hops / point.nominal_hops_mean
         } else {
             0.0
         },
@@ -534,21 +486,18 @@ fn verify_point(cfg: &HierConfig, point: &Point, partition: &Arc<Partition>) -> 
             )
             .expect("hier routes install on the intact topology");
             out.cases += 1;
-            match f.outcome {
-                Outcome::Loop => out.flat_loops += 1,
-                Outcome::Blackhole => out.flat_blackholes += 1,
+            let tally = |outcome, loops: &mut usize, blackholes: &mut usize| match outcome {
+                Outcome::Loop => *loops += 1,
+                Outcome::Blackhole => *blackholes += 1,
                 _ => {}
-            }
-            match t.outcome {
-                Outcome::Loop => out.transient_hier_loops += 1,
-                Outcome::Blackhole => out.transient_hier_blackholes += 1,
-                _ => {}
-            }
-            match deployed {
-                Outcome::Loop => out.hier_loops += 1,
-                Outcome::Blackhole => out.hier_blackholes += 1,
-                _ => {}
-            }
+            };
+            tally(f.outcome, &mut out.flat_loops, &mut out.flat_blackholes);
+            tally(
+                t.outcome,
+                &mut out.transient_hier_loops,
+                &mut out.transient_hier_blackholes,
+            );
+            tally(deployed, &mut out.hier_loops, &mut out.hier_blackholes);
         }
     }
     out.new_violation_classes = usize::from(out.hier_loops > 0 && out.flat_loops == 0)
@@ -580,16 +529,23 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
     record.pairs = point.distinct.len();
     record.nominal_hops_mean = point.nominal_hops_mean;
     let ttl = ((cell.switches * 4).clamp(64, 16384)) as u16;
+    // Without detection the wrong-edge recompute loop livelocks on stale
+    // routes (see the scale campaign); both KAR schemes get it, plus a
+    // failure-reactive controller each (below).
+    let builder = || {
+        KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
+            .seed(point.seed)
+            .ttl(ttl)
+            .fast_path(true)
+            .detection_delay(SimTime::from_micros(50))
+    };
+    let destinations = || -> Vec<NodeId> {
+        let dsts: BTreeSet<NodeId> = point.distinct.iter().map(|&(_, d)| d).collect();
+        dsts.into_iter().collect()
+    };
     match cell.scheme {
         Scheme::Flat => {
-            let mut net = KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
-                .seed(point.seed)
-                .ttl(ttl)
-                .fast_path(true)
-                // Without detection + recovery the wrong-edge recompute
-                // loop livelocks on stale routes (see the scale
-                // campaign); flat gets the reactive controller.
-                .detection_delay(SimTime::from_micros(50))
+            let mut net = builder()
                 .recovery(RecoveryConfig {
                     notification_delay: SimTime::from_micros(200),
                     ..RecoveryConfig::default()
@@ -601,12 +557,7 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
                     .expect("families are connected");
                 record.header_bits_max = record.header_bits_max.max(outcome.route.bit_length());
             }
-            record.traffic = Some(drive(
-                &point,
-                net,
-                cfg.packets_per_pair,
-                point.nominal_hops_mean,
-            ));
+            record.traffic = Some(drive(&point, net, cfg.packets_per_pair));
         }
         Scheme::Hier => {
             let partition = Arc::new(
@@ -615,13 +566,7 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
             );
             record.domains = partition.num_domains();
             record.boundary_links = partition.boundary_links().len();
-            let mut net = KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
-                .seed(point.seed)
-                .ttl(ttl)
-                .fast_path(true)
-                .detection_delay(SimTime::from_micros(50))
-                .hierarchy(Arc::clone(&partition))
-                .build();
+            let mut net = builder().hierarchy(Arc::clone(&partition)).build();
             {
                 let ctrl = net.hier_controller_mut().expect("hierarchy enabled");
                 // Post-failure quiescence: replan installed pairs when
@@ -637,113 +582,82 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
                 }
             }
             let stats = net.hier_stats().expect("hierarchy enabled");
-            let mut traffic = drive(&point, net, cfg.packets_per_pair, point.nominal_hops_mean);
-            traffic.boundary_restamps = stats
-                .boundary_stamps
-                .load(std::sync::atomic::Ordering::Relaxed)
-                + stats
-                    .boundary_recomputes
-                    .load(std::sync::atomic::Ordering::Relaxed);
+            let mut traffic = drive(&point, net, cfg.packets_per_pair);
+            traffic.boundary_restamps = stats.boundary_stamps.load(Ordering::Relaxed)
+                + stats.boundary_recomputes.load(Ordering::Relaxed);
             record.traffic = Some(traffic);
             record.verify = Some(verify_point(cfg, &point, &partition));
         }
         Scheme::FastFailover => {
-            let dsts: Vec<NodeId> = point
-                .distinct
-                .iter()
-                .map(|&(_, d)| d)
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            record.state_entries = FastFailover::precompute(&point.topo, &dsts).total_entries();
+            record.state_entries =
+                FastFailover::precompute(&point.topo, &destinations()).total_entries();
         }
         Scheme::Splicing => {
-            let dsts: Vec<NodeId> = point
-                .distinct
-                .iter()
-                .map(|&(_, d)| d)
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
             record.state_entries =
-                PathSplicing::precompute(&point.topo, &dsts, 4, point.seed).total_entries();
+                PathSplicing::precompute(&point.topo, &destinations(), 4, point.seed)
+                    .total_entries();
         }
     }
     record
 }
 
-/// Outcome of [`run`].
-#[derive(Debug, Clone)]
-pub struct HierResult {
-    /// Configuration fingerprint.
-    pub fingerprint: String,
-    /// `(cell key, record JSON)` in grid order.
-    pub records: Vec<(String, String)>,
+/// Renders the full `BENCH_hier.json` document (line-oriented, like
+/// the other campaign documents).
+pub fn to_json(cfg: &HierConfig, records: &[Json]) -> String {
+    sweep::campaign_document("hier", &cfg.fingerprint(), records, "")
 }
 
-impl HierResult {
-    /// Renders the full `BENCH_hier.json` document (line-oriented, like
-    /// the other campaign documents).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"campaign\":\"hier\",\n");
+/// A human-readable summary table (stdout side of `fig_hier`).
+pub fn render_table(records: &[Json]) -> String {
+    let mut out = String::from(
+        "| Cell | Hdr bits | State | Domains | Delivery | Stretch | New classes |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for record in records {
+        let get = |f: &str| cell_text(record, &[f]);
         out.push_str(&format!(
-            "\"fingerprint\":\"{}\",\n\"cells\":[\n",
-            self.fingerprint
+            "| {} | {} | {} | {} | {} | {} | {} |\n",
+            get("cell"),
+            get("header_bits_max"),
+            get("state_entries"),
+            get("domains"),
+            get("delivery_ratio"),
+            get("stretch"),
+            get("verify_new_classes"),
         ));
-        for (i, (_, json)) in self.records.iter().enumerate() {
-            out.push_str(json);
-            out.push_str(if i + 1 < self.records.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("]}\n");
-        out
     }
-
-    /// A human-readable summary table (stdout side of `fig_hier`).
-    pub fn render_table(&self) -> String {
-        use crate::campaign::json_field;
-        let mut out = String::from(
-            "| Cell | Hdr bits | State | Domains | Delivery | Stretch | New classes |\n\
-             |---|---|---|---|---|---|---|\n",
-        );
-        for (key, json) in &self.records {
-            let get = |f: &str| json_field(json, f).unwrap_or("-").to_string();
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {} |\n",
-                key,
-                get("header_bits_max"),
-                get("state_entries"),
-                get("domains"),
-                get("delivery_ratio"),
-                get("stretch"),
-                get("verify_new_classes"),
-            ));
-        }
-        out
-    }
+    out
 }
 
-/// Runs the sweep over the configured grid.
-pub fn run(cfg: &HierConfig) -> HierResult {
-    let cells = cfg.cells();
-    let records = run_map(&cells, cfg.jobs, |cell| {
-        let record = run_cell(cfg, cell);
-        (record.key.clone(), record.to_json())
-    });
-    HierResult {
-        fingerprint: cfg.fingerprint(),
-        records,
-    }
+/// Cells whose deployed-posture verification found a violation class
+/// flat KAR does not have (`fig_hier`'s exit condition).
+pub fn cells_with_new_classes(records: &[Json]) -> Vec<String> {
+    records
+        .iter()
+        .filter(|r| {
+            r.get("verify_new_classes")
+                .and_then(Json::as_num::<usize>)
+                .is_some_and(|n| n > 0)
+        })
+        .map(|r| cell_text(r, &["cell"]))
+        .collect()
+}
+
+/// Runs the sweep over the configured grid on the sweep engine and
+/// returns every cell's record in grid order.
+pub fn run(cfg: &HierConfig, opts: &sweep::Opts) -> Vec<Json> {
+    sweep::run(
+        opts,
+        &cfg.fingerprint(),
+        &cfg.cells(),
+        HierCell::key,
+        |cell| run_cell(cfg, cell).to_json(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::json_field;
 
     fn smoke_config() -> HierConfig {
         HierConfig {
@@ -755,7 +669,6 @@ mod tests {
             packets_per_pair: 4,
             verify_pairs: 2,
             verify_links: 6,
-            jobs: 2,
         }
     }
 
@@ -827,9 +740,8 @@ mod tests {
     #[test]
     fn sweep_document_shape_and_grid_order() {
         let cfg = smoke_config();
-        let result = run(&cfg);
-        assert_eq!(result.records.len(), 4);
-        let keys: Vec<&str> = result.records.iter().map(|(k, _)| k.as_str()).collect();
+        let records = run(&cfg, &sweep::Opts::jobs(2));
+        let keys: Vec<String> = records.iter().map(|r| cell_text(r, &["cell"])).collect();
         assert_eq!(
             keys,
             [
@@ -839,23 +751,16 @@ mod tests {
                 "ring/24/splicing"
             ]
         );
-        let doc = result.to_json();
-        assert!(doc.starts_with("{\"campaign\":\"hier\""));
-        let hier_line = &result.records[1].1;
-        assert!(json_field(hier_line, "verify_new_classes").is_some());
-        assert!(result.render_table().contains("ring/24/hier"));
+        assert!(to_json(&cfg, &records).starts_with("{\"campaign\":\"hier\""));
+        assert!(records[1].get("verify_new_classes").is_some());
+        assert!(cells_with_new_classes(&records).is_empty());
+        assert!(render_table(&records).contains("ring/24/hier"));
     }
 
     #[test]
     fn parallel_sweep_matches_serial() {
-        let serial = run(&HierConfig {
-            jobs: 1,
-            ..smoke_config()
-        });
-        let parallel = run(&HierConfig {
-            jobs: 4,
-            ..smoke_config()
-        });
-        assert_eq!(serial.to_json(), parallel.to_json());
+        let serial = run(&smoke_config(), &sweep::Opts::jobs(1));
+        let parallel = run(&smoke_config(), &sweep::Opts::jobs(4));
+        assert_eq!(serial, parallel);
     }
 }

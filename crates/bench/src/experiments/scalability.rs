@@ -1,6 +1,7 @@
-//! Scalability of the route encoding: header cost and controller encode
-//! time as the network and path grow, across three stateless-vs-stateful
-//! points in the design space:
+//! Scalability of the route encoding: header cost as the network and
+//! path grow, across three stateless-vs-stateful points in the design
+//! space (encode *time* is a wall-clock quantity and lives in the
+//! `kar-perf` ledger as `rns.crt.encode_us.len{8,21,128}`):
 //!
 //! * **KAR** — one integer, `⌈log₂(M−1)⌉` bits (Eq. 9);
 //! * **Slick-Packets-style** — 6 explicit bytes per hop;
@@ -11,7 +12,6 @@ use kar::{EncodedRoute, RouteSpec};
 use kar_baselines::{FastFailover, SlickEdge};
 use kar_rns::IdStrategy;
 use kar_topology::{gen, paths, LinkParams, Topology};
-use std::time::Instant;
 
 /// One measured network size.
 #[derive(Debug, Clone)]
@@ -24,8 +24,6 @@ pub struct ScalePoint {
     pub hops: usize,
     /// KAR route-ID size in bytes (unprotected).
     pub kar_bytes: usize,
-    /// KAR encode time in microseconds.
-    pub kar_encode_us: f64,
     /// Slick header size in bytes for the same path.
     pub slick_bytes: usize,
     /// Total fast-failover entries for one destination.
@@ -36,15 +34,7 @@ fn measure(name: &str, topo: &Topology) -> ScalePoint {
     let edges = topo.edge_nodes();
     let (src, dst) = (edges[0], *edges.last().expect("has edges"));
     let path = paths::bfs_shortest_path(topo, src, dst).expect("connected");
-    let spec = RouteSpec::unprotected(path.clone());
-    let start = Instant::now();
-    const REPS: u32 = 100;
-    let mut route = None;
-    for _ in 0..REPS {
-        route = Some(EncodedRoute::encode(topo, &spec).expect("encodes"));
-    }
-    let kar_encode_us = start.elapsed().as_secs_f64() * 1e6 / REPS as f64;
-    let route = route.expect("encoded at least once");
+    let route = EncodedRoute::encode(topo, &RouteSpec::unprotected(path.clone())).expect("encodes");
     let mut slick = SlickEdge::new();
     let header = slick.install(topo, src, dst).expect("slick plans");
     let ff = FastFailover::precompute(topo, &[dst]);
@@ -53,7 +43,6 @@ fn measure(name: &str, topo: &Topology) -> ScalePoint {
         switches: topo.core_nodes().len(),
         hops: path.len() - 1,
         kar_bytes: route.bit_length().div_ceil(8) as usize,
-        kar_encode_us,
         slick_bytes: header.wire_bytes(),
         ff_entries: ff.total_entries(),
     }
@@ -83,18 +72,12 @@ pub fn run() -> Vec<ScalePoint> {
 pub fn render(points: &[ScalePoint]) -> String {
     let mut out = String::from(
         "Encoding scalability — KAR (one integer) vs Slick (per-hop bytes) vs fast-failover state\n\
-         | Network | Switches | Hops | KAR hdr (B) | KAR encode (µs) | Slick hdr (B) | FF entries/dst |\n|---|---|---|---|---|---|---|\n",
+         | Network | Switches | Hops | KAR hdr (B) | Slick hdr (B) | FF entries/dst |\n|---|---|---|---|---|---|\n",
     );
     for p in points {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1} | {} | {} |\n",
-            p.network,
-            p.switches,
-            p.hops,
-            p.kar_bytes,
-            p.kar_encode_us,
-            p.slick_bytes,
-            p.ff_entries
+            "| {} | {} | {} | {} | {} | {} |\n",
+            p.network, p.switches, p.hops, p.kar_bytes, p.slick_bytes, p.ff_entries
         ));
     }
     out

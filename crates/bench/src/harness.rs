@@ -1,9 +1,23 @@
-//! Shared experiment harness: one bulk TCP flow over a KAR network with
-//! an optional scheduled link failure — the shape of every throughput
-//! experiment in the paper (§3).
+//! Shared experiment harness — the two run shapes every experiment is
+//! built from:
+//!
+//! * [`TcpRun`] — one bulk TCP flow over a KAR network with an optional
+//!   scheduled link failure, the shape of every throughput experiment
+//!   in the paper (§3);
+//! * [`ProbeRun`] — paced probes over KAR or a table-based baseline
+//!   under static failures, a [`FaultPlan`] and/or Byzantine switches,
+//!   the shape of every delivery-ratio experiment (multi-failure,
+//!   dynamic faults, breaking-point replays, adversary campaigns,
+//!   detection delay, `kar_demo probe`).
 
-use kar::{DeflectionTechnique, EncodingCache, KarNetwork, Protection, ReroutePolicy};
-use kar_simnet::{FlowId, SimTime};
+use crate::obs::RunObs;
+use kar::{
+    DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Protection, RecoveryConfig,
+    RecoveryLog, ReroutePolicy,
+};
+use kar_baselines::{TableEdge, TableScheme};
+use kar_obs::json::Obj;
+use kar_simnet::{Behavior, FaultPlan, FlowId, PacketKind, Sim, SimConfig, SimTime, Stats};
 use kar_tcp::{BulkFlow, CongestionControl, IntervalMeter, TcpConfig};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::sync::Arc;
@@ -104,7 +118,7 @@ pub struct TcpRunResult {
     pub mean_hops: f64,
     /// Out-of-order data arrivals observed at the destination edge.
     pub reordered: u64,
-    /// Host wall-clock time the run took (telemetry only — excluded from
+    /// Host wall-clock time the run took (summary only — excluded from
     /// [`TcpRunResult::digest`] because it varies between invocations).
     pub wall: Duration,
 }
@@ -125,6 +139,39 @@ impl TcpRunResult {
             self.reordered,
         )
     }
+
+    /// The run's result line — what the metrics dump carries as this
+    /// run's `summary` record: its coordinates (`label`, `index` in the
+    /// sweep's spec order, seed), its simulated outcome and the host
+    /// wall-clock cost.
+    pub fn summary_json(&self, spec: &TcpRun<'_>, label: &str, index: usize) -> String {
+        // `hops` counts core-switch traversals; the primary path lists
+        // edge + cores + edge, so its nominal hop count is len - 2.
+        let nominal_hops = spec.primary.len().saturating_sub(2) as f64;
+        let hop_inflation = if nominal_hops > 0.0 {
+            self.mean_hops / nominal_hops
+        } else {
+            0.0
+        };
+        Obj::new()
+            .str("label", label)
+            .num("index", index)
+            .num("seed", spec.seed)
+            .str("technique", spec.technique.label())
+            .f64("duration_s", spec.duration.as_nanos() as f64 / 1e9)
+            .num("delivered", self.delivered)
+            .num("dropped", self.dropped)
+            .num("deflections", self.deflections)
+            .f64("mean_hops", self.mean_hops)
+            .f64("hop_inflation", hop_inflation)
+            .num("reordered", self.reordered)
+            .f64(
+                "mean_mbps",
+                self.meter.mean_mbps(SimTime::ZERO, spec.duration),
+            )
+            .f64("wall_ms", self.wall.as_secs_f64() * 1e3)
+            .finish()
+    }
 }
 
 /// Executes one bulk-TCP run and returns the meter plus network stats.
@@ -139,8 +186,14 @@ impl TcpRunResult {
 /// Panics if the scenario is malformed (routes fail to install) —
 /// experiment constants are validated by tests.
 pub fn run_tcp(spec: &TcpRun<'_>) -> TcpRunResult {
+    run_tcp_at(spec, 0)
+}
+
+/// [`run_tcp`] for the spec at position `index` of a sweep's spec list
+/// (the position is part of the run's dump summary, nothing else).
+pub fn run_tcp_at(spec: &TcpRun<'_>, index: usize) -> TcpRunResult {
     let started = Instant::now();
-    let obs = crate::obs::RunObs::begin();
+    let obs = RunObs::begin();
     let src = *spec.primary.first().expect("non-empty primary");
     let dst = *spec.primary.last().expect("non-empty primary");
     let mut builder = KarNetwork::builder(spec.topo, spec.technique)
@@ -184,15 +237,10 @@ pub fn run_tcp(spec: &TcpRun<'_>) -> TcpRunResult {
         spec.bin,
     );
     sim.run_until(spec.duration);
-    if spec.label.is_empty() {
-        obs.submit(&format!("tcp/seed{}", spec.seed), spec.topo);
-    } else {
-        obs.submit(&spec.label, spec.topo);
-    }
     let meter = flow.meter.borrow().clone();
     let stats = sim.stats();
     let flow_stats = stats.flows.get(&FlowId(1));
-    TcpRunResult {
+    let result = TcpRunResult {
         meter,
         delivered: stats.delivered,
         dropped: stats.dropped(),
@@ -200,6 +248,216 @@ pub fn run_tcp(spec: &TcpRun<'_>) -> TcpRunResult {
         mean_hops: stats.mean_hops().unwrap_or(0.0),
         reordered: flow_stats.map(|f| f.out_of_order).unwrap_or(0),
         wall: started.elapsed(),
+    };
+    if obs.handle.is_enabled() {
+        // `<experiment>/<run coordinates>`, e.g. `fig5/SW10-SW7/Full/NIP/r2`.
+        let fallback = format!("tcp/seed{}", spec.seed);
+        let label = if spec.label.is_empty() {
+            &fallback
+        } else {
+            &spec.label
+        };
+        let (experiment, run) = label.split_once('/').unwrap_or((label, ""));
+        let summary = result.summary_json(spec, run, index);
+        obs.submit_summary(label, spec.topo, experiment, &summary);
+    }
+    result
+}
+
+/// One named `(topology, src, dst)` scenario of the probe sweeps.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario<'a> {
+    /// Topology name (`"topo15"`, `"rnp28"`).
+    pub topo_name: &'a str,
+    /// The network.
+    pub topo: &'a Topology,
+    /// Source edge name.
+    pub src: &'a str,
+    /// Destination edge name.
+    pub dst: &'a str,
+}
+
+impl Scenario<'_> {
+    /// The `(src, dst)` edge nodes.
+    pub fn pair(&self) -> (NodeId, NodeId) {
+        (self.topo.expect(self.src), self.topo.expect(self.dst))
+    }
+
+    /// Display name, e.g. `"topo15 AS1→AS3"`.
+    pub fn label(&self) -> String {
+        format!("{} {}→{}", self.topo_name, self.src, self.dst)
+    }
+}
+
+/// Hop budget of every probe run: generous enough that only a genuine
+/// forwarding loop exhausts it.
+pub const PROBE_TTL: u16 = 255;
+/// Probe datagram size in bytes.
+pub const PROBE_BYTES: u32 = 500;
+
+/// The routing scheme a [`ProbeRun`] drives its probes through.
+#[derive(Debug, Clone)]
+pub enum ProbeScheme {
+    /// The KAR dataplane, one route per flow.
+    Kar {
+        /// Deflection technique in every core switch.
+        technique: DeflectionTechnique,
+        /// Protection of every installed route.
+        protection: Protection,
+        /// The failure-reactive controller loop, when enabled.
+        recovery: Option<RecoveryConfig>,
+    },
+    /// A precomputed-table comparator from [`kar_baselines`].
+    Table(TableScheme),
+}
+
+/// Specification of one probe run: `probes` rounds, one probe per flow
+/// per round, one round every `gap`.
+#[derive(Debug, Clone)]
+pub struct ProbeRun<'a> {
+    /// The network.
+    pub topo: &'a Topology,
+    /// Routing scheme under test.
+    pub scheme: ProbeScheme,
+    /// `(src, dst)` edge pairs; flow `i` is `FlowId(i)`.
+    pub flows: &'a [(NodeId, NodeId)],
+    /// Probes injected per flow.
+    pub probes: u64,
+    /// Inter-injection gap (pacing below line rate, so drop-tail queues
+    /// measure routing, not burst absorption).
+    pub gap: SimTime,
+    /// RNG seed (simulator and table construction).
+    pub seed: u64,
+    /// Data-plane failure-detection delay.
+    pub detection: SimTime,
+    /// Links down from t = 0, in scheduling order.
+    pub down: &'a [LinkId],
+    /// A dynamic fault process on top of `down`.
+    pub plan: Option<&'a FaultPlan>,
+    /// Byzantine switches and their behaviors.
+    pub byzantine: &'a [(NodeId, Behavior)],
+}
+
+/// What a [`ProbeRun`] measured.
+#[derive(Debug, Clone)]
+pub struct ProbeOutcome {
+    /// The simulator's statistics at quiescence.
+    pub stats: Stats,
+    /// The recovery loop's log (KAR schemes with recovery enabled).
+    pub recovery: Option<RecoveryLog>,
+}
+
+impl ProbeOutcome {
+    /// Flows the controller re-encoded onto a detour (0 without a
+    /// recovery loop).
+    pub fn recovered_flows(&self) -> usize {
+        self.recovery.as_ref().map_or(0, |log| log.flows.len())
+    }
+
+    /// Mean failure-detection → recovered-traffic latency in seconds
+    /// (NaN without a recovery loop).
+    pub fn mean_recovery_latency_s(&self) -> f64 {
+        self.recovery
+            .as_ref()
+            .map_or(f64::NAN, RecoveryLog::mean_recovery_latency_s)
+    }
+}
+
+impl<'a> ProbeRun<'a> {
+    /// 100 probes per flow, one every 500 µs, seed 1, instant detection,
+    /// no faults, honest switches.
+    pub fn new(topo: &'a Topology, scheme: ProbeScheme, flows: &'a [(NodeId, NodeId)]) -> Self {
+        ProbeRun {
+            topo,
+            scheme,
+            flows,
+            probes: 100,
+            gap: SimTime::from_micros(500),
+            seed: 1,
+            detection: SimTime::ZERO,
+            down: &[],
+            plan: None,
+            byzantine: &[],
+        }
+    }
+
+    /// Builds the simulation, attaches `obs`, schedules the faults,
+    /// drives the paced probes and runs to quiescence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route fails to install — experiment constants are
+    /// validated by tests.
+    pub fn run(&self, obs: &RunObs) -> ProbeOutcome {
+        let (mut sim, log) = match &self.scheme {
+            ProbeScheme::Kar {
+                technique,
+                protection,
+                recovery,
+            } => {
+                let mut builder = KarNetwork::builder(self.topo, *technique)
+                    .seed(self.seed)
+                    .ttl(PROBE_TTL)
+                    .detection_delay(self.detection)
+                    .obs(obs.handle.clone());
+                if let Some(recovery) = recovery {
+                    builder = builder.recovery(recovery.clone());
+                }
+                let mut net = builder.build();
+                let log = net.recovery_log();
+                for &(src, dst) in self.flows {
+                    net.encode(&EncodeRequest::new(src, dst).with_protection(protection.clone()))
+                        .expect("route installs");
+                }
+                (net.into_sim(), log)
+            }
+            ProbeScheme::Table(table) => {
+                let endpoints: Vec<NodeId> = self.flows.iter().flat_map(|&(s, d)| [s, d]).collect();
+                let mut sim = Sim::new(
+                    self.topo,
+                    table.forwarder(self.topo, &endpoints, self.seed),
+                    Box::new(TableEdge),
+                    SimConfig {
+                        seed: self.seed,
+                        default_ttl: PROBE_TTL,
+                        detection_delay: self.detection,
+                        ..SimConfig::default()
+                    },
+                );
+                sim.attach_obs(&obs.handle);
+                (sim, None)
+            }
+        };
+        if let Some(profiler) = &obs.profiler {
+            sim.attach_profiler(profiler.clone());
+        }
+        for &(node, behavior) in self.byzantine {
+            sim.set_behavior(node, behavior);
+        }
+        for &link in self.down {
+            sim.schedule_link_down(SimTime::ZERO, link);
+        }
+        if let Some(plan) = self.plan {
+            plan.apply(&mut sim);
+        }
+        for i in 0..self.probes {
+            sim.run_until(SimTime(i * self.gap.as_nanos()));
+            for (f, &(src, dst)) in self.flows.iter().enumerate() {
+                sim.inject(
+                    src,
+                    dst,
+                    FlowId(f as u32),
+                    i,
+                    PacketKind::Probe,
+                    PROBE_BYTES,
+                );
+            }
+        }
+        sim.run_to_quiescence();
+        ProbeOutcome {
+            stats: sim.stats().clone(),
+            recovery: log.map(|log| log.lock().expect("recovery log lock").clone()),
+        }
     }
 }
 
@@ -211,6 +469,17 @@ pub fn env_knob(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Links by endpoint names, e.g. `SW10-SW17`.
+pub fn link_names(topo: &Topology, links: &[LinkId]) -> Vec<String> {
+    links
+        .iter()
+        .map(|&l| {
+            let link = topo.link(l);
+            format!("{}-{}", topo.node(link.a).name, topo.node(link.b).name)
+        })
+        .collect()
 }
 
 /// Formats a Markdown-ish table row.

@@ -10,8 +10,10 @@
 //!    requested, the process-global [`kar_obs::sink`] starts collecting;
 //! 2. each run calls [`RunObs::begin`] (an enabled handle + profiler
 //!    when collecting, inert otherwise), attaches it to its network via
-//!    [`kar::KarNetwork::with_obs`] / `with_profiler`, and calls
-//!    [`RunObs::submit`] with its run label when done;
+//!    `KarNetworkBuilder::obs` / `profiler`, and calls
+//!    [`RunObs::submit`] — or [`RunObs::submit_summary`], which adds the
+//!    run's own result line as the dump's `summary` record — with its
+//!    run label when done;
 //! 3. `main` calls [`finish`], which writes every submitted dump
 //!    (sorted by label, so parallel completion order never shows).
 //!
@@ -19,61 +21,41 @@
 //! byte-identical to one without (`tests/obs_determinism.rs` enforces
 //! this).
 
-use kar_obs::{sink, Obs, ObsHandle, Profiler, RunDump, TopoLabeler};
+use crate::cli::flag_value;
+use kar_obs::json::Json;
+use kar_obs::{sink, DumpRecord, Obs, ObsHandle, Profiler, RunDump, TopoLabeler};
 use kar_topology::Topology;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Extracts a `--<name> <value>` / `--<name>=<value>` flag (last
-/// occurrence wins), falling back to the `env` variable.
-fn flag_or_env<I: IntoIterator<Item = String>>(args: I, name: &str, env: &str) -> Option<String> {
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    let mut args = args.into_iter();
-    let mut value = None;
-    while let Some(arg) = args.next() {
-        if arg == long {
-            value = args.next();
-        } else if let Some(v) = arg.strip_prefix(&prefixed) {
-            value = Some(v.to_string());
-        }
-    }
-    value.or_else(|| std::env::var(env).ok())
+/// `--<name> <value>` / `--<name>=<value>` (last occurrence wins),
+/// falling back to the `env` variable.
+fn flag_or_env(args: &[String], name: &str, env: &str) -> Option<String> {
+    flag_value(args, name).or_else(|| std::env::var(env).ok())
 }
 
-/// Extracts the metrics dump path from CLI arguments (`--metrics <path>`
-/// or `--metrics=<path>`; the last occurrence wins), falling back to the
-/// `KAR_METRICS` environment variable.
-pub fn metrics_path<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf> {
-    flag_or_env(args, "metrics", "KAR_METRICS").map(PathBuf::from)
-}
-
-/// Extracts the Chrome trace-export path (`--trace <path>` /
-/// `--trace=<path>` / `KAR_TRACE`).
-pub fn trace_path<I: IntoIterator<Item = String>>(args: I) -> Option<PathBuf> {
-    flag_or_env(args, "trace", "KAR_TRACE").map(PathBuf::from)
-}
-
-/// Extracts the event-ring capacity (`--events-cap <n>` /
-/// `--events-cap=<n>` / `KAR_EVENTS_CAP`).
-pub fn events_cap<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
-    flag_or_env(args, "events-cap", "KAR_EVENTS_CAP").and_then(|v| v.parse().ok())
+/// The metrics dump path: `--metrics <path>` / `--metrics=<path>`, then
+/// the `KAR_METRICS` environment variable.
+pub fn metrics_path(args: &[String]) -> Option<PathBuf> {
+    flag_or_env(args, "--metrics", "KAR_METRICS").map(PathBuf::from)
 }
 
 /// Enables the process-global sink when the CLI (or environment) asked
-/// for a metrics dump (`--metrics`) and/or a Chrome trace (`--trace`).
-/// Either alone turns collection on; `--events-cap` sizes every run's
-/// event ring. Returns whether collection is on.
+/// for a metrics dump (`--metrics`) and/or a Chrome trace (`--trace` /
+/// `KAR_TRACE`). Either alone turns collection on; `--events-cap` /
+/// `KAR_EVENTS_CAP` sizes every run's event ring. Returns whether
+/// collection is on.
 pub fn init<I: IntoIterator<Item = String>>(args: I) -> bool {
     let args: Vec<String> = args.into_iter().collect();
-    if let Some(path) = metrics_path(args.iter().cloned()) {
+    if let Some(path) = metrics_path(&args) {
         sink::enable(&path);
     }
-    if let Some(path) = trace_path(args.iter().cloned()) {
-        sink::enable_trace(&path);
+    if let Some(path) = flag_or_env(&args, "--trace", "KAR_TRACE") {
+        sink::enable_trace(&PathBuf::from(path));
     }
     if sink::enabled() {
-        if let Some(cap) = events_cap(args.iter().cloned()) {
+        let cap = flag_or_env(&args, "--events-cap", "KAR_EVENTS_CAP");
+        if let Some(cap) = cap.and_then(|v| v.parse().ok()) {
             sink::set_event_cap(cap);
         }
     }
@@ -102,7 +84,7 @@ pub fn finish() {
 /// experiment code can attach and submit unconditionally.
 #[derive(Debug, Clone, Default)]
 pub struct RunObs {
-    /// Handle for [`kar::KarNetwork::with_obs`] /
+    /// Handle for `KarNetworkBuilder::obs` /
     /// [`kar_simnet::Sim::attach_obs`].
     pub handle: ObsHandle,
     /// Dispatch-loop profiler for `with_profiler` /
@@ -130,12 +112,36 @@ impl RunObs {
     /// (entities resolved against `topo`) and submits it to the sink.
     /// No-op when observation is off.
     pub fn submit(&self, label: &str, topo: &Topology) {
+        self.submit_with(label, topo, Vec::new());
+    }
+
+    /// [`RunObs::submit`] plus the run's `summary` record: `experiment`
+    /// followed by the members of `record` — the JSON object the
+    /// experiment also writes to its document, so a run has one result
+    /// line and the dump carries it. No-op when observation is off.
+    pub fn submit_summary(&self, label: &str, topo: &Topology, experiment: &str, record: &str) {
+        if !self.handle.is_enabled() {
+            return;
+        }
+        let mut fields = vec![("experiment".to_string(), Json::Str(experiment.to_string()))];
+        match Json::parse(record) {
+            Ok(Json::Obj(members)) => fields.extend(members),
+            other => panic!("summary of {label} is not a JSON object: {other:?}"),
+        }
+        self.submit_with(label, topo, fields);
+    }
+
+    fn submit_with(&self, label: &str, topo: &Topology, summary: Vec<(String, Json)>) {
         let Some(obs) = self.handle.get() else {
             return;
         };
         let labeler = TopoLabeler::new(topo);
         let rows = self.profiler.as_ref().map(|p| p.rows()).unwrap_or_default();
-        sink::submit(RunDump::collect_obs(label, obs, &rows, &labeler));
+        let mut dump = RunDump::collect_obs(label, obs, &rows, &labeler);
+        if !summary.is_empty() {
+            dump.records.push(DumpRecord::Summary { fields: summary });
+        }
+        sink::submit(dump);
     }
 }
 
@@ -145,7 +151,8 @@ mod tests {
 
     #[test]
     fn metrics_path_parsing() {
-        let parse = |args: &[&str]| metrics_path(args.iter().map(|s| s.to_string()));
+        let parse =
+            |args: &[&str]| metrics_path(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
         std::env::remove_var("KAR_METRICS");
         assert_eq!(
             parse(&["--metrics", "/tmp/m.jsonl"]),

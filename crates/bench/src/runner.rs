@@ -10,7 +10,8 @@
 //! serial `jobs = 1` sweep, which the conformance tests in this module
 //! and `tests/parallel_determinism.rs` enforce.
 
-use crate::harness::{run_tcp, TcpRun, TcpRunResult};
+use crate::cli::flag_value;
+use crate::harness::{run_tcp_at, TcpRun, TcpRunResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -26,16 +27,8 @@ pub fn default_jobs() -> usize {
 /// Resolves the worker count from CLI arguments and environment:
 /// `--jobs N` / `--jobs=N` wins, then `KAR_JOBS`, then every core.
 /// Invalid or zero values fall back to the next source.
-pub fn jobs_from_args<I: IntoIterator<Item = String>>(args: I) -> usize {
-    let mut args = args.into_iter();
-    let mut from_flag = None;
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            from_flag = args.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            from_flag = v.parse().ok();
-        }
-    }
+pub fn jobs_from_args(args: &[String]) -> usize {
+    let from_flag = flag_value(args, "--jobs").and_then(|v| v.parse().ok());
     let from_env = std::env::var("KAR_JOBS").ok().and_then(|v| v.parse().ok());
     from_flag
         .or(from_env)
@@ -96,7 +89,8 @@ where
 /// Runs every spec and returns the results in spec order (the TCP
 /// specialization of [`run_map`]; see the module docs).
 pub fn run_all(specs: &[TcpRun<'_>], jobs: usize) -> Vec<TcpRunResult> {
-    run_map(specs, jobs, run_tcp)
+    let indices: Vec<usize> = (0..specs.len()).collect();
+    run_map(&indices, jobs, |&i| run_tcp_at(&specs[i], i))
 }
 
 #[cfg(test)]
@@ -166,7 +160,8 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| jobs_from_args(args.iter().map(|s| s.to_string()));
+        let parse =
+            |args: &[&str]| jobs_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
         std::env::remove_var("KAR_JOBS");
         assert_eq!(parse(&["--jobs", "3"]), 3);
         assert_eq!(parse(&["--jobs=5"]), 5);

@@ -1,15 +1,14 @@
 //! Bench-trend observatory: per-metric trajectories across git history.
 //!
 //! The committed `BENCH_*.json` documents pin one snapshot each of the
-//! dataplane microbenches, the scale sweep, the breaking-point search,
-//! the adversary campaign and the service load run. This module turns *every committed
-//! revision* of those documents (via `git log` / `git show`, plus the
-//! working tree) into per-metric time series, so `kar-trend` can answer
-//! "is it getting worse?" instead of only "what is it now?":
+//! scale sweep, the breaking-point search, the adversary campaign, the
+//! service load run and the hierarchy sweep. This module turns *every
+//! committed revision* of those documents (via `git log` / `git show`,
+//! plus the working tree) into per-metric time series, so `kar-trend`
+//! can answer "is it getting worse?" instead of only "what is it now?"
+//! (documents are read with [`kar_obs::json`], the reader that matches
+//! the writer they were emitted with):
 //!
-//! * [`parse_json`] — a small recursive-descent JSON reader (the repo
-//!   carries no serde; the BENCH docs are written by hand-rolled
-//!   emitters, so they are read by a hand-rolled parser too);
 //! * [`extract_metrics`] — the per-document metric schema: which scalar
 //!   trajectories each BENCH doc contributes and which direction is
 //!   "better" for each;
@@ -19,13 +18,16 @@
 //! * [`render_report`] / [`trend_json`] — the terminal sparkline report
 //!   and the `BENCH_trend.json` document.
 
+use crate::sweep::lines;
+use kar_obs::json::{Json, Obj};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-/// The six trend-tracked documents at the repo root.
+/// The five trend-tracked documents at the repo root. (Absolute
+/// per-layer dataplane costs live in the `kar-perf` ledger,
+/// `BENCHMARK.json`, not here.)
 pub const TREND_DOCS: &[&str] = &[
-    "BENCH_dataplane.json",
     "BENCH_scale.json",
     "BENCH_breaking.json",
     "BENCH_adversary.json",
@@ -36,254 +38,6 @@ pub const TREND_DOCS: &[&str] = &[
 /// Default regression tolerance: a metric may move up to this fraction
 /// in its "worse" direction before the gate trips.
 pub const DEFAULT_TOLERANCE: f64 = 0.05;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value model + parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are kept as `f64` — every metric the
-/// trend gate tracks is a ratio, count or bit width well inside f64's
-/// exact range.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always read as `f64`).
-    Num(f64),
-    /// A string, escapes decoded.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, member order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object member lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Nested lookup: `json.path(&["a", "b"])` == `json["a"]["b"]`.
-    pub fn path(&self, keys: &[&str]) -> Option<&Json> {
-        let mut cur = self;
-        for k in keys {
-            cur = cur.get(k)?;
-        }
-        Some(cur)
-    }
-
-    /// The number value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Whether this is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-}
-
-/// Parses one JSON document. Returns an error string (with byte
-/// offset) on malformed input — the trend walk treats such revisions as
-/// missing points rather than failing the whole report.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E') | Some(b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs never appear in our docs;
-                            // map unpaired surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        Some(c) => out.push(c as char),
-                        None => return Err("unterminated escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    // Copy the full UTF-8 scalar, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("bad utf-8 at byte {}", self.pos))?;
-                    let ch = s.chars().next().unwrap_or(c as char);
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected , or ] got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => return Err(format!("expected , or }} got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Metric extraction
@@ -320,17 +74,22 @@ pub struct Metric {
     pub direction: Direction,
 }
 
-fn geomean(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        if v <= 0.0 {
-            return None;
-        }
-        log_sum += v.ln();
-        n += 1;
+fn push(out: &mut Vec<Metric>, name: String, value: Option<f64>, direction: Direction) {
+    if let Some(value) = value.filter(|v| v.is_finite()) {
+        out.push(Metric {
+            name,
+            value,
+            direction,
+        });
     }
-    (n > 0).then(|| (log_sum / n as f64).exp())
+}
+
+/// `<prefix>/<field>` for each wanted numeric member `obj` has.
+fn fields(out: &mut Vec<Metric>, prefix: &str, obj: &Json, wanted: &[(&str, Direction)]) {
+    for &(field, direction) in wanted {
+        let value = obj.get(field).and_then(Json::as_f64);
+        push(out, format!("{prefix}/{field}"), value, direction);
+    }
 }
 
 /// Extracts the tracked metrics from one parsed BENCH document.
@@ -340,103 +99,44 @@ fn geomean(values: impl Iterator<Item = f64>) -> Option<f64> {
 pub fn extract_metrics(doc: &str, json: &Json) -> Vec<Metric> {
     use Direction::*;
     let mut out = Vec::new();
-    let mut push = |name: String, value: Option<f64>, direction: Direction| {
-        if let Some(value) = value {
-            if value.is_finite() {
-                out.push(Metric {
-                    name,
-                    value,
-                    direction,
-                });
-            }
-        }
-    };
+    let cells = json.get("cells").and_then(Json::as_arr).unwrap_or_default();
+    let text = |cell: &'_ Json, key: &str| cell.get(key).and_then(Json::as_str).map(str::to_string);
     match doc {
-        "BENCH_dataplane.json" => {
-            push(
-                "dataplane/residue_rnp28.geomean_speedup".into(),
-                json.path(&["residue_rnp28", "geomean_speedup"])
-                    .and_then(Json::as_f64),
-                HigherIsBetter,
-            );
-            push(
-                "dataplane/event_queue.speedup".into(),
-                json.path(&["event_queue", "speedup"])
-                    .and_then(Json::as_f64),
-                HigherIsBetter,
-            );
-            push(
-                "dataplane/forward_rnp28_sw13.speedup".into(),
-                json.path(&["forward_rnp28_sw13", "speedup"])
-                    .and_then(Json::as_f64),
-                HigherIsBetter,
-            );
-            push(
-                "dataplane/route_tag_clone.geomean_speedup".into(),
-                json.get("route_tag_clone")
-                    .and_then(Json::as_arr)
-                    .and_then(|rows| {
-                        geomean(
-                            rows.iter()
-                                .filter_map(|r| r.get("speedup").and_then(Json::as_f64)),
-                        )
-                    }),
-                HigherIsBetter,
-            );
-        }
-        "BENCH_scale.json" => {
-            for cell in json.get("cells").and_then(Json::as_arr).unwrap_or_default() {
-                let Some(name) = cell.get("cell").and_then(Json::as_str) else {
-                    continue;
-                };
-                push(
-                    format!("scale/{name}/route_bits_max"),
-                    cell.get("route_bits_max").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
-                push(
-                    format!("scale/{name}/delivery_ratio"),
-                    cell.get("delivery_ratio").and_then(Json::as_f64),
-                    HigherIsBetter,
-                );
-            }
-        }
-        "BENCH_hier.json" => {
-            for cell in json.get("cells").and_then(Json::as_arr).unwrap_or_default() {
-                let Some(name) = cell.get("cell").and_then(Json::as_str) else {
-                    continue;
-                };
-                push(
-                    format!("hier/{name}/header_bits_max"),
-                    cell.get("header_bits_max").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
-                // Traffic and verification fields exist only for the
-                // simulated schemes (flat/hier); table cells skip them.
-                push(
-                    format!("hier/{name}/delivery_ratio"),
-                    cell.get("delivery_ratio").and_then(Json::as_f64),
-                    HigherIsBetter,
-                );
-                push(
-                    format!("hier/{name}/stretch"),
-                    cell.get("stretch").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
-                push(
-                    format!("hier/{name}/verify_new_classes"),
-                    cell.get("verify_new_classes").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
+        "BENCH_scale.json" | "BENCH_hier.json" => {
+            // Traffic and verification fields exist only for the
+            // simulated schemes; hier's table cells simply lack them.
+            let (prefix, wanted): (&str, &[(&str, Direction)]) = if doc == "BENCH_scale.json" {
+                (
+                    "scale",
+                    &[
+                        ("route_bits_max", LowerIsBetter),
+                        ("delivery_ratio", HigherIsBetter),
+                    ],
+                )
+            } else {
+                (
+                    "hier",
+                    &[
+                        ("header_bits_max", LowerIsBetter),
+                        ("delivery_ratio", HigherIsBetter),
+                        ("stretch", LowerIsBetter),
+                        ("verify_new_classes", LowerIsBetter),
+                    ],
+                )
+            };
+            for cell in cells {
+                if let Some(name) = text(cell, "cell") {
+                    fields(&mut out, &format!("{prefix}/{name}"), cell, wanted);
+                }
             }
         }
         "BENCH_breaking.json" => {
             let mut violations_at_k2 = 0.0;
             let mut cells_seen = false;
-            for cell in json.get("cells").and_then(Json::as_arr).unwrap_or_default() {
+            for cell in cells {
                 let key = ["topo", "src", "dst", "technique", "protection"]
                     .iter()
-                    .filter_map(|k| cell.get(k).and_then(Json::as_str))
+                    .filter_map(|k| text(cell, k))
                     .collect::<Vec<_>>()
                     .join("/");
                 if key.is_empty() {
@@ -452,19 +152,14 @@ pub fn extract_metrics(doc: &str, json: &Json) -> Vec<Metric> {
                     Some(_) => Some(max_k + 1.0),
                     None => None,
                 };
-                if let Some(k) = k {
-                    if k <= 2.0 {
-                        violations_at_k2 += 1.0;
-                    }
+                if k.is_some_and(|k| k <= 2.0) {
+                    violations_at_k2 += 1.0;
                 }
-                push(format!("breaking/{key}/k"), k, HigherIsBetter);
+                push(&mut out, format!("breaking/{key}/k"), k, HigherIsBetter);
             }
             if cells_seen {
-                push(
-                    "breaking/violations_at_k2".into(),
-                    Some(violations_at_k2),
-                    LowerIsBetter,
-                );
+                let name = "breaking/violations_at_k2".to_string();
+                push(&mut out, name, Some(violations_at_k2), LowerIsBetter);
             }
         }
         "BENCH_service.json" => {
@@ -472,45 +167,31 @@ pub fn extract_metrics(doc: &str, json: &Json) -> Vec<Metric> {
             // columns (QPS, latency percentiles) exist only in "full"
             // documents (>= 1M requests), so a CI smoke run can never
             // trip the gate on scheduler noise.
-            push(
-                "service/errors".into(),
-                json.get("errors").and_then(Json::as_f64),
-                LowerIsBetter,
-            );
-            push(
-                "service/byte_mismatches".into(),
-                json.get("byte_mismatches").and_then(Json::as_f64),
-                LowerIsBetter,
-            );
+            let always = [
+                ("errors", LowerIsBetter),
+                ("byte_mismatches", LowerIsBetter),
+            ];
+            fields(&mut out, "service", json, &always);
             if json.get("mode").and_then(Json::as_str) == Some("full") {
-                push(
-                    "service/qps".into(),
-                    json.get("qps").and_then(Json::as_f64),
-                    HigherIsBetter,
-                );
-                push(
-                    "service/p50_us".into(),
-                    json.get("p50_us").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
-                push(
-                    "service/p99_us".into(),
-                    json.get("p99_us").and_then(Json::as_f64),
-                    LowerIsBetter,
-                );
+                let timed = [
+                    ("qps", HigherIsBetter),
+                    ("p50_us", LowerIsBetter),
+                    ("p99_us", LowerIsBetter),
+                ];
+                fields(&mut out, "service", json, &timed);
             }
         }
         "BENCH_adversary.json" => {
-            for cell in json.get("cells").and_then(Json::as_arr).unwrap_or_default() {
-                let topo = cell.get("topo").and_then(Json::as_str).unwrap_or("?");
-                let attack = cell.get("attack").and_then(Json::as_str).unwrap_or("?");
-                let scheme = cell.get("scheme").and_then(Json::as_str).unwrap_or("?");
+            for cell in cells {
+                let get = |key| text(cell, key).unwrap_or_else(|| "?".into());
                 let intensity = cell.get("intensity").and_then(Json::as_f64).unwrap_or(0.0);
-                push(
-                    format!("adversary/{topo}/{attack}/i{intensity}/{scheme}/reachability"),
-                    cell.get("reachability").and_then(Json::as_f64),
-                    HigherIsBetter,
+                let prefix = format!(
+                    "adversary/{}/{}/i{intensity}/{}",
+                    get("topo"),
+                    get("attack"),
+                    get("scheme")
                 );
+                fields(&mut out, &prefix, cell, &[("reachability", HigherIsBetter)]);
             }
         }
         _ => {}
@@ -622,7 +303,7 @@ pub fn build_series(histories: &[(String, Vec<DocRevision>)]) -> Vec<Series> {
     let mut by_name: BTreeMap<String, Series> = BTreeMap::new();
     for (doc, revs) in histories {
         for rev in revs {
-            let Ok(json) = parse_json(&rev.content) else {
+            let Ok(json) = Json::parse(&rev.content) else {
                 continue;
             };
             for m in extract_metrics(doc, &json) {
@@ -790,20 +471,8 @@ pub fn render_report(series: &[Series], regs: &[Regression], tolerance: f64) -> 
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
+/// Whole numbers print as integers (`3`, not `3.0`), as the committed
+/// document always had them.
 fn json_num(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -814,50 +483,49 @@ fn json_num(v: f64) -> String {
 
 /// Serializes the full trend document (`BENCH_trend.json`).
 pub fn trend_json(series: &[Series], regs: &[Regression], tolerance: f64) -> String {
-    let mut out = String::from("{\n\"campaign\":\"trend\",\n");
-    out.push_str(&format!("\"tolerance\":{tolerance},\n\"metrics\":[\n"));
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"direction\":\"{}\",\"points\":[",
-            json_escape(&s.name),
-            s.direction.as_str()
-        ));
-        for (j, p) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"commit\":\"{}\",\"ts\":{},\"value\":{}}}",
-                json_escape(&p.commit),
-                p.ts,
-                json_num(p.value)
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n],\n\"regressions\":[\n");
-    for (i, r) in regs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"prev\":{},\"latest\":{},\"delta\":{}}}",
-            json_escape(&r.name),
-            json_num(r.prev),
-            json_num(r.latest),
-            json_num(r.delta)
-        ));
-    }
-    out.push_str("\n]\n}\n");
-    out
+    let metrics = series.iter().map(|s| {
+        let points: Vec<String> = s
+            .points
+            .iter()
+            .map(|p| {
+                Obj::new()
+                    .str("commit", &p.commit)
+                    .num("ts", p.ts)
+                    .num("value", json_num(p.value))
+                    .finish()
+            })
+            .collect();
+        Obj::new()
+            .str("name", &s.name)
+            .str("direction", s.direction.as_str())
+            .raw("points", format_args!("[{}]", points.join(",")))
+            .finish()
+    });
+    let regressions = regs.iter().map(|r| {
+        Obj::new()
+            .str("name", &r.name)
+            .num("prev", json_num(r.prev))
+            .num("latest", json_num(r.latest))
+            .num("delta", json_num(r.delta))
+            .finish()
+    });
+    // `lines` ends a non-empty list with a newline; the committed
+    // document also breaks the line after an empty one.
+    let block = |items: String| if items.is_empty() { "\n".into() } else { items };
+    format!(
+        "{{\n\"campaign\":\"trend\",\n\"tolerance\":{tolerance},\n\"metrics\":[\n{}],\n\"regressions\":[\n{}]\n}}\n",
+        block(lines(metrics)),
+        block(lines(regressions)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_json(text: &str) -> Result<Json, String> {
+        Json::parse(text)
+    }
 
     #[test]
     fn json_parser_round_trips_the_shapes_we_read() {
@@ -877,29 +545,6 @@ mod tests {
         );
         assert!(parse_json("{\"a\":1}x").is_err(), "trailing junk rejected");
         assert!(parse_json("{").is_err());
-    }
-
-    #[test]
-    fn dataplane_metrics_extract() {
-        let doc = r#"{"residue_rnp28":{"geomean_speedup":2.39},
-                      "event_queue":{"speedup":3.77},
-                      "forward_rnp28_sw13":{"speedup":1.34},
-                      "route_tag_clone":[{"speedup":2.0},{"speedup":8.0}]}"#;
-        let metrics = extract_metrics("BENCH_dataplane.json", &parse_json(doc).unwrap());
-        let get = |name: &str| {
-            metrics
-                .iter()
-                .find(|m| m.name.ends_with(name))
-                .map(|m| m.value)
-        };
-        assert_eq!(get("residue_rnp28.geomean_speedup"), Some(2.39));
-        assert_eq!(get("event_queue.speedup"), Some(3.77));
-        assert_eq!(get("forward_rnp28_sw13.speedup"), Some(1.34));
-        let g = get("route_tag_clone.geomean_speedup").unwrap();
-        assert!((g - 4.0).abs() < 1e-9, "geomean of 2 and 8 is 4, got {g}");
-        assert!(metrics
-            .iter()
-            .all(|m| m.direction == Direction::HigherIsBetter));
     }
 
     #[test]
@@ -1003,12 +648,12 @@ mod tests {
 
     #[test]
     fn a_synthetically_regressed_document_trips_the_gate() {
-        // Two revisions of a dataplane doc: the second loses half its
-        // event-queue speedup. The gate must flag exactly that metric.
-        let good = r#"{"event_queue":{"speedup":3.77}}"#;
-        let bad = r#"{"event_queue":{"speedup":1.80}}"#;
+        // Two revisions of a service doc: the second loses half its
+        // throughput. The gate must flag exactly that metric.
+        let good = r#"{"mode":"full","errors":0,"byte_mismatches":0,"qps":100000.5}"#;
+        let bad = r#"{"mode":"full","errors":0,"byte_mismatches":0,"qps":48000.25}"#;
         let histories = vec![(
-            "BENCH_dataplane.json".to_string(),
+            "BENCH_service.json".to_string(),
             vec![
                 DocRevision {
                     commit: "aaaa111".into(),
@@ -1025,13 +670,10 @@ mod tests {
         let series = build_series(&histories);
         let regs = regressions(&series, DEFAULT_TOLERANCE);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "dataplane/event_queue.speedup");
+        assert_eq!(regs[0].name, "service/qps");
         let report = render_report(&series, &regs, DEFAULT_TOLERANCE);
         assert!(report.contains("REGRESSIONS (1)"), "{report}");
-        assert!(
-            report.contains("⚠ dataplane/event_queue.speedup"),
-            "{report}"
-        );
+        assert!(report.contains("⚠ service/qps"), "{report}");
         let doc = trend_json(&series, &regs, DEFAULT_TOLERANCE);
         assert!(doc.contains("\"campaign\":\"trend\""), "{doc}");
         assert!(doc.contains("\"commit\":\"aaaa111\""), "{doc}");

@@ -11,13 +11,13 @@
 //! honest runs, and flipping a single switch actually changes the
 //! outcome (so the gate cannot pass vacuously).
 
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_baselines::{TableEdge, TableScheme};
+use kar::{DeflectionTechnique, Protection};
+use kar_baselines::TableScheme;
 use kar_bench::experiments::adversary::{self, AdversaryConfig};
-use kar_simnet::{
-    Behavior, DropReason, FaultPlan, FlowId, PacketKind, Sim, SimConfig, SimTime, Stats,
-};
-use kar_topology::{topo15, Topology};
+use kar_bench::harness::{ProbeRun, ProbeScheme};
+use kar_bench::obs::RunObs;
+use kar_simnet::{Behavior, DropReason, FaultPlan, SimTime, Stats};
+use kar_topology::{topo15, NodeId, Topology};
 
 /// A dynamic scenario with enough going on to expose any RNG or event
 /// drift: a flap train on the primary path, deflections, recovery off.
@@ -34,59 +34,42 @@ fn plan(topo: &Topology) -> FaultPlan {
         )
 }
 
-/// Runs topo15's AS1 → AS3 flow under the flap plan, optionally
-/// declaring behaviors for every core switch.
-fn run_kar(topo: &Topology, behaviors: Option<Behavior>) -> Stats {
-    let mut builder = KarNetwork::builder(topo, DeflectionTechnique::Nip)
-        .seed(99)
-        .ttl(255)
-        .detection_delay(SimTime::from_micros(100));
-    if let Some(b) = behaviors {
-        for node in topo.core_nodes() {
-            builder = builder.byzantine(node, b);
-        }
-    }
-    let mut net = builder.build();
-    let (src, dst) = (topo.expect("AS1"), topo.expect("AS3"));
-    net.encode(&EncodeRequest::new(src, dst).with_protection(Protection::AutoFull))
-        .expect("route installs");
-    let mut sim = net.into_sim();
-    plan(topo).apply(&mut sim);
-    for i in 0..60 {
-        sim.run_until(SimTime(i * 300_000));
-        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
-    }
-    sim.run_to_quiescence();
-    sim.stats().clone()
+/// Runs topo15's AS1 → AS3 flow under the flap plan on `scheme`,
+/// optionally declaring a behavior for every core switch.
+fn run(topo: &Topology, scheme: ProbeScheme, behaviors: Option<Behavior>) -> Stats {
+    let flows = [(topo.expect("AS1"), topo.expect("AS3"))];
+    let byzantine: Vec<(NodeId, Behavior)> = behaviors
+        .map(|b| topo.core_nodes().into_iter().map(|n| (n, b)).collect())
+        .unwrap_or_default();
+    let plan = plan(topo);
+    let run = ProbeRun {
+        probes: 60,
+        gap: SimTime::from_micros(300),
+        seed: 99,
+        detection: SimTime::from_micros(100),
+        plan: Some(&plan),
+        byzantine: &byzantine,
+        ..ProbeRun::new(topo, scheme, &flows)
+    };
+    run.run(&RunObs::default()).stats
 }
 
-/// Same shape for a table-based baseline (exercises `Sim::set_behavior`
-/// rather than the builder knob).
+fn run_kar(topo: &Topology, behaviors: Option<Behavior>) -> Stats {
+    let scheme = ProbeScheme::Kar {
+        technique: DeflectionTechnique::Nip,
+        protection: Protection::AutoFull,
+        recovery: None,
+    };
+    run(topo, scheme, behaviors)
+}
+
+/// Same shape for a table-based baseline.
 fn run_table(topo: &Topology, behaviors: Option<Behavior>) -> Stats {
-    let (src, dst) = (topo.expect("AS1"), topo.expect("AS3"));
-    let mut sim = Sim::new(
+    run(
         topo,
-        TableScheme::FastFailover.forwarder(topo, &[src, dst], 99),
-        Box::new(TableEdge),
-        SimConfig {
-            seed: 99,
-            default_ttl: 255,
-            detection_delay: SimTime::from_micros(100),
-            ..SimConfig::default()
-        },
-    );
-    if let Some(b) = behaviors {
-        for node in topo.core_nodes() {
-            sim.set_behavior(node, b);
-        }
-    }
-    plan(topo).apply(&mut sim);
-    for i in 0..60 {
-        sim.run_until(SimTime(i * 300_000));
-        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
-    }
-    sim.run_to_quiescence();
-    sim.stats().clone()
+        ProbeScheme::Table(TableScheme::FastFailover),
+        behaviors,
+    )
 }
 
 /// The invariant itself, for both the KAR dataplane and the table
@@ -138,11 +121,9 @@ fn adversary_grid_replays_identically() {
         intensities: vec![2],
         ..AdversaryConfig::default()
     };
-    let first = adversary::run_topology(&topo, "topo15", &cfg, 2);
-    let second = adversary::run_topology(&topo, "topo15", &cfg, 2);
-    let a: Vec<String> = first.iter().map(|p| p.digest()).collect();
-    let b: Vec<String> = second.iter().map(|p| p.digest()).collect();
-    assert_eq!(a, b);
+    let opts = kar_bench::sweep::Opts::jobs(2);
+    let first = adversary::run(&cfg, &[("topo15", &topo)], &opts);
+    let second = adversary::run(&cfg, &[("topo15", &topo)], &opts);
     let gaps = adversary::targeted_vs_random(&first);
     assert_eq!(
         adversary::to_json(&first, &gaps),

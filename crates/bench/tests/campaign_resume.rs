@@ -1,96 +1,229 @@
-//! Checkpoint-resume behavior of the scale campaign: an interrupted
-//! sweep resumes at the last completed cell, the resumed document is
-//! byte-identical to an uninterrupted run, and stale checkpoints (other
-//! configuration) are ignored rather than spliced in.
+//! Checkpoint-resume behavior of the sweep engine, observed at the
+//! surface that matters — the six sweep binaries with `--jobs`,
+//! `--checkpoint` and `--out`: an interrupted sweep resumes at the last
+//! completed cell, the resumed document (and table) is byte-identical to
+//! an uninterrupted run, stale checkpoints (other configuration) are
+//! ignored rather than spliced in, and none of it depends on `--jobs`.
 
-use kar_bench::campaign::{run_campaign, CampaignConfig, Family, ProtLevel};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-fn smoke_config(checkpoint: Option<PathBuf>) -> CampaignConfig {
-    CampaignConfig {
-        seed: 77,
-        sizes: vec![8, 12],
-        families: vec![Family::Ring, Family::Grid],
-        prots: vec![ProtLevel::None, ProtLevel::Full],
-        flows_per_switch: 2,
-        packets_per_flow: 3,
-        checkpoint,
-        jobs: 2,
-        wall: false,
-        ..CampaignConfig::default()
-    }
+/// One sweep binary at its smallest grid: `(binary, flags, environment,
+/// cells in the grid)`.
+struct Sweep {
+    bin: &'static str,
+    args: &'static [&'static str],
+    env: &'static [(&'static str, &'static str)],
+    cells: usize,
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("kar_campaign_{tag}_{}.ckpt", std::process::id()))
+const SWEEPS: &[Sweep] = &[
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_fig_scale"),
+        args: &["--max-switches", "16"],
+        env: &[
+            ("KAR_SCALE_WALL", "0"),
+            ("KAR_SCALE_FLOWS", "1"),
+            ("KAR_SCALE_PKTS", "2"),
+        ],
+        cells: 9,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_fig_hier"),
+        args: &["--max-switches", "32"],
+        env: &[("KAR_HIER_PAIRS", "4"), ("KAR_HIER_PKTS", "2")],
+        cells: 12,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_fig_adversary"),
+        args: &["--topo", "topo15", "--probes", "12", "--intensities", "1"],
+        env: &[],
+        cells: 48,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_fig_breaking"),
+        args: &["--topo", "topo15", "--max-k", "1", "--probes", "5"],
+        env: &[],
+        cells: 12,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_multi_failure"),
+        args: &[],
+        env: &[("KAR_RUNS", "1"), ("KAR_PROBES", "8")],
+        cells: 32,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_multi_failure"),
+        args: &["--correlated"],
+        env: &[("KAR_RUNS", "1"), ("KAR_PROBES", "8"), ("KAR_GROUPS", "1")],
+        cells: 8,
+    },
+    Sweep {
+        bin: env!("CARGO_BIN_EXE_fig_dynamic"),
+        args: &[],
+        env: &[("KAR_PROBES", "40")],
+        cells: 12,
+    },
+];
+
+/// What one invocation produced.
+struct Run {
+    stdout: String,
+    stderr: String,
+    document: String,
+}
+
+impl Sweep {
+    fn name(&self) -> String {
+        let bin = Path::new(self.bin).file_name().unwrap().to_string_lossy();
+        format!("{bin}{}", self.args.join(""))
+    }
+
+    fn scratch(&self, tag: &str, ext: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "kar_resume_{}_{tag}_{}.{ext}",
+            self.name(),
+            std::process::id()
+        ))
+    }
+
+    fn run(&self, tag: &str, jobs: usize, checkpoint: Option<&Path>, extra: &[&str]) -> Run {
+        let out = self.scratch(tag, "json");
+        let mut cmd = Command::new(self.bin);
+        cmd.args(self.args)
+            .args(extra)
+            .args(["--jobs", &jobs.to_string(), "--out"])
+            .arg(&out)
+            .envs(self.env.iter().copied());
+        if let Some(path) = checkpoint {
+            cmd.arg("--checkpoint").arg(path);
+        }
+        let output = cmd.output().expect("sweep binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{} failed: {stderr}", self.name());
+        let document = fs::read_to_string(&out).expect("--out document written");
+        let _ = fs::remove_file(&out);
+        Run {
+            stdout: String::from_utf8_lossy(&output.stdout).into_owned(),
+            stderr,
+            document,
+        }
+    }
+
+    fn counts(&self, computed: usize) -> String {
+        format!(
+            "sweep: {} cells ({computed} computed, {} from checkpoint)",
+            self.cells,
+            self.cells - computed
+        )
+    }
 }
 
 #[test]
 fn interrupted_sweep_resumes_without_recomputing_finished_cells() {
-    let ckpt = temp_path("resume");
-    let _ = fs::remove_file(&ckpt);
+    for sweep in SWEEPS {
+        let ckpt = sweep.scratch("resume", "ckpt");
+        let _ = fs::remove_file(&ckpt);
+        let full = sweep.run("resume", 2, Some(&ckpt), &[]);
+        assert!(
+            full.stderr.contains(&sweep.counts(sweep.cells)),
+            "{}",
+            full.stderr
+        );
+        let text = fs::read_to_string(&ckpt).unwrap();
+        assert_eq!(
+            text.lines().count(),
+            sweep.cells + 1,
+            "{}: fingerprint header plus one line per cell",
+            sweep.name()
+        );
 
-    let full = run_campaign(&smoke_config(Some(ckpt.clone())));
-    assert_eq!(full.computed, 8, "first run computes every cell");
-    let checkpoint_text = fs::read_to_string(&ckpt).unwrap();
-    assert_eq!(
-        checkpoint_text.lines().count(),
-        9,
-        "fingerprint header plus one line per cell"
-    );
+        // Simulate a kill mid-sweep: the last completed cell never made
+        // it to disk, and the one before it is a torn write.
+        let kept: Vec<&str> = text.lines().take(sweep.cells).collect();
+        let torn: String = kept[sweep.cells - 1].chars().take(30).collect();
+        fs::write(
+            &ckpt,
+            format!("{}\n{torn}", kept[..sweep.cells - 1].join("\n")),
+        )
+        .unwrap();
+        let resumed = sweep.run("resume", 2, Some(&ckpt), &[]);
+        assert!(
+            resumed.stderr.contains(&sweep.counts(2)),
+            "{}",
+            resumed.stderr
+        );
+        assert_eq!(resumed.document, full.document, "{}", sweep.name());
+        assert_eq!(resumed.stdout, full.stdout, "{}", sweep.name());
 
-    // Simulate an interruption: keep the header and the first three
-    // completed cells, as if the process died mid-sweep.
-    let kept: Vec<&str> = checkpoint_text.lines().take(4).collect();
-    fs::write(&ckpt, format!("{}\n", kept.join("\n"))).unwrap();
+        // Exactly one line cut: exactly one cell recomputed.
+        let text = fs::read_to_string(&ckpt).unwrap();
+        let kept: Vec<&str> = text.lines().take(sweep.cells).collect();
+        fs::write(&ckpt, format!("{}\n", kept.join("\n"))).unwrap();
+        let resumed = sweep.run("resume", 2, Some(&ckpt), &[]);
+        assert!(
+            resumed.stderr.contains(&sweep.counts(1)),
+            "{}",
+            resumed.stderr
+        );
+        assert_eq!(resumed.document, full.document, "{}", sweep.name());
 
-    let resumed = run_campaign(&smoke_config(Some(ckpt.clone())));
-    assert_eq!(resumed.computed, 5, "only the lost cells are recomputed");
-    assert_eq!(
-        resumed.to_json(),
-        full.to_json(),
-        "resumed document is byte-identical to the uninterrupted one"
-    );
-
-    // A second resume finds everything done.
-    let warm = run_campaign(&smoke_config(Some(ckpt.clone())));
-    assert_eq!(warm.computed, 0);
-    assert_eq!(warm.to_json(), full.to_json());
-
-    let _ = fs::remove_file(&ckpt);
+        // A further resume finds everything done.
+        let warm = sweep.run("resume", 2, Some(&ckpt), &[]);
+        assert!(warm.stderr.contains(&sweep.counts(0)), "{}", warm.stderr);
+        assert_eq!(warm.document, full.document, "{}", sweep.name());
+        assert_eq!(warm.stdout, full.stdout, "{}", sweep.name());
+        let _ = fs::remove_file(&ckpt);
+    }
 }
 
 #[test]
 fn foreign_checkpoints_are_discarded_not_spliced() {
-    let ckpt = temp_path("foreign");
-    let _ = fs::remove_file(&ckpt);
+    for sweep in SWEEPS {
+        let ckpt = sweep.scratch("foreign", "ckpt");
+        let _ = fs::remove_file(&ckpt);
+        let first = sweep.run("foreign", 2, Some(&ckpt), &[]);
+        let header = |path: &Path| {
+            let text = fs::read_to_string(path).unwrap();
+            text.lines().next().unwrap().to_string()
+        };
+        let first_header = header(&ckpt);
+        assert!(
+            first_header.starts_with("{\"campaign_checkpoint\":\""),
+            "{first_header}"
+        );
 
-    let first = run_campaign(&smoke_config(Some(ckpt.clone())));
-    assert_eq!(first.computed, 8);
-
-    // Same checkpoint path, different seed: the fingerprint no longer
-    // matches, so every cell recomputes and the file is rewritten.
-    let mut other = smoke_config(Some(ckpt.clone()));
-    other.seed = 78;
-    let second = run_campaign(&other);
-    assert_eq!(second.computed, 8, "stale cells must not be reused");
-    assert_ne!(second.to_json(), first.to_json());
-    let text = fs::read_to_string(&ckpt).unwrap();
-    assert!(text.starts_with(&format!(
-        "{{\"campaign_checkpoint\":\"{}\"}}",
-        other.fingerprint()
-    )));
-
-    let _ = fs::remove_file(&ckpt);
+        // Same checkpoint path, different seed: the fingerprint no
+        // longer matches, so every cell recomputes and the file is
+        // rewritten under the new fingerprint.
+        let second = sweep.run("foreign", 2, Some(&ckpt), &["--seed", "78"]);
+        assert!(
+            second.stderr.contains(&sweep.counts(sweep.cells)),
+            "{}: stale cells must not be reused: {}",
+            sweep.name(),
+            second.stderr
+        );
+        assert_ne!(header(&ckpt), first_header, "{}", sweep.name());
+        let plain = sweep.run("foreign", 2, None, &["--seed", "78"]);
+        assert_eq!(second.document, plain.document, "{}", sweep.name());
+        assert_ne!(second.document, first.document, "{}", sweep.name());
+        let _ = fs::remove_file(&ckpt);
+    }
 }
 
 #[test]
 fn checkpointed_and_plain_runs_agree() {
-    let ckpt = temp_path("plain");
-    let _ = fs::remove_file(&ckpt);
-    let with = run_campaign(&smoke_config(Some(ckpt.clone())));
-    let without = run_campaign(&smoke_config(None));
-    assert_eq!(with.to_json(), without.to_json());
-    let _ = fs::remove_file(&ckpt);
+    for sweep in SWEEPS {
+        let ckpt = sweep.scratch("plain", "ckpt");
+        let _ = fs::remove_file(&ckpt);
+        // Serial without a checkpoint vs four workers with one.
+        let plain = sweep.run("plain", 1, None, &[]);
+        let with = sweep.run("plain", 4, Some(&ckpt), &[]);
+        assert!(!plain.stderr.contains("sweep:"), "{}", plain.stderr);
+        assert_eq!(with.document, plain.document, "{}", sweep.name());
+        assert_eq!(with.stdout, plain.stdout, "{}", sweep.name());
+        assert!(!plain.document.is_empty() && !plain.stdout.is_empty());
+        let _ = fs::remove_file(&ckpt);
+    }
 }

@@ -8,9 +8,10 @@
 //! must freeze a "loop" capture, and `kar-inspect forensics` must
 //! render the full causal chain from the fault to the dropped packet.
 
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork};
+use kar::{DeflectionTechnique, Protection};
+use kar_bench::harness::{ProbeRun, ProbeScheme};
+use kar_bench::obs::RunObs;
 use kar_obs::{Obs, ObsHandle, RunDump, TopoLabeler};
-use kar_simnet::{FlowId, PacketKind, SimTime};
 use kar_topology::rnp28;
 use std::sync::Arc;
 
@@ -24,30 +25,28 @@ fn avp_rnp28_loop_freezes_forensic_captures_with_the_causal_chain() {
     // Observability attached directly (no process-global sink — this
     // test binary runs in parallel with others).
     let bundle = Arc::new(Obs::new());
-    let handle = ObsHandle::from_obs(bundle.clone());
+    let obs = RunObs {
+        handle: ObsHandle::from_obs(bundle.clone()),
+        profiler: None,
+    };
 
-    let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Avp)
-        .seed(11)
-        .ttl(255)
-        .build();
-    net.encode(&EncodeRequest::new(src, dst))
-        .expect("route installs");
-    let mut sim = net.into_sim();
-    sim.attach_obs(&handle);
-    sim.schedule_link_down(SimTime::ZERO, link);
-    for i in 0..20 {
-        sim.run_until(SimTime(i * 500_000));
-        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
-    }
-    sim.run_to_quiescence();
+    // The breaking-point replay, exactly as `fig_breaking` runs it.
+    let scheme = ProbeScheme::Kar {
+        technique: DeflectionTechnique::Avp,
+        protection: Protection::None,
+        recovery: None,
+    };
+    let flows = [(src, dst)];
+    let run = ProbeRun {
+        probes: 20,
+        seed: 11,
+        down: &[link],
+        ..ProbeRun::new(&topo, scheme, &flows)
+    };
+    let stats = run.run(&obs).stats;
 
     // The pinned outcome: probes loop until TTL exhaustion.
-    let stats = sim.stats();
-    let ttl_drops = stats
-        .drops
-        .get(&kar_simnet::DropReason::TtlExpired)
-        .copied()
-        .unwrap_or(0);
+    let ttl_drops = stats.dropped_for(kar_simnet::DropReason::TtlExpired);
     assert!(
         ttl_drops > 0,
         "pinned breaking point no longer reproduces a loop (ttl_drops=0)"

@@ -13,6 +13,7 @@ use kar::DeflectionTechnique;
 use kar_bench::experiments::dynamic;
 use kar_bench::harness::{run_tcp, FailureWindow, TcpRun};
 use kar_bench::obs;
+use kar_bench::record::Record;
 use kar_obs::{read_dumps, sink, DumpRecord};
 use kar_simnet::SimTime;
 use kar_topology::topo15;
@@ -27,7 +28,7 @@ fn dynamic_digests() -> Vec<String> {
     dynamic::scenarios()
         .into_iter()
         .map(|scenario| {
-            dynamic::run_point(&topo, scenario, DeflectionTechnique::HotPotato, cfg).digest()
+            dynamic::run_point(&topo, scenario, DeflectionTechnique::HotPotato, cfg).to_json()
         })
         .collect()
 }

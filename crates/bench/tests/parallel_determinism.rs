@@ -6,6 +6,7 @@ use kar::{DeflectionTechnique, EncodingCache, Protection};
 use kar_bench::experiments::fig5;
 use kar_bench::harness::{run_tcp, FailureWindow, TcpRun};
 use kar_bench::runner;
+use kar_bench::sweep::Opts;
 use kar_simnet::SimTime;
 use kar_topology::topo15;
 use std::sync::Arc;
@@ -98,12 +99,9 @@ fn adversary_grid_is_byte_identical_across_jobs() {
         intensities: vec![1, 2],
         ..AdversaryConfig::default()
     };
-    let serial = adversary::run_topology(&topo, "topo15", &cfg, 1);
-    let parallel = adversary::run_topology(&topo, "topo15", &cfg, 4);
-    let s: Vec<String> = serial.iter().map(|p| p.digest()).collect();
-    let p: Vec<String> = parallel.iter().map(|p| p.digest()).collect();
-    assert_eq!(s, p);
-    // The JSON document the binary commits inherits the property.
+    let serial = adversary::run(&cfg, &[("topo15", &topo)], &Opts::jobs(1));
+    let parallel = adversary::run(&cfg, &[("topo15", &topo)], &Opts::jobs(4));
+    // Every point's line — and so the document the binary commits.
     let gaps = adversary::targeted_vs_random(&serial);
     assert_eq!(
         adversary::to_json(&serial, &gaps),

@@ -3,8 +3,7 @@
 //! Encoding a route is two very different jobs glued together: walking
 //! the topology to collect `(switch_id, port)` residue pairs (cheap), and
 //! sealing those pairs into a route ID with CRT arithmetic over
-//! big integers (the expensive half — see [`kar_rns::CrtCache`] for the
-//! arithmetic-level counterpart). Experiment sweeps re-encode the same
+//! big integers (the expensive half). Experiment sweeps re-encode the same
 //! routes for every repetition, so [`EncodingCache`] memoizes the sealing
 //! step keyed by exactly the inputs that determine it: the residue pairs
 //! plus the ingress uplink.

@@ -21,7 +21,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::dump::{escape, DumpRecord, RunDump};
+use crate::dump::{DumpRecord, RunDump};
+use crate::json::escape;
 
 /// Microsecond timestamp with sub-µs precision preserved.
 fn ts_us(at_ns: u64) -> String {

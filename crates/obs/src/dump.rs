@@ -1,20 +1,18 @@
-//! Dump format: flat JSON lines, one record per line, compatible with
-//! the `KAR_TELEMETRY` sink convention (`kar_bench::telemetry`).
+//! Dump format: flat JSON lines, one record per line.
 //!
 //! Every line carries a `"run"` label so dumps from many runs can share
 //! one file; `kar-inspect` groups them back. Entities are resolved to
 //! human names (`node:SW7`, `link:SW7-SW13`) at dump time via a
-//! [`TopoLabeler`], so the reader never needs the topology. There is no
-//! serde in this workspace (offline vendored deps only), so both the
-//! writer and the minimal flat-object parser live here.
+//! [`TopoLabeler`], so the reader never needs the topology. Lines are
+//! written and read through [`crate::json`].
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
 use kar_topology::{LinkId, NodeId, Topology};
 
 use crate::events::Event;
+use crate::json::{json_f64, Json, Obj};
 use crate::metrics::{Entity, HistSnapshot, MetricsSnapshot};
 use crate::profile::ProfileRow;
 
@@ -210,6 +208,12 @@ pub enum DumpRecord {
         /// Slowest dispatch in nanoseconds.
         max_ns: u64,
     },
+    /// The run's one-line summary: the members of the experiment's own
+    /// record (the line it also writes to its document), in order.
+    Summary {
+        /// `(name, value)` members.
+        fields: Vec<(String, Json)>,
+    },
 }
 
 /// Everything one run dumped, under one label.
@@ -368,37 +372,27 @@ impl RunDump {
 }
 
 fn record_line(run: &str, r: &DumpRecord) -> String {
-    let mut s = String::from("{");
-    let _ = write!(s, "\"run\":\"{}\"", escape(run));
+    let head = |kind: &str| Obj::new().str("run", run).str("type", kind);
+    let opt_num = |v: &Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
     match r {
         DumpRecord::Counter {
             entity,
             metric,
             value,
-        } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"counter\",\"entity\":\"{}\",\"metric\":\"{}\",\"value\":{}",
-                escape(entity),
-                escape(metric),
-                value
-            );
-        }
+        } => head("counter")
+            .str("entity", entity)
+            .str("metric", metric)
+            .num("value", value),
         DumpRecord::Gauge {
             entity,
             metric,
             value,
             max,
-        } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"gauge\",\"entity\":\"{}\",\"metric\":\"{}\",\"value\":{},\"max\":{}",
-                escape(entity),
-                escape(metric),
-                value,
-                max
-            );
-        }
+        } => head("gauge")
+            .str("entity", entity)
+            .str("metric", metric)
+            .num("value", value)
+            .num("max", max),
         DumpRecord::Hist {
             entity,
             metric,
@@ -409,18 +403,14 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
             buckets,
         } => {
             let packed: Vec<String> = buckets.iter().map(|(lo, c)| format!("{lo}:{c}")).collect();
-            let _ = write!(
-                s,
-                ",\"type\":\"hist\",\"entity\":\"{}\",\"metric\":\"{}\",\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"buckets\":\"{}\"",
-                escape(entity),
-                escape(metric),
-                count,
-                sum,
-                min,
-                max,
-                packed.join(";")
-            );
+            head("hist")
+                .str("entity", entity)
+                .str("metric", metric)
+                .num("count", count)
+                .num("sum", sum)
+                .num("min", min)
+                .num("max", max)
+                .str("buckets", &packed.join(";"))
         }
         DumpRecord::Series {
             entity,
@@ -431,13 +421,10 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
                 .iter()
                 .map(|(t, v)| format!("{t}:{}", json_f64(*v)))
                 .collect();
-            let _ = write!(
-                s,
-                ",\"type\":\"series\",\"entity\":\"{}\",\"metric\":\"{}\",\"samples\":\"{}\"",
-                escape(entity),
-                escape(metric),
-                packed.join(";")
-            );
+            head("series")
+                .str("entity", entity)
+                .str("metric", metric)
+                .str("samples", &packed.join(";"))
         }
         DumpRecord::Event {
             at_ns,
@@ -450,45 +437,8 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
             tag,
             span,
             parent,
-        } => {
-            let _ = write!(s, ",\"type\":\"event\"");
-            write_event_fields(
-                &mut s, *at_ns, kind, *pkt, *flow, node, link, *aux, tag, *span, *parent,
-            );
         }
-        DumpRecord::Ring {
-            pushed,
-            evicted,
-            cap,
-        } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"ring\",\"pushed\":{pushed},\"evicted\":{evicted},\"cap\":{cap}"
-            );
-        }
-        DumpRecord::Forensic {
-            capture,
-            trigger,
-            at_ns,
-            pkt,
-            evicted,
-            suppressed,
-        } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"forensic\",\"capture\":{},\"trigger\":\"{}\",\"at_ns\":{},\
-                 \"pkt\":{},\"evicted\":{},\"suppressed\":{}",
-                capture,
-                escape(trigger),
-                at_ns,
-                opt_num(*pkt),
-                evicted,
-                suppressed
-            );
-        }
-        DumpRecord::ForensicEvent {
-            capture,
-            section,
+        | DumpRecord::ForensicEvent {
             at_ns,
             kind,
             pkt,
@@ -499,230 +449,77 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
             tag,
             span,
             parent,
+            ..
         } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"fevent\",\"capture\":{},\"section\":\"{}\"",
-                capture,
-                escape(section)
-            );
-            write_event_fields(
-                &mut s, *at_ns, kind, *pkt, *flow, node, link, *aux, tag, *span, *parent,
-            );
+            let head = match r {
+                DumpRecord::ForensicEvent {
+                    capture, section, ..
+                } => head("fevent")
+                    .num("capture", capture)
+                    .str("section", section),
+                _ => head("event"),
+            };
+            head.num("at_ns", at_ns)
+                .str("kind", kind)
+                .num("pkt", opt_num(pkt))
+                .num("flow", opt_num(flow))
+                .str("node", node)
+                .str("link", link)
+                .num("aux", aux)
+                .str("tag", tag)
+                .num("span", opt_num(span))
+                .num("parent", opt_num(parent))
         }
+        DumpRecord::Ring {
+            pushed,
+            evicted,
+            cap,
+        } => head("ring")
+            .num("pushed", pushed)
+            .num("evicted", evicted)
+            .num("cap", cap),
+        DumpRecord::Forensic {
+            capture,
+            trigger,
+            at_ns,
+            pkt,
+            evicted,
+            suppressed,
+        } => head("forensic")
+            .num("capture", capture)
+            .str("trigger", trigger)
+            .num("at_ns", at_ns)
+            .num("pkt", opt_num(pkt))
+            .num("evicted", evicted)
+            .num("suppressed", suppressed),
         DumpRecord::Profile {
             label,
             count,
             total_ns,
             max_ns,
-        } => {
-            let _ = write!(
-                s,
-                ",\"type\":\"profile\",\"label\":\"{}\",\"count\":{},\"total_ns\":{},\"max_ns\":{}",
-                escape(label),
-                count,
-                total_ns,
-                max_ns
-            );
-        }
+        } => head("profile")
+            .str("label", label)
+            .num("count", count)
+            .num("total_ns", total_ns)
+            .num("max_ns", max_ns),
+        DumpRecord::Summary { fields } => fields
+            .iter()
+            .fold(head("summary"), |obj, (name, value)| obj.raw(name, value)),
     }
-    s.push('}');
-    s
+    .finish()
 }
 
-#[allow(clippy::too_many_arguments)] // one flat record, one flat writer
-fn write_event_fields(
-    s: &mut String,
-    at_ns: u64,
-    kind: &str,
-    pkt: Option<u64>,
-    flow: Option<u64>,
-    node: &str,
-    link: &str,
-    aux: u64,
-    tag: &str,
-    span: Option<u64>,
-    parent: Option<u64>,
-) {
-    let _ = write!(
-        s,
-        ",\"at_ns\":{},\"kind\":\"{}\",\"pkt\":{},\"flow\":{},\
-         \"node\":\"{}\",\"link\":\"{}\",\"aux\":{},\"tag\":\"{}\",\"span\":{},\"parent\":{}",
-        at_ns,
-        escape(kind),
-        opt_num(pkt),
-        opt_num(flow),
-        escape(node),
-        escape(link),
-        aux,
-        escape(tag),
-        opt_num(span),
-        opt_num(parent)
-    );
-}
-
-fn opt_num(v: Option<u64>) -> String {
+/// A dump value as text: strings as they are, numbers as written.
+fn text_of(v: &Json) -> &str {
     match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+        Json::Str(s) | Json::Num(s) => s,
+        _ => "",
     }
 }
 
-/// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a valid JSON number (non-finite values become 0).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// A value in a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    /// A string (already unescaped).
-    Str(String),
-    /// A number, kept as raw text so `u64` round-trips exactly.
-    Num(String),
-    /// `null`.
-    Null,
-}
-
-impl JsonVal {
-    fn as_str(&self) -> &str {
-        match self {
-            JsonVal::Str(s) => s,
-            JsonVal::Num(s) => s,
-            JsonVal::Null => "",
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonVal::Num(s) => s.parse().ok().or_else(|| {
-                s.parse::<f64>().ok().map(|f| f as u64) // scientific notation fallback
-            }),
-            _ => None,
-        }
-    }
-
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonVal::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"k": "v", "n": 3, "x": null}`) into a
-/// key → value map. Nested objects/arrays are not supported — the dump
-/// format never emits them. Returns `None` on malformed input.
-fn parse_flat(line: &str) -> Option<HashMap<String, JsonVal>> {
-    let mut map = HashMap::new();
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                return Some(map);
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            '"' => {}
-            _ => return None,
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => JsonVal::Str(parse_string(&mut chars)?),
-            'n' => {
-                for expect in "null".chars() {
-                    if chars.next()? != expect {
-                        return None;
-                    }
-                }
-                JsonVal::Null
-            }
-            _ => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || "+-.eE".contains(c) {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if num.is_empty() {
-                    return None;
-                }
-                JsonVal::Num(num)
-            }
-        };
-        map.insert(key, val);
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
+fn u64_of(v: &Json) -> Option<u64> {
+    // Scientific notation (a foreign writer's) falls back through f64.
+    v.as_num().or_else(|| v.as_f64().map(|f| f as u64))
 }
 
 fn parse_pairs_u64(packed: &str) -> Vec<(u64, u64)> {
@@ -748,18 +545,15 @@ fn parse_pairs_f64(packed: &str) -> Vec<(u64, f64)> {
 }
 
 /// Parses one dump line into `(run label, record)`. Lines that are not
-/// dump records (e.g. interleaved `KAR_TELEMETRY` records) yield `None`.
+/// dump records yield `None`.
 pub fn parse_line(line: &str) -> Option<(String, DumpRecord)> {
-    let map = parse_flat(line)?;
-    let run = map.get("run")?.as_str().to_string();
-    let get = |k: &str| {
-        map.get(k)
-            .map(|v| v.as_str().to_string())
-            .unwrap_or_default()
-    };
-    let get_u64 = |k: &str| map.get(k).and_then(JsonVal::as_u64).unwrap_or(0);
-    let get_i64 = |k: &str| map.get(k).and_then(JsonVal::as_i64).unwrap_or(0);
-    let rec = match map.get("type")?.as_str() {
+    let map = Json::parse(line).ok()?;
+    let run = text_of(map.get("run")?).to_string();
+    let get = |k: &str| map.get(k).map(text_of).unwrap_or_default().to_string();
+    let opt_u64 = |k: &str| map.get(k).and_then(u64_of);
+    let get_u64 = |k: &str| opt_u64(k).unwrap_or(0);
+    let get_i64 = |k: &str| map.get(k).and_then(Json::as_num).unwrap_or(0);
+    let rec = match text_of(map.get("type")?) {
         "counter" => DumpRecord::Counter {
             entity: get("entity"),
             metric: get("metric"),
@@ -788,14 +582,14 @@ pub fn parse_line(line: &str) -> Option<(String, DumpRecord)> {
         "event" => DumpRecord::Event {
             at_ns: get_u64("at_ns"),
             kind: get("kind"),
-            pkt: map.get("pkt").and_then(JsonVal::as_u64),
-            flow: map.get("flow").and_then(JsonVal::as_u64),
+            pkt: opt_u64("pkt"),
+            flow: opt_u64("flow"),
             node: get("node"),
             link: get("link"),
             aux: get_u64("aux"),
             tag: get("tag"),
-            span: map.get("span").and_then(JsonVal::as_u64),
-            parent: map.get("parent").and_then(JsonVal::as_u64),
+            span: opt_u64("span"),
+            parent: opt_u64("parent"),
         },
         "ring" => DumpRecord::Ring {
             pushed: get_u64("pushed"),
@@ -806,7 +600,7 @@ pub fn parse_line(line: &str) -> Option<(String, DumpRecord)> {
             capture: get_u64("capture"),
             trigger: get("trigger"),
             at_ns: get_u64("at_ns"),
-            pkt: map.get("pkt").and_then(JsonVal::as_u64),
+            pkt: opt_u64("pkt"),
             evicted: get_u64("evicted"),
             suppressed: get_u64("suppressed"),
         },
@@ -815,20 +609,28 @@ pub fn parse_line(line: &str) -> Option<(String, DumpRecord)> {
             section: get("section"),
             at_ns: get_u64("at_ns"),
             kind: get("kind"),
-            pkt: map.get("pkt").and_then(JsonVal::as_u64),
-            flow: map.get("flow").and_then(JsonVal::as_u64),
+            pkt: opt_u64("pkt"),
+            flow: opt_u64("flow"),
             node: get("node"),
             link: get("link"),
             aux: get_u64("aux"),
             tag: get("tag"),
-            span: map.get("span").and_then(JsonVal::as_u64),
-            parent: map.get("parent").and_then(JsonVal::as_u64),
+            span: opt_u64("span"),
+            parent: opt_u64("parent"),
         },
         "profile" => DumpRecord::Profile {
             label: get("label"),
             count: get_u64("count"),
             total_ns: get_u64("total_ns"),
             max_ns: get_u64("max_ns"),
+        },
+        "summary" => DumpRecord::Summary {
+            fields: map
+                .as_obj()?
+                .iter()
+                .filter(|(k, _)| k != "run" && k != "type")
+                .cloned()
+                .collect(),
         },
         _ => return None,
     };
@@ -938,6 +740,14 @@ mod tests {
                     tag: "down".into(),
                     span: Some(2),
                     parent: None,
+                },
+                DumpRecord::Summary {
+                    fields: vec![
+                        ("experiment".into(), Json::Str("fig5".into())),
+                        ("seed".into(), Json::Num(u64::MAX.to_string())),
+                        ("mean_hops".into(), Json::Num("8.607294317217981".into())),
+                        ("latency".into(), Json::Null),
+                    ],
                 },
             ],
         };

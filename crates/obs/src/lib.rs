@@ -14,10 +14,11 @@
 //!   (hop, deflection, drop, fault, detection, re-encode) whose packet
 //!   ids act as span ids linking a packet's hops to its flow,
 //! * a sim [`Profiler`] timing the discrete-event loop per event type,
-//! * a JSON-lines dump format ([`RunDump`]) compatible with the
-//!   `KAR_TELEMETRY` convention, plus the [`sink`] that experiment
-//!   binaries flush to `--metrics <path>`; `kar-inspect` (in
-//!   `kar-bench`) renders the dumps.
+//! * a JSON-lines dump format ([`RunDump`]), whose `summary` record
+//!   carries each run's own result line, plus the [`sink`] that
+//!   experiment binaries flush to `--metrics <path>`; `kar-inspect` (in
+//!   `kar-bench`) renders the dumps,
+//! * [`json`] — the workspace's one JSON writer and reader.
 //!
 //! Metrics are **pure observation**: nothing here feeds back into
 //! simulation state or touches its RNG, so runs are byte-identical with
@@ -30,14 +31,16 @@ pub mod chrome;
 mod dump;
 mod events;
 pub mod forensics;
+pub mod json;
 mod metrics;
 mod profile;
 pub mod sink;
 pub mod span;
 
-pub use dump::{escape, json_f64, parse_line, read_dumps, DumpRecord, RunDump, TopoLabeler};
+pub use dump::{parse_line, read_dumps, DumpRecord, RunDump, TopoLabeler};
 pub use events::{Event, EventKind, EventRing, EVENT_RING_CAP};
 pub use forensics::{ForensicCapture, ForensicLog};
+pub use json::{escape, json_f64};
 pub use metrics::{
     bucket_index, bucket_range, Counter, Entity, Gauge, HistSnapshot, Histogram, HistogramSummary,
     MetricsRegistry, MetricsSnapshot, Series, SeriesSnapshot,

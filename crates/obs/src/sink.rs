@@ -1,8 +1,8 @@
-//! Process-global metrics sink, mirroring the `KAR_TELEMETRY` pattern:
-//! experiment harnesses `submit` per-run dumps from worker threads as
-//! runs finish, and the binary `flush`es once at exit. Disabled by
-//! default — when no sink is enabled, `submit` is a no-op and run paths
-//! skip metrics collection entirely (see `ObsHandle`).
+//! Process-global metrics sink: experiment harnesses `submit` per-run
+//! dumps from worker threads as runs finish, and the binary `flush`es
+//! once at exit. Disabled by default — when no sink is enabled, `submit`
+//! is a no-op and run paths skip metrics collection entirely (see
+//! `ObsHandle`).
 //!
 //! The sink owns up to two output paths: the JSON-lines metrics dump
 //! (`--metrics`) and a Chrome trace-event file (`--trace`, rendered by

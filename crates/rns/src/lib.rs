@@ -11,7 +11,6 @@
 //! * [`gcd`], [`extended_gcd`], [`mod_inverse`] — Euclidean toolkit;
 //! * [`RnsBasis`], [`crt_encode`], [`crt_decode`], [`crt_extend`],
 //!   [`residue`] — the Chinese-Remainder encoder of paper §2.2;
-//! * [`CrtCache`] — memoized encoding for repeated-route workloads;
 //! * [`Reducer`] — precomputed per-switch reduction constants for the
 //!   forwarding modulus (division-free `R mod sᵢ`);
 //! * [`route_id_bit_length`] — header-size math of paper §2.3 (Eq. 9);
@@ -43,14 +42,12 @@
 #![warn(missing_docs)]
 
 mod biguint;
-mod cache;
 mod coprime;
 mod crt;
 mod gcd;
 mod reducer;
 
 pub use biguint::{BigUint, ParseBigUintError};
-pub use cache::CrtCache;
 pub use coprime::{
     first_common_factor, is_prime, pairwise_coprime, IdAllocator, IdError, IdStrategy,
 };
