@@ -9,7 +9,7 @@
 //! (failure-avoiding) route ID only after the notification delay has
 //! passed — everything sent before that dies at the failed link.
 
-use kar::{EncodedRoute, KarError, Protection};
+use kar::{EncodeRequest, EncodedRoute, KarError, LinkView, Planner};
 use kar_simnet::{EdgeLogic, Packet, RouteTag, SimTime};
 use kar_topology::{LinkId, NodeId, PortIx, Topology};
 use std::collections::HashMap;
@@ -40,19 +40,14 @@ impl NotifyRerouteEdge {
     ) -> Result<Self, KarError> {
         let mut before = HashMap::new();
         let mut after = HashMap::new();
-        let mut intact = kar::Controller::new();
-        let mut avoiding = kar::Controller::new();
-        avoiding.set_failure_aware(true);
-        avoiding.notify_failure(failed_link);
+        let mut intact = Planner::new();
+        let mut avoiding = Planner::new().with_view(LinkView::Avoiding);
+        avoiding.on_link_event(topo, failed_link, false, SimTime::ZERO);
         for &(src, dst) in pairs {
-            before.insert(
-                (src, dst),
-                intact.install_route(topo, src, dst, &Protection::None)?,
-            );
-            after.insert(
-                (src, dst),
-                avoiding.install_route(topo, src, dst, &Protection::None)?,
-            );
+            let req = EncodeRequest::new(src, dst);
+            let route = |planner: &mut Planner| planner.encode(topo, &req, SimTime::ZERO);
+            before.insert((src, dst), route(&mut intact)?.route);
+            after.insert((src, dst), route(&mut avoiding)?.route);
         }
         Ok(NotifyRerouteEdge {
             before,

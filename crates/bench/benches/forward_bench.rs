@@ -39,14 +39,12 @@ fn bench_forwarding(c: &mut Criterion) {
     let as3 = topo.expect("AS3");
     let sw13 = topo.expect("SW13");
     // A realistic protected route ID (43 bits).
-    let mut controller = kar::Controller::new();
-    let route = controller
-        .install_explicit(
-            &topo,
-            kar_topology::topo15::primary_route(&topo),
-            &Protection::AutoFull,
-        )
-        .unwrap();
+    let route = kar::protection::encode_with_protection(
+        &topo,
+        kar_topology::topo15::primary_route(&topo),
+        &Protection::AutoFull,
+    )
+    .unwrap();
     let statuses_up = vec![true; topo.node(sw13).degree()];
     let mut statuses_fail = statuses_up.clone();
     let out_port = route.port_at(13) as usize;

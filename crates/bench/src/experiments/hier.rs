@@ -12,7 +12,7 @@
 //!   driven through a traffic sim with one mid-path failure and the
 //!   failure-reactive recovery loop;
 //! * **hier** — per-domain segments re-stamped at boundary crossings
-//!   ([`kar::HierController`], failure-aware), same sim, plus a
+//!   (a partitioned [`kar::Planner`], [`LinkView::Avoiding`]), same sim, plus a
 //!   flat-vs-hier verification sample proving boundary re-encoding adds
 //!   no new loop/blackhole classes;
 //! * **fast_failover** / **splicing** — the `kar-baselines` table
@@ -26,8 +26,8 @@
 use crate::campaign::{add_fleets, cell_text, core_links_along, sample_pairs, DrawStream, Family};
 use crate::sweep::{self, keyed_seed};
 use kar::{
-    verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, HierController,
-    KarNetwork, Outcome, Protection, RecoveryConfig,
+    verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, KarNetwork, LinkView,
+    Outcome, Planner, Protection, RecoveryConfig,
 };
 use kar_baselines::{FastFailover, PathSplicing};
 use kar_obs::json::{Json, Obj};
@@ -440,7 +440,7 @@ fn verify_point(cfg: &HierConfig, point: &Point, partition: &Arc<Partition>) -> 
     let mut out = VerifyOutcome::default();
     // Transient posture: segments planned on the intact topology, the
     // same knowledge state as the flat comparator's stale route.
-    let mut stale = HierController::new(Arc::clone(partition));
+    let mut stale = Planner::new().with_partition(Arc::clone(partition));
     for &(src, dst) in point.distinct.iter().take(cfg.verify_pairs) {
         let primary =
             paths::bfs_shortest_path(&point.topo, src, dst).expect("families are connected");
@@ -454,8 +454,9 @@ fn verify_point(cfg: &HierConfig, point: &Point, partition: &Arc<Partition>) -> 
             // failure disconnected the pair — no routing scheme can
             // deliver, so the case probes nothing and is skipped for
             // all three tallies.
-            let mut aware = HierController::new(Arc::clone(partition));
-            aware.set_failure_aware(true);
+            let mut aware = Planner::new()
+                .with_partition(Arc::clone(partition))
+                .with_view(LinkView::Avoiding);
             aware.on_link_event(&point.topo, link, false, SimTime::ZERO);
             let Ok(deployed) = verify_hier_route(
                 &point.topo,
@@ -568,7 +569,7 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
             record.boundary_links = partition.boundary_links().len();
             let mut net = builder().hierarchy(Arc::clone(&partition)).build();
             {
-                let ctrl = net.hier_controller_mut().expect("hierarchy enabled");
+                let ctrl = net.planner_mut();
                 // Post-failure quiescence: replan installed pairs when
                 // the failure notice lands (flat gets the recovery loop
                 // for the same reason).

@@ -1,6 +1,6 @@
 //! Typed sweep records: one field list per record type.
 //!
-//! [`record!`] declares a struct and, from the same field list, its one
+//! `record!` declares a struct and, from the same field list, its one
 //! JSON line ([`Record::to_json`] — document record, checkpoint line and
 //! run summary alike) and the reader that restores it from a checkpoint
 //! ([`Record::from_json`]). Members are written in declaration order

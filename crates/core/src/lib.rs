@@ -18,21 +18,26 @@
 //!   deflection dataplanes (paper §2.1, Algorithm 1);
 //! * [`Protection`] and the planners in [`protection`] — unprotected,
 //!   explicit, full, and bit-budgeted driven-deflection trees;
-//! * [`Controller`] — route selection, route-ID computation, and the
-//!   paper's wrong-edge re-encoding;
+//! * [`Planner`] — the controller: route selection, route-ID
+//!   computation, the paper's wrong-edge re-encoding, and as its two
+//!   orthogonal parameters per-domain segmentation ([`hier`]) and the
+//!   link-state view ([`LinkView`]: static, avoiding, or the
+//!   notice-driven loop of [`recovery`]);
 //! * [`EncodingCache`] — a shared, thread-safe route-encoding memo for
 //!   repeated-route workloads (experiment sweeps);
 //! * [`wire`] — the canonical on-the-wire route-ID serialization
 //!   ([`RouteHeader`], fixed-width and varint framings) shared by the
 //!   simulator's packet path and the `kar-service` daemon;
 //! * [`EncodeRequest`] / [`EncodeOutcome`] — the one public encode
-//!   entry point (served by [`KarNetwork::encode`],
-//!   [`Controller::encode`] and [`RecoveringController::encode`]);
+//!   entry point (served by [`KarNetwork::encode`] and
+//!   [`Planner::encode`]);
 //! * [`KarNetwork`] — one-stop wiring into the `kar-simnet` simulator;
 //! * [`analysis`] — static driven-walk and failure-coverage checks;
-//! * [`recovery`] — a failure-*reactive* controller loop that re-encodes
-//!   affected routes after detection + notification delays, with
-//!   per-flow recovery-latency accounting;
+//! * [`recovery`] — configuration and log of the failure-*reactive*
+//!   loop that re-encodes affected routes after detection +
+//!   notification delays, with per-flow recovery-latency accounting;
+//! * [`hier`] — per-domain segments, their size accounting and the
+//!   partitioned instance of the verifier's move relation;
 //! * [`verify`] — an exhaustive resilience verifier that classifies
 //!   every trajectory of a route under a failure set (delivered /
 //!   wrong-edge / ttl-exceeded / blackhole / loop, with witnesses).
@@ -68,12 +73,14 @@
 pub mod analysis;
 pub mod cache;
 pub mod chain;
+mod compat;
 mod controller;
 mod deflect;
 mod error;
 pub mod hier;
 pub mod multipath;
 mod network;
+mod planner;
 pub mod protection;
 pub mod recovery;
 mod route;
@@ -82,21 +89,21 @@ pub mod wire;
 
 pub use cache::{CacheStats, EncodingCache};
 pub use chain::chain_path;
-pub use controller::{Controller, EncodeOutcome, EncodeRequest, KarConfig, ReroutePolicy};
+pub use compat::{Controller, HierController, RecoveringController};
+pub use controller::{EncodeOutcome, EncodeRequest, ReroutePolicy};
 pub use deflect::{DeflectionTechnique, KarForwarder};
 pub use error::KarError;
-pub use hier::{
-    split_segments, verify_hier_resilience, verify_hier_route, HierController, HierReport,
-    HierRoute, HierStats, HierSweep, OutcomeCounts, Segment,
-};
+pub use hier::{split_segments, verify_hier_route, HierRoute, HierStats, Segment, Segmented};
 pub use multipath::{edge_disjoint_paths, MultipathEdge};
 pub use network::KarNetwork;
+pub use planner::{LinkView, Planner};
 pub use protection::Protection;
-pub use recovery::{FlowRecovery, RecoveringController, RecoveryConfig, RecoveryLog};
+pub use recovery::{FlowRecovery, RecoveryConfig, RecoveryLog};
 pub use route::{EncodedRoute, RouteSpec};
 pub use verify::{
-    min_failure_set, verify_failure_sets, verify_route, verify_single_failures, BreakingPoint,
-    FailureSetResult, KSweep, Outcome, PairVerifier, SweepStats, VerifyReport, VerifySummary,
+    min_failure_set, verify_failure_sets, verify_route, verify_single_failures, ActiveRoute,
+    BreakingPoint, FailureSetResult, KSweep, Outcome, PairVerifier, SweepStats, VerifyReport,
+    VerifySummary,
 };
 pub use wire::{RouteHeader, WireError, WireMode};
 
@@ -107,11 +114,13 @@ pub use wire::{RouteHeader, WireError, WireMode};
 /// topology types every driver touches (`Sim`, `SimTime`, `FlowId`,
 /// `Topology`, `NodeId`, …).
 pub mod prelude {
+    #[doc(hidden)]
+    pub use crate::compat::Controller;
     pub use crate::network::KarNetworkBuilder;
     pub use crate::{
-        Controller, DeflectionTechnique, EncodeOutcome, EncodeRequest, EncodedRoute, EncodingCache,
-        KarError, KarForwarder, KarNetwork, Protection, RecoveryConfig, RecoveryLog, ReroutePolicy,
-        RouteHeader, RouteSpec, WireMode,
+        DeflectionTechnique, EncodeOutcome, EncodeRequest, EncodedRoute, EncodingCache, KarError,
+        KarForwarder, KarNetwork, LinkView, Planner, Protection, RecoveryConfig, RecoveryLog,
+        ReroutePolicy, RouteHeader, RouteSpec, WireMode,
     };
     pub use kar_simnet::{FlowId, Packet, PacketKind, Sim, SimConfig, SimTime, Stats};
     pub use kar_topology::{NodeId, Topology};

@@ -154,7 +154,7 @@ impl EdgeLogic for MultipathEdge {
     fn reroute(&mut self, _topo: &Topology, edge: NodeId, pkt: &mut Packet) -> RerouteDecision {
         // Re-tag with the flow's own route and send it back in (cheap
         // local decision; a production deployment would consult the
-        // controller as `Controller::reroute` does).
+        // controller as the planner's `reroute` does).
         match self.route_for(edge, pkt.dst, pkt.flow.0) {
             Some(route) if edge == pkt.src => {
                 pkt.route = Some(RouteTag::new(route.route_id.clone()));

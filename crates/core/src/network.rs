@@ -10,16 +10,17 @@
 //! [`EncodeRequest`] per route).
 
 use crate::cache::EncodingCache;
-use crate::controller::{Controller, EncodeOutcome, EncodeRequest, ReroutePolicy};
+use crate::controller::{EncodeOutcome, EncodeRequest, ReroutePolicy};
 use crate::deflect::{DeflectionTechnique, KarForwarder};
 use crate::error::KarError;
-use crate::hier::{HierController, HierStats};
+use crate::hier::HierStats;
+use crate::planner::{LinkView, Planner};
 use crate::protection::Protection;
-use crate::recovery::{RecoveringController, RecoveryConfig, RecoveryLog};
+use crate::recovery::{RecoveryConfig, RecoveryLog};
 use crate::route::EncodedRoute;
 use kar_obs::{Entity, ObsHandle, Profiler};
-use kar_simnet::{Behavior, EdgeLogic, Sim, SimConfig};
-use kar_topology::{paths, NodeId, Partition, Topology};
+use kar_simnet::{Behavior, Sim, SimConfig, SimTime};
+use kar_topology::{NodeId, Partition, Topology};
 use std::sync::{Arc, Mutex};
 
 /// Collects every configuration knob of a KAR simulation; one
@@ -43,46 +44,31 @@ use std::sync::{Arc, Mutex};
 /// sim.run_until(SimTime::from_millis(1));
 /// # Ok::<(), kar::KarError>(())
 /// ```
-#[derive(Clone)]
-pub struct KarNetworkBuilder<'t> {
-    topo: &'t Topology,
-    technique: DeflectionTechnique,
-    sim_config: SimConfig,
-    reroute: ReroutePolicy,
-    cache: Option<Arc<EncodingCache>>,
-    recovery: Option<RecoveryConfig>,
-    hierarchy: Option<Arc<Partition>>,
-    byzantine: Vec<(NodeId, Behavior)>,
-    obs: ObsHandle,
-    profiler: Option<Arc<Profiler>>,
-}
+pub struct KarNetworkBuilder<'t>(KarNetwork<'t>);
 
 impl<'t> KarNetworkBuilder<'t> {
     /// Starts a builder with default controller/simulation settings.
     pub fn new(topo: &'t Topology, technique: DeflectionTechnique) -> Self {
-        KarNetworkBuilder {
+        KarNetworkBuilder(KarNetwork {
             topo,
             technique,
+            planner: Planner::new(),
             sim_config: SimConfig::default(),
-            reroute: ReroutePolicy::default(),
-            cache: None,
-            recovery: None,
-            hierarchy: None,
             byzantine: Vec::new(),
             obs: ObsHandle::disabled(),
             profiler: None,
-        }
+        })
     }
 
     /// RNG seed (runs with equal seeds are bit-identical).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.sim_config.seed = seed;
+        self.0.sim_config.seed = seed;
         self
     }
 
     /// Per-packet hop budget.
     pub fn ttl(mut self, ttl: u16) -> Self {
-        self.sim_config.default_ttl = ttl;
+        self.0.sim_config.default_ttl = ttl;
         self
     }
 
@@ -90,20 +76,20 @@ impl<'t> KarNetworkBuilder<'t> {
     /// taking `service` per packet (see
     /// [`kar_simnet::SimConfig::switch_service`]).
     pub fn switch_service(mut self, service: kar_simnet::SimTime) -> Self {
-        self.sim_config.switch_service = Some(service);
+        self.0.sim_config.switch_service = Some(service);
         self
     }
 
     /// Enables per-packet path tracing (see [`kar_simnet::TraceLog`]).
     pub fn tracing(mut self) -> Self {
-        self.sim_config.trace_paths = true;
+        self.0.sim_config.trace_paths = true;
         self
     }
 
     /// Failure-detection delay: how long switches keep forwarding into a
     /// dead port before noticing (the paper assumes zero).
     pub fn detection_delay(mut self, delay: kar_simnet::SimTime) -> Self {
-        self.sim_config.detection_delay = delay;
+        self.0.sim_config.detection_delay = delay;
         self
     }
 
@@ -111,14 +97,14 @@ impl<'t> KarNetworkBuilder<'t> {
     /// [`kar_simnet::SimConfig::fast_path`]; on by default, bit-identical
     /// either way).
     pub fn fast_path(mut self, enabled: bool) -> Self {
-        self.sim_config.fast_path = enabled;
+        self.0.sim_config.fast_path = enabled;
         self
     }
 
     /// Wrong-edge policy (default: controller recompute with a 2 ms
     /// round trip, the paper's setting).
     pub fn reroute(mut self, policy: ReroutePolicy) -> Self {
-        self.reroute = policy;
+        self.0.planner = self.0.planner.with_reroute(policy);
         self
     }
 
@@ -126,7 +112,7 @@ impl<'t> KarNetworkBuilder<'t> {
     /// [`crate::recovery`]). Read latencies afterwards via
     /// [`KarNetwork::recovery_log`].
     pub fn recovery(mut self, config: RecoveryConfig) -> Self {
-        self.recovery = Some(config);
+        self.0.planner = self.0.planner.with_view(LinkView::Notices(config));
         self
     }
 
@@ -135,11 +121,11 @@ impl<'t> KarNetworkBuilder<'t> {
     /// crossings, bounding header bits by the largest domain instead of
     /// the path length. Encode-time protection applies to the ingress
     /// segment only; boundary re-encodes are unprotected (the paper's
-    /// reactive-recompute posture). Mutually exclusive with
-    /// [`KarNetworkBuilder::recovery`] — both want to own the edge
-    /// logic.
+    /// reactive-recompute posture). Composes with
+    /// [`KarNetworkBuilder::recovery`]: segmentation and link-state view
+    /// are independent parameters of the one [`Planner`].
     pub fn hierarchy(mut self, partition: Arc<Partition>) -> Self {
-        self.hierarchy = Some(partition);
+        self.0.planner = self.0.planner.with_partition(partition);
         self
     }
 
@@ -148,7 +134,7 @@ impl<'t> KarNetworkBuilder<'t> {
     /// wins). Honest-only configurations never call this, keeping them
     /// byte-identical to the pre-adversary engine.
     pub fn byzantine(mut self, node: NodeId, behavior: Behavior) -> Self {
-        self.byzantine.push((node, behavior));
+        self.0.byzantine.push((node, behavior));
         self
     }
 
@@ -157,14 +143,15 @@ impl<'t> KarNetworkBuilder<'t> {
     /// to one without. Set it before installing routes so install-time
     /// gauges are captured too.
     pub fn obs(mut self, obs: ObsHandle) -> Self {
-        self.obs = obs;
+        self.0.planner = self.0.planner.with_obs(obs.clone());
+        self.0.obs = obs;
         self
     }
 
     /// Attaches a profiler timing the engine's dispatch loop per event
     /// type (host wall clock — telemetry only).
     pub fn profiler(mut self, profiler: Arc<Profiler>) -> Self {
-        self.profiler = Some(profiler);
+        self.0.profiler = Some(profiler);
         self
     }
 
@@ -172,45 +159,14 @@ impl<'t> KarNetworkBuilder<'t> {
     /// [`EncodingCache`]. Cached encodes are byte-identical to fresh
     /// ones — sharing a cache changes speed, never results.
     pub fn encoding_cache(mut self, cache: Arc<EncodingCache>) -> Self {
-        self.cache = Some(cache);
+        self.0.planner = self.0.planner.with_encoding_cache(cache);
         self
     }
 
     /// Finalizes the configuration into a [`KarNetwork`] ready for route
     /// installs and [`KarNetwork::into_sim`].
     pub fn build(self) -> KarNetwork<'t> {
-        assert!(
-            self.hierarchy.is_none() || self.recovery.is_none(),
-            "hierarchy and recovery are mutually exclusive: both own the edge logic"
-        );
-        let mut controller = Controller::new().with_reroute(self.reroute);
-        if let Some(cache) = &self.cache {
-            controller = controller.with_encoding_cache(Arc::clone(cache));
-        }
-        let hier = self.hierarchy.map(|partition| {
-            let mut h = HierController::new(partition).with_reroute(self.reroute);
-            if let Some(cache) = &self.cache {
-                h = h.with_encoding_cache(Arc::clone(cache));
-            }
-            h
-        });
-        let recovery = self
-            .recovery
-            .map(|config| (config, Arc::new(Mutex::new(RecoveryLog::default()))));
-        KarNetwork {
-            topo: self.topo,
-            technique: self.technique,
-            controller,
-            hier,
-            sim_config: self.sim_config,
-            reroute: self.reroute,
-            cache: self.cache,
-            recovery,
-            byzantine: self.byzantine,
-            installed: Vec::new(),
-            obs: self.obs,
-            profiler: self.profiler,
-        }
+        self.0
     }
 }
 
@@ -222,17 +178,9 @@ impl<'t> KarNetworkBuilder<'t> {
 pub struct KarNetwork<'t> {
     topo: &'t Topology,
     technique: DeflectionTechnique,
-    controller: Controller,
-    hier: Option<HierController>,
+    planner: Planner,
     sim_config: SimConfig,
-    // Mirrors of builder knobs that must be replayed onto a
-    // RecoveringController (building it happens in `into_sim`, after the
-    // plain controller consumed the originals).
-    reroute: ReroutePolicy,
-    cache: Option<Arc<EncodingCache>>,
-    recovery: Option<(RecoveryConfig, Arc<Mutex<RecoveryLog>>)>,
     byzantine: Vec<(NodeId, Behavior)>,
-    installed: Vec<(Vec<NodeId>, Protection)>,
     obs: ObsHandle,
     profiler: Option<Arc<Profiler>>,
 }
@@ -259,166 +207,86 @@ impl<'t> KarNetwork<'t> {
     /// Handle onto the recovery-latency log, when the failure-reactive
     /// controller loop is enabled (see [`KarNetworkBuilder::recovery`]).
     pub fn recovery_log(&self) -> Option<Arc<Mutex<RecoveryLog>>> {
-        self.recovery.as_ref().map(|(_, log)| Arc::clone(log))
+        matches!(self.planner.view(), LinkView::Notices(_)).then(|| self.planner.log_handle())
     }
 
-    /// Mutable access to the controller (failure awareness, inspection).
-    pub fn controller_mut(&mut self) -> &mut Controller {
-        &mut self.controller
+    /// Mutable access to the planner (failure awareness, inspection,
+    /// whole-chain installs).
+    pub fn planner_mut(&mut self) -> &mut Planner {
+        &mut self.planner
     }
 
-    /// Mutable access to the hierarchical controller, when
-    /// [`KarNetworkBuilder::hierarchy`] was set (failure awareness,
-    /// segment inspection).
-    pub fn hier_controller_mut(&mut self) -> Option<&mut HierController> {
-        self.hier.as_mut()
+    /// [`KarNetwork::planner_mut`] when [`KarNetworkBuilder::hierarchy`]
+    /// was set.
+    #[doc(hidden)]
+    pub fn hier_controller_mut(&mut self) -> Option<&mut Planner> {
+        self.planner
+            .partition()
+            .is_some()
+            .then_some(&mut self.planner)
     }
 
-    /// Handle onto the hierarchical controller's counters, when
-    /// hierarchy is enabled (survives [`KarNetwork::into_sim`]).
+    /// Handle onto the planner's boundary counters, when hierarchy is
+    /// enabled (survives [`KarNetwork::into_sim`]).
     pub fn hier_stats(&self) -> Option<Arc<HierStats>> {
-        self.hier.as_ref().map(|h| h.stats())
+        self.planner.partition().map(|_| self.planner.stats())
     }
 
     /// Serves one [`EncodeRequest`]: installs a shortest-path route
     /// with the requested protection and returns it together with its
     /// canonical wire header. The single public encode entry point —
     /// the service daemon, the campaign engine and the examples all
-    /// call this.
+    /// call this. Under [`KarNetworkBuilder::hierarchy`] the returned
+    /// route is the *ingress segment* (what the edge actually stamps);
+    /// downstream segments live in the planner's boundary memo.
     ///
     /// # Errors
     ///
-    /// See [`Controller::install_route`].
+    /// See [`Planner::encode`].
     pub fn encode(&mut self, req: &EncodeRequest) -> Result<EncodeOutcome, KarError> {
-        let route = self.install_shortest(req.src, req.dst, &req.protection)?;
-        EncodeOutcome::of(route)
-    }
-
-    /// Installs a shortest-path route with the given protection.
-    #[deprecated(since = "0.3.0", note = "use KarNetwork::encode(&EncodeRequest)")]
-    pub fn install_route(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        protection: &Protection,
-    ) -> Result<EncodedRoute, KarError> {
-        self.install_shortest(src, dst, protection)
-    }
-
-    fn install_shortest(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        protection: &Protection,
-    ) -> Result<EncodedRoute, KarError> {
-        if let Some(hier) = &mut self.hier {
-            // Hierarchical install: the returned route is the *ingress
-            // segment* (what the edge actually stamps); downstream
-            // segments live in the controller's boundary memo.
-            let route = hier.install(self.topo, src, dst, protection)?;
-            if self.obs.is_enabled() {
-                if let Some(primary) = paths::bfs_shortest_path(self.topo, src, dst) {
-                    self.note_install(&primary);
-                }
-            }
-            return Ok(route.segments[0].route.clone());
-        }
-        if self.recovery.is_some() {
-            // Record the concrete primary so the recovery controller can
-            // match failures against it (same path selection as the
-            // plain install: shortest path on the intact topology).
-            let primary = paths::bfs_shortest_path(self.topo, src, dst)
-                .ok_or(KarError::NoPath { src, dst })?;
-            return self.install_explicit(primary, protection);
-        }
-        let route = self
-            .controller
-            .install_route(self.topo, src, dst, protection)?;
-        if self.obs.is_enabled() {
-            // Same path selection the controller just made; recomputed
-            // here purely for the gauge.
-            if let Some(primary) = paths::bfs_shortest_path(self.topo, src, dst) {
-                self.note_install(&primary);
-            }
-        }
-        Ok(route)
+        let outcome = self.planner.encode(self.topo, req, SimTime::ZERO)?;
+        self.note_install(req.src, req.dst);
+        Ok(outcome)
     }
 
     /// Publishes the nominal (failure-free) hop count of an installed
     /// primary under its `(src, dst)` pair so dumps can compute stretch.
-    fn note_install(&self, primary: &[NodeId]) {
-        if let (Some(obs), Some((&src, &dst))) =
-            (self.obs.get(), primary.first().zip(primary.last()))
-        {
+    fn note_install(&self, src: NodeId, dst: NodeId) {
+        if let (Some(obs), Some(hops)) = (self.obs.get(), self.planner.nominal_hops(src, dst)) {
             obs.metrics
                 .gauge(Entity::Pair(src.0 as u32, dst.0 as u32), "nominal_hops")
-                .set(primary.len() as i64 - 1);
+                .set(hops as i64);
         }
     }
 
-    /// Installs an explicit (pinned) primary path with protection.
-    ///
-    /// Not supported under [`KarNetworkBuilder::hierarchy`] (segment
-    /// planning owns path selection there); hierarchical deployments
-    /// install via [`KarNetwork::encode`].
+    /// Installs an explicit (pinned) primary path with protection and
+    /// returns what the ingress edge stamps (under
+    /// [`KarNetworkBuilder::hierarchy`] the path is split at boundary
+    /// links like any other; this is its first segment).
     ///
     /// # Errors
     ///
-    /// See [`Controller::install_explicit`].
+    /// See [`Planner::install_explicit`].
     pub fn install_explicit(
         &mut self,
         primary: Vec<NodeId>,
         protection: &Protection,
     ) -> Result<EncodedRoute, KarError> {
-        let route = self
-            .controller
-            .install_explicit(self.topo, primary.clone(), protection)?;
-        self.note_install(&primary);
-        if self.recovery.is_some() {
-            self.installed.push((primary, protection.clone()));
-        }
-        Ok(route)
+        let ends = primary.first().copied().zip(primary.last().copied());
+        let mut route = self
+            .planner
+            .install_explicit(self.topo, primary, protection)?;
+        let (src, dst) = ends.expect("an installed path is non-empty");
+        self.note_install(src, dst);
+        Ok(route.segments.swap_remove(0).route)
     }
 
     /// Finalizes into a runnable simulation.
     pub fn into_sim(self) -> Sim<'t> {
-        if let Some(hier) = self.hier {
-            let mut sim = Sim::new(
-                self.topo,
-                Box::new(KarForwarder::new(self.technique)),
-                Box::new(hier),
-                self.sim_config,
-            );
-            sim.attach_obs(&self.obs);
-            if let Some(profiler) = self.profiler {
-                sim.attach_profiler(profiler);
-            }
-            for (node, behavior) in self.byzantine {
-                sim.set_behavior(node, behavior);
-            }
-            return sim;
-        }
-        let edge: Box<dyn EdgeLogic> = match self.recovery {
-            Some((config, log)) => {
-                let mut rc = RecoveringController::new(config)
-                    .with_reroute(self.reroute)
-                    .with_log(log)
-                    .with_obs(self.obs.clone());
-                if let Some(cache) = self.cache {
-                    rc = rc.with_encoding_cache(cache);
-                }
-                for (primary, protection) in self.installed {
-                    rc.install_explicit(self.topo, primary, &protection)
-                        .expect("route encoded once already");
-                }
-                Box::new(rc)
-            }
-            None => Box::new(self.controller),
-        };
         let mut sim = Sim::new(
             self.topo,
             Box::new(KarForwarder::new(self.technique)),
-            edge,
+            Box::new(self.planner),
             self.sim_config,
         );
         sim.attach_obs(&self.obs);
@@ -435,8 +303,8 @@ impl<'t> KarNetwork<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kar_simnet::{FlowId, PacketKind, SimTime};
-    use kar_topology::topo15;
+    use kar_simnet::{FlowId, PacketKind};
+    use kar_topology::{paths, topo15};
 
     #[test]
     fn probe_crosses_topo15_primary_route() {
@@ -670,9 +538,7 @@ mod tests {
 
     #[test]
     fn hierarchy_through_the_builder_delivers_and_counts_boundaries() {
-        use kar_rns::IdStrategy;
-        use kar_topology::{gen, LinkParams};
-        let topo = gen::ring(12, IdStrategy::SmallestPrimes, LinkParams::default());
+        let topo = crate::planner::tests::ring(12);
         let partition = Arc::new(Partition::ring(&topo, 4).unwrap());
         let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
             .seed(5)
@@ -694,6 +560,8 @@ mod tests {
         }
         sim.run_to_quiescence();
         assert_eq!(sim.stats().delivered, 10, "{:?}", sim.stats());
+        // Shortest-path hops: H0→C0→…→C6→H6 = 8 links, 7 switches.
+        assert_eq!(sim.stats().max_hops, 7);
         assert!(
             stats
                 .boundary_stamps
@@ -705,20 +573,58 @@ mod tests {
         );
     }
 
+    /// A pinned path is just a path: under a partition it is split at
+    /// boundary links like any other, and every probe walks it.
     #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn hierarchy_and_recovery_refuse_to_combine() {
-        use kar_rns::IdStrategy;
-        use kar_topology::{gen, LinkParams};
-        let topo = gen::ring(8, IdStrategy::SmallestPrimes, LinkParams::default());
-        let partition = Arc::new(Partition::ring(&topo, 2).unwrap());
-        let _ = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
-            .hierarchy(partition)
-            .recovery(crate::recovery::RecoveryConfig {
-                notification_delay: SimTime::from_millis(1),
-                protection: Protection::None,
-            })
+    fn pinned_route_survives_hierarchy() {
+        let topo = crate::planner::tests::ring(12);
+        let partition = Arc::new(Partition::ring(&topo, 4).unwrap());
+        let (src, dst) = (topo.expect("H0"), topo.expect("H6"));
+        // Both half-rings are shortest; pin the one BFS does not pick.
+        let bfs = paths::bfs_shortest_path(&topo, src, dst).unwrap();
+        let other_way = if bfs[2] == topo.expect("C1") { 11 } else { 1 };
+        let mut pinned = vec![src];
+        pinned.extend((0..=6).map(|i| topo.expect(&format!("C{}", (i * other_way) % 12))));
+        pinned.push(dst);
+        assert_ne!(pinned, bfs);
+        let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
+            .seed(5)
+            .tracing()
+            .hierarchy(Arc::clone(&partition))
             .build();
+        let first = net
+            .install_explicit(pinned.clone(), &Protection::None)
+            .unwrap();
+        let flat =
+            crate::protection::encode_with_protection(&topo, pinned.clone(), &Protection::None)
+                .unwrap();
+        assert!(
+            first.bit_length() < flat.bit_length(),
+            "a per-domain segment"
+        );
+        let stats = net.hier_stats().unwrap();
+        let mut sim = net.into_sim();
+        for i in 0..10 {
+            sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
+        }
+        sim.run_to_quiescence();
+        assert_eq!(sim.stats().delivered, 10, "{:?}", sim.stats());
+        for (_, trace) in sim.trace().iter() {
+            assert_eq!(trace.path, pinned, "probes walk the pinned half-ring");
+        }
+        let crossings = pinned
+            .windows(2)
+            .filter(|w| partition.is_boundary(topo.link_between(w[0], w[1]).unwrap()))
+            .count() as u64;
+        assert!(crossings >= 2);
+        let stamps = stats
+            .boundary_stamps
+            .load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(
+            stamps,
+            10 * crossings,
+            "every segment was pinned at install"
+        );
     }
 
     #[test]
@@ -750,7 +656,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.header.unpack(), out.route.route_id);
         assert_eq!(
-            net.controller_mut().route(as1, as3),
+            net.planner_mut().route(as1, as3),
             Some(&out.route),
             "encode installs at the ingress edge"
         );

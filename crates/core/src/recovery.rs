@@ -3,34 +3,30 @@
 //!
 //! During the paper's experiments "the controller ignores all failure
 //! notifications and keeps the same route" — deflection alone carries
-//! packets around the failure. This module implements the other half of
-//! a deployable system: a controller that *listens*. When the failure
-//! detector resolves a link transition (the data plane's detection
-//! delay has elapsed — see [`kar_simnet::SimConfig::detection_delay`]),
-//! the notification travels the control channel for a further
-//! [`RecoveryConfig::notification_delay`]; the controller then re-encodes
+//! packets around the failure. [`crate::LinkView::Notices`] is the
+//! other half of a deployable system: a [`crate::Planner`] that
+//! *listens*. When the failure detector resolves a link transition (the
+//! data plane's detection delay has elapsed — see
+//! [`kar_simnet::SimConfig::detection_delay`]), the notification travels
+//! the control channel for a further
+//! [`RecoveryConfig::notification_delay`]; the planner then re-encodes
 //! every installed route whose primary path crosses a failed link —
 //! avoiding the known-failed links, through the shared
-//! [`EncodingCache`] when one is attached — and installs the fresh route
-//! ID at the ingress edge.
+//! [`crate::EncodingCache`] when one is attached — and installs the
+//! fresh route ID at the ingress edge.
 //!
 //! Until the new ID lands, in-flight and newly injected packets still
 //! carry the old one and survive (or not) purely by deflection — exactly
 //! the window the paper's resilience argument is about. The
 //! [`RecoveryLog`] makes that window measurable: it records, per flow,
 //! when the failure was observed and when the first packet left the edge
-//! with a recovered route ID.
+//! with a recovered route ID. This module holds the loop's configuration
+//! and its log; the loop itself is the planner's.
 
-use crate::cache::EncodingCache;
-use crate::controller::{Controller, EncodeOutcome, EncodeRequest, ReroutePolicy};
-use crate::error::KarError;
 use crate::protection::Protection;
-use crate::route::EncodedRoute;
-use kar_obs::{Entity, Event, EventKind, ObsHandle};
-use kar_simnet::{EdgeLogic, Packet, RerouteDecision, RouteTag, SimTime};
-use kar_topology::{paths, LinkId, NodeId, PortIx, Topology};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use kar_simnet::SimTime;
+use kar_topology::{LinkId, NodeId};
+use std::sync::Mutex;
 
 /// Knobs of the recovery loop.
 #[derive(Debug, Clone)]
@@ -91,8 +87,8 @@ impl FlowRecovery {
 
 /// Everything the recovery loop did during a run.
 ///
-/// Shared via [`RecoveringController::log_handle`] so the telemetry can
-/// read it after the simulation (which owns the controller) finishes.
+/// Shared via [`crate::Planner::log_handle`] so the telemetry can read it
+/// after the simulation (which owns the planner) finishes.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryLog {
     /// Link notifications in processing order.
@@ -119,587 +115,7 @@ impl RecoveryLog {
 /// a panic on another thread mid-push leaves the log merely truncated,
 /// never structurally broken — propagating the poison would cascade one
 /// worker's panic into every simulation sharing the log handle.
-fn lock_log(log: &Mutex<RecoveryLog>) -> std::sync::MutexGuard<'_, RecoveryLog> {
+pub(crate) fn lock_log(log: &Mutex<RecoveryLog>) -> std::sync::MutexGuard<'_, RecoveryLog> {
     log.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A route as originally installed, before any failure.
-#[derive(Debug, Clone)]
-struct InstalledRoute {
-    links: Vec<LinkId>,
-    route: EncodedRoute,
-    /// Protection the install asked for, so a later [`EncodeRequest`]
-    /// with a different level re-installs instead of serving the
-    /// existing route.
-    protection: Protection,
-}
-
-/// The route currently stamped on packets of one `(src, dst)` pair.
-#[derive(Debug, Clone)]
-struct CurrentRoute {
-    /// Failure epoch this decision was made in; stale entries are
-    /// recomputed lazily on the next ingress.
-    epoch: u64,
-    route: EncodedRoute,
-    /// `true` when `route` detours around a failure (differs from the
-    /// originally installed one).
-    detour: bool,
-    /// Causal span of the re-encode that produced this detour (when
-    /// observability is on); `stamp` events parent to it.
-    span: Option<u64>,
-}
-
-/// A link notification in flight on the control channel.
-#[derive(Debug, Clone, Copy)]
-struct PendingNotice {
-    effective_at: SimTime,
-    link: LinkId,
-    up: bool,
-    observed_at: SimTime,
-}
-
-/// Failure-reactive [`EdgeLogic`]: a [`Controller`] plus the recovery
-/// loop described in the module docs.
-///
-/// Routes are installed up front exactly like on the plain controller;
-/// after a failure notification becomes effective, every affected pair
-/// is re-encoded (lazily, on its next ingress — the simulation clock is
-/// packet-driven) around the failed links, and restored when the repair
-/// notification lands.
-#[derive(Debug)]
-pub struct RecoveringController {
-    inner: Controller,
-    config: RecoveryConfig,
-    originals: HashMap<(NodeId, NodeId), InstalledRoute>,
-    current: HashMap<(NodeId, NodeId), CurrentRoute>,
-    pending: VecDeque<PendingNotice>,
-    failed: HashSet<LinkId>,
-    /// Bumped whenever the effective failure set changes; `current`
-    /// entries from older epochs are recomputed on demand.
-    epoch: u64,
-    last_failure_observed: Option<SimTime>,
-    /// Link of the most recently applied notice (failure or repair) —
-    /// the causal anchor for re-encode events.
-    last_notice_link: Option<LinkId>,
-    log: Arc<Mutex<RecoveryLog>>,
-    obs: ObsHandle,
-}
-
-impl RecoveringController {
-    /// Creates a recovery-capable controller (failure-aware re-encoding
-    /// is always on — that is the point).
-    pub fn new(config: RecoveryConfig) -> Self {
-        let mut inner = Controller::new();
-        inner.set_failure_aware(true);
-        RecoveringController {
-            inner,
-            config,
-            originals: HashMap::new(),
-            current: HashMap::new(),
-            pending: VecDeque::new(),
-            failed: HashSet::new(),
-            epoch: 0,
-            last_failure_observed: None,
-            last_notice_link: None,
-            log: Arc::new(Mutex::new(RecoveryLog::default())),
-            obs: ObsHandle::disabled(),
-        }
-    }
-
-    /// Sets the wrong-edge policy of the wrapped controller.
-    pub fn with_reroute(mut self, policy: ReroutePolicy) -> Self {
-        self.inner = self.inner.with_reroute(policy);
-        self
-    }
-
-    /// Routes all route-ID computation through a shared
-    /// [`EncodingCache`].
-    pub fn with_encoding_cache(mut self, cache: Arc<EncodingCache>) -> Self {
-        self.inner = self.inner.with_encoding_cache(cache);
-        self
-    }
-
-    /// Attaches an observability bundle: the loop records a
-    /// `recovery.notices` counter and `recovery.notification_ns` /
-    /// `recovery.latency_ns` histograms, and emits a `reencode` event
-    /// whenever a flow switches onto (or back off) a detour. Pure
-    /// observation — never changes which routes are chosen.
-    pub fn with_obs(mut self, obs: ObsHandle) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Shares a pre-made log (lets a builder keep a handle across
-    /// `into_sim`, which consumes the controller).
-    pub fn with_log(mut self, log: Arc<Mutex<RecoveryLog>>) -> Self {
-        self.log = log;
-        self
-    }
-
-    /// Handle onto the recovery log; read it after the run.
-    pub fn log_handle(&self) -> Arc<Mutex<RecoveryLog>> {
-        Arc::clone(&self.log)
-    }
-
-    /// Serves one [`EncodeRequest`] at simulation time `now` — the
-    /// entry point the `kar-service` daemon drives over its socket.
-    ///
-    /// Applies every notification whose control-channel delay has
-    /// elapsed by `now`, installs the pair on first sight (or when the
-    /// requested protection changed), and returns the route *currently*
-    /// live for the pair — the original before a failure notice lands,
-    /// the detour after — together with its canonical wire header.
-    ///
-    /// # Errors
-    ///
-    /// See [`Controller::install_route`].
-    pub fn encode(
-        &mut self,
-        topo: &Topology,
-        req: &EncodeRequest,
-        now: SimTime,
-    ) -> Result<EncodeOutcome, KarError> {
-        self.apply_pending(now);
-        let needs_install = match self.originals.get(&(req.src, req.dst)) {
-            Some(orig) => orig.protection != req.protection,
-            None => true,
-        };
-        if needs_install {
-            let primary =
-                paths::bfs_shortest_path(topo, req.src, req.dst).ok_or(KarError::NoPath {
-                    src: req.src,
-                    dst: req.dst,
-                })?;
-            self.install_explicit(topo, primary, &req.protection)?;
-        }
-        let route =
-            self.current_route(topo, req.src, req.dst, now)
-                .ok_or(KarError::RouteNotInstalled {
-                    src: req.src,
-                    dst: req.dst,
-                })?;
-        EncodeOutcome::of(route)
-    }
-
-    /// Installs a shortest-path route, remembering its primary path so
-    /// later failures can be matched against it.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use RecoveringController::encode(topo, &EncodeRequest, now)"
-    )]
-    pub fn install_route(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        protection: &Protection,
-    ) -> Result<EncodedRoute, KarError> {
-        let primary =
-            paths::bfs_shortest_path(topo, src, dst).ok_or(KarError::NoPath { src, dst })?;
-        self.install_explicit(topo, primary, protection)
-    }
-
-    /// Installs an explicit (pinned) primary path with protection.
-    ///
-    /// # Errors
-    ///
-    /// See [`Controller::install_explicit`].
-    pub fn install_explicit(
-        &mut self,
-        topo: &Topology,
-        primary: Vec<NodeId>,
-        protection: &Protection,
-    ) -> Result<EncodedRoute, KarError> {
-        let (src, dst) = (
-            *primary.first().ok_or(KarError::NoPath {
-                src: NodeId(0),
-                dst: NodeId(0),
-            })?,
-            *primary.last().expect("non-empty checked above"),
-        );
-        let links = paths::links_along(topo, &primary)?;
-        let route = self.inner.install_explicit(topo, primary, protection)?;
-        self.originals.insert(
-            (src, dst),
-            InstalledRoute {
-                links,
-                route: route.clone(),
-                protection: protection.clone(),
-            },
-        );
-        self.current.remove(&(src, dst));
-        Ok(route)
-    }
-
-    /// Applies every pending notification whose control-channel delay
-    /// has elapsed by `now`.
-    fn apply_pending(&mut self, now: SimTime) {
-        while let Some(next) = self.pending.front().copied() {
-            if next.effective_at > now {
-                break;
-            }
-            self.pending.pop_front();
-            self.last_notice_link = Some(next.link);
-            let changed = if next.up {
-                self.inner.notify_repair(next.link);
-                self.failed.remove(&next.link)
-            } else {
-                self.inner.notify_failure(next.link);
-                self.last_failure_observed = Some(next.observed_at);
-                self.failed.insert(next.link)
-            };
-            if changed {
-                self.epoch += 1;
-                // Wrong-edge recomputations cached under the previous
-                // failure set are stale now.
-                self.inner.clear_routes();
-            }
-            lock_log(&self.log).notices.push(LinkNotice {
-                link: next.link,
-                up: next.up,
-                observed_at: next.observed_at,
-                applied_at: next.effective_at,
-            });
-            if let Some(obs) = self.obs.get() {
-                obs.metrics
-                    .counter(Entity::Global, "recovery.notices")
-                    .inc();
-                obs.metrics
-                    .histogram(Entity::Global, "recovery.notification_ns")
-                    .observe(next.effective_at.since(next.observed_at).as_nanos());
-            }
-        }
-    }
-
-    /// The route to stamp on a packet entering at `(src, dst)` now,
-    /// recomputing if the failure epoch moved since the last packet.
-    fn current_route(
-        &mut self,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        now: SimTime,
-    ) -> Option<EncodedRoute> {
-        let key = (src, dst);
-        if let Some(cur) = self.current.get(&key) {
-            if cur.epoch == self.epoch {
-                return Some(cur.route.clone());
-            }
-        }
-        let orig = self.originals.get(&key)?.clone();
-        let broken = orig.links.iter().any(|l| self.failed.contains(l));
-        let (route, detour) = if !broken {
-            (orig.route.clone(), false)
-        } else {
-            match self
-                .inner
-                .install_route(topo, src, dst, &self.config.protection.clone())
-            {
-                Ok(r) => (r, true),
-                // No failure-avoiding path: keep the original ID and let
-                // deflection fight for the packets.
-                Err(_) => (orig.route.clone(), false),
-            }
-        };
-        let was_detour = self.current.get(&key).map(|c| c.detour).unwrap_or(false);
-        // A re-encode while already detoured (new epoch, still broken)
-        // keeps its original span: causally it is the same recovery.
-        let mut span = if detour {
-            self.current.get(&key).and_then(|c| c.span)
-        } else {
-            None
-        };
-        if detour && !was_detour {
-            if let Some(failed_at) = self.last_failure_observed {
-                lock_log(&self.log).flows.push(FlowRecovery {
-                    src,
-                    dst,
-                    failed_at,
-                    recovered_at: now,
-                });
-                if let Some(obs) = self.obs.get() {
-                    let latency_ns = now.since(failed_at).as_nanos();
-                    obs.metrics
-                        .counter(Entity::Global, "recovery.reencodes")
-                        .inc();
-                    obs.metrics
-                        .histogram(Entity::Global, "recovery.latency_ns")
-                        .observe(latency_ns);
-                    // Parent the re-encode to the detection of the link
-                    // that actually broke this pair's primary path.
-                    let parent = orig
-                        .links
-                        .iter()
-                        .find(|l| self.failed.contains(l))
-                        .and_then(|l| obs.spans.last_detect(l.0 as u32));
-                    let s = obs.spans.fresh();
-                    span = Some(s);
-                    obs.events.push(Event {
-                        node: Some(src.0 as u32),
-                        aux: latency_ns,
-                        tag: "detour",
-                        span: Some(s),
-                        parent,
-                        ..Event::new(now.as_nanos(), EventKind::Reencode)
-                    });
-                }
-            }
-        } else if !detour && was_detour {
-            if let Some(obs) = self.obs.get() {
-                let parent = self
-                    .last_notice_link
-                    .and_then(|l| obs.spans.last_detect(l.0 as u32));
-                obs.events.push(Event {
-                    node: Some(src.0 as u32),
-                    tag: "restore",
-                    span: Some(obs.spans.fresh()),
-                    parent,
-                    ..Event::new(now.as_nanos(), EventKind::Reencode)
-                });
-            }
-        }
-        self.current.insert(
-            key,
-            CurrentRoute {
-                epoch: self.epoch,
-                route: route.clone(),
-                detour,
-                span,
-            },
-        );
-        Some(route)
-    }
-}
-
-impl EdgeLogic for RecoveringController {
-    fn ingress(&mut self, topo: &Topology, edge: NodeId, pkt: &mut Packet) -> Option<PortIx> {
-        // `created` is the injection time — the current simulation time
-        // at every ingress call.
-        self.apply_pending(pkt.created);
-        let route = self.current_route(topo, edge, pkt.dst, pkt.created)?;
-        pkt.route = Some(RouteTag::new(route.route_id.clone()));
-        // Stamping a detour route is the moment a recovery becomes
-        // visible to this packet: link its span to the re-encode's.
-        if let Some(obs) = self.obs.get() {
-            if let Some(cur) = self.current.get(&(edge, pkt.dst)) {
-                if cur.detour {
-                    obs.events.push(Event {
-                        pkt: Some(pkt.id),
-                        flow: Some(pkt.flow.0),
-                        node: Some(edge.0 as u32),
-                        tag: "detour",
-                        span: Some(kar_obs::pkt_span(pkt.id)),
-                        parent: cur.span,
-                        ..Event::new(pkt.created.as_nanos(), EventKind::Stamp)
-                    });
-                }
-            }
-        }
-        Some(route.uplink)
-    }
-
-    fn reroute(&mut self, topo: &Topology, edge: NodeId, pkt: &mut Packet) -> RerouteDecision {
-        self.inner.reroute(topo, edge, pkt)
-    }
-
-    fn on_link_event(&mut self, _topo: &Topology, link: LinkId, up: bool, now: SimTime) {
-        self.pending.push_back(PendingNotice {
-            effective_at: now + self.config.notification_delay,
-            link,
-            up,
-            observed_at: now,
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kar_simnet::{FlowId, PacketKind};
-    use kar_topology::topo15;
-
-    /// Installs an unprotected route at t=0 through the public encode
-    /// entry point.
-    fn install(
-        rc: &mut RecoveringController,
-        topo: &Topology,
-        src: NodeId,
-        dst: NodeId,
-    ) -> EncodedRoute {
-        rc.encode(topo, &EncodeRequest::new(src, dst), SimTime::ZERO)
-            .unwrap()
-            .route
-    }
-
-    fn probe(src: NodeId, dst: NodeId, created: SimTime) -> Packet {
-        Packet {
-            id: 0,
-            flow: FlowId(0),
-            seq: 0,
-            kind: PacketKind::Probe,
-            size_bytes: 100,
-            src,
-            dst,
-            route: None,
-            ttl: 64,
-            hops: 0,
-            deflections: 0,
-            created,
-        }
-    }
-
-    #[test]
-    fn reencodes_after_the_notification_delay_and_reverts_on_repair() {
-        let topo = topo15::build();
-        let as1 = topo.expect("AS1");
-        let as3 = topo.expect("AS3");
-        let failed = topo.expect_link("SW7", "SW13");
-        let mut rc = RecoveringController::new(RecoveryConfig {
-            notification_delay: SimTime::from_millis(2),
-            protection: Protection::None,
-        });
-        let original = install(&mut rc, &topo, as1, as3);
-
-        // Failure observed at t=1ms: not yet effective at t=2ms...
-        rc.on_link_event(&topo, failed, false, SimTime::from_millis(1));
-        let mut pkt = probe(as1, as3, SimTime::from_millis(2));
-        rc.ingress(&topo, as1, &mut pkt).unwrap();
-        assert_eq!(
-            *pkt.route.as_ref().unwrap().route_id,
-            original.route_id,
-            "before the notification lands the old ID is stamped"
-        );
-
-        // ...but effective at t=3ms: the detour avoids SW7-SW13.
-        let mut pkt = probe(as1, as3, SimTime::from_millis(3));
-        rc.ingress(&topo, as1, &mut pkt).unwrap();
-        let recovered = pkt.route.as_ref().unwrap().route_id.clone();
-        assert_ne!(*recovered, original.route_id);
-
-        let log = rc.log_handle();
-        {
-            let log = log.lock().unwrap();
-            assert_eq!(log.notices.len(), 1);
-            assert_eq!(log.flows.len(), 1);
-            let f = log.flows[0];
-            assert_eq!((f.src, f.dst), (as1, as3));
-            assert_eq!(f.latency(), SimTime::from_millis(2));
-            assert!((log.mean_recovery_latency_s() - 0.002).abs() < 1e-12);
-        }
-
-        // Repair observed at t=5ms, effective at 7ms: original restored.
-        rc.on_link_event(&topo, failed, true, SimTime::from_millis(5));
-        let mut pkt = probe(as1, as3, SimTime::from_millis(8));
-        rc.ingress(&topo, as1, &mut pkt).unwrap();
-        assert_eq!(*pkt.route.as_ref().unwrap().route_id, original.route_id);
-        // Reverting is not another "recovery".
-        assert_eq!(log.lock().unwrap().flows.len(), 1);
-    }
-
-    #[test]
-    fn encode_serves_the_detour_once_the_notice_lands() {
-        let topo = topo15::build();
-        let as1 = topo.expect("AS1");
-        let as3 = topo.expect("AS3");
-        let failed = topo.expect_link("SW7", "SW13");
-        let mut rc = RecoveringController::new(RecoveryConfig {
-            notification_delay: SimTime::from_millis(2),
-            protection: Protection::None,
-        });
-        let req = EncodeRequest::new(as1, as3);
-        let original = rc.encode(&topo, &req, SimTime::ZERO).unwrap();
-        // Re-encoding the same request serves the same route...
-        assert_eq!(rc.encode(&topo, &req, SimTime::ZERO).unwrap(), original);
-        // ...a different protection level re-installs...
-        let protected = rc
-            .encode(
-                &topo,
-                &req.clone().with_protection(Protection::AutoFull),
-                SimTime::ZERO,
-            )
-            .unwrap();
-        assert_ne!(protected.route.route_id, original.route.route_id);
-        // ...and after a failure notice becomes effective, the outcome
-        // is the detour, header included.
-        rc.encode(&topo, &req, SimTime::ZERO).unwrap();
-        rc.on_link_event(&topo, failed, false, SimTime::from_millis(1));
-        let detour = rc.encode(&topo, &req, SimTime::from_millis(4)).unwrap();
-        assert_ne!(detour.route.route_id, original.route.route_id);
-        assert_eq!(detour.header.unpack(), detour.route.route_id);
-    }
-
-    #[test]
-    fn unaffected_routes_keep_their_ids() {
-        let topo = topo15::build();
-        let as1 = topo.expect("AS1");
-        let as2 = topo.expect("AS2");
-        let as3 = topo.expect("AS3");
-        let mut rc = RecoveringController::new(RecoveryConfig::default());
-        install(&mut rc, &topo, as1, as3);
-        let other = install(&mut rc, &topo, as2, as3);
-        // AS2's shortest path (SW23, SW17, SW37, SW29) does not cross
-        // SW7-SW13.
-        rc.on_link_event(&topo, topo.expect_link("SW7", "SW13"), false, SimTime::ZERO);
-        let mut pkt = probe(as2, as3, SimTime::from_millis(10));
-        rc.ingress(&topo, as2, &mut pkt).unwrap();
-        assert_eq!(*pkt.route.as_ref().unwrap().route_id, other.route_id);
-        assert!(rc.log_handle().lock().unwrap().flows.is_empty());
-    }
-
-    #[test]
-    fn survives_a_poisoned_log_mutex() {
-        let topo = topo15::build();
-        let as1 = topo.expect("AS1");
-        let as3 = topo.expect("AS3");
-        let failed = topo.expect_link("SW7", "SW13");
-        let mut rc = RecoveringController::new(RecoveryConfig {
-            notification_delay: SimTime::ZERO,
-            protection: Protection::None,
-        });
-        let original = install(&mut rc, &topo, as1, as3);
-
-        // Poison the shared log: a panic while holding the lock (e.g. a
-        // crashing telemetry reader in another worker) used to make every
-        // later `.expect("recovery log lock")` cascade the panic.
-        let log = rc.log_handle();
-        let poisoner = std::thread::spawn({
-            let log = Arc::clone(&log);
-            move || {
-                let _guard = log.lock().unwrap();
-                panic!("poison the recovery log");
-            }
-        });
-        assert!(poisoner.join().is_err());
-        assert!(log.lock().is_err(), "mutex must actually be poisoned");
-
-        // The controller still processes the failure and records both the
-        // notice and the flow recovery.
-        rc.on_link_event(&topo, failed, false, SimTime::from_millis(1));
-        let mut pkt = probe(as1, as3, SimTime::from_millis(2));
-        rc.ingress(&topo, as1, &mut pkt).unwrap();
-        assert_ne!(*pkt.route.as_ref().unwrap().route_id, original.route_id);
-        let snapshot = log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        assert_eq!(snapshot.notices.len(), 1);
-        assert_eq!(snapshot.flows.len(), 1);
-    }
-
-    #[test]
-    fn keeps_the_original_id_when_no_detour_exists() {
-        let topo = topo15::build();
-        let as1 = topo.expect("AS1");
-        let as3 = topo.expect("AS3");
-        let uplink = topo.expect_link("AS1", "SW10");
-        let mut rc = RecoveringController::new(RecoveryConfig::default());
-        let original = install(&mut rc, &topo, as1, as3);
-        // AS1's only uplink fails: no alternative path exists.
-        rc.on_link_event(&topo, uplink, false, SimTime::ZERO);
-        let mut pkt = probe(as1, as3, SimTime::from_millis(10));
-        rc.ingress(&topo, as1, &mut pkt).unwrap();
-        assert_eq!(*pkt.route.as_ref().unwrap().route_id, original.route_id);
-        assert!(rc.log_handle().lock().unwrap().flows.is_empty());
-    }
 }

@@ -83,18 +83,47 @@ use std::fmt;
 /// from, and whether it has ever been deflected (the only bit of header
 /// state the techniques consult).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct State {
-    pub(crate) node: NodeId,
-    pub(crate) in_port: PortIx,
-    pub(crate) deflected: bool,
+struct State {
+    node: NodeId,
+    in_port: PortIx,
+    deflected: bool,
 }
 
 /// What can terminate a trajectory at one state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Terminal {
+enum Terminal {
     Delivered,
     WrongEdge(NodeId),
     Drop,
+}
+
+/// Which route a packet carries after each hop — the move relation's
+/// one degree of freedom, shared by the explorer ([`verify_route`]) and
+/// the trajectory checker ([`check_trajectory`]). A flat route
+/// (`&EncodedRoute`) is carried end to end; a partitioned one
+/// ([`crate::hier::Segmented`]) is replaced at boundary links.
+pub trait ActiveRoute {
+    /// Names one of the routes a packet may carry.
+    type Key: Copy + Eq + std::hash::Hash;
+    /// The route the ingress edge stamps.
+    fn ingress(&self) -> Self::Key;
+    /// The route `key` names.
+    fn route(&self, key: Self::Key) -> &EncodedRoute;
+    /// The route a packet is re-stamped with when it crosses `link` into
+    /// switch `node` (a fresh tag: the deflected bit clears), or `None`
+    /// when it keeps its tag.
+    fn restamp(&mut self, topo: &Topology, link: LinkId, node: NodeId) -> Option<Self::Key>;
+}
+
+impl ActiveRoute for &EncodedRoute {
+    type Key = ();
+    fn ingress(&self) {}
+    fn route(&self, _: ()) -> &EncodedRoute {
+        self
+    }
+    fn restamp(&mut self, _: &Topology, _: LinkId, _: NodeId) -> Option<()> {
+        None
+    }
 }
 
 /// Classification of one `(route, failure set)` case, strongest
@@ -168,7 +197,7 @@ pub struct VerifyReport {
 /// [`crate::KarForwarder`]: residue first, then the deflection candidate
 /// set (core-facing ports preferred for AVP/NIP, input port excluded for
 /// NIP, unrestricted for hot-potato's random walk).
-pub(crate) fn possible_moves(
+fn possible_moves(
     topo: &Topology,
     route: &EncodedRoute,
     technique: DeflectionTechnique,
@@ -251,17 +280,18 @@ pub(crate) fn possible_moves(
     }
 }
 
-/// Where taking `port` from `state.node` lands: a successor state or a
-/// terminal (an edge node).
-pub(crate) fn step(
+/// Where the move `(port, deflected)` from `state` lands: a successor
+/// state with the route it then carries (a re-stamp is a fresh tag, so
+/// the deflected bit clears too) or a terminal (an edge node).
+fn step<A: ActiveRoute>(
     topo: &Topology,
+    active: &mut A,
     dst: NodeId,
-    from: NodeId,
-    port: PortIx,
-    deflected: bool,
-) -> Result<State, Terminal> {
-    let link = topo.node(from).ports[port as usize];
-    let peer = topo.link(link).peer_of(from);
+    (key, state): (A::Key, State),
+    (port, deflected): (PortIx, bool),
+) -> Result<(A::Key, State), Terminal> {
+    let link = topo.node(state.node).ports[port as usize];
+    let peer = topo.link(link).peer_of(state.node);
     if topo.switch_id(peer).is_none() {
         return Err(if peer == dst {
             Terminal::Delivered
@@ -269,21 +299,23 @@ pub(crate) fn step(
             Terminal::WrongEdge(peer)
         });
     }
-    Ok(State {
+    let restamp = active.restamp(topo, link, peer);
+    let next = State {
         node: peer,
         in_port: topo.link(link).port_on(peer),
-        deflected,
-    })
+        deflected: deflected && restamp.is_none(),
+    };
+    Ok((restamp.unwrap_or(key), next))
 }
 
-/// Exhaustively classifies one encoded route under one failure set.
+/// Exhaustively classifies one route under one failure set.
 ///
 /// `src`/`dst` are the ingress and destination edges; the packet enters
-/// the core through `route.uplink` exactly as the edge logic would send
-/// it.
-pub fn verify_route(
+/// the core through the ingress route's `uplink` exactly as the edge
+/// logic would send it.
+pub fn verify_route<A: ActiveRoute>(
     topo: &Topology,
-    route: &EncodedRoute,
+    mut active: A,
     src: NodeId,
     dst: NodeId,
     technique: DeflectionTechnique,
@@ -302,7 +334,7 @@ pub fn verify_route(
     };
     // The edge transmits blindly into its uplink; a failed uplink kills
     // every packet of the flow at hop zero.
-    let uplink = topo.node(src).ports[route.uplink as usize];
+    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
     if failed.contains(&uplink) {
         report.can_blackhole = true;
         report.outcome = Outcome::Blackhole;
@@ -320,11 +352,12 @@ pub fn verify_route(
         in_port: topo.link(uplink).port_on(first),
         deflected: false,
     };
+    let initial = (active.ingress(), initial);
 
     // Reachability sweep, recording the move relation and a predecessor
     // per state for witness reconstruction.
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut states: Vec<State> = Vec::new();
+    let mut index: HashMap<(A::Key, State), usize> = HashMap::new();
+    let mut states: Vec<(A::Key, State)> = Vec::new();
     let mut succs: Vec<Vec<usize>> = Vec::new();
     let mut terminal_drop: Vec<bool> = Vec::new();
     let mut escapes: Vec<bool> = Vec::new(); // has an edge to a terminal
@@ -338,16 +371,16 @@ pub fn verify_route(
     pred.push(None);
     queue.push_back(0usize);
     while let Some(i) = queue.pop_front() {
-        let state = states[i];
-        match possible_moves(topo, route, technique, failed, state) {
+        let (key, state) = states[i];
+        match possible_moves(topo, active.route(key), technique, failed, state) {
             Err(Terminal::Drop) => {
                 terminal_drop[i] = true;
                 report.can_blackhole = true;
             }
             Err(_) => unreachable!("possible_moves only yields Drop terminals"),
             Ok(moves) => {
-                for (port, deflected) in moves {
-                    match step(topo, dst, state.node, port, deflected) {
+                for mv in moves {
+                    match step(topo, &mut active, dst, states[i], mv) {
                         Err(Terminal::Delivered) => {
                             report.can_deliver = true;
                             escapes[i] = true;
@@ -384,7 +417,7 @@ pub fn verify_route(
     // of each reachable switch covers every status read.
     let mut relevant: HashSet<LinkId> = [uplink].into_iter().collect();
     let mut seen_nodes: HashSet<NodeId> = HashSet::new();
-    for state in &states {
+    for (_, state) in &states {
         if seen_nodes.insert(state.node) {
             relevant.extend(topo.node(state.node).ports.iter().copied());
         }
@@ -399,7 +432,7 @@ pub fn verify_route(
         let mut path = Vec::new();
         let mut cur = Some(die);
         while let Some(i) = cur {
-            path.push(states[i].node);
+            path.push(states[i].1.node);
             cur = pred[i];
         }
         path.push(src);
@@ -447,7 +480,7 @@ pub fn verify_route(
 }
 
 /// One concrete cycle through a trap SCC, as the switches visited.
-fn loop_witness(states: &[State], succs: &[Vec<usize>], scc: &[usize]) -> Vec<NodeId> {
+fn loop_witness<K>(states: &[(K, State)], succs: &[Vec<usize>], scc: &[usize]) -> Vec<NodeId> {
     let members: HashSet<usize> = scc.iter().copied().collect();
     let start = scc[0];
     let mut seen = HashMap::new();
@@ -457,7 +490,7 @@ fn loop_witness(states: &[State], succs: &[Vec<usize>], scc: &[usize]) -> Vec<No
         if let Some(&at) = seen.get(&cur) {
             return order[at..]
                 .iter()
-                .map(|&i: &usize| states[i].node)
+                .map(|&i: &usize| states[i].1.node)
                 .collect();
         }
         seen.insert(cur, order.len());
@@ -472,7 +505,7 @@ fn loop_witness(states: &[State], succs: &[Vec<usize>], scc: &[usize]) -> Vec<No
 /// Iterative Tarjan strongly-connected components (indices into the
 /// state arrays). Iterative because NIP walks on larger topologies can
 /// produce graphs deeper than the default stack would like.
-pub(crate) fn tarjan_sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn tarjan_sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = succs.len();
     let mut idx = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
@@ -899,9 +932,9 @@ pub enum TrajectoryEnd {
 /// between `KarForwarder` and [`verify_route`]'s `possible_moves`
 /// surfaces here as an inexplicable hop.
 #[allow(clippy::too_many_arguments)] // mirrors verify_route's surface plus the observed path
-pub fn check_trajectory(
+pub fn check_trajectory<A: ActiveRoute>(
     topo: &Topology,
-    route: &EncodedRoute,
+    active: A,
     src: NodeId,
     dst: NodeId,
     technique: DeflectionTechnique,
@@ -912,7 +945,7 @@ pub fn check_trajectory(
     if path.first() != Some(&src) {
         return Err(format!("path must start at src {src:?}, got {path:?}"));
     }
-    let uplink = topo.node(src).ports[route.uplink as usize];
+    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
     if failed.contains(&uplink) {
         // The edge transmits blindly into its dead uplink: the packet
         // dies on hop zero, whatever the technique.
@@ -945,7 +978,7 @@ pub fn check_trajectory(
         in_port: topo.link(uplink).port_on(first),
         deflected: false,
     }];
-    walk_frontier(topo, route, dst, technique, failed, frontier, path, 2, end)
+    walk_frontier(topo, active, dst, technique, failed, frontier, path, 2, end)
 }
 
 /// Checks a traced path *suffix* beginning at a core switch against the
@@ -995,33 +1028,34 @@ pub fn check_trajectory_from(
 /// demanding every observed hop (and the claimed end) is explained by
 /// at least one consistent `(switch, in-port, deflected)` state.
 #[allow(clippy::too_many_arguments)]
-fn walk_frontier(
+fn walk_frontier<A: ActiveRoute>(
     topo: &Topology,
-    route: &EncodedRoute,
+    mut active: A,
     dst: NodeId,
     technique: DeflectionTechnique,
     failed: &HashSet<LinkId>,
-    mut frontier: Vec<State>,
+    frontier: Vec<State>,
     path: &[NodeId],
     skip: usize,
     end: TrajectoryEnd,
 ) -> Result<(), String> {
+    let mut frontier: Vec<_> = frontier.iter().map(|&s| (active.ingress(), s)).collect();
     let mut terminal: Option<Terminal> = None;
     for (i, &next) in path.iter().enumerate().skip(skip) {
         if terminal.is_some() {
             return Err(format!("path continues past an edge at hop {}", i - 1));
         }
         let next_is_core = topo.switch_id(next).is_some();
-        let mut new_frontier: Vec<State> = Vec::new();
+        let mut new_frontier: Vec<(A::Key, State)> = Vec::new();
         let mut reached_terminal = None;
-        for &s in &frontier {
-            let Ok(moves) = possible_moves(topo, route, technique, failed, s) else {
+        for &(key, s) in &frontier {
+            let Ok(moves) = possible_moves(topo, active.route(key), technique, failed, s) else {
                 continue;
             };
-            for (port, deflected) in moves {
-                match step(topo, dst, s.node, port, deflected) {
+            for mv in moves {
+                match step(topo, &mut active, dst, (key, s), mv) {
                     Ok(ns) => {
-                        if next_is_core && ns.node == next && !new_frontier.contains(&ns) {
+                        if next_is_core && ns.1.node == next && !new_frontier.contains(&ns) {
                             new_frontier.push(ns);
                         }
                     }
@@ -1069,10 +1103,9 @@ fn walk_frontier(
             if terminal.is_some() {
                 return Err("claimed a forced drop but the path ends at an edge".into());
             }
-            if frontier
-                .iter()
-                .any(|&s| possible_moves(topo, route, technique, failed, s).is_err())
-            {
+            if frontier.iter().any(|&(key, s)| {
+                possible_moves(topo, active.route(key), technique, failed, s).is_err()
+            }) {
                 Ok(())
             } else {
                 Err(format!(

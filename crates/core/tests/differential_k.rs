@@ -3,7 +3,9 @@
 //! random two-link failure sets, every packet journey the simulator
 //! records must be a trajectory of `verify_route`'s move relation,
 //! packet for packet — and the run's aggregate fates must stay inside
-//! what the symbolic report says is possible.
+//! what the symbolic report says is possible. The relation is one,
+//! parameterised by which route is active after each hop, so the same
+//! check covers partitioned routes (ring/16 in 4 domains, below).
 //!
 //! The edge reroute policy is `Drop`, so a misdelivered packet's trace
 //! ends at the wrong edge exactly like the verifier's `WrongEdge`
@@ -13,15 +15,17 @@
 
 use kar::verify::{check_trajectory, TrajectoryEnd};
 use kar::{
-    verify_route, DeflectionTechnique, EncodeRequest, KarNetwork, Protection, ReroutePolicy,
+    verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, KarNetwork, Planner,
+    Protection, ReroutePolicy, Segmented,
 };
 use kar_rns::IdStrategy;
 use kar_simnet::{DropReason, FlowId, PacketFate, PacketKind, SimTime};
-use kar_topology::gen::try_random_connected_hosts;
-use kar_topology::{LinkId, LinkParams, Topology};
+use kar_topology::gen::{ring, try_random_connected_hosts};
+use kar_topology::{LinkId, LinkParams, Partition, Topology};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 const PROBES: u64 = 6;
 
@@ -166,6 +170,88 @@ fn differential_check_exercises_real_trajectories() {
         }
     }
     assert!(checked >= 24, "expected to check many cases, got {checked}");
+}
+
+/// Invariant 10 for partitioned routes: ring/16 in 4 domains with the
+/// static (failure-unaware) view, pseudo-random failure sets of one or
+/// two links. Every traced journey must be a trajectory of the shared
+/// relation over [`Segmented`] — boundary re-stamps included — and end
+/// in a class the report allows.
+#[test]
+fn partitioned_paths_are_move_relation_trajectories() {
+    let topo = ring(16, IdStrategy::SmallestPrimes, LinkParams::default());
+    let partition = Arc::new(Partition::ring(&topo, 4).unwrap());
+    let (src, dst) = (topo.expect("H1"), topo.expect("H9"));
+    let links = topo.link_count() as u64;
+    let mut fates = HashSet::new();
+    for case in 0..48u64 {
+        // splitmix-style scramble; every third case fails a single link.
+        let x = (case + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let a = LinkId(((x >> 8) % links) as usize);
+        let b = LinkId(((x >> 40) % links) as usize);
+        let failed: HashSet<LinkId> = if case % 3 == 0 {
+            [a].into()
+        } else {
+            [a, b].into()
+        };
+        for technique in DeflectionTechnique::ALL {
+            let mut net = KarNetwork::builder(&topo, technique)
+                .seed(case)
+                .ttl(255)
+                .tracing()
+                .reroute(ReroutePolicy::Drop)
+                .hierarchy(Arc::clone(&partition))
+                .build();
+            net.encode(&EncodeRequest::new(src, dst)).unwrap();
+            let mut sim = net.into_sim();
+            for &l in &failed {
+                sim.schedule_link_down(SimTime::ZERO, l);
+            }
+            for i in 0..PROBES {
+                sim.run_until(SimTime(i * 500_000));
+                sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
+            }
+            sim.run_to_quiescence();
+            // The verifier plans with its own planner: segments are a
+            // pure function of (entry, dst), so it sees the same ones.
+            let mut planner = Planner::new().with_partition(Arc::clone(&partition));
+            let report =
+                verify_hier_route(&topo, &mut planner, src, dst, technique, &failed).unwrap();
+            let stats = sim.stats();
+            let drop = |r: DropReason| stats.drops.get(&r).copied().unwrap_or(0);
+            let label = technique.label();
+            assert!(
+                report.can_deliver || stats.delivered == 0,
+                "{label} {failed:?}"
+            );
+            let core_drops = drop(DropReason::PortDown) + drop(DropReason::NoRoute);
+            assert!(
+                report.can_blackhole || core_drops == 0,
+                "{label} {failed:?}"
+            );
+            assert!(
+                report.has_cycle || drop(DropReason::TtlExpired) == 0,
+                "{label} {failed:?}"
+            );
+            assert!(
+                report.can_wrong_edge || drop(DropReason::Misdelivery) == 0,
+                "{label} {failed:?}"
+            );
+            for (id, trace) in sim.trace().iter() {
+                let end = fate_to_end(&trace.fate);
+                fates.insert(end as u8);
+                let route = Segmented::of(&topo, &mut planner, src, dst).unwrap();
+                check_trajectory(&topo, route, src, dst, technique, &failed, &trace.path, end)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{label} pkt {id}: {e} ({}, {failed:?})",
+                            trace.pretty(&topo)
+                        )
+                    });
+            }
+        }
+    }
+    assert!(fates.len() >= 3, "several fate classes occur: {fates:?}");
 }
 
 proptest! {

@@ -3,10 +3,11 @@
 //! ingress ever re-stamps and the hierarchical forwarder must walk
 //! exactly the flat KAR path — hop for hop, for every edge pair of
 //! both paper topologies. Any divergence means the hierarchy layer
-//! changes forwarding even when it should be a no-op.
+//! changes forwarding even when it should be a no-op — with the static
+//! view and, under a flap train, with the recovery loop too.
 
-use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
-use kar_simnet::{FlowId, PacketFate, PacketKind};
+use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection, RecoveryConfig};
+use kar_simnet::{FaultPlan, FlowId, PacketFate, PacketKind, SimTime};
 use kar_topology::{rnp28, topo15, Partition, Topology};
 use std::sync::Arc;
 
@@ -63,7 +64,7 @@ fn assert_single_domain_hier_equals_flat(topo: Topology) {
         .hierarchy(Arc::new(Partition::single(&topo)))
         .build();
     {
-        let ctrl = hier.hier_controller_mut().expect("hierarchy enabled");
+        let ctrl = hier.planner_mut();
         for &(src, dst) in &pairs {
             let route = ctrl
                 .install(&topo, src, dst, &Protection::None)
@@ -98,4 +99,81 @@ fn single_domain_hier_walks_flat_paths_on_topo15() {
 #[test]
 fn single_domain_hier_walks_flat_paths_on_rnp28() {
     assert_single_domain_hier_equals_flat(rnp28::build());
+}
+
+/// Single-domain ≡ flat for the notice-driven view: the same flap
+/// train, the same paced probes, with and without the one-domain
+/// partition — equal `Stats`, equal traced paths, equal `RecoveryLog`.
+#[test]
+fn single_domain_recovery_equals_flat_recovery_under_a_flap_train() {
+    let topo = topo15::build();
+    let pairs = edge_pairs(&topo);
+    let plan = FaultPlan::new(5)
+        .with_detection(SimTime::from_micros(50))
+        .fail_for(
+            topo.expect_link("SW13", "SW29"),
+            SimTime::from_micros(700),
+            SimTime::from_micros(2_500),
+        )
+        .flap(
+            topo.expect_link("SW7", "SW13"),
+            SimTime::from_micros(300),
+            SimTime::from_micros(1_200),
+            0.5,
+            4,
+        );
+    let run = |partition: Option<Arc<Partition>>| {
+        let mut builder = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
+            .seed(11)
+            .ttl(255)
+            .tracing()
+            .recovery(RecoveryConfig {
+                notification_delay: SimTime::from_micros(200),
+                protection: Protection::None,
+            });
+        if let Some(partition) = partition {
+            builder = builder.hierarchy(partition);
+        }
+        let mut net = builder.build();
+        for &(src, dst) in &pairs {
+            net.encode(&EncodeRequest::new(src, dst).with_protection(Protection::AutoFull))
+                .expect("topo15 is connected");
+        }
+        let log = net.recovery_log().expect("recovery enabled");
+        let mut sim = net.into_sim();
+        plan.apply(&mut sim);
+        for round in 0..30u64 {
+            sim.run_until(SimTime::from_micros(round * 200));
+            for (i, &(src, dst)) in pairs.iter().enumerate() {
+                sim.inject(src, dst, FlowId(i as u32), round, PacketKind::Probe, 500);
+            }
+        }
+        sim.run_to_quiescence();
+        let paths: Vec<_> = (0..sim.stats().injected)
+            .map(|id| {
+                sim.trace()
+                    .get(id)
+                    .expect("every probe is traced")
+                    .path
+                    .clone()
+            })
+            .collect();
+        let log = log.lock().unwrap().clone();
+        (sim.stats().clone(), paths, log.notices, log.flows)
+    };
+    let flat = run(None);
+    let single = run(Some(Arc::new(Partition::single(&topo))));
+    assert!(
+        flat.0.deflections > 0 && flat.3.len() > 1,
+        "the train bites"
+    );
+    assert!(
+        flat.2.len() >= 8,
+        "every transition is noticed: {:?}",
+        flat.2
+    );
+    assert_eq!(flat.0, single.0, "stats");
+    assert!(flat.1 == single.1, "traced paths differ");
+    assert_eq!(flat.2, single.2, "link notices");
+    assert_eq!(flat.3, single.3, "flow recoveries");
 }

@@ -4,7 +4,7 @@
 //! worker pool over a channel; each worker serves one connection at a
 //! time with framed blocking I/O (the workspace is offline — no async
 //! runtime; `std::net` threads are the whole story). Workers share one
-//! [`RecoveringController`] behind a mutex, so encodes are serialized
+//! notice-driven [`Planner`] behind a mutex, so encodes are serialized
 //! exactly like the in-process simulator's single-threaded edge logic —
 //! a service encode and a simulator encode of the same request are the
 //! same code path and produce the same bytes.
@@ -13,13 +13,13 @@
 //! serving `invalidate` does not mutate the controller itself but sends
 //! the transition to a dedicated control thread and waits for its ack
 //! (the controller/datapath split, kept observable). Because the ack
-//! returns only after [`RecoveringController::on_link_event`] ran, an
+//! returns only after [`Planner::on_link_event`] ran, an
 //! encode issued after an invalidate response — on any connection —
 //! is guaranteed to see the transition.
 
 use crate::proto::{self, status, Request, Response, ServiceStats};
-use kar::recovery::{RecoveringController, RecoveryConfig};
-use kar::{EncodeRequest, EncodingCache, KarError, RouteHeader};
+use kar::recovery::RecoveryConfig;
+use kar::{EncodeRequest, EncodingCache, KarError, LinkView, Planner, RouteHeader};
 use kar_obs::{Entity, Event, EventKind, ObsHandle};
 use kar_simnet::{EdgeLogic, SimTime};
 use kar_topology::{LinkId, NodeId, Topology};
@@ -93,7 +93,7 @@ struct FaultMsg {
 /// State shared by the workers and the control thread.
 struct State {
     topo: Topology,
-    controller: Mutex<RecoveringController>,
+    controller: Mutex<Planner>,
     cache: Arc<EncodingCache>,
     counters: Counters,
     start: Instant,
@@ -140,7 +140,8 @@ impl Daemon {
     pub fn spawn(config: ServiceConfig) -> io::Result<Daemon> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let mut controller = RecoveringController::new(config.recovery)
+        let mut controller = Planner::new()
+            .with_view(LinkView::Notices(config.recovery))
             .with_encoding_cache(Arc::clone(&config.cache));
         if config.obs.is_enabled() {
             controller = controller.with_obs(config.obs.clone());
@@ -404,14 +405,14 @@ fn handle(state: &State, fault_tx: &mpsc::Sender<FaultMsg>, req: Request) -> Res
 ///
 /// # Errors
 ///
-/// See [`kar::Controller::install_route`].
+/// See [`Planner::encode`].
 pub fn expected_header(
     topo: &Topology,
     req: &EncodeRequest,
     recovery: RecoveryConfig,
     faults: &[(LinkId, bool)],
 ) -> Result<RouteHeader, KarError> {
-    let mut rc = RecoveringController::new(recovery);
+    let mut rc = Planner::new().with_view(LinkView::Notices(recovery));
     let mut now = SimTime::ZERO;
     for &(link, up) in faults {
         rc.on_link_event(topo, link, up, now);

@@ -3,8 +3,8 @@
 //! The paper's controller, behind a socket: a threaded TCP daemon that
 //! answers `encode(src, dst, protection)`, `invalidate(link)` and
 //! `stats()` over a length-prefixed binary protocol ([`proto`]),
-//! backed by the shared [`kar::EncodingCache`] and a
-//! [`kar::RecoveringController`] fed through an explicit
+//! backed by the shared [`kar::EncodingCache`] and a notice-driven
+//! [`kar::Planner`] ([`kar::LinkView::Notices`]) fed through an explicit
 //! fault-notification channel (the controller/datapath split made
 //! operational — ROADMAP item 3).
 //!

@@ -76,7 +76,7 @@ pub fn line(n: usize, strategy: IdStrategy, params: LinkParams) -> Topology {
     try_line(n, strategy, params).expect("allocator exhausted")
 }
 
-/// Fallible form of [`line`].
+/// Fallible form of [`line()`].
 ///
 /// # Errors
 ///
