@@ -50,7 +50,7 @@ use kar_simnet::{EdgeLogic, Packet, RerouteDecision, RouteTag, SimTime};
 use kar_topology::{paths, LinkId, NodeId, Partition, PortIx, Topology};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What the planner does with link-state notices (see the module table).
 #[derive(Debug, Clone, Default)]
@@ -249,9 +249,17 @@ impl Planner {
         Arc::clone(&self.stats)
     }
 
-    /// Handle onto the recovery log; read it after the run.
+    /// Handle onto the recovery log: take it before the run, read it
+    /// after. The planner records only while a handle is held — a
+    /// long-lived daemon never takes one, and must not grow a record per
+    /// notice and per detour forever.
     pub fn log_handle(&self) -> Arc<Mutex<RecoveryLog>> {
         Arc::clone(&self.log)
+    }
+
+    /// The recovery log, while anyone outside the planner can read it.
+    fn watched_log(&self) -> Option<MutexGuard<'_, RecoveryLog>> {
+        (Arc::strong_count(&self.log) > 1).then(|| lock_log(&self.log))
     }
 
     /// The route `node` — an ingress edge or a boundary entry switch —
@@ -267,7 +275,7 @@ impl Planner {
     }
 
     /// Serves one [`EncodeRequest`] at time `now` — the entry point
-    /// [`crate::KarNetwork::encode`] and the `kar-service` daemon drive.
+    /// [`crate::KarNetwork::encode`] drives.
     ///
     /// Applies every notification whose control-channel delay has
     /// elapsed by `now`, installs the pair on first sight (or when the
@@ -286,21 +294,50 @@ impl Planner {
         req: &EncodeRequest,
         now: SimTime,
     ) -> Result<EncodeOutcome, KarError> {
+        let entry = self.live_entry(topo, req, now)?;
+        Ok(EncodeOutcome {
+            route: entry.seg.route.clone(),
+            header: entry.header.clone(),
+        })
+    }
+
+    /// [`Planner::encode`] for a caller that only reads the header — the
+    /// `kar-service` daemon, which copies its bytes onto the socket: the
+    /// same lookup, but the live entry's header is lent to `read`
+    /// instead of cloned together with the route, so serving an
+    /// installed pair allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Planner::encode`]; `read` runs only on success.
+    pub fn encode_with<R>(
+        &mut self,
+        topo: &Topology,
+        req: &EncodeRequest,
+        now: SimTime,
+        read: impl FnOnce(&RouteHeader) -> R,
+    ) -> Result<R, KarError> {
+        Ok(read(&self.live_entry(topo, req, now)?.header))
+    }
+
+    /// The entry live for `req` at `now`, installed on first sight.
+    fn live_entry(
+        &mut self,
+        topo: &Topology,
+        req: &EncodeRequest,
+        now: SimTime,
+    ) -> Result<Arc<Entry>, KarError> {
         self.apply_pending(now);
         let (src, dst) = (req.src, req.dst);
         let installed = self.installed.get(&(src, dst));
         if installed.is_none_or(|i| i.protection != req.protection) {
             self.install(topo, src, dst, &req.protection)?;
         }
-        let entry = match self.view {
+        match self.view {
             LinkView::Notices(_) => self.current_entry(topo, src, dst, now),
             _ => self.entries.get(&(src, dst)).cloned(),
         }
-        .ok_or(KarError::RouteNotInstalled { src, dst })?;
-        Ok(EncodeOutcome {
-            route: entry.seg.route.clone(),
-            header: entry.header.clone(),
-        })
+        .ok_or(KarError::RouteNotInstalled { src, dst })
     }
 
     /// Installs a shortest-path route for `src → dst` and returns its
@@ -484,7 +521,9 @@ impl Planner {
                 // failure set are stale now.
                 self.entries.clear();
             }
-            lock_log(&self.log).notices.push(next);
+            if let Some(mut log) = self.watched_log() {
+                log.notices.push(next);
+            }
             if let Some(obs) = self.obs.get() {
                 obs.metrics
                     .counter(Entity::Global, "recovery.notices")
@@ -541,12 +580,14 @@ impl Planner {
         };
         if detour && !was_detour {
             if let Some(failed_at) = self.last_failure_observed {
-                lock_log(&self.log).flows.push(FlowRecovery {
-                    src,
-                    dst,
-                    failed_at,
-                    recovered_at: now,
-                });
+                if let Some(mut log) = self.watched_log() {
+                    log.flows.push(FlowRecovery {
+                        src,
+                        dst,
+                        failed_at,
+                        recovered_at: now,
+                    });
+                }
                 if let Some(obs) = self.obs.get() {
                     let latency_ns = now.since(failed_at).as_nanos();
                     obs.metrics
@@ -956,6 +997,7 @@ pub(crate) mod tests {
         let as3 = topo.expect("AS3");
         let failed = topo.expect_link("SW7", "SW13");
         let mut rc = notices(SimTime::from_millis(2));
+        let log = rc.log_handle();
         let original = install(&mut rc, &topo, as1, as3);
 
         // Failure observed at t=1ms: not yet effective at t=2ms...
@@ -970,7 +1012,6 @@ pub(crate) mod tests {
         let recovered = stamped(&mut rc, &topo, as1, as3, SimTime::from_millis(3));
         assert_ne!(*recovered.route_id, original.route_id);
 
-        let log = rc.log_handle();
         {
             let log = log.lock().unwrap();
             assert_eq!(log.notices.len(), 1);
@@ -1025,6 +1066,7 @@ pub(crate) mod tests {
         let as2 = topo.expect("AS2");
         let as3 = topo.expect("AS3");
         let mut rc = notices(SimTime::from_millis(2));
+        let log = rc.log_handle();
         install(&mut rc, &topo, as1, as3);
         let other = install(&mut rc, &topo, as2, as3);
         // AS2's shortest path (SW23, SW17, SW37, SW29) does not cross
@@ -1032,7 +1074,9 @@ pub(crate) mod tests {
         rc.on_link_event(&topo, topo.expect_link("SW7", "SW13"), false, SimTime::ZERO);
         let tag = stamped(&mut rc, &topo, as2, as3, SimTime::from_millis(10));
         assert_eq!(*tag.route_id, other.route_id);
-        assert!(rc.log_handle().lock().unwrap().flows.is_empty());
+        let log = log.lock().unwrap();
+        assert_eq!(log.notices.len(), 1, "the notice itself is recorded");
+        assert!(log.flows.is_empty());
     }
 
     #[test]
@@ -1078,12 +1122,55 @@ pub(crate) mod tests {
         let as3 = topo.expect("AS3");
         let uplink = topo.expect_link("AS1", "SW10");
         let mut rc = notices(SimTime::from_millis(2));
+        let log = rc.log_handle();
         let original = install(&mut rc, &topo, as1, as3);
         // AS1's only uplink fails: no alternative path exists.
         rc.on_link_event(&topo, uplink, false, SimTime::ZERO);
         let tag = stamped(&mut rc, &topo, as1, as3, SimTime::from_millis(10));
         assert_eq!(*tag.route_id, original.route_id);
-        assert!(rc.log_handle().lock().unwrap().flows.is_empty());
+        let log = log.lock().unwrap();
+        assert_eq!(log.notices.len(), 1);
+        assert!(log.flows.is_empty());
+    }
+
+    /// The daemon's planner: notices land at once, nobody holds the log.
+    #[test]
+    fn an_unwatched_log_stays_empty_and_encode_with_lends_the_live_header() {
+        let topo = topo15::build();
+        let req = EncodeRequest::new(topo.expect("AS1"), topo.expect("AS3"));
+        let cut = topo.expect_link("SW7", "SW13");
+        let mut rc = notices(SimTime::ZERO);
+        let original = rc.encode(&topo, &req, SimTime::ZERO).unwrap().header;
+        let mut detour = None;
+        for i in 0..10_000u64 {
+            let (down, up) = (SimTime(4 * i + 1), SimTime(4 * i + 3));
+            rc.on_link_event(&topo, cut, false, down);
+            let read = rc.encode_with(&topo, &req, SimTime(down.0 + 1), RouteHeader::clone);
+            let read = read.unwrap();
+            assert_ne!(read, original, "cycle {i}: the read is detoured");
+            assert_eq!(*detour.get_or_insert(read.clone()), read);
+            rc.on_link_event(&topo, cut, true, up);
+            let read = rc.encode_with(&topo, &req, SimTime(up.0 + 1), RouteHeader::clone);
+            assert_eq!(read.unwrap(), original, "cycle {i}: restored");
+        }
+        // One lookup under both accessors: same header, same errors.
+        let outcome = rc.encode(&topo, &req, SimTime(50_000)).unwrap();
+        assert_eq!(outcome.header, original);
+        let nowhere = EncodeRequest::new(req.src, NodeId(topo.node_count() + 7));
+        let lent = rc.encode_with(&topo, &nowhere, SimTime(50_000), |_| ());
+        assert_eq!(
+            lent.unwrap_err(),
+            rc.encode(&topo, &nowhere, SimTime(50_000)).unwrap_err()
+        );
+        // 20 000 notices and 10 000 detours later nothing was recorded;
+        // a handle taken now sees only what follows.
+        let log = rc.log_handle();
+        assert!(log.lock().unwrap().notices.is_empty());
+        assert!(log.lock().unwrap().flows.is_empty());
+        rc.on_link_event(&topo, cut, false, SimTime(50_001));
+        rc.encode(&topo, &req, SimTime(50_002)).unwrap();
+        assert_eq!(log.lock().unwrap().notices.len(), 1);
+        assert_eq!(log.lock().unwrap().flows.len(), 1);
     }
 
     /// Records the widest route ID any stamp of the wrapped planner put

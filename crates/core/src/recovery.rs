@@ -87,8 +87,10 @@ impl FlowRecovery {
 
 /// Everything the recovery loop did during a run.
 ///
-/// Shared via [`crate::Planner::log_handle`] so the telemetry can read it
-/// after the simulation (which owns the planner) finishes.
+/// Shared via [`crate::Planner::log_handle`] — taken before the run,
+/// since recording happens only while a handle is held — so the
+/// telemetry can read it after the simulation (which owns the planner)
+/// finishes.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryLog {
     /// Link notifications in processing order.

@@ -269,22 +269,28 @@ impl RouteHeader {
     /// width; `Varint` carries only the value — decoding it yields a
     /// header exactly as wide as the value needs.
     pub fn to_wire(&self, mode: WireMode) -> Vec<u8> {
+        let mut out = Vec::with_capacity(3 + self.bytes.len());
+        self.to_wire_into(mode, &mut out);
+        out
+    }
+
+    /// Appends the [`RouteHeader::to_wire`] bytes to `out`, allocating
+    /// nothing when `out` has the room (the `kar-service` hit path
+    /// reuses one buffer per connection).
+    pub fn to_wire_into(&self, mode: WireMode, out: &mut Vec<u8>) {
+        out.push(mode.as_byte());
         match mode {
             WireMode::Fixed => {
-                let mut out = Vec::with_capacity(3 + self.bytes.len());
-                out.push(mode.as_byte());
                 out.extend_from_slice(&(self.bits as u16).to_be_bytes());
                 out.extend_from_slice(&self.bytes);
-                out
             }
             WireMode::Varint => {
-                let raw = self.unpack().to_bytes_be();
-                let magnitude: &[u8] = if raw == [0] { &[] } else { &raw };
-                let mut out = Vec::with_capacity(2 + magnitude.len());
-                out.push(mode.as_byte());
-                write_uvarint(&mut out, magnitude.len() as u64);
+                // The minimal magnitude is the field without its leading
+                // zero bytes (none at all for zero).
+                let zeros = self.bytes.iter().take_while(|&&b| b == 0).count();
+                let magnitude = &self.bytes[zeros..];
+                write_uvarint(out, magnitude.len() as u64);
                 out.extend_from_slice(magnitude);
-                out
             }
         }
     }

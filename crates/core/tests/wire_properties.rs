@@ -7,7 +7,9 @@
 //! * arbitrary byte soup never panics the decoder, and every accepted
 //!   parse re-encodes to exactly the bytes it consumed (canonicality);
 //! * truncating a valid frame anywhere always yields `Truncated` or
-//!   another clean error, never a bogus success of the full value.
+//!   another clean error, never a bogus success of the full value;
+//! * `to_wire_into` appends exactly the bytes `to_wire` produced when
+//!   its varint arm still went through a `BigUint`.
 
 use kar::{EncodeRequest, KarNetwork, Protection, RouteHeader, WireError, WireMode};
 use kar_topology::{rnp28, topo15, Topology};
@@ -84,7 +86,68 @@ fn truncating_a_valid_frame_never_yields_a_full_parse() {
     }
 }
 
+/// `RouteHeader::to_wire` as it was before it became a wrapper over
+/// `to_wire_into`: the varint magnitude by way of `unpack()`.
+fn to_wire_via_biguint(header: &RouteHeader, mode: WireMode) -> Vec<u8> {
+    let mut out = vec![mode.as_byte()];
+    match mode {
+        WireMode::Fixed => {
+            out.extend_from_slice(&(header.bits() as u16).to_be_bytes());
+            out.extend_from_slice(header.as_bytes());
+        }
+        WireMode::Varint => {
+            let raw = header.unpack().to_bytes_be();
+            let magnitude: &[u8] = if raw == [0] { &[] } else { &raw };
+            kar::wire::write_uvarint(&mut out, magnitude.len() as u64);
+            out.extend_from_slice(magnitude);
+        }
+    }
+    out
+}
+
+/// Both forms against the reference, the into-buffer one appending
+/// after bytes already there.
+fn assert_wire_forms_agree(header: &RouteHeader) {
+    for mode in [WireMode::Fixed, WireMode::Varint] {
+        let want = to_wire_via_biguint(header, mode);
+        assert_eq!(header.to_wire(mode), want, "{mode}, {} bits", header.bits());
+        let mut out = vec![0xaa, 0xbb];
+        header.to_wire_into(mode, &mut out);
+        assert_eq!(out[..2], [0xaa, 0xbb], "{mode}: appends, never overwrites");
+        assert_eq!(out[2..], want, "{mode}, {} bits", header.bits());
+    }
+}
+
+#[test]
+fn to_wire_into_matches_the_biguint_form_at_the_extremes() {
+    use kar_rns::BigUint;
+    // All-zero fields (the varint magnitude is empty), one byte to 3 KiB.
+    for bits in [1, 8, 9, 24 * 1024] {
+        assert_wire_forms_agree(&RouteHeader::pack(&BigUint::zero(), bits).unwrap());
+    }
+    // A full 3 KiB field, and the same value behind leading zero bytes.
+    let value = BigUint::from_bytes_be(&[0xa5; 3 * 1024]);
+    assert_wire_forms_agree(&RouteHeader::pack(&value, value.bits()).unwrap());
+    assert_wire_forms_agree(&RouteHeader::pack(&value, value.bits() + 1000).unwrap());
+    for topo in [topo15::build(), rnp28::build()] {
+        all_headers(&topo).iter().for_each(assert_wire_forms_agree);
+    }
+}
+
 proptest! {
+    /// `to_wire_into` ≡ the old `to_wire` for arbitrary (bits, value)
+    /// headers, padded fields included.
+    #[test]
+    fn to_wire_into_matches_the_biguint_form(
+        bits in 1u32..512,
+        raw in proptest::collection::vec(any::<u8>(), 1..64)
+    ) {
+        let value = kar_rns::BigUint::from_bytes_be(&raw);
+        if let Ok(header) = RouteHeader::pack(&value, bits) {
+            assert_wire_forms_agree(&header);
+        }
+    }
+
     /// Decoding arbitrary bytes never panics, and an accepted parse is
     /// canonical: re-serializing the parsed header in the frame's own
     /// mode reproduces exactly the consumed prefix.

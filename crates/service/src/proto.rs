@@ -135,6 +135,8 @@ pub enum ProtoError {
     BadProtection(u8),
     /// Unknown [`WireMode`] discriminant.
     BadMode(u8),
+    /// An invalidate's `up` byte was neither `0` nor `1`.
+    BadFlag(u8),
     /// An error message was not UTF-8.
     BadMessage,
 }
@@ -149,6 +151,7 @@ impl fmt::Display for ProtoError {
             ProtoError::BadStatus(s) => write!(f, "unknown status {s:#04x}"),
             ProtoError::BadProtection(t) => write!(f, "unknown protection tag {t:#04x}"),
             ProtoError::BadMode(m) => write!(f, "unknown wire mode {m:#04x}"),
+            ProtoError::BadFlag(b) => write!(f, "flag byte {b:#04x} is neither 0 nor 1"),
             ProtoError::BadMessage => write!(f, "error message is not UTF-8"),
         }
     }
@@ -173,15 +176,36 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// Whether `buf` starts with one whole frame — what the daemon asks of
+/// its read buffer before deciding to flush: a request that is already
+/// here is answered in the same burst.
+pub fn holds_frame(buf: &[u8]) -> bool {
+    buf.split_first_chunk::<4>()
+        .is_some_and(|(len, rest)| rest.len() >= u32::from_be_bytes(*len) as usize)
+}
+
 /// Reads one frame, returning `None` on a clean EOF at a frame
+/// boundary.
+///
+/// # Errors
+///
+/// As [`read_frame_into`].
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Reads one frame's payload into `payload` (replacing its contents,
+/// reusing its allocation), returning `false` on a clean EOF at a frame
 /// boundary.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; an EOF mid-frame is
 /// [`io::ErrorKind::UnexpectedEof`], an oversized length prefix is
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+/// [`io::ErrorKind::InvalidData`] (rejected before any allocation, so a
+/// call never holds more than [`MAX_FRAME_LEN`] bytes).
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len = [0u8; 4];
     // Distinguish "peer closed between frames" from "died mid-frame".
     let mut filled = 0;
@@ -189,7 +213,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         let n = r.read(&mut len[filled..])?;
         if n == 0 {
             if filled == 0 {
-                return Ok(None);
+                return Ok(false);
             }
             return Err(io::ErrorKind::UnexpectedEof.into());
         }
@@ -202,9 +226,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             "frame length exceeds MAX_FRAME_LEN",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 /// Strict little parsing cursor over a payload.
@@ -337,7 +362,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         }
         opcode::INVALIDATE => Request::Invalidate {
             link: c.u32()?,
-            up: c.u8()? != 0,
+            up: match c.u8()? {
+                0 => false,
+                1 => true,
+                other => return Err(ProtoError::BadFlag(other)),
+            },
         },
         opcode::STATS => Request::Stats,
         other => return Err(ProtoError::BadOpcode(other)),
@@ -355,22 +384,29 @@ mod response_kind {
     pub const STATS: u8 = 2;
 }
 
+/// How every encode-success payload starts; the `kar::wire` bytes of
+/// the header follow. The daemon's hit path writes this and then the
+/// stored header straight into its response buffer, never building a
+/// [`Response::Header`].
+pub const HEADER_RESPONSE_PREFIX: [u8; 3] = [PROTOCOL_VERSION, status::OK, response_kind::HEADER];
+
 /// Serializes a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = vec![PROTOCOL_VERSION];
+    let mut out = Vec::new();
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends a response payload to `out`.
+pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
     match resp {
-        Response::Ok => {
-            out.push(status::OK);
-            out.push(response_kind::OK);
-        }
+        Response::Ok => out.extend_from_slice(&[PROTOCOL_VERSION, status::OK, response_kind::OK]),
         Response::Header(bytes) => {
-            out.push(status::OK);
-            out.push(response_kind::HEADER);
+            out.extend_from_slice(&HEADER_RESPONSE_PREFIX);
             out.extend_from_slice(bytes);
         }
         Response::Stats(s) => {
-            out.push(status::OK);
-            out.push(response_kind::STATS);
+            out.extend_from_slice(&[PROTOCOL_VERSION, status::OK, response_kind::STATS]);
             for v in [
                 s.requests,
                 s.encode_ok,
@@ -385,11 +421,10 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
         Response::Error { code, message } => {
-            out.push(*code);
+            out.extend_from_slice(&[PROTOCOL_VERSION, *code]);
             out.extend_from_slice(message.as_bytes());
         }
     }
-    out
 }
 
 /// Parses a response payload.
@@ -506,6 +541,11 @@ mod tests {
             decode_request(&[1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 9, 0]),
             Err(ProtoError::BadProtection(9))
         );
+        // One request, one spelling: `up` is 0 or 1.
+        assert_eq!(
+            decode_request(&[1, 2, 0, 0, 0, 7, 2]),
+            Err(ProtoError::BadFlag(2))
+        );
         // Truncated stats response.
         assert_eq!(decode_response(&[1, 0, 2, 0]), Err(ProtoError::Truncated));
         // Segments cannot cross the wire.
@@ -543,5 +583,51 @@ mod tests {
             io::ErrorKind::InvalidData
         );
         assert!(write_frame(&mut Vec::new(), &vec![0; MAX_FRAME_LEN + 1]).is_err());
+    }
+
+    #[test]
+    fn read_frame_is_the_into_buffer_form() {
+        let mut two = Vec::new();
+        write_frame(&mut two, b"abc").unwrap();
+        write_frame(&mut two, &[7; 300]).unwrap();
+        let oversize = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        let inputs: [&[u8]; 7] = [
+            &two,
+            &two[..two.len() - 1],
+            &two[..9],
+            &two[..2],
+            &[],
+            &oversize,
+            &[0, 0, 0, 0],
+        ];
+        for input in inputs {
+            let (mut a, mut b) = (input, input);
+            // One reused buffer, dirty from the frame before.
+            let mut payload = vec![0xee; 17];
+            loop {
+                let whole = read_frame(&mut a).map_err(|e| e.kind());
+                let into = read_frame_into(&mut b, &mut payload).map_err(|e| e.kind());
+                assert_eq!(whole.clone().map(|f| f.is_some()), into, "{input:?}");
+                assert_eq!(a, b, "both consumed the same bytes");
+                match whole {
+                    Ok(Some(frame)) => assert_eq!(frame, payload),
+                    Ok(None) | Err(_) => break,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn holds_frame_sees_whole_frames_only() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"abcde").unwrap();
+        for cut in 0..buf.len() {
+            assert!(!holds_frame(&buf[..cut]), "cut at {cut}");
+        }
+        assert!(holds_frame(&buf));
+        buf.extend_from_slice(&[0, 0]);
+        assert!(holds_frame(&buf), "what follows the frame does not matter");
+        assert!(holds_frame(&[0, 0, 0, 0]), "an empty payload is a frame");
+        assert!(!holds_frame(&[0xff; 64]));
     }
 }
