@@ -7,15 +7,15 @@
 //! `BENCH_hier.json` at the repository root):
 //!
 //! * `--max-switches N` — largest cell to run (default 4096). Passing
-//!   `N < 512` switches to the small smoke grid `[32, 64, 128]` whose
-//!   cell names are disjoint from the committed document, so a CI run
-//!   trend-checks trivially as single-point series.
+//!   `N < 512` switches to the small grid `[32, 64, 128]` with 16-switch
+//!   domains — a seconds-long sweep for the resume tests.
 //!
 //! Environment knobs: `KAR_HIER_PAIRS` (pairs per cell, default 24),
 //! `KAR_HIER_PKTS` (packets per pair, default 8), `KAR_HIER_DOMAIN`
 //! (target switches per domain, default 64). The document never
 //! contains wall-clock fields — it is a pure function of the
-//! configuration, byte-identical across runs and machines.
+//! configuration, byte-identical across runs and machines; at the
+//! defaults it is the committed file, which CI regenerates and `cmp`s.
 
 use kar_bench::cli::CommonArgs;
 use kar_bench::experiments::hier::{self, HierConfig};

@@ -1,20 +1,19 @@
 //! Scale sweep (`BENCH_scale.json`): topology families from 16 to 512
 //! switches × protection levels, hundreds of concurrent flows per cell,
 //! one mid-path link failure each — route-ID growth, delivery, latency
-//! percentiles, event throughput and sampled verification counts versus
-//! network size.
+//! percentiles, event counts and sampled verification counts versus
+//! network size. The document is a pure function of the flags and knobs
+//! below, byte-identical across runs and machines; at the defaults it
+//! is the committed file, which CI regenerates and `cmp`s.
 //!
 //! Flags (on top of the common set, of which `--out` defaults to
 //! `BENCH_scale.json` at the repository root):
 //!
 //! * `--max-switches N` — largest cell to run (default 256; pass 512
-//!   for the full sweep, 64 for a CI smoke run).
+//!   for the full sweep, 32 for a seconds-long run).
 //!
 //! Environment knobs: `KAR_SCALE_FLOWS` (flows per switch, default 2),
-//! `KAR_SCALE_PKTS` (packets per flow, default 30), `KAR_SCALE_WALL=0`
-//! (omit host wall-clock fields — the remaining document is then a pure
-//! function of the configuration, byte-identical across runs and
-//! machines).
+//! `KAR_SCALE_PKTS` (packets per flow, default 30).
 
 use kar_bench::campaign::{self, CampaignConfig};
 use kar_bench::cli::CommonArgs;

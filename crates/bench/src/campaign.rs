@@ -15,26 +15,25 @@
 //! Cells are independent and seeded from the campaign seed plus a hash
 //! of the cell key (never the enumeration index), so every simulated
 //! quantity is a pure function of `(cell, seed)` — a sweep at `--jobs N`
-//! is byte-identical to the serial one, and a resumed sweep to an
-//! uninterrupted one. Host wall-clock measurements (encode latency,
-//! events/sec) are the one exception; `KAR_SCALE_WALL=0` omits them so
-//! whole-file byte-identity is testable.
+//! is byte-identical to the serial one, a resumed sweep to an
+//! uninterrupted one, and the default-knob document to the committed
+//! `BENCH_scale.json`. No record holds a host-clock value: what an
+//! encode or an event costs in wall time is `kar-perf`'s ledger
+//! (`BENCHMARK.json`), not this sweep's.
 
-use crate::harness::env_knob;
 use crate::record::{record, Record};
 use crate::sweep::{self, keyed_seed, splitmix64};
 use kar::{
     verify_route, DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Outcome,
     Protection,
 };
-use kar_obs::json::{f64_or_null, Json, Obj};
+use kar_obs::json::{Json, Obj};
 use kar_obs::{Entity, HistogramSummary, ObsHandle, Profiler};
 use kar_rns::{route_id_bit_length, IdAllocator, IdStrategy};
 use kar_simnet::{App, FlowId, HostCtx, Packet, PacketKind, Sim, SimTime};
 use kar_topology::{gen, paths, LinkId, LinkParams, NodeId, Topology};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Topology family of a campaign cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,10 +180,6 @@ pub struct CampaignConfig {
     pub packets_per_flow: u64,
     /// Switch-ID allocation strategy for generated topologies.
     pub strategy: IdStrategy,
-    /// Include host wall-clock fields (encode latency, events/sec) in
-    /// records. Off, the emitted JSON is a pure function of the
-    /// configuration — byte-identical across runs and hosts.
-    pub wall: bool,
 }
 
 impl Default for CampaignConfig {
@@ -197,7 +192,6 @@ impl Default for CampaignConfig {
             flows_per_switch: 2,
             packets_per_flow: 30,
             strategy: IdStrategy::SmallestPrimes,
-            wall: env_knob("KAR_SCALE_WALL", 1) != 0,
         }
     }
 }
@@ -222,8 +216,7 @@ impl CampaignConfig {
     }
 
     /// Configuration fingerprint: two checkpoints interoperate exactly
-    /// when their fingerprints match. Deliberately excludes `wall` — it
-    /// does not affect simulated results.
+    /// when their fingerprints match.
     pub fn fingerprint(&self) -> String {
         let join = |parts: Vec<String>| parts.join("+");
         format!(
@@ -431,13 +424,6 @@ pub struct CellRecord {
     pub verify_blackholes: usize,
     /// Sampled cases that deliver with certainty.
     pub verify_delivered: usize,
-    /// Mean encode wall time per installed route, nanoseconds
-    /// (`None` when wall metrics are off).
-    pub encode_ns_mean: Option<f64>,
-    /// Simulation wall time in milliseconds (`None` when off).
-    pub sim_wall_ms: Option<f64>,
-    /// Dispatched events per wall second (`None` when off).
-    pub events_per_sec: Option<f64>,
 }
 
 impl CellRecord {
@@ -477,9 +463,6 @@ impl CellRecord {
             .num("verify_loops", self.verify_loops)
             .num("verify_blackholes", self.verify_blackholes)
             .num("verify_delivered", self.verify_delivered)
-            .opt("encode_ns_mean", self.encode_ns_mean.map(f64_or_null))
-            .opt("sim_wall_ms", self.sim_wall_ms.map(f64_or_null))
-            .opt("events_per_sec", self.events_per_sec.map(f64_or_null))
             .finish()
     }
 }
@@ -529,7 +512,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
 
     // Install one route per distinct pair through a per-cell encoding
     // cache (the CRT and `Reducer` stress happens inside these encodes
-    // and in the fast-path dataplane below).
+    // and in the hop loop below).
     let protection = cell.prot.protection();
     let ttl = ((cell.switches * 4).clamp(64, 4096)) as u16;
     let obs = ObsHandle::enabled();
@@ -538,7 +521,6 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
         .seed(seed)
         .ttl(ttl)
-        .fast_path(true)
         // Detection plus the recovery loop: without them the controller
         // never learns of the failure, keeps handing misdelivered
         // packets their stale route, and the edge → deflection → edge
@@ -553,23 +535,17 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
         .encoding_cache(cache)
         .build();
     let mut installed: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-    let mut encode_ns_total = 0u128;
     for &(src, dst) in &pairs {
         if installed.contains_key(&(src.0, dst.0)) {
             continue;
         }
-        let t0 = Instant::now();
         let outcome = net
             .encode(&EncodeRequest::new(src, dst).with_protection(protection.clone()))
             .expect("generated topologies are connected");
-        encode_ns_total += t0.elapsed().as_nanos();
         installed.insert((src.0, dst.0), outcome.route.bit_length());
     }
     record.routes = installed.len();
     record.route_bits_max = installed.values().copied().max().unwrap_or(0);
-    if cfg.wall && record.routes > 0 {
-        record.encode_ns_mean = Some(encode_ns_total as f64 / record.routes as f64);
-    }
 
     // Fail one core link on the first flow's primary path (the middle
     // one), so the failure provably intersects live traffic.
@@ -585,9 +561,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
         sim.schedule_link_down(SimTime::ZERO, link);
     }
     add_fleets(&mut sim, &pairs, &mut draws, cfg.packets_per_flow);
-    let t0 = Instant::now();
     sim.run_to_quiescence();
-    let sim_wall = t0.elapsed();
 
     let stats = sim.stats();
     record.injected = stats.injected;
@@ -603,14 +577,6 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
         record.hops = bundle.metrics.histogram(Entity::Global, "hops").summary();
     }
     record.events = profiler.total_events();
-    if cfg.wall {
-        record.sim_wall_ms = Some(sim_wall.as_secs_f64() * 1e3);
-        record.events_per_sec = Some(if sim_wall.as_secs_f64() > 0.0 {
-            record.events as f64 / sim_wall.as_secs_f64()
-        } else {
-            0.0
-        });
-    }
 
     // Sampled verification: exhaustive single-failure verification is
     // O(pairs × links) and intractable here, so classify the first
@@ -758,7 +724,6 @@ mod tests {
             prots: vec![ProtLevel::None, ProtLevel::Full],
             flows_per_switch: 2,
             packets_per_flow: 4,
-            wall: false,
             ..CampaignConfig::default()
         }
     }

@@ -21,7 +21,7 @@
 //!
 //! Wall-clock is deliberately never measured: the emitted document is a
 //! pure function of the configuration, byte-identical across machines,
-//! so the `kar-trend` gate can diff it across commits.
+//! so CI can `cmp` a fresh default-knob run against the committed file.
 
 use crate::campaign::{add_fleets, cell_text, core_links_along, sample_pairs, DrawStream, Family};
 use crate::sweep::{self, keyed_seed};
@@ -537,7 +537,6 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
         KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
             .seed(point.seed)
             .ttl(ttl)
-            .fast_path(true)
             .detection_delay(SimTime::from_micros(50))
     };
     let destinations = || -> Vec<NodeId> {

@@ -74,9 +74,6 @@ pub struct TcpRun<'a> {
     /// empty a `tcp/seed<N>` fallback is used. Only read while a
     /// `--metrics` sink is collecting — never affects the simulation.
     pub label: String,
-    /// Use the precomputed-residue fast path (default). `KAR_FAST_PATH=0`
-    /// forces naive division so CI can byte-compare the two dataplanes.
-    pub fast_path: bool,
 }
 
 impl<'a> TcpRun<'a> {
@@ -97,7 +94,6 @@ impl<'a> TcpRun<'a> {
             switch_service: None,
             cache: None,
             label: String::new(),
-            fast_path: env_knob("KAR_FAST_PATH", 1) != 0,
         }
     }
 }
@@ -199,7 +195,6 @@ pub fn run_tcp_at(spec: &TcpRun<'_>, index: usize) -> TcpRunResult {
     let mut builder = KarNetwork::builder(spec.topo, spec.technique)
         .seed(spec.seed)
         .ttl(spec.ttl)
-        .fast_path(spec.fast_path)
         .reroute(ReroutePolicy::Recompute {
             latency: SimTime::from_millis(2),
         })

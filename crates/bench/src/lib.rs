@@ -35,8 +35,7 @@
 //! * [`cli::CommonArgs`] — the flags shared by every binary (`--jobs`,
 //!   `--checkpoint`, `--out`, `--metrics`, `--trace`, `--seed`).
 //! * JSON goes through `kar_obs::json`, the workspace's one writer and
-//!   reader; [`trend`] reads the committed `BENCH_*.json` history with
-//!   it.
+//!   reader.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,4 +48,3 @@ pub mod obs;
 pub mod record;
 pub mod runner;
 pub mod sweep;
-pub mod trend;

@@ -22,11 +22,7 @@ const SWEEPS: &[Sweep] = &[
     Sweep {
         bin: env!("CARGO_BIN_EXE_fig_scale"),
         args: &["--max-switches", "16"],
-        env: &[
-            ("KAR_SCALE_WALL", "0"),
-            ("KAR_SCALE_FLOWS", "1"),
-            ("KAR_SCALE_PKTS", "2"),
-        ],
+        env: &[("KAR_SCALE_FLOWS", "1"), ("KAR_SCALE_PKTS", "2")],
         cells: 9,
     },
     Sweep {

@@ -93,14 +93,6 @@ impl<'t> KarNetworkBuilder<'t> {
         self
     }
 
-    /// Toggles the precomputed-reducer forwarding fast path (see
-    /// [`kar_simnet::SimConfig::fast_path`]; on by default, bit-identical
-    /// either way).
-    pub fn fast_path(mut self, enabled: bool) -> Self {
-        self.0.sim_config.fast_path = enabled;
-        self
-    }
-
     /// Wrong-edge policy (default: controller recompute with a 2 ms
     /// round trip, the paper's setting).
     pub fn reroute(mut self, policy: ReroutePolicy) -> Self {
@@ -633,7 +625,6 @@ mod tests {
         let net = KarNetwork::builder(&topo, DeflectionTechnique::Avp)
             .seed(9)
             .ttl(32)
-            .fast_path(false)
             .reroute(ReroutePolicy::Drop)
             .build();
         assert_eq!(net.topology().node_count(), 15);

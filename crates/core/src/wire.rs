@@ -20,7 +20,7 @@
 //!   payloads where route IDs of many sizes share a stream).
 //! * [`RouteHeader::to_wire`] / [`RouteHeader::from_wire`] — the one
 //!   byte layout shared by the simulator's packet path, the
-//!   `kar-service` daemon and the `kar_service_load` client. The
+//!   `kar-service` daemon and its clients. The
 //!   loopback test in `crates/service` asserts the daemon's bytes are
 //!   identical to the in-process ones for every route it checks.
 //!

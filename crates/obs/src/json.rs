@@ -192,11 +192,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Whether this is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
 }
 
 /// Renders the value back to text in the writer's own form (no

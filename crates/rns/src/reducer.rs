@@ -20,8 +20,8 @@
 //!   and for larger `d` the fold uses the cached `2⁶⁴ mod d`.
 //!
 //! The result is bit-for-bit identical to [`BigUint::rem_u64`] — the
-//! simulator's determinism tests run with the fast path on and off and
-//! compare outputs byte for byte.
+//! simulator's `SwitchCtx::residue` asserts exactly that on every hop of
+//! every debug build.
 
 use crate::biguint::BigUint;
 

@@ -1,5 +1,5 @@
 //! A blocking client for the daemon's wire protocol (used by the
-//! loopback tests and the `kar_service_load` driver).
+//! loopback tests).
 
 use crate::proto::{self, Request, Response, ServiceStats};
 use kar::{Protection, RouteHeader, WireMode};

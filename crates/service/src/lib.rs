@@ -10,10 +10,10 @@
 //!
 //! The payload of an encode response is a [`kar::wire`]-serialized
 //! [`kar::RouteHeader`]: byte-for-byte the same serialization the
-//! simulator's packet path stamps onto packets. The loopback test in
-//! `tests/loopback.rs` proves it, and `kar_service_load` (in
-//! `kar-bench`) drives the daemon at saturation and commits the
-//! latency/QPS numbers as `BENCH_service.json`.
+//! simulator's packet path stamps onto packets. The loopback tests in
+//! `tests/loopback.rs` prove it, one connection at a time and four at
+//! once; how fast the daemon answers is measured by `kar-perf`'s
+//! `svc-*` workloads (`BENCHMARK.json`).
 //!
 //! # Examples
 //!

@@ -64,6 +64,51 @@ fn every_rnp28_route_is_byte_identical_over_the_socket() {
     assert_all_pairs_byte_identical(rnp28::build());
 }
 
+/// What the single-connection tests above cannot see: several
+/// connections served at once by different workers over one planner,
+/// each still getting exactly the in-process bytes.
+#[test]
+fn concurrent_connections_get_byte_identical_headers() {
+    const CONNECTIONS: usize = 4;
+    const CALLS: usize = 2_500;
+    let topo = topo15::build();
+    let work: Vec<(u32, u32, WireMode, Vec<u8>)> = edge_pairs(&topo)
+        .into_iter()
+        .flat_map(|(src, dst)| {
+            let req = EncodeRequest::new(src, dst);
+            let header = expected_header(&topo, &req, service_recovery(), &[]).expect("encode");
+            [WireMode::Fixed, WireMode::Varint]
+                .map(|mode| (src.0 as u32, dst.0 as u32, mode, header.to_wire(mode)))
+        })
+        .collect();
+    let daemon = Daemon::spawn(ServiceConfig::new(topo)).expect("spawn");
+    let addr = daemon.addr();
+    std::thread::scope(|scope| {
+        for t in 0..CONNECTIONS {
+            let work = &work;
+            scope.spawn(move || {
+                let mut client = ServiceClient::connect(addr).expect("connect");
+                // Staggered offsets: the connections do not march through
+                // the pairs in lockstep.
+                let offset = t * work.len() / CONNECTIONS;
+                for i in 0..CALLS {
+                    let (src, dst, mode, expected) = &work[(offset + i) % work.len()];
+                    let raw = client
+                        .encode_raw(*src, *dst, &Protection::None, *mode)
+                        .expect("service encode");
+                    assert_eq!(&raw, expected, "connection {t}, call {i}: {src} -> {dst}");
+                }
+            });
+        }
+    });
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.requests, (CONNECTIONS * CALLS) as u64 + 1);
+    assert_eq!(stats.encode_err, 0);
+    drop(client);
+    daemon.shutdown();
+}
+
 #[test]
 fn protected_encode_matches_in_process_bytes() {
     let topo = topo15::build();

@@ -31,8 +31,9 @@ pub struct SwitchCtx<'a> {
     pub ports: &'a [bool],
     /// Current simulation time.
     pub now: SimTime,
-    /// Precomputed reduction constants for `switch_id` (the fast-path
-    /// dataplane; `None` falls back to plain division, bit-identically).
+    /// Precomputed reduction constants for `switch_id` (the engine hands
+    /// every core switch one; `None` falls back to plain division,
+    /// bit-identically).
     pub reducer: Option<&'a Reducer>,
     /// This switch's assigned (possibly Byzantine) behavior. The engine
     /// enforces it *around* the forwarder call; it is surfaced here so
@@ -62,8 +63,10 @@ impl SwitchCtx<'_> {
     /// Uses, in order: the tag's memoized residue from a previous visit
     /// to this switch, the engine's precomputed [`Reducer`], or plain
     /// [`kar_rns::BigUint::rem_u64`]. All three produce the same value
-    /// bit for bit; the memo is refreshed so the next visit (deflection
-    /// loops, controller bounces) is free.
+    /// bit for bit — debug builds check every answer against plain
+    /// division, so each hop of each debug-profile test is an oracle
+    /// run; the memo is refreshed so the next visit (deflection loops,
+    /// controller bounces) is free.
     pub fn residue(&self, tag: &mut RouteTag) -> u64 {
         if let Some(r) = tag.memoized_residue(self.switch_id) {
             debug_assert_eq!(r, tag.route_id.rem_u64(self.switch_id));
@@ -76,6 +79,7 @@ impl SwitchCtx<'_> {
             }
             None => tag.route_id.rem_u64(self.switch_id),
         };
+        debug_assert_eq!(r, tag.route_id.rem_u64(self.switch_id));
         tag.memoize_residue(self.switch_id, r);
         r
     }
@@ -258,7 +262,7 @@ mod tests {
         let expect = route_id.rem_u64(29);
         assert_eq!(slow.residue(&mut tag.clone()), expect);
         assert_eq!(fast.residue(&mut tag), expect);
-        // The fast path left a memo behind for the next visit.
+        // The reduction left a memo behind for the next visit.
         assert_eq!(tag.memoized_residue(29), Some(expect));
     }
 

@@ -50,7 +50,7 @@ pub use faults::{sample_srlg_links, srlg_groups, FaultEvent, FaultPlan};
 pub use forwarder::{DropReason, ForwardDecision, Forwarder, SwitchCtx};
 pub use host::{App, AppAction, EdgeLogic, HostCtx, RerouteDecision};
 pub use modulo::ModuloForwarder;
-pub use packet::{FlowId, Packet, PacketKind, RouteArena, RouteTag};
+pub use packet::{FlowId, Packet, PacketKind, RouteTag};
 pub use sim::{Sim, SimConfig};
 pub use static_routes::StaticRoutes;
 pub use stats::{FlowStats, Stats};

@@ -3,7 +3,6 @@
 use crate::time::SimTime;
 use kar_rns::BigUint;
 use kar_topology::NodeId;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,8 +44,7 @@ pub enum PacketKind {
 ///
 /// The route ID is shared (`Arc`): cloning a packet — retransmit
 /// buffers, fan-out, queue snapshots — bumps a reference count instead
-/// of copying limbs. Tags for the same installed route can share one
-/// allocation via [`RouteArena`].
+/// of copying limbs.
 #[derive(Debug, Clone)]
 pub struct RouteTag {
     /// The CRT-encoded route ID (paper Eq. 4). Replace the whole tag
@@ -86,8 +84,7 @@ impl std::hash::Hash for RouteTag {
 
 impl RouteTag {
     /// Wraps a route ID with clean deflection state. Accepts an owned
-    /// [`BigUint`] or a shared `Arc<BigUint>` (e.g. from a
-    /// [`RouteArena`]).
+    /// [`BigUint`] or a shared `Arc<BigUint>`.
     pub fn new(route_id: impl Into<Arc<BigUint>>) -> Self {
         RouteTag {
             route_id: route_id.into(),
@@ -119,60 +116,6 @@ impl RouteTag {
     /// Records `route_id mod switch_id = residue` for the next visit.
     pub fn memoize_residue(&mut self, switch_id: u64, residue: u64) {
         self.memo = Some((switch_id, residue));
-    }
-}
-
-/// Interns route IDs so every packet of a flow shares one `BigUint`
-/// allocation (the route-tag arena of the fast-path dataplane).
-///
-/// Keyed by value, so interning is always sound: re-installing a route
-/// with the same ID returns the same allocation, and a changed ID simply
-/// interns a new one. Long-running controllers that churn many distinct
-/// routes can [`RouteArena::clear`] between phases.
-#[derive(Debug, Default)]
-pub struct RouteArena {
-    pool: HashMap<BigUint, Arc<BigUint>>,
-}
-
-impl RouteArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        RouteArena::default()
-    }
-
-    /// Returns a shared handle for `route_id`, allocating only on first
-    /// sight.
-    pub fn intern(&mut self, route_id: &BigUint) -> Arc<BigUint> {
-        if let Some(shared) = self.pool.get(route_id) {
-            return shared.clone();
-        }
-        let shared = Arc::new(route_id.clone());
-        self.pool.insert(route_id.clone(), shared.clone());
-        shared
-    }
-
-    /// Interns the route ID carried by a big-endian header field (the
-    /// `kar::wire` fixed-field bytes). Keyed by value, so a route ID
-    /// arriving as bytes and the same ID arriving as a [`BigUint`]
-    /// share one allocation — this is how the simulator's ingress path
-    /// consumes exactly the bytes the service puts on the wire.
-    pub fn intern_wire(&mut self, field_be: &[u8]) -> Arc<BigUint> {
-        self.intern(&BigUint::from_bytes_be(field_be))
-    }
-
-    /// Number of distinct route IDs interned.
-    pub fn len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// `true` when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
-    }
-
-    /// Drops every interned ID (outstanding `Arc`s stay valid).
-    pub fn clear(&mut self) {
-        self.pool.clear();
     }
 }
 
@@ -289,32 +232,5 @@ mod tests {
         assert_eq!(tag, RouteTag::new(BigUint::from(44u64)));
         // Clones carry the memo along.
         assert_eq!(tag.clone().memoized_residue(7), Some(2));
-    }
-
-    #[test]
-    fn arena_shares_one_allocation_per_route() {
-        let mut arena = RouteArena::new();
-        let id = BigUint::from(660u64);
-        let a = arena.intern(&id);
-        let b = arena.intern(&id);
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert_eq!(arena.len(), 1);
-        let other = arena.intern(&BigUint::from(44u64));
-        assert!(!std::sync::Arc::ptr_eq(&a, &other));
-        assert_eq!(arena.len(), 2);
-        arena.clear();
-        assert!(arena.is_empty());
-        assert_eq!(*a, id); // outstanding handles survive a clear
-    }
-
-    #[test]
-    fn wire_bytes_and_values_intern_identically() {
-        let mut arena = RouteArena::new();
-        let id = BigUint::from(660u64);
-        let by_value = arena.intern(&id);
-        // 660 in a padded big-endian field, as a fixed header carries it.
-        let by_wire = arena.intern_wire(&[0x00, 0x02, 0x94]);
-        assert!(std::sync::Arc::ptr_eq(&by_value, &by_wire));
-        assert_eq!(arena.len(), 1);
     }
 }

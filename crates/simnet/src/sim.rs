@@ -53,13 +53,6 @@ pub struct SimConfig {
     /// milliseconds. Fault plans can override the delay per event to
     /// model jitter.
     pub detection_delay: SimTime,
-    /// Use the precomputed-residue fast path: one [`Reducer`] per core
-    /// switch, handed to the forwarder via [`SwitchCtx::reducer`].
-    /// Results are bit-identical either way (the determinism tests
-    /// compare full experiment output with this on and off); `false`
-    /// exists to measure the fast path and to bisect suspected
-    /// miscompilations.
-    pub fast_path: bool,
 }
 
 impl Default for SimConfig {
@@ -70,7 +63,6 @@ impl Default for SimConfig {
             switch_service: None,
             trace_paths: false,
             detection_delay: SimTime::ZERO,
-            fast_path: true,
         }
     }
 }
@@ -256,8 +248,8 @@ pub struct Sim<'t> {
     /// (see [`crate::calendar`]) that reproduces the old binary heap's
     /// order exactly.
     events: CalendarQueue<Event>,
-    /// Per-node reduction constants for core switches (`None` for edges,
-    /// or everywhere when [`SimConfig::fast_path`] is off).
+    /// Per-node reduction constants, handed to the forwarder via
+    /// [`SwitchCtx::reducer`]: one per core switch, `None` for edges.
     reducers: Vec<Option<Reducer>>,
     links: Vec<LinkState>,
     /// Per-node Byzantine behavior, indexed by `NodeId` (see
@@ -297,7 +289,7 @@ impl<'t> Sim<'t> {
         links.resize_with(topo.link_count(), LinkState::default);
         let reducers = (0..topo.node_count())
             .map(|i| match topo.node(NodeId(i)).kind {
-                NodeKind::Core { switch_id } if config.fast_path => Some(Reducer::new(switch_id)),
+                NodeKind::Core { switch_id } => Some(Reducer::new(switch_id)),
                 _ => None,
             })
             .collect();

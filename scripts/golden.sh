@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# Runs every deterministic experiment binary at fixed small knobs and
-# writes each stdout (<name>.txt) and each JSON document (<name>.json)
-# into <dir>. Two trees produced from the same sources must `diff -r`
-# empty whatever --jobs was and whether or not the sweeps resumed from a
-# checkpoint; CI and the byte-identity check between two commits both
-# rest on that.
+# Runs every deterministic experiment binary at fixed knobs and writes
+# each stdout (<name>.txt) and each JSON document (<name>.json) into
+# <dir>. Two trees produced from the same sources must `diff -r` empty
+# whatever --jobs was and whether or not the sweeps resumed from a
+# checkpoint, and every file must match scripts/golden.sha256:
+#
+#   (cd <dir> && sha256sum -c "$OLDPWD/scripts/golden.sha256")
+#
+# Regenerate the manifest — (cd <dir> && LC_ALL=C sha256sum *) >
+# scripts/golden.sha256 — only in a PR that says which outputs it
+# changes; the manifest's diff is that list.
 #
 #   scripts/golden.sh <dir> [--jobs N] [--checkpoints <ckpt-dir>]
 #
@@ -73,10 +78,10 @@ run verify_resilience_k2_topo15 verify_resilience --k 2 --topo topo15
 KAR_RUNS=3 KAR_PROBES=40 sweep multi_failure multi_failure
 KAR_RUNS=2 KAR_PROBES=20 KAR_GROUPS=2 sweep multi_failure_correlated multi_failure --correlated
 sweep fig_dynamic fig_dynamic
-# Default knobs: these two documents are the committed BENCH files.
+# Default knobs: these four documents are the committed BENCH files.
 sweep fig_breaking fig_breaking
 sweep fig_adversary fig_adversary
-sweep fig_hier fig_hier --max-switches 128
-KAR_SCALE_WALL=0 sweep fig_scale fig_scale --max-switches 64
+sweep fig_hier fig_hier
+sweep fig_scale fig_scale
 
 echo "golden.sh: wrote $(ls "$dir" | wc -l) files to $dir (jobs=$jobs${ckpts:+, checkpoints in $ckpts})" >&2

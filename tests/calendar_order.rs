@@ -1,7 +1,7 @@
-//! Fast-path determinism properties (DESIGN.md: dataplane fast path).
+//! Dataplane determinism properties (DESIGN.md §5, invariants 8–9).
 //!
-//! Two independent guarantees keep the simulator byte-identical with the
-//! fast path on:
+//! Two independent guarantees keep the simulator byte-identical to the
+//! binary-heap, plain-division engine it replaced:
 //!
 //! 1. [`CalendarQueue`] pops entries in exactly the total order the old
 //!    `BinaryHeap<Reverse<(at, seq)>>` scheduler produced — raced here on
