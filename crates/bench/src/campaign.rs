@@ -16,23 +16,23 @@
 //! of the cell key (never the enumeration index), so every simulated
 //! quantity is a pure function of `(cell, seed)` — a sweep at `--jobs N`
 //! is byte-identical to the serial one, a resumed sweep to an
-//! uninterrupted one, and the default-knob document to the committed
+//! uninterrupted one, and the default-flag document to the committed
 //! `BENCH_scale.json`. No record holds a host-clock value: what an
 //! encode or an event costs in wall time is `kar-perf`'s ledger
 //! (`BENCHMARK.json`), not this sweep's.
 
+use crate::cli::{flag, Experiment};
+use crate::harness::{core_links_along, sample_pairs, DrawStream, FleetRun};
+use crate::obs::RunObs;
 use crate::record::{record, Record};
-use crate::sweep::{self, keyed_seed, splitmix64};
-use kar::{
-    verify_route, DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Outcome,
-    Protection,
-};
+use crate::sweep::{self, cell_text, keyed_seed};
+use kar::{verify_route, DeflectionTechnique, Outcome, Protection};
 use kar_obs::json::{Json, Obj};
 use kar_obs::{Entity, HistogramSummary, ObsHandle, Profiler};
 use kar_rns::{route_id_bit_length, IdAllocator, IdStrategy};
-use kar_simnet::{App, FlowId, HostCtx, Packet, PacketKind, Sim, SimTime};
-use kar_topology::{gen, paths, LinkId, LinkParams, NodeId, Topology};
-use std::collections::{BTreeMap, HashSet};
+use kar_topology::{gen, paths, LinkParams, Topology};
+use std::collections::HashSet;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Topology family of a campaign cell.
@@ -243,130 +243,6 @@ impl CampaignConfig {
     }
 }
 
-/// A deterministic sequence of pseudo-random draws for flow placement —
-/// a tiny splitmix64 stream so cell workloads never depend on a global
-/// RNG.
-pub(crate) struct DrawStream {
-    state: u64,
-}
-
-impl DrawStream {
-    pub(crate) fn new(seed: u64) -> Self {
-        DrawStream { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        splitmix64(self.state)
-    }
-
-    /// Uniform draw in `0..n` (n > 0).
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Paces several CBR flows out of one host (the engine attaches one app
-/// per edge node, so flows sharing a source must share the app). Timer
-/// ids select the flow.
-pub(crate) struct FlowFleet {
-    pub(crate) flows: Vec<FleetFlow>,
-}
-
-pub(crate) struct FleetFlow {
-    pub(crate) dst: NodeId,
-    pub(crate) flow: FlowId,
-    pub(crate) interval: SimTime,
-    pub(crate) offset: SimTime,
-    pub(crate) packet_bytes: u32,
-    pub(crate) limit: u64,
-    pub(crate) sent: u64,
-}
-
-impl FlowFleet {
-    fn send_one(&mut self, ctx: &mut HostCtx<'_>, ix: usize) {
-        let f = &mut self.flows[ix];
-        if f.sent >= f.limit {
-            return;
-        }
-        ctx.send(f.dst, f.flow, f.sent, PacketKind::Probe, f.packet_bytes);
-        f.sent += 1;
-        if f.sent < f.limit {
-            ctx.set_timer(f.interval, ix as u64);
-        }
-    }
-}
-
-impl App for FlowFleet {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        for ix in 0..self.flows.len() {
-            // Stagger starts so a 1024-flow cell is paced traffic, not a
-            // time-zero burst into drop-tail queues.
-            ctx.set_timer(self.flows[ix].offset, ix as u64);
-        }
-    }
-
-    fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, _pkt: &Packet) {}
-
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, id: u64) {
-        self.send_one(ctx, id as usize);
-    }
-}
-
-/// Seeded `(src, dst)` draws over `hosts`, self-pairs excluded.
-pub(crate) fn sample_pairs(
-    hosts: &[NodeId],
-    n: usize,
-    draws: &mut DrawStream,
-) -> Vec<(NodeId, NodeId)> {
-    (0..n)
-        .map(|_| {
-            let src = hosts[draws.below(hosts.len())];
-            let mut dst = hosts[draws.below(hosts.len())];
-            while dst == src {
-                dst = hosts[draws.below(hosts.len())];
-            }
-            (src, dst)
-        })
-        .collect()
-}
-
-/// Drives `pairs` as CBR flows of `limit` datagrams each: one
-/// [`FlowFleet`] app per source host, per-flow interval and start offset
-/// seeded from `draws`.
-pub(crate) fn add_fleets(
-    sim: &mut Sim<'_>,
-    pairs: &[(NodeId, NodeId)],
-    draws: &mut DrawStream,
-    limit: u64,
-) {
-    let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
-        let offset = SimTime::from_micros(draws.below(2_000) as u64);
-        fleets.entry(src.0).or_default().push(FleetFlow {
-            dst,
-            flow: FlowId(i as u32),
-            interval,
-            offset,
-            packet_bytes: 700,
-            limit,
-            sent: 0,
-        });
-    }
-    for (src, flows) in fleets {
-        sim.add_app(NodeId(src), Box::new(FlowFleet { flows }));
-    }
-}
-
-/// Core-core links along a path, in path order.
-pub(crate) fn core_links_along(topo: &Topology, path: &[NodeId]) -> Vec<LinkId> {
-    path.windows(2)
-        .filter(|w| topo.switch_id(w[0]).is_some() && topo.switch_id(w[1]).is_some())
-        .filter_map(|w| topo.link_between(w[0], w[1]))
-        .collect()
-}
-
 /// Everything one completed cell reports. Serialized with
 /// [`CellRecord::to_json`]; the checkpoint stores the JSON verbatim so a
 /// resumed campaign reproduces its output byte-for-byte without
@@ -467,17 +343,6 @@ impl CellRecord {
     }
 }
 
-/// A record member as table text: the number or string as written, `-`
-/// when the record has no such member.
-pub(crate) fn cell_text(record: &Json, path: &[&str]) -> String {
-    match record.path(path) {
-        Some(Json::Num(raw)) => raw.clone(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(other) => other.to_string(),
-        None => "-".to_string(),
-    }
-}
-
 /// Runs one campaign cell to completion and returns its record.
 pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let seed = cfg.cell_seed(cell);
@@ -510,78 +375,48 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let pairs = sample_pairs(&hosts, n_flows, &mut draws);
     record.flows = pairs.len();
 
-    // Install one route per distinct pair through a per-cell encoding
-    // cache (the CRT and `Reducer` stress happens inside these encodes
-    // and in the hop loop below).
+    // One route per distinct pair, one core link on the first flow's
+    // primary path down, one FlowFleet app per source host pacing CBR
+    // with seeded per-flow interval and start offset (the CRT and
+    // `Reducer` stress happens inside these encodes and the hop loop).
     let protection = cell.prot.protection();
-    let ttl = ((cell.switches * 4).clamp(64, 4096)) as u16;
-    let obs = ObsHandle::enabled();
-    let profiler = Arc::new(Profiler::new());
-    let cache = Arc::new(EncodingCache::new());
-    let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
-        .seed(seed)
-        .ttl(ttl)
-        // Detection plus the recovery loop: without them the controller
-        // never learns of the failure, keeps handing misdelivered
-        // packets their stale route, and the edge → deflection → edge
-        // cycle runs forever (each recompute resets the TTL).
-        .detection_delay(SimTime::from_micros(50))
-        .recovery(kar::RecoveryConfig {
-            notification_delay: SimTime::from_micros(200),
-            ..kar::RecoveryConfig::default()
-        })
-        .obs(obs.clone())
-        .profiler(profiler.clone())
-        .encoding_cache(cache)
-        .build();
-    let mut installed: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-    for &(src, dst) in &pairs {
-        if installed.contains_key(&(src.0, dst.0)) {
-            continue;
-        }
-        let outcome = net
-            .encode(&EncodeRequest::new(src, dst).with_protection(protection.clone()))
-            .expect("generated topologies are connected");
-        installed.insert((src.0, dst.0), outcome.route.bit_length());
+    let obs = RunObs {
+        handle: ObsHandle::enabled(),
+        profiler: Some(Arc::new(Profiler::new())),
+    };
+    let outcome = FleetRun {
+        topo: &topo,
+        pairs: &pairs,
+        protection: protection.clone(),
+        partition: None,
+        seed,
+        packets: cfg.packets_per_flow,
     }
-    record.routes = installed.len();
-    record.route_bits_max = installed.values().copied().max().unwrap_or(0);
-
-    // Fail one core link on the first flow's primary path (the middle
-    // one), so the failure provably intersects live traffic.
-    let (src0, dst0) = pairs[0];
-    let primary = paths::bfs_shortest_path(&topo, src0, dst0).expect("installed routes have paths");
-    let core_links = core_links_along(&topo, &primary);
-    let failed = core_links.get(core_links.len() / 2).copied();
-
-    // Drive the flows: one FlowFleet app per source host, CBR pacing
-    // with seeded per-flow interval and start offset.
-    let mut sim = net.into_sim();
-    if let Some(link) = failed {
-        sim.schedule_link_down(SimTime::ZERO, link);
-    }
-    add_fleets(&mut sim, &pairs, &mut draws, cfg.packets_per_flow);
-    sim.run_to_quiescence();
-
-    let stats = sim.stats();
+    .run(&mut draws, &obs);
+    record.routes = outcome.routes;
+    record.route_bits_max = outcome.header_bits_max;
+    let stats = &outcome.stats;
     record.injected = stats.injected;
     record.delivered = stats.delivered;
     record.delivery_ratio = stats.delivery_ratio();
     record.dropped = stats.dropped();
     record.deflections = stats.deflections;
-    if let Some(bundle) = obs.get() {
+    if let Some(bundle) = obs.handle.get() {
         record.latency = bundle
             .metrics
             .histogram(Entity::Global, "latency_ns")
             .summary();
         record.hops = bundle.metrics.histogram(Entity::Global, "hops").summary();
     }
-    record.events = profiler.total_events();
+    record.events = obs.profiler.as_ref().map_or(0, |p| p.total_events());
 
     // Sampled verification: exhaustive single-failure verification is
     // O(pairs × links) and intractable here, so classify the first
     // route under each of (up to) six single failures along its own
     // primary path — the failures that matter to it.
+    let (src0, dst0) = pairs[0];
+    let primary = paths::bfs_shortest_path(&topo, src0, dst0).expect("installed routes have paths");
+    let core_links = core_links_along(&topo, &primary);
     let spec = kar::RouteSpec::unprotected(primary.clone());
     let route = match &protection {
         Protection::None => kar::EncodedRoute::encode(&topo, &spec),
@@ -711,6 +546,42 @@ pub fn run_campaign(cfg: &CampaignConfig, opts: &sweep::Opts) -> Vec<Json> {
         run_cell(cfg, cell).to_json()
     })
 }
+
+/// `kar-bench fig_scale` (`BENCH_scale.json` at the defaults).
+pub(crate) const EXPERIMENT: Experiment = Experiment::new(
+    "fig_scale",
+    "Scale sweep: topology families 16→512 switches × protection, one failure per cell",
+    &[
+        flag("--max-switches", "256", "largest cell (512 = full sweep)"),
+        flag("--flows", "2", "flows per switch"),
+        flag("--packets", "30", "datagrams per flow"),
+    ],
+    |args| {
+        let max_switches: usize = args.get("--max-switches");
+        let sizes = [16usize, 32, 64, 128, 256, 512];
+        let cfg = CampaignConfig {
+            seed: args.seed(),
+            sizes: sizes.into_iter().filter(|&n| n <= max_switches).collect(),
+            flows_per_switch: args.get("--flows"),
+            packets_per_flow: args.get("--packets"),
+            ..CampaignConfig::default()
+        };
+        let records = run_campaign(&cfg, &args.sweep());
+        eprintln!("fig_scale: {} cells", records.len());
+        print!("{}", render_table(&records));
+        let key_growth = key_growth_study(&cfg.sizes);
+        println!("\n| Strategy | Requested | Achieved | Route-ID bits |\n|---|---|---|---|");
+        for row in &key_growth {
+            println!(
+                "| {} | {} | {} | {} |",
+                row.strategy, row.requested, row.achieved, row.bits
+            );
+        }
+        args.write_document(&to_json(&cfg, &records, &key_growth));
+        ExitCode::SUCCESS
+    },
+)
+.sweep();
 
 #[cfg(test)]
 mod tests {

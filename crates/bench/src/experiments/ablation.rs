@@ -6,6 +6,7 @@
 //! 2. **Protection bit budget vs failure coverage** on the 15-node
 //!    network (the paper's partial-protection idea, swept continuously).
 
+use crate::cli::{print, Experiment};
 use kar::analysis::failure_coverage;
 use kar::{protection, EncodedRoute, Protection, RouteSpec};
 use kar_rns::IdStrategy;
@@ -116,6 +117,17 @@ pub fn render(strategy: &[StrategyRow], budget: &[BudgetRow]) -> String {
     }
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "ablation_ids",
+    "Ablations: encoding size vs ID strategy; protection budget vs coverage",
+    &[],
+    |_| {
+        let strategy = strategy_sweep(&[2, 4, 6, 8, 10, 12, 16, 20]);
+        let budget = budget_sweep(&[15, 20, 24, 28, 34, 43, 64]);
+        print(render(&strategy, &budget))
+    },
+);
 
 #[cfg(test)]
 mod tests {

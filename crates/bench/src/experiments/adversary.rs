@@ -1,5 +1,5 @@
 //! Adversarial & churn scenario suite — the experiment behind the
-//! `fig_adversary` binary (`BENCH_adversary.json`).
+//! `kar-bench fig_adversary` (`BENCH_adversary.json`).
 //!
 //! The paper's evaluation assumes fail-stop links and honest switches.
 //! This experiment stresses both assumptions at once:
@@ -27,6 +27,7 @@
 //! `--jobs N` determinism is testable; the JSON document contains no
 //! wall-clock fields and is committed at the repository root.
 
+use crate::cli::{flag, Args, Experiment, TOPO};
 use crate::harness::{row, ProbeRun, ProbeScheme};
 use crate::record::{label_record, record, Record};
 use crate::sweep::{self, keyed_seed};
@@ -35,9 +36,11 @@ use kar::{DeflectionTechnique, Protection};
 use kar_baselines::TableScheme;
 use kar_simnet::{Behavior, DropReason, FaultPlan, FlowId, SimTime};
 use kar_topology::{analysis, paths, NodeId, Topology};
+use kar_topology::{rnp28, topo15};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 /// One attack family, parameterized by an intensity `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -593,6 +596,67 @@ pub fn to_json(points: &[AdversaryPoint], gaps: &[GapReport]) -> String {
     let gaps = sweep::lines(gaps.iter().map(GapReport::to_json));
     let tail = format!(",\n\"targeted_vs_random\":[\n{gaps}]");
     sweep::document("adversary", points.iter().map(Record::to_json), &tail)
+}
+
+/// `kar-bench fig_adversary` (`BENCH_adversary.json` at the defaults).
+/// Exits nonzero when the targeted campaign fails to degrade rnp28
+/// reachability faster than the matched random campaign at the highest
+/// intensity — the betweenness ranking's acceptance criterion.
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig_adversary",
+    "Targeted/random campaigns, Byzantine switches and churn vs KAR and the baselines",
+    &[
+        TOPO,
+        flag("--probes", "120", "probes per flow"),
+        flag("--intensities", "1,2,4", "comma-separated intensities"),
+    ],
+    main,
+)
+.seed(23)
+.sweep();
+
+fn main(args: &Args) -> ExitCode {
+    let list: &str = args.opt("--intensities").unwrap_or_default();
+    let Ok(intensities) = list
+        .split(',')
+        .map(str::parse)
+        .collect::<Result<Vec<u32>, _>>()
+    else {
+        return args.refuse(&format!("--intensities takes numbers, not {list}"));
+    };
+    let cfg = AdversaryConfig {
+        seed: args.seed(),
+        probes: args.get("--probes"),
+        intensities,
+        ..AdversaryConfig::default()
+    };
+    let (t15, rnp) = (topo15::build(), rnp28::build());
+    let topos: Vec<(&str, &Topology)> = [("topo15", &t15), ("rnp28", &rnp)]
+        .into_iter()
+        .filter(|(name, _)| args.wants_topo(name))
+        .collect();
+    let points = run(&cfg, &topos, &args.sweep());
+    let gaps = targeted_vs_random(&points);
+    print!("{}", render(&points, &gaps));
+    eprintln!(
+        "fig_adversary: {} cells over {} intensities, {} gap rows",
+        points.len(),
+        cfg.intensities.len(),
+        gaps.len()
+    );
+    args.write_document(&to_json(&points, &gaps));
+    let top = cfg.intensities.iter().copied().max().unwrap_or(0);
+    let regressed = gaps
+        .iter()
+        .find(|g| g.topo == "rnp28" && g.intensity == top && g.gap <= 0.0);
+    if let Some(g) = regressed {
+        eprintln!(
+            "REGRESSION rnp28 n={}: targeted campaign ({:.3}) did not degrade \
+             reachability below the random control ({:.3})",
+            g.intensity, g.targeted, g.random
+        );
+    }
+    ExitCode::from(u8::from(regressed.is_some()))
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! seeds before a packet walks into the trap; the replay retries a
 //! bounded seed window and records the confirming seed.
 
+use crate::cli::{flag, Args, Experiment, TOPO};
 use crate::harness::{link_names, ProbeRun, ProbeScheme, Scenario};
 use crate::obs::RunObs;
 use crate::record::{record, Record};
@@ -28,8 +29,10 @@ use kar::verify::BreakingPoint;
 use kar::{min_failure_set, DeflectionTechnique, EncodingCache, Outcome, Protection};
 use kar_baselines::TableScheme;
 use kar_simnet::{DropReason, Stats};
+use kar_topology::{rnp28, topo15};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 /// Seeds tried before declaring a witness unconfirmed. Deterministic
 /// drops confirm on the first seed; a witness that requires a long
@@ -374,18 +377,70 @@ pub fn to_json(cells: &[BreakingCell]) -> String {
     sweep::document("breaking", cells.iter().map(Record::to_json), "")
 }
 
+/// `kar-bench fig_breaking` (`BENCH_breaking.json` at the defaults).
+/// Exits nonzero when a witness is not confirmed by any replay seed.
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig_breaking",
+    "Breaking points: the smallest failure set defeating each (pair, technique, protection)",
+    &[
+        flag("--max-k", "3", "largest failure-set size searched"),
+        TOPO,
+        flag("--probes", "20", "probes per replay"),
+    ],
+    main,
+)
+.seed(11)
+.sweep();
+
+fn main(args: &Args) -> ExitCode {
+    let max_k: usize = args.get("--max-k");
+    let (t15, rnp) = (topo15::build(), rnp28::build());
+    let mut pairs = vec![
+        Scenario::new("topo15", &t15, "AS1", "AS3"),
+        Scenario::new("rnp28", &rnp, "E_BV", "E_SP"),
+        Scenario::new("rnp28", &rnp, "E_BH", "E_113"),
+    ];
+    pairs.retain(|pair| args.wants_topo(pair.topo_name));
+    let probes = args.get("--probes");
+    let cells = run(&pairs, max_k, args.seed(), probes, &args.sweep());
+    print!("{}", render(&cells));
+    let broken = cells.iter().filter(|c| c.breaking.is_some()).count();
+    let unconfirmed: Vec<&BreakingCell> = cells
+        .iter()
+        .filter(|c| c.breaking.as_ref().is_some_and(|d| !d.replay.confirms))
+        .collect();
+    eprintln!(
+        "fig_breaking: {} cells, {} with a breaking point <= k={}, {} unconfirmed replays",
+        cells.len(),
+        broken,
+        max_k,
+        unconfirmed.len()
+    );
+    args.write_document(&to_json(&cells));
+    for c in &unconfirmed {
+        let d = c.breaking.as_ref().unwrap();
+        eprintln!(
+            "UNCONFIRMED {}/{}→{}/{}/{}: witness {:?} predicted {} but no replay seed reproduced it",
+            c.topo,
+            c.src,
+            c.dst,
+            c.technique.label(),
+            c.protection,
+            d.links,
+            d.outcome
+        );
+    }
+    ExitCode::from(u8::from(!unconfirmed.is_empty()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kar_topology::topo15;
 
     fn run_pair(max_k: usize, seed: u64, probes: u64) -> Vec<BreakingCell> {
-        let pair = Scenario {
-            topo_name: "topo15",
-            topo: &topo15::build(),
-            src: "AS1",
-            dst: "AS3",
-        };
+        let topo = topo15::build();
+        let pair = Scenario::new("topo15", &topo, "AS1", "AS3");
         run(&[pair], max_k, seed, probes, &sweep::Opts::jobs(2))
     }
 

@@ -3,6 +3,7 @@
 //! reaction? Runs the Fig. 4 scenario (SW7-SW13 failure, NIP, partial
 //! protection) under both algorithms.
 
+use crate::cli::{flag, print, Experiment};
 use crate::harness::{run_tcp, FailureWindow, TcpRun};
 use kar::{DeflectionTechnique, Protection};
 use kar_simnet::SimTime;
@@ -83,6 +84,26 @@ pub fn render(rows: &[CcRow]) -> String {
     );
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "cc_ablation",
+    "Reno vs CUBIC under the Fig. 4 failure scenario",
+    &[
+        flag("--pre", "15", "seconds before the failure"),
+        flag("--fail", "15", "failure duration in seconds"),
+        flag("--post", "15", "seconds after repair"),
+    ],
+    |args| {
+        let phase = |name| args.get(name);
+        let rows = run(
+            phase("--pre"),
+            phase("--fail"),
+            phase("--post"),
+            args.seed(),
+        );
+        print(render(&rows))
+    },
+);
 
 #[cfg(test)]
 mod tests {

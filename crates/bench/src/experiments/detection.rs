@@ -8,6 +8,7 @@
 //! detection delay — quantifying an assumption the paper leaves
 //! implicit.
 
+use crate::cli::{flag, print, Experiment};
 use crate::harness::{ProbeRun, ProbeScheme};
 use crate::obs::RunObs;
 use kar::{DeflectionTechnique, Protection};
@@ -77,6 +78,17 @@ pub fn render(probes: u64, points: &[DetectionPoint]) -> String {
     out.push_str("\nInstant detection (0 µs) is hitless; every extra window loses the packets in flight toward the dead port.\n");
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "detection_delay",
+    "Ablation: hitless-ness vs failure-detection latency",
+    &[flag("--probes", "500", "probes per delay")],
+    |args| {
+        let probes = args.get("--probes");
+        let delays = [0u64, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000];
+        print(render(probes, &run(&delays, probes, args.seed())))
+    },
+);
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 //! Dynamic fault processes under the failure-reactive controller — the
-//! experiment behind the `fig_dynamic` binary.
+//! experiment behind `kar-bench fig_dynamic`.
 //!
 //! The paper's evaluation fails one link, once, forever. Real outages
 //! repair, flap, and take whole SRLGs down together. This experiment
@@ -18,6 +18,7 @@
 //! `--out` work as on every sweep), and every point is one canonical line so
 //! `--jobs N` determinism is testable.
 
+use crate::cli::{flag, Experiment};
 use crate::harness::{row, ProbeRun, ProbeScheme};
 use crate::record::{record, Record};
 use crate::sweep;
@@ -25,6 +26,7 @@ use kar::recovery::RecoveryConfig;
 use kar::{DeflectionTechnique, Protection};
 use kar_simnet::{FaultPlan, SimTime};
 use kar_topology::{topo15, Topology};
+use std::process::ExitCode;
 
 /// A named dynamic fault process (a plan builder, so it can be compiled
 /// against any topology instance).
@@ -243,6 +245,25 @@ pub fn render(points: &[DynamicPoint]) -> String {
     }
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig_dynamic",
+    "Dynamic faults (repair, flap, node crash) under the failure-reactive controller",
+    &[flag("--probes", "100", "probes per grid point")],
+    |args| {
+        let cfg = DynamicConfig {
+            probes: args.get("--probes"),
+            seed: args.seed(),
+            ..DynamicConfig::default()
+        };
+        let points = run(cfg, &args.sweep());
+        print!("{}", render(&points));
+        args.write_document(&to_json(&points));
+        ExitCode::SUCCESS
+    },
+)
+.seed(11)
+.sweep();
 
 #[cfg(test)]
 mod tests {

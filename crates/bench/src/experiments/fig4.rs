@@ -8,6 +8,7 @@
 //! 200 Mbit/s, a ≈25% disordering penalty); HP is the worst deflecting
 //! technique.
 
+use crate::cli::{flag, print, Experiment};
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
 use kar::{DeflectionTechnique, EncodingCache, Protection};
@@ -106,11 +107,6 @@ pub fn run_jobs(cfg: Fig4Config, jobs: usize) -> Vec<Fig4Series> {
         .collect()
 }
 
-/// Serial [`run_jobs`].
-pub fn run(cfg: Fig4Config) -> Vec<Fig4Series> {
-    run_jobs(cfg, 1)
-}
-
 /// Renders the per-second series as CSV (`t,NoDeflection,HP,AVP,NIP`)
 /// plus a summary block.
 pub fn render(series: &[Fig4Series]) -> String {
@@ -141,6 +137,26 @@ pub fn render(series: &[Fig4Series]) -> String {
     out
 }
 
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig4",
+    "Fig. 4: TCP throughput time series across a failure of SW7-SW13",
+    &[
+        flag("--pre", "30", "seconds before the failure"),
+        flag("--fail", "30", "failure duration in seconds"),
+        flag("--post", "30", "seconds after repair"),
+    ],
+    |args| {
+        let cfg = Fig4Config {
+            pre_s: args.get("--pre"),
+            fail_s: args.get("--fail"),
+            post_s: args.get("--post"),
+            seed: args.seed(),
+        };
+        eprintln!("fig4: {cfg:?}, {} jobs", args.jobs());
+        print(render(&run_jobs(cfg, args.jobs())))
+    },
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +166,13 @@ mod tests {
     /// alive; deflecting techniques beat the no-deflection reference.
     #[test]
     fn shape_holds_scaled_down() {
-        let series = run(Fig4Config {
+        let cfg = Fig4Config {
             pre_s: 3,
             fail_s: 4,
             post_s: 3,
             seed: 7,
-        });
+        };
+        let series = run_jobs(cfg, 1);
         assert_eq!(series.len(), 4);
         let get = |t: DeflectionTechnique| {
             series
@@ -179,12 +196,13 @@ mod tests {
 
     #[test]
     fn render_emits_csv_and_summary() {
-        let series = run(Fig4Config {
+        let cfg = Fig4Config {
             pre_s: 2,
             fail_s: 2,
             post_s: 1,
             seed: 1,
-        });
+        };
+        let series = run_jobs(cfg, 1);
         let text = render(&series);
         assert!(text.contains("t_s,NoDeflection,HP,AVP,NIP"));
         assert!(text.contains("during-failure="));

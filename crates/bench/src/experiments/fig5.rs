@@ -9,6 +9,7 @@
 //! SW10-SW7 failure, where only 1/3 of deflected packets are driven
 //! (≈80 vs ≈140 Mbit/s for NIP).
 
+use crate::cli::{print, Experiment};
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
 use kar::{DeflectionTechnique, EncodingCache, Protection};
@@ -153,11 +154,6 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Vec<Fig5
     cells
 }
 
-/// Serial [`run_jobs`].
-pub fn run(runs: usize, secs: u64, base_seed: u64) -> Vec<Fig5Cell> {
-    run_jobs(runs, secs, base_seed, 1)
-}
-
 /// Renders the grid as a table with 95% confidence intervals.
 pub fn render(cells: &[Fig5Cell]) -> String {
     let mut out = String::from(
@@ -191,6 +187,16 @@ pub fn cell<'a>(
         .expect("cell exists")
 }
 
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig5",
+    "Fig. 5: throughput vs failure location × protection × technique",
+    super::TCP_FLAGS,
+    |args| {
+        let (runs, secs) = (args.get("--runs"), args.get("--seconds"));
+        print(render(&run_jobs(runs, secs, args.seed(), args.jobs())))
+    },
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +205,7 @@ mod tests {
     /// observations must hold.
     #[test]
     fn paper_observations_hold_scaled_down() {
-        let cells = run(2, 3, 11);
+        let cells = run_jobs(2, 3, 11, 1);
         assert_eq!(cells.len(), 3 * 3 * 2);
         let nip = DeflectionTechnique::Nip;
         // Observation 1: full protection beats unprotected everywhere.
@@ -242,7 +248,7 @@ mod tests {
 
     #[test]
     fn render_contains_grid() {
-        let cells = run(1, 2, 3);
+        let cells = run_jobs(1, 2, 3, 1);
         let text = render(&cells);
         assert!(text.contains("| SW10-SW7 | Unprotected | AVP |"));
         assert!(text.contains("| SW13-SW29 | Full | NIP |"));

@@ -8,6 +8,7 @@
 //! driven); SW41-SW73 costs ≈30% (two-way deflection, both driven, but
 //! over paths of different length → persistent reordering).
 
+use crate::cli::{print, Experiment};
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
 use kar::{DeflectionTechnique, EncodingCache, Protection};
@@ -23,7 +24,7 @@ pub struct Fig7Cell {
     pub failure: String,
     /// Throughput statistics (Mbit/s).
     pub stats: SampleStats,
-    /// Mean fraction of the no-failure throughput (filled by [`run`]).
+    /// Mean fraction of the no-failure throughput (filled by [`run_jobs`]).
     pub relative: f64,
     /// Mean reordered arrivals per run.
     pub mean_reordered: f64,
@@ -97,11 +98,6 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Vec<Fig7
     cells
 }
 
-/// Serial [`run_jobs`].
-pub fn run(runs: usize, secs: u64, base_seed: u64) -> Vec<Fig7Cell> {
-    run_jobs(runs, secs, base_seed, 1)
-}
-
 /// Renders the bars with relative throughput.
 pub fn render(cells: &[Fig7Cell]) -> String {
     let mut out = String::from(
@@ -121,6 +117,16 @@ pub fn render(cells: &[Fig7Cell]) -> String {
     out
 }
 
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig7",
+    "Fig. 7: RNP backbone, NIP + partial protection, three failure locations",
+    super::TCP_FLAGS,
+    |args| {
+        let (runs, secs) = (args.get("--runs"), args.get("--seconds"));
+        print(render(&run_jobs(runs, secs, args.seed(), args.jobs())))
+    },
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +136,7 @@ mod tests {
     /// throughput.
     #[test]
     fn shape_holds_scaled_down() {
-        let cells = run(2, 3, 5);
+        let cells = run_jobs(2, 3, 5, 1);
         assert_eq!(cells.len(), 4);
         let rel = |name: &str| cells.iter().find(|c| c.failure == name).unwrap().relative;
         let r_713 = rel("SW7-SW13");
@@ -162,7 +168,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_cases() {
-        let cells = run(1, 2, 1);
+        let cells = run_jobs(1, 2, 1, 1);
         let text = render(&cells);
         for name in ["none", "SW7-SW13", "SW13-SW41", "SW41-SW73"] {
             assert!(text.contains(name), "{name} missing from\n{text}");

@@ -7,6 +7,7 @@
 //! SW109 (delivery) and SW71 (another lap). The paper measures 54.8% of
 //! nominal TCP throughput as the cost of those laps.
 
+use crate::cli::{print, Experiment};
 use crate::harness::{FailureWindow, TcpRun};
 use crate::runner;
 use kar::{DeflectionTechnique, EncodingCache, Protection};
@@ -99,11 +100,6 @@ pub fn run_jobs(runs: usize, secs: u64, base_seed: u64, jobs: usize) -> Fig8Resu
     }
 }
 
-/// Serial [`run_jobs`].
-pub fn run(runs: usize, secs: u64, base_seed: u64) -> Fig8Result {
-    run_jobs(runs, secs, base_seed, 1)
-}
-
 /// Renders the result with the paper's 54.8% reference point.
 pub fn render(r: &Fig8Result) -> String {
     format!(
@@ -122,6 +118,16 @@ pub fn render(r: &Fig8Result) -> String {
     )
 }
 
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig8",
+    "Fig. 8: redundant-path worst case (the protection loop)",
+    super::TCP_FLAGS,
+    |args| {
+        let (runs, secs) = (args.get("--runs"), args.get("--seconds"));
+        print(render(&run_jobs(runs, secs, args.seed(), args.jobs())))
+    },
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +137,7 @@ mod tests {
     /// counts.
     #[test]
     fn protection_loop_costs_throughput_not_delivery() {
-        let r = run(2, 3, 9);
+        let r = run_jobs(2, 3, 9, 1);
         assert!(
             r.nominal.mean > 60.0,
             "nominal ≈ 100 Mbit/s: {:?}",
@@ -152,7 +158,7 @@ mod tests {
 
     #[test]
     fn render_mentions_paper_reference() {
-        let r = run(1, 2, 2);
+        let r = run_jobs(1, 2, 2, 1);
         assert!(render(&r).contains("paper: 54.8%"));
     }
 }

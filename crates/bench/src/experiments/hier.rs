@@ -21,13 +21,15 @@
 //!
 //! Wall-clock is deliberately never measured: the emitted document is a
 //! pure function of the configuration, byte-identical across machines,
-//! so CI can `cmp` a fresh default-knob run against the committed file.
+//! so CI can `cmp` a fresh default-flag run against the committed file.
 
-use crate::campaign::{add_fleets, cell_text, core_links_along, sample_pairs, DrawStream, Family};
-use crate::sweep::{self, keyed_seed};
+use crate::campaign::Family;
+use crate::cli::{flag, Args, Experiment};
+use crate::harness::{sample_pairs, DrawStream, FleetOutcome, FleetRun};
+use crate::obs::RunObs;
+use crate::sweep::{self, cell_text, keyed_seed};
 use kar::{
-    verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, KarNetwork, LinkView,
-    Outcome, Planner, Protection, RecoveryConfig,
+    verify_hier_route, verify_route, DeflectionTechnique, LinkView, Outcome, Planner, Protection,
 };
 use kar_baselines::{FastFailover, PathSplicing};
 use kar_obs::json::{Json, Obj};
@@ -35,7 +37,7 @@ use kar_rns::IdStrategy;
 use kar_simnet::{EdgeLogic, SimTime};
 use kar_topology::{paths, LinkId, NodeId, Partition, Topology};
 use std::collections::{BTreeSet, HashSet};
-use std::sync::atomic::Ordering;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Routing scheme of a sweep cell.
@@ -222,30 +224,11 @@ pub struct HierRecord {
     pub nominal_hops_mean: f64,
     /// Boundary re-encodes on the nominal routes (hier only).
     pub planned_reencodes: usize,
-    /// Traffic-sim results (flat and hier schemes only).
-    pub traffic: Option<TrafficOutcome>,
+    /// Traffic-sim results (flat and hier schemes only): one mid-path
+    /// link failure, NIP deflection.
+    pub traffic: Option<FleetOutcome>,
     /// Flat-vs-hier verification sample (hier scheme only).
     pub verify: Option<VerifyOutcome>,
-}
-
-/// Traffic-sim results of one cell (one mid-path link failure, NIP
-/// deflection).
-#[derive(Debug, Clone, Default)]
-pub struct TrafficOutcome {
-    /// Packets injected.
-    pub injected: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Delivery ratio.
-    pub delivery_ratio: f64,
-    /// Mean hops of delivered packets.
-    pub mean_hops: f64,
-    /// `mean_hops / nominal_hops_mean`.
-    pub stretch: f64,
-    /// Deflection events.
-    pub deflections: u64,
-    /// Boundary re-stamps observed in the dataplane (hier only).
-    pub boundary_restamps: u64,
 }
 
 /// Flat-vs-hier verification tallies over the sampled failure cases.
@@ -305,13 +288,19 @@ impl HierRecord {
             .f64("nominal_hops_mean", self.nominal_hops_mean)
             .num("planned_reencodes", self.planned_reencodes);
         if let Some(t) = &self.traffic {
+            let mean_hops = t.stats.mean_hops().unwrap_or(0.0);
+            let stretch = if self.nominal_hops_mean > 0.0 {
+                mean_hops / self.nominal_hops_mean
+            } else {
+                0.0
+            };
             o = o
-                .num("injected", t.injected)
-                .num("delivered", t.delivered)
-                .f64("delivery_ratio", t.delivery_ratio)
-                .f64("mean_hops", t.mean_hops)
-                .f64("stretch", t.stretch)
-                .num("deflections", t.deflections)
+                .num("injected", t.stats.injected)
+                .num("delivered", t.stats.delivered)
+                .f64("delivery_ratio", t.stats.delivery_ratio())
+                .f64("mean_hops", mean_hops)
+                .f64("stretch", stretch)
+                .num("deflections", t.stats.deflections)
                 .num("boundary_restamps", t.boundary_restamps);
         }
         if let Some(v) = &self.verify {
@@ -368,40 +357,29 @@ fn build_point(cfg: &HierConfig, cell: &HierCell) -> Result<Point, usize> {
     })
 }
 
-/// The failed link of a point: the middle core link of the first pair's
-/// primary path (the same link for every scheme).
-fn failure_of(point: &Point) -> Option<LinkId> {
-    let (src, dst) = point.pairs[0];
-    let primary = paths::bfs_shortest_path(&point.topo, src, dst)?;
-    let core_links = core_links_along(&point.topo, &primary);
-    core_links.get(core_links.len() / 2).copied()
-}
-
-/// Drives the point's pairs through a simulation of `net` with one
-/// mid-path failure, CBR pacing seeded from the placement stream.
-fn drive(point: &Point, net: KarNetwork<'_>, packets_per_pair: u64) -> TrafficOutcome {
-    let mut sim = net.into_sim();
-    if let Some(link) = failure_of(point) {
-        sim.schedule_link_down(SimTime::ZERO, link);
+/// Drives the point's pairs through a [`FleetRun`] (flat, or over
+/// `partition`), CBR pacing seeded from the placement stream.
+fn drive(
+    cfg: &HierConfig,
+    point: &Point,
+    partition: Option<&Arc<Partition>>,
+    record: &mut HierRecord,
+) {
+    let outcome = FleetRun {
+        topo: &point.topo,
+        pairs: &point.pairs,
+        protection: Protection::None,
+        partition: partition.cloned(),
+        seed: point.seed,
+        packets: cfg.packets_per_pair,
     }
-    let mut draws = DrawStream::new(point.seed ^ 0x7261_6666_6963); // "raffic"
-    add_fleets(&mut sim, &point.pairs, &mut draws, packets_per_pair);
-    sim.run_to_quiescence();
-    let stats = sim.stats();
-    let mean_hops = stats.mean_hops().unwrap_or(0.0);
-    TrafficOutcome {
-        injected: stats.injected,
-        delivered: stats.delivered,
-        delivery_ratio: stats.delivery_ratio(),
-        mean_hops,
-        stretch: if point.nominal_hops_mean > 0.0 {
-            mean_hops / point.nominal_hops_mean
-        } else {
-            0.0
-        },
-        deflections: stats.deflections,
-        boundary_restamps: 0,
-    }
+    .run(
+        &mut DrawStream::new(point.seed ^ 0x7261_6666_6963), // "raffic"
+        &RunObs::default(),
+    );
+    record.header_bits_max = outcome.header_bits_max;
+    record.planned_reencodes = outcome.planned_reencodes;
+    record.traffic = Some(outcome);
 }
 
 /// The sampled failed links for one verification pair: core links along
@@ -529,36 +507,12 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
     record.links = point.topo.link_count();
     record.pairs = point.distinct.len();
     record.nominal_hops_mean = point.nominal_hops_mean;
-    let ttl = ((cell.switches * 4).clamp(64, 16384)) as u16;
-    // Without detection the wrong-edge recompute loop livelocks on stale
-    // routes (see the scale campaign); both KAR schemes get it, plus a
-    // failure-reactive controller each (below).
-    let builder = || {
-        KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
-            .seed(point.seed)
-            .ttl(ttl)
-            .detection_delay(SimTime::from_micros(50))
-    };
     let destinations = || -> Vec<NodeId> {
         let dsts: BTreeSet<NodeId> = point.distinct.iter().map(|&(_, d)| d).collect();
         dsts.into_iter().collect()
     };
     match cell.scheme {
-        Scheme::Flat => {
-            let mut net = builder()
-                .recovery(RecoveryConfig {
-                    notification_delay: SimTime::from_micros(200),
-                    ..RecoveryConfig::default()
-                })
-                .build();
-            for &(src, dst) in &point.distinct {
-                let outcome = net
-                    .encode(&EncodeRequest::new(src, dst))
-                    .expect("families are connected");
-                record.header_bits_max = record.header_bits_max.max(outcome.route.bit_length());
-            }
-            record.traffic = Some(drive(&point, net, cfg.packets_per_pair));
-        }
+        Scheme::Flat => drive(cfg, &point, None, &mut record),
         Scheme::Hier => {
             let partition = Arc::new(
                 Partition::auto(&point.topo, cfg.domains_for(cell.switches))
@@ -566,26 +520,7 @@ pub fn run_cell(cfg: &HierConfig, cell: &HierCell) -> HierRecord {
             );
             record.domains = partition.num_domains();
             record.boundary_links = partition.boundary_links().len();
-            let mut net = builder().hierarchy(Arc::clone(&partition)).build();
-            {
-                let ctrl = net.planner_mut();
-                // Post-failure quiescence: replan installed pairs when
-                // the failure notice lands (flat gets the recovery loop
-                // for the same reason).
-                ctrl.set_failure_aware(true);
-                for &(src, dst) in &point.distinct {
-                    let route = ctrl
-                        .install(&point.topo, src, dst, &Protection::None)
-                        .expect("families are connected");
-                    record.header_bits_max = record.header_bits_max.max(route.max_bits());
-                    record.planned_reencodes += route.reencodes();
-                }
-            }
-            let stats = net.hier_stats().expect("hierarchy enabled");
-            let mut traffic = drive(&point, net, cfg.packets_per_pair);
-            traffic.boundary_restamps = stats.boundary_stamps.load(Ordering::Relaxed)
-                + stats.boundary_recomputes.load(Ordering::Relaxed);
-            record.traffic = Some(traffic);
+            drive(cfg, &point, Some(&partition), &mut record);
             record.verify = Some(verify_point(cfg, &point, &partition));
         }
         Scheme::FastFailover => {
@@ -655,6 +590,54 @@ pub fn run(cfg: &HierConfig, opts: &sweep::Opts) -> Vec<Json> {
     )
 }
 
+/// `kar-bench fig_hier` (`BENCH_hier.json` at the defaults). Exits
+/// nonzero when boundary re-encoding introduces a loop or blackhole
+/// class flat KAR does not have (deployed posture).
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "fig_hier",
+    "Flat vs two-level hierarchical KAR vs table baselines, 512→4096 switches",
+    &[
+        flag("--max-switches", "4096", "largest cell (< 512: small grid)"),
+        flag("--pairs", "24", "sampled pairs per cell"),
+        flag("--packets", "8", "datagrams per pair"),
+    ],
+    main,
+)
+.sweep();
+
+fn main(args: &Args) -> ExitCode {
+    let max_switches: usize = args.get("--max-switches");
+    // The small grid (16-switch domains) is a seconds-long sweep for
+    // the resume tests.
+    let (grid, domain_target): (&[usize], _) = if max_switches < 512 {
+        (&[32, 64, 128], 16)
+    } else {
+        (&[512, 1024, 2048, 4096], 64)
+    };
+    let cfg = HierConfig {
+        seed: args.seed(),
+        sizes: grid
+            .iter()
+            .copied()
+            .filter(|&n| n <= max_switches)
+            .collect(),
+        domain_target,
+        pairs: args.get("--pairs"),
+        packets_per_pair: args.get("--packets"),
+        ..HierConfig::default()
+    };
+    let records = run(&cfg, &args.sweep());
+    eprintln!("fig_hier: {} cells", records.len());
+    print!("{}", render_table(&records));
+    args.write_document(&to_json(&cfg, &records));
+    let bad = cells_with_new_classes(&records);
+    if !bad.is_empty() {
+        let (n, cells) = (bad.len(), bad.join(", "));
+        eprintln!("fig_hier: new violation classes vs flat in {n} cell(s): {cells} — failing");
+    }
+    ExitCode::from(u8::from(!bad.is_empty()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,8 +687,8 @@ mod tests {
         assert!(hier.boundary_links > 0);
         let ht = hier.traffic.as_ref().unwrap();
         let ft = flat.traffic.as_ref().unwrap();
-        assert!(ht.delivery_ratio > 0.9, "{ht:?}");
-        assert!(ft.delivery_ratio > 0.9, "{ft:?}");
+        assert!(ht.stats.delivery_ratio() > 0.9, "{ht:?}");
+        assert!(ft.stats.delivery_ratio() > 0.9, "{ft:?}");
         assert!(ht.boundary_restamps > 0);
         let v = hier.verify.as_ref().unwrap();
         assert!(v.cases > 0);

@@ -5,6 +5,7 @@
 //! with full protection while SW10-SW7 is down; the sink reports
 //! one-way delay, RFC 3550 jitter, reordering and loss.
 
+use crate::cli::{flag, print, Experiment};
 use kar::{DeflectionTechnique, EncodeRequest, KarNetwork, Protection};
 use kar_simnet::{FlowId, SimTime};
 use kar_tcp::{CbrSender, CbrSink, JitterStats};
@@ -75,6 +76,13 @@ pub fn render(rows: &[JitterRow]) -> String {
     }
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "jitter",
+    "CBR delay/jitter under deflection (the §3 disordering-and-jitter goal)",
+    &[flag("--probes", "2000", "datagrams per technique")],
+    |args| print(render(&run(args.get("--probes"), args.seed()))),
+);
 
 #[cfg(test)]
 mod tests {

@@ -7,6 +7,7 @@
 //! failover (one backup per destination — which a second failure can
 //! exhaust).
 
+use crate::cli::{flag, Args, Experiment, Flag};
 use crate::harness::{ProbeRun, ProbeScheme, Scenario};
 use crate::obs::RunObs;
 use crate::record::{label_record, record, Record};
@@ -14,11 +15,13 @@ use crate::sweep;
 use kar::{DeflectionTechnique, Protection};
 use kar_baselines::TableScheme;
 use kar_simnet::srlg_groups;
+use kar_topology::{rnp28, topo15};
 use kar_topology::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 
 /// Schemes compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,18 +378,66 @@ pub fn render(name: &str, points: &[MultiFailurePoint]) -> String {
     out
 }
 
+const FLAGS: &[Flag] = &[
+    flag("--runs", "20", "trials per cell"),
+    flag("--probes", "200", "probes per trial"),
+    flag("--groups", "3", "largest number of SRLG groups failed"),
+];
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "multi_failure",
+    "Delivery ratio under k simultaneous failures (Table 2's multi-failure claim)",
+    FLAGS.split_at(2).0,
+    |args| main(args, false),
+)
+.sweep();
+
+/// `kar-bench multi_failure_correlated`: whole SRLG groups (every
+/// core-core link of one switch at once) in a cumulative random order.
+pub(super) const CORRELATED: Experiment = Experiment::new(
+    "multi_failure_correlated",
+    "Correlated (SRLG-group) failures: which scheme black-holes first",
+    FLAGS,
+    |args| main(args, true),
+)
+.sweep();
+
+fn main(args: &Args, correlated: bool) -> ExitCode {
+    let (trials, probes) = (args.get("--runs"), args.get("--probes"));
+    let (t15, rnp) = (topo15::build(), rnp28::build());
+    let targets = [
+        Scenario::new("topo15", &t15, "AS1", "AS3"),
+        Scenario::new("rnp28", &rnp, "E_BV", "E_SP"),
+    ];
+    let opts = args.sweep();
+    let document = if correlated {
+        let groups = args.get("--groups");
+        let outcomes = run_correlated(&targets, groups, trials, probes, args.seed(), &opts);
+        for (target, group) in targets.iter().zip(outcomes.chunks(Scheme::ALL.len())) {
+            print!("{}", render_correlated(&target.label(), group));
+        }
+        let records = outcomes.iter().map(Record::to_json);
+        sweep::document("multi_failure_correlated", records, "")
+    } else {
+        let ks = [0usize, 1, 2, 3];
+        let points = run(&targets, &ks, trials, probes, args.seed(), &opts);
+        let per_target = ks.len() * Scheme::ALL.len();
+        for (target, group) in targets.iter().zip(points.chunks(per_target)) {
+            print!("{}", render(&target.label(), group));
+        }
+        sweep::document("multi_failure", points.iter().map(Record::to_json), "")
+    };
+    args.write_document(&document);
+    ExitCode::SUCCESS
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kar_topology::topo15;
 
     fn target(topo: &Topology) -> [Scenario<'_>; 1] {
-        [Scenario {
-            topo_name: "topo15",
-            topo,
-            src: "AS1",
-            dst: "AS3",
-        }]
+        [Scenario::new("topo15", topo, "AS1", "AS3")]
     }
 
     fn serial() -> sweep::Opts {

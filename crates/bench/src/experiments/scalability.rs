@@ -8,6 +8,7 @@
 //! * **Fast failover** — zero header but `O(destinations)` entries in
 //!   every switch.
 
+use crate::cli::{print, Experiment};
 use kar::{EncodedRoute, RouteSpec};
 use kar_baselines::{FastFailover, SlickEdge};
 use kar_rns::IdStrategy;
@@ -82,6 +83,13 @@ pub fn render(points: &[ScalePoint]) -> String {
     }
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "scalability",
+    "Header bytes vs network size: KAR vs Slick headers vs fast-failover state",
+    &[],
+    |_| print(render(&run())),
+);
 
 #[cfg(test)]
 mod tests {

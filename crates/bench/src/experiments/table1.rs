@@ -1,6 +1,7 @@
 //! Table 1: maximum route-ID bit length per protection mechanism on the
 //! 15-node network.
 
+use crate::cli::{print, Experiment};
 use kar::{EncodedRoute, RouteSpec};
 use kar_topology::topo15;
 
@@ -77,6 +78,13 @@ pub fn render(rows: &[Table1Row]) -> String {
     }
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "table1",
+    "Table 1: route-ID bit lengths on the 15-node network",
+    &[],
+    |_| print(render(&compute())),
+);
 
 #[cfg(test)]
 mod tests {

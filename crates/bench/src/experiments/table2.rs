@@ -1,6 +1,7 @@
 //! Table 2: the feature matrix, with the implemented rows verified
 //! experimentally (see `kar-baselines`).
 
+use crate::cli::{print, Experiment};
 use kar_baselines::{check_fast_failover_state, check_kar_row, render_table2};
 use kar_topology::topo15;
 
@@ -19,6 +20,13 @@ pub fn run_and_render(seed: u64) -> String {
     ));
     out
 }
+
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "table2",
+    "Table 2: feature matrix with experimental evidence",
+    &[],
+    |args| print(run_and_render(args.seed())),
+);
 
 #[cfg(test)]
 mod tests {

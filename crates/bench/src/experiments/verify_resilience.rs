@@ -4,29 +4,23 @@
 //! nonzero if the violation counts differ from the pinned expectations
 //! — the failures the paper's protection guarantee claims to cover.
 //!
-//! Flags (on top of the common quartet):
-//!
-//! * `--k N` — failure-set size to sweep (default 1). `--k 2` runs the
-//!   exhaustive two-failure verification; counts gate against the same
-//!   pinned tables committed as fixtures in
-//!   `crates/core/tests/fixtures/`.
-//! * `--topo NAME` — `topo15`, `rnp28` or `both` (default `both`).
-//!
 //! At k=1 the no-deflection dataplane is reported but never gates (it
 //! drops by design), and AVP gates against a pinned allowance instead
 //! of zero: AVP may deflect back out the input port, and on rnp28 two
 //! residues form a deterministic ping-pong — the known loop the paper
 //! motivates NIP with (§2.1). At k=2 *every* technique has pinned
-//! counts: two simultaneous failures defeat even NIP on some cases, and
-//! the gate's job is to freeze exactly which.
+//! counts (the fixtures in `crates/core/tests/fixtures/`): two
+//! simultaneous failures defeat even NIP on some cases, and the gate's
+//! job is to freeze exactly which.
+use crate::cli::{flag, Experiment, TOPO};
+use crate::harness::link_names;
+use crate::obs::RunObs;
 use kar::verify::{summarize_sets, FailureSetResult, SweepStats, VerifySummary};
 use kar::{verify_failure_sets, DeflectionTechnique, EncodingCache, Outcome, Protection};
-use kar_bench::cli::CommonArgs;
-use kar_bench::harness::link_names;
-use kar_bench::obs::RunObs;
 use kar_obs::Entity;
 use kar_topology::{rnp28, topo15, LinkId, Topology};
 use std::ops::RangeInclusive;
+use std::process::ExitCode;
 
 /// Records one technique's verification sweep into a metrics dump:
 /// global outcome counters plus per-failed-link blackhole/loop counters
@@ -226,29 +220,28 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
     ok
 }
 
-fn main() {
-    let common = CommonArgs::parse(1);
-    let k: usize = common.flag("--k", 1);
-    let run15 = common.wants_topo("topo15");
-    let run28 = common.wants_topo("rnp28");
-    let mut ok = true;
-    if run15 {
-        ok &= check(&topo15::build(), "topo15", k);
-    }
-    if run28 {
-        ok &= check(&rnp28::build(), "rnp28", k);
-    }
-    common.finish();
-    if !ok {
-        eprintln!(
-            "resilience gate FAILED: violation counts drifted from the pinned classification"
-        );
-        std::process::exit(1);
-    }
-    match k {
-        1 => println!(
-            "resilience gate passed: HP and NIP survive every survivable single-link failure"
-        ),
-        _ => println!("resilience gate passed: k={k} classification matches the pinned tables"),
-    }
-}
+pub(super) const EXPERIMENT: Experiment = Experiment::new(
+    "verify_resilience",
+    "Resilience gate: exhaustive k-failure classification against the pinned counts",
+    &[flag("--k", "1", "failure-set size to sweep"), TOPO],
+    |args| {
+        let k: usize = args.get("--k");
+        let mut ok = true;
+        if args.wants_topo("topo15") {
+            ok &= check(&topo15::build(), "topo15", k);
+        }
+        if args.wants_topo("rnp28") {
+            ok &= check(&rnp28::build(), "rnp28", k);
+        }
+        match (ok, k) {
+            (false, _) => eprintln!(
+                "resilience gate FAILED: violation counts drifted from the pinned classification"
+            ),
+            (true, 1) => println!(
+                "resilience gate passed: HP and NIP survive every survivable single-link failure"
+            ),
+            _ => println!("resilience gate passed: k={k} classification matches the pinned tables"),
+        }
+        ExitCode::from(u8::from(!ok))
+    },
+);

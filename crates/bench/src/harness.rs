@@ -1,5 +1,5 @@
-//! Shared experiment harness — the two run shapes every experiment is
-//! built from:
+//! Shared experiment harness — the three run shapes every experiment
+//! is built from:
 //!
 //! * [`TcpRun`] — one bulk TCP flow over a KAR network with an optional
 //!   scheduled link failure, the shape of every throughput experiment
@@ -8,18 +8,26 @@
 //!   under static failures, a [`FaultPlan`] and/or Byzantine switches,
 //!   the shape of every delivery-ratio experiment (multi-failure,
 //!   dynamic faults, breaking-point replays, adversary campaigns,
-//!   detection delay, `kar_demo probe`).
+//!   detection delay, `kar-bench probe`);
+//! * [`FleetRun`] — hundreds of paced CBR flows over a generated
+//!   topology with one mid-path failure and a failure-reactive planner,
+//!   flat or partitioned (the scale and hierarchy sweeps).
 
 use crate::obs::RunObs;
+use crate::sweep::splitmix64;
 use kar::{
     DeflectionTechnique, EncodeRequest, EncodingCache, KarNetwork, Protection, RecoveryConfig,
     RecoveryLog, ReroutePolicy,
 };
 use kar_baselines::{TableEdge, TableScheme};
 use kar_obs::json::Obj;
-use kar_simnet::{Behavior, FaultPlan, FlowId, PacketKind, Sim, SimConfig, SimTime, Stats};
+use kar_simnet::{
+    App, Behavior, FaultPlan, FlowId, HostCtx, Packet, PacketKind, Sim, SimConfig, SimTime, Stats,
+};
 use kar_tcp::{BulkFlow, CongestionControl, IntervalMeter, TcpConfig};
-use kar_topology::{LinkId, NodeId, Topology};
+use kar_topology::{paths, LinkId, NodeId, Partition, Topology};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -272,7 +280,17 @@ pub struct Scenario<'a> {
     pub dst: &'a str,
 }
 
-impl Scenario<'_> {
+impl<'a> Scenario<'a> {
+    /// `src → dst` on `topo`, called `topo_name`.
+    pub const fn new(topo_name: &'a str, topo: &'a Topology, src: &'a str, dst: &'a str) -> Self {
+        Scenario {
+            topo_name,
+            topo,
+            src,
+            dst,
+        }
+    }
+
     /// The `(src, dst)` edge nodes.
     pub fn pair(&self) -> (NodeId, NodeId) {
         (self.topo.expect(self.src), self.topo.expect(self.dst))
@@ -456,14 +474,223 @@ impl<'a> ProbeRun<'a> {
     }
 }
 
-/// Reads an integer experiment knob from the environment (`KAR_RUNS`,
-/// `KAR_SECONDS`, …) with a default — lets CI scale experiments down and
-/// a thorough reproduction scale them up.
-pub fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A deterministic sequence of pseudo-random draws for flow placement —
+/// a tiny splitmix64 stream so cell workloads never depend on a global
+/// RNG.
+#[derive(Debug)]
+pub struct DrawStream {
+    state: u64,
+}
+
+impl DrawStream {
+    /// The stream of `seed`.
+    pub fn new(seed: u64) -> Self {
+        DrawStream { state: seed }
+    }
+
+    fn next(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        splitmix64(self.state)
+    }
+
+    /// Uniform draw in `0..n` (n > 0).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Paces several CBR flows out of one host (the engine attaches one app
+/// per edge node, so flows sharing a source must share the app). Timer
+/// ids select the flow.
+struct FlowFleet {
+    flows: Vec<FleetFlow>,
+}
+
+struct FleetFlow {
+    dst: NodeId,
+    flow: FlowId,
+    interval: SimTime,
+    offset: SimTime,
+    limit: u64,
+    sent: u64,
+}
+
+impl App for FlowFleet {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        for ix in 0..self.flows.len() {
+            // Stagger starts so a 1024-flow cell is paced traffic, not a
+            // time-zero burst into drop-tail queues.
+            ctx.set_timer(self.flows[ix].offset, ix as u64);
+        }
+    }
+
+    fn on_packet(&mut self, _ctx: &mut HostCtx<'_>, _pkt: &Packet) {}
+
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, id: u64) {
+        let f = &mut self.flows[id as usize];
+        if f.sent >= f.limit {
+            return;
+        }
+        ctx.send(f.dst, f.flow, f.sent, PacketKind::Probe, 700);
+        f.sent += 1;
+        if f.sent < f.limit {
+            ctx.set_timer(f.interval, id);
+        }
+    }
+}
+
+/// Seeded `(src, dst)` draws over `hosts`, self-pairs excluded.
+pub(crate) fn sample_pairs(
+    hosts: &[NodeId],
+    n: usize,
+    draws: &mut DrawStream,
+) -> Vec<(NodeId, NodeId)> {
+    (0..n)
+        .map(|_| {
+            let src = hosts[draws.below(hosts.len())];
+            let mut dst = hosts[draws.below(hosts.len())];
+            while dst == src {
+                dst = hosts[draws.below(hosts.len())];
+            }
+            (src, dst)
+        })
+        .collect()
+}
+
+/// Drives `pairs` as CBR flows of `limit` datagrams each: one
+/// [`FlowFleet`] app per source host, per-flow interval and start offset
+/// seeded from `draws`.
+fn add_fleets(sim: &mut Sim<'_>, pairs: &[(NodeId, NodeId)], draws: &mut DrawStream, limit: u64) {
+    let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
+    for (i, &(src, dst)) in pairs.iter().enumerate() {
+        let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
+        let offset = SimTime::from_micros(draws.below(2_000) as u64);
+        fleets.entry(src.0).or_default().push(FleetFlow {
+            dst,
+            flow: FlowId(i as u32),
+            interval,
+            offset,
+            limit,
+            sent: 0,
+        });
+    }
+    for (src, flows) in fleets {
+        sim.add_app(NodeId(src), Box::new(FlowFleet { flows }));
+    }
+}
+
+/// Core-core links along a path, in path order.
+pub(crate) fn core_links_along(topo: &Topology, path: &[NodeId]) -> Vec<LinkId> {
+    path.windows(2)
+        .filter(|w| topo.switch_id(w[0]).is_some() && topo.switch_id(w[1]).is_some())
+        .filter_map(|w| topo.link_between(w[0], w[1]))
+        .collect()
+}
+
+/// Specification of one fleet run: every pair a paced CBR flow over NIP
+/// KAR with 50 µs failure detection, the middle core link of the first
+/// pair's primary path down from t = 0, and a planner that reacts to
+/// it — the recovery loop (200 µs notices) over flat routes, or a
+/// failure-aware partitioned planner when `partition` is set. Without
+/// detection and a reaction the wrong-edge recompute loop livelocks on
+/// stale routes (each recompute resets the TTL).
+#[derive(Debug, Clone)]
+pub struct FleetRun<'a> {
+    /// The network.
+    pub topo: &'a Topology,
+    /// One flow per entry (repeats allowed); flow `i` is `FlowId(i)`.
+    pub pairs: &'a [(NodeId, NodeId)],
+    /// Protection of every installed route.
+    pub protection: Protection,
+    /// Domains of the hierarchical planner; `None` runs flat KAR.
+    pub partition: Option<Arc<Partition>>,
+    /// Simulator seed.
+    pub seed: u64,
+    /// Datagrams each flow sends.
+    pub packets: u64,
+}
+
+/// What a [`FleetRun`] measured.
+#[derive(Debug, Clone)]
+pub struct FleetOutcome {
+    /// The simulator's statistics at quiescence.
+    pub stats: Stats,
+    /// Distinct `(src, dst)` routes installed.
+    pub routes: usize,
+    /// Widest header a packet carries: the largest route ID, or the
+    /// largest *segment* ID under a partition.
+    pub header_bits_max: u32,
+    /// Boundary re-encodes on the nominal routes (partitioned only).
+    pub planned_reencodes: usize,
+    /// Boundary re-stamps observed in the dataplane (partitioned only).
+    pub boundary_restamps: u64,
+}
+
+impl FleetRun<'_> {
+    /// Installs the distinct pairs, fails the link, paces the fleets
+    /// from `draws` (draw order is part of every committed document)
+    /// and runs to quiescence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a route fails to install — the generated families are
+    /// connected.
+    pub fn run(&self, draws: &mut DrawStream, obs: &RunObs) -> FleetOutcome {
+        // Four hops per switch: only a genuine loop exhausts the budget.
+        let ttl = (self.topo.core_nodes().len() * 4).clamp(64, 16384) as u16;
+        let mut builder = KarNetwork::builder(self.topo, DeflectionTechnique::Nip)
+            .seed(self.seed)
+            .ttl(ttl)
+            .detection_delay(SimTime::from_micros(50))
+            .obs(obs.handle.clone());
+        if let Some(profiler) = &obs.profiler {
+            builder = builder.profiler(profiler.clone());
+        }
+        builder = match &self.partition {
+            Some(partition) => builder.hierarchy(Arc::clone(partition)),
+            None => builder.recovery(RecoveryConfig {
+                notification_delay: SimTime::from_micros(200),
+                ..RecoveryConfig::default()
+            }),
+        };
+        let mut net = builder.build();
+        let distinct: BTreeSet<(NodeId, NodeId)> = self.pairs.iter().copied().collect();
+        let (mut header_bits_max, mut planned_reencodes) = (0, 0);
+        // Post-failure quiescence: a partitioned planner replans its
+        // installed pairs when the failure notice lands (flat routes
+        // get the recovery loop for the same reason).
+        let planner = net.planner_mut();
+        planner.set_failure_aware(self.partition.is_some());
+        for &(src, dst) in &distinct {
+            let route = planner
+                .install(self.topo, src, dst, &self.protection)
+                .expect("route installs");
+            header_bits_max = header_bits_max.max(route.max_bits());
+            planned_reencodes += route.reencodes();
+        }
+        let hier = net.hier_stats();
+        let mut sim = net.into_sim();
+        // The middle core link of the first pair's shortest path, so
+        // the failure provably intersects live traffic.
+        let (src, dst) = self.pairs[0];
+        let primary = paths::bfs_shortest_path(self.topo, src, dst).expect("pairs are connected");
+        let core_links = core_links_along(self.topo, &primary);
+        if let Some(&link) = core_links.get(core_links.len() / 2) {
+            sim.schedule_link_down(SimTime::ZERO, link);
+        }
+        add_fleets(&mut sim, self.pairs, draws, self.packets);
+        sim.run_to_quiescence();
+        FleetOutcome {
+            stats: sim.stats().clone(),
+            routes: distinct.len(),
+            header_bits_max,
+            planned_reencodes,
+            boundary_restamps: hier.map_or(0, |h| {
+                h.boundary_stamps.load(Ordering::Relaxed)
+                    + h.boundary_recomputes.load(Ordering::Relaxed)
+            }),
+        }
+    }
 }
 
 /// Links by endpoint names, e.g. `SW10-SW17`.
@@ -548,14 +775,5 @@ mod tests {
             "NIP + full protection must keep TCP alive, got {during}"
         );
         assert!(res.deflections > 0);
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        std::env::set_var("KAR_TEST_KNOB_X", "7");
-        assert_eq!(env_knob("KAR_TEST_KNOB_X", 3), 7);
-        assert_eq!(env_knob("KAR_TEST_KNOB_MISSING", 3), 3);
-        std::env::set_var("KAR_TEST_KNOB_X", "junk");
-        assert_eq!(env_knob("KAR_TEST_KNOB_X", 3), 3);
     }
 }

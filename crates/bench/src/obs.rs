@@ -1,13 +1,12 @@
 //! Experiment-side observability plumbing: the `--metrics <path>` flag.
 //!
-//! Every experiment binary accepts `--metrics <path>` (or
-//! `--metrics=<path>`, or the `KAR_METRICS` environment variable) to
-//! collect a [`kar_obs`] dump: per-run metrics
-//! snapshots, event traces and profiler tables, written as JSON lines
-//! that `kar-inspect` renders back. The flow is:
+//! Every experiment accepts `--metrics <path>` to collect a [`kar_obs`]
+//! dump: per-run metrics snapshots, event traces and profiler tables,
+//! written as JSON lines that `kar-inspect` renders back. The flow is:
 //!
-//! 1. `main` calls [`init`] with its CLI arguments — when a path was
-//!    requested, the process-global [`kar_obs::sink`] starts collecting;
+//! 1. [`crate::cli::main`] calls [`init`] with the observability flags —
+//!    when a path was requested, the process-global [`kar_obs::sink`]
+//!    starts collecting;
 //! 2. each run calls [`RunObs::begin`] (an enabled handle + profiler
 //!    when collecting, inert otherwise), attaches it to its network via
 //!    `KarNetworkBuilder::obs` / `profiler`, and calls
@@ -21,43 +20,25 @@
 //! byte-identical to one without (`tests/obs_determinism.rs` enforces
 //! this).
 
-use crate::cli::flag_value;
 use kar_obs::json::Json;
 use kar_obs::{sink, DumpRecord, Obs, ObsHandle, Profiler, RunDump, TopoLabeler};
 use kar_topology::Topology;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
-/// `--<name> <value>` / `--<name>=<value>` (last occurrence wins),
-/// falling back to the `env` variable.
-fn flag_or_env(args: &[String], name: &str, env: &str) -> Option<String> {
-    flag_value(args, name).or_else(|| std::env::var(env).ok())
-}
-
-/// The metrics dump path: `--metrics <path>` / `--metrics=<path>`, then
-/// the `KAR_METRICS` environment variable.
-pub fn metrics_path(args: &[String]) -> Option<PathBuf> {
-    flag_or_env(args, "--metrics", "KAR_METRICS").map(PathBuf::from)
-}
-
-/// Enables the process-global sink when the CLI (or environment) asked
-/// for a metrics dump (`--metrics`) and/or a Chrome trace (`--trace` /
-/// `KAR_TRACE`). Either alone turns collection on; `--events-cap` /
-/// `KAR_EVENTS_CAP` sizes every run's event ring. Returns whether
-/// collection is on.
-pub fn init<I: IntoIterator<Item = String>>(args: I) -> bool {
-    let args: Vec<String> = args.into_iter().collect();
-    if let Some(path) = metrics_path(&args) {
-        sink::enable(&path);
+/// Enables the process-global sink when a metrics dump (`--metrics`)
+/// and/or a Chrome trace (`--trace`) was asked for. Either alone turns
+/// collection on; `events_cap` (`--events-cap`) sizes every run's event
+/// ring. Returns whether collection is on.
+pub fn init(metrics: Option<&Path>, trace: Option<&Path>, events_cap: usize) -> bool {
+    if let Some(path) = metrics {
+        sink::enable(path);
     }
-    if let Some(path) = flag_or_env(&args, "--trace", "KAR_TRACE") {
-        sink::enable_trace(&PathBuf::from(path));
+    if let Some(path) = trace {
+        sink::enable_trace(path);
     }
     if sink::enabled() {
-        let cap = flag_or_env(&args, "--events-cap", "KAR_EVENTS_CAP");
-        if let Some(cap) = cap.and_then(|v| v.parse().ok()) {
-            sink::set_event_cap(cap);
-        }
+        sink::set_event_cap(events_cap);
     }
     sink::enabled()
 }
@@ -151,24 +132,18 @@ mod tests {
 
     #[test]
     fn metrics_path_parsing() {
-        let parse =
-            |args: &[&str]| metrics_path(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        std::env::remove_var("KAR_METRICS");
-        assert_eq!(
-            parse(&["--metrics", "/tmp/m.jsonl"]),
-            Some("/tmp/m.jsonl".into())
-        );
-        assert_eq!(
-            parse(&["--metrics=/tmp/x.jsonl"]),
-            Some("/tmp/x.jsonl".into())
-        );
-        assert_eq!(
-            parse(&["--jobs", "4", "--metrics", "a", "--metrics=b"]),
-            Some("b".into()),
-            "last flag wins"
-        );
-        assert_eq!(parse(&["--jobs", "4"]), None);
-        assert_eq!(parse(&["--metrics"]), None, "missing value is ignored");
+        let parse = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let args = crate::cli::Args::parse(&crate::experiments::REGISTRY[0], &argv);
+            args.map(|a| a.opt("--metrics").map(str::to_string))
+        };
+        let path = |p: &str| Ok(Some(p.to_string()));
+        assert_eq!(parse(&["--metrics", "/tmp/m.jsonl"]), path("/tmp/m.jsonl"));
+        assert_eq!(parse(&["--metrics=/tmp/x.jsonl"]), path("/tmp/x.jsonl"));
+        let last = parse(&["--jobs", "4", "--metrics", "a", "--metrics=b"]);
+        assert_eq!(last, path("b"), "last flag wins");
+        assert_eq!(parse(&["--jobs", "4"]), Ok(None));
+        assert!(parse(&["--metrics"]).is_err(), "missing value is refused");
     }
 
     #[test]

@@ -10,30 +10,16 @@
 //! serial `jobs = 1` sweep, which the conformance tests in this module
 //! and `tests/parallel_determinism.rs` enforce.
 
-use crate::cli::flag_value;
 use crate::harness::{run_tcp_at, TcpRun, TcpRunResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Worker-thread count to use when the caller expresses no preference:
-/// the `--jobs N` CLI flag, then the `KAR_JOBS` environment variable,
-/// then all available cores.
+/// Worker-thread count when `--jobs` expresses no preference: all
+/// available cores.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Resolves the worker count from CLI arguments and environment:
-/// `--jobs N` / `--jobs=N` wins, then `KAR_JOBS`, then every core.
-/// Invalid or zero values fall back to the next source.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    let from_flag = flag_value(args, "--jobs").and_then(|v| v.parse().ok());
-    let from_env = std::env::var("KAR_JOBS").ok().and_then(|v| v.parse().ok());
-    from_flag
-        .or(from_env)
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(default_jobs)
 }
 
 /// Order-preserving parallel map: applies `f` to every item on a
@@ -96,6 +82,8 @@ pub fn run_all(specs: &[TcpRun<'_>], jobs: usize) -> Vec<TcpRunResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::Args;
+    use crate::experiments::REGISTRY;
     use crate::harness::FailureWindow;
     use kar::{EncodingCache, Protection};
     use kar_simnet::SimTime;
@@ -160,18 +148,15 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let parse =
-            |args: &[&str]| jobs_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-        std::env::remove_var("KAR_JOBS");
-        assert_eq!(parse(&["--jobs", "3"]), 3);
-        assert_eq!(parse(&["--jobs=5"]), 5);
-        assert_eq!(parse(&["--jobs", "2", "--jobs", "7"]), 7, "last flag wins");
-        assert_eq!(parse(&["--jobs", "junk"]), default_jobs());
-        assert_eq!(parse(&["--jobs", "0"]), default_jobs());
-        assert_eq!(parse(&[]), default_jobs());
-        std::env::set_var("KAR_JOBS", "2");
-        assert_eq!(parse(&[]), 2, "KAR_JOBS fallback");
-        assert_eq!(parse(&["--jobs", "9"]), 9, "flag beats env");
-        std::env::remove_var("KAR_JOBS");
+        let parse = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            Args::parse(&REGISTRY[0], &argv).map(|a| a.jobs())
+        };
+        assert_eq!(parse(&["--jobs", "3"]), Ok(3));
+        assert_eq!(parse(&["--jobs=5"]), Ok(5));
+        assert_eq!(parse(&["--jobs", "2", "--jobs", "7"]), Ok(7), "last wins");
+        assert!(parse(&["--jobs", "junk"]).unwrap_err().contains("junk"));
+        assert_eq!(parse(&["--jobs", "0"]), Ok(default_jobs()));
+        assert_eq!(parse(&[]), Ok(default_jobs()));
     }
 }

@@ -128,6 +128,17 @@ pub fn campaign_document(
     )
 }
 
+/// A record member as table text: the number or string as written, `-`
+/// when the record has no such member.
+pub(crate) fn cell_text(record: &Json, path: &[&str]) -> String {
+    match record.path(path) {
+        Some(Json::Num(raw)) => raw.clone(),
+        Some(Json::Str(s)) => s.clone(),
+        Some(other) => other.to_string(),
+        None => "-".to_string(),
+    }
+}
+
 fn checkpoint_line(key: &str, record: impl Display) -> String {
     Obj::new().str("cell", key).raw("record", record).finish()
 }

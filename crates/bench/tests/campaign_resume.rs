@@ -1,5 +1,5 @@
 //! Checkpoint-resume behavior of the sweep engine, observed at the
-//! surface that matters — the six sweep binaries with `--jobs`,
+//! surface that matters — `kar-bench`'s seven sweep entries with `--jobs`,
 //! `--checkpoint` and `--out`: an interrupted sweep resumes at the last
 //! completed cell, the resumed document (and table) is byte-identical to
 //! an uninterrupted run, stale checkpoints (other configuration) are
@@ -9,56 +9,80 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One sweep binary at its smallest grid: `(binary, flags, environment,
-/// cells in the grid)`.
+/// One sweep at its smallest grid: `(experiment and flags, cells in the
+/// grid)`.
 struct Sweep {
-    bin: &'static str,
     args: &'static [&'static str],
-    env: &'static [(&'static str, &'static str)],
     cells: usize,
 }
 
 const SWEEPS: &[Sweep] = &[
     Sweep {
-        bin: env!("CARGO_BIN_EXE_fig_scale"),
-        args: &["--max-switches", "16"],
-        env: &[("KAR_SCALE_FLOWS", "1"), ("KAR_SCALE_PKTS", "2")],
+        args: &[
+            "fig_scale",
+            "--max-switches",
+            "16",
+            "--flows",
+            "1",
+            "--packets",
+            "2",
+        ],
         cells: 9,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_fig_hier"),
-        args: &["--max-switches", "32"],
-        env: &[("KAR_HIER_PAIRS", "4"), ("KAR_HIER_PKTS", "2")],
+        args: &[
+            "fig_hier",
+            "--max-switches",
+            "32",
+            "--pairs",
+            "4",
+            "--packets",
+            "2",
+        ],
         cells: 12,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_fig_adversary"),
-        args: &["--topo", "topo15", "--probes", "12", "--intensities", "1"],
-        env: &[],
+        args: &[
+            "fig_adversary",
+            "--topo",
+            "topo15",
+            "--probes",
+            "12",
+            "--intensities",
+            "1",
+        ],
         cells: 48,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_fig_breaking"),
-        args: &["--topo", "topo15", "--max-k", "1", "--probes", "5"],
-        env: &[],
+        args: &[
+            "fig_breaking",
+            "--topo",
+            "topo15",
+            "--max-k",
+            "1",
+            "--probes",
+            "5",
+        ],
         cells: 12,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_multi_failure"),
-        args: &[],
-        env: &[("KAR_RUNS", "1"), ("KAR_PROBES", "8")],
+        args: &["multi_failure", "--runs", "1", "--probes", "8"],
         cells: 32,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_multi_failure"),
-        args: &["--correlated"],
-        env: &[("KAR_RUNS", "1"), ("KAR_PROBES", "8"), ("KAR_GROUPS", "1")],
+        args: &[
+            "multi_failure_correlated",
+            "--runs",
+            "1",
+            "--probes",
+            "8",
+            "--groups",
+            "1",
+        ],
         cells: 8,
     },
     Sweep {
-        bin: env!("CARGO_BIN_EXE_fig_dynamic"),
-        args: &[],
-        env: &[("KAR_PROBES", "40")],
+        args: &["fig_dynamic", "--probes", "40"],
         cells: 12,
     },
 ];
@@ -71,9 +95,8 @@ struct Run {
 }
 
 impl Sweep {
-    fn name(&self) -> String {
-        let bin = Path::new(self.bin).file_name().unwrap().to_string_lossy();
-        format!("{bin}{}", self.args.join(""))
+    fn name(&self) -> &str {
+        self.args[0]
     }
 
     fn scratch(&self, tag: &str, ext: &str) -> PathBuf {
@@ -86,16 +109,15 @@ impl Sweep {
 
     fn run(&self, tag: &str, jobs: usize, checkpoint: Option<&Path>, extra: &[&str]) -> Run {
         let out = self.scratch(tag, "json");
-        let mut cmd = Command::new(self.bin);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_kar-bench"));
         cmd.args(self.args)
             .args(extra)
             .args(["--jobs", &jobs.to_string(), "--out"])
-            .arg(&out)
-            .envs(self.env.iter().copied());
+            .arg(&out);
         if let Some(path) = checkpoint {
             cmd.arg("--checkpoint").arg(path);
         }
-        let output = cmd.output().expect("sweep binary runs");
+        let output = cmd.output().expect("kar-bench runs");
         let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
         assert!(output.status.success(), "{} failed: {stderr}", self.name());
         let document = fs::read_to_string(&out).expect("--out document written");

@@ -65,12 +65,7 @@ fn metrics_collection_never_changes_results() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("dump.jsonl");
     let trace = dir.join("trace.json");
-    assert!(obs::init([
-        "--metrics".to_string(),
-        path.display().to_string(),
-        "--trace".to_string(),
-        trace.display().to_string(),
-    ]));
+    assert!(obs::init(Some(&path), Some(&trace), 1 << 16));
     let instrumented_dynamic = dynamic_digests();
     let instrumented_tcp = tcp_digest();
     obs::finish();

@@ -101,7 +101,7 @@ fn adversary_grid_is_byte_identical_across_jobs() {
     };
     let serial = adversary::run(&cfg, &[("topo15", &topo)], &Opts::jobs(1));
     let parallel = adversary::run(&cfg, &[("topo15", &topo)], &Opts::jobs(4));
-    // Every point's line — and so the document the binary commits.
+    // Every point's line — and so the document `--out` writes.
     let gaps = adversary::targeted_vs_random(&serial);
     assert_eq!(
         adversary::to_json(&serial, &gaps),

@@ -3,8 +3,8 @@
 //! `fig_adversary` cell, the dump's `summary` record must carry every
 //! field name and value the old line carried — the literals below were
 //! recorded from the last commit that still had `telemetry.rs`
-//! (`KAR_RUNS=1 KAR_SECONDS=1 KAR_TELEMETRY=… fig5 --jobs 1`,
-//! `fig_dynamic`, `fig_adversary`, default knobs).
+//! (today's `fig5 --runs 1 --seconds 1 --jobs 1`; `fig_dynamic` and
+//! `fig_adversary` at their defaults).
 //!
 //! The sink is process-global, so this is ONE test in its own binary.
 //! It doubles as the "real `--metrics` dump" case of the JSON module's
@@ -38,10 +38,7 @@ fn dump_summaries_carry_every_field_of_the_old_telemetry_lines() {
     let dir = std::env::temp_dir().join(format!("kar_summary_parity_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("dump.jsonl");
-    assert!(obs::init([
-        "--metrics".to_string(),
-        path.display().to_string()
-    ]));
+    assert!(obs::init(Some(&path), None, 1 << 16));
 
     let topo = topo15::build();
     let (specs, _) = fig5::spec_set(&topo, 1, 1, 1);
