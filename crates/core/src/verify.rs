@@ -38,9 +38,12 @@
 //! in [`VerifyReport::relevant_links`]. Two failure sets with the same
 //! projection onto that relevant set produce byte-identical explorations,
 //! so [`PairVerifier`] memoizes reports per projection and answers most
-//! cases without running the state-graph search at all. Cycle detection
+//! cases without running the state-graph search at all — every case of
+//! a projection shares the memo's one report (an `Arc`). Cycle detection
 //! is by seen-state Tarjan SCCs, never TTL exhaustion, so the cost per
-//! exploration is bounded by the state count, not the hop budget.
+//! exploration is bounded by the state count, not the hop budget; the
+//! explorations a pair does need all run on its one [`Explorer`], whose
+//! residues are reduced once per pair and whose buffers are reused.
 //!
 //! Two further prunings are *sound* and used where they apply:
 //!
@@ -55,6 +58,15 @@
 //!   [`kar_topology::sym::Symmetry`]. Note the *outcome* is not shared:
 //!   KAR forwarding depends on switch IDs and port numbering, which
 //!   structural automorphisms do not preserve.
+//!
+//! A set neither pruning settles needs the "is the pair cut" test
+//! itself, and most sets do not need a search for it either: the test
+//! remembers the links of the last `src → dst` path it found (a **path
+//! witness**), and a failure set that touches none of them leaves that
+//! path standing. Only a set that hits the witness runs a BFS, which
+//! either finds the next witness or proves the cut. This changes *how* a
+//! verdict is reached, never the verdict or which sets reach the test,
+//! so it moves no [`SweepStats`] counter.
 //!
 //! Outcome classes themselves (blackhole, loop) are **not** monotone
 //! under adding failures for the deflecting techniques — failing the
@@ -76,8 +88,11 @@ use crate::protection::Protection;
 use crate::route::EncodedRoute;
 use kar_topology::sym::Symmetry;
 use kar_topology::{paths, LinkId, NodeId, PortIx, Topology};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// A packet's complete core-network state: where it is, where it came
 /// from, and whether it has ever been deflected (the only bit of header
@@ -89,12 +104,12 @@ struct State {
     deflected: bool,
 }
 
-/// What can terminate a trajectory at one state.
+/// The edge node a move surfaces at. (A forced drop is not a move: it is
+/// [`possible_moves`] leaving its buffer empty.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Terminal {
     Delivered,
     WrongEdge(NodeId),
-    Drop,
 }
 
 /// Which route a packet carries after each hop — the move relation's
@@ -104,7 +119,7 @@ enum Terminal {
 /// ([`crate::hier::Segmented`]) is replaced at boundary links.
 pub trait ActiveRoute {
     /// Names one of the routes a packet may carry.
-    type Key: Copy + Eq + std::hash::Hash;
+    type Key: Copy + Eq + Hash;
     /// The route the ingress edge stamps.
     fn ingress(&self) -> Self::Key;
     /// The route `key` names.
@@ -167,7 +182,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Everything [`verify_route`] learned about one case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
     /// The overall classification (see [`Outcome`] precedence).
     pub outcome: Outcome,
@@ -193,96 +208,85 @@ pub struct VerifyReport {
     pub relevant_links: Vec<LinkId>,
 }
 
-/// All moves the technique allows from one state. Mirrors
-/// [`crate::KarForwarder`]: residue first, then the deflection candidate
-/// set (core-facing ports preferred for AVP/NIP, input port excluded for
-/// NIP, unrestricted for hot-potato's random walk).
+/// The port the route's residue names at core switch `node` (Eq. 3).
+fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
+    let switch_id = topo
+        .switch_id(node)
+        .expect("packets only take moves at core switches");
+    route.port_at(switch_id)
+}
+
+/// All moves the technique allows from one state, written into `moves`
+/// (cleared first; left empty when the switch must drop). Mirrors
+/// [`crate::KarForwarder`]: the route's residue `computed` first, then
+/// the deflection candidate set (core-facing ports preferred for
+/// AVP/NIP, input port excluded for NIP, unrestricted for hot-potato's
+/// random walk), in ascending port order.
+///
+/// This is the one move generator: the explorer, the trajectory NFA and
+/// the sampled-forwarder test all call it, each with its own
+/// representation of the failure set behind `is_failed`.
 fn possible_moves(
     topo: &Topology,
-    route: &EncodedRoute,
+    computed: PortIx,
     technique: DeflectionTechnique,
-    failed: &HashSet<LinkId>,
+    is_failed: impl Fn(LinkId) -> bool,
     state: State,
-) -> Result<Vec<(PortIx, bool)>, Terminal> {
-    let node = topo.node(state.node);
-    let switch_id = node
-        .kind
-        .switch_id()
-        .expect("possible_moves is only called on core switches");
-    let port_up = |p: PortIx| {
-        node.ports
-            .get(p as usize)
-            .map(|l| !failed.contains(l))
-            .unwrap_or(false)
-    };
-    let computed = route.port_at(switch_id);
+    moves: &mut Vec<(PortIx, bool)>,
+) {
+    moves.clear();
+    let ports = &topo.node(state.node).ports;
+    let port_up = |p: PortIx| ports.get(p as usize).is_some_and(|&l| !is_failed(l));
     let residue_ok =
         |exclude_input: bool| port_up(computed) && !(exclude_input && computed == state.in_port);
     // The deflection candidate set of `random_port`: healthy ports minus
     // `exclude`, restricted to core-facing ports when any exist and the
     // technique prefers them.
-    let deflection_set = |exclude: Option<PortIx>, prefer_core: bool| -> Vec<(PortIx, bool)> {
-        let healthy: Vec<PortIx> = (0..node.ports.len() as PortIx)
-            .filter(|&p| port_up(p) && Some(p) != exclude)
-            .collect();
-        let core: Vec<PortIx> = if prefer_core {
-            healthy
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    let link = node.ports[p as usize];
-                    topo.switch_id(topo.link(link).peer_of(state.node))
-                        .is_some()
-                })
-                .collect()
-        } else {
-            Vec::new()
+    let deflection_set =
+        |exclude: Option<PortIx>, prefer_core: bool, moves: &mut Vec<(PortIx, bool)>| {
+            let healthy = (0..ports.len() as PortIx).filter(|&p| port_up(p) && Some(p) != exclude);
+            moves.extend(healthy.map(|p| (p, true)));
+            let core_facing = |&(p, _): &(PortIx, bool)| {
+                let peer = topo.link(ports[p as usize]).peer_of(state.node);
+                topo.switch_id(peer).is_some()
+            };
+            if prefer_core && moves.iter().any(core_facing) {
+                moves.retain(core_facing);
+            }
         };
-        let candidates = if core.is_empty() { healthy } else { core };
-        candidates.into_iter().map(|p| (p, true)).collect()
-    };
-    let moves = match technique {
+    match technique {
         DeflectionTechnique::None => {
             if residue_ok(false) {
-                vec![(computed, state.deflected)]
-            } else {
-                Vec::new()
+                moves.push((computed, state.deflected));
             }
         }
         DeflectionTechnique::HotPotato => {
-            if state.deflected {
-                deflection_set(None, false)
-            } else if residue_ok(false) {
-                vec![(computed, false)]
+            if !state.deflected && residue_ok(false) {
+                moves.push((computed, false));
             } else {
-                deflection_set(None, false)
+                deflection_set(None, false, moves);
             }
         }
         DeflectionTechnique::Avp => {
             if residue_ok(false) {
-                vec![(computed, state.deflected)]
+                moves.push((computed, state.deflected));
             } else {
-                deflection_set(None, true)
+                deflection_set(None, true, moves);
             }
         }
         DeflectionTechnique::Nip => {
             if residue_ok(true) {
-                vec![(computed, state.deflected)]
+                moves.push((computed, state.deflected));
             } else {
-                deflection_set(Some(state.in_port), true)
+                deflection_set(Some(state.in_port), true, moves);
             }
         }
-    };
-    if moves.is_empty() {
-        Err(Terminal::Drop)
-    } else {
-        Ok(moves)
     }
 }
 
 /// Where the move `(port, deflected)` from `state` lands: a successor
 /// state with the route it then carries (a re-stamp is a fresh tag, so
-/// the deflected bit clears too) or a terminal (an edge node).
+/// the deflected bit clears too) or the edge node it surfaces at.
 fn step<A: ActiveRoute>(
     topo: &Topology,
     active: &mut A,
@@ -312,7 +316,7 @@ fn step<A: ActiveRoute>(
 ///
 /// `src`/`dst` are the ingress and destination edges; the packet enters
 /// the core through the ingress route's `uplink` exactly as the edge
-/// logic would send it.
+/// logic would send it. One exploration on a fresh [`Explorer`].
 pub fn verify_route<A: ActiveRoute>(
     topo: &Topology,
     mut active: A,
@@ -321,241 +325,446 @@ pub fn verify_route<A: ActiveRoute>(
     technique: DeflectionTechnique,
     failed: &HashSet<LinkId>,
 ) -> VerifyReport {
-    let mut report = VerifyReport {
-        outcome: Outcome::Delivered,
-        can_deliver: false,
-        can_wrong_edge: false,
-        can_blackhole: false,
-        has_cycle: false,
-        states: 0,
-        loop_witness: None,
-        blackhole_witness: None,
-        relevant_links: Vec::new(),
-    };
-    // The edge transmits blindly into its uplink; a failed uplink kills
-    // every packet of the flow at hop zero.
-    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
-    if failed.contains(&uplink) {
-        report.can_blackhole = true;
-        report.outcome = Outcome::Blackhole;
-        report.blackhole_witness = Some(vec![src]);
-        report.relevant_links = vec![uplink];
-        return report;
-    }
-    let first = topo.link(uplink).peer_of(src);
-    debug_assert!(
-        topo.switch_id(first).is_some(),
-        "uplink peer is a core switch"
-    );
-    let initial = State {
-        node: first,
-        in_port: topo.link(uplink).port_on(first),
-        deflected: false,
-    };
-    let initial = (active.ingress(), initial);
+    let failed = failed.iter().copied();
+    Explorer::new().explore(topo, &mut active, src, dst, technique, failed)
+}
 
-    // Reachability sweep, recording the move relation and a predecessor
-    // per state for witness reconstruction.
-    let mut index: HashMap<(A::Key, State), usize> = HashMap::new();
-    let mut states: Vec<(A::Key, State)> = Vec::new();
-    let mut succs: Vec<Vec<usize>> = Vec::new();
-    let mut terminal_drop: Vec<bool> = Vec::new();
-    let mut escapes: Vec<bool> = Vec::new(); // has an edge to a terminal
-    let mut pred: Vec<Option<usize>> = Vec::new();
-    let mut queue = VecDeque::new();
-    index.insert(initial, 0);
-    states.push(initial);
-    succs.push(Vec::new());
-    terminal_drop.push(false);
-    escapes.push(false);
-    pred.push(None);
-    queue.push_back(0usize);
-    while let Some(i) = queue.pop_front() {
-        let (key, state) = states[i];
-        match possible_moves(topo, active.route(key), technique, failed, state) {
-            Err(Terminal::Drop) => {
-                terminal_drop[i] = true;
-                report.can_blackhole = true;
+/// Hasher of the explorer's two maps: one rotate, xor and multiply per
+/// word. Their keys are node ids, port numbers and route keys this
+/// program made itself, never outside input, so SipHash's flooding
+/// resistance buys nothing there and costs most of a probe.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.mix(b.into()));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.mix(v.into());
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A set of links as one bit per [`LinkId`].
+#[derive(Default)]
+struct LinkBits(Vec<u64>);
+
+impl LinkBits {
+    /// Empties the set and sizes it for `links` link ids.
+    fn reset(&mut self, links: usize) {
+        self.0.clear();
+        self.0.resize(links.div_ceil(64), 0);
+    }
+    fn insert(&mut self, l: LinkId) {
+        self.0[l.0 / 64] |= 1 << (l.0 % 64);
+    }
+    fn contains(&self, l: LinkId) -> bool {
+        self.0[l.0 / 64] & (1 << (l.0 % 64)) != 0
+    }
+    /// The members, ascending, in a vector allocated once.
+    fn to_sorted_vec(&self) -> Vec<LinkId> {
+        let count = self.0.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(count);
+        for (i, &word) in self.0.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push(LinkId(i * 64 + rest.trailing_zeros() as usize));
+                rest &= rest - 1;
             }
-            Err(_) => unreachable!("possible_moves only yields Drop terminals"),
-            Ok(moves) => {
-                for mv in moves {
-                    match step(topo, &mut active, dst, states[i], mv) {
-                        Err(Terminal::Delivered) => {
-                            report.can_deliver = true;
-                            escapes[i] = true;
+        }
+        out
+    }
+}
+
+const NO_STATE: u32 = u32::MAX;
+/// Per-state flag: the switch must drop here.
+const DROPS: u8 = 1;
+/// Per-state flag: some move surfaces at an edge node.
+const ESCAPES: u8 = 2;
+
+/// The exhaustive explorer of one route, reusable across failure sets.
+///
+/// It holds what an exploration needs that does *not* depend on the
+/// failure set — the residue of each `(route key, switch)` it ever
+/// visited, reduced once — and every buffer an exploration fills, kept
+/// from one call to the next so a warmed explorer allocates only what
+/// the returned report owns. All of it is derived data:
+/// [`Explorer::explore`] returns the same report from a reused explorer
+/// as from a fresh one (`tests/verify_differential.rs`).
+///
+/// The residues make an explorer belong to one `(topology, route)`:
+/// hand every call the same `topo` and `active`.
+///
+/// Buffers grow with the states an exploration reaches and the link
+/// count (two bitmaps), never with the node count: a dense state table
+/// would charge every [`crate::verify_hier_route`] call on a large ring
+/// for the whole topology, so the state index is a hash map.
+pub struct Explorer<K> {
+    residues: WordMap<(K, NodeId), PortIx>,
+    failed: LinkBits,
+    relevant: LinkBits,
+    index: WordMap<(K, State), u32>,
+    /// Reached states in discovery order — the vector is its own BFS
+    /// queue, a cursor chasing its end.
+    states: Vec<(K, State)>,
+    /// The state each one was discovered from ([`NO_STATE`] for the first).
+    pred: Vec<u32>,
+    /// [`DROPS`] | [`ESCAPES`] per state.
+    flags: Vec<u8>,
+    /// Distinct successors of state `i`, in move order:
+    /// `succ[succ_start[i]..succ_start[i + 1]]`.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    moves: Vec<(PortIx, bool)>,
+    sccs: Sccs,
+    /// Scratch of the two witness walks: the states visited, and each
+    /// state's position in that walk.
+    walk: Vec<u32>,
+    walk_pos: Vec<u32>,
+}
+
+impl<K: Copy + Eq + Hash> Default for Explorer<K> {
+    fn default() -> Self {
+        Explorer {
+            residues: WordMap::default(),
+            failed: LinkBits::default(),
+            relevant: LinkBits::default(),
+            index: WordMap::default(),
+            states: Vec::new(),
+            pred: Vec::new(),
+            flags: Vec::new(),
+            succ_start: Vec::new(),
+            succ: Vec::new(),
+            moves: Vec::new(),
+            sccs: Sccs::default(),
+            walk: Vec::new(),
+            walk_pos: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> Explorer<K> {
+    /// An explorer that has seen nothing yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Exhaustively classifies `active` under the failure set `failed`
+    /// — what [`verify_route`] returns, on this explorer's buffers.
+    pub fn explore<A: ActiveRoute<Key = K>>(
+        &mut self,
+        topo: &Topology,
+        active: &mut A,
+        src: NodeId,
+        dst: NodeId,
+        technique: DeflectionTechnique,
+        failed: impl IntoIterator<Item = LinkId>,
+    ) -> VerifyReport {
+        let mut report = VerifyReport {
+            outcome: Outcome::Delivered,
+            can_deliver: false,
+            can_wrong_edge: false,
+            can_blackhole: false,
+            has_cycle: false,
+            states: 0,
+            loop_witness: None,
+            blackhole_witness: None,
+            relevant_links: Vec::new(),
+        };
+        let Explorer {
+            residues,
+            failed: down,
+            relevant,
+            index,
+            states,
+            pred,
+            flags,
+            succ_start,
+            succ,
+            moves,
+            sccs,
+            walk,
+            walk_pos,
+        } = self;
+        down.reset(topo.link_count());
+        // A link id the topology does not have fails nothing.
+        failed
+            .into_iter()
+            .filter(|l| l.0 < topo.link_count())
+            .for_each(|l| down.insert(l));
+
+        // The edge transmits blindly into its uplink; a failed uplink kills
+        // every packet of the flow at hop zero.
+        let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
+        if down.contains(uplink) {
+            report.can_blackhole = true;
+            report.outcome = Outcome::Blackhole;
+            report.blackhole_witness = Some(vec![src]);
+            report.relevant_links = vec![uplink];
+            return report;
+        }
+        let first = topo.link(uplink).peer_of(src);
+        debug_assert!(
+            topo.switch_id(first).is_some(),
+            "uplink peer is a core switch"
+        );
+        let initial = State {
+            node: first,
+            in_port: topo.link(uplink).port_on(first),
+            deflected: false,
+        };
+
+        // Reachability sweep, recording the move relation and a predecessor
+        // per state for witness reconstruction. Everything the sweep
+        // consults goes into `relevant`: `possible_moves` reads the status
+        // of every port of the current switch, and `step` follows a port
+        // of that same switch — so the uplink plus the full port list of
+        // each reachable switch covers every status read.
+        relevant.reset(topo.link_count());
+        relevant.insert(uplink);
+        index.clear();
+        states.clear();
+        pred.clear();
+        flags.clear();
+        succ_start.clear();
+        succ.clear();
+        index.insert((active.ingress(), initial), 0);
+        states.push((active.ingress(), initial));
+        pred.push(NO_STATE);
+        flags.push(0);
+        let mut first_drop = None;
+        let mut i = 0;
+        while let Some(&(key, state)) = states.get(i) {
+            topo.node(state.node)
+                .ports
+                .iter()
+                .for_each(|&l| relevant.insert(l));
+            let computed = *residues
+                .entry((key, state.node))
+                .or_insert_with(|| residue_at(topo, active.route(key), state.node));
+            debug_assert_eq!(
+                computed,
+                residue_at(topo, active.route(key), state.node),
+                "an explorer serves one route"
+            );
+            let is_failed = |l| down.contains(l);
+            possible_moves(topo, computed, technique, is_failed, state, moves);
+            succ_start.push(succ.len() as u32);
+            if moves.is_empty() {
+                flags[i] |= DROPS;
+                first_drop.get_or_insert(i);
+            }
+            for &mv in moves.iter() {
+                match step(topo, active, dst, (key, state), mv) {
+                    Err(Terminal::Delivered) => {
+                        report.can_deliver = true;
+                        flags[i] |= ESCAPES;
+                    }
+                    Err(Terminal::WrongEdge(_)) => {
+                        report.can_wrong_edge = true;
+                        flags[i] |= ESCAPES;
+                    }
+                    Ok(next) => {
+                        let j = *index.entry(next).or_insert_with(|| {
+                            states.push(next);
+                            pred.push(i as u32);
+                            flags.push(0);
+                            states.len() as u32 - 1
+                        });
+                        if !succ[succ_start[i] as usize..].contains(&j) {
+                            succ.push(j);
                         }
-                        Err(Terminal::WrongEdge(_)) => {
-                            report.can_wrong_edge = true;
-                            escapes[i] = true;
-                        }
-                        Err(Terminal::Drop) => unreachable!("step never drops"),
-                        Ok(next) => {
-                            let j = *index.entry(next).or_insert_with(|| {
-                                states.push(next);
-                                succs.push(Vec::new());
-                                terminal_drop.push(false);
-                                escapes.push(false);
-                                pred.push(Some(i));
-                                queue.push_back(states.len() - 1);
-                                states.len() - 1
-                            });
-                            if !succs[i].contains(&j) {
-                                succs[i].push(j);
+                    }
+                }
+            }
+            i += 1;
+        }
+        succ_start.push(succ.len() as u32);
+        report.states = states.len();
+        report.relevant_links = relevant.to_sorted_vec();
+
+        if let Some(die) = first_drop {
+            report.can_blackhole = true;
+            walk.clear();
+            let mut cur = die as u32;
+            while cur != NO_STATE {
+                walk.push(cur);
+                cur = pred[cur as usize];
+            }
+            let hops = walk.iter().rev().map(|&i| states[i as usize].1.node);
+            report.blackhole_witness = Some(std::iter::once(src).chain(hops).collect());
+        }
+
+        // Cycle and trap analysis on the inter-state relation. An SCC is a
+        // trap when no member can drop (that would be a blackhole, reported
+        // above), escape to an edge, or step outside the SCC.
+        let succs_of =
+            |i: u32| &succ[succ_start[i as usize] as usize..succ_start[i as usize + 1] as usize];
+        sccs.run(succ_start, succ);
+        for (sid, scc) in sccs.iter().enumerate() {
+            let cyclic = scc.len() > 1 || succs_of(scc[0]).contains(&scc[0]);
+            if !cyclic {
+                continue;
+            }
+            report.has_cycle = true;
+            let inside = |&j: &u32| sccs.of[j as usize] == sid as u32;
+            let trapped = scc
+                .iter()
+                .all(|&i| flags[i as usize] == 0 && succs_of(i).iter().all(inside));
+            if trapped && report.loop_witness.is_none() {
+                // One concrete cycle through the trap: from its first
+                // member, always the first successor that stays inside,
+                // until a state repeats.
+                walk.clear();
+                walk_pos.clear();
+                walk_pos.resize(states.len(), NO_STATE);
+                let mut cur = scc[0];
+                while walk_pos[cur as usize] == NO_STATE {
+                    walk_pos[cur as usize] = walk.len() as u32;
+                    walk.push(cur);
+                    cur = *succs_of(cur)
+                        .iter()
+                        .find(|j| inside(j))
+                        .expect("trap SCC members stay inside the SCC");
+                }
+                let cycle = &walk[walk_pos[cur as usize] as usize..];
+                report.loop_witness =
+                    Some(cycle.iter().map(|&i| states[i as usize].1.node).collect());
+            }
+        }
+
+        report.outcome = if report.loop_witness.is_some() {
+            Outcome::Loop
+        } else if report.can_blackhole {
+            Outcome::Blackhole
+        } else if report.has_cycle {
+            Outcome::TtlExceeded
+        } else if report.can_wrong_edge {
+            Outcome::WrongEdge
+        } else {
+            debug_assert!(report.can_deliver, "acyclic, lossless, on-target graph");
+            Outcome::Delivered
+        };
+        report
+    }
+}
+
+/// Strongly-connected components of the state graph: iterative Tarjan
+/// over the explorer's flat successor lists, its arrays kept between
+/// runs. Iterative because NIP walks on larger topologies can produce
+/// graphs deeper than the default stack would like.
+#[derive(Default)]
+struct Sccs {
+    idx: Vec<u32>,
+    low: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<u32>,
+    /// (state, next successor position)
+    call: Vec<(u32, u32)>,
+    /// The component of each state.
+    of: Vec<u32>,
+    /// Component `c` is `members[start[c]..start[c + 1]]`, components
+    /// and members both in the order Tarjan pops them.
+    members: Vec<u32>,
+    start: Vec<u32>,
+}
+
+impl Sccs {
+    /// The components of the last [`Sccs::run`], in emission order.
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.start
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
+    }
+
+    /// Decomposes the graph where state `v`'s successors are
+    /// `succ[succ_start[v]..succ_start[v + 1]]`.
+    fn run(&mut self, succ_start: &[u32], succ: &[u32]) {
+        let n = succ_start.len() - 1;
+        let Sccs {
+            idx,
+            low,
+            on_stack,
+            stack,
+            call,
+            of,
+            members,
+            start,
+        } = self;
+        idx.clear();
+        idx.resize(n, NO_STATE);
+        low.clear();
+        low.resize(n, 0);
+        on_stack.clear();
+        on_stack.resize(n, false);
+        of.clear();
+        of.resize(n, 0);
+        members.clear();
+        start.clear();
+        start.push(0);
+        let mut counter = 0u32;
+        for root in 0..n as u32 {
+            if idx[root as usize] != NO_STATE {
+                continue;
+            }
+            call.push((root, 0));
+            while let Some(&mut (v, ref mut pos)) = call.last_mut() {
+                let vi = v as usize;
+                if *pos == 0 {
+                    idx[vi] = counter;
+                    low[vi] = counter;
+                    counter += 1;
+                    stack.push(v);
+                    on_stack[vi] = true;
+                }
+                let next = succ_start[vi] + *pos;
+                if next < succ_start[vi + 1] {
+                    let w = succ[next as usize];
+                    *pos += 1;
+                    if idx[w as usize] == NO_STATE {
+                        call.push((w, 0));
+                    } else if on_stack[w as usize] {
+                        low[vi] = low[vi].min(idx[w as usize]);
+                    }
+                } else {
+                    if low[vi] == idx[vi] {
+                        let component = start.len() as u32 - 1;
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w as usize] = false;
+                            of[w as usize] = component;
+                            members.push(w);
+                            if w == v {
+                                break;
                             }
                         }
+                        start.push(members.len() as u32);
+                    }
+                    call.pop();
+                    if let Some(&(parent, _)) = call.last() {
+                        low[parent as usize] = low[parent as usize].min(low[vi]);
                     }
                 }
             }
         }
     }
-    report.states = states.len();
-
-    // Everything the exploration consulted: `possible_moves` reads the
-    // status of every port of the current switch, and `step` follows a
-    // port of that same switch — so the uplink plus the full port list
-    // of each reachable switch covers every status read.
-    let mut relevant: HashSet<LinkId> = [uplink].into_iter().collect();
-    let mut seen_nodes: HashSet<NodeId> = HashSet::new();
-    for (_, state) in &states {
-        if seen_nodes.insert(state.node) {
-            relevant.extend(topo.node(state.node).ports.iter().copied());
-        }
-    }
-    report.relevant_links = relevant.into_iter().collect();
-    report.relevant_links.sort_unstable();
-
-    if report.can_blackhole && report.blackhole_witness.is_none() {
-        let die = (0..states.len())
-            .find(|&i| terminal_drop[i])
-            .expect("drop state exists");
-        let mut path = Vec::new();
-        let mut cur = Some(die);
-        while let Some(i) = cur {
-            path.push(states[i].1.node);
-            cur = pred[i];
-        }
-        path.push(src);
-        path.reverse();
-        report.blackhole_witness = Some(path);
-    }
-
-    // Cycle and trap analysis on the inter-state relation. An SCC is a
-    // trap when no member can drop (that would be a blackhole, reported
-    // above), escape to an edge, or step outside the SCC.
-    let sccs = tarjan_sccs(&succs);
-    let mut scc_of = vec![0usize; states.len()];
-    for (sid, scc) in sccs.iter().enumerate() {
-        for &i in scc {
-            scc_of[i] = sid;
-        }
-    }
-    for (sid, scc) in sccs.iter().enumerate() {
-        let cyclic = scc.len() > 1 || (scc.len() == 1 && succs[scc[0]].contains(&scc[0]));
-        if !cyclic {
-            continue;
-        }
-        report.has_cycle = true;
-        let trapped = scc.iter().all(|&i| {
-            !terminal_drop[i] && !escapes[i] && succs[i].iter().all(|&j| scc_of[j] == sid)
-        });
-        if trapped && report.loop_witness.is_none() {
-            report.loop_witness = Some(loop_witness(&states, &succs, scc));
-        }
-    }
-
-    report.outcome = if report.loop_witness.is_some() {
-        Outcome::Loop
-    } else if report.can_blackhole {
-        Outcome::Blackhole
-    } else if report.has_cycle {
-        Outcome::TtlExceeded
-    } else if report.can_wrong_edge {
-        Outcome::WrongEdge
-    } else {
-        debug_assert!(report.can_deliver, "acyclic, lossless, on-target graph");
-        Outcome::Delivered
-    };
-    report
-}
-
-/// One concrete cycle through a trap SCC, as the switches visited.
-fn loop_witness<K>(states: &[(K, State)], succs: &[Vec<usize>], scc: &[usize]) -> Vec<NodeId> {
-    let members: HashSet<usize> = scc.iter().copied().collect();
-    let start = scc[0];
-    let mut seen = HashMap::new();
-    let mut order = Vec::new();
-    let mut cur = start;
-    loop {
-        if let Some(&at) = seen.get(&cur) {
-            return order[at..]
-                .iter()
-                .map(|&i: &usize| states[i].1.node)
-                .collect();
-        }
-        seen.insert(cur, order.len());
-        order.push(cur);
-        cur = *succs[cur]
-            .iter()
-            .find(|j| members.contains(j))
-            .expect("trap SCC members stay inside the SCC");
-    }
-}
-
-/// Iterative Tarjan strongly-connected components (indices into the
-/// state arrays). Iterative because NIP walks on larger topologies can
-/// produce graphs deeper than the default stack would like.
-fn tarjan_sccs(succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succs.len();
-    let mut idx = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut sccs = Vec::new();
-    let mut counter = 0usize;
-    // (node, next successor position)
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if idx[root] != usize::MAX {
-            continue;
-        }
-        call.push((root, 0));
-        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-            if *pos == 0 {
-                idx[v] = counter;
-                low[v] = counter;
-                counter += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succs[v].get(*pos) {
-                *pos += 1;
-                if idx[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(idx[w]);
-                }
-            } else {
-                if low[v] == idx[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// Lexicographic k-subsets of `0..n`.
@@ -622,7 +831,8 @@ pub struct PairVerifier<'a> {
     src: NodeId,
     dst: NodeId,
     technique: DeflectionTechnique,
-    memo: HashMap<Vec<LinkId>, VerifyReport>,
+    explorer: Explorer<()>,
+    memo: HashMap<Vec<LinkId>, Arc<VerifyReport>>,
     /// Full state-graph explorations run so far.
     pub explored: usize,
     /// `classify` calls answered entirely from the memo.
@@ -644,6 +854,7 @@ impl<'a> PairVerifier<'a> {
             src,
             dst,
             technique,
+            explorer: Explorer::new(),
             memo: HashMap::new(),
             explored: 0,
             memo_hits: 0,
@@ -656,39 +867,43 @@ impl<'a> PairVerifier<'a> {
     }
 
     /// Classifies one failure set, reusing memoized explorations of
-    /// every equivalent set. Returns exactly what
-    /// [`verify_route`] would.
-    pub fn classify(&mut self, failed: &[LinkId]) -> VerifyReport {
+    /// every equivalent set. Returns exactly what [`verify_route`]
+    /// would — the memo's own report, shared rather than copied.
+    pub fn classify(&mut self, failed: &[LinkId]) -> Arc<VerifyReport> {
         let mut proj: Vec<LinkId> = Vec::new();
         let mut ran = false;
         loop {
-            if !self.memo.contains_key(&proj) {
-                let set: HashSet<LinkId> = proj.iter().copied().collect();
-                let report = verify_route(
-                    self.topo,
-                    &self.route,
-                    self.src,
-                    self.dst,
-                    self.technique,
-                    &set,
-                );
-                self.explored += 1;
-                ran = true;
-                self.memo.insert(proj.clone(), report);
+            let report = match self.memo.get(proj.as_slice()) {
+                Some(report) => report,
+                None => {
+                    let report = self.explorer.explore(
+                        self.topo,
+                        &mut &self.route,
+                        self.src,
+                        self.dst,
+                        self.technique,
+                        proj.iter().copied(),
+                    );
+                    self.explored += 1;
+                    ran = true;
+                    self.memo.entry(proj.clone()).or_insert(Arc::new(report))
+                }
+            };
+            let known = proj.len();
+            for &l in failed {
+                if report.relevant_links.binary_search(&l).is_ok() && !proj[..known].contains(&l) {
+                    // The projection's one allocation, whatever the
+                    // number of fix-point rounds.
+                    proj.reserve(failed.len() - proj.len());
+                    proj.push(l);
+                }
             }
-            let report = &self.memo[&proj];
-            let extra: Vec<LinkId> = failed
-                .iter()
-                .copied()
-                .filter(|l| !proj.contains(l) && report.relevant_links.binary_search(l).is_ok())
-                .collect();
-            if extra.is_empty() {
+            if proj.len() == known {
                 if !ran {
                     self.memo_hits += 1;
                 }
-                return self.memo[&proj].clone();
+                return Arc::clone(report);
             }
-            proj.extend(extra);
             proj.sort_unstable();
         }
     }
@@ -705,8 +920,9 @@ pub struct FailureSetResult {
     pub failed: Vec<LinkId>,
     /// `true` when the set physically disconnects `src` from `dst`.
     pub disconnected: bool,
-    /// The exhaustive classification.
-    pub report: VerifyReport,
+    /// The exhaustive classification, shared with every other case of
+    /// the pair that projects onto the same relevant links.
+    pub report: Arc<VerifyReport>,
 }
 
 /// Work accounting for a k-failure sweep — how much the projection
@@ -736,6 +952,85 @@ pub struct KSweep {
     pub stats: SweepStats,
 }
 
+/// The "is the pair cut" test of one pair's sweep. It remembers the
+/// links of the last `src → dst` path it found: a failure set that
+/// touches none of them leaves that path standing, so the pair is
+/// connected and no search runs.
+struct CutTest<'t> {
+    topo: &'t Topology,
+    src: NodeId,
+    dst: NodeId,
+    witness: Vec<LinkId>,
+}
+
+impl<'t> CutTest<'t> {
+    fn new(topo: &'t Topology, src: NodeId, dst: NodeId) -> Self {
+        CutTest {
+            topo,
+            src,
+            dst,
+            witness: Vec::new(),
+        }
+    }
+
+    /// Whether `failed` physically disconnects the pair.
+    fn is_cut(&mut self, failed: &[LinkId]) -> bool {
+        let standing = !self.witness.is_empty() && !failed.iter().any(|l| self.witness.contains(l));
+        if standing {
+            return false;
+        }
+        let admit = |_, l| !failed.contains(&l);
+        let Some(path) = paths::bfs_shortest_path_where(self.topo, self.src, self.dst, admit)
+        else {
+            return true;
+        };
+        self.witness.clear();
+        self.witness.extend(path.windows(2).map(|hop| {
+            self.topo
+                .link_between(hop[0], hop[1])
+                .expect("consecutive BFS path nodes are adjacent")
+        }));
+        false
+    }
+}
+
+/// The one sweep loop of a pair, behind [`verify_failure_sets`] and
+/// [`min_failure_set`]: enumerates the failure sets of sizes `1..=k`
+/// (sizes ascending, sets lexicographic), settles whether each
+/// disconnects the pair — supersets of a smaller disconnecting set by
+/// monotonicity (counted in `disconnect_pruned`), the rest by asking
+/// `is_cut` — and hands every `(set, disconnected)` to `visit`, which
+/// may end the sweep.
+fn sweep_pair<B>(
+    links: usize,
+    k: usize,
+    disconnect_pruned: &mut usize,
+    mut is_cut: impl FnMut(&[LinkId]) -> bool,
+    mut visit: impl FnMut(Vec<LinkId>, bool) -> ControlFlow<B>,
+) -> Option<B> {
+    // Minimal disconnecting sets of size < s, for the monotone skip at
+    // size s.
+    let mut disconnecting: Vec<Vec<LinkId>> = Vec::new();
+    for s in 1..=k {
+        for combo in Combinations::new(links, s) {
+            let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
+            let by_subset = disconnecting
+                .iter()
+                .any(|d| d.iter().all(|l| failed.contains(l)));
+            let disconnected = by_subset || is_cut(&failed);
+            if by_subset {
+                *disconnect_pruned += 1;
+            } else if disconnected && s < k {
+                disconnecting.push(failed.clone());
+            }
+            if let ControlFlow::Break(found) = visit(failed, disconnected) {
+                return Some(found);
+            }
+        }
+    }
+    None
+}
+
 /// Exhaustively verifies every ordered edge pair of `topo` against
 /// every failure set of exactly `k` links, with shortest-path routes
 /// under `protection`. `k = 1` reproduces [`verify_single_failures`]
@@ -743,8 +1038,9 @@ pub struct KSweep {
 ///
 /// See the module docs for why this scales: projection memoization
 /// (most sets are equivalent to a much smaller one), monotone
-/// disconnection pruning seeded from the smaller set sizes, and orbit
-/// sharing of disconnection verdicts on symmetric generated topologies.
+/// disconnection pruning seeded from the smaller set sizes (swept only
+/// for that), orbit sharing of disconnection verdicts on symmetric
+/// generated topologies, and the path-witness connectivity test.
 ///
 /// # Errors
 ///
@@ -781,49 +1077,35 @@ pub fn verify_failure_sets(
             };
             let route = cache.encode_with_protection(topo, primary, protection)?;
             let mut pv = PairVerifier::new(topo, route, src, dst, technique);
-            // Minimal disconnecting sets of size < s, for the monotone
-            // skip at size s. Sizes below k are swept only to seed this.
-            let mut disconnecting: Vec<Vec<LinkId>> = Vec::new();
-            for s in 1..=k {
-                for combo in Combinations::new(topo.link_count(), s) {
-                    let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
-                    let by_subset = disconnecting
-                        .iter()
-                        .any(|d| d.iter().all(|l| failed.contains(l)));
-                    let disconnected = if by_subset {
-                        stats.disconnect_pruned += 1;
-                        true
-                    } else if !sym.is_trivial() {
-                        let key = sym.canonical_case(topo, src, dst, &failed);
-                        if let Some(&d) = orbit_cache.get(&key) {
-                            stats.symmetry_hits += 1;
-                            d
-                        } else {
-                            let set: HashSet<LinkId> = failed.iter().copied().collect();
-                            let d = paths::bfs_avoiding(topo, src, dst, &set).is_none();
-                            orbit_cache.insert(key, d);
-                            d
-                        }
-                    } else {
-                        let set: HashSet<LinkId> = failed.iter().copied().collect();
-                        paths::bfs_avoiding(topo, src, dst, &set).is_none()
-                    };
-                    if disconnected && !by_subset && s < k {
-                        disconnecting.push(failed.clone());
-                    }
-                    if s == k {
-                        let report = pv.classify(&failed);
-                        stats.cases += 1;
-                        results.push(FailureSetResult {
-                            src,
-                            dst,
-                            failed,
-                            disconnected,
-                            report,
-                        });
-                    }
+            let mut cut = CutTest::new(topo, src, dst);
+            let is_cut = |failed: &[LinkId]| {
+                if sym.is_trivial() {
+                    return cut.is_cut(failed);
                 }
-            }
+                let key = sym.canonical_case(topo, src, dst, failed);
+                if let Some(&d) = orbit_cache.get(&key) {
+                    stats.symmetry_hits += 1;
+                    return d;
+                }
+                let d = cut.is_cut(failed);
+                orbit_cache.insert(key, d);
+                d
+            };
+            let visit = |failed: Vec<LinkId>, disconnected| {
+                if failed.len() == k {
+                    stats.cases += 1;
+                    results.push(FailureSetResult {
+                        src,
+                        dst,
+                        report: pv.classify(&failed),
+                        failed,
+                        disconnected,
+                    });
+                }
+                ControlFlow::<()>::Continue(())
+            };
+            let pruned = &mut stats.disconnect_pruned;
+            sweep_pair(topo.link_count(), k, pruned, is_cut, visit);
             stats.explored += pv.explored;
             stats.memo_hits += pv.memo_hits;
         }
@@ -841,13 +1123,14 @@ pub struct BreakingPoint {
     /// [`Outcome::Blackhole`] or [`Outcome::Loop`].
     pub outcome: Outcome,
     /// The full classification, witnesses included.
-    pub report: VerifyReport,
+    pub report: Arc<VerifyReport>,
 }
 
 /// Breaking-point search: the smallest failure set (ties broken
 /// lexicographically) that blackholes or loops traffic from `src` to
 /// `dst` *without* physically disconnecting the pair, searching sizes
-/// `1..=max_k`.
+/// `1..=max_k` — the first connected violation of the sweep loop
+/// [`verify_failure_sets`] runs.
 ///
 /// Disconnecting sets are not violations — no scheme can deliver across
 /// a cut — and by monotonicity no superset of one is ever a breaking
@@ -873,32 +1156,23 @@ pub fn min_failure_set(
     };
     let route = cache.encode_with_protection(topo, primary, protection)?;
     let mut pv = PairVerifier::new(topo, route, src, dst, technique);
-    let mut disconnecting: Vec<Vec<LinkId>> = Vec::new();
-    for s in 1..=max_k {
-        for combo in Combinations::new(topo.link_count(), s) {
-            let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
-            if disconnecting
-                .iter()
-                .any(|d| d.iter().all(|l| failed.contains(l)))
-            {
-                continue; // superset of a cut: disconnected, not a violation
-            }
-            let set: HashSet<LinkId> = failed.iter().copied().collect();
-            if paths::bfs_avoiding(topo, src, dst, &set).is_none() {
-                disconnecting.push(failed);
-                continue;
-            }
-            let report = pv.classify(&failed);
-            if matches!(report.outcome, Outcome::Blackhole | Outcome::Loop) {
-                return Ok(Some(BreakingPoint {
-                    failed,
-                    outcome: report.outcome,
-                    report,
-                }));
-            }
+    let mut cut = CutTest::new(topo, src, dst);
+    let visit = |failed: Vec<LinkId>, disconnected| {
+        if disconnected {
+            return ControlFlow::Continue(());
         }
-    }
-    Ok(None)
+        let report = pv.classify(&failed);
+        match report.outcome {
+            outcome @ (Outcome::Blackhole | Outcome::Loop) => ControlFlow::Break(BreakingPoint {
+                failed,
+                outcome,
+                report,
+            }),
+            _ => ControlFlow::Continue(()),
+        }
+    };
+    let is_cut = |failed: &[LinkId]| cut.is_cut(failed);
+    Ok(sweep_pair(topo.link_count(), max_k, &mut 0, is_cut, visit))
 }
 
 /// How a traced packet journey ended, for [`check_trajectory`].
@@ -1041,6 +1315,8 @@ fn walk_frontier<A: ActiveRoute>(
 ) -> Result<(), String> {
     let mut frontier: Vec<_> = frontier.iter().map(|&s| (active.ingress(), s)).collect();
     let mut terminal: Option<Terminal> = None;
+    let is_failed = |l| failed.contains(&l);
+    let mut moves = Vec::new();
     for (i, &next) in path.iter().enumerate().skip(skip) {
         if terminal.is_some() {
             return Err(format!("path continues past an edge at hop {}", i - 1));
@@ -1049,27 +1325,24 @@ fn walk_frontier<A: ActiveRoute>(
         let mut new_frontier: Vec<(A::Key, State)> = Vec::new();
         let mut reached_terminal = None;
         for &(key, s) in &frontier {
-            let Ok(moves) = possible_moves(topo, active.route(key), technique, failed, s) else {
-                continue;
-            };
-            for mv in moves {
+            let computed = residue_at(topo, active.route(key), s.node);
+            possible_moves(topo, computed, technique, is_failed, s, &mut moves);
+            for &mv in &moves {
                 match step(topo, &mut active, dst, (key, s), mv) {
                     Ok(ns) => {
                         if next_is_core && ns.1.node == next && !new_frontier.contains(&ns) {
                             new_frontier.push(ns);
                         }
                     }
-                    Err(t @ (Terminal::Delivered | Terminal::WrongEdge(_))) => {
+                    Err(t) => {
                         let lands = match t {
                             Terminal::Delivered => dst,
                             Terminal::WrongEdge(e) => e,
-                            Terminal::Drop => unreachable!(),
                         };
                         if !next_is_core && lands == next {
                             reached_terminal = Some(t);
                         }
                     }
-                    Err(Terminal::Drop) => unreachable!("step never drops"),
                 }
             }
         }
@@ -1103,9 +1376,12 @@ fn walk_frontier<A: ActiveRoute>(
             if terminal.is_some() {
                 return Err("claimed a forced drop but the path ends at an edge".into());
             }
-            if frontier.iter().any(|&(key, s)| {
-                possible_moves(topo, active.route(key), technique, failed, s).is_err()
-            }) {
+            let must_drop = |&(key, s): &(A::Key, State)| {
+                let computed = residue_at(topo, active.route(key), s.node);
+                possible_moves(topo, computed, technique, is_failed, s, &mut moves);
+                moves.is_empty()
+            };
+            if frontier.iter().any(must_drop) {
                 Ok(())
             } else {
                 Err(format!(
@@ -1137,7 +1413,7 @@ pub struct CaseResult {
     /// no scheme can deliver; not counted as a resilience violation.
     pub disconnected: bool,
     /// The exhaustive classification.
-    pub report: VerifyReport,
+    pub report: Arc<VerifyReport>,
 }
 
 /// Exhaustively verifies every ordered edge pair of `topo` against every
@@ -1324,7 +1600,10 @@ mod tests {
                             in_port,
                             deflected,
                         };
-                        let expected = possible_moves(&topo, &route, technique, &failed, state);
+                        let computed = residue_at(&topo, &route, node);
+                        let is_failed = |l| failed.contains(&l);
+                        let mut expected = Vec::new();
+                        possible_moves(&topo, computed, technique, is_failed, state, &mut expected);
                         let mut sampled = HashSet::new();
                         let mut dropped = false;
                         for _ in 0..200 {
@@ -1361,23 +1640,18 @@ mod tests {
                                 ForwardDecision::Drop(_) => dropped = true,
                             }
                         }
-                        match expected {
-                            Err(Terminal::Drop) => {
-                                assert!(
-                                    dropped && sampled.is_empty(),
-                                    "{technique} at {node:?}/{in_port}/{deflected}"
-                                );
-                            }
-                            Err(_) => unreachable!(),
-                            Ok(moves) => {
-                                let ports: HashSet<PortIx> =
-                                    moves.iter().map(|&(p, _)| p).collect();
-                                assert!(!dropped, "{technique} at {node:?}/{in_port}");
-                                assert_eq!(
-                                    sampled, ports,
-                                    "{technique} at {node:?}/{in_port}/{deflected}"
-                                );
-                            }
+                        if expected.is_empty() {
+                            assert!(
+                                dropped && sampled.is_empty(),
+                                "{technique} at {node:?}/{in_port}/{deflected}"
+                            );
+                        } else {
+                            let ports: HashSet<PortIx> = expected.iter().map(|&(p, _)| p).collect();
+                            assert!(!dropped, "{technique} at {node:?}/{in_port}");
+                            assert_eq!(
+                                sampled, ports,
+                                "{technique} at {node:?}/{in_port}/{deflected}"
+                            );
                         }
                     }
                 }
@@ -1423,20 +1697,7 @@ mod tests {
                 let set: HashSet<LinkId> = failed.iter().copied().collect();
                 let direct = verify_route(&topo, &route, src, dst, technique, &set);
                 let memoized = pv.classify(&failed);
-                assert_eq!(memoized.outcome, direct.outcome, "{technique} {failed:?}");
-                assert_eq!(memoized.states, direct.states, "{technique} {failed:?}");
-                assert_eq!(
-                    memoized.loop_witness, direct.loop_witness,
-                    "{technique} {failed:?}"
-                );
-                assert_eq!(
-                    memoized.blackhole_witness, direct.blackhole_witness,
-                    "{technique} {failed:?}"
-                );
-                assert_eq!(
-                    memoized.relevant_links, direct.relevant_links,
-                    "{technique} {failed:?}"
-                );
+                assert_eq!(*memoized, direct, "{technique} {failed:?}");
             }
             // The memo must save work: strictly fewer explorations than
             // cases (HP's random walk has the widest relevant sets and

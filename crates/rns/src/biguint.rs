@@ -221,12 +221,21 @@ impl BigUint {
     /// `self % d` with a small divisor.
     ///
     /// This is the KAR *forwarding* operation: `output_port = R mod switch_id`.
+    /// Only the running remainder of [`BigUint::divmod_u64`]'s long
+    /// division is kept — no quotient is built, nothing is allocated.
     ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     pub fn rem_u64(&self, d: u64) -> u64 {
-        self.divmod_u64(d).1
+        assert!(d != 0, "division by zero");
+        let d = d as u128;
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &limb| (rem << 64 | limb as u128) % d);
+        rem as u64
     }
 
     /// `(self / other, self % other)` by binary long division.

@@ -195,6 +195,18 @@ proptest! {
         prop_assert_eq!(q.mul_big(&b).add_big(&r), a);
     }
 
+    /// The remainder-only fold equals the remainder of the full long
+    /// division, for 1–40-limb values and every divisor class: 1, 2, a
+    /// u32 prime, `u64::MAX`, anything.
+    #[test]
+    fn rem_u64_is_divmod_u64s_remainder(
+        limbs in proptest::collection::vec(any::<u64>(), 1..41),
+        d in prop_oneof![Just(1u64), Just(2), Just(4_294_967_291), Just(u64::MAX), 1..u64::MAX],
+    ) {
+        let a = BigUint::from_limbs(limbs);
+        prop_assert_eq!(a.rem_u64(d), a.divmod_u64(d).1);
+    }
+
     /// BigUint decimal formatting round-trips through parsing.
     #[test]
     fn biguint_display_parse_round_trip(limbs in proptest::collection::vec(any::<u64>(), 0..5)) {
