@@ -17,7 +17,11 @@
 //! * multi-limb route IDs fold limb by limb (Horner), re-using the same
 //!   constant: for `d ≤ 2³²` each 32-bit half folds through the
 //!   reciprocal (the intermediate `acc·2³² + half` stays below `2⁶⁴`),
-//!   and for larger `d` the fold uses the cached `2⁶⁴ mod d`.
+//!   and for larger `d` the fold uses the cached `2⁶⁴ mod d`. The
+//!   deployed case, `d < 2¹⁶`, instead reduces every limb on its own and
+//!   folds two limbs per dependent step through the cached `2⁶⁴ mod d`
+//!   and `2¹²⁸ mod d`: on a 20-limb route ID the serial chain is 10
+//!   reductions instead of 40.
 //!
 //! The result is bit-for-bit identical to [`BigUint::rem_u64`] — the
 //! simulator's `SwitchCtx::residue` asserts exactly that on every hop of
@@ -47,13 +51,15 @@ pub struct Reducer {
 enum Mode {
     /// `d` is a power of two (including 1): residue is a mask.
     Pow2 { mask: u64 },
-    /// `d < 2¹⁶`: Horner over 32-bit halves through the *64-bit*
-    /// reciprocal `c64 = ⌊2⁶⁴/d⌋ + 1` — one native multiply plus one
-    /// widening multiply per fold. Exact because each fold operand is
-    /// `acc·2³² + half < d·2³²` and the error term satisfies
-    /// `n·(d − 2⁶⁴ mod d) ≤ d²·2³² < 2⁶⁴`. This is the deployed case:
+    /// `d < 2¹⁶`: reductions through the *64-bit* reciprocal
+    /// `c64 = ⌊2⁶⁴/d⌋ + 1` — one native multiply plus one widening
+    /// multiply each. Exact for any operand `n < d·2³²`, since then the
+    /// error term satisfies `n·(d − 2⁶⁴ mod d) ≤ d²·2³² < 2⁶⁴`. A limb
+    /// reduces as two 32-bit halves; limbs `hi, lo` below an accumulator
+    /// fold as `acc·b128 + r(hi)·b64 + r(lo) < 2d² + d < d·2³²` with
+    /// `b64 = 2⁶⁴ mod d`, `b128 = 2¹²⁸ mod d`. This is the deployed case:
     /// switch IDs are small coprimes (topo15/rnp28 max out below 2⁸).
-    Tiny { c64: u64 },
+    Tiny { c64: u64, b64: u64, b128: u64 },
     /// `2¹⁶ ≤ d ≤ 2³² − 1`: same Horner fold through the 128-bit
     /// reciprocal (the 64-bit one is no longer exact).
     Small { c: u128 },
@@ -74,8 +80,11 @@ impl Reducer {
         } else if d < 1 << 16 {
             // c64 = ⌊2⁶⁴/d⌋ + 1; d is not a power of two, so it does not
             // divide 2⁶⁴ and ⌊(2⁶⁴−1)/d⌋ = ⌊2⁶⁴/d⌋.
+            let b64 = (u64::MAX % d + 1) % d;
             Mode::Tiny {
                 c64: u64::MAX / d + 1,
+                b64,
+                b128: b64 * b64 % d,
             }
         } else {
             // c = ⌊2¹²⁸/d⌋ + 1, same argument one level up.
@@ -100,12 +109,7 @@ impl Reducer {
     pub fn rem_u64(&self, n: u64) -> u64 {
         match self.mode {
             Mode::Pow2 { mask } => n & mask,
-            // A full u64 exceeds the 64-bit reciprocal's exactness bound;
-            // fold its halves (both operands stay below d·2³²).
-            Mode::Tiny { c64 } => {
-                let acc = fastmod64(c64, n >> 32, self.d);
-                fastmod64(c64, acc << 32 | n & 0xffff_ffff, self.d)
-            }
+            Mode::Tiny { c64, .. } => tiny_limb(c64, n, self.d),
             Mode::Small { c } | Mode::Large { c, .. } => fastmod(c, n, self.d),
         }
     }
@@ -118,13 +122,16 @@ impl Reducer {
         match self.mode {
             // A power-of-two modulus only sees the low limb.
             Mode::Pow2 { mask } => limbs.first().copied().unwrap_or(0) & mask,
-            Mode::Tiny { c64 } => {
-                // Same fold as Small, but each step is two native
-                // multiplies instead of a 128-bit schoolbook product.
-                let mut acc = 0u64;
-                for &limb in limbs.iter().rev() {
-                    acc = fastmod64(c64, acc << 32 | limb >> 32, self.d);
-                    acc = fastmod64(c64, acc << 32 | limb & 0xffff_ffff, self.d);
+            Mode::Tiny { c64, b64, b128 } => {
+                // Limb residues do not depend on each other, so only the
+                // pair fold is serial. An odd top limb seeds the
+                // accumulator; pairs below it follow from the top down.
+                let d = self.d;
+                let (pairs, top) = limbs.split_at(limbs.len() & !1);
+                let mut acc = top.first().map_or(0, |&limb| tiny_limb(c64, limb, d));
+                for pair in pairs.rchunks_exact(2) {
+                    let (lo, hi) = (tiny_limb(c64, pair[0], d), tiny_limb(c64, pair[1], d));
+                    acc = fastmod64(c64, acc * b128 + hi * b64 + lo, d);
                 }
                 acc
             }
@@ -154,10 +161,6 @@ impl Reducer {
     }
 }
 
-/// `n mod d` via the precomputed reciprocal `c = ⌊2¹²⁸/d⌋ + 1`.
-///
-/// Exactness condition (Lemire et al., Thm. 1): `n·(d − 2¹²⁸ mod d) < 2¹²⁸`,
-/// implied by `n·d < 2¹²⁸` — always true for 64-bit `n` and `d`.
 /// `n mod d` via the 64-bit reciprocal `c64 = ⌊2⁶⁴/d⌋ + 1`.
 ///
 /// Exactness condition: `n·(d − 2⁶⁴ mod d) < 2⁶⁴`, implied by
@@ -168,6 +171,19 @@ fn fastmod64(c64: u64, n: u64, d: u64) -> u64 {
     ((frac as u128 * d as u128) >> 64) as u64
 }
 
+/// A full `u64` mod `d < 2¹⁶`: it exceeds the 64-bit reciprocal's
+/// exactness bound, so its halves fold (both operands stay below
+/// `d·2³²`).
+#[inline]
+fn tiny_limb(c64: u64, n: u64, d: u64) -> u64 {
+    let acc = fastmod64(c64, n >> 32, d);
+    fastmod64(c64, acc << 32 | n & 0xffff_ffff, d)
+}
+
+/// `n mod d` via the precomputed reciprocal `c = ⌊2¹²⁸/d⌋ + 1`.
+///
+/// Exactness condition (Lemire et al., Thm. 1): `n·(d − 2¹²⁸ mod d) < 2¹²⁸`,
+/// implied by `n·d < 2¹²⁸` — always true for 64-bit `n` and `d`.
 #[inline]
 fn fastmod(c: u128, n: u64, d: u64) -> u64 {
     let frac = c.wrapping_mul(n as u128);

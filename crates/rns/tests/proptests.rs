@@ -43,6 +43,40 @@ fn coprime_set() -> impl Strategy<Value = Vec<u64>> {
         })
 }
 
+/// The moduli below 2¹⁶ worth pinning (the reducer's pair-fold arm, bar
+/// topo15's power-of-two 4): small primes, the largest prime below 2¹⁶,
+/// and every switch ID topo15 and rnp28 deploy.
+fn tiny_moduli() -> Vec<u64> {
+    let mut ids = vec![3, 5, 251, 65_521];
+    ids.extend(kar_topology::topo15::build().switch_ids());
+    ids.extend(kar_topology::rnp28::build().switch_ids());
+    ids
+}
+
+/// The pair fold seeds its accumulator from an odd top limb, so every
+/// limb count — odd and even — is its own case.
+const MAX_LIMBS: usize = 48;
+
+/// Limb-count × modulus × extreme value, exhaustively: all-ones limbs
+/// (every residue at its largest) and a value whose only non-zero limb
+/// is the top one (all the weight in the seed or the last pair).
+#[test]
+fn reducer_folds_every_limb_count_of_the_extremes() {
+    for d in tiny_moduli() {
+        let r = Reducer::new(d);
+        for n in 1..=MAX_LIMBS {
+            let mut high = vec![0u64; n];
+            for top in [1, u64::MAX] {
+                high[n - 1] = top;
+                for limbs in [vec![u64::MAX; n], high.clone()] {
+                    let v = BigUint::from_limbs(limbs);
+                    assert_eq!(r.rem(&v), v.rem_u64(d), "{n} limbs mod {d}: {v}");
+                }
+            }
+        }
+    }
+}
+
 /// Strategy: a coprime set plus in-range residues for each modulus.
 fn basis_with_residues() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
     coprime_set().prop_flat_map(|set| {
@@ -253,6 +287,20 @@ proptest! {
         prop_assert_eq!(r.rem(&route), route.rem_u64(d), "{} mod {}", route, d);
         let low = route.limbs().first().copied().unwrap_or(0);
         prop_assert_eq!(r.rem_u64(low), low % d);
+    }
+
+    /// The same fold on random limbs of every count up to 48, against
+    /// plain division, for the moduli of
+    /// `reducer_folds_every_limb_count_of_the_extremes`.
+    #[test]
+    fn reducer_folds_random_limbs_of_either_parity(
+        limbs in proptest::collection::vec(any::<u64>(), 1..MAX_LIMBS + 1),
+        pick in any::<proptest::sample::Index>(),
+    ) {
+        let moduli = tiny_moduli();
+        let d = moduli[pick.index(moduli.len())];
+        let v = BigUint::from_limbs(limbs);
+        prop_assert_eq!(Reducer::new(d).rem(&v), v.rem_u64(d), "{} mod {}", v, d);
     }
 
     /// gcd is commutative, associative with itself, and divides both args.

@@ -23,11 +23,13 @@ pub struct SwitchCtx<'a> {
     pub topo: &'a Topology,
     /// The switch making the decision.
     pub node: NodeId,
-    /// This switch's ID (`None` never happens for core switches).
+    /// This switch's ID: the modulus its route-ID residue is taken by.
     pub switch_id: u64,
     /// Port the packet came in on (`None` for locally injected packets).
     pub in_port: Option<PortIx>,
-    /// `ports[p]` is `true` iff the link behind port `p` is up.
+    /// `ports[p]` is `true` iff the switch observes the link behind port
+    /// `p` as up (the engine lends its own per-switch port state, which
+    /// lags the physical link by the detection delay).
     pub ports: &'a [bool],
     /// Current simulation time.
     pub now: SimTime,

@@ -67,26 +67,24 @@ impl Default for SimConfig {
     }
 }
 
-/// One direction of a link at runtime.
+/// One direction of a link at runtime. Packets are boxed here and in
+/// [`Event`]: a hop moves a pointer, not the 112-byte packet.
 #[derive(Debug, Default)]
 struct DirState {
-    queue: VecDeque<Packet>,
-    transmitting: Option<Packet>,
+    queue: VecDeque<Box<Packet>>,
+    transmitting: Option<Box<Packet>>,
     /// Bumped whenever the direction is force-cleared (link failure) so
     /// stale `TxDone` events can be recognized and ignored.
     epoch: u64,
 }
 
+/// Physical state of one link. What the adjacent switches *believe* is
+/// not here but in [`Sim::port_up`], the slices forwarders read.
 #[derive(Debug, Default)]
 struct LinkState {
     /// Physical state: a down link refuses traffic regardless of what the
     /// adjacent switches believe.
     down: bool,
-    /// What the adjacent switches currently believe (lags the physical
-    /// state by the detection delay, in *both* directions: a freshly
-    /// failed link still reads up, and a freshly repaired link still
-    /// reads down until the repair is detected).
-    observed_down: bool,
     /// Bumped on every physical transition; detection events carry the
     /// seq of the transition they observed so a stale detection (e.g. a
     /// slow failure report racing a fast repair report under jitter)
@@ -100,7 +98,7 @@ struct LinkState {
 enum Event {
     Start(NodeId),
     Arrive {
-        pkt: Packet,
+        pkt: Box<Packet>,
         node: NodeId,
         in_port: Option<PortIx>,
         /// Whether the shared switching CPU already served this arrival.
@@ -132,7 +130,7 @@ enum Event {
         down: bool,
     },
     Reinject {
-        pkt: Packet,
+        pkt: Box<Packet>,
         node: NodeId,
         port: PortIx,
     },
@@ -252,6 +250,14 @@ pub struct Sim<'t> {
     /// [`SwitchCtx::reducer`]: one per core switch, `None` for edges.
     reducers: Vec<Option<Reducer>>,
     links: Vec<LinkState>,
+    /// What each switch currently observes of its ports, node `n`'s in
+    /// `port_up[port_base[n]..port_base[n + 1]]` in port order — the
+    /// slice a core hop hands the forwarder as [`SwitchCtx::ports`].
+    /// Lags the physical [`LinkState::down`] by the detection delay in
+    /// *both* directions (a freshly failed link still reads up, a freshly
+    /// repaired one still reads down); both ends of a link always agree.
+    port_up: Vec<bool>,
+    port_base: Vec<usize>,
     /// Per-node Byzantine behavior, indexed by `NodeId` (see
     /// [`crate::adversary`]). Empty means every switch is honest — the
     /// default, and the only state existing scenarios ever see.
@@ -293,12 +299,19 @@ impl<'t> Sim<'t> {
                 _ => None,
             })
             .collect();
+        let mut port_base = Vec::with_capacity(topo.node_count() + 1);
+        port_base.push(0);
+        for node in topo.nodes() {
+            port_base.push(port_base[port_base.len() - 1] + node.ports.len());
+        }
         Sim {
             topo,
             now: SimTime::ZERO,
             events: CalendarQueue::default(),
             reducers,
             links,
+            port_up: vec![true; port_base[port_base.len() - 1]],
+            port_base,
             behaviors: Vec::new(),
             forwarder,
             edge_logic,
@@ -475,7 +488,13 @@ impl<'t> Sim<'t> {
     /// up. Lags [`Sim::link_is_up`] by the detection delay in both
     /// directions.
     pub fn link_observed_up(&self, link: LinkId) -> bool {
-        !self.links[link.0].observed_down
+        let l = self.topo.link(link);
+        self.port_up[self.port_slot(l.a, l.a_port)]
+    }
+
+    /// Index of `node`'s `port` in [`Sim::port_up`].
+    fn port_slot(&self, node: NodeId, port: PortIx) -> usize {
+        self.port_base[node.0] + port as usize
     }
 
     /// The engine's forwarder (for post-run inspection, e.g. state-table
@@ -521,11 +540,14 @@ impl<'t> Sim<'t> {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        if let Some(profiler) = self.profiler.clone() {
+        // Taken and put back rather than cloned: no reference-count
+        // traffic per event. Nothing inside dispatch reads the field.
+        if let Some(profiler) = self.profiler.take() {
             let label = ev.label();
             let t0 = std::time::Instant::now();
             self.dispatch_inner(ev);
             profiler.record(label, t0.elapsed());
+            self.profiler = Some(profiler);
         } else {
             self.dispatch_inner(ev);
         }
@@ -651,7 +673,10 @@ impl<'t> Sim<'t> {
             return; // a newer transition was already observed (jitter race)
         }
         ls.observed_seq = seq;
-        ls.observed_down = down;
+        let l = self.topo.link(link);
+        for slot in [self.port_slot(l.a, l.a_port), self.port_slot(l.b, l.b_port)] {
+            self.port_up[slot] = !down;
+        }
         if let Some(o) = &self.obs {
             let (span, parent) = o.bundle.spans.detect(link.0 as u32);
             let mut ev = ObsEvent::new(self.now.as_nanos(), EventKind::Detect);
@@ -720,13 +745,18 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn enqueue_on_link(&mut self, from: NodeId, link: LinkId, pkt: Packet) {
+    fn enqueue_on_link(&mut self, from: NodeId, link: LinkId, pkt: Box<Packet>) {
         let l = self.topo.link(link);
         let rate = l.params.rate_bps;
         let cap = l.params.queue_pkts;
         let dir = if from == l.a { 0 } else { 1 };
         let ls = &mut self.links[link.0];
         if ls.down {
+            // Sent into a port that still reads up (detection lag): the
+            // link loses it, like the packets `on_link_down` flushed.
+            if let Some(o) = &self.obs {
+                o.link_drops[link.0].inc();
+            }
             self.drop_pkt(pkt.id, DropReason::LinkFailure);
             return;
         }
@@ -794,7 +824,7 @@ impl<'t> Sim<'t> {
         }
     }
 
-    fn send_out_port(&mut self, node: NodeId, port: PortIx, pkt: Packet) {
+    fn send_out_port(&mut self, node: NodeId, port: PortIx, pkt: Box<Packet>) {
         match self.topo.node(node).ports.get(port as usize) {
             Some(&link) => self.enqueue_on_link(node, link, pkt),
             None => self.drop_pkt(pkt.id, DropReason::BadPort),
@@ -803,7 +833,7 @@ impl<'t> Sim<'t> {
 
     fn on_arrive(
         &mut self,
-        mut pkt: Packet,
+        mut pkt: Box<Packet>,
         node: NodeId,
         in_port: Option<PortIx>,
         cpu_done: bool,
@@ -886,12 +916,6 @@ impl<'t> Sim<'t> {
                 // default edge logic is a no-op (no RNG, no state), so
                 // flat runs stay byte-identical.
                 self.edge_logic.core_ingress(topo, node, in_port, &mut pkt);
-                let statuses: Vec<bool> = topo
-                    .node(node)
-                    .ports
-                    .iter()
-                    .map(|&l| !self.links[l.0].observed_down)
-                    .collect();
                 // Byzantine interposition (see [`crate::adversary`]).
                 // Honest switches take exactly the pre-adversary code
                 // path — same branches, zero extra RNG draws — so
@@ -903,12 +927,13 @@ impl<'t> Sim<'t> {
                     self.drop_pkt(pkt.id, DropReason::AdversaryDrop);
                     return;
                 }
+                let ports = &self.port_up[self.port_base[node.0]..self.port_base[node.0 + 1]];
                 let ctx = SwitchCtx {
                     topo,
                     node,
                     switch_id,
                     in_port,
-                    ports: &statuses,
+                    ports,
                     now: self.now,
                     reducer: self.reducers[node.0].as_ref(),
                     behavior,
@@ -972,7 +997,7 @@ impl<'t> Sim<'t> {
                                 o.event(ev);
                             }
                         }
-                        if !statuses.get(p as usize).copied().unwrap_or(false) {
+                        if !ports.get(p as usize).copied().unwrap_or(false) {
                             self.drop_pkt(pkt.id, DropReason::BadPort);
                         } else {
                             self.send_out_port(node, p, pkt);
@@ -1041,7 +1066,9 @@ impl<'t> Sim<'t> {
         kind: PacketKind,
         size_bytes: u32,
     ) {
-        let mut pkt = Packet {
+        // The packet's one allocation: from here to delivery or drop it
+        // moves as this box.
+        let mut pkt = Box::new(Packet {
             id: self.next_pkt_id,
             flow,
             seq,
@@ -1054,7 +1081,7 @@ impl<'t> Sim<'t> {
             hops: 0,
             deflections: 0,
             created: self.now,
-        };
+        });
         self.next_pkt_id += 1;
         self.stats.record_injection();
         self.in_flight += 1;
@@ -1085,7 +1112,7 @@ impl<'t> Sim<'t> {
 enum AppEntry {
     Start,
     Timer(u64),
-    Packet(Packet),
+    Packet(Box<Packet>),
 }
 
 #[cfg(test)]
@@ -1151,6 +1178,18 @@ mod tests {
         let basis = RnsBasis::new(vec![4, 7]).unwrap();
         let r = crt_encode(&basis, &[1, 1]).unwrap();
         (topo, r)
+    }
+
+    /// Packets travel boxed, so what the calendar pushes, sorts and pops
+    /// per event is a few words, not the packet.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn events_carry_packets_by_pointer() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+        assert_eq!(
+            std::mem::size_of::<crate::calendar::CalendarEntry<Event>>(),
+            56
+        );
     }
 
     #[test]
@@ -1714,6 +1753,64 @@ mod tests {
             .find(|e| e.kind == EventKind::Drop)
             .expect("drop event");
         assert_eq!(drop.tag, "port-down");
+    }
+
+    /// Every packet a link loses shows in that link's `drops` counter:
+    /// overflow, the packet serializing when the link fails, and those
+    /// forwarded into it before the failure is detected.
+    #[test]
+    fn link_drop_counters_add_up_to_the_link_drops() {
+        let mut b = TopologyBuilder::new();
+        let s = b.edge("S");
+        let sw4 = b.core("SW4", 4);
+        let sw7 = b.core("SW7", 7);
+        let d = b.edge("D");
+        b.link(s, sw4, LinkParams::new(100, 10).with_queue(2));
+        let failing = b.link(sw4, sw7, LinkParams::new(100, 10));
+        b.link(sw7, d, LinkParams::new(100, 10));
+        let topo = b.build().unwrap();
+        let basis = RnsBasis::new(vec![4, 7]).unwrap();
+        let mut sim = Sim::new(
+            &topo,
+            Box::new(ModuloDrop),
+            Box::new(FixedTag {
+                route_id: crt_encode(&basis, &[1, 1]).unwrap(),
+                uplink: 0,
+            }),
+            SimConfig {
+                detection_delay: SimTime::from_millis(1),
+                ..SimConfig::default()
+            },
+        );
+        let handle = ObsHandle::enabled();
+        sim.attach_obs(&handle);
+        // Six at once into a 2-packet queue: 3 overflow. The survivors
+        // reach SW4 at 90 / 170 / 250 µs; the failure at 100 µs kills
+        // the first mid-serialization, and the other two are forwarded
+        // into the dead port, which still reads up.
+        for seq in 0..6 {
+            sim.inject(s, d, FlowId(0), seq, PacketKind::Probe, 1000);
+        }
+        sim.schedule_link_down(SimTime::from_micros(100), failing);
+        sim.run_to_quiescence();
+        let stats = sim.stats();
+        assert_eq!(stats.dropped_for(DropReason::QueueOverflow), 3);
+        assert_eq!(stats.dropped_for(DropReason::LinkFailure), 3);
+        let link_drops: u64 = handle
+            .get()
+            .unwrap()
+            .metrics
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|(e, m, _)| matches!(e, Entity::Link(_)) && m == "drops")
+            .map(|c| c.2)
+            .sum();
+        assert_eq!(
+            link_drops,
+            stats.dropped_for(DropReason::LinkFailure)
+                + stats.dropped_for(DropReason::QueueOverflow)
+        );
     }
 
     #[test]
