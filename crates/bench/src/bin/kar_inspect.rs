@@ -26,8 +26,8 @@
 //!
 //! Either view warns when a run's event ring overflowed
 //! (`evicted > 0`): timelines and forensics are then missing their
-//! oldest events, and `--events-cap` (or `KAR_EVENTS_CAP`) on the
-//! producing binary raises the ring size.
+//! oldest events, and `--events-cap` on the producing binary raises the
+//! ring size.
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
@@ -99,7 +99,7 @@ fn warn_evicted(run: &RunDump) {
             );
             println!(
                 "         Timelines and forensics are missing the oldest events; re-run the \
-                 producing binary with --events-cap <n> (or KAR_EVENTS_CAP) to keep more."
+                 producing binary with --events-cap <n> to keep more."
             );
             println!();
         }

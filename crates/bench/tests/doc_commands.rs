@@ -1,7 +1,8 @@
 //! Documented commands cannot rot: every `kar-bench <name> --flag …` the
 //! docs, scripts and CI spell names a registered experiment and flags it
 //! declares, no other `--bin` is mentioned, and no retired `KAR_*` knob
-//! survives in prose. (`tests/doc_paths.rs` checks the paths.)
+//! survives in prose or in a crate's sources — a comment or a message
+//! users see. (`tests/doc_paths.rs` checks the paths.)
 
 use kar_bench::cli::Experiment;
 use kar_bench::experiments::REGISTRY;
@@ -27,6 +28,39 @@ fn scanned_files(root: &Path) -> Vec<PathBuf> {
         );
     }
     files
+}
+
+/// Every `.rs` file under `crates/*/src`.
+fn rust_sources(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path().join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files
+}
+
+/// Flags every `KAR_*` name on `line` but the test-only `KAR_BLESS`.
+fn retired_knobs(line: &str, at: &str, problems: &mut Vec<String>) {
+    for (i, _) in line.match_indices("KAR_") {
+        let knob: String = line[i..]
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+            .collect();
+        if knob != "KAR_BLESS" {
+            problems.push(format!("{at}: {knob} — kar-bench reads no environment"));
+        }
+    }
 }
 
 /// Where a command starts on `tokens`, if one does: the index of the
@@ -148,15 +182,17 @@ fn every_documented_command_names_a_registered_experiment_and_declared_flags() {
                     problems.push(format!("{at}: `--bin {bin}` no longer exists"));
                 }
             }
-            for (i, _) in line.match_indices("KAR_") {
-                let knob: String = line[i..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_uppercase() || *c == '_')
-                    .collect();
-                if knob != "KAR_BLESS" {
-                    problems.push(format!("{at}: {knob} — kar-bench reads no environment"));
-                }
-            }
+            retired_knobs(line, &at, &mut problems);
+        }
+    }
+    for file in rust_sources(&root) {
+        let text = std::fs::read_to_string(&file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            retired_knobs(
+                line,
+                &format!("{}:{}", file.display(), n + 1),
+                &mut problems,
+            );
         }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));

@@ -1,21 +1,22 @@
 //! The threaded control-plane daemon.
 //!
-//! One listener thread accepts connections and hands them to a fixed
-//! worker pool over a channel; each worker serves one connection at a
-//! time with framed blocking I/O (the workspace is offline — no async
-//! runtime; `std::net` threads are the whole story). Workers share one
+//! The daemon is its workers and one lock. Each worker `accept`s on the
+//! one shared listener and serves the connection it got with framed
+//! blocking I/O (the workspace is offline — no async runtime; `std::net`
+//! threads are the whole story), so the kernel's listen backlog is the
+//! bounded, first-come-first-served accept queue. Workers share one
 //! notice-driven [`Planner`] behind a mutex, so encodes are serialized
 //! exactly like the in-process simulator's single-threaded edge logic —
 //! a service encode and a simulator encode of the same request are the
 //! same code path and produce the same bytes.
 //!
-//! Fault notifications take the explicit control channel: a worker
-//! serving `invalidate` does not mutate the controller itself but sends
-//! the transition to a dedicated control thread and waits for its ack
-//! (the controller/datapath split, kept observable). Because the ack
-//! returns only after [`Planner::on_link_event`] ran, an
-//! encode issued after an invalidate response — on any connection —
-//! is guaranteed to see the transition.
+//! A worker serving `invalidate` applies the transition itself, under
+//! that mutex, and queues the `OK` only after [`Planner::on_link_event`]
+//! ran. Every encode takes the same lock, so an encode issued after an
+//! invalidate response — on any connection — sees the transition. A
+//! worker that panics while holding the lock poisons it; from then on
+//! `encode` and `invalidate` answer `INTERNAL` instead of running on a
+//! half-updated planner, and `stats` still answers.
 //!
 //! A burst in is a burst out (DESIGN.md invariant 15): a worker never
 //! blocks in a read while responses are unflushed and never flushes
@@ -36,8 +37,8 @@ use kar_simnet::{EdgeLogic, SimTime};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -55,12 +56,9 @@ pub struct ServiceConfig {
     pub idle_timeout: Duration,
     /// Recovery-loop knobs. The default sets
     /// [`RecoveryConfig::notification_delay`] to zero: a service
-    /// invalidate is acknowledged only once applied, so the control
-    /// channel's latency is already real (socket) time.
+    /// invalidate is acknowledged only once applied, so the
+    /// notification's latency is already real (socket) time.
     pub recovery: RecoveryConfig,
-    /// Shared route-encoding memo (expose one cache across daemon and
-    /// in-process users to share encodes).
-    pub cache: Arc<EncodingCache>,
     /// Observability bundle; invalidate events and the `service.requests`
     /// / `service.errors` / `service.idle_timeouts` counters land here,
     /// with the `service.latency_ns` histogram: frame read to response
@@ -71,7 +69,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults: 4 workers, a 30-second idle deadline, zero
-    /// notification delay, a fresh cache, no observability.
+    /// notification delay, no observability.
     pub fn new(topo: Topology) -> ServiceConfig {
         ServiceConfig {
             topo,
@@ -81,83 +79,83 @@ impl ServiceConfig {
                 notification_delay: SimTime::ZERO,
                 protection: kar::Protection::None,
             },
-            cache: Arc::new(EncodingCache::new()),
             obs: ObsHandle::disabled(),
         }
     }
 }
 
-/// Counters shared by every worker.
-#[derive(Default)]
+/// The counts behind `stats`, one cell per event. With observability on,
+/// `requests`, `errors` and `idle_timeouts` are the registry's
+/// `service.*` cells, so `stats` and the dump read the same number.
 struct Counters {
-    requests: AtomicU64,
-    encode_ok: AtomicU64,
-    encode_err: AtomicU64,
-    invalidations: AtomicU64,
-    idle_timeouts: AtomicU64,
-}
-
-/// A link transition in flight on the control channel.
-struct FaultMsg {
-    link: LinkId,
-    up: bool,
-    ack: mpsc::SyncSender<()>,
-}
-
-/// The observability bundle with the per-request instruments resolved
-/// once (a registry lookup locks and hashes; recording does neither).
-struct ServiceObs {
-    bundle: Arc<Obs>,
     requests: Counter,
     errors: Counter,
     idle_timeouts: Counter,
-    latency_ns: Histogram,
+    encode_ok: Counter,
+    encode_err: Counter,
+    invalidations: Counter,
 }
 
-impl ServiceObs {
-    fn resolve(handle: &ObsHandle) -> Option<ServiceObs> {
-        let bundle = handle.arc()?;
-        let counter = |name| bundle.metrics.counter(Entity::Global, name);
-        Some(ServiceObs {
-            requests: counter("service.requests"),
-            errors: counter("service.errors"),
-            idle_timeouts: counter("service.idle_timeouts"),
-            latency_ns: bundle
-                .metrics
-                .histogram(Entity::Global, "service.latency_ns"),
-            bundle,
-        })
+impl Counters {
+    fn new(obs: Option<&Obs>) -> Counters {
+        let cell = |name| {
+            obs.map_or_else(Counter::default, |o| {
+                o.metrics.counter(Entity::Global, name)
+            })
+        };
+        Counters {
+            requests: cell("service.requests"),
+            errors: cell("service.errors"),
+            idle_timeouts: cell("service.idle_timeouts"),
+            encode_ok: Counter::default(),
+            encode_err: Counter::default(),
+            invalidations: Counter::default(),
+        }
     }
 }
 
-/// State shared by the workers and the control thread.
+/// State shared by the workers.
 struct State {
     topo: Topology,
-    controller: Mutex<Planner>,
+    planner: Mutex<Planner>,
     cache: Arc<EncodingCache>,
     counters: Counters,
     start: Instant,
-    obs: Option<ServiceObs>,
+    /// The bundle invalidate events go to, when observability is on.
+    obs: Option<Arc<Obs>>,
+    latency_ns: Option<Histogram>,
     idle_timeout: Option<Duration>,
 }
 
 impl State {
     fn new(config: ServiceConfig) -> State {
-        let mut controller = Planner::new()
+        let cache = Arc::new(EncodingCache::new());
+        let obs = config.obs.arc();
+        let planner = Planner::new()
             .with_view(LinkView::Notices(config.recovery))
-            .with_encoding_cache(Arc::clone(&config.cache));
-        if config.obs.is_enabled() {
-            controller = controller.with_obs(config.obs.clone());
-        }
+            .with_encoding_cache(Arc::clone(&cache))
+            .with_obs(config.obs);
         State {
             topo: config.topo,
-            controller: Mutex::new(controller),
-            cache: config.cache,
-            counters: Counters::default(),
+            planner: Mutex::new(planner),
+            cache,
+            counters: Counters::new(obs.as_deref()),
             start: Instant::now(),
-            obs: ServiceObs::resolve(&config.obs),
+            latency_ns: obs
+                .as_ref()
+                .map(|o| o.metrics.histogram(Entity::Global, "service.latency_ns")),
+            obs,
             idle_timeout: (!config.idle_timeout.is_zero()).then_some(config.idle_timeout),
         }
+    }
+
+    /// The planner, or an `INTERNAL` answer when a worker panicked while
+    /// holding it: a half-updated planner is refused, never re-entered.
+    fn planner(&self) -> Result<MutexGuard<'_, Planner>, Response> {
+        self.planner.lock().map_err(|_| Response::Error {
+            code: status::INTERNAL,
+            message: "planner poisoned".into(),
+        })
     }
 
     /// Wall-clock time of `at` since daemon start: the controller's clock.
@@ -167,12 +165,13 @@ impl State {
 
     fn stats(&self) -> ServiceStats {
         let cache = self.cache.stats();
+        let counters = &self.counters;
         ServiceStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            encode_ok: self.counters.encode_ok.load(Ordering::Relaxed),
-            encode_err: self.counters.encode_err.load(Ordering::Relaxed),
-            invalidations: self.counters.invalidations.load(Ordering::Relaxed),
-            idle_timeouts: self.counters.idle_timeouts.load(Ordering::Relaxed),
+            requests: counters.requests.get(),
+            encode_ok: counters.encode_ok.get(),
+            encode_err: counters.encode_err.get(),
+            invalidations: counters.invalidations.get(),
+            idle_timeouts: counters.idle_timeouts.get(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             uptime_ns: self.start.elapsed().as_nanos() as u64,
@@ -181,52 +180,36 @@ impl State {
 }
 
 /// A running daemon. Dropping it without [`Daemon::shutdown`] detaches
-/// the threads (they exit with the process).
+/// the workers (they exit with the process).
 pub struct Daemon {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Daemon {
-    /// Binds `127.0.0.1:0` and starts the listener, worker pool and
-    /// control thread.
+    /// Binds `127.0.0.1:0` and starts `workers` threads, each accepting
+    /// on the one listener.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn spawn(config: ServiceConfig) -> io::Result<Daemon> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let listener = Arc::new(TcpListener::bind("127.0.0.1:0")?);
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let state = Arc::new(State::new(config));
         let stop = Arc::new(AtomicBool::new(false));
-        let (fault_tx, fault_rx) = mpsc::channel::<FaultMsg>();
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let mut threads = Vec::new();
-        threads.push(thread::spawn({
-            let state = Arc::clone(&state);
-            move || control_loop(state, fault_rx)
-        }));
-        for _ in 0..workers {
-            let state = Arc::clone(&state);
-            let conn_rx = Arc::clone(&conn_rx);
-            let fault_tx = fault_tx.clone();
-            threads.push(thread::spawn(move || worker_loop(state, conn_rx, fault_tx)));
-        }
-        // The workers hold the only fault senders now; when they exit,
-        // the control thread's receiver disconnects and it exits too.
-        drop(fault_tx);
-        threads.push(thread::spawn({
-            let stop = Arc::clone(&stop);
-            move || listen_loop(listener, conn_tx, stop)
-        }));
+        let workers = (0..workers)
+            .map(|_| {
+                let (state, listener, stop) = (state.clone(), listener.clone(), stop.clone());
+                thread::spawn(move || worker_loop(&state, &listener, &stop))
+            })
+            .collect();
         Ok(Daemon {
             addr,
             stop,
-            threads,
+            workers,
         })
     }
 
@@ -235,105 +218,48 @@ impl Daemon {
         self.addr
     }
 
-    /// Stops accepting, then joins every thread. Waits for open
+    /// Stops accepting, then joins every worker. Waits for open
     /// connections to close — clients must disconnect first.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with one throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        // One throwaway connection per worker: each wakes one blocking
+        // accept, and a worker that accepts anything once stopped exits.
+        for _ in &self.workers {
+            let _ = TcpStream::connect(self.addr);
+        }
+        for worker in self.workers {
+            let _ = worker.join();
         }
     }
 }
 
-fn listen_loop(listener: TcpListener, conn_tx: mpsc::Sender<TcpStream>, stop: Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if conn_tx.send(stream).is_err() {
-            break;
-        }
-    }
-    // Dropping conn_tx disconnects the workers' queue.
-}
-
-fn control_loop(state: Arc<State>, fault_rx: mpsc::Receiver<FaultMsg>) {
-    while let Ok(msg) = fault_rx.recv() {
-        let now = state.sim_time(Instant::now());
-        {
-            let mut rc = state
-                .controller
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            rc.on_link_event(&state.topo, msg.link, msg.up, now);
-        }
-        if let Some(obs) = state.obs.as_ref().map(|o| &o.bundle) {
-            let (kind, span) = if msg.up {
-                (EventKind::Repair, obs.spans.fresh())
-            } else {
-                (EventKind::Fault, obs.spans.fault(msg.link.0 as u32))
-            };
-            obs.events.push(Event {
-                aux: msg.link.0 as u64,
-                tag: "service",
-                span: Some(span),
-                ..Event::new(now.as_nanos(), kind)
-            });
-        }
-        // Ack only after the controller saw the transition: the
-        // invalidate response is a happens-before barrier for every
-        // later encode.
-        let _ = msg.ack.send(());
-    }
-}
-
-fn worker_loop(
-    state: Arc<State>,
-    conn_rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>,
-    fault_tx: mpsc::Sender<FaultMsg>,
-) {
+/// Accepts and serves one connection at a time until shutdown.
+fn worker_loop(state: &State, listener: &TcpListener, stop: &AtomicBool) {
     loop {
-        let stream = {
-            let rx = conn_rx
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            rx.recv()
-        };
-        match stream {
-            Ok(stream) => {
-                let _ = serve_connection(&state, &fault_tx, stream);
-            }
-            Err(_) => return, // listener gone: shutdown
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Ok((stream, _)) = accepted {
+            let _ = serve_connection(state, stream);
         }
     }
 }
 
 /// Serves framed requests on one connection until the peer closes it
 /// or stays silent past the idle deadline.
-fn serve_connection(
-    state: &State,
-    fault_tx: &mpsc::Sender<FaultMsg>,
-    stream: TcpStream,
-) -> io::Result<()> {
+fn serve_connection(state: &State, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     // The slowloris guard: every blocking read carries the deadline, so
     // a peer that connects and never writes — or stalls mid-frame —
     // cannot pin this worker past it.
     stream.set_read_timeout(state.idle_timeout)?;
-    serve(state, fault_tx, stream.try_clone()?, stream)
+    serve(state, stream.try_clone()?, stream)
 }
 
 /// The request loop over any byte stream pair (a socket's two halves;
 /// in-memory ones under test), buffered here.
-fn serve(
-    state: &State,
-    fault_tx: &mpsc::Sender<FaultMsg>,
-    input: impl Read,
-    output: impl Write,
-) -> io::Result<()> {
+fn serve(state: &State, input: impl Read, output: impl Write) -> io::Result<()> {
     let mut reader = BufReader::new(input);
     let mut writer = BufWriter::new(output);
     // Reused for every request of the connection.
@@ -348,31 +274,20 @@ fn serve(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                state.counters.idle_timeouts.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &state.obs {
-                    obs.idle_timeouts.inc();
-                }
+                state.counters.idle_timeouts.inc();
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
         let started = Instant::now();
-        state.counters.requests.fetch_add(1, Ordering::Relaxed);
+        state.counters.requests.inc();
         response.clear();
-        let ok = respond(
-            state,
-            fault_tx,
-            &request,
-            state.sim_time(started),
-            &mut response,
-        );
+        if !respond(state, &request, state.sim_time(started), &mut response) {
+            state.counters.errors.inc();
+        }
         proto::write_frame(&mut writer, &response)?;
-        if let Some(obs) = &state.obs {
-            obs.requests.inc();
-            obs.latency_ns.observe(started.elapsed().as_nanos() as u64);
-            if !ok {
-                obs.errors.inc();
-            }
+        if let Some(latency_ns) = &state.latency_ns {
+            latency_ns.observe(started.elapsed().as_nanos() as u64);
         }
         // Never block in a read while responses are unflushed, never
         // flush while a whole request is already here: a burst in is a
@@ -386,13 +301,7 @@ fn serve(
 
 /// Appends the response payload for one request payload to `out`;
 /// `false` when it carries an error status.
-fn respond(
-    state: &State,
-    fault_tx: &mpsc::Sender<FaultMsg>,
-    request: &[u8],
-    now: SimTime,
-    out: &mut Vec<u8>,
-) -> bool {
+fn respond(state: &State, request: &[u8], now: SimTime, out: &mut Vec<u8>) -> bool {
     let response = match proto::decode_request(request) {
         Ok(Request::Encode {
             src,
@@ -403,7 +312,7 @@ fn respond(
             Ok(()) => return true,
             Err(error) => error,
         },
-        Ok(Request::Invalidate { link, up }) => invalidate(state, fault_tx, link, up),
+        Ok(Request::Invalidate { link, up }) => invalidate(state, link, up),
         Ok(Request::Stats) => Response::Stats(state.stats()),
         Err(e) => Response::Error {
             code: status::BAD_REQUEST,
@@ -434,32 +343,33 @@ fn encode(
     } else {
         let request = EncodeRequest::new(NodeId(src as usize), NodeId(dst as usize))
             .with_protection(protection);
-        let mut rc = state
-            .controller
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        rc.encode_with(&state.topo, &request, now, |header| {
-            out.extend_from_slice(&proto::HEADER_RESPONSE_PREFIX);
-            header.to_wire_into(mode, out);
-        })
-        .map_err(|e| Response::Error {
-            code: match e {
-                KarError::NoPath { .. } => status::NO_PATH,
-                _ => status::ENCODE_FAILED,
-            },
-            message: e.to_string(),
+        state.planner().and_then(|mut planner| {
+            planner
+                .encode_with(&state.topo, &request, now, |header| {
+                    out.extend_from_slice(&proto::HEADER_RESPONSE_PREFIX);
+                    header.to_wire_into(mode, out);
+                })
+                .map_err(|e| Response::Error {
+                    code: match e {
+                        KarError::NoPath { .. } => status::NO_PATH,
+                        _ => status::ENCODE_FAILED,
+                    },
+                    message: e.to_string(),
+                })
         })
     };
     let counter = match outcome {
         Ok(()) => &state.counters.encode_ok,
         Err(_) => &state.counters.encode_err,
     };
-    counter.fetch_add(1, Ordering::Relaxed);
+    counter.inc();
     outcome
 }
 
-/// Hands a link transition to the control thread and waits for its ack.
-fn invalidate(state: &State, fault_tx: &mpsc::Sender<FaultMsg>, link: u32, up: bool) -> Response {
+/// Applies a link transition to the planner and records it, all under
+/// the planner lock: the `OK` is queued only afterwards, so it is a
+/// happens-before barrier for every later encode.
+fn invalidate(state: &State, link: u32, up: bool) -> Response {
     if link as usize >= state.topo.link_count() {
         return Response::Error {
             code: status::BAD_REQUEST,
@@ -469,19 +379,28 @@ fn invalidate(state: &State, fault_tx: &mpsc::Sender<FaultMsg>, link: u32, up: b
             ),
         };
     }
-    let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-    let sent = fault_tx.send(FaultMsg {
-        link: LinkId(link as usize),
-        up,
-        ack: ack_tx,
-    });
-    if sent.is_err() || ack_rx.recv().is_err() {
-        return Response::Error {
-            code: status::INTERNAL,
-            message: "fault channel closed".into(),
+    let mut planner = match state.planner() {
+        Ok(planner) => planner,
+        Err(poisoned) => return poisoned,
+    };
+    // Read under the lock, so notices reach the planner in time order.
+    let now = state.sim_time(Instant::now());
+    let link = LinkId(link as usize);
+    planner.on_link_event(&state.topo, link, up, now);
+    if let Some(obs) = &state.obs {
+        let (kind, span) = if up {
+            (EventKind::Repair, obs.spans.fresh())
+        } else {
+            (EventKind::Fault, obs.spans.fault(link.0 as u32))
         };
+        obs.events.push(Event {
+            aux: link.0 as u64,
+            tag: "service",
+            span: Some(span),
+            ..Event::new(now.as_nanos(), kind)
+        });
     }
-    state.counters.invalidations.fetch_add(1, Ordering::Relaxed);
+    state.counters.invalidations.inc();
     Response::Ok
 }
 
@@ -593,12 +512,36 @@ mod tests {
         let mut config = ServiceConfig::new(topo15::build());
         config.obs = ObsHandle::enabled();
         let obs = config.obs.arc().unwrap();
-        let state = State::new(config);
-        // No invalidate is sent, so nobody needs to serve the channel.
-        let (fault_tx, _fault_rx) = mpsc::channel();
         let mut socket = Socket::default();
-        let ended = serve(&state, &fault_tx, input, &mut socket);
+        let ended = serve(&State::new(config), input, &mut socket);
         (ended, socket, obs)
+    }
+
+    /// Every response in `bytes`, decoded, in order.
+    fn responses(mut bytes: &[u8]) -> Vec<Response> {
+        let mut out = Vec::new();
+        while let Some(payload) = proto::read_frame(&mut bytes).unwrap() {
+            out.push(proto::decode_response(&payload).unwrap());
+        }
+        out
+    }
+
+    /// The paper's AS1 -> AS3 encode on topo15 and the invalidates of
+    /// SW7-SW13, a link under its route, as frames: `[encode, down, up]`.
+    fn encode_down_up(topo: &Topology) -> [Vec<u8>; 3] {
+        let encode = Request::Encode {
+            src: topo.expect("AS1").0 as u32,
+            dst: topo.expect("AS3").0 as u32,
+            protection: Protection::None,
+            mode: WireMode::Fixed,
+        };
+        let link = topo.expect_link("SW7", "SW13").0 as u32;
+        [
+            encode,
+            Request::Invalidate { link, up: false },
+            Request::Invalidate { link, up: true },
+        ]
+        .map(|request| frame(&proto::encode_request(&request).unwrap()))
     }
 
     #[test]
@@ -661,5 +604,78 @@ mod tests {
             proto::decode_response(&payload),
             Ok(Response::Header(_))
         ));
+    }
+
+    #[test]
+    fn an_encode_queued_behind_an_invalidate_in_the_same_burst_sees_it() {
+        let topo = topo15::build();
+        let [encode, down, up] = encode_down_up(&topo);
+        let burst = [&encode, &down, &encode, &up, &encode]
+            .map(|f| &f[..])
+            .concat();
+        let config = ServiceConfig::new(topo.clone());
+        let recovery = config.recovery.clone();
+        let mut socket = Socket::default();
+        serve(&State::new(config), &burst[..], &mut socket).expect("a clean EOF");
+        assert_eq!(
+            (socket.writes, socket.flushes),
+            (1, 1),
+            "five requests in one read are answered in one write"
+        );
+
+        let failed = topo.expect_link("SW7", "SW13");
+        let request = EncodeRequest::new(topo.expect("AS1"), topo.expect("AS3"));
+        let header = |faults: &[(LinkId, bool)]| {
+            let expected = expected_header(&topo, &request, recovery.clone(), faults).unwrap();
+            Response::Header(expected.to_wire(WireMode::Fixed))
+        };
+        let detour = header(&[(failed, false)]);
+        assert_ne!(detour, header(&[]), "SW7-SW13 is under the route");
+        assert_eq!(
+            responses(&socket.bytes),
+            [
+                header(&[]),
+                Response::Ok,
+                detour,
+                Response::Ok,
+                header(&[(failed, false), (failed, true)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_poisoned_planner_is_refused_and_stats_still_answers() {
+        let topo = topo15::build();
+        let state = State::new(ServiceConfig::new(topo.clone()));
+        thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let _planner = state.planner();
+                panic!("a worker dies holding the planner");
+            });
+            assert!(worker.join().is_err());
+        });
+        let [encode, down, _] = encode_down_up(&topo);
+        let stats = frame(&proto::encode_request(&Request::Stats).unwrap());
+        let burst = [encode, down, stats].concat();
+        let mut socket = Socket::default();
+        serve(&state, &burst[..], &mut socket).expect("a clean EOF");
+
+        let refused = Response::Error {
+            code: status::INTERNAL,
+            message: "planner poisoned".into(),
+        };
+        let answers = responses(&socket.bytes);
+        assert_eq!(answers[..2], [refused.clone(), refused]);
+        let Response::Stats(stats) = &answers[2] else {
+            panic!("stats answers on a poisoned planner: {:?}", answers[2]);
+        };
+        assert_eq!(
+            (stats.requests, stats.encode_ok, stats.encode_err),
+            (3, 0, 1)
+        );
+        assert_eq!(
+            stats.invalidations, 0,
+            "the refused transition was not applied"
+        );
     }
 }

@@ -3,10 +3,11 @@
 //! The paper's controller, behind a socket: a threaded TCP daemon that
 //! answers `encode(src, dst, protection)`, `invalidate(link)` and
 //! `stats()` over a length-prefixed binary protocol ([`proto`]),
-//! backed by the shared [`kar::EncodingCache`] and a notice-driven
-//! [`kar::Planner`] ([`kar::LinkView::Notices`]) fed through an explicit
-//! fault-notification channel (the controller/datapath split made
-//! operational — ROADMAP item 3).
+//! backed by an [`kar::EncodingCache`] and one notice-driven
+//! [`kar::Planner`] ([`kar::LinkView::Notices`]) behind one mutex. The
+//! worker serving `invalidate` — the paper's failure notification —
+//! applies it under that mutex before answering, so every later encode
+//! sees it.
 //!
 //! The payload of an encode response is a [`kar::wire`]-serialized
 //! [`kar::RouteHeader`]: byte-for-byte the same serialization the

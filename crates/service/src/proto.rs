@@ -47,7 +47,9 @@ pub mod status {
     /// Route encoding failed for another reason (header overflow,
     /// RNS error, …).
     pub const ENCODE_FAILED: u8 = 3;
-    /// The daemon hit an internal error (e.g. its fault channel died).
+    /// The daemon cannot serve the request: a worker panicked while
+    /// holding the planner, so `encode` and `invalidate` are refused
+    /// rather than run on a half-updated planner (`stats` still answers).
     pub const INTERNAL: u8 = 4;
 }
 
