@@ -171,7 +171,7 @@ impl<'a> Segmented<'a> {
         dst: NodeId,
     ) -> Result<Self, KarError> {
         if planner.route(src, dst).is_none() {
-            planner.install(topo, src, dst, &Protection::None)?;
+            planner.plan_and_record(topo, src, dst, &Protection::None)?;
         }
         let ingress = planner.route(src, dst).expect("just installed").clone();
         Ok(Segmented {

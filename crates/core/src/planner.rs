@@ -331,7 +331,7 @@ impl Planner {
         let (src, dst) = (req.src, req.dst);
         let installed = self.installed.get(&(src, dst));
         if installed.is_none_or(|i| i.protection != req.protection) {
-            self.install(topo, src, dst, &req.protection)?;
+            self.plan_and_record(topo, src, dst, &req.protection)?;
         }
         match self.view {
             LinkView::Notices(_) => self.current_entry(topo, src, dst, now),
@@ -357,8 +357,32 @@ impl Planner {
         dst: NodeId,
         protection: &Protection,
     ) -> Result<HierRoute, KarError> {
+        self.plan_and_record(topo, src, dst, protection)?;
+        Ok(self.hier_route(src, dst))
+    }
+
+    /// [`Planner::install`] without the copy of the chain it returns —
+    /// all an encode, a replan or a verification needs.
+    pub(crate) fn plan_and_record(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        protection: &Protection,
+    ) -> Result<(), KarError> {
         let first = self.plan_first(topo, src, dst, protection, true)?;
         self.record(topo, src, dst, first, protection)
+    }
+
+    /// The installed chain of `(src, dst)`, every piece copied out.
+    fn hier_route(&self, src: NodeId, dst: NodeId) -> HierRoute {
+        HierRoute {
+            segments: self.installed[&(src, dst)]
+                .chain
+                .iter()
+                .map(|e| e.seg.clone())
+                .collect(),
+        }
     }
 
     /// Installs an explicit primary path (the paper's scenarios pin their
@@ -390,7 +414,8 @@ impl Planner {
             let entry = self.encode_piece(topo, piece, &Protection::None)?;
             self.entries.insert((entry.seg.path[0], dst), entry);
         }
-        self.record(topo, src, dst, first, protection)
+        self.record(topo, src, dst, first, protection)?;
+        Ok(self.hier_route(src, dst))
     }
 
     /// Makes `first` what `src` stamps for `dst`, follows the chain of
@@ -402,7 +427,7 @@ impl Planner {
         dst: NodeId,
         first: Arc<Entry>,
         protection: &Protection,
-    ) -> Result<HierRoute, KarError> {
+    ) -> Result<(), KarError> {
         self.entries.insert((src, dst), Arc::clone(&first));
         let mut chain = vec![first];
         // Each boundary piece is planned from its entry switch, strictly
@@ -422,14 +447,11 @@ impl Planner {
             }
             chain.push(self.entry_or_plan(topo, tail, dst)?);
         }
-        let route = HierRoute {
-            segments: chain.iter().map(|e| e.seg.clone()).collect(),
-        };
         let protection = protection.clone();
         self.installed
             .insert((src, dst), Installed { protection, chain });
         self.current.remove(&(src, dst));
-        Ok(route)
+        Ok(())
     }
 
     /// Cuts a path at domain-boundary links (one piece when
@@ -552,11 +574,16 @@ impl Planner {
         }
         let orig = self.installed.get(&key)?;
         let original = Arc::clone(&orig.chain[0]);
-        // The link that actually broke this pair's primary path.
-        let links = orig.chain.iter().flat_map(|e| e.seg.path.windows(2));
-        let broken = links
-            .filter_map(|w| topo.link_between(w[0], w[1]))
-            .find(|l| self.failed.contains(l));
+        // The link that actually broke this pair's primary path; with no
+        // link known down there is none to look for.
+        let broken = if self.failed.is_empty() {
+            None
+        } else {
+            let links = orig.chain.iter().flat_map(|e| e.seg.path.windows(2));
+            links
+                .filter_map(|w| topo.link_between(w[0], w[1]))
+                .find(|l| self.failed.contains(l))
+        };
         let detoured = match (&self.view, broken) {
             (LinkView::Notices(config), Some(_)) => self
                 .plan_first(topo, src, dst, &config.protection, false)
@@ -754,7 +781,7 @@ impl EdgeLogic for Planner {
                     .map(|(&pair, i)| (pair, i.protection.clone()))
                     .collect();
                 for ((src, dst), protection) in pairs {
-                    let _ = self.install(topo, src, dst, &protection);
+                    let _ = self.plan_and_record(topo, src, dst, &protection);
                 }
             }
             LinkView::Notices(config) => self.pending.push_back(LinkNotice {

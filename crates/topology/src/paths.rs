@@ -33,8 +33,7 @@ pub fn bfs_shortest_path_where(
 }
 
 /// Shortest path by hop count that crosses no link in `avoid` — the
-/// controller's failure-aware detour search, and the verifier's test for
-/// "this failure set disconnects the pair".
+/// controller's failure-aware detour search.
 ///
 /// **Tie-break: lowest port first.** Each dequeued node offers its
 /// neighbors in port order, *not* the node-id order of
@@ -52,10 +51,24 @@ pub fn bfs_avoiding(
     })
 }
 
-/// The one hop-count BFS. `order` picks each node's adjacency slice (and
-/// with it the tie-break); `prev` doubles as the seen set and the queue
-/// is one preallocated `Vec` between two cursors, so a search allocates
-/// twice and sorts nothing.
+/// The one hop-count BFS, searched from both ends. `order` picks each
+/// node's adjacency slice, and with it the tie-break: the answer is the
+/// path a one-sided search from `src` in that order returns, node for
+/// node (DESIGN.md invariant 13).
+///
+/// Whole levels of the smaller frontier are expanded until the sides
+/// touch. Forward steps walk `order` and record first-discoverer parents
+/// in `prev`, as the one-sided search does; backward steps record hops
+/// to `dst` in `hops`, and a backward step from `x` over `link` asks
+/// `admit(x, link)`, because the forward step it mirrors enters `x`.
+///
+/// The rest of the path is read off the destination half of the
+/// shortest-path DAG. Every first-discoverer parent of a node on a
+/// shortest path is itself on one, so the one-sided search meets the
+/// DAG's nodes in the order it would meet them alone: its first DAG node
+/// of each level is the first DAG child, in `order`, of the level
+/// before's. The path is therefore the forward parents up to the first
+/// DAG node of the meeting level, then that greedy walk to `dst`.
 fn bfs<'t>(
     topo: &'t Topology,
     src: NodeId,
@@ -67,38 +80,104 @@ fn bfs<'t>(
         return Some(vec![src]);
     }
     const UNSEEN: u32 = u32::MAX; // `AdjIndex::build` keeps node ids below it
-    let mut prev = vec![UNSEEN; topo.node_count()];
+    let n = topo.node_count();
+    if dst.0 >= n {
+        return None; // no such node, so nothing reaches it
+    }
+    // Each array doubles as its side's seen set.
+    let mut marks = vec![UNSEEN; 2 * n];
+    let (prev, hops) = marks.split_at_mut(n);
     prev[src.0] = src.0 as u32;
-    // Every node enters the queue at most once; the spare slot takes the
-    // unconditional store below when the queue is already full.
-    let mut queue = vec![0u32; topo.node_count() + 1];
-    queue[0] = src.0 as u32;
-    let (mut head, mut tail) = (0, 1);
-    while head < tail {
-        let n = queue[head];
-        head += 1;
-        for a in order(topo, NodeId(n as usize)) {
-            let peer = a.peer as usize;
-            let take = prev[peer] == UNSEEN && admit(NodeId(peer), LinkId(a.link as usize));
-            // Branch-free on purpose: whether a neighbor is new is a coin
-            // flip the predictor loses, so the step is a select and the
-            // push a store plus a conditional bump.
-            prev[peer] = if take { n } else { prev[peer] };
-            queue[tail] = a.peer;
-            tail += usize::from(take);
-            if take && peer == dst.0 {
-                let mut path = vec![dst];
-                let mut cur = peer;
-                while cur != src.0 {
-                    cur = prev[cur] as usize;
-                    path.push(NodeId(cur));
+    hops[dst.0] = 0;
+    // One queue per side. A node enters each at most once; the spare
+    // slot takes the unconditional store below when a queue is full.
+    let mut queues = vec![0u32; 2 * (n + 1)];
+    let (fwd, bwd) = queues.split_at_mut(n + 1);
+    fwd[0] = src.0 as u32;
+    bwd[0] = dst.0 as u32;
+    // Each side's current level: `fwd[f.0..f.1]`, `fd` hops from src, and
+    // `bwd[b.0..b.1]`, `bd` hops from dst.
+    let (mut f, mut b) = ((0, 1), (0, 1));
+    let (mut fd, mut bd) = (0u32, 0u32);
+    // Before each expansion the two searched balls are disjoint, so the
+    // distance is at least fd + bd + 1 and a node where they touch lies
+    // exactly `bd` hops from dst on a shortest path.
+    let mid = loop {
+        let (f_len, b_len) = (f.1 - f.0, b.1 - b.0);
+        if f_len == 0 || b_len == 0 {
+            return None;
+        }
+        if f_len <= b_len {
+            let mut tail = f.1;
+            let mut met = None;
+            'level: for i in f.0..f.1 {
+                let u = fwd[i];
+                for a in order(topo, NodeId(u as usize)) {
+                    let peer = a.peer as usize;
+                    let take = prev[peer] == UNSEEN && admit(NodeId(peer), LinkId(a.link as usize));
+                    // Branch-free on purpose: whether a neighbor is new is
+                    // a coin flip the predictor loses, so the step is a
+                    // select and the push a store plus a conditional bump.
+                    prev[peer] = if take { u } else { prev[peer] };
+                    fwd[tail] = a.peer;
+                    tail += usize::from(take);
+                    // Discovery order is level order, so the first touch
+                    // is the level's first DAG node.
+                    if take && hops[peer] != UNSEEN {
+                        met = Some(peer);
+                        break 'level;
+                    }
                 }
-                path.reverse();
-                return Some(path);
+            }
+            fd += 1;
+            f = (f.1, tail);
+            if let Some(m) = met {
+                break m;
+            }
+        } else {
+            let mut tail = b.1;
+            let mut met = false;
+            for i in b.0..b.1 {
+                let x = bwd[i] as usize;
+                for a in order(topo, NodeId(x)) {
+                    let peer = a.peer as usize;
+                    let take = hops[peer] == UNSEEN && admit(NodeId(x), LinkId(a.link as usize));
+                    hops[peer] = if take { bd + 1 } else { hops[peer] };
+                    bwd[tail] = a.peer;
+                    tail += usize::from(take);
+                    met |= take && prev[peer] != UNSEEN;
+                }
+            }
+            bd += 1;
+            b = (b.1, tail);
+            // The whole level is in, so every forward node `bd` hops from
+            // dst is marked; the first in forward order is the one.
+            if met {
+                let mut level = fwd[f.0..f.1].iter().map(|&u| u as usize);
+                break level.find(|&u| hops[u] == bd).expect("the sides touched");
             }
         }
+    };
+    let mut path = vec![src; (fd + bd) as usize + 1];
+    let mut cur = mid;
+    for slot in path[..=fd as usize].iter_mut().rev() {
+        *slot = NodeId(cur);
+        cur = prev[cur] as usize;
     }
-    None
+    cur = mid;
+    for slot in &mut path[fd as usize + 1..] {
+        let closer = hops[cur] - 1;
+        let step = order(topo, NodeId(cur))
+            .iter()
+            .find(|a| {
+                hops[a.peer as usize] == closer
+                    && admit(NodeId(a.peer as usize), LinkId(a.link as usize))
+            })
+            .expect("a node k hops from dst steps to one k - 1 hops away");
+        cur = step.peer as usize;
+        *slot = NodeId(cur);
+    }
+    Some(path)
 }
 
 /// Shortest path by accumulated link propagation delay (Dijkstra).

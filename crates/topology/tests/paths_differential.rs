@@ -1,12 +1,19 @@
-//! The indexed graph walks against their pre-index bodies.
+//! The graph walks against two one-sided oracles.
 //!
-//! `kar_topology::paths` runs one BFS kernel over the flat adjacency
-//! index. The functions in [`reference`] are the searches as they were
-//! before the index existed — per-node `Vec` + sort, peers reached
-//! through `ports[p] → links[l] → peer_of(n)` — kept verbatim as the
-//! oracle: same path, not merely same length, on every input. The pinned
-//! paths at the bottom make a tie-break slip fail here rather than three
-//! crates later in a `BENCH_*.json` diff.
+//! `kar_topology::paths` runs one meet-in-the-middle BFS kernel over the
+//! flat adjacency index. [`reference`] keeps two one-sided searches
+//! verbatim as oracles — same path, not merely same length, on every
+//! input:
+//!
+//! * the searches as they were before the index existed — per-node
+//!   `Vec` + sort, peers reached through `ports[p] → links[l] →
+//!   peer_of(n)`;
+//! * the indexed one-sided kernel the two-ended one replaced, over the
+//!   same slices (`neighbors_by_id` / `neighbors`), which also counts
+//!   the work the two-ended search saves.
+//!
+//! The pinned paths at the bottom make a tie-break slip fail here rather
+//! than three crates later in a `BENCH_*.json` diff.
 
 use kar_rns::IdStrategy;
 use kar_topology::paths::{bfs_avoiding, bfs_shortest_path, bfs_shortest_path_where};
@@ -14,11 +21,55 @@ use kar_topology::{
     gen, rnp28, topo15, LinkId, LinkParams, NodeId, PortIx, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::HashSet;
 
 mod reference {
     use super::*;
     use std::collections::VecDeque;
+
+    /// The one-sided indexed kernel: `order` yields a node's `(link,
+    /// peer)` slice, `prev` doubles as the seen set, the queue is one
+    /// preallocated `Vec` between two cursors.
+    pub fn bfs_indexed<I: Iterator<Item = (LinkId, NodeId)>>(
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        order: impl Fn(NodeId) -> I,
+        admit: impl Fn(NodeId, LinkId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let mut prev = vec![UNSEEN; topo.node_count()];
+        prev[src.0] = src.0 as u32;
+        let mut queue = vec![0u32; topo.node_count() + 1];
+        queue[0] = src.0 as u32;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let n = queue[head];
+            head += 1;
+            for (link, peer) in order(NodeId(n as usize)) {
+                let peer = peer.0;
+                let take = prev[peer] == UNSEEN && admit(NodeId(peer), link);
+                prev[peer] = if take { n } else { prev[peer] };
+                queue[tail] = peer as u32;
+                tail += usize::from(take);
+                if take && peer == dst.0 {
+                    let mut path = vec![dst];
+                    let mut cur = peer;
+                    while cur != src.0 {
+                        cur = prev[cur] as usize;
+                        path.push(NodeId(cur));
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+            }
+        }
+        None
+    }
 
     /// `Topology::neighbors` as it was: derived from `ports` and `links`.
     pub fn neighbors(topo: &Topology, n: NodeId) -> Vec<(PortIx, LinkId, NodeId)> {
@@ -109,32 +160,77 @@ mod reference {
     }
 }
 
-/// Every search the index serves, against its reference, for one input.
+/// The one-sided indexed oracle in node-id order.
+fn indexed_by_id(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    admit: impl Fn(NodeId, LinkId) -> bool,
+) -> Option<Vec<NodeId>> {
+    reference::bfs_indexed(topo, src, dst, |n| topo.neighbors_by_id(n), admit)
+}
+
+/// The one-sided indexed oracle in port order.
+fn indexed_by_port(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    admit: impl Fn(NodeId, LinkId) -> bool,
+) -> Option<Vec<NodeId>> {
+    let order = |n| topo.neighbors(n).map(|(_, l, p)| (l, p));
+    reference::bfs_indexed(topo, src, dst, order, admit)
+}
+
+/// A step filter, as the kernel's `admit` sees it.
+type Admit<'a> = &'a dyn Fn(NodeId, LinkId) -> bool;
+
+/// Every search the kernel serves, against both oracles, for one input.
 fn assert_walks_agree(topo: &Topology, src: NodeId, dst: NodeId, avoid: &HashSet<LinkId>) {
+    let detour = bfs_avoiding(topo, src, dst, avoid);
     assert_eq!(
-        bfs_shortest_path(topo, src, dst),
-        reference::bfs_by_id(topo, src, dst, |_, _| true),
-        "primary {src}->{dst}"
-    );
-    assert_eq!(
-        bfs_avoiding(topo, src, dst, avoid),
+        detour,
         reference::bfs_avoiding(topo, src, dst, avoid),
         "detour {src}->{dst} avoiding {avoid:?}"
     );
     let by_link = |_, l| !avoid.contains(&l);
     assert_eq!(
-        bfs_shortest_path_where(topo, src, dst, by_link),
-        reference::bfs_by_id(topo, src, dst, by_link),
-        "link-filtered {src}->{dst} avoiding {avoid:?}"
+        detour,
+        indexed_by_port(topo, src, dst, by_link),
+        "detour {src}->{dst} avoiding {avoid:?}, indexed oracle"
     );
+    let all = |_, _| true;
     // A node filter, as `chain_path` uses it: the far ends of the avoided
     // links stand in for already-visited switches.
     let banned: HashSet<NodeId> = avoid.iter().map(|&l| topo.link(l).b).collect();
     let by_node = |n, _| n == dst || !banned.contains(&n);
+    // A filter on the step, not the link: entering `peer` over `link`
+    // may be refused while the reverse step over the same link is not,
+    // so the backward search must ask about the node it steps *from*.
+    let m = 2 + avoid.len() % 4;
+    let by_step = |peer: NodeId, link: LinkId| !(peer.0 * 7 + link.0).is_multiple_of(m);
+    let filters: [(&str, Admit); 4] = [
+        ("unfiltered", &all),
+        ("link-filtered", &by_link),
+        ("node-filtered", &by_node),
+        ("step-filtered", &by_step),
+    ];
+    for (what, admit) in filters {
+        let got = bfs_shortest_path_where(topo, src, dst, admit);
+        assert_eq!(
+            got,
+            reference::bfs_by_id(topo, src, dst, admit),
+            "{what} {src}->{dst} avoiding {avoid:?}"
+        );
+        assert_eq!(
+            got,
+            indexed_by_id(topo, src, dst, admit),
+            "{what} {src}->{dst} avoiding {avoid:?}, indexed oracle"
+        );
+    }
     assert_eq!(
-        bfs_shortest_path_where(topo, src, dst, by_node),
-        reference::bfs_by_id(topo, src, dst, by_node),
-        "node-filtered {src}->{dst} avoiding {banned:?}"
+        bfs_shortest_path(topo, src, dst),
+        reference::bfs_by_id(topo, src, dst, all),
+        "primary {src}->{dst}"
     );
 }
 
@@ -186,13 +282,13 @@ fn shapes() -> impl Strategy<Value = Shape> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random endpoints (equal ones included) and 0–3 avoided links — on
+    /// Random endpoints (equal ones included) and 0–5 avoided links — on
     /// rings and sparse graphs that often cuts the pair apart.
     #[test]
     fn indexed_walks_match_the_reference_on_generated_topologies(
         shape in shapes(),
         picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 1..8),
-        avoid in proptest::collection::vec(any::<usize>(), 0..4),
+        avoid in proptest::collection::vec(any::<usize>(), 0..6),
     ) {
         let topo = build(&shape);
         assert_index_matches_links(&topo);
@@ -248,6 +344,10 @@ fn unreachable_pairs_and_parallel_links() {
         }
         assert_eq!(bfs_shortest_path(&topo, a, island), None);
         assert_eq!(bfs_avoiding(&topo, island, a, &avoid), None);
+        // A destination past the last node is unreachable, not a panic.
+        let nowhere = NodeId(topo.node_count() + 7);
+        assert_walks_agree(&topo, a, nowhere, &avoid);
+        assert_eq!(bfs_avoiding(&topo, a, nowhere, &avoid), None);
     }
     // With the first A-C link avoided the detour still goes A-C, over
     // the parallel one.
@@ -306,18 +406,84 @@ fn fig7_primary_is_pinned() {
     assert_eq!(names, rnp28::FIG7_ROUTE);
 }
 
-/// rand1024 is the `svc-*` benchmark topology; these ten host pairs'
-/// primaries were recorded from the pre-index search.
-#[test]
-fn rand1024_primaries_are_pinned() {
-    let topo = gen::try_random_connected_hosts(
+/// rand1024, the `svc-*` benchmark topology (1024 switches, one host
+/// each, 512 extra links, generator seed 1024).
+fn rand1024() -> Topology {
+    gen::try_random_connected_hosts(
         1024,
         512,
         1024,
         IdStrategy::SmallestPrimes,
         LinkParams::default(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+/// `count` ordered host pairs (`src != dst`) drawn from a splitmix64
+/// stream.
+fn seeded_host_pairs(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    let mut state = seed;
+    let mut draw = move |below: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % below as u64) as usize
+    };
+    let hosts = topo.edge_nodes();
+    let mut pairs = Vec::with_capacity(count);
+    while pairs.len() < count {
+        let (s, d) = (hosts[draw(hosts.len())], hosts[draw(hosts.len())]);
+        if s != d {
+            pairs.push((s, d));
+        }
+    }
+    pairs
+}
+
+/// rand1024 host pairs with 0–5 links avoided, every filter, both
+/// orders, both oracles.
+#[test]
+fn walks_match_both_oracles_on_rand1024_host_pairs() {
+    let topo = rand1024();
+    let links = topo.link_count();
+    for (i, (src, dst)) in seeded_host_pairs(&topo, 96, 7).into_iter().enumerate() {
+        let avoid: HashSet<LinkId> = (0..i % 6)
+            .map(|k| LinkId((i * 131 + k * 977) % links))
+            .collect();
+        assert_walks_agree(&topo, src, dst, &avoid);
+    }
+}
+
+/// The mechanism as a count, not a clock: over 4 096 rand1024 host
+/// pairs the two-ended search asks `admit` at most a quarter as often as
+/// the one-sided search, and returns the same path every time.
+#[test]
+fn the_two_ended_search_asks_a_quarter_as_often() {
+    let topo = rand1024();
+    fn counting(calls: &Cell<u64>) -> impl Fn(NodeId, LinkId) -> bool + '_ {
+        |_, _| {
+            calls.set(calls.get() + 1);
+            true
+        }
+    }
+    let (kernel, oracle) = (Cell::new(0u64), Cell::new(0u64));
+    for (src, dst) in seeded_host_pairs(&topo, 4096, 27) {
+        let got = bfs_shortest_path_where(&topo, src, dst, counting(&kernel));
+        assert_eq!(got, indexed_by_id(&topo, src, dst, counting(&oracle)));
+    }
+    let (kernel, oracle) = (kernel.get(), oracle.get());
+    assert!(
+        4 * kernel <= oracle,
+        "admit calls: two-ended {kernel}, one-sided {oracle}"
+    );
+}
+
+/// These ten host pairs' primaries were recorded from the pre-index
+/// search.
+#[test]
+fn rand1024_primaries_are_pinned() {
+    let topo = rand1024();
     for (src, dst, want) in RAND1024_PRIMARIES {
         let (src, dst) = (topo.expect(src), topo.expect(dst));
         let path = bfs_shortest_path(&topo, src, dst).unwrap();
