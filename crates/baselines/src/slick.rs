@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn header_grows_linearly_kar_grows_like_log_m() {
         // The §2.3 comparison: slick encodes 6 bytes per hop; KAR's
-        // single integer needs ⌈log₂(M−1)⌉ bits.
+        // single integer needs bits(M − 1) = ⌈log₂ M⌉ bits.
         let topo = topo15::build();
         let as1 = topo.expect("AS1");
         let as3 = topo.expect("AS3");

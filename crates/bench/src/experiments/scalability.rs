@@ -3,7 +3,7 @@
 //! space (encode *time* is a wall-clock quantity and lives in the
 //! `kar-perf` ledger as `rns.crt.encode_us.len{8,21,128}`):
 //!
-//! * **KAR** — one integer, `⌈log₂(M−1)⌉` bits (Eq. 9);
+//! * **KAR** — one integer, `bits(M − 1)` = `⌈log₂ M⌉` bits (Eq. 9);
 //! * **Slick-Packets-style** — 6 explicit bytes per hop;
 //! * **Fast failover** — zero header but `O(destinations)` entries in
 //!   every switch.

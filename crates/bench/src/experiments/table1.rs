@@ -10,7 +10,7 @@ use kar_topology::topo15;
 pub struct Table1Row {
     /// Protection mechanism name.
     pub mechanism: &'static str,
-    /// `⌈log₂(M−1)⌉` of the encoded route (Eq. 9).
+    /// `bits(M − 1)` = `⌈log₂ M⌉` of the encoded route (Eq. 9).
     pub bit_length: u32,
     /// Switches folded into the route ID.
     pub switches: usize,

@@ -8,7 +8,7 @@
 //! the header bit length of Eq. 9.
 
 use crate::error::KarError;
-use kar_rns::{crt_encode, residue, BigUint, RnsBasis};
+use kar_rns::{crt_seal, residue, BigUint, RnsBasis};
 use kar_topology::{NodeId, PortIx, Topology};
 
 /// A planned route: primary path plus protection segments.
@@ -136,16 +136,15 @@ impl EncodedRoute {
     }
 
     /// Seals residue pairs into a route ID — the CRT-arithmetic half of
-    /// [`Self::encode`].
+    /// [`Self::encode`]: one [`kar_rns::crt_seal`] pass validates the
+    /// switch IDs, encodes the ports and sizes the header field.
     ///
     /// # Errors
     ///
     /// [`KarError::Rns`] on non-coprime IDs or a port not below its
     /// switch ID.
     pub fn from_pairs(pairs: Vec<(u64, PortIx)>, uplink: PortIx) -> Result<EncodedRoute, KarError> {
-        let basis = RnsBasis::new(pairs.iter().map(|&(id, _)| id).collect())?;
-        let ports: Vec<u64> = pairs.iter().map(|&(_, p)| p).collect();
-        let route_id = crt_encode(&basis, &ports)?;
+        let (basis, route_id) = crt_seal(&pairs)?;
         Ok(EncodedRoute {
             route_id,
             basis,

@@ -1,29 +1,47 @@
-//! What a `verify` case allocates, as a count that repeats.
+//! What the control plane's hot operations allocate, as counts that
+//! repeat — timings drift, these do not.
 //!
-//! The k-failure sweep is fast because its two hot operations own almost
-//! nothing: a case answered from `PairVerifier`'s projection memo shares
-//! the memo's report (an `Arc`), and an exploration on a warmed
-//! [`Explorer`] fills buffers it already has. This pins both as
-//! allocation counts — timings drift, these do not.
+//! * The k-failure sweep is fast because its two hot operations own
+//!   almost nothing: a case answered from `PairVerifier`'s projection
+//!   memo shares the memo's report (an `Arc`), and an exploration on a
+//!   warmed [`Explorer`] fills buffers it already has.
+//! * Sealing a route (`EncodedRoute::from_pairs`, one CRT kernel pass)
+//!   owns its basis and its route ID and borrows two limb buffers, and
+//!   `RouteHeader::for_route` reads the width the basis already holds:
+//!   the same handful of allocations at any route length.
 //!
-//! A counting `#[global_allocator]` sees every allocation of the whole
-//! process, so the file holds this one test.
+//! A counting `#[global_allocator]` sees every allocation of the
+//! process; it counts per thread, so the tests of this file (each on its
+//! own test thread) do not see each other's.
 
 use kar::verify::Explorer;
-use kar::{DeflectionTechnique, EncodingCache, PairVerifier, Protection};
-use kar_topology::{paths, rnp28, LinkId};
+use kar::{
+    DeflectionTechnique, EncodedRoute, EncodingCache, PairVerifier, Protection, RouteHeader,
+    RouteSpec,
+};
+use kar_rns::IdStrategy;
+use kar_topology::{gen, paths, rnp28, LinkId, LinkParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down has no counter left; nothing of it is
+    // measured.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic.
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// (a const-initialised thread-local `Cell` that never allocates).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -32,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: as `dealloc`, and the caller's `realloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -41,11 +59,38 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `f` makes.
+/// Allocations `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn sealing_a_route_and_sizing_its_header_allocate_the_same_at_any_length() {
+    let topo = gen::try_ring(256, IdStrategy::SmallestPrimes, LinkParams::default())
+        .expect("smallest primes never run out");
+    let hosts = topo.edge_nodes();
+    for (hops, want_switches) in [(7, 8), (127, 128)] {
+        let path = paths::bfs_shortest_path(&topo, hosts[0], hosts[hops]).expect("connected");
+        let (pairs, uplink) =
+            EncodedRoute::collect_pairs(&topo, &RouteSpec::unprotected(path)).expect("a path");
+        assert_eq!(pairs.len(), want_switches);
+        // The basis's moduli, the route ID, and the kernel's running
+        // product `M`.
+        let (sealing, route) = allocations(|| EncodedRoute::from_pairs(pairs, uplink));
+        let route = route.expect("ring IDs are coprime");
+        // The big-endian ID and the field it is padded into.
+        let (sizing, header) = allocations(|| RouteHeader::for_route(&route));
+        assert_eq!(header.expect("fits").bits(), route.bit_length());
+        // The Eq. 4 encoder made 42 + 21 here at 8 switches and 653 + 261
+        // at 128.
+        assert_eq!(
+            (sealing, sizing),
+            (3, 2),
+            "{want_switches} switches: from_pairs + for_route allocations"
+        );
+    }
 }
 
 #[test]

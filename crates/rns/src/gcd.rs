@@ -1,8 +1,9 @@
 //! Greatest common divisor, extended Euclid, and modular inverses.
 //!
-//! KAR's encoder needs `Lᵢ = Mᵢ⁻¹ mod sᵢ` (Eq. 7 of the paper). The switch
-//! IDs `sᵢ` are small (they fit `u64`), so the inverse is computed in
-//! native arithmetic after reducing the (large) `Mᵢ` modulo `sᵢ`.
+//! KAR's encoder needs one inverse per switch — Eq. 7's `Lᵢ = Mᵢ⁻¹ mod sᵢ`,
+//! or in the mixed-radix kernel `(s₀⋯sᵢ₋₁)⁻¹ mod sᵢ`. The switch IDs `sᵢ`
+//! fit `u64`, so the inverse is computed in native arithmetic after
+//! reducing the (large) product modulo `sᵢ`.
 
 /// Greatest common divisor by the binary (Stein) algorithm.
 ///
@@ -76,13 +77,24 @@ pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
     if m < 2 {
         return None;
     }
-    let a = (a % m) as i128;
-    let m = m as i128;
-    let (g, x, _) = extended_gcd(a, m);
-    if g != 1 {
-        return None;
+    // Iterative extended Euclid on `(m, a)` that tracks only the
+    // coefficient of `a`, as a magnitude: the coefficients alternate in
+    // sign (+1 for `a`, then −q₁, then +(1 + q₁q₂), …) and never exceed
+    // `m` in magnitude, so `u64` holds them and no step divides an i128.
+    let (mut r0, mut r1) = (m, if a < m { a } else { a % m });
+    let (mut t0, mut t1) = (0u64, 1u64);
+    let mut negative = true; // the sign of t0's coefficient (0 for m)
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (t0, t1) = (t1, t0 + q * t1);
+        negative = !negative;
     }
-    Some((x.rem_euclid(m)) as u64)
+    match (r0, negative) {
+        (1, false) => Some(t0),
+        (1, true) => Some(m - t0),
+        _ => None,
+    }
 }
 
 /// Least common multiple; saturates at `u64::MAX` on overflow.

@@ -9,8 +9,9 @@
 //! * [`BigUint`] — minimal arbitrary-precision unsigned integers (route
 //!   IDs exceed native widths once protection paths are folded in);
 //! * [`gcd`], [`extended_gcd`], [`mod_inverse`] — Euclidean toolkit;
-//! * [`RnsBasis`], [`crt_encode`], [`crt_decode`], [`crt_extend`],
-//!   [`residue`] — the Chinese-Remainder encoder of paper §2.2;
+//! * [`RnsBasis`], [`crt_encode`], [`crt_seal`], [`crt_decode`],
+//!   [`crt_extend`], [`residue`] — the Chinese-Remainder encoder of paper
+//!   §2.2 (one Garner mixed-radix kernel under every entry point);
 //! * [`Reducer`] — precomputed per-switch reduction constants for the
 //!   forwarding modulus (division-free `R mod sᵢ`);
 //! * [`route_id_bit_length`] — header-size math of paper §2.3 (Eq. 9);
@@ -52,7 +53,7 @@ pub use coprime::{
     first_common_factor, is_prime, pairwise_coprime, IdAllocator, IdError, IdStrategy,
 };
 pub use crt::{
-    crt_decode, crt_encode, crt_extend, residue, route_id_bit_length, RnsBasis, RnsError,
+    crt_decode, crt_encode, crt_extend, crt_seal, residue, route_id_bit_length, RnsBasis, RnsError,
 };
 pub use gcd::{coprime, extended_gcd, gcd, lcm, mod_inverse};
 pub use reducer::Reducer;

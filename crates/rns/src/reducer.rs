@@ -79,12 +79,17 @@ impl Reducer {
             Mode::Pow2 { mask: d - 1 }
         } else if d < 1 << 16 {
             // c64 = ⌊2⁶⁴/d⌋ + 1; d is not a power of two, so it does not
-            // divide 2⁶⁴ and ⌊(2⁶⁴−1)/d⌋ = ⌊2⁶⁴/d⌋.
-            let b64 = (u64::MAX % d + 1) % d;
+            // divide 2⁶⁴ and ⌊(2⁶⁴−1)/d⌋ = ⌊2⁶⁴/d⌋. Then c64·d =
+            // 2⁶⁴ + d − (2⁶⁴ mod d), so b64 falls out of one wrapping
+            // multiply, and b64² < d² is in the reciprocal's exact range:
+            // one division builds the whole mode (the CRT encoder builds a
+            // reducer per modulus per route).
+            let c64 = u64::MAX / d + 1;
+            let b64 = d - c64.wrapping_mul(d);
             Mode::Tiny {
-                c64: u64::MAX / d + 1,
+                c64,
                 b64,
-                b128: b64 * b64 % d,
+                b128: fastmod64(c64, b64 * b64, d),
             }
         } else {
             // c = ⌊2¹²⁸/d⌋ + 1, same argument one level up.
@@ -118,7 +123,13 @@ impl Reducer {
     /// [`BigUint::rem_u64`] but with no quotient allocation and no
     /// 128-bit division on the hot path.
     pub fn rem(&self, n: &BigUint) -> u64 {
-        let limbs = n.limbs();
+        self.rem_limbs(n.limbs())
+    }
+
+    /// [`Self::rem`] of the value whose little-endian limbs are `limbs`
+    /// (zero limbs on top allowed) — the CRT encoder's working buffers
+    /// are limb slices, not [`BigUint`]s.
+    pub(crate) fn rem_limbs(&self, limbs: &[u64]) -> u64 {
         match self.mode {
             // A power-of-two modulus only sees the low limb.
             Mode::Pow2 { mask } => limbs.first().copied().unwrap_or(0) & mask,
@@ -287,6 +298,19 @@ mod tests {
         let route = BigUint::from(660u64);
         for (d, port) in [(4u64, 0u64), (7, 2), (11, 0), (5, 0)] {
             assert_eq!(Reducer::new(d).rem(&route), port);
+        }
+    }
+
+    #[test]
+    fn tiny_constants_equal_their_division_definitions() {
+        for d in (3u64..1 << 16).filter(|d| !d.is_power_of_two()) {
+            let b64 = (u64::MAX % d + 1) % d;
+            let want = Mode::Tiny {
+                c64: u64::MAX / d + 1,
+                b64,
+                b128: b64 * b64 % d,
+            };
+            assert_eq!(Reducer::new(d).mode, want, "d = {d}");
         }
     }
 
