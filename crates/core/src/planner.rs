@@ -48,7 +48,7 @@ use kar_obs::{Entity, Event, EventKind, ObsHandle};
 use kar_rns::BigUint;
 use kar_simnet::{EdgeLogic, Packet, RerouteDecision, RouteTag, SimTime};
 use kar_topology::{paths, LinkId, NodeId, Partition, PortIx, Topology};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -96,7 +96,8 @@ impl Entry {
     }
 }
 
-/// An installed pair: what was asked for and what it got.
+/// An installed pair: what was asked for, what it got, and what its
+/// ingress stamps now — one record, so a read probes one table once.
 #[derive(Debug)]
 struct Installed {
     /// Protection the install asked for, so a later [`EncodeRequest`]
@@ -106,15 +107,17 @@ struct Installed {
     /// The nominal path, piece by piece; the first is what the ingress
     /// edge stamped at install.
     chain: Vec<Arc<Entry>>,
+    /// The entry stamped on the pair's packets now ([`LinkView::Notices`]
+    /// only; other views stamp `chain[0]` through `entries`).
+    live: Live,
 }
 
-/// The entry currently stamped on packets of one pair
-/// ([`LinkView::Notices`] only).
+/// The entry a [`LinkView::Notices`] pair stamps, and why.
 #[derive(Debug)]
-struct Current {
-    /// Failure epoch this decision was made in; stale entries are
-    /// recomputed lazily on the next ingress.
-    epoch: u64,
+struct Live {
+    /// Failure epoch this decision was made in, `None` before the first
+    /// read; a stale decision is recomputed lazily on the next read.
+    epoch: Option<u64>,
     entry: Arc<Entry>,
     /// `true` when `entry` detours around a failure (differs from the
     /// originally installed one).
@@ -162,15 +165,16 @@ pub struct Planner {
     /// install, detour or wrong-edge rescue; at a core switch: the piece
     /// it re-stamps as a boundary entry.
     entries: HashMap<Pair, Arc<Entry>>,
-    /// Installed pairs, replanned in this (deterministic) order.
-    installed: BTreeMap<Pair, Installed>,
-    current: HashMap<Pair, Current>,
+    /// Installed pairs. An [`LinkView::Avoiding`] replan sorts them, so
+    /// its order never comes from the map.
+    installed: HashMap<Pair, Installed>,
     /// Link notifications in flight on the control channel.
     pending: VecDeque<LinkNotice>,
-    /// Links known down (always empty under [`LinkView::Static`]).
-    failed: HashSet<LinkId>,
-    /// Bumped whenever the effective failure set changes; `current`
-    /// entries from older epochs are recomputed on demand.
+    /// Links known down, sorted ascending (always empty under
+    /// [`LinkView::Static`]).
+    failed: Vec<LinkId>,
+    /// Bumped whenever the effective failure set changes; live entries
+    /// from older epochs are recomputed on demand.
     epoch: u64,
     last_failure_observed: Option<SimTime>,
     /// Link of the most recently applied notice (failure or repair) —
@@ -258,8 +262,24 @@ impl Planner {
     }
 
     /// The recovery log, while anyone outside the planner can read it.
-    fn watched_log(&self) -> Option<MutexGuard<'_, RecoveryLog>> {
-        (Arc::strong_count(&self.log) > 1).then(|| lock_log(&self.log))
+    fn watched(log: &Arc<Mutex<RecoveryLog>>) -> Option<MutexGuard<'_, RecoveryLog>> {
+        (Arc::strong_count(log) > 1).then(|| lock_log(log))
+    }
+
+    /// Marks `link` down or up; `true` when the set of links known down
+    /// changed.
+    fn set_link(&mut self, link: LinkId, up: bool) -> bool {
+        match (self.failed.binary_search(&link), up) {
+            (Ok(at), true) => {
+                self.failed.remove(at);
+                true
+            }
+            (Err(at), false) => {
+                self.failed.insert(at, link);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// The route `node` — an ingress edge or a boundary entry switch —
@@ -329,15 +349,15 @@ impl Planner {
     ) -> Result<Arc<Entry>, KarError> {
         self.apply_pending(now);
         let (src, dst) = (req.src, req.dst);
+        if let LinkView::Notices(_) = self.view {
+            return self.current_entry(topo, src, dst, Some(&req.protection), now);
+        }
         let installed = self.installed.get(&(src, dst));
         if installed.is_none_or(|i| i.protection != req.protection) {
             self.plan_and_record(topo, src, dst, &req.protection)?;
         }
-        match self.view {
-            LinkView::Notices(_) => self.current_entry(topo, src, dst, now),
-            _ => self.entries.get(&(src, dst)).cloned(),
-        }
-        .ok_or(KarError::RouteNotInstalled { src, dst })
+        let entry = self.entries.get(&(src, dst)).cloned();
+        entry.ok_or(KarError::RouteNotInstalled { src, dst })
     }
 
     /// Installs a shortest-path route for `src → dst` and returns its
@@ -447,10 +467,21 @@ impl Planner {
             }
             chain.push(self.entry_or_plan(topo, tail, dst)?);
         }
+        let live = Live {
+            epoch: None,
+            entry: Arc::clone(&chain[0]),
+            detour: false,
+            span: None,
+        };
         let protection = protection.clone();
-        self.installed
-            .insert((src, dst), Installed { protection, chain });
-        self.current.remove(&(src, dst));
+        self.installed.insert(
+            (src, dst),
+            Installed {
+                protection,
+                chain,
+                live,
+            },
+        );
         Ok(())
     }
 
@@ -531,19 +562,17 @@ impl Planner {
             }
             self.pending.pop_front();
             self.last_notice_link = Some(next.link);
-            let changed = if next.up {
-                self.failed.remove(&next.link)
-            } else {
+            if !next.up {
                 self.last_failure_observed = Some(next.observed_at);
-                self.failed.insert(next.link)
-            };
+            }
+            let changed = self.set_link(next.link, next.up);
             if changed {
                 self.epoch += 1;
                 // Rescues and boundary pieces planned under the previous
                 // failure set are stale now.
                 self.entries.clear();
             }
-            if let Some(mut log) = self.watched_log() {
+            if let Some(mut log) = Self::watched(&self.log) {
                 log.notices.push(next);
             }
             if let Some(obs) = self.obs.get() {
@@ -558,56 +587,69 @@ impl Planner {
     }
 
     /// The entry to stamp on a packet entering at `(src, dst)` now,
-    /// recomputing if the failure epoch moved since the last packet.
+    /// recomputing if the failure epoch moved since the last read
+    /// ([`LinkView::Notices`] only). `install` is the protection an encode
+    /// asks for: a pair missing or installed at another level is
+    /// (re)installed at it first, while an ingress (`None`) serves only
+    /// what is installed. A warm or stale read probes `installed` once;
+    /// only a broken pair, which plans a detour, looks its record up
+    /// again.
     fn current_entry(
         &mut self,
         topo: &Topology,
         src: NodeId,
         dst: NodeId,
+        install: Option<&Protection>,
         now: SimTime,
-    ) -> Option<Arc<Entry>> {
+    ) -> Result<Arc<Entry>, KarError> {
         let key = (src, dst);
-        if let Some(cur) = self.current.get(&key) {
-            if cur.epoch == self.epoch {
-                return Some(Arc::clone(&cur.entry));
+        let epoch = self.epoch;
+        let rec = match self.installed.get_mut(&key) {
+            Some(rec) if install.is_none_or(|p| *p == rec.protection) => rec,
+            _ => {
+                let protection = install.ok_or(KarError::RouteNotInstalled { src, dst })?;
+                self.plan_and_record(topo, src, dst, protection)?;
+                self.installed.get_mut(&key).expect("just recorded")
             }
+        };
+        if rec.live.epoch == Some(epoch) {
+            return Ok(Arc::clone(&rec.live.entry));
         }
-        let orig = self.installed.get(&key)?;
-        let original = Arc::clone(&orig.chain[0]);
         // The link that actually broke this pair's primary path; with no
         // link known down there is none to look for.
-        let broken = if self.failed.is_empty() {
+        let failed = &self.failed;
+        let broken = if failed.is_empty() {
             None
         } else {
-            let links = orig.chain.iter().flat_map(|e| e.seg.path.windows(2));
+            let links = rec.chain.iter().flat_map(|e| e.seg.path.windows(2));
             links
                 .filter_map(|w| topo.link_between(w[0], w[1]))
-                .find(|l| self.failed.contains(l))
+                .find(|l| failed.binary_search(l).is_ok())
         };
-        let detoured = match (&self.view, broken) {
-            (LinkView::Notices(config), Some(_)) => self
-                .plan_first(topo, src, dst, &config.protection, false)
-                .ok(),
-            _ => None,
+        // Planning reads the whole planner, so the record is looked up
+        // again after it.
+        let (rec, detoured) = match (&self.view, broken) {
+            (LinkView::Notices(config), Some(_)) => {
+                let detoured = self.plan_first(topo, src, dst, &config.protection, false);
+                let rec = self.installed.get_mut(&key).expect("installed above");
+                (rec, detoured.ok())
+            }
+            _ => (rec, None),
         };
         // No failure-avoiding path: keep the original ID and let
         // deflection fight for the packets.
         let detour = detoured.is_some();
-        let entry = detoured.unwrap_or(original);
+        let entry = detoured.unwrap_or_else(|| Arc::clone(&rec.chain[0]));
         if detour {
             self.entries.insert(key, Arc::clone(&entry));
         }
-        let was_detour = self.current.get(&key).map(|c| c.detour).unwrap_or(false);
+        let was_detour = rec.live.detour;
         // A re-encode while already detoured (new epoch, still broken)
         // keeps its original span: causally it is the same recovery.
-        let mut span = if detour {
-            self.current.get(&key).and_then(|c| c.span)
-        } else {
-            None
-        };
+        let mut span = if detour { rec.live.span } else { None };
         if detour && !was_detour {
             if let Some(failed_at) = self.last_failure_observed {
-                if let Some(mut log) = self.watched_log() {
+                if let Some(mut log) = Self::watched(&self.log) {
                     log.flows.push(FlowRecovery {
                         src,
                         dst,
@@ -652,16 +694,13 @@ impl Planner {
                 });
             }
         }
-        self.current.insert(
-            key,
-            Current {
-                epoch: self.epoch,
-                entry: Arc::clone(&entry),
-                detour,
-                span,
-            },
-        );
-        Some(entry)
+        rec.live = Live {
+            epoch: Some(epoch),
+            entry: Arc::clone(&entry),
+            detour,
+            span,
+        };
+        Ok(entry)
     }
 }
 
@@ -673,21 +712,20 @@ impl EdgeLogic for Planner {
         // `created` is the injection time — the current simulation time
         // at every ingress call.
         self.apply_pending(pkt.created);
-        let uplink = self
-            .current_entry(topo, edge, pkt.dst, pkt.created)?
-            .stamp(pkt);
+        let live = self.current_entry(topo, edge, pkt.dst, None, pkt.created);
+        let uplink = live.ok()?.stamp(pkt);
         // Stamping a detour route is the moment a recovery becomes
         // visible to this packet: link its span to the re-encode's.
         if let Some(obs) = self.obs.get() {
-            if let Some(cur) = self.current.get(&(edge, pkt.dst)) {
-                if cur.detour {
+            if let Some(rec) = self.installed.get(&(edge, pkt.dst)) {
+                if rec.live.detour {
                     obs.events.push(Event {
                         pkt: Some(pkt.id),
                         flow: Some(pkt.flow.0),
                         node: Some(edge.0 as u32),
                         tag: "detour",
                         span: Some(kar_obs::pkt_span(pkt.id)),
-                        parent: cur.span,
+                        parent: rec.live.span,
                         ..Event::new(pkt.created.as_nanos(), EventKind::Stamp)
                     });
                 }
@@ -764,22 +802,20 @@ impl EdgeLogic for Planner {
         match &self.view {
             LinkView::Static => {}
             LinkView::Avoiding => {
-                if up {
-                    self.failed.remove(&link);
-                } else {
-                    self.failed.insert(link);
-                }
+                self.set_link(link, up);
                 // Pieces planned under the old failure set may route
                 // straight into the change; flush everything and replan
-                // the installed pairs in deterministic order. Pairs that
+                // the installed pairs in sorted order (a replan's boundary
+                // pieces are memoized for the pairs after it). Pairs that
                 // became unreachable drop out of the ingress table (their
                 // packets are dropped at ingress).
                 self.entries.clear();
-                let pairs: Vec<(Pair, Protection)> = self
+                let mut pairs: Vec<(Pair, Protection)> = self
                     .installed
                     .iter()
                     .map(|(&pair, i)| (pair, i.protection.clone()))
                     .collect();
+                pairs.sort_unstable_by_key(|&(pair, _)| pair);
                 for ((src, dst), protection) in pairs {
                     let _ = self.plan_and_record(topo, src, dst, &protection);
                 }
@@ -983,6 +1019,50 @@ pub(crate) mod tests {
         );
     }
 
+    /// The `Avoiding` replan sorts the pairs it collects: the order they
+    /// were installed in — and the map's — changes nothing.
+    #[test]
+    fn the_replan_does_not_depend_on_install_order() {
+        let topo = ring(12);
+        let hosts = topo.edge_nodes();
+        let mut pairs: Vec<Pair> = hosts
+            .iter()
+            .flat_map(|&s| hosts.iter().map(move |&d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        let planners = [7u64, 11].map(|seed| {
+            // A seeded Fisher–Yates shuffle of the install order.
+            let mut state = seed;
+            for i in (1..pairs.len()).rev() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                pairs.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut p = configured(&topo, "partitioned/avoiding");
+            for &(src, dst) in &pairs {
+                install(&mut p, &topo, src, dst);
+            }
+            p.on_link_event(&topo, topo.expect_link("C2", "C3"), false, SimTime::ZERO);
+            p
+        });
+        let [a, b] = &planners;
+        let mut boundary = 0;
+        for node in (0..topo.node_count()).map(NodeId) {
+            for &dst in &hosts {
+                assert_eq!(a.route(node, dst), b.route(node, dst), "{node}->{dst}");
+                boundary +=
+                    usize::from(topo.switch_id(node).is_some() && a.route(node, dst).is_some());
+            }
+        }
+        assert!(boundary > 0, "boundary entries are compared too");
+        for &(src, dst) in &pairs {
+            let hops = a.nominal_hops(src, dst);
+            assert!(hops.is_some());
+            assert_eq!(hops, b.nominal_hops(src, dst), "{src}->{dst}");
+        }
+    }
+
     #[test]
     fn avoiding_replans_on_the_notice_and_drops_unreachable_pairs() {
         let topo = topo15::build();
@@ -1180,15 +1260,21 @@ pub(crate) mod tests {
             let read = rc.encode_with(&topo, &req, SimTime(up.0 + 1), RouteHeader::clone);
             assert_eq!(read.unwrap(), original, "cycle {i}: restored");
         }
-        // One lookup under both accessors: same header, same errors.
+        // One lookup under both accessors: same header, same errors — a
+        // node past the last one, as destination or as source, has no
+        // path.
         let outcome = rc.encode(&topo, &req, SimTime(50_000)).unwrap();
         assert_eq!(outcome.header, original);
-        let nowhere = EncodeRequest::new(req.src, NodeId(topo.node_count() + 7));
-        let lent = rc.encode_with(&topo, &nowhere, SimTime(50_000), |_| ());
-        assert_eq!(
-            lent.unwrap_err(),
-            rc.encode(&topo, &nowhere, SimTime(50_000)).unwrap_err()
-        );
+        let past = NodeId(topo.node_count() + 7);
+        for nowhere in [
+            EncodeRequest::new(req.src, past),
+            EncodeRequest::new(past, req.dst),
+        ] {
+            let lent = rc.encode_with(&topo, &nowhere, SimTime(50_000), |_| ());
+            let err = rc.encode(&topo, &nowhere, SimTime(50_000)).unwrap_err();
+            assert!(matches!(err, KarError::NoPath { .. }), "{err:?}");
+            assert_eq!(lent.unwrap_err(), err);
+        }
         // 20 000 notices and 10 000 detours later nothing was recorded;
         // a handle taken now sees only what follows.
         let log = rc.log_handle();

@@ -9,39 +9,47 @@
 //!   owns its basis and its route ID and borrows two limb buffers, and
 //!   `RouteHeader::for_route` reads the width the basis already holds:
 //!   the same handful of allocations at any route length.
+//! * A path search borrows its thread's marks and queues and owns only
+//!   the path it returns, and a planner read of an installed pair is one
+//!   record: a cold install owns its route and entry, not a search's
+//!   arrays, and a stale read after a notice owns nothing.
 //!
 //! A counting `#[global_allocator]` sees every allocation of the
-//! process; it counts per thread, so the tests of this file (each on its
-//! own test thread) do not see each other's.
+//! process, and the bytes asked for; it counts per thread, so the tests
+//! of this file (each on its own test thread) do not see each other's.
 
 use kar::verify::Explorer;
 use kar::{
-    DeflectionTechnique, EncodedRoute, EncodingCache, PairVerifier, Protection, RouteHeader,
-    RouteSpec,
+    DeflectionTechnique, EncodeRequest, EncodedRoute, EncodingCache, LinkView, PairVerifier,
+    Planner, Protection, RecoveryConfig, RouteHeader, RouteSpec,
 };
 use kar_rns::IdStrategy;
-use kar_topology::{gen, paths, rnp28, LinkId, LinkParams};
+use kar_simnet::{EdgeLogic, SimTime};
+use kar_topology::{gen, paths, rnp28, LinkId, LinkParams, NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // A thread being torn down has no counter left; nothing of it is
     // measured.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic
-// (a const-initialised thread-local `Cell` that never allocates).
+// which upholds the `GlobalAlloc` contract; the counters are statistics
+// (const-initialised thread-local `Cell`s that never allocate).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -50,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as `dealloc`, and the caller's `realloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,9 +69,30 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `f` makes on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let (count, _, out) = footprint(f);
+    (count, out)
+}
+
+/// Allocations `f` makes on this thread, and the bytes they ask for (a
+/// `realloc` counts its new size).
+fn footprint<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (count, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let count = ALLOCATIONS.with(Cell::get) - count;
+    (count, BYTES.with(Cell::get) - bytes, out)
+}
+
+/// rand1024, the `svc-*` benchmark topology (1024 switches, one host
+/// each, 512 extra links, generator seed 1024), and 64 of its host
+/// pairs.
+fn rand1024() -> (Topology, Vec<(NodeId, NodeId)>) {
+    let (ids, params) = (IdStrategy::SmallestPrimes, LinkParams::default());
+    let topo = gen::try_random_connected_hosts(1024, 512, 1024, ids, params).unwrap();
+    let hosts = topo.edge_nodes();
+    let pairs = (0..64)
+        .map(|i| (hosts[i * 13 % 1024], hosts[(i * 389 + 500) % 1024]))
+        .collect();
+    (topo, pairs)
 }
 
 #[test]
@@ -142,4 +171,96 @@ fn memo_hits_and_warm_explorations_allocate_only_what_they_return() {
         }
         assert!(witnesses > 0, "{technique}: the sample reports witnesses");
     }
+}
+
+/// One path search, named for a failure message.
+type Search<'a> = (&'a str, &'a dyn Fn() -> Option<Vec<NodeId>>);
+
+#[test]
+fn a_warm_search_allocates_only_the_path_it_returns() {
+    let (topo, pairs) = rand1024();
+    let avoid = [LinkId(7), LinkId(700), LinkId(1400)];
+    // The first search sizes this thread's scratch.
+    paths::bfs_shortest_path(&topo, pairs[0].0, pairs[0].1).expect("connected");
+    let mut found = 0;
+    for &(src, dst) in &pairs {
+        let searches: [Search; 3] = [
+            ("by id", &|| paths::bfs_shortest_path(&topo, src, dst)),
+            ("filtered", &|| {
+                paths::bfs_shortest_path_where(&topo, src, dst, |_, l| l.0 % 5 != 0)
+            }),
+            ("avoiding", &|| paths::bfs_avoiding(&topo, src, dst, &avoid)),
+        ];
+        for (what, search) in searches {
+            let (count, bytes, path) = footprint(search);
+            // A filter may cut a host off; then nothing is returned and
+            // nothing allocated.
+            let owned = path.as_deref().map(std::mem::size_of_val);
+            let want = owned.map_or((0, 0), |b| (1, b as u64));
+            assert_eq!((count, bytes), want, "{what} {src}->{dst}");
+            found += usize::from(path.is_some());
+        }
+    }
+    assert!(found >= 150, "{found} of 192 searches found a path");
+}
+
+/// The `kar-service` daemon's planner: notices land at once, every
+/// route is sealed through a shared cache.
+fn daemon_planner() -> Planner {
+    let view = LinkView::Notices(RecoveryConfig {
+        notification_delay: SimTime::ZERO,
+        protection: Protection::None,
+    });
+    let cache = Arc::new(EncodingCache::new());
+    Planner::new().with_view(view).with_encoding_cache(cache)
+}
+
+#[test]
+fn a_cold_install_owns_its_entry_and_a_stale_read_owns_nothing() {
+    let (topo, pairs) = rand1024();
+    let mut planner = daemon_planner();
+    let read = |planner: &mut Planner, (src, dst), at| {
+        let req = EncodeRequest::new(src, dst);
+        footprint(|| planner.encode_with(&topo, &req, SimTime(at), |h| h.bits()))
+    };
+    // The first install sizes this thread's search scratch.
+    read(&mut planner, (pairs[0].1, pairs[0].0), 0)
+        .2
+        .expect("installs");
+    let mut total = 0;
+    for &pair in &pairs {
+        let (_, bytes, got) = read(&mut planner, pair, 0);
+        got.expect("installs");
+        total += bytes;
+    }
+    let per_install = total / pairs.len() as u64;
+    // A search's marks and queues alone are 32 KiB on this topology, so
+    // the bound fails if an install pays for them.
+    assert!(per_install <= 4096, "{per_install} B per cold install");
+
+    // One link of the first pair's path goes down and comes back. The
+    // first read of each epoch applies the notice; every other pair's
+    // next read is stale, and one that the link does not break only
+    // re-checks its path.
+    let primary = |(src, dst)| paths::bfs_shortest_path(&topo, src, dst).expect("connected");
+    let on_first = paths::links_along(&topo, &primary(pairs[0])).unwrap();
+    let link = on_first[on_first.len() / 2];
+    let mut stale = 0;
+    for (at, up) in [(1, false), (2, true)] {
+        planner.on_link_event(&topo, link, up, SimTime(at));
+        read(&mut planner, pairs[0], at).2.expect("served");
+        for &pair in &pairs[1..] {
+            if paths::links_along(&topo, &primary(pair))
+                .unwrap()
+                .contains(&link)
+            {
+                continue;
+            }
+            let (count, _, got) = read(&mut planner, pair, at);
+            got.expect("served");
+            assert_eq!(count, 0, "stale read of {pair:?}");
+            stale += 1;
+        }
+    }
+    assert!(stale > 100, "{stale} stale reads");
 }

@@ -3,8 +3,9 @@
 //! `(switch_id, port)` pairs KAR encodes.
 
 use crate::graph::{Adj, LinkId, NodeId, PortIx, Topology};
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A simple path as a node sequence (first = source, last = destination).
 pub type NodePath = Vec<NodeId>;
@@ -33,7 +34,9 @@ pub fn bfs_shortest_path_where(
 }
 
 /// Shortest path by hop count that crosses no link in `avoid` — the
-/// controller's failure-aware detour search.
+/// controller's failure-aware detour search. `avoid` is sorted ascending
+/// (the planner keeps its links known down that way), so a step asks one
+/// `binary_search`.
 ///
 /// **Tie-break: lowest port first.** Each dequeued node offers its
 /// neighbors in port order, *not* the node-id order of
@@ -44,10 +47,11 @@ pub fn bfs_avoiding(
     topo: &Topology,
     src: NodeId,
     dst: NodeId,
-    avoid: &HashSet<LinkId>,
+    avoid: &[LinkId],
 ) -> Option<NodePath> {
+    debug_assert!(avoid.is_sorted(), "bfs_avoiding wants a sorted slice");
     bfs(topo, src, dst, Topology::adj_by_port, |_, l| {
-        !avoid.contains(&l)
+        avoid.binary_search(&l).is_err()
     })
 }
 
@@ -69,6 +73,9 @@ pub fn bfs_avoiding(
 /// of each level is the first DAG child, in `order`, of the level
 /// before's. The path is therefore the forward parents up to the first
 /// DAG node of the meeting level, then that greedy walk to `dst`.
+///
+/// The marks and queues are the thread's [`Scratch`], so a search
+/// allocates only the path it returns.
 fn bfs<'t>(
     topo: &'t Topology,
     src: NodeId,
@@ -76,108 +83,171 @@ fn bfs<'t>(
     order: impl Fn(&'t Topology, NodeId) -> &'t [Adj],
     admit: impl Fn(NodeId, LinkId) -> bool,
 ) -> Option<NodePath> {
+    let n = topo.node_count();
+    if src.0 >= n || dst.0 >= n {
+        return None; // no such node, so no path to or from it
+    }
     if src == dst {
         return Some(vec![src]);
     }
-    const UNSEEN: u32 = u32::MAX; // `AdjIndex::build` keeps node ids below it
-    let n = topo.node_count();
-    if dst.0 >= n {
-        return None; // no such node, so nothing reaches it
-    }
-    // Each array doubles as its side's seen set.
-    let mut marks = vec![UNSEEN; 2 * n];
-    let (prev, hops) = marks.split_at_mut(n);
-    prev[src.0] = src.0 as u32;
-    hops[dst.0] = 0;
-    // One queue per side. A node enters each at most once; the spare
-    // slot takes the unconditional store below when a queue is full.
-    let mut queues = vec![0u32; 2 * (n + 1)];
-    let (fwd, bwd) = queues.split_at_mut(n + 1);
-    fwd[0] = src.0 as u32;
-    bwd[0] = dst.0 as u32;
-    // Each side's current level: `fwd[f.0..f.1]`, `fd` hops from src, and
-    // `bwd[b.0..b.1]`, `bd` hops from dst.
-    let (mut f, mut b) = ((0, 1), (0, 1));
-    let (mut fd, mut bd) = (0u32, 0u32);
-    // Before each expansion the two searched balls are disjoint, so the
-    // distance is at least fd + bd + 1 and a node where they touch lies
-    // exactly `bd` hops from dst on a shortest path.
-    let mid = loop {
-        let (f_len, b_len) = (f.1 - f.0, b.1 - b.0);
-        if f_len == 0 || b_len == 0 {
-            return None;
+    // Taken out, not borrowed in place: a search run from inside `admit`
+    // finds the slot empty and works on a scratch of its own, and a panic
+    // drops this one instead of leaving it marked.
+    let mut scratch = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    let path = scratch.search(topo, src, dst, order, admit);
+    let _ = SCRATCH.try_with(|slot| slot.set(scratch));
+    path
+}
+
+/// A node one side of a search has not reached (`AdjIndex::build` keeps
+/// node ids below it).
+const UNSEEN: u32 = u32::MAX;
+
+/// One thread's search marks and queues, kept between searches and grown
+/// to the largest topology the thread has searched. Between searches
+/// every mark is [`UNSEEN`]; what the queues hold is dead.
+#[derive(Default)]
+struct Scratch {
+    /// Two halves of `cap` marks: forward parents, then hops to dst. Each
+    /// doubles as its side's seen set.
+    marks: Vec<u32>,
+    /// Two halves of `cap + 1` slots: the forward queue, then the
+    /// backward one. A node enters each at most once; the spare slot
+    /// takes the unconditional store of the search loop when a queue is
+    /// full.
+    queues: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            marks: Vec::new(),
+            queues: Vec::new(),
+        })
+    };
+}
+
+impl Scratch {
+    /// [`bfs`] between two distinct nodes of `topo`. Leaves every mark
+    /// [`UNSEEN`] again by unmarking exactly the nodes the two queues
+    /// took — O(visited), not O(nodes).
+    fn search<'t>(
+        &mut self,
+        topo: &'t Topology,
+        src: NodeId,
+        dst: NodeId,
+        order: impl Fn(&'t Topology, NodeId) -> &'t [Adj],
+        admit: impl Fn(NodeId, LinkId) -> bool,
+    ) -> Option<NodePath> {
+        let n = topo.node_count();
+        if self.marks.len() < 2 * n {
+            self.marks = vec![UNSEEN; 2 * n];
+            self.queues = vec![0; 2 * (n + 1)];
         }
-        if f_len <= b_len {
-            let mut tail = f.1;
-            let mut met = None;
-            'level: for i in f.0..f.1 {
-                let u = fwd[i];
-                for a in order(topo, NodeId(u as usize)) {
-                    let peer = a.peer as usize;
-                    let take = prev[peer] == UNSEEN && admit(NodeId(peer), LinkId(a.link as usize));
-                    // Branch-free on purpose: whether a neighbor is new is
-                    // a coin flip the predictor loses, so the step is a
-                    // select and the push a store plus a conditional bump.
-                    prev[peer] = if take { u } else { prev[peer] };
-                    fwd[tail] = a.peer;
-                    tail += usize::from(take);
-                    // Discovery order is level order, so the first touch
-                    // is the level's first DAG node.
-                    if take && hops[peer] != UNSEEN {
-                        met = Some(peer);
-                        break 'level;
+        let cap = self.marks.len() / 2;
+        let (prev, hops) = self.marks.split_at_mut(cap);
+        let (fwd, bwd) = self.queues.split_at_mut(cap + 1);
+        prev[src.0] = src.0 as u32;
+        hops[dst.0] = 0;
+        fwd[0] = src.0 as u32;
+        bwd[0] = dst.0 as u32;
+        // Each side's current level: `fwd[f.0..f.1]`, `fd` hops from src, and
+        // `bwd[b.0..b.1]`, `bd` hops from dst.
+        let (mut f, mut b) = ((0, 1), (0, 1));
+        let (mut fd, mut bd) = (0u32, 0u32);
+        // Before each expansion the two searched balls are disjoint, so the
+        // distance is at least fd + bd + 1 and a node where they touch lies
+        // exactly `bd` hops from dst on a shortest path.
+        let mid = loop {
+            let (f_len, b_len) = (f.1 - f.0, b.1 - b.0);
+            if f_len == 0 || b_len == 0 {
+                break None;
+            }
+            if f_len <= b_len {
+                let mut tail = f.1;
+                let mut met = None;
+                'level: for i in f.0..f.1 {
+                    let u = fwd[i];
+                    for a in order(topo, NodeId(u as usize)) {
+                        let peer = a.peer as usize;
+                        let take =
+                            prev[peer] == UNSEEN && admit(NodeId(peer), LinkId(a.link as usize));
+                        // Branch-free on purpose: whether a neighbor is new is
+                        // a coin flip the predictor loses, so the step is a
+                        // select and the push a store plus a conditional bump.
+                        prev[peer] = if take { u } else { prev[peer] };
+                        fwd[tail] = a.peer;
+                        tail += usize::from(take);
+                        // Discovery order is level order, so the first touch
+                        // is the level's first DAG node.
+                        if take && hops[peer] != UNSEEN {
+                            met = Some(peer);
+                            break 'level;
+                        }
                     }
                 }
-            }
-            fd += 1;
-            f = (f.1, tail);
-            if let Some(m) = met {
-                break m;
-            }
-        } else {
-            let mut tail = b.1;
-            let mut met = false;
-            for i in b.0..b.1 {
-                let x = bwd[i] as usize;
-                for a in order(topo, NodeId(x)) {
-                    let peer = a.peer as usize;
-                    let take = hops[peer] == UNSEEN && admit(NodeId(x), LinkId(a.link as usize));
-                    hops[peer] = if take { bd + 1 } else { hops[peer] };
-                    bwd[tail] = a.peer;
-                    tail += usize::from(take);
-                    met |= take && prev[peer] != UNSEEN;
+                fd += 1;
+                f = (f.1, tail);
+                if met.is_some() {
+                    break met;
+                }
+            } else {
+                let mut tail = b.1;
+                let mut met = false;
+                for i in b.0..b.1 {
+                    let x = bwd[i] as usize;
+                    for a in order(topo, NodeId(x)) {
+                        let peer = a.peer as usize;
+                        let take =
+                            hops[peer] == UNSEEN && admit(NodeId(x), LinkId(a.link as usize));
+                        hops[peer] = if take { bd + 1 } else { hops[peer] };
+                        bwd[tail] = a.peer;
+                        tail += usize::from(take);
+                        met |= take && prev[peer] != UNSEEN;
+                    }
+                }
+                bd += 1;
+                b = (b.1, tail);
+                // The whole level is in, so every forward node `bd` hops from
+                // dst is marked; the first in forward order is the one.
+                if met {
+                    let mut level = fwd[f.0..f.1].iter().map(|&u| u as usize);
+                    break Some(level.find(|&u| hops[u] == bd).expect("the sides touched"));
                 }
             }
-            bd += 1;
-            b = (b.1, tail);
-            // The whole level is in, so every forward node `bd` hops from
-            // dst is marked; the first in forward order is the one.
-            if met {
-                let mut level = fwd[f.0..f.1].iter().map(|&u| u as usize);
-                break level.find(|&u| hops[u] == bd).expect("the sides touched");
+        };
+        let path = mid.map(|mid| {
+            let mut path = vec![src; (fd + bd) as usize + 1];
+            let mut cur = mid;
+            for slot in path[..=fd as usize].iter_mut().rev() {
+                *slot = NodeId(cur);
+                cur = prev[cur] as usize;
             }
+            cur = mid;
+            for slot in &mut path[fd as usize + 1..] {
+                let closer = hops[cur] - 1;
+                let step = order(topo, NodeId(cur))
+                    .iter()
+                    .find(|a| {
+                        hops[a.peer as usize] == closer
+                            && admit(NodeId(a.peer as usize), LinkId(a.link as usize))
+                    })
+                    .expect("a node k hops from dst steps to one k - 1 hops away");
+                cur = step.peer as usize;
+                *slot = NodeId(cur);
+            }
+            path
+        });
+        // Every node a side marked entered its queue once, at or before its
+        // last level's end.
+        for &u in &fwd[..f.1] {
+            prev[u as usize] = UNSEEN;
         }
-    };
-    let mut path = vec![src; (fd + bd) as usize + 1];
-    let mut cur = mid;
-    for slot in path[..=fd as usize].iter_mut().rev() {
-        *slot = NodeId(cur);
-        cur = prev[cur] as usize;
+        for &x in &bwd[..b.1] {
+            hops[x as usize] = UNSEEN;
+        }
+        path
     }
-    cur = mid;
-    for slot in &mut path[fd as usize + 1..] {
-        let closer = hops[cur] - 1;
-        let step = order(topo, NodeId(cur))
-            .iter()
-            .find(|a| {
-                hops[a.peer as usize] == closer
-                    && admit(NodeId(a.peer as usize), LinkId(a.link as usize))
-            })
-            .expect("a node k hops from dst steps to one k - 1 hops away");
-        cur = step.peer as usize;
-        *slot = NodeId(cur);
-    }
-    Some(path)
 }
 
 /// Shortest path by accumulated link propagation delay (Dijkstra).

@@ -184,9 +184,16 @@ fn indexed_by_port(
 /// A step filter, as the kernel's `admit` sees it.
 type Admit<'a> = &'a dyn Fn(NodeId, LinkId) -> bool;
 
+/// `avoid` as `bfs_avoiding` takes it: a sorted slice.
+fn sorted(avoid: &HashSet<LinkId>) -> Vec<LinkId> {
+    let mut links: Vec<LinkId> = avoid.iter().copied().collect();
+    links.sort_unstable();
+    links
+}
+
 /// Every search the kernel serves, against both oracles, for one input.
 fn assert_walks_agree(topo: &Topology, src: NodeId, dst: NodeId, avoid: &HashSet<LinkId>) {
-    let detour = bfs_avoiding(topo, src, dst, avoid);
+    let detour = bfs_avoiding(topo, src, dst, &sorted(avoid));
     assert_eq!(
         detour,
         reference::bfs_avoiding(topo, src, dst, avoid),
@@ -343,16 +350,15 @@ fn unreachable_pairs_and_parallel_links() {
             }
         }
         assert_eq!(bfs_shortest_path(&topo, a, island), None);
-        assert_eq!(bfs_avoiding(&topo, island, a, &avoid), None);
+        assert_eq!(bfs_avoiding(&topo, island, a, &sorted(&avoid)), None);
         // A destination past the last node is unreachable, not a panic.
         let nowhere = NodeId(topo.node_count() + 7);
         assert_walks_agree(&topo, a, nowhere, &avoid);
-        assert_eq!(bfs_avoiding(&topo, a, nowhere, &avoid), None);
+        assert_eq!(bfs_avoiding(&topo, a, nowhere, &sorted(&avoid)), None);
     }
     // With the first A-C link avoided the detour still goes A-C, over
     // the parallel one.
-    let avoid = HashSet::from([LinkId(1)]);
-    assert_eq!(bfs_avoiding(&topo, a, c, &avoid), Some(vec![a, c]));
+    assert_eq!(bfs_avoiding(&topo, a, c, &[LinkId(1)]), Some(vec![a, c]));
     assert_eq!(topo.link_between(a, c), Some(LinkId(1)));
     assert_ne!(topo.link_between(a, c), Some(second));
 }
@@ -390,10 +396,7 @@ fn the_two_tie_breaks_are_distinct() {
     b.link(lo, t, LinkParams::default());
     let topo = b.build().unwrap();
     assert_eq!(bfs_shortest_path(&topo, s, t), Some(vec![s, lo, t]));
-    assert_eq!(
-        bfs_avoiding(&topo, s, t, &HashSet::new()),
-        Some(vec![s, hi, t])
-    );
+    assert_eq!(bfs_avoiding(&topo, s, t, &[]), Some(vec![s, hi, t]));
 }
 
 #[test]
@@ -477,6 +480,106 @@ fn the_two_ended_search_asks_a_quarter_as_often() {
         4 * kernel <= oracle,
         "admit calls: two-ended {kernel}, one-sided {oracle}"
     );
+}
+
+/// A node past the last one is on no path, as either end or both — a
+/// `None`, never a panic or a one-node path through nothing.
+#[test]
+fn a_node_out_of_range_has_no_path_from_or_to_it() {
+    let topo = topo15::build();
+    let (good, bad) = (topo.expect("AS1"), NodeId(22));
+    assert!(bad.0 >= topo.node_count());
+    for (src, dst) in [(bad, good), (good, bad), (bad, bad)] {
+        assert_eq!(bfs_shortest_path(&topo, src, dst), None, "{src}->{dst}");
+        let all = |_, _| true;
+        assert_eq!(bfs_shortest_path_where(&topo, src, dst, all), None);
+        assert_eq!(bfs_avoiding(&topo, src, dst, &[]), None, "{src}->{dst}");
+    }
+}
+
+/// The searches share one scratch per thread. Whatever ran before — a
+/// smaller or larger topology, a search ending in `None`, a search run
+/// from inside another's `admit`, a search unwound by a panicking
+/// `admit` — the next rand1024 search is path for path what both
+/// oracles return.
+#[test]
+fn the_reused_scratch_carries_nothing_between_searches() {
+    let rand = rand1024();
+    let small = topo15::build();
+    let ring = build(&Shape::Ring { n: 256 });
+    let pairs = seeded_host_pairs(&rand, 3, 41);
+    let links = rand.link_count();
+    let check = |step: &str| {
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            let avoid = HashSet::from([LinkId(i * 389 % links), LinkId(i * 977 % links)]);
+            assert_walks_agree(&rand, src, dst, &avoid);
+            assert_eq!(
+                bfs_shortest_path(&rand, src, dst),
+                indexed_by_id(&rand, src, dst, |_, _| true),
+                "after {step}"
+            );
+        }
+    };
+    let any_pair = |topo: &Topology| {
+        let hosts = topo.edge_nodes();
+        (hosts[0], hosts[hosts.len() / 2])
+    };
+    // Grow from nothing, shrink, grow, and back to the largest.
+    for (name, topo) in [
+        ("topo15", &small),
+        ("rand1024", &rand),
+        ("topo15", &small),
+        ("ring256", &ring),
+        ("rand1024", &rand),
+    ] {
+        let (src, dst) = any_pair(topo);
+        assert!(bfs_shortest_path(topo, src, dst).is_some(), "{name}");
+        check(name);
+    }
+    // Searches that end in `None`: a pair cut apart (the destination
+    // host's one link avoided, after the forward side marked a ball), an
+    // island, and a node out of range.
+    let (src, dst) = pairs[0];
+    let uplink: &[LinkId] = &rand.node(dst).ports;
+    assert_eq!(uplink.len(), 1, "a rand1024 host has one link");
+    assert_eq!(bfs_avoiding(&rand, src, dst, uplink), None);
+    check("a cut pair");
+    let mut b = TopologyBuilder::new();
+    let (a, c) = (b.core("A", 7), b.core("C", 11));
+    let island = b.edge("X");
+    b.link(a, c, LinkParams::default());
+    let islands = b.build().unwrap();
+    assert_eq!(bfs_shortest_path(&islands, a, island), None);
+    check("an island");
+    assert_eq!(
+        bfs_shortest_path(&rand, src, NodeId(rand.node_count())),
+        None
+    );
+    check("a node out of range");
+    // A search inside `admit`: the inner one works on a scratch of its
+    // own and both answer what the oracles do.
+    let (inner_src, inner_dst) = pairs[1];
+    let inner_want = indexed_by_id(&rand, inner_src, inner_dst, |_, _| true);
+    let inner_runs = Cell::new(0u32);
+    let nested = bfs_shortest_path_where(&rand, src, dst, |_, _| {
+        assert_eq!(bfs_shortest_path(&rand, inner_src, inner_dst), inner_want);
+        inner_runs.set(inner_runs.get() + 1);
+        true
+    });
+    assert!(inner_runs.get() > 0);
+    assert_eq!(nested, indexed_by_id(&rand, src, dst, |_, _| true));
+    check("a re-entrant search");
+    // A panic halfway through a search drops its scratch.
+    let asked = Cell::new(0u32);
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        bfs_shortest_path_where(&rand, src, dst, |_, _| {
+            asked.set(asked.get() + 1);
+            assert!(asked.get() < 20, "admit gives up mid-search");
+            true
+        })
+    }));
+    assert!(unwound.is_err());
+    check("a panicking admit");
 }
 
 /// These ten host pairs' primaries were recorded from the pre-index
