@@ -167,11 +167,7 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
             &s,
         );
         print_row(technique, &s);
-        stats.cases += sweep.stats.cases;
-        stats.explored += sweep.stats.explored;
-        stats.memo_hits += sweep.stats.memo_hits;
-        stats.disconnect_pruned += sweep.stats.disconnect_pruned;
-        stats.symmetry_hits += sweep.stats.symmetry_hits;
+        stats += sweep.stats;
         let Some(allowed) = allowed_violations(name, k, technique) else {
             continue;
         };

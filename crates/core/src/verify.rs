@@ -75,6 +75,24 @@
 //! skipped on that basis. The projection memo is what makes the sweep
 //! fast without assuming monotonicity that does not hold.
 //!
+//! ### What runs in parallel
+//!
+//! Every piece of state above belongs to one pair — its memo, its path
+//! witness, its disconnecting sets — except the orbit cache, which
+//! belongs to one *pair orbit*: the pairs the automorphisms map onto
+//! each other (one pair per orbit on a topology without symmetry, such
+//! as topo15 and rnp28). [`verify_failure_sets`] therefore hands whole
+//! orbits to [`std::thread::available_parallelism`] workers, the caller
+//! among them; a worker runs an orbit's pairs in pair order, exactly as
+//! the one-core loop did. Each pair returns compact rows (a report and
+//! a verdict per failure set) and its counters, and the caller lays
+//! them out in pair order, regenerating each row's failure set from the
+//! lexicographic enumeration. Nothing a worker computes depends on
+//! another worker or on timing, so the `KSweep` — rows, reports and all
+//! five [`SweepStats`] counters — is the same at any worker count;
+//! `crates/core/tests/verify_differential.rs` holds the one-core sweep
+//! as the oracle.
+//!
 //! [`min_failure_set`] is the breaking-point search built on the same
 //! machinery: the lexicographically smallest failure set of minimum size
 //! that blackholes or loops a pair without disconnecting it.
@@ -91,8 +109,9 @@ use kar_topology::{paths, LinkId, NodeId, PortIx, Topology};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::ops::ControlFlow;
+use std::ops::{AddAssign, ControlFlow};
 use std::sync::Arc;
+use std::{panic, thread};
 
 /// A packet's complete core-network state: where it is, where it came
 /// from, and whether it has ever been deflected (the only bit of header
@@ -767,11 +786,11 @@ impl Sccs {
     }
 }
 
-/// Lexicographic k-subsets of `0..n`.
+/// Lexicographic k-subsets of the links `0..n`, advanced in place: the
+/// one set is lent to the caller, never copied.
 struct Combinations {
     n: usize,
-    k: usize,
-    cur: Vec<usize>,
+    cur: Vec<LinkId>,
     started: bool,
 }
 
@@ -779,38 +798,44 @@ impl Combinations {
     fn new(n: usize, k: usize) -> Self {
         Combinations {
             n,
-            k,
-            cur: (0..k).collect(),
+            cur: (0..k).map(LinkId).collect(),
             started: false,
         }
     }
-}
 
-impl Iterator for Combinations {
-    type Item = Vec<usize>;
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.k > self.n {
+    /// The next set, ascending, or `None` once every set was lent.
+    fn advance(&mut self) -> Option<&[LinkId]> {
+        let (n, k) = (self.n, self.cur.len());
+        if k > n {
             return None;
         }
         if !self.started {
             self.started = true;
-            return Some(self.cur.clone());
+            return Some(&self.cur);
         }
-        let k = self.k;
         let mut i = k;
         while i > 0 {
             i -= 1;
             // Largest value position i can hold is n - k + i.
-            if self.cur[i] < self.n - k + i {
-                self.cur[i] += 1;
+            if self.cur[i].0 < n - k + i {
+                self.cur[i].0 += 1;
                 for j in i + 1..k {
-                    self.cur[j] = self.cur[j - 1] + 1;
+                    self.cur[j] = LinkId(self.cur[j - 1].0 + 1);
                 }
-                return Some(self.cur.clone());
+                return Some(&self.cur);
             }
         }
         None
     }
+}
+
+/// `C(n, k)`: how many sets a [`Combinations`] lends.
+fn binomial(n: usize, k: usize) -> usize {
+    if k > n {
+        return 0;
+    }
+    // Each step is C(n, i) · (n − i) / (i + 1) = C(n, i + 1), exact.
+    (0..k).fold(1, |c, i| c * (n - i) / (i + 1))
 }
 
 /// Memoizing classifier for one `(src, dst, route, technique)`: answers
@@ -833,6 +858,8 @@ pub struct PairVerifier<'a> {
     technique: DeflectionTechnique,
     explorer: Explorer<()>,
     memo: HashMap<Vec<LinkId>, Arc<VerifyReport>>,
+    /// The projection being grown, kept across calls for its buffer.
+    proj: Vec<LinkId>,
     /// Full state-graph explorations run so far.
     pub explored: usize,
     /// `classify` calls answered entirely from the memo.
@@ -856,6 +883,7 @@ impl<'a> PairVerifier<'a> {
             technique,
             explorer: Explorer::new(),
             memo: HashMap::new(),
+            proj: Vec::new(),
             explored: 0,
             memo_hits: 0,
         }
@@ -870,7 +898,8 @@ impl<'a> PairVerifier<'a> {
     /// every equivalent set. Returns exactly what [`verify_route`]
     /// would — the memo's own report, shared rather than copied.
     pub fn classify(&mut self, failed: &[LinkId]) -> Arc<VerifyReport> {
-        let mut proj: Vec<LinkId> = Vec::new();
+        let mut proj = std::mem::take(&mut self.proj);
+        proj.clear();
         let mut ran = false;
         loop {
             let report = match self.memo.get(proj.as_slice()) {
@@ -892,9 +921,6 @@ impl<'a> PairVerifier<'a> {
             let known = proj.len();
             for &l in failed {
                 if report.relevant_links.binary_search(&l).is_ok() && !proj[..known].contains(&l) {
-                    // The projection's one allocation, whatever the
-                    // number of fix-point rounds.
-                    proj.reserve(failed.len() - proj.len());
                     proj.push(l);
                 }
             }
@@ -902,7 +928,9 @@ impl<'a> PairVerifier<'a> {
                 if !ran {
                     self.memo_hits += 1;
                 }
-                return Arc::clone(report);
+                let report = Arc::clone(report);
+                self.proj = proj;
+                return report;
             }
             proj.sort_unstable();
         }
@@ -940,6 +968,16 @@ pub struct SweepStats {
     pub disconnect_pruned: usize,
     /// Disconnection verdicts shared across a graph-automorphism orbit.
     pub symmetry_hits: usize,
+}
+
+impl AddAssign for SweepStats {
+    fn add_assign(&mut self, other: SweepStats) {
+        self.cases += other.cases;
+        self.explored += other.explored;
+        self.memo_hits += other.memo_hits;
+        self.disconnect_pruned += other.disconnect_pruned;
+        self.symmetry_hits += other.symmetry_hits;
+    }
 }
 
 /// A k-failure sweep over every ordered edge pair.
@@ -999,29 +1037,29 @@ impl<'t> CutTest<'t> {
 /// (sizes ascending, sets lexicographic), settles whether each
 /// disconnects the pair — supersets of a smaller disconnecting set by
 /// monotonicity (counted in `disconnect_pruned`), the rest by asking
-/// `is_cut` — and hands every `(set, disconnected)` to `visit`, which
-/// may end the sweep.
+/// `is_cut` — and lends every `(set, disconnected)` to `visit`, which
+/// may end the sweep. Only a new minimal disconnecting set is copied.
 fn sweep_pair<B>(
     links: usize,
     k: usize,
     disconnect_pruned: &mut usize,
     mut is_cut: impl FnMut(&[LinkId]) -> bool,
-    mut visit: impl FnMut(Vec<LinkId>, bool) -> ControlFlow<B>,
+    mut visit: impl FnMut(&[LinkId], bool) -> ControlFlow<B>,
 ) -> Option<B> {
     // Minimal disconnecting sets of size < s, for the monotone skip at
     // size s.
     let mut disconnecting: Vec<Vec<LinkId>> = Vec::new();
     for s in 1..=k {
-        for combo in Combinations::new(links, s) {
-            let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
+        let mut sets = Combinations::new(links, s);
+        while let Some(failed) = sets.advance() {
             let by_subset = disconnecting
                 .iter()
                 .any(|d| d.iter().all(|l| failed.contains(l)));
-            let disconnected = by_subset || is_cut(&failed);
+            let disconnected = by_subset || is_cut(failed);
             if by_subset {
                 *disconnect_pruned += 1;
             } else if disconnected && s < k {
-                disconnecting.push(failed.clone());
+                disconnecting.push(failed.to_vec());
             }
             if let ControlFlow::Break(found) = visit(failed, disconnected) {
                 return Some(found);
@@ -1029,6 +1067,62 @@ fn sweep_pair<B>(
         }
     }
     None
+}
+
+/// Groups ordered pairs into the orbits of `perms` permutations, where
+/// `image(p, node)` is `node`'s image under permutation `p`: the
+/// union-find closure of "`(s, d)` and `(image(p, s), image(p, d))` are
+/// one group". Taking the closure matters when the permutations are a
+/// truncated sample of the group (`MAX_PERMS`): two pairs can then
+/// share a canonical case only through a third pair that is an image
+/// of both, and the closure still puts all three together. Groups are
+/// ordered by their first pair, pairs ascending (indices into `ends`);
+/// every image of a listed pair must be listed.
+fn pair_orbits(
+    ends: &[(NodeId, NodeId)],
+    perms: usize,
+    image: impl Fn(usize, NodeId) -> NodeId,
+) -> Vec<Vec<usize>> {
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let index: HashMap<(NodeId, NodeId), usize> = ends
+        .iter()
+        .enumerate()
+        .map(|(i, &pair)| (pair, i))
+        .collect();
+    let mut parent: Vec<usize> = (0..ends.len()).collect();
+    for (i, &(s, d)) in ends.iter().enumerate() {
+        for p in 0..perms {
+            let j = index[&(image(p, s), image(p, d))];
+            let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+            // The smaller index roots, so a group's root is its first pair.
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut slot = vec![usize::MAX; ends.len()];
+    for i in 0..ends.len() {
+        let r = root(&mut parent, i);
+        if slot[r] == usize::MAX {
+            slot[r] = groups.len();
+            groups.push(Vec::new());
+        }
+        groups[slot[r]].push(i);
+    }
+    groups
+}
+
+/// One pair's share of a [`verify_failure_sets`] sweep: a report and the
+/// disconnection verdict per k-set, sets lexicographic (the sets
+/// themselves are regenerated by the caller), and the pair's counters.
+struct PairRows {
+    rows: Vec<(Arc<VerifyReport>, bool)>,
+    stats: SweepStats,
 }
 
 /// Exhaustively verifies every ordered edge pair of `topo` against
@@ -1042,10 +1136,24 @@ fn sweep_pair<B>(
 /// for that), orbit sharing of disconnection verdicts on symmetric
 /// generated topologies, and the path-witness connectivity test.
 ///
+/// The pairs are swept on [`std::thread::available_parallelism`]
+/// workers, the calling thread among them (the count follows the
+/// process's CPU affinity: under `taskset -c 0` the caller sweeps
+/// alone, through the same loop). Routes are encoded first,
+/// in pair order, so the cache and the error returned are a serial
+/// sweep's. The unit of work is a *pair orbit* (the pairs the
+/// disconnection verdicts are shared across): one worker runs an
+/// orbit's pairs in pair order with that orbit's own verdict cache, and
+/// every pair has its own [`PairVerifier`] and path witness — so no
+/// answer and no counter depends on which worker ran what, or when.
+/// The result is a pure function of `(topo, technique, protection,
+/// k)`: the same `KSweep` at any worker count, results in pair order.
+///
 /// # Errors
 ///
-/// Propagates route-encoding errors ([`KarError`]); pairs unreachable
-/// on the *intact* topology are skipped, not errors.
+/// Propagates the first route-encoding error ([`KarError`]) in pair
+/// order; pairs unreachable on the *intact* topology are skipped, not
+/// errors.
 ///
 /// # Panics
 ///
@@ -1058,15 +1166,9 @@ pub fn verify_failure_sets(
     k: usize,
 ) -> Result<KSweep, KarError> {
     assert!(k >= 1, "a failure sweep needs at least one failure");
-    let sym = Symmetry::of(topo);
-    let mut stats = SweepStats::default();
-    let mut results = Vec::new();
-    // Canonical (src, dst, failure set) -> disconnected, shared across
-    // pairs via automorphisms. Connectivity is automorphism-invariant;
-    // outcomes are not (they depend on switch IDs), so only the
-    // disconnection verdict is ever shared.
-    let mut orbit_cache: HashMap<(NodeId, NodeId, Vec<LinkId>), bool> = HashMap::new();
     let edges = topo.edge_nodes();
+    let mut ends = Vec::new();
+    let mut routes = Vec::new();
     for &src in &edges {
         for &dst in &edges {
             if src == dst {
@@ -1075,39 +1177,95 @@ pub fn verify_failure_sets(
             let Some(primary) = paths::bfs_shortest_path(topo, src, dst) else {
                 continue;
             };
-            let route = cache.encode_with_protection(topo, primary, protection)?;
-            let mut pv = PairVerifier::new(topo, route, src, dst, technique);
-            let mut cut = CutTest::new(topo, src, dst);
-            let is_cut = |failed: &[LinkId]| {
-                if sym.is_trivial() {
-                    return cut.is_cut(failed);
-                }
-                let key = sym.canonical_case(topo, src, dst, failed);
-                if let Some(&d) = orbit_cache.get(&key) {
-                    stats.symmetry_hits += 1;
-                    return d;
-                }
-                let d = cut.is_cut(failed);
-                orbit_cache.insert(key, d);
-                d
-            };
-            let visit = |failed: Vec<LinkId>, disconnected| {
-                if failed.len() == k {
-                    stats.cases += 1;
-                    results.push(FailureSetResult {
-                        src,
-                        dst,
-                        report: pv.classify(&failed),
-                        failed,
-                        disconnected,
-                    });
-                }
-                ControlFlow::<()>::Continue(())
-            };
-            let pruned = &mut stats.disconnect_pruned;
-            sweep_pair(topo.link_count(), k, pruned, is_cut, visit);
-            stats.explored += pv.explored;
-            stats.memo_hits += pv.memo_hits;
+            routes.push(cache.encode_with_protection(topo, primary, protection)?);
+            ends.push((src, dst));
+        }
+    }
+    let sym = Symmetry::of(topo);
+    let orbits = pair_orbits(&ends, sym.order(), |p, node| sym.map_node(p, node));
+    let links = topo.link_count();
+    let sets = binomial(links, k);
+    let sweep = |i: usize, orbit_cache: &mut HashMap<(NodeId, NodeId, Vec<LinkId>), bool>| {
+        let (src, dst) = ends[i];
+        let mut pv = PairVerifier::new(topo, routes[i].clone(), src, dst, technique);
+        let mut cut = CutTest::new(topo, src, dst);
+        let mut stats = SweepStats::default();
+        let mut rows = Vec::with_capacity(sets);
+        let is_cut = |failed: &[LinkId]| {
+            if sym.is_trivial() {
+                return cut.is_cut(failed);
+            }
+            let key = sym.canonical_case(topo, src, dst, failed);
+            if let Some(&d) = orbit_cache.get(&key) {
+                stats.symmetry_hits += 1;
+                return d;
+            }
+            let d = cut.is_cut(failed);
+            orbit_cache.insert(key, d);
+            d
+        };
+        let visit = |failed: &[LinkId], disconnected| {
+            if failed.len() == k {
+                rows.push((pv.classify(failed), disconnected));
+            }
+            ControlFlow::<()>::Continue(())
+        };
+        sweep_pair(links, k, &mut stats.disconnect_pruned, is_cut, visit);
+        stats.cases = rows.len();
+        stats.explored = pv.explored;
+        stats.memo_hits = pv.memo_hits;
+        PairRows { rows, stats }
+    };
+    // Orbit j goes to worker j mod `workers`, the caller being worker 0.
+    // The split is fixed, not claimed from a shared counter, because a
+    // worker's reports live in its thread's malloc arena and an arena
+    // keeps the most it ever held: a split that varies from sweep to
+    // sweep ratchets every arena up to its largest share (on rnp28 at
+    // k = 3, 35 → 40 MiB of peak RSS), a fixed one does not.
+    let workers = thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(orbits.len())
+        .max(1);
+    let work = |w: usize| {
+        let mut done = Vec::new();
+        for orbit in orbits.iter().skip(w).step_by(workers) {
+            // Canonical (src, dst, failure set) -> disconnected.
+            // Connectivity is automorphism-invariant; outcomes are not
+            // (they depend on switch IDs), so only the disconnection
+            // verdict is ever shared.
+            let mut orbit_cache = HashMap::new();
+            done.extend(orbit.iter().map(|&i| (i, sweep(i, &mut orbit_cache))));
+        }
+        done
+    };
+    let mut swept: Vec<Option<PairRows>> = ends.iter().map(|_| None).collect();
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let mine = work(0);
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+        for (i, pair) in mine.into_iter().chain(theirs) {
+            swept[i] = Some(pair);
+        }
+    });
+    // The rows come back compact; the long-lived results are built here,
+    // in pair order, with each failure set regenerated alongside.
+    let mut stats = SweepStats::default();
+    let mut results = Vec::with_capacity(ends.len() * sets);
+    for (&(src, dst), pair) in ends.iter().zip(swept) {
+        let pair = pair.expect("every orbit has a worker");
+        stats += pair.stats;
+        let mut failure_sets = Combinations::new(links, k);
+        for (report, disconnected) in pair.rows {
+            let failed = failure_sets.advance().expect("one row per failure set");
+            results.push(FailureSetResult {
+                src,
+                dst,
+                failed: failed.to_vec(),
+                disconnected,
+                report,
+            });
         }
     }
     Ok(KSweep { results, stats })
@@ -1157,14 +1315,14 @@ pub fn min_failure_set(
     let route = cache.encode_with_protection(topo, primary, protection)?;
     let mut pv = PairVerifier::new(topo, route, src, dst, technique);
     let mut cut = CutTest::new(topo, src, dst);
-    let visit = |failed: Vec<LinkId>, disconnected| {
+    let visit = |failed: &[LinkId], disconnected| {
         if disconnected {
             return ControlFlow::Continue(());
         }
-        let report = pv.classify(&failed);
+        let report = pv.classify(failed);
         match report.outcome {
             outcome @ (Outcome::Blackhole | Outcome::Loop) => ControlFlow::Break(BreakingPoint {
-                failed,
+                failed: failed.to_vec(),
                 outcome,
                 report,
             }),
@@ -1659,11 +1817,20 @@ mod tests {
         }
     }
 
+    /// Every set a `Combinations` lends, copied.
+    fn all_sets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut sets = Combinations::new(n, k);
+        let mut out = Vec::new();
+        while let Some(set) = sets.advance() {
+            out.push(set.iter().map(|l| l.0).collect());
+        }
+        out
+    }
+
     #[test]
     fn combinations_enumerate_lexicographically() {
-        let all: Vec<Vec<usize>> = Combinations::new(4, 2).collect();
         assert_eq!(
-            all,
+            all_sets(4, 2),
             vec![
                 vec![0, 1],
                 vec![0, 2],
@@ -1673,9 +1840,79 @@ mod tests {
                 vec![2, 3]
             ]
         );
-        assert_eq!(Combinations::new(5, 3).count(), 10);
-        assert_eq!(Combinations::new(3, 4).count(), 0);
-        assert_eq!(Combinations::new(3, 3).count(), 1);
+        for (n, k, count) in [(5, 3, 10), (3, 4, 0), (3, 3, 1), (22, 2, 231), (6, 0, 1)] {
+            assert_eq!(all_sets(n, k).len(), count, "C({n}, {k})");
+            assert_eq!(binomial(n, k), count, "C({n}, {k})");
+        }
+        // Exhausted stays exhausted.
+        let mut sets = Combinations::new(3, 3);
+        assert!(sets.advance().is_some());
+        assert!(sets.advance().is_none() && sets.advance().is_none());
+    }
+
+    /// A truncated automorphism sample is not closed under composition:
+    /// two pairs can share a canonical case only through a third pair
+    /// that is an image of both. The union-find closure must still put
+    /// every pair sharing a canonical key — under that same sample — in
+    /// one group, or two workers would hold the one orbit cache entry.
+    /// (With the identity and one more permutation every shared key is
+    /// a direct image, so each sample here has at least three.)
+    #[test]
+    fn pair_orbits_close_a_truncated_permutation_set() {
+        use kar_rns::IdStrategy;
+        use kar_topology::{gen, LinkParams};
+        let topo = gen::ring(8, IdStrategy::SmallestPrimes, LinkParams::default());
+        let sym = Symmetry::of(&topo);
+        assert_eq!(sym.order(), 16);
+        let edges = topo.edge_nodes();
+        let ends: Vec<(NodeId, NodeId)> = edges
+            .iter()
+            .flat_map(|&s| edges.iter().filter(move |&&d| d != s).map(move |&d| (s, d)))
+            .collect();
+        for sample in [vec![0, 1, 2], vec![0, 3, 7], vec![0, 2, 5, 11]] {
+            let image = |p: usize, node| sym.map_node(sample[p], node);
+            let orbits = pair_orbits(&ends, sample.len(), image);
+            let mut group = vec![usize::MAX; ends.len()];
+            for (g, orbit) in orbits.iter().enumerate() {
+                assert!(orbit.windows(2).all(|w| w[0] < w[1]), "{orbit:?}");
+                for &i in orbit {
+                    assert_eq!(group[i], usize::MAX, "pair {i} in two groups");
+                    group[i] = g;
+                }
+            }
+            assert!(group.iter().all(|&g| g != usize::MAX), "every pair grouped");
+            // The canonical case under the sample alone, as the orbit
+            // cache would key it with only these permutations.
+            let canonical = |(src, dst): (NodeId, NodeId), failed: &[LinkId]| {
+                (0..sample.len())
+                    .map(|p| {
+                        let mut links: Vec<LinkId> = failed
+                            .iter()
+                            .map(|&l| sym.map_link(&topo, sample[p], l))
+                            .collect();
+                        links.sort_unstable();
+                        (image(p, src), image(p, dst), links)
+                    })
+                    .min()
+                    .unwrap()
+            };
+            let mut owner: HashMap<(NodeId, NodeId, Vec<LinkId>), usize> = HashMap::new();
+            let mut indirect = 0;
+            for failed in all_sets(topo.link_count(), 2) {
+                let failed: Vec<LinkId> = failed.into_iter().map(LinkId).collect();
+                for (i, &pair) in ends.iter().enumerate() {
+                    let first = *owner.entry(canonical(pair, &failed)).or_insert(i);
+                    assert_eq!(group[first], group[i], "{sample:?}: pairs {first} and {i}");
+                    let direct = |a: (NodeId, NodeId), b: (NodeId, NodeId)| {
+                        (0..sample.len()).any(|p| (image(p, a.0), image(p, a.1)) == b)
+                    };
+                    if !direct(ends[first], pair) && !direct(pair, ends[first]) {
+                        indirect += 1;
+                    }
+                }
+            }
+            assert!(indirect > 0, "{sample:?}: the closure is never needed");
+        }
     }
 
     /// The projection memo must be invisible: for a sample of 2-failure
@@ -1692,11 +1929,11 @@ mod tests {
                 .encode_with_protection(&topo, primary.clone(), &Protection::AutoFull)
                 .unwrap();
             let mut pv = PairVerifier::new(&topo, route.clone(), src, dst, technique);
-            for combo in Combinations::new(topo.link_count(), 2) {
-                let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
+            let mut sets = Combinations::new(topo.link_count(), 2);
+            while let Some(failed) = sets.advance() {
                 let set: HashSet<LinkId> = failed.iter().copied().collect();
                 let direct = verify_route(&topo, &route, src, dst, technique, &set);
-                let memoized = pv.classify(&failed);
+                let memoized = pv.classify(failed);
                 assert_eq!(*memoized, direct, "{technique} {failed:?}");
             }
             // The memo must save work: strictly fewer explorations than

@@ -16,13 +16,21 @@
 //! The buffers are what this design invites getting wrong, so one
 //! explorer is also driven through a shuffled sequence of failure sets
 //! against a fresh explorer per set.
+//!
+//! `verify_failure_sets` sweeps its pairs on every core, a pair orbit per
+//! unit of work. [`serial`] is the one-core sweep it replaced, kept
+//! verbatim (its `Combinations`, `CutTest` and `sweep_pair` with it): the
+//! whole `KSweep` — every row's pair, failure set, verdict and report,
+//! and all five counters — must compare equal, on asymmetric topologies
+//! (one orbit per pair) and on a ring and a grid, where orbits span pairs
+//! and share disconnection verdicts.
 
 use kar::verify::{
-    min_failure_set, verify_failure_sets, ActiveRoute, Explorer, Outcome, VerifyReport,
+    min_failure_set, verify_failure_sets, ActiveRoute, Explorer, KSweep, Outcome, VerifyReport,
 };
 use kar::{
     verify_hier_route, verify_route, DeflectionTechnique, EncodedRoute, EncodingCache, Planner,
-    Protection, Segmented,
+    Protection, Segmented, SweepStats,
 };
 use kar_rns::IdStrategy;
 use kar_topology::{gen, paths, rnp28, topo15, LinkId, LinkParams, NodeId, Partition, Topology};
@@ -415,6 +423,207 @@ mod reference {
     }
 }
 
+mod serial {
+    use kar::{
+        DeflectionTechnique, EncodingCache, FailureSetResult, KSweep, KarError, PairVerifier,
+        Protection, SweepStats,
+    };
+    use kar_topology::sym::Symmetry;
+    use kar_topology::{paths, LinkId, NodeId, Topology};
+    use std::collections::HashMap;
+    use std::ops::ControlFlow;
+
+    /// Lexicographic k-subsets of `0..n`.
+    struct Combinations {
+        n: usize,
+        k: usize,
+        cur: Vec<usize>,
+        started: bool,
+    }
+
+    impl Combinations {
+        fn new(n: usize, k: usize) -> Self {
+            Combinations {
+                n,
+                k,
+                cur: (0..k).collect(),
+                started: false,
+            }
+        }
+    }
+
+    impl Iterator for Combinations {
+        type Item = Vec<usize>;
+        fn next(&mut self) -> Option<Vec<usize>> {
+            if self.k > self.n {
+                return None;
+            }
+            if !self.started {
+                self.started = true;
+                return Some(self.cur.clone());
+            }
+            let k = self.k;
+            let mut i = k;
+            while i > 0 {
+                i -= 1;
+                // Largest value position i can hold is n - k + i.
+                if self.cur[i] < self.n - k + i {
+                    self.cur[i] += 1;
+                    for j in i + 1..k {
+                        self.cur[j] = self.cur[j - 1] + 1;
+                    }
+                    return Some(self.cur.clone());
+                }
+            }
+            None
+        }
+    }
+
+    /// The "is the pair cut" test of one pair's sweep. It remembers the
+    /// links of the last `src → dst` path it found: a failure set that
+    /// touches none of them leaves that path standing, so the pair is
+    /// connected and no search runs.
+    struct CutTest<'t> {
+        topo: &'t Topology,
+        src: NodeId,
+        dst: NodeId,
+        witness: Vec<LinkId>,
+    }
+
+    impl<'t> CutTest<'t> {
+        fn new(topo: &'t Topology, src: NodeId, dst: NodeId) -> Self {
+            CutTest {
+                topo,
+                src,
+                dst,
+                witness: Vec::new(),
+            }
+        }
+
+        /// Whether `failed` physically disconnects the pair.
+        fn is_cut(&mut self, failed: &[LinkId]) -> bool {
+            let standing =
+                !self.witness.is_empty() && !failed.iter().any(|l| self.witness.contains(l));
+            if standing {
+                return false;
+            }
+            let admit = |_, l| !failed.contains(&l);
+            let Some(path) = paths::bfs_shortest_path_where(self.topo, self.src, self.dst, admit)
+            else {
+                return true;
+            };
+            self.witness.clear();
+            self.witness.extend(path.windows(2).map(|hop| {
+                self.topo
+                    .link_between(hop[0], hop[1])
+                    .expect("consecutive BFS path nodes are adjacent")
+            }));
+            false
+        }
+    }
+
+    /// The one sweep loop of a pair: enumerates the failure sets of sizes
+    /// `1..=k` (sizes ascending, sets lexicographic), settles whether each
+    /// disconnects the pair — supersets of a smaller disconnecting set by
+    /// monotonicity (counted in `disconnect_pruned`), the rest by asking
+    /// `is_cut` — and hands every `(set, disconnected)` to `visit`, which
+    /// may end the sweep.
+    fn sweep_pair<B>(
+        links: usize,
+        k: usize,
+        disconnect_pruned: &mut usize,
+        mut is_cut: impl FnMut(&[LinkId]) -> bool,
+        mut visit: impl FnMut(Vec<LinkId>, bool) -> ControlFlow<B>,
+    ) -> Option<B> {
+        // Minimal disconnecting sets of size < s, for the monotone skip at
+        // size s.
+        let mut disconnecting: Vec<Vec<LinkId>> = Vec::new();
+        for s in 1..=k {
+            for combo in Combinations::new(links, s) {
+                let failed: Vec<LinkId> = combo.into_iter().map(LinkId).collect();
+                let by_subset = disconnecting
+                    .iter()
+                    .any(|d| d.iter().all(|l| failed.contains(l)));
+                let disconnected = by_subset || is_cut(&failed);
+                if by_subset {
+                    *disconnect_pruned += 1;
+                } else if disconnected && s < k {
+                    disconnecting.push(failed.clone());
+                }
+                if let ControlFlow::Break(found) = visit(failed, disconnected) {
+                    return Some(found);
+                }
+            }
+        }
+        None
+    }
+
+    /// The one-core sweep: every pair in edge order, one orbit cache for
+    /// the whole sweep.
+    pub fn verify_failure_sets(
+        topo: &Topology,
+        technique: DeflectionTechnique,
+        protection: &Protection,
+        cache: &EncodingCache,
+        k: usize,
+    ) -> Result<KSweep, KarError> {
+        assert!(k >= 1, "a failure sweep needs at least one failure");
+        let sym = Symmetry::of(topo);
+        let mut stats = SweepStats::default();
+        let mut results = Vec::new();
+        // Canonical (src, dst, failure set) -> disconnected, shared across
+        // pairs via automorphisms. Connectivity is automorphism-invariant;
+        // outcomes are not (they depend on switch IDs), so only the
+        // disconnection verdict is ever shared.
+        let mut orbit_cache: HashMap<(NodeId, NodeId, Vec<LinkId>), bool> = HashMap::new();
+        let edges = topo.edge_nodes();
+        for &src in &edges {
+            for &dst in &edges {
+                if src == dst {
+                    continue;
+                }
+                let Some(primary) = paths::bfs_shortest_path(topo, src, dst) else {
+                    continue;
+                };
+                let route = cache.encode_with_protection(topo, primary, protection)?;
+                let mut pv = PairVerifier::new(topo, route, src, dst, technique);
+                let mut cut = CutTest::new(topo, src, dst);
+                let is_cut = |failed: &[LinkId]| {
+                    if sym.is_trivial() {
+                        return cut.is_cut(failed);
+                    }
+                    let key = sym.canonical_case(topo, src, dst, failed);
+                    if let Some(&d) = orbit_cache.get(&key) {
+                        stats.symmetry_hits += 1;
+                        return d;
+                    }
+                    let d = cut.is_cut(failed);
+                    orbit_cache.insert(key, d);
+                    d
+                };
+                let visit = |failed: Vec<LinkId>, disconnected| {
+                    if failed.len() == k {
+                        stats.cases += 1;
+                        results.push(FailureSetResult {
+                            src,
+                            dst,
+                            report: pv.classify(&failed),
+                            failed,
+                            disconnected,
+                        });
+                    }
+                    ControlFlow::<()>::Continue(())
+                };
+                let pruned = &mut stats.disconnect_pruned;
+                sweep_pair(topo.link_count(), k, pruned, is_cut, visit);
+                stats.explored += pv.explored;
+                stats.memo_hits += pv.memo_hits;
+            }
+        }
+        Ok(KSweep { results, stats })
+    }
+}
+
 /// Every ordered edge pair with its AutoFull route, as the sweeps see it.
 fn pairs(topo: &Topology) -> Vec<(NodeId, NodeId, EncodedRoute)> {
     let cache = EncodingCache::new();
@@ -644,4 +853,76 @@ fn min_failure_set_is_the_first_violation_of_the_sweep() {
         }
     }
     assert!(found > 0, "some pair breaks within {MAX_K} failures");
+}
+
+/// Sweeps `topo` at `k` through the parallel sweep and the serial oracle
+/// — each with its own cache — for every technique under `protections`,
+/// and requires whole equality. Returns the oracle's summed counters.
+fn compare_sweeps(topo: &Topology, k: usize, protections: &[Protection]) -> SweepStats {
+    let mut total = SweepStats::default();
+    for protection in protections {
+        for technique in DeflectionTechnique::ALL {
+            let label = format!("{technique} {protection:?} k = {k}");
+            let got =
+                verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k).unwrap();
+            let want =
+                serial::verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k)
+                    .unwrap();
+            assert_same_sweep(&got, &want, &label);
+            total += want.stats;
+        }
+    }
+    total
+}
+
+fn assert_same_sweep(got: &KSweep, want: &KSweep, label: &str) {
+    assert_eq!(got.stats, want.stats, "{label}");
+    assert_eq!(got.results.len(), want.results.len(), "{label}");
+    for (i, (g, w)) in got.results.iter().zip(&want.results).enumerate() {
+        let case = format!("{label}, row {i}: {}->{} {:?}", w.src, w.dst, w.failed);
+        assert_eq!((g.src, g.dst), (w.src, w.dst), "{case}");
+        assert_eq!(g.failed, w.failed, "{case}");
+        assert_eq!(g.disconnected, w.disconnected, "{case}");
+        assert_eq!(g.report, w.report, "{case}");
+    }
+}
+
+const BOTH: [Protection; 2] = [Protection::None, Protection::AutoFull];
+
+#[test]
+fn sweep_equals_the_serial_oracle_on_topo15_up_to_k3() {
+    let topo = topo15::build();
+    for k in 1..=3 {
+        let stats = compare_sweeps(&topo, k, &BOTH);
+        assert_eq!(stats.symmetry_hits, 0, "topo15 has no symmetry to share");
+        assert!(stats.explored > 0 && stats.memo_hits > 0, "{stats:?}");
+    }
+}
+
+#[test]
+fn sweep_equals_the_serial_oracle_on_rnp28_at_k2() {
+    let stats = compare_sweeps(&rnp28::build(), 2, &[Protection::AutoFull]);
+    assert!(stats.disconnect_pruned > 0, "{stats:?}");
+}
+
+/// Orbits that span pairs: ring/8 (the dihedral group, 16 elements) and
+/// the 3 × 3 grid. Each orbit is one worker's, so every verdict a serial
+/// sweep shares across pairs is shared here too.
+#[test]
+fn sweep_equals_the_serial_oracle_where_orbits_span_pairs() {
+    let params = LinkParams::default();
+    for topo in [
+        gen::ring(8, IdStrategy::SmallestPrimes, params),
+        gen::grid(3, 3, IdStrategy::SmallestPrimes, params),
+    ] {
+        let stats = compare_sweeps(&topo, 2, &BOTH);
+        assert!(stats.symmetry_hits > 0, "{stats:?}");
+    }
+}
+
+/// What a `verify-k3` repetition sweeps, and the other two techniques.
+#[test]
+#[ignore = "four k = 3 sweeps of rnp28 through the serial oracle: run in release"]
+fn sweep_equals_the_serial_oracle_on_rnp28_at_k3() {
+    compare_sweeps(&rnp28::build(), 3, &[Protection::AutoFull]);
 }
