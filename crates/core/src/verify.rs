@@ -79,17 +79,19 @@
 //!
 //! Every piece of state above belongs to one pair — its memo, its path
 //! witness, its disconnecting sets — except the orbit cache, which
-//! belongs to one *pair orbit*: the pairs the automorphisms map onto
-//! each other (one pair per orbit on a topology without symmetry, such
-//! as topo15 and rnp28). [`verify_failure_sets`] therefore hands whole
-//! orbits to [`std::thread::available_parallelism`] workers, the caller
-//! among them; a worker runs an orbit's pairs in pair order, exactly as
-//! the one-core loop did. Each pair returns compact rows (a report and
-//! a verdict per failure set) and its counters, and the caller lays
-//! them out in pair order, regenerating each row's failure set from the
-//! lexicographic enumeration. Nothing a worker computes depends on
-//! another worker or on timing, so the `KSweep` — rows, reports and all
-//! five [`SweepStats`] counters — is the same at any worker count;
+//! shares disconnection verdicts across pairs on a symmetric topology.
+//! [`verify_failure_sets`] therefore splits the pairs into groups that
+//! share nothing: one pair per group on a topology without symmetry
+//! (topo15, rnp28), one group holding every pair otherwise. It hands
+//! the groups to [`std::thread::available_parallelism`] workers, the
+//! caller among them; a worker runs a group's pairs in pair order,
+//! exactly as the one-core loop did. Each pair returns compact rows (a
+//! report and a verdict per failure set) and its counters, and the
+//! caller lays them out in pair order, regenerating each row's failure
+//! set from the lexicographic enumeration. Nothing a worker computes
+//! depends on another worker or on timing, so the `KSweep` — rows,
+//! reports and all five [`SweepStats`] counters — is the same at any
+//! worker count;
 //! `crates/core/tests/verify_differential.rs` holds the one-core sweep
 //! as the oracle.
 //!
@@ -1069,54 +1071,6 @@ fn sweep_pair<B>(
     None
 }
 
-/// Groups ordered pairs into the orbits of `perms` permutations, where
-/// `image(p, node)` is `node`'s image under permutation `p`: the
-/// union-find closure of "`(s, d)` and `(image(p, s), image(p, d))` are
-/// one group". Taking the closure matters when the permutations are a
-/// truncated sample of the group (`MAX_PERMS`): two pairs can then
-/// share a canonical case only through a third pair that is an image
-/// of both, and the closure still puts all three together. Groups are
-/// ordered by their first pair, pairs ascending (indices into `ends`);
-/// every image of a listed pair must be listed.
-fn pair_orbits(
-    ends: &[(NodeId, NodeId)],
-    perms: usize,
-    image: impl Fn(usize, NodeId) -> NodeId,
-) -> Vec<Vec<usize>> {
-    fn root(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let index: HashMap<(NodeId, NodeId), usize> = ends
-        .iter()
-        .enumerate()
-        .map(|(i, &pair)| (pair, i))
-        .collect();
-    let mut parent: Vec<usize> = (0..ends.len()).collect();
-    for (i, &(s, d)) in ends.iter().enumerate() {
-        for p in 0..perms {
-            let j = index[&(image(p, s), image(p, d))];
-            let (a, b) = (root(&mut parent, i), root(&mut parent, j));
-            // The smaller index roots, so a group's root is its first pair.
-            parent[a.max(b)] = a.min(b);
-        }
-    }
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut slot = vec![usize::MAX; ends.len()];
-    for i in 0..ends.len() {
-        let r = root(&mut parent, i);
-        if slot[r] == usize::MAX {
-            slot[r] = groups.len();
-            groups.push(Vec::new());
-        }
-        groups[slot[r]].push(i);
-    }
-    groups
-}
-
 /// One pair's share of a [`verify_failure_sets`] sweep: a report and the
 /// disconnection verdict per k-set, sets lexicographic (the sets
 /// themselves are regenerated by the caller), and the pair's counters.
@@ -1141,11 +1095,12 @@ struct PairRows {
 /// process's CPU affinity: under `taskset -c 0` the caller sweeps
 /// alone, through the same loop). Routes are encoded first,
 /// in pair order, so the cache and the error returned are a serial
-/// sweep's. The unit of work is a *pair orbit* (the pairs the
-/// disconnection verdicts are shared across): one worker runs an
-/// orbit's pairs in pair order with that orbit's own verdict cache, and
-/// every pair has its own [`PairVerifier`] and path witness — so no
-/// answer and no counter depends on which worker ran what, or when.
+/// sweep's. The unit of work is a group of pairs sharing one orbit
+/// cache of disconnection verdicts: a single pair when the topology
+/// has no symmetry, every pair (the one-core loop) when it has. A
+/// worker runs a group's pairs in pair order, and every pair has its
+/// own [`PairVerifier`] and path witness — so no answer and no counter
+/// depends on which worker ran what, or when.
 /// The result is a pure function of `(topo, technique, protection,
 /// k)`: the same `KSweep` at any worker count, results in pair order.
 ///
@@ -1182,7 +1137,14 @@ pub fn verify_failure_sets(
         }
     }
     let sym = Symmetry::of(topo);
-    let orbits = pair_orbits(&ends, sym.order(), |p, node| sym.map_node(p, node));
+    // A group of pairs shares one orbit cache. Without symmetry every
+    // pair is its own group; with it, one group holds every pair, which
+    // is the one-core loop.
+    let groups: Vec<Vec<usize>> = if sym.is_trivial() {
+        (0..ends.len()).map(|i| vec![i]).collect()
+    } else {
+        vec![(0..ends.len()).collect()]
+    };
     let links = topo.link_count();
     let sets = binomial(links, k);
     let sweep = |i: usize, orbit_cache: &mut HashMap<(NodeId, NodeId, Vec<LinkId>), bool>| {
@@ -1216,7 +1178,7 @@ pub fn verify_failure_sets(
         stats.memo_hits = pv.memo_hits;
         PairRows { rows, stats }
     };
-    // Orbit j goes to worker j mod `workers`, the caller being worker 0.
+    // Group j goes to worker j mod `workers`, the caller being worker 0.
     // The split is fixed, not claimed from a shared counter, because a
     // worker's reports live in its thread's malloc arena and an arena
     // keeps the most it ever held: a split that varies from sweep to
@@ -1224,17 +1186,17 @@ pub fn verify_failure_sets(
     // k = 3, 35 → 40 MiB of peak RSS), a fixed one does not.
     let workers = thread::available_parallelism()
         .map_or(1, |n| n.get())
-        .min(orbits.len())
+        .min(groups.len())
         .max(1);
     let work = |w: usize| {
         let mut done = Vec::new();
-        for orbit in orbits.iter().skip(w).step_by(workers) {
+        for group in groups.iter().skip(w).step_by(workers) {
             // Canonical (src, dst, failure set) -> disconnected.
             // Connectivity is automorphism-invariant; outcomes are not
             // (they depend on switch IDs), so only the disconnection
             // verdict is ever shared.
             let mut orbit_cache = HashMap::new();
-            done.extend(orbit.iter().map(|&i| (i, sweep(i, &mut orbit_cache))));
+            done.extend(group.iter().map(|&i| (i, sweep(i, &mut orbit_cache))));
         }
         done
     };
@@ -1254,7 +1216,7 @@ pub fn verify_failure_sets(
     let mut stats = SweepStats::default();
     let mut results = Vec::with_capacity(ends.len() * sets);
     for (&(src, dst), pair) in ends.iter().zip(swept) {
-        let pair = pair.expect("every orbit has a worker");
+        let pair = pair.expect("every group has a worker");
         stats += pair.stats;
         let mut failure_sets = Combinations::new(links, k);
         for (report, disconnected) in pair.rows {
@@ -1848,71 +1810,6 @@ mod tests {
         let mut sets = Combinations::new(3, 3);
         assert!(sets.advance().is_some());
         assert!(sets.advance().is_none() && sets.advance().is_none());
-    }
-
-    /// A truncated automorphism sample is not closed under composition:
-    /// two pairs can share a canonical case only through a third pair
-    /// that is an image of both. The union-find closure must still put
-    /// every pair sharing a canonical key — under that same sample — in
-    /// one group, or two workers would hold the one orbit cache entry.
-    /// (With the identity and one more permutation every shared key is
-    /// a direct image, so each sample here has at least three.)
-    #[test]
-    fn pair_orbits_close_a_truncated_permutation_set() {
-        use kar_rns::IdStrategy;
-        use kar_topology::{gen, LinkParams};
-        let topo = gen::ring(8, IdStrategy::SmallestPrimes, LinkParams::default());
-        let sym = Symmetry::of(&topo);
-        assert_eq!(sym.order(), 16);
-        let edges = topo.edge_nodes();
-        let ends: Vec<(NodeId, NodeId)> = edges
-            .iter()
-            .flat_map(|&s| edges.iter().filter(move |&&d| d != s).map(move |&d| (s, d)))
-            .collect();
-        for sample in [vec![0, 1, 2], vec![0, 3, 7], vec![0, 2, 5, 11]] {
-            let image = |p: usize, node| sym.map_node(sample[p], node);
-            let orbits = pair_orbits(&ends, sample.len(), image);
-            let mut group = vec![usize::MAX; ends.len()];
-            for (g, orbit) in orbits.iter().enumerate() {
-                assert!(orbit.windows(2).all(|w| w[0] < w[1]), "{orbit:?}");
-                for &i in orbit {
-                    assert_eq!(group[i], usize::MAX, "pair {i} in two groups");
-                    group[i] = g;
-                }
-            }
-            assert!(group.iter().all(|&g| g != usize::MAX), "every pair grouped");
-            // The canonical case under the sample alone, as the orbit
-            // cache would key it with only these permutations.
-            let canonical = |(src, dst): (NodeId, NodeId), failed: &[LinkId]| {
-                (0..sample.len())
-                    .map(|p| {
-                        let mut links: Vec<LinkId> = failed
-                            .iter()
-                            .map(|&l| sym.map_link(&topo, sample[p], l))
-                            .collect();
-                        links.sort_unstable();
-                        (image(p, src), image(p, dst), links)
-                    })
-                    .min()
-                    .unwrap()
-            };
-            let mut owner: HashMap<(NodeId, NodeId, Vec<LinkId>), usize> = HashMap::new();
-            let mut indirect = 0;
-            for failed in all_sets(topo.link_count(), 2) {
-                let failed: Vec<LinkId> = failed.into_iter().map(LinkId).collect();
-                for (i, &pair) in ends.iter().enumerate() {
-                    let first = *owner.entry(canonical(pair, &failed)).or_insert(i);
-                    assert_eq!(group[first], group[i], "{sample:?}: pairs {first} and {i}");
-                    let direct = |a: (NodeId, NodeId), b: (NodeId, NodeId)| {
-                        (0..sample.len()).any(|p| (image(p, a.0), image(p, a.1)) == b)
-                    };
-                    if !direct(ends[first], pair) && !direct(pair, ends[first]) {
-                        indirect += 1;
-                    }
-                }
-            }
-            assert!(indirect > 0, "{sample:?}: the closure is never needed");
-        }
     }
 
     /// The projection memo must be invisible: for a sample of 2-failure

@@ -17,13 +17,13 @@
 //! explorer is also driven through a shuffled sequence of failure sets
 //! against a fresh explorer per set.
 //!
-//! `verify_failure_sets` sweeps its pairs on every core, a pair orbit per
-//! unit of work. [`serial`] is the one-core sweep it replaced, kept
+//! `verify_failure_sets` sweeps its pairs on every core, a group of pairs
+//! sharing no state per unit of work. [`serial`] is the one-core sweep it replaced, kept
 //! verbatim (its `Combinations`, `CutTest` and `sweep_pair` with it): the
 //! whole `KSweep` — every row's pair, failure set, verdict and report,
 //! and all five counters — must compare equal, on asymmetric topologies
-//! (one orbit per pair) and on a ring and a grid, where orbits span pairs
-//! and share disconnection verdicts.
+//! (one pair per group) and on a ring and a grid, where orbits span pairs
+//! and share disconnection verdicts (one group of every pair).
 
 use kar::verify::{
     min_failure_set, verify_failure_sets, ActiveRoute, Explorer, KSweep, Outcome, VerifyReport,
@@ -906,8 +906,8 @@ fn sweep_equals_the_serial_oracle_on_rnp28_at_k2() {
 }
 
 /// Orbits that span pairs: ring/8 (the dihedral group, 16 elements) and
-/// the 3 × 3 grid. Each orbit is one worker's, so every verdict a serial
-/// sweep shares across pairs is shared here too.
+/// the 3 × 3 grid. All their pairs are one worker's, so every verdict a
+/// serial sweep shares across pairs is shared here too.
 #[test]
 fn sweep_equals_the_serial_oracle_where_orbits_span_pairs() {
     let params = LinkParams::default();
