@@ -28,7 +28,7 @@
 //! wall-clock fields and is committed at the repository root.
 
 use crate::cli::{flag, Args, Experiment, TOPO};
-use crate::harness::{row, ProbeRun, ProbeScheme};
+use crate::harness::{nominal_core_hops, row, ProbeRun, ProbeScheme};
 use crate::record::{label_record, record, Record};
 use crate::sweep::{self, keyed_seed};
 use kar::recovery::RecoveryConfig;
@@ -312,14 +312,13 @@ fn byzantine_set(topo: &Topology, attack: AttackKind, n: u32) -> Vec<(NodeId, Be
 }
 
 /// Fault-free shortest-path core hops of each flow — the stretch
-/// denominator (edge hosts don't forward, so a path of `len` nodes
-/// crosses `len - 2` core switches).
+/// denominator.
 fn nominal_hops(topo: &Topology, flows: &[(NodeId, NodeId)]) -> Vec<u64> {
     flows
         .iter()
         .map(|&(src, dst)| {
             let path = paths::bfs_shortest_path(topo, src, dst).expect("flow pair connected");
-            path.len().saturating_sub(2) as u64
+            nominal_core_hops(&path) as u64
         })
         .collect()
 }

@@ -25,7 +25,7 @@
 
 use crate::campaign::Family;
 use crate::cli::{flag, Args, Experiment};
-use crate::harness::{sample_pairs, DrawStream, FleetOutcome, FleetRun};
+use crate::harness::{nominal_core_hops, sample_pairs, DrawStream, FleetOutcome, FleetRun};
 use crate::obs::RunObs;
 use crate::sweep::{self, cell_text, keyed_seed};
 use kar::{
@@ -220,7 +220,7 @@ pub struct HierRecord {
     /// Per-switch forwarding state summed over the network (tables
     /// only; KAR cores are stateless).
     pub state_entries: usize,
-    /// Mean nominal (failure-free shortest-path) hop count of the pairs.
+    /// Mean nominal (failure-free shortest-path) core hops per flow.
     pub nominal_hops_mean: f64,
     /// Boundary re-encodes on the nominal routes (hier only).
     pub planned_reencodes: usize,
@@ -342,12 +342,16 @@ fn build_point(cfg: &HierConfig, cell: &HierCell) -> Result<Point, usize> {
         .collect::<BTreeSet<(NodeId, NodeId)>>()
         .into_iter()
         .collect();
-    let mut hop_sum = 0usize;
-    for &(src, dst) in &distinct {
-        let path = paths::bfs_shortest_path(&topo, src, dst).expect("families are connected");
-        hop_sum += path.len() - 1;
-    }
-    let nominal_hops_mean = hop_sum as f64 / distinct.len() as f64;
+    // Every flow sends the same number of packets, so the mean is over
+    // flows (repeats included), in the simulator's unit of core hops.
+    let hop_sum: usize = pairs
+        .iter()
+        .map(|&(src, dst)| {
+            let path = paths::bfs_shortest_path(&topo, src, dst).expect("families are connected");
+            nominal_core_hops(&path)
+        })
+        .sum();
+    let nominal_hops_mean = hop_sum as f64 / pairs.len() as f64;
     Ok(Point {
         topo,
         pairs,
@@ -641,6 +645,8 @@ fn main(args: &Args) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::add_fleets;
+    use kar::KarNetwork;
 
     fn smoke_config() -> HierConfig {
         HierConfig {
@@ -738,6 +744,48 @@ mod tests {
         assert!(records[1].get("verify_new_classes").is_some());
         assert!(cells_with_new_classes(&records).is_empty());
         assert!(render_table(&records).contains("ring/24/hier"));
+    }
+
+    /// With no link down, every packet walks its shortest path, so a
+    /// flat cell's stretch is exactly 1: the nominal mean counts what
+    /// the simulator's `hops` counts (core switches), per flow.
+    #[test]
+    fn fault_free_flat_traffic_has_stretch_one() {
+        let cfg = smoke_config();
+        let cell = HierCell {
+            family: Family::Ring,
+            switches: 24,
+            scheme: Scheme::Flat,
+        };
+        let point = build_point(&cfg, &cell).unwrap();
+        let mut net = KarNetwork::builder(&point.topo, DeflectionTechnique::Nip)
+            .seed(point.seed)
+            .build();
+        for &(src, dst) in &point.distinct {
+            net.planner_mut()
+                .install(&point.topo, src, dst, &Protection::None)
+                .unwrap();
+        }
+        let mut sim = net.into_sim();
+        let mut draws = DrawStream::new(point.seed);
+        add_fleets(&mut sim, &point.pairs, &mut draws, cfg.packets_per_pair);
+        sim.run_to_quiescence();
+        let record = HierRecord {
+            nominal_hops_mean: point.nominal_hops_mean,
+            traffic: Some(FleetOutcome {
+                stats: sim.stats().clone(),
+                routes: point.distinct.len(),
+                header_bits_max: 0,
+                planned_reencodes: 0,
+                boundary_restamps: 0,
+            }),
+            ..HierRecord::default()
+        };
+        let json = Json::parse(&record.to_json()).unwrap();
+        let field = |f: &str| json.get(f).and_then(Json::as_f64).unwrap();
+        assert_eq!(field("delivery_ratio"), 1.0);
+        let stretch = field("stretch");
+        assert!((stretch - 1.0).abs() < 1e-9, "stretch {stretch}");
     }
 
     #[test]

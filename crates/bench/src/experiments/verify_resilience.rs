@@ -204,12 +204,8 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
     }
     if k > 1 {
         println!(
-            "{name}: {} cases, {} explorations ({} memo hits, {} disconnect-pruned, {} symmetry hits)",
-            stats.cases,
-            stats.explored,
-            stats.memo_hits,
-            stats.disconnect_pruned,
-            stats.symmetry_hits
+            "{name}: {} cases, {} explorations ({} memo hits, {} disconnect-pruned)",
+            stats.cases, stats.explored, stats.memo_hits, stats.disconnect_pruned
         );
     }
     println!();

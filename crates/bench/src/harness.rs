@@ -149,9 +149,7 @@ impl TcpRunResult {
     /// sweep's spec order, seed), its simulated outcome and the host
     /// wall-clock cost.
     pub fn summary_json(&self, spec: &TcpRun<'_>, label: &str, index: usize) -> String {
-        // `hops` counts core-switch traversals; the primary path lists
-        // edge + cores + edge, so its nominal hop count is len - 2.
-        let nominal_hops = spec.primary.len().saturating_sub(2) as f64;
+        let nominal_hops = nominal_core_hops(&spec.primary) as f64;
         let hop_inflation = if nominal_hops > 0.0 {
             self.mean_hops / nominal_hops
         } else {
@@ -560,7 +558,12 @@ pub(crate) fn sample_pairs(
 /// Drives `pairs` as CBR flows of `limit` datagrams each: one
 /// [`FlowFleet`] app per source host, per-flow interval and start offset
 /// seeded from `draws`.
-fn add_fleets(sim: &mut Sim<'_>, pairs: &[(NodeId, NodeId)], draws: &mut DrawStream, limit: u64) {
+pub(crate) fn add_fleets(
+    sim: &mut Sim<'_>,
+    pairs: &[(NodeId, NodeId)],
+    draws: &mut DrawStream,
+    limit: u64,
+) {
     let mut fleets: BTreeMap<usize, Vec<FleetFlow>> = BTreeMap::new();
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let interval = SimTime::from_micros(1_000 + draws.below(1_000) as u64);
@@ -691,6 +694,13 @@ impl FleetRun<'_> {
             }),
         }
     }
+}
+
+/// The core switches a path of nodes crosses — the unit of the
+/// simulator's `hops`. A path lists edge + cores + edge, so a path of
+/// `len` nodes crosses `len - 2` core switches.
+pub fn nominal_core_hops(path: &[NodeId]) -> usize {
+    path.len().saturating_sub(2)
 }
 
 /// Links by endpoint names, e.g. `SW10-SW17`.

@@ -101,9 +101,8 @@ pub use protection::Protection;
 pub use recovery::{FlowRecovery, RecoveryConfig, RecoveryLog};
 pub use route::{EncodedRoute, RouteSpec};
 pub use verify::{
-    min_failure_set, verify_failure_sets, verify_route, verify_single_failures, ActiveRoute,
-    BreakingPoint, FailureSetResult, KSweep, Outcome, PairVerifier, SweepStats, VerifyReport,
-    VerifySummary,
+    min_failure_set, verify_failure_sets, verify_route, ActiveRoute, BreakingPoint,
+    FailureSetResult, KSweep, Outcome, PairVerifier, SweepStats, VerifyReport, VerifySummary,
 };
 pub use wire::{RouteHeader, WireError, WireMode};
 

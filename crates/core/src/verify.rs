@@ -24,14 +24,12 @@
 //!   cycle's switches). Deterministic techniques (`None`, and NIP at
 //!   degree-2 switches) are the ones that can trap like this.
 //!
-//! [`verify_single_failures`] sweeps every ordered edge pair and every
-//! single-link failure — the paper's k=1 resilience claim, checked
-//! exhaustively instead of by sampling.
-//!
 //! ## k-failure verification
 //!
-//! [`verify_failure_sets`] generalizes the sweep to every failure set of
-//! size k (k = 2, 3 are practical). Enumerating C(L, k) sets per pair is
+//! [`verify_failure_sets`] sweeps every ordered edge pair against every
+//! failure set of size k. At k = 1 that is the paper's resilience
+//! claim, checked exhaustively instead of by sampling; k = 2, 3 are
+//! practical too. Enumerating C(L, k) sets per pair is
 //! only feasible because most of them are *equivalent*: the exploration
 //! of one case consults the status of only a few links (the source
 //! uplink plus the ports of every switch the packet can reach), recorded
@@ -45,21 +43,13 @@
 //! explorations a pair does need all run on its one [`Explorer`], whose
 //! residues are reduced once per pair and whose buffers are reused.
 //!
-//! Two further prunings are *sound* and used where they apply:
+//! One further pruning is *sound*: **disconnection is monotone**. Any
+//! superset of a set that physically disconnects `src` from `dst` also
+//! disconnects them, so supersets of known disconnecting sets skip the
+//! reachability check (and, in [`min_failure_set`], the whole
+//! classification — a disconnected pair is not a resilience violation).
 //!
-//! * **Disconnection is monotone**: any superset of a set that physically
-//!   disconnects `src` from `dst` also disconnects them, so supersets of
-//!   known disconnecting sets skip the reachability check (and, in
-//!   [`min_failure_set`], the whole classification — a disconnected pair
-//!   is not a resilience violation).
-//! * **Connectivity is automorphism-invariant**: on generated ring/grid
-//!   topologies (dihedral symmetry) the disconnection verdict is shared
-//!   across the orbit of `(src, dst, failure set)` under
-//!   [`kar_topology::sym::Symmetry`]. Note the *outcome* is not shared:
-//!   KAR forwarding depends on switch IDs and port numbering, which
-//!   structural automorphisms do not preserve.
-//!
-//! A set neither pruning settles needs the "is the pair cut" test
+//! A set the pruning does not settle needs the "is the pair cut" test
 //! itself, and most sets do not need a search for it either: the test
 //! remembers the links of the last `src → dst` path it found (a **path
 //! witness**), and a failure set that touches none of them leaves that
@@ -78,19 +68,16 @@
 //! ### What runs in parallel
 //!
 //! Every piece of state above belongs to one pair — its memo, its path
-//! witness, its disconnecting sets — except the orbit cache, which
-//! shares disconnection verdicts across pairs on a symmetric topology.
-//! [`verify_failure_sets`] therefore splits the pairs into groups that
-//! share nothing: one pair per group on a topology without symmetry
-//! (topo15, rnp28), one group holding every pair otherwise. It hands
-//! the groups to [`std::thread::available_parallelism`] workers, the
-//! caller among them; a worker runs a group's pairs in pair order,
-//! exactly as the one-core loop did. Each pair returns compact rows (a
+//! witness, its disconnecting sets — so pairs share nothing, and each
+//! pair is one unit of work on every topology. [`verify_failure_sets`]
+//! hands the pairs to [`std::thread::available_parallelism`] workers,
+//! the caller among them; a worker runs its pairs in pair order, exactly
+//! as the one-core loop did. Each pair returns compact rows (a
 //! report and a verdict per failure set) and its counters, and the
 //! caller lays them out in pair order, regenerating each row's failure
 //! set from the lexicographic enumeration. Nothing a worker computes
 //! depends on another worker or on timing, so the `KSweep` — rows,
-//! reports and all five [`SweepStats`] counters — is the same at any
+//! reports and all four [`SweepStats`] counters — is the same at any
 //! worker count;
 //! `crates/core/tests/verify_differential.rs` holds the one-core sweep
 //! as the oracle.
@@ -106,7 +93,6 @@ use crate::deflect::DeflectionTechnique;
 use crate::error::KarError;
 use crate::protection::Protection;
 use crate::route::EncodedRoute;
-use kar_topology::sym::Symmetry;
 use kar_topology::{paths, LinkId, NodeId, PortIx, Topology};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -956,7 +942,7 @@ pub struct FailureSetResult {
 }
 
 /// Work accounting for a k-failure sweep — how much the projection
-/// memo, monotone disconnection pruning and symmetry reduction saved.
+/// memo and monotone disconnection pruning saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// `(pair, failure set)` cases classified.
@@ -968,8 +954,6 @@ pub struct SweepStats {
     /// Disconnection verdicts concluded from a known failed subset
     /// (monotonicity), skipping the reachability search.
     pub disconnect_pruned: usize,
-    /// Disconnection verdicts shared across a graph-automorphism orbit.
-    pub symmetry_hits: usize,
 }
 
 impl AddAssign for SweepStats {
@@ -978,7 +962,6 @@ impl AddAssign for SweepStats {
         self.explored += other.explored;
         self.memo_hits += other.memo_hits;
         self.disconnect_pruned += other.disconnect_pruned;
-        self.symmetry_hits += other.symmetry_hits;
     }
 }
 
@@ -1081,26 +1064,23 @@ struct PairRows {
 
 /// Exhaustively verifies every ordered edge pair of `topo` against
 /// every failure set of exactly `k` links, with shortest-path routes
-/// under `protection`. `k = 1` reproduces [`verify_single_failures`]
-/// case for case.
+/// under `protection`. `k = 1` is the single-link-failure sweep, the
+/// paper's resilience claim.
 ///
 /// See the module docs for why this scales: projection memoization
 /// (most sets are equivalent to a much smaller one), monotone
 /// disconnection pruning seeded from the smaller set sizes (swept only
-/// for that), orbit sharing of disconnection verdicts on symmetric
-/// generated topologies, and the path-witness connectivity test.
+/// for that), and the path-witness connectivity test.
 ///
 /// The pairs are swept on [`std::thread::available_parallelism`]
 /// workers, the calling thread among them (the count follows the
 /// process's CPU affinity: under `taskset -c 0` the caller sweeps
 /// alone, through the same loop). Routes are encoded first,
 /// in pair order, so the cache and the error returned are a serial
-/// sweep's. The unit of work is a group of pairs sharing one orbit
-/// cache of disconnection verdicts: a single pair when the topology
-/// has no symmetry, every pair (the one-core loop) when it has. A
-/// worker runs a group's pairs in pair order, and every pair has its
-/// own [`PairVerifier`] and path witness — so no answer and no counter
-/// depends on which worker ran what, or when.
+/// sweep's. The unit of work is one pair: a worker runs its pairs in
+/// pair order, and every pair has its own [`PairVerifier`] and path
+/// witness — so no answer and no counter depends on which worker ran
+/// what, or when.
 /// The result is a pure function of `(topo, technique, protection,
 /// k)`: the same `KSweep` at any worker count, results in pair order.
 ///
@@ -1136,36 +1116,15 @@ pub fn verify_failure_sets(
             ends.push((src, dst));
         }
     }
-    let sym = Symmetry::of(topo);
-    // A group of pairs shares one orbit cache. Without symmetry every
-    // pair is its own group; with it, one group holds every pair, which
-    // is the one-core loop.
-    let groups: Vec<Vec<usize>> = if sym.is_trivial() {
-        (0..ends.len()).map(|i| vec![i]).collect()
-    } else {
-        vec![(0..ends.len()).collect()]
-    };
     let links = topo.link_count();
     let sets = binomial(links, k);
-    let sweep = |i: usize, orbit_cache: &mut HashMap<(NodeId, NodeId, Vec<LinkId>), bool>| {
+    let sweep = |i: usize| {
         let (src, dst) = ends[i];
         let mut pv = PairVerifier::new(topo, routes[i].clone(), src, dst, technique);
         let mut cut = CutTest::new(topo, src, dst);
         let mut stats = SweepStats::default();
         let mut rows = Vec::with_capacity(sets);
-        let is_cut = |failed: &[LinkId]| {
-            if sym.is_trivial() {
-                return cut.is_cut(failed);
-            }
-            let key = sym.canonical_case(topo, src, dst, failed);
-            if let Some(&d) = orbit_cache.get(&key) {
-                stats.symmetry_hits += 1;
-                return d;
-            }
-            let d = cut.is_cut(failed);
-            orbit_cache.insert(key, d);
-            d
-        };
+        let is_cut = |failed: &[LinkId]| cut.is_cut(failed);
         let visit = |failed: &[LinkId], disconnected| {
             if failed.len() == k {
                 rows.push((pv.classify(failed), disconnected));
@@ -1178,7 +1137,7 @@ pub fn verify_failure_sets(
         stats.memo_hits = pv.memo_hits;
         PairRows { rows, stats }
     };
-    // Group j goes to worker j mod `workers`, the caller being worker 0.
+    // Pair i goes to worker i mod `workers`, the caller being worker 0.
     // The split is fixed, not claimed from a shared counter, because a
     // worker's reports live in its thread's malloc arena and an arena
     // keeps the most it ever held: a split that varies from sweep to
@@ -1186,19 +1145,13 @@ pub fn verify_failure_sets(
     // k = 3, 35 → 40 MiB of peak RSS), a fixed one does not.
     let workers = thread::available_parallelism()
         .map_or(1, |n| n.get())
-        .min(groups.len())
+        .min(ends.len())
         .max(1);
     let work = |w: usize| {
-        let mut done = Vec::new();
-        for group in groups.iter().skip(w).step_by(workers) {
-            // Canonical (src, dst, failure set) -> disconnected.
-            // Connectivity is automorphism-invariant; outcomes are not
-            // (they depend on switch IDs), so only the disconnection
-            // verdict is ever shared.
-            let mut orbit_cache = HashMap::new();
-            done.extend(group.iter().map(|&i| (i, sweep(i, &mut orbit_cache))));
-        }
-        done
+        (w..ends.len())
+            .step_by(workers)
+            .map(|i| (i, sweep(i)))
+            .collect::<Vec<_>>()
     };
     let mut swept: Vec<Option<PairRows>> = ends.iter().map(|_| None).collect();
     thread::scope(|scope| {
@@ -1216,7 +1169,7 @@ pub fn verify_failure_sets(
     let mut stats = SweepStats::default();
     let mut results = Vec::with_capacity(ends.len() * sets);
     for (&(src, dst), pair) in ends.iter().zip(swept) {
-        let pair = pair.expect("every group has a worker");
+        let pair = pair.expect("every pair has a worker");
         stats += pair.stats;
         let mut failure_sets = Combinations::new(links, k);
         for (report, disconnected) in pair.rows {
@@ -1520,50 +1473,6 @@ fn walk_frontier<A: ActiveRoute>(
     }
 }
 
-/// One entry of a [`verify_single_failures`] sweep.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// Ingress edge.
-    pub src: NodeId,
-    /// Destination edge.
-    pub dst: NodeId,
-    /// The single failed link.
-    pub failed: LinkId,
-    /// `true` when the failure physically disconnects `src` from `dst` —
-    /// no scheme can deliver; not counted as a resilience violation.
-    pub disconnected: bool,
-    /// The exhaustive classification.
-    pub report: Arc<VerifyReport>,
-}
-
-/// Exhaustively verifies every ordered edge pair of `topo` against every
-/// single-link failure (the k=1 sweep), with shortest-path routes under
-/// `protection`.
-///
-/// # Errors
-///
-/// Propagates route-encoding errors ([`KarError`]); unreachable pairs on
-/// the *intact* topology are skipped, not errors.
-pub fn verify_single_failures(
-    topo: &Topology,
-    technique: DeflectionTechnique,
-    protection: &Protection,
-    cache: &EncodingCache,
-) -> Result<Vec<CaseResult>, KarError> {
-    let sweep = verify_failure_sets(topo, technique, protection, cache, 1)?;
-    Ok(sweep
-        .results
-        .into_iter()
-        .map(|r| CaseResult {
-            src: r.src,
-            dst: r.dst,
-            failed: r.failed[0],
-            disconnected: r.disconnected,
-            report: r.report,
-        })
-        .collect())
-}
-
 /// Aggregate view of a sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifySummary {
@@ -1601,15 +1510,6 @@ impl VerifySummary {
 
 /// Folds sweep results into counts; `violations` are connected cases
 /// that still black-hole or loop.
-pub fn summarize(results: &[CaseResult]) -> VerifySummary {
-    let mut s = VerifySummary::default();
-    for case in results {
-        s.record(case.report.outcome, case.disconnected);
-    }
-    s
-}
-
-/// [`summarize`] for a k-failure sweep.
 pub fn summarize_sets(results: &[FailureSetResult]) -> VerifySummary {
     let mut s = VerifySummary::default();
     for case in results {
@@ -1876,8 +1776,8 @@ mod tests {
         // Monotone pruning: every 2-set containing a pair's uplink is a
         // superset of a known disconnecting singleton.
         assert!(sweep.stats.disconnect_pruned > 0, "{:?}", sweep.stats);
-        // k=1 compatibility: the engine is the one behind
-        // verify_single_failures, whose pinned tables lock the k=1 view.
+        // The k = 1 view of the same engine, whose pinned tables are
+        // below.
         let k1 = verify_failure_sets(
             &topo,
             DeflectionTechnique::Nip,
@@ -2047,12 +1947,17 @@ mod tests {
     fn summary_counts_and_violations() {
         let topo = topo15::build();
         let cache = EncodingCache::new();
-        let results =
-            verify_single_failures(&topo, DeflectionTechnique::None, &Protection::None, &cache)
-                .unwrap();
+        let sweep = verify_failure_sets(
+            &topo,
+            DeflectionTechnique::None,
+            &Protection::None,
+            &cache,
+            1,
+        )
+        .unwrap();
         // 3 edges → 6 ordered pairs × 22 links.
-        assert_eq!(results.len(), 6 * 22);
-        let summary = summarize(&results);
+        assert_eq!(sweep.results.len(), 6 * 22);
+        let summary = summarize_sets(&sweep.results);
         assert_eq!(summary.total, 132);
         // No-deflection blackholes exactly when one of its own primary
         // links fails — 28 primary links summed over the six pairs. The
@@ -2092,9 +1997,10 @@ mod tests {
             (DeflectionTechnique::Nip, 120, 0, 6, 6, 0),
         ];
         for (technique, delivered, ttl, blackhole, looped, violations) in expected {
-            let results =
-                verify_single_failures(&topo, technique, &Protection::AutoFull, &cache).unwrap();
-            let s = summarize(&results);
+            let results = verify_failure_sets(&topo, technique, &Protection::AutoFull, &cache, 1)
+                .unwrap()
+                .results;
+            let s = summarize_sets(&results);
             assert_eq!(s.total, 132, "{technique}");
             assert_eq!(s.count(Outcome::Delivered), delivered, "{technique}: {s:?}");
             assert_eq!(s.count(Outcome::WrongEdge), 0, "{technique}: {s:?}");

@@ -15,9 +15,10 @@
 //!   record: a cold install owns its route and entry, not a search's
 //!   arrays, and a stale read after a notice owns nothing.
 //!
-//! A counting `#[global_allocator]` sees every allocation of the
-//! process, and the bytes asked for; it counts per thread, so the tests
-//! of this file (each on its own test thread) do not see each other's.
+//! The counting `#[global_allocator]` sees every allocation of the
+//! process, and the bytes asked for; these tests read its per-thread
+//! counters, so the tests of this file (each on its own test thread) do
+//! not see each other's.
 
 use kar::verify::Explorer;
 use kar::{
@@ -27,61 +28,11 @@ use kar::{
 use kar_rns::IdStrategy;
 use kar_simnet::{EdgeLogic, SimTime};
 use kar_topology::{gen, paths, rnp28, LinkId, LinkParams, NodeId, Topology};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    // A thread being torn down has no counter left; nothing of it is
-    // measured.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters are statistics
-// (const-initialised thread-local `Cell`s that never allocate).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: as `dealloc`, and the caller's `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let (count, _, out) = footprint(f);
-    (count, out)
-}
-
-/// Allocations `f` makes on this thread, and the bytes they ask for (a
-/// `realloc` counts its new size).
-fn footprint<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
-    let (count, bytes) = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let out = f();
-    let count = ALLOCATIONS.with(Cell::get) - count;
-    (count, BYTES.with(Cell::get) - bytes, out)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, footprint};
 
 /// rand1024, the `svc-*` benchmark topology (1024 switches, one host
 /// each, 512 extra links, generator seed 1024), and 64 of its host

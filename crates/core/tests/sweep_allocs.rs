@@ -8,40 +8,16 @@
 //! when the memo misses, an exploration; never a `Vec` per set
 //! enumerated.
 //!
-//! The sweep runs on worker threads, so the counting `#[global_allocator]`
-//! counts for the whole process. This binary holds one test so that no
+//! The sweep runs on worker threads, so the test reads the counting
+//! `#[global_allocator]`'s process-wide counter. This binary holds one test so that no
 //! other test allocates while it counts.
 
 use kar::{verify_failure_sets, DeflectionTechnique, EncodingCache, Protection};
 use kar_topology::topo15;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and the caller's `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::process_allocations;
 
 /// topo15, k = 2, NIP under full protection: 6 pairs × C(22, 2) = 1 386
 /// cases, 568 of them explored. Measured 4 448 allocations (3.21 per
@@ -54,16 +30,16 @@ static GLOBAL: Counting = Counting;
 fn a_k2_sweep_allocates_at_most_3_4_times_per_case() {
     let topo = topo15::build();
     let cache = EncodingCache::new();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let sweep = verify_failure_sets(
-        &topo,
-        DeflectionTechnique::Nip,
-        &Protection::AutoFull,
-        &cache,
-        2,
-    )
-    .expect("topo15 routes encode");
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (allocations, sweep) = process_allocations(|| {
+        verify_failure_sets(
+            &topo,
+            DeflectionTechnique::Nip,
+            &Protection::AutoFull,
+            &cache,
+            2,
+        )
+    });
+    let sweep = sweep.expect("topo15 routes encode");
     let cases = sweep.stats.cases as u64;
     assert_eq!(cases, 6 * 231);
     assert!(

@@ -17,13 +17,13 @@
 //! explorer is also driven through a shuffled sequence of failure sets
 //! against a fresh explorer per set.
 //!
-//! `verify_failure_sets` sweeps its pairs on every core, a group of pairs
-//! sharing no state per unit of work. [`serial`] is the one-core sweep it replaced, kept
+//! `verify_failure_sets` sweeps its pairs on every core, one pair per
+//! unit of work. [`serial`] is the one-core sweep it replaced, kept
 //! verbatim (its `Combinations`, `CutTest` and `sweep_pair` with it): the
 //! whole `KSweep` — every row's pair, failure set, verdict and report,
-//! and all five counters — must compare equal, on asymmetric topologies
-//! (one pair per group) and on a ring and a grid, where orbits span pairs
-//! and share disconnection verdicts (one group of every pair).
+//! and all four counters — must compare equal, on topo15, rnp28, a ring
+//! and a grid. Every row's disconnection verdict is also checked against
+//! a plain search that shares no code with either `CutTest`.
 
 use kar::verify::{
     min_failure_set, verify_failure_sets, ActiveRoute, Explorer, KSweep, Outcome, VerifyReport,
@@ -428,9 +428,7 @@ mod serial {
         DeflectionTechnique, EncodingCache, FailureSetResult, KSweep, KarError, PairVerifier,
         Protection, SweepStats,
     };
-    use kar_topology::sym::Symmetry;
     use kar_topology::{paths, LinkId, NodeId, Topology};
-    use std::collections::HashMap;
     use std::ops::ControlFlow;
 
     /// Lexicographic k-subsets of `0..n`.
@@ -558,8 +556,7 @@ mod serial {
         None
     }
 
-    /// The one-core sweep: every pair in edge order, one orbit cache for
-    /// the whole sweep.
+    /// The one-core sweep: every pair in edge order.
     pub fn verify_failure_sets(
         topo: &Topology,
         technique: DeflectionTechnique,
@@ -568,14 +565,8 @@ mod serial {
         k: usize,
     ) -> Result<KSweep, KarError> {
         assert!(k >= 1, "a failure sweep needs at least one failure");
-        let sym = Symmetry::of(topo);
         let mut stats = SweepStats::default();
         let mut results = Vec::new();
-        // Canonical (src, dst, failure set) -> disconnected, shared across
-        // pairs via automorphisms. Connectivity is automorphism-invariant;
-        // outcomes are not (they depend on switch IDs), so only the
-        // disconnection verdict is ever shared.
-        let mut orbit_cache: HashMap<(NodeId, NodeId, Vec<LinkId>), bool> = HashMap::new();
         let edges = topo.edge_nodes();
         for &src in &edges {
             for &dst in &edges {
@@ -588,19 +579,7 @@ mod serial {
                 let route = cache.encode_with_protection(topo, primary, protection)?;
                 let mut pv = PairVerifier::new(topo, route, src, dst, technique);
                 let mut cut = CutTest::new(topo, src, dst);
-                let is_cut = |failed: &[LinkId]| {
-                    if sym.is_trivial() {
-                        return cut.is_cut(failed);
-                    }
-                    let key = sym.canonical_case(topo, src, dst, failed);
-                    if let Some(&d) = orbit_cache.get(&key) {
-                        stats.symmetry_hits += 1;
-                        return d;
-                    }
-                    let d = cut.is_cut(failed);
-                    orbit_cache.insert(key, d);
-                    d
-                };
+                let is_cut = |failed: &[LinkId]| cut.is_cut(failed);
                 let visit = |failed: Vec<LinkId>, disconnected| {
                     if failed.len() == k {
                         stats.cases += 1;
@@ -857,7 +836,8 @@ fn min_failure_set_is_the_first_violation_of_the_sweep() {
 
 /// Sweeps `topo` at `k` through the parallel sweep and the serial oracle
 /// — each with its own cache — for every technique under `protections`,
-/// and requires whole equality. Returns the oracle's summed counters.
+/// and requires whole equality, and every row's verdict to be a plain
+/// BFS's. Returns the oracle's summed counters.
 fn compare_sweeps(topo: &Topology, k: usize, protections: &[Protection]) -> SweepStats {
     let mut total = SweepStats::default();
     for protection in protections {
@@ -869,6 +849,15 @@ fn compare_sweeps(topo: &Topology, k: usize, protections: &[Protection]) -> Swee
                 serial::verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k)
                     .unwrap();
             assert_same_sweep(&got, &want, &label);
+            for r in &got.results {
+                let admit = |_, l| !r.failed.contains(&l);
+                let cut = paths::bfs_shortest_path_where(topo, r.src, r.dst, admit).is_none();
+                assert_eq!(
+                    r.disconnected, cut,
+                    "{label}: {}->{} {:?}",
+                    r.src, r.dst, r.failed
+                );
+            }
             total += want.stats;
         }
     }
@@ -894,7 +883,6 @@ fn sweep_equals_the_serial_oracle_on_topo15_up_to_k3() {
     let topo = topo15::build();
     for k in 1..=3 {
         let stats = compare_sweeps(&topo, k, &BOTH);
-        assert_eq!(stats.symmetry_hits, 0, "topo15 has no symmetry to share");
         assert!(stats.explored > 0 && stats.memo_hits > 0, "{stats:?}");
     }
 }
@@ -905,18 +893,16 @@ fn sweep_equals_the_serial_oracle_on_rnp28_at_k2() {
     assert!(stats.disconnect_pruned > 0, "{stats:?}");
 }
 
-/// Orbits that span pairs: ring/8 (the dihedral group, 16 elements) and
-/// the 3 × 3 grid. All their pairs are one worker's, so every verdict a
-/// serial sweep shares across pairs is shared here too.
+/// Generated topologies: ring/8, where any two failed ring links split
+/// the ring, and the 3 × 3 grid.
 #[test]
-fn sweep_equals_the_serial_oracle_where_orbits_span_pairs() {
+fn sweep_equals_the_serial_oracle_on_rings_and_grids() {
     let params = LinkParams::default();
     for topo in [
         gen::ring(8, IdStrategy::SmallestPrimes, params),
         gen::grid(3, 3, IdStrategy::SmallestPrimes, params),
     ] {
-        let stats = compare_sweeps(&topo, 2, &BOTH);
-        assert!(stats.symmetry_hits > 0, "{stats:?}");
+        compare_sweeps(&topo, 2, &BOTH);
     }
 }
 

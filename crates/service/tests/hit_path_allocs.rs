@@ -2,8 +2,8 @@
 //! allocates nothing — not in `read_frame_into`, the planner lookup,
 //! `to_wire_into`, the response buffer or the socket buffer.
 //!
-//! A counting `#[global_allocator]` sees every allocation of the whole
-//! process (daemon threads, this client, the test harness), so the file
+//! The test reads the counting `#[global_allocator]`'s process-wide
+//! counter (daemon threads, this client, the test harness), so the file
 //! holds this one test and its client loop works from bytes and buffers
 //! prepared before the count starts.
 
@@ -11,36 +11,12 @@ use kar::{EncodeRequest, Protection, WireMode};
 use kar_service::proto::{self, Request, HEADER_RESPONSE_PREFIX};
 use kar_service::{expected_header, Daemon, ServiceConfig};
 use kar_topology::rnp28;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and the caller's `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::process_allocations;
 
 /// A window of pipelined requests and the response bytes (frames and
 /// all) it must produce.
@@ -106,22 +82,22 @@ fn ten_thousand_warm_encodes_allocate_nothing() {
         exchange(&mut stream, window, &mut scratch);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for window in windows.iter().cycle().take(10_000 / WINDOW) {
-        exchange(&mut stream, window, &mut scratch);
-    }
-    // Depth 1 too: one request, one flush, still nothing to allocate.
-    for frame in windows[0]
-        .requests
-        .chunks(windows[0].requests.len() / WINDOW)
-    {
-        stream.write_all(frame).expect("write");
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).expect("read");
-        let len = u32::from_be_bytes(len) as usize;
-        stream.read_exact(&mut scratch[..len]).expect("read");
-    }
-    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (allocated, ()) = process_allocations(|| {
+        for window in windows.iter().cycle().take(10_000 / WINDOW) {
+            exchange(&mut stream, window, &mut scratch);
+        }
+        // Depth 1 too: one request, one flush, still nothing to allocate.
+        for frame in windows[0]
+            .requests
+            .chunks(windows[0].requests.len() / WINDOW)
+        {
+            stream.write_all(frame).expect("write");
+            let mut len = [0u8; 4];
+            stream.read_exact(&mut len).expect("read");
+            let len = u32::from_be_bytes(len) as usize;
+            stream.read_exact(&mut scratch[..len]).expect("read");
+        }
+    });
     assert!(
         allocated < 100,
         "10 000 warm encodes raised the allocation count by {allocated}"

@@ -7,50 +7,19 @@
 //! link queues, a run allocates at most once per injected packet however
 //! many hops each packet takes — which this pins by doubling the hops.
 //!
-//! A counting `#[global_allocator]` sees every allocation of the whole
-//! process, so the file holds this one test.
+//! The test reads the counting `#[global_allocator]`'s process-wide
+//! counter, so the file holds this one test.
 
 use kar_rns::{is_prime, BigUint};
 use kar_simnet::{
     EdgeLogic, FlowId, ModuloForwarder, Packet, PacketKind, RouteTag, Sim, SimConfig, SimTime,
 };
 use kar_topology::{LinkParams, NodeId, PortIx, Topology, TopologyBuilder};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a statistic.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `alloc` contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as `dealloc`, and the caller's `realloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::process_allocations;
 
 /// Tags every packet with one shared route ID and sends it up port 0.
 struct FixedTag(Arc<BigUint>);
@@ -103,7 +72,7 @@ fn burst_allocations(k: usize, packets: u64) -> u64 {
     };
     burst(&mut sim);
     burst(&mut sim);
-    let count = allocations(|| burst(&mut sim));
+    let (count, ()) = process_allocations(|| burst(&mut sim));
     let stats = sim.stats();
     assert_eq!(stats.delivered, 3 * packets, "line of {k}: {stats:?}");
     assert_eq!(stats.max_hops as usize, k);

@@ -37,7 +37,6 @@ pub mod gen;
 pub mod hier;
 pub mod paths;
 pub mod rnp28;
-pub mod sym;
 pub mod topo15;
 
 pub use builder::{TopologyBuilder, TopologyError};
