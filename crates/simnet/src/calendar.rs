@@ -1,26 +1,39 @@
 //! A bucketed calendar queue for the event scheduler.
 //!
 //! The engine's pending-event set is dominated by near-future events
-//! (per-packet `TxDone`/`Arrive` within microseconds of `now`) with a
-//! thin tail of far-future ones (TCP retransmit timers, fault trains
-//! seconds out). A global `BinaryHeap` pays `O(log n)` per operation on
-//! that whole set; a calendar queue [R. Brown, CACM 1988] pays `O(1)`
-//! amortized for the near-future bulk by hashing events into fixed-width
-//! time buckets, and parks the far tail in an overflow heap that is
-//! consulted only when the calendar window rotates past it.
+//! (per-packet `TxDone`/`Arrive` from microseconds to about a
+//! millisecond after `now`) with a thin tail of far-future ones (TCP
+//! retransmit timers, fault trains seconds out). A global `BinaryHeap`
+//! pays `O(log n)` per operation on that whole set; a calendar queue
+//! [R. Brown, CACM 1988] pays `O(1)` amortized for the near-future bulk
+//! by hashing events into fixed-width time buckets, and parks the far
+//! tail in an overflow heap.
+//!
+//! The calendar's window slides with its serving cursor: an entry is
+//! bucketed iff its slot (`at / width`) lies less than `nbuckets` slots
+//! past the cursor, at bucket `slot mod nbuckets`. So whatever slot is
+//! being served, everything due within one window of it is in the
+//! calendar. Each time a pop advances the cursor, the overflow
+//! entries that the window now covers move into their buckets (one heap
+//! peek when none does). One occupancy bit per bucket, 64 to a word,
+//! finds the next occupied bucket with `trailing_zeros` instead of
+//! walking empty buckets.
 //!
 //! **Determinism contract:** [`CalendarQueue::pop`] yields entries in
 //! exactly ascending `(at, seq)` order — the same total order the
 //! previous `BinaryHeap<Reverse<HeapEntry>>` produced. The engine's
-//! byte-identical replay guarantee rests on this; a proptest in
-//! `tests/calendar_order.rs` races the two structures on randomized
-//! event trains.
+//! byte-identical replay guarantee rests on this; proptests in
+//! `tests/calendar_order.rs` race the two structures on randomized
+//! event trains, including engine-shaped and `run_until`-shaped ones.
 //!
-//! Invariants (checked in debug builds):
-//! * every bucketed entry's slot (`at / width`) lies in the current
-//!   window `[window_start, window_start + nbuckets)`;
-//! * every overflow entry's slot lies at or beyond the window end;
-//! * the serving cursor never passes an occupied slot.
+//! Invariants (the first two checked in debug builds):
+//! * every bucketed entry's slot lies in `[cursor, cursor + nbuckets)`,
+//!   so a bucket holds the entries of exactly one slot;
+//! * every overflow entry's slot lies at or beyond `cursor + nbuckets`;
+//! * a bucket's occupancy bit is set iff the bucket holds an entry;
+//! * the cursor moves only on `pop` (forward, to the popped slot) and on
+//!   a push behind it (back, to the pushed slot); [`CalendarQueue::peek_key`]
+//!   leaves it where it is.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -76,21 +89,22 @@ impl<T> Default for Bucket<T> {
 ///
 /// "Monotone" is the engine's usage pattern: entries are only pushed at
 /// or after the key of the most recently popped entry (time never runs
-/// backwards inside a simulation). Pushing earlier keys is still
-/// *correct* — the queue rewinds its window, spilling current buckets to
-/// the overflow heap — just slower, and only happens when a driver
-/// injects new work between `run_until` calls.
+/// backwards inside a simulation, and a driver that injects work after
+/// `run_until` injects it at or after the last popped time). Pushing
+/// behind the cursor is still *correct* — the window slides back,
+/// spilling the buckets it no longer covers to the overflow heap — just
+/// slower.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// Bucket width in nanoseconds (a power of two, so slot = at >> shift).
     shift: u32,
+    /// `nbuckets` buckets, a power of two; slot `s` lives in `s & (nbuckets − 1)`.
     buckets: Vec<Bucket<T>>,
-    /// First slot of the current window.
-    window_start: u64,
-    /// Slot currently being served; `window_start ≤ cursor < window_start
-    /// + nbuckets`.
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` holds an entry.
+    occupied: Vec<u64>,
+    /// Slot being served: the window is `[cursor, cursor + nbuckets)`.
     cursor: u64,
-    /// Entries whose slot lies beyond the current window.
+    /// Entries whose slot lies at or beyond the window end.
     overflow: BinaryHeap<Reverse<CalendarEntry<T>>>,
     /// Entries currently in buckets (total length minus overflow).
     in_buckets: usize,
@@ -107,13 +121,16 @@ impl<T> Default for CalendarQueue<T> {
 
 impl<T> CalendarQueue<T> {
     /// Creates a queue with `1 << width_shift` ns buckets, `nbuckets` of
-    /// them per window rotation.
+    /// them (a power of two) per window.
     pub fn with_geometry(width_shift: u32, nbuckets: usize) -> Self {
-        assert!(nbuckets > 0, "calendar needs at least one bucket");
+        assert!(
+            nbuckets.is_power_of_two(),
+            "calendar bucket count must be a power of two, got {nbuckets}"
+        );
         CalendarQueue {
             shift: width_shift,
             buckets: (0..nbuckets).map(|_| Bucket::default()).collect(),
-            window_start: 0,
+            occupied: vec![0; nbuckets.div_ceil(64)],
             cursor: 0,
             overflow: BinaryHeap::new(),
             in_buckets: 0,
@@ -136,8 +153,13 @@ impl<T> CalendarQueue<T> {
     }
 
     #[inline]
-    fn window_end(&self) -> u64 {
-        self.window_start + self.buckets.len() as u64
+    fn nbuckets(&self) -> u64 {
+        self.buckets.len() as u64
+    }
+
+    #[inline]
+    fn bucket_of(&self, slot: u64) -> usize {
+        (slot & (self.nbuckets() - 1)) as usize
     }
 
     /// Schedules `item` at `(at, seq)`. `seq` must be unique across the
@@ -145,125 +167,130 @@ impl<T> CalendarQueue<T> {
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         let slot = self.slot_of(at);
         if slot < self.cursor {
-            if slot >= self.window_start {
-                // Still inside the window: the slots behind the cursor
-                // are already drained, so serving can simply back up.
-                self.cursor = slot;
-            } else {
-                self.rewind_to(slot);
-            }
+            self.rewind_to(slot);
         }
         let entry = CalendarEntry { at, seq, item };
-        if slot < self.window_end() {
-            let n = self.buckets.len() as u64;
-            let b = &mut self.buckets[(slot % n) as usize];
-            b.items.push(entry);
-            b.sorted = false;
-            self.in_buckets += 1;
+        if slot - self.cursor < self.nbuckets() {
+            self.insert(slot, entry);
         } else {
             self.overflow.push(Reverse(entry));
         }
     }
 
-    /// Rewinds the window so `slot` becomes servable again. Only
-    /// triggered by a push earlier than the serving cursor (a driver
-    /// injecting work after the window skipped ahead over idle time).
-    fn rewind_to(&mut self, slot: u64) {
-        // Anything already bucketed may lie beyond the rewound window;
-        // spill it all to overflow and restart the window at `slot`.
-        for b in &mut self.buckets {
-            self.overflow.extend(b.items.drain(..).map(Reverse));
-            b.sorted = true;
-        }
-        self.in_buckets = 0;
-        self.window_start = slot;
-        self.cursor = slot;
-        self.refill();
+    /// Files `entry`, whose `slot` lies inside the window, in its bucket.
+    #[inline]
+    fn insert(&mut self, slot: u64, entry: CalendarEntry<T>) {
+        debug_assert!(slot >= self.cursor && slot - self.cursor < self.nbuckets());
+        let b = self.bucket_of(slot);
+        let bucket = &mut self.buckets[b];
+        bucket.items.push(entry);
+        bucket.sorted = false;
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.in_buckets += 1;
     }
 
-    /// Moves every overflow entry due inside the current window into its
-    /// bucket.
+    /// Slides the window back so it starts at `slot`, spilling to
+    /// overflow the buckets of the slots it no longer covers. Only a
+    /// push behind the cursor gets here.
+    fn rewind_to(&mut self, slot: u64) {
+        let n = self.nbuckets();
+        let old_end = self.cursor + n;
+        for gone in (slot + n).max(self.cursor)..old_end {
+            let b = self.bucket_of(gone);
+            let bucket = &mut self.buckets[b];
+            if bucket.items.is_empty() {
+                continue;
+            }
+            self.in_buckets -= bucket.items.len();
+            self.overflow.extend(bucket.items.drain(..).map(Reverse));
+            bucket.sorted = true;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.cursor = slot;
+    }
+
+    /// Moves every overflow entry the window now covers into its bucket.
     fn refill(&mut self) {
-        let end = self.window_end();
-        let n = self.buckets.len() as u64;
+        let end = self.cursor + self.nbuckets();
         while let Some(Reverse(head)) = self.overflow.peek() {
             let slot = self.slot_of(head.at);
             if slot >= end {
                 break;
             }
             let Reverse(entry) = self.overflow.pop().expect("peeked entry exists");
-            debug_assert!(slot >= self.window_start);
-            let b = &mut self.buckets[(slot % n) as usize];
-            b.items.push(entry);
-            b.sorted = false;
-            self.in_buckets += 1;
+            self.insert(slot, entry);
         }
     }
 
-    /// Advances the cursor to the next occupied slot (rotating the
-    /// window and refilling from overflow as needed). Returns `false`
-    /// when the queue is empty.
-    fn seek(&mut self) -> bool {
-        if self.is_empty() {
-            return false;
+    /// The first occupied slot at or after the cursor, found by scanning
+    /// the occupancy words from the cursor's bucket round the ring.
+    /// Requires a bucketed entry.
+    fn next_occupied_slot(&self) -> u64 {
+        debug_assert!(self.in_buckets > 0);
+        let start = self.bucket_of(self.cursor);
+        let mut word = start / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
+        while bits == 0 {
+            // Back at the first word, the bits below `start` are the
+            // slots at the far end of the window.
+            word = if word + 1 == self.occupied.len() {
+                0
+            } else {
+                word + 1
+            };
+            bits = self.occupied[word];
         }
-        let n = self.buckets.len() as u64;
-        loop {
-            if self.in_buckets == 0 {
-                // Nothing inside the window: jump straight to the
-                // overflow head's rotation instead of spinning.
-                let head_at = match self.overflow.peek() {
-                    Some(Reverse(e)) => e.at,
-                    None => return false,
-                };
-                let slot = self.slot_of(head_at);
-                self.window_start = slot;
-                self.cursor = slot;
-                self.refill();
-                continue;
-            }
-            if !self.buckets[(self.cursor % n) as usize].items.is_empty() {
-                return true;
-            }
-            self.cursor += 1;
-            if self.cursor == self.window_end() {
-                self.window_start = self.cursor;
-                self.refill();
-            }
-        }
+        let b = word * 64 + bits.trailing_zeros() as usize;
+        self.cursor + (b.wrapping_sub(start) as u64 & (self.nbuckets() - 1))
     }
 
-    /// Sorts (if needed) the bucket under the cursor and returns it.
-    fn serve_bucket(&mut self) -> &mut Bucket<T> {
-        let n = self.buckets.len() as u64;
-        let b = &mut self.buckets[(self.cursor % n) as usize];
-        if !b.sorted {
+    /// Sorts (if needed) bucket `b` and returns it.
+    fn serve_bucket(&mut self, b: usize) -> &mut Bucket<T> {
+        let bucket = &mut self.buckets[b];
+        if !bucket.sorted {
             // Descending, so the minimum `(at, seq)` sits at the back.
-            b.items.sort_unstable_by(|a, z| z.cmp(a));
-            b.sorted = true;
+            bucket.items.sort_unstable_by(|a, z| z.cmp(a));
+            bucket.sorted = true;
         }
-        b
+        bucket
     }
 
-    /// The `(at, seq)` key of the next entry, without removing it.
+    /// The `(at, seq)` key of the next entry, without removing it. The
+    /// cursor stays put, so a push at any time at or after the last
+    /// popped entry's stays in front of it.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if !self.seek() {
-            return None;
+        if self.in_buckets == 0 {
+            return self.overflow.peek().map(|Reverse(e)| (e.at, e.seq));
         }
-        let b = self.serve_bucket();
-        b.items.last().map(|e| (e.at, e.seq))
+        let b = self.bucket_of(self.next_occupied_slot());
+        self.serve_bucket(b).items.last().map(|e| (e.at, e.seq))
     }
 
     /// Removes and returns the entry with the smallest `(at, seq)` key.
     pub fn pop(&mut self) -> Option<CalendarEntry<T>> {
-        if !self.seek() {
-            return None;
+        let slot = if self.in_buckets > 0 {
+            self.next_occupied_slot()
+        } else {
+            let Reverse(head) = self.overflow.peek()?;
+            self.slot_of(head.at)
+        };
+        if slot != self.cursor {
+            self.cursor = slot;
+            self.refill();
         }
-        let entry = self
-            .serve_bucket()
+        debug_assert!(self
+            .overflow
+            .peek()
+            .is_none_or(|Reverse(head)| self.slot_of(head.at) - self.cursor >= self.nbuckets()));
+        let b = self.bucket_of(slot);
+        let bucket = self.serve_bucket(b);
+        let entry = bucket
             .items
             .pop()
-            .expect("seek() landed on an occupied bucket");
+            .expect("the cursor's slot holds the earliest entry");
+        if bucket.items.is_empty() {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
         self.in_buckets -= 1;
         Some(entry)
     }
@@ -317,13 +344,58 @@ mod tests {
     #[test]
     fn rewind_after_idle_jump() {
         let mut q = CalendarQueue::<u32>::with_geometry(4, 8);
-        // A lone far-future event forces the window to jump on peek…
+        // A pop of a far-future event moves the cursor far ahead…
         q.push(SimTime(1_000_000), 0, 0);
-        assert_eq!(q.peek_key(), Some((SimTime(1_000_000), 0)));
-        // …then earlier work arrives (driver injecting between runs).
-        q.push(SimTime(50), 1, 1);
-        q.push(SimTime(999_999), 2, 2);
-        assert_eq!(drain(&mut q), vec![(50, 1), (999_999, 2), (1_000_000, 0)]);
+        q.push(SimTime(1_000_100), 1, 1);
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        // …then earlier work arrives, behind the cursor.
+        q.push(SimTime(50), 2, 2);
+        q.push(SimTime(999_999), 3, 3);
+        assert_eq!(q.cursor, 50 >> 4);
+        assert_eq!(drain(&mut q), vec![(50, 2), (999_999, 3), (1_000_100, 1)]);
+    }
+
+    #[test]
+    fn the_window_slides_with_the_cursor() {
+        let mut q = CalendarQueue::<u32>::with_geometry(4, 8); // 16 ns × 8 buckets
+        q.push(SimTime(5 * 16), 0, 0);
+        q.push(SimTime(6 * 16), 1, 1);
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!(q.cursor, 5);
+        // The last slot of the window that starts at the cursor is
+        // bucketed although it lies past the first window's end…
+        q.push(SimTime((5 + 8 - 1) * 16), 2, 2);
+        assert!(q.overflow.is_empty());
+        assert_eq!(q.in_buckets, 2);
+        // …and the slot after it is not.
+        q.push(SimTime((5 + 8) * 16), 3, 3);
+        assert_eq!(q.overflow.len(), 1);
+        // Popping slot 6 slides the window over slot 13.
+        assert_eq!(q.pop().map(|e| e.seq), Some(1));
+        assert!(q.overflow.is_empty());
+        assert_eq!(drain(&mut q), vec![(12 * 16, 2), (13 * 16, 3)]);
+    }
+
+    #[test]
+    fn peek_leaves_the_cursor_where_it_was() {
+        let mut q = CalendarQueue::<u32>::with_geometry(4, 8);
+        q.push(SimTime(3 * 16), 0, 0);
+        q.push(SimTime(1_000_000), 1, 1); // far past the window
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!(q.peek_key(), Some((SimTime(1_000_000), 1)));
+        assert_eq!(q.cursor, 3);
+        // The `run_until` + `inject` pattern: work at a time the peek
+        // looked past lands in front of the cursor, not behind it.
+        q.push(SimTime(4 * 16), 2, 2);
+        assert_eq!(q.cursor, 3);
+        assert_eq!(q.in_buckets, 1);
+        assert_eq!(drain(&mut q), vec![(4 * 16, 2), (1_000_000, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn bucket_count_must_be_a_power_of_two() {
+        CalendarQueue::<u32>::with_geometry(4, 12);
     }
 
     #[test]

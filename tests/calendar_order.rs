@@ -6,7 +6,11 @@
 //! 1. [`CalendarQueue`] pops entries in exactly the total order the old
 //!    `BinaryHeap<Reverse<(at, seq)>>` scheduler produced — raced here on
 //!    randomized event trains, including interleaved push/pop, far-future
-//!    overflow entries, and pushes behind the serving cursor.
+//!    overflow entries, pushes behind the serving cursor, and trains
+//!    shaped like the engine's own: each pop schedules 0–3 successors
+//!    (same instant, 1–20 µs, across the 1 ms window edge, timers), and
+//!    `run_until` + inject rounds that push at a time the last peek
+//!    looked past.
 //! 2. [`Reducer`] computes the same residue as naive BigUint division for
 //!    every switch ID the shipped topologies actually deploy (topo15 and
 //!    rnp28), on limb-boundary route IDs.
@@ -15,6 +19,7 @@ use kar_rns::{BigUint, Reducer};
 use kar_simnet::{CalendarQueue, SimTime};
 use kar_topology::{rnp28, topo15};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,6 +47,110 @@ impl HeapSched {
     fn pop(&mut self) -> Option<(u64, u64, u32)> {
         self.heap.pop().map(|Reverse(e)| e)
     }
+    fn peek_key(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|Reverse((at, seq, _))| (*at, *seq))
+    }
+}
+
+/// One successor's delay after the event that schedules it, in the
+/// engine's four bands: the same instant (a reinject), 1–20 µs
+/// (serialisation, a softswitch delay), 1.0–1.3 ms (an rnp28 core link's
+/// propagation: across the default 1 ms window's edge) and 0.2–1 s (a
+/// retransmit timer).
+fn successor_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        1_000u64..20_001,
+        1_000_000u64..1_300_001,
+        200_000_000u64..1_000_000_001,
+    ]
+}
+
+/// An engine train: for each pop, the delays of the 0–3 successors the
+/// handled event schedules.
+fn engine_train() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    proptest::collection::vec(proptest::collection::vec(successor_delay(), 0..4), 1..400)
+}
+
+/// Both schedulers, fed the same pushes under one `seq` counter.
+#[derive(Default)]
+struct Race {
+    cal: CalendarQueue<u32>,
+    heap: HeapSched,
+    seq: u64,
+}
+
+impl Race {
+    fn push(&mut self, at: u64) {
+        let item = self.seq as u32;
+        self.cal.push(SimTime(at), self.seq, item);
+        self.heap.push(at, self.seq, item);
+        self.seq += 1;
+    }
+
+    /// Pops both; they must agree on the whole entry.
+    fn pop(&mut self) -> Result<Option<u64>, TestCaseError> {
+        let expect = self.heap.pop();
+        let got = self.cal.pop().map(|e| (e.at.0, e.seq, e.item));
+        prop_assert_eq!(got, expect);
+        Ok(expect.map(|(at, _, _)| at))
+    }
+
+    /// Peeks both; they must agree on the key.
+    fn peek(&mut self) -> Result<Option<u64>, TestCaseError> {
+        let expect = self.heap.peek_key();
+        let got = self.cal.peek_key().map(|(at, seq)| (at.0, seq));
+        prop_assert_eq!(got, expect);
+        Ok(expect.map(|(at, _)| at))
+    }
+
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        while self.pop()?.is_some() {}
+        prop_assert!(self.cal.is_empty());
+        Ok(())
+    }
+}
+
+/// The engine's loop: pop one event, push its successors at the popped
+/// time plus their delays (at the last popped time once both drain).
+fn race_engine_train(train: &[Vec<u64>]) -> Result<(), TestCaseError> {
+    let mut race = Race::default();
+    for at in [0, 1_000, 1_000_000] {
+        race.push(at);
+    }
+    let mut now = 0;
+    for successors in train {
+        now = race.pop()?.unwrap_or(now);
+        for &delay in successors {
+            race.push(now + delay);
+        }
+    }
+    race.drain()
+}
+
+/// `ProbeRun`'s loop: `run_until(until)` peeks, and pops while the peeked
+/// key is due, the first pops scheduling the train's successors; then
+/// probes are injected at `until`, which the last peek looked past.
+fn race_probe_run(rounds: &[(u64, u32)], train: &[Vec<u64>]) -> Result<(), TestCaseError> {
+    let mut race = Race::default();
+    let mut successors = train.iter();
+    let mut until = 0;
+    for &(gap, probes) in rounds {
+        until += gap;
+        while let Some(at) = race.peek()? {
+            if at > until {
+                break;
+            }
+            prop_assert_eq!(race.pop()?, Some(at));
+            for &delay in successors.next().into_iter().flatten() {
+                race.push(at + delay);
+            }
+        }
+        for _ in 0..probes {
+            race.push(until);
+        }
+    }
+    race.drain()
 }
 
 proptest! {
@@ -114,6 +223,27 @@ proptest! {
         prop_assert!(cal.is_empty());
     }
 
+    /// Engine-shaped order: every pop schedules the successors a handled
+    /// event does, so the cursor advances the way it does in a run and
+    /// near-future entries straddle the window's sliding edge.
+    #[test]
+    fn calendar_follows_the_heap_on_engine_trains(train in engine_train()) {
+        race_engine_train(&train)?;
+    }
+
+    /// `run_until` + inject order: a peek past `until` must leave the
+    /// calendar ready to take pushes at `until`.
+    #[test]
+    fn calendar_follows_the_heap_on_probe_runs(
+        rounds in proptest::collection::vec(
+            (prop_oneof![0u64..2_000, 1_000_000u64..1_300_001, 100_000_000u64..1_000_000_001], 0u32..4),
+            1..60,
+        ),
+        train in engine_train(),
+    ) {
+        race_probe_run(&rounds, &train)?;
+    }
+
     /// Every switch ID deployed by topo15 and rnp28 reduces limb-boundary
     /// route IDs to exactly the residue naive division computes.
     #[test]
@@ -137,5 +267,17 @@ proptest! {
                 prop_assert_eq!(r.rem(route), route.rem_u64(id), "{} mod {}", route, id);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The engine-train property at 20 000 cases (CI runs it with
+    /// `--include-ignored`).
+    #[test]
+    #[ignore]
+    fn calendar_follows_the_heap_on_many_engine_trains(train in engine_train()) {
+        race_engine_train(&train)?;
     }
 }
