@@ -163,7 +163,7 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
         record(
             topo,
             &label,
-            cases.map(|c| (c.report.outcome, c.failed.as_slice())),
+            cases.map(|c| (c.report.outcome, &*c.failed)),
             &s,
         );
         print_row(technique, &s);

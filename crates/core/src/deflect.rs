@@ -107,30 +107,27 @@ impl KarForwarder {
         prefer_core: bool,
         rng: &mut StdRng,
     ) -> Option<PortIx> {
-        let healthy: Vec<PortIx> = ctx
-            .healthy_ports()
-            .filter(|&p| Some(p) != exclude)
-            .collect();
-        let core: Vec<PortIx> = if prefer_core {
-            healthy
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    ctx.topo
-                        .neighbors(ctx.node)
-                        .find(|&(port, _, _)| port == p)
-                        .map(|(_, _, peer)| ctx.topo.switch_id(peer).is_some())
-                        .unwrap_or(false)
-                })
-                .collect()
-        } else {
-            Vec::new()
+        let healthy = || ctx.healthy_ports().filter(move |&p| Some(p) != exclude);
+        let ports = &ctx.topo.node(ctx.node).ports;
+        let core_facing = |p: &PortIx| {
+            ports.get(*p as usize).is_some_and(|&l| {
+                let peer = ctx.topo.link(l).peer_of(ctx.node);
+                ctx.topo.switch_id(peer).is_some()
+            })
         };
-        let candidates = if core.is_empty() { &healthy } else { &core };
-        if candidates.is_empty() {
-            None
+        // Count the candidates, draw, and take the drawn one: the same
+        // draw and port as collecting the set, without collecting it.
+        let core = if prefer_core {
+            healthy().filter(core_facing).count()
         } else {
-            Some(candidates[rng.gen_range(0..candidates.len())])
+            0
+        };
+        if core > 0 {
+            return healthy().filter(core_facing).nth(rng.gen_range(0..core));
+        }
+        match healthy().count() {
+            0 => None,
+            n => healthy().nth(rng.gen_range(0..n)),
         }
     }
 
@@ -215,7 +212,7 @@ mod tests {
     use kar_rns::BigUint;
     use kar_simnet::{FlowId, PacketKind, RouteTag, SimTime};
     use kar_topology::{LinkParams, NodeId, Topology, TopologyBuilder};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Hub switch (id 7) with three neighbours: X (port 0), Y (1), Z (2).
     fn hub() -> (Topology, NodeId) {
@@ -551,6 +548,91 @@ mod tests {
             fwd.forward(&ctx(&topo, a, None, &up), &mut p, &mut rng),
             ForwardDecision::Drop(DropReason::MissingTag)
         );
+    }
+
+    /// `random_port` as it was before it stopped collecting its
+    /// candidates, kept verbatim as the oracle of the counting one.
+    fn reference_random_port(
+        ctx: &SwitchCtx<'_>,
+        exclude: Option<PortIx>,
+        prefer_core: bool,
+        rng: &mut StdRng,
+    ) -> Option<PortIx> {
+        let healthy: Vec<PortIx> = ctx
+            .healthy_ports()
+            .filter(|&p| Some(p) != exclude)
+            .collect();
+        let core: Vec<PortIx> = if prefer_core {
+            healthy
+                .iter()
+                .copied()
+                .filter(|&p| {
+                    ctx.topo
+                        .neighbors(ctx.node)
+                        .find(|&(port, _, _)| port == p)
+                        .map(|(_, _, peer)| ctx.topo.switch_id(peer).is_some())
+                        .unwrap_or(false)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let candidates = if core.is_empty() { &healthy } else { &core };
+        if candidates.is_empty() {
+            None
+        } else {
+            Some(candidates[rng.gen_range(0..candidates.len())])
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 2_000,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// A switch of degree 1–12 whose neighbours are switches or hosts
+        /// by `hosts`, its ports up by `up`, and every `exclude` (an
+        /// index past the degree excludes nothing) and `prefer_core`:
+        /// the counting `random_port` draws the reference's port and
+        /// leaves the generator where the reference leaves it.
+        #[test]
+        fn random_port_draws_what_the_collecting_reference_draws(
+            degree in 1usize..13,
+            hosts in proptest::prelude::any::<u16>(),
+            up in proptest::prelude::any::<u16>(),
+            exclude in 0u64..14,
+            prefer_core in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            const IDS: [u64; 13] = [41, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+            let mut b = TopologyBuilder::new();
+            let a = b.core("A", IDS[0]);
+            for i in 0..degree {
+                let name = format!("N{i}");
+                let peer = if hosts >> i & 1 == 1 {
+                    b.edge(&name)
+                } else {
+                    b.core(&name, IDS[i + 1])
+                };
+                b.link(a, peer, LinkParams::default());
+            }
+            let topo = b.build().unwrap();
+            let ports: Vec<bool> = (0..degree).map(|i| up >> i & 1 == 1).collect();
+            let ctx = SwitchCtx {
+                switch_id: IDS[0],
+                ..ctx(&topo, a, None, &ports)
+            };
+            let exclude = Some(exclude).filter(|&p| (p as usize) < degree);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle = rng.clone();
+            for draw in 0..4 {
+                let got = KarForwarder::random_port(&ctx, exclude, prefer_core, &mut rng);
+                let want = reference_random_port(&ctx, exclude, prefer_core, &mut oracle);
+                proptest::prop_assert_eq!(got, want, "draw {}", draw);
+            }
+            proptest::prop_assert_eq!(rng.next_u64(), oracle.next_u64());
+        }
     }
 
     #[test]

@@ -39,9 +39,18 @@
 //! cases without running the state-graph search at all — every case of
 //! a projection shares the memo's one report (an `Arc`). Cycle detection
 //! is by seen-state Tarjan SCCs, never TTL exhaustion, so the cost per
-//! exploration is bounded by the state count, not the hop budget; the
-//! explorations a pair does need all run on its one [`Explorer`], whose
-//! residues are reduced once per pair and whose buffers are reused.
+//! exploration is bounded by the state count, not the hop budget.
+//!
+//! The explorations a pair does need all run on its one [`Explorer`],
+//! and most of what they compute does not depend on the failure set.
+//! The explorer gives every `(route key, state)` it reaches a persistent
+//! dense id, reduces each `(route key, switch)` residue once, and caches
+//! what each move from each state leads to (a successor id or an edge).
+//! The one hash probe per state and per move happens on first sight; a
+//! warm exploration is a BFS over ids that reads arrays, and a graph
+//! whose successors all come later in discovery order skips the SCC pass
+//! (it is acyclic). The tables grow with the states reached, never with
+//! the node count.
 //!
 //! One further pruning is *sound*: **disconnection is monotone**. Any
 //! superset of a set that physically disconnects `src` from `dst` also
@@ -74,8 +83,8 @@
 //! the caller among them; a worker runs its pairs in pair order, exactly
 //! as the one-core loop did. Each pair returns compact rows (a
 //! report and a verdict per failure set) and its counters, and the
-//! caller lays them out in pair order, regenerating each row's failure
-//! set from the lexicographic enumeration. Nothing a worker computes
+//! caller lays them out in pair order, each row sharing its failure set
+//! (built once per set, not once per row). Nothing a worker computes
 //! depends on another worker or on timing, so the `KSweep` — rows,
 //! reports and all four [`SweepStats`] counters — is the same at any
 //! worker count;
@@ -248,18 +257,20 @@ fn possible_moves(
         |exclude_input: bool| port_up(computed) && !(exclude_input && computed == state.in_port);
     // The deflection candidate set of `random_port`: healthy ports minus
     // `exclude`, restricted to core-facing ports when any exist and the
-    // technique prefers them.
+    // technique prefers them. Each candidate's flag holds whether it is
+    // core-facing until the restriction is settled.
     let deflection_set =
         |exclude: Option<PortIx>, prefer_core: bool, moves: &mut Vec<(PortIx, bool)>| {
             let healthy = (0..ports.len() as PortIx).filter(|&p| port_up(p) && Some(p) != exclude);
-            moves.extend(healthy.map(|p| (p, true)));
-            let core_facing = |&(p, _): &(PortIx, bool)| {
+            let core_facing = |p: PortIx| {
                 let peer = topo.link(ports[p as usize]).peer_of(state.node);
-                topo.switch_id(peer).is_some()
+                prefer_core && topo.switch_id(peer).is_some()
             };
-            if prefer_core && moves.iter().any(core_facing) {
-                moves.retain(core_facing);
+            moves.extend(healthy.map(|p| (p, core_facing(p))));
+            if moves.iter().any(|&(_, core)| core) {
+                moves.retain(|&(_, core)| core);
             }
+            moves.iter_mut().for_each(|mv| mv.1 = true);
         };
     match technique {
         DeflectionTechnique::None => {
@@ -401,36 +412,170 @@ impl LinkBits {
 }
 
 const NO_STATE: u32 = u32::MAX;
+/// A hop of the step cache not taken yet.
+const UNKNOWN: u32 = u32::MAX;
+/// A hop that surfaces at the destination edge.
+const DELIVERED: u32 = u32::MAX - 1;
+/// A hop that surfaces at another edge.
+const WRONG_EDGE: u32 = u32::MAX - 2;
 /// Per-state flag: the switch must drop here.
 const DROPS: u8 = 1;
 /// Per-state flag: some move surfaces at an edge node.
 const ESCAPES: u8 = 2;
 
+/// A `(route key, switch)` an explorer has reached: the residue the key's
+/// route names there, and the exploration that last put the switch's
+/// ports into `relevant`.
+struct Site<K> {
+    key: K,
+    node: NodeId,
+    residue: PortIx,
+    seen: u32,
+}
+
+/// A `(route key, state)` an explorer has reached, under its dense id:
+/// its site holds the key and the switch, this the rest of the state.
+#[derive(Clone, Copy)]
+struct Interned {
+    /// Index of the state's `(key, switch)` in [`StateTable::sites`].
+    site: u32,
+    /// Where the state's hops start in [`StateTable::hops`], one per port
+    /// of its switch.
+    hops: u32,
+    in_port: PortIx,
+    deflected: bool,
+}
+
+/// The exploration that last reached an interned state, and the state's
+/// local index in it. Kept apart from [`Interned`] so that the check
+/// every move makes reads eight dense bytes.
+#[derive(Clone, Copy)]
+struct Mark {
+    seen: u32,
+    local: u32,
+}
+
+/// Everything an explorer has learned that no failure set changes: a
+/// dense id per `(route key, state)` ever reached, the residue per
+/// `(route key, switch)`, and what `step` returned for each move taken
+/// from each state. Hash probes happen here, once per state and site on
+/// first sight.
+struct StateTable<K> {
+    ids: WordMap<(K, State), u32>,
+    site_ids: WordMap<(K, NodeId), u32>,
+    states: Vec<Interned>,
+    marks: Vec<Mark>,
+    sites: Vec<Site<K>>,
+    /// Per interned state and port, what the move out of that port
+    /// does: the successor's id, [`DELIVERED`], [`WRONG_EDGE`] or
+    /// [`UNKNOWN`]. One slot serves both deflected bits because a state
+    /// takes each port with one bit only — its residue port with its own
+    /// bit, any other port as a deflection — so the bit is a function of
+    /// the slot (debug builds re-run `step` on every cached hop).
+    hops: Vec<u32>,
+}
+
+impl<K: Copy + Eq + Hash> StateTable<K> {
+    /// The id of `(key, state)`, interned with its site and an unknown
+    /// hop per port on first sight.
+    fn intern<A: ActiveRoute<Key = K>>(
+        &mut self,
+        topo: &Topology,
+        active: &A,
+        at: (K, State),
+    ) -> u32 {
+        let StateTable {
+            ids,
+            site_ids,
+            states,
+            marks,
+            sites,
+            hops,
+        } = self;
+        *ids.entry(at).or_insert_with(|| {
+            let (key, state) = at;
+            let site = *site_ids.entry((key, state.node)).or_insert_with(|| {
+                let residue = residue_at(topo, active.route(key), state.node);
+                sites.push(Site {
+                    key,
+                    node: state.node,
+                    residue,
+                    seen: 0,
+                });
+                sites.len() as u32 - 1
+            });
+            let first_hop = hops.len() as u32;
+            hops.resize(hops.len() + topo.node(state.node).ports.len(), UNKNOWN);
+            states.push(Interned {
+                site,
+                hops: first_hop,
+                in_port: state.in_port,
+                deflected: state.deflected,
+            });
+            marks.push(Mark { seen: 0, local: 0 });
+            states.len() as u32 - 1
+        })
+    }
+
+    /// The move `mv` from interned state `at`, run through `step` and
+    /// encoded as a hop.
+    fn hop<A: ActiveRoute<Key = K>>(
+        &mut self,
+        topo: &Topology,
+        active: &mut A,
+        dst: NodeId,
+        at: (K, State),
+        mv: (PortIx, bool),
+    ) -> u32 {
+        match step(topo, active, dst, at, mv) {
+            Err(Terminal::Delivered) => DELIVERED,
+            Err(Terminal::WrongEdge(_)) => WRONG_EDGE,
+            Ok(next) => self.intern(topo, active, next),
+        }
+    }
+}
+
 /// The exhaustive explorer of one route, reusable across failure sets.
 ///
-/// It holds what an exploration needs that does *not* depend on the
-/// failure set — the residue of each `(route key, switch)` it ever
-/// visited, reduced once — and every buffer an exploration fills, kept
-/// from one call to the next so a warmed explorer allocates only what
-/// the returned report owns. All of it is derived data:
-/// [`Explorer::explore`] returns the same report from a reused explorer
-/// as from a fresh one (`tests/verify_differential.rs`).
+/// It keeps what an exploration learns that does *not* depend on the
+/// failure set, in its state table: every `(route key, state)` it ever
+/// reached gets a persistent dense id (the one hash probe, on first
+/// sight), with the residue of its `(route key, switch)` reduced once,
+/// and a step cache holding, per id and port it leaves by, the
+/// successor's id or the edge the move surfaces at. An exploration is
+/// then a BFS over ids: a warm one reads arrays and makes no hash probe
+/// per move. An epoch stamp per id gives each reached state its local
+/// index in discovery order, so the local arrays (predecessors, flags,
+/// flat successor lists, the Tarjan input, the witnesses) are the same
+/// as a fresh explorer's; a switch's ports go into `relevant` once per
+/// exploration, also by stamp. When every recorded successor has a
+/// larger local index than its state, the graph is acyclic in discovery
+/// order and the SCC pass is skipped — it could find nothing. Every
+/// buffer is kept from one call to the next, so a warmed explorer
+/// allocates only what the returned report owns. All of it is derived
+/// data: [`Explorer::explore`] returns the same report from a reused
+/// explorer as from a fresh one (`tests/verify_differential.rs`), and
+/// debug builds re-run `step` on every cached hop and assert it agrees.
 ///
-/// The residues make an explorer belong to one `(topology, route)`:
-/// hand every call the same `topo` and `active`.
+/// The tables make an explorer belong to one `(topology, route,
+/// destination)`: hand every call the same `topo`, `active` and `dst`.
 ///
-/// Buffers grow with the states an exploration reaches and the link
-/// count (two bitmaps), never with the node count: a dense state table
-/// would charge every [`crate::verify_hier_route`] call on a large ring
-/// for the whole topology, so the state index is a hash map.
+/// Tables grow with the states reached (one hop per port of each) and
+/// the link count (two bitmaps), never with the node count: a dense
+/// per-node table would charge every [`crate::verify_hier_route`] call
+/// on a large ring for the whole topology, so ids are handed out by a
+/// hash map on first sight. A new explorer makes room for 128
+/// states at once, so a fresh [`verify_route`] does not pay for growing
+/// a dozen tables one doubling at a time.
 pub struct Explorer<K> {
-    residues: WordMap<(K, NodeId), PortIx>,
+    table: StateTable<K>,
+    /// The current exploration's stamp (never 0, the stamp of nothing).
+    epoch: u32,
     failed: LinkBits,
     relevant: LinkBits,
-    index: WordMap<(K, State), u32>,
-    /// Reached states in discovery order — the vector is its own BFS
-    /// queue, a cursor chasing its end.
-    states: Vec<(K, State)>,
+    /// Interned ids of the reached states in discovery order — the
+    /// vector is its own BFS queue, a cursor chasing its end.
+    order: Vec<u32>,
     /// The state each one was discovered from ([`NO_STATE`] for the first).
     pred: Vec<u32>,
     /// [`DROPS`] | [`ESCAPES`] per state.
@@ -447,18 +592,31 @@ pub struct Explorer<K> {
     walk_pos: Vec<u32>,
 }
 
+/// The states a new explorer makes room for at once. An rnp28
+/// exploration reaches 33–70 states on average at k = 3, and growing the
+/// tables and local arrays from empty, one doubling at a time, made a
+/// fresh [`verify_route`] there about a third dearer.
+const ROOM: usize = 128;
+
 impl<K: Copy + Eq + Hash> Default for Explorer<K> {
     fn default() -> Self {
         Explorer {
-            residues: WordMap::default(),
+            table: StateTable {
+                ids: WordMap::with_capacity_and_hasher(ROOM, Default::default()),
+                site_ids: WordMap::with_capacity_and_hasher(ROOM / 4, Default::default()),
+                states: Vec::with_capacity(ROOM),
+                marks: Vec::with_capacity(ROOM),
+                sites: Vec::with_capacity(ROOM / 4),
+                hops: Vec::with_capacity(8 * ROOM),
+            },
+            epoch: 0,
             failed: LinkBits::default(),
             relevant: LinkBits::default(),
-            index: WordMap::default(),
-            states: Vec::new(),
-            pred: Vec::new(),
-            flags: Vec::new(),
-            succ_start: Vec::new(),
-            succ: Vec::new(),
+            order: Vec::with_capacity(ROOM),
+            pred: Vec::with_capacity(ROOM),
+            flags: Vec::with_capacity(ROOM),
+            succ_start: Vec::with_capacity(ROOM + 1),
+            succ: Vec::with_capacity(4 * ROOM),
             moves: Vec::new(),
             sccs: Sccs::default(),
             walk: Vec::new(),
@@ -474,7 +632,7 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
     }
 
     /// Exhaustively classifies `active` under the failure set `failed`
-    /// — what [`verify_route`] returns, on this explorer's buffers.
+    /// — what [`verify_route`] returns, on this explorer's tables.
     pub fn explore<A: ActiveRoute<Key = K>>(
         &mut self,
         topo: &Topology,
@@ -496,11 +654,11 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             relevant_links: Vec::new(),
         };
         let Explorer {
-            residues,
+            table,
+            epoch,
             failed: down,
             relevant,
-            index,
-            states,
+            order,
             pred,
             flags,
             succ_start,
@@ -538,6 +696,14 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             deflected: false,
         };
 
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            table.marks.iter_mut().for_each(|m| m.seen = 0);
+            table.sites.iter_mut().for_each(|s| s.seen = 0);
+            *epoch = 1;
+        }
+        let epoch = *epoch;
+
         // Reachability sweep, recording the move relation and a predecessor
         // per state for witness reconstruction. Everything the sweep
         // consults goes into `relevant`: `possible_moves` reads the status
@@ -546,26 +712,46 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         // each reachable switch covers every status read.
         relevant.reset(topo.link_count());
         relevant.insert(uplink);
-        index.clear();
-        states.clear();
+        order.clear();
         pred.clear();
         flags.clear();
         succ_start.clear();
         succ.clear();
-        index.insert((active.ingress(), initial), 0);
-        states.push((active.ingress(), initial));
+        let root = table.intern(topo, active, (active.ingress(), initial));
+        table.marks[root as usize] = Mark {
+            seen: epoch,
+            local: 0,
+        };
+        order.push(root);
         pred.push(NO_STATE);
         flags.push(0);
         let mut first_drop = None;
+        // Whether some recorded successor does not come later in
+        // discovery order — the only way the graph can have a cycle.
+        let mut backward = false;
         let mut i = 0;
-        while let Some(&(key, state)) = states.get(i) {
-            topo.node(state.node)
-                .ports
-                .iter()
-                .for_each(|&l| relevant.insert(l));
-            let computed = *residues
-                .entry((key, state.node))
-                .or_insert_with(|| residue_at(topo, active.route(key), state.node));
+        while let Some(&id) = order.get(i) {
+            let Interned {
+                site,
+                hops,
+                in_port,
+                deflected,
+            } = table.states[id as usize];
+            let site = &mut table.sites[site as usize];
+            let key = site.key;
+            let state = State {
+                node: site.node,
+                in_port,
+                deflected,
+            };
+            if site.seen != epoch {
+                site.seen = epoch;
+                topo.node(state.node)
+                    .ports
+                    .iter()
+                    .for_each(|&l| relevant.insert(l));
+            }
+            let computed = site.residue;
             debug_assert_eq!(
                 computed,
                 residue_at(topo, active.route(key), state.node),
@@ -579,24 +765,40 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                 first_drop.get_or_insert(i);
             }
             for &mv in moves.iter() {
-                match step(topo, active, dst, (key, state), mv) {
-                    Err(Terminal::Delivered) => {
+                let slot = hops as usize + mv.0 as usize;
+                let mut hop = table.hops[slot];
+                if hop == UNKNOWN {
+                    hop = table.hop(topo, active, dst, (key, state), mv);
+                    table.hops[slot] = hop;
+                } else {
+                    debug_assert_eq!(
+                        hop,
+                        table.hop(topo, active, dst, (key, state), mv),
+                        "a cached hop is what step returns"
+                    );
+                }
+                match hop {
+                    DELIVERED => {
                         report.can_deliver = true;
                         flags[i] |= ESCAPES;
                     }
-                    Err(Terminal::WrongEdge(_)) => {
+                    WRONG_EDGE => {
                         report.can_wrong_edge = true;
                         flags[i] |= ESCAPES;
                     }
-                    Ok(next) => {
-                        let j = *index.entry(next).or_insert_with(|| {
-                            states.push(next);
+                    next => {
+                        let next = &mut table.marks[next as usize];
+                        if next.seen != epoch {
+                            next.seen = epoch;
+                            next.local = order.len() as u32;
+                            order.push(hop);
                             pred.push(i as u32);
                             flags.push(0);
-                            states.len() as u32 - 1
-                        });
+                        }
+                        let j = next.local;
                         if !succ[succ_start[i] as usize..].contains(&j) {
                             succ.push(j);
+                            backward |= j as usize <= i;
                         }
                     }
                 }
@@ -604,8 +806,12 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             i += 1;
         }
         succ_start.push(succ.len() as u32);
-        report.states = states.len();
+        report.states = order.len();
         report.relevant_links = relevant.to_sorted_vec();
+        let node_of = |i: u32| {
+            let site = table.states[order[i as usize] as usize].site;
+            table.sites[site as usize].node
+        };
 
         if let Some(die) = first_drop {
             report.can_blackhole = true;
@@ -615,45 +821,47 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                 walk.push(cur);
                 cur = pred[cur as usize];
             }
-            let hops = walk.iter().rev().map(|&i| states[i as usize].1.node);
+            let hops = walk.iter().rev().map(|&i| node_of(i));
             report.blackhole_witness = Some(std::iter::once(src).chain(hops).collect());
         }
 
         // Cycle and trap analysis on the inter-state relation. An SCC is a
         // trap when no member can drop (that would be a blackhole, reported
         // above), escape to an edge, or step outside the SCC.
-        let succs_of =
-            |i: u32| &succ[succ_start[i as usize] as usize..succ_start[i as usize + 1] as usize];
-        sccs.run(succ_start, succ);
-        for (sid, scc) in sccs.iter().enumerate() {
-            let cyclic = scc.len() > 1 || succs_of(scc[0]).contains(&scc[0]);
-            if !cyclic {
-                continue;
-            }
-            report.has_cycle = true;
-            let inside = |&j: &u32| sccs.of[j as usize] == sid as u32;
-            let trapped = scc
-                .iter()
-                .all(|&i| flags[i as usize] == 0 && succs_of(i).iter().all(inside));
-            if trapped && report.loop_witness.is_none() {
-                // One concrete cycle through the trap: from its first
-                // member, always the first successor that stays inside,
-                // until a state repeats.
-                walk.clear();
-                walk_pos.clear();
-                walk_pos.resize(states.len(), NO_STATE);
-                let mut cur = scc[0];
-                while walk_pos[cur as usize] == NO_STATE {
-                    walk_pos[cur as usize] = walk.len() as u32;
-                    walk.push(cur);
-                    cur = *succs_of(cur)
-                        .iter()
-                        .find(|j| inside(j))
-                        .expect("trap SCC members stay inside the SCC");
+        if backward {
+            let succs_of = |i: u32| {
+                &succ[succ_start[i as usize] as usize..succ_start[i as usize + 1] as usize]
+            };
+            sccs.run(succ_start, succ);
+            for (sid, scc) in sccs.iter().enumerate() {
+                let cyclic = scc.len() > 1 || succs_of(scc[0]).contains(&scc[0]);
+                if !cyclic {
+                    continue;
                 }
-                let cycle = &walk[walk_pos[cur as usize] as usize..];
-                report.loop_witness =
-                    Some(cycle.iter().map(|&i| states[i as usize].1.node).collect());
+                report.has_cycle = true;
+                let inside = |&j: &u32| sccs.of[j as usize] == sid as u32;
+                let trapped = scc
+                    .iter()
+                    .all(|&i| flags[i as usize] == 0 && succs_of(i).iter().all(inside));
+                if trapped && report.loop_witness.is_none() {
+                    // One concrete cycle through the trap: from its first
+                    // member, always the first successor that stays inside,
+                    // until a state repeats.
+                    walk.clear();
+                    walk_pos.clear();
+                    walk_pos.resize(order.len(), NO_STATE);
+                    let mut cur = scc[0];
+                    while walk_pos[cur as usize] == NO_STATE {
+                        walk_pos[cur as usize] = walk.len() as u32;
+                        walk.push(cur);
+                        cur = *succs_of(cur)
+                            .iter()
+                            .find(|j| inside(j))
+                            .expect("trap SCC members stay inside the SCC");
+                    }
+                    let cycle = &walk[walk_pos[cur as usize] as usize..];
+                    report.loop_witness = Some(cycle.iter().map(|&i| node_of(i)).collect());
+                }
             }
         }
 
@@ -845,7 +1053,7 @@ pub struct PairVerifier<'a> {
     dst: NodeId,
     technique: DeflectionTechnique,
     explorer: Explorer<()>,
-    memo: HashMap<Vec<LinkId>, Arc<VerifyReport>>,
+    memo: WordMap<Vec<LinkId>, Arc<VerifyReport>>,
     /// The projection being grown, kept across calls for its buffer.
     proj: Vec<LinkId>,
     /// Full state-graph explorations run so far.
@@ -870,7 +1078,7 @@ impl<'a> PairVerifier<'a> {
             dst,
             technique,
             explorer: Explorer::new(),
-            memo: HashMap::new(),
+            memo: WordMap::default(),
             proj: Vec::new(),
             explored: 0,
             memo_hits: 0,
@@ -932,8 +1140,9 @@ pub struct FailureSetResult {
     pub src: NodeId,
     /// Destination edge.
     pub dst: NodeId,
-    /// The simultaneously failed links, ascending.
-    pub failed: Vec<LinkId>,
+    /// The simultaneously failed links, ascending — one allocation per
+    /// set, shared by every pair's row for it.
+    pub failed: Arc<[LinkId]>,
     /// `true` when the set physically disconnects `src` from `dst`.
     pub disconnected: bool,
     /// The exhaustive classification, shared with every other case of
@@ -1055,8 +1264,8 @@ fn sweep_pair<B>(
 }
 
 /// One pair's share of a [`verify_failure_sets`] sweep: a report and the
-/// disconnection verdict per k-set, sets lexicographic (the sets
-/// themselves are regenerated by the caller), and the pair's counters.
+/// disconnection verdict per k-set, sets lexicographic (the caller
+/// attaches the sets themselves), and the pair's counters.
 struct PairRows {
     rows: Vec<(Arc<VerifyReport>, bool)>,
     stats: SweepStats,
@@ -1165,19 +1374,21 @@ pub fn verify_failure_sets(
         }
     });
     // The rows come back compact; the long-lived results are built here,
-    // in pair order, with each failure set regenerated alongside.
+    // in pair order, each row sharing its failure set, built once.
+    let mut enumeration = Combinations::new(links, k);
+    let failure_sets: Vec<Arc<[LinkId]>> =
+        std::iter::from_fn(|| enumeration.advance().map(Arc::from)).collect();
     let mut stats = SweepStats::default();
     let mut results = Vec::with_capacity(ends.len() * sets);
     for (&(src, dst), pair) in ends.iter().zip(swept) {
         let pair = pair.expect("every pair has a worker");
+        assert_eq!(pair.rows.len(), sets, "one row per failure set");
         stats += pair.stats;
-        let mut failure_sets = Combinations::new(links, k);
-        for (report, disconnected) in pair.rows {
-            let failed = failure_sets.advance().expect("one row per failure set");
+        for ((report, disconnected), failed) in pair.rows.into_iter().zip(&failure_sets) {
             results.push(FailureSetResult {
                 src,
                 dst,
-                failed: failed.to_vec(),
+                failed: Arc::clone(failed),
                 disconnected,
                 report,
             });

@@ -14,6 +14,8 @@
 //!   the path it returns, and a planner read of an installed pair is one
 //!   record: a cold install owns its route and entry, not a search's
 //!   arrays, and a stale read after a notice owns nothing.
+//! * A deflection counts its candidates and takes the drawn one, so a
+//!   warm `KarForwarder::forward` that deflects owns nothing.
 //!
 //! The counting `#[global_allocator]` sees every allocation of the
 //! process, and the bytes asked for; these tests read its per-thread
@@ -123,6 +125,74 @@ fn memo_hits_and_warm_explorations_allocate_only_what_they_return() {
         }
         assert!(witnesses > 0, "{technique}: the sample reports witnesses");
     }
+}
+
+#[test]
+fn a_warm_deflecting_forward_allocates_nothing() {
+    use kar::KarForwarder;
+    use kar_simnet::{
+        Behavior, FlowId, ForwardDecision, Forwarder, Packet, PacketKind, RouteTag, SwitchCtx,
+    };
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let topo = rnp28::build();
+    let edges = topo.edge_nodes();
+    let (src, dst) = (edges[0], edges[edges.len() / 2]);
+    let primary = paths::bfs_shortest_path(&topo, src, dst).expect("rnp28 is connected");
+    let route = EncodingCache::new()
+        .encode_with_protection(&topo, primary, &Protection::AutoFull)
+        .expect("rnp28 routes encode");
+    let mut rng = StdRng::seed_from_u64(35);
+    let mut deflections = 0;
+    for node in topo.core_nodes() {
+        let degree = topo.node(node).ports.len();
+        let switch_id = topo.switch_id(node).expect("a core node");
+        let residue = route.port_at(switch_id) as usize;
+        // The residue's port is down, so every technique deflects.
+        let ports: Vec<bool> = (0..degree).map(|p| p != residue).collect();
+        let ctx = SwitchCtx {
+            topo: &topo,
+            node,
+            switch_id,
+            in_port: Some(u64::from(residue == 0)),
+            ports: &ports,
+            now: SimTime::ZERO,
+            reducer: None,
+            behavior: Behavior::Honest,
+        };
+        for technique in [
+            DeflectionTechnique::HotPotato,
+            DeflectionTechnique::Avp,
+            DeflectionTechnique::Nip,
+        ] {
+            let mut fwd = KarForwarder::new(technique);
+            let mut pkt = Packet {
+                id: 0,
+                flow: FlowId(0),
+                seq: 0,
+                kind: PacketKind::Probe,
+                size_bytes: 64,
+                src,
+                dst,
+                route: Some(RouteTag::new(route.route_id.clone())),
+                ttl: 64,
+                hops: 0,
+                deflections: 0,
+                created: SimTime::ZERO,
+            };
+            // The first visit memoizes the residue in the tag.
+            fwd.forward(&ctx, &mut pkt, &mut rng);
+            for _ in 0..8 {
+                let before = pkt.deflections;
+                let (count, decision) = allocations(|| fwd.forward(&ctx, &mut pkt, &mut rng));
+                assert_eq!(count, 0, "{technique} at {node:?}: {decision:?}");
+                if let ForwardDecision::Output(_) = decision {
+                    deflections += usize::from(pkt.deflections > before);
+                }
+            }
+        }
+    }
+    assert!(deflections > 500, "only {deflections} deflections counted");
 }
 
 /// One path search, named for a failure message.

@@ -2,11 +2,14 @@
 //!
 //! `verify_failure_sets` lends each failure set to the cut test and the
 //! classifier instead of copying it: the enumeration advances one set in
-//! place, and only a new minimal disconnecting set and each result row's
-//! `failed` are owned copies. `PairVerifier::classify` grows its
-//! projection in a buffer it keeps. A case then costs its row's set and,
-//! when the memo misses, an exploration; never a `Vec` per set
-//! enumerated.
+//! place, and only a new minimal disconnecting set is an owned copy.
+//! Rows share their failure set: the caller builds each of the C(L, k)
+//! sets once, and every pair's row for it holds the same `Arc`.
+//! `PairVerifier::classify` grows its projection in a buffer it keeps,
+//! and a pair's explorer owns its tables, which grow with the states the
+//! pair reaches, not with the cases. A case then costs, when the memo misses,
+//! an exploration's report, `Arc` and memo key; never a `Vec` per set
+//! enumerated or per row.
 //!
 //! The sweep runs on worker threads, so the test reads the counting
 //! `#[global_allocator]`'s process-wide counter. This binary holds one test so that no
@@ -20,14 +23,15 @@ mod counting_alloc;
 use counting_alloc::process_allocations;
 
 /// topo15, k = 2, NIP under full protection: 6 pairs × C(22, 2) = 1 386
-/// cases, 568 of them explored. Measured 4 448 allocations (3.21 per
-/// case) on two workers and 4 440 on one: each row's `failed`, and each
-/// exploration's report, `Arc` and memo key. The sweep that copied every
-/// set it enumerated and built a projection per case made 5 564 (4.01).
-/// The ceiling leaves room for more workers' start-up, not for a copy
-/// per set.
+/// cases, 568 of them explored. Measured 3 033 allocations (2.19 per
+/// case) on two workers and 3 026 on one: each exploration's report,
+/// `Arc` and memo key, the 231 shared sets, and each pair's explorer
+/// and memo. The sweep that copied each set into its row made 4 345
+/// (3.13), and the one that also copied every set it enumerated and
+/// built a projection per case 5 564 (4.01). The ceiling leaves room
+/// for more workers' start-up, not for a copy per row.
 #[test]
-fn a_k2_sweep_allocates_at_most_3_4_times_per_case() {
+fn a_k2_sweep_allocates_at_most_2_5_times_per_case() {
     let topo = topo15::build();
     let cache = EncodingCache::new();
     let (allocations, sweep) = process_allocations(|| {
@@ -43,7 +47,7 @@ fn a_k2_sweep_allocates_at_most_3_4_times_per_case() {
     let cases = sweep.stats.cases as u64;
     assert_eq!(cases, 6 * 231);
     assert!(
-        allocations * 10 <= cases * 34,
+        allocations * 10 <= cases * 25,
         "{allocations} allocations for {cases} cases ({:.2} per case)",
         allocations as f64 / cases as f64
     );

@@ -1,9 +1,10 @@
 //! The flat-buffer explorer against the exploration it replaced.
 //!
 //! `kar::verify` explores every case on one reusable
-//! [`kar::verify::Explorer`]: residues reduced once per pair, the failure
-//! set and `relevant_links` as link bitmaps, states numbered in
-//! discovery order, flat successor lists, Tarjan over `u32` arrays. The
+//! [`kar::verify::Explorer`]: states interned under persistent ids with
+//! their residues and a step cache, the failure set and `relevant_links`
+//! as link bitmaps, states numbered locally in discovery order, flat
+//! successor lists, Tarjan over `u32` arrays. The
 //! functions in [`reference`] are `verify_route`, `possible_moves`,
 //! `step`, `loop_witness` and `tarjan_sccs` as they were before that —
 //! a residue by long division per visited state, a `Vec` per candidate
@@ -13,9 +14,11 @@
 //! the outcome, because the projection memo, the pinned tables and the
 //! committed `BENCH_*.json` all sit on those fields.
 //!
-//! The buffers are what this design invites getting wrong, so one
-//! explorer is also driven through a shuffled sequence of failure sets
-//! against a fresh explorer per set.
+//! The buffers and the tables that outlive an exploration are what this
+//! design invites getting wrong, so one explorer is also driven through
+//! a shuffled sequence of failure sets against a fresh explorer per set,
+//! on rnp28 and on a partitioned ring, where the cached hops include
+//! boundary re-stamps.
 //!
 //! `verify_failure_sets` sweeps its pairs on every core, one pair per
 //! unit of work. [`serial`] is the one-core sweep it replaced, kept
@@ -587,7 +590,7 @@ mod serial {
                             src,
                             dst,
                             report: pv.classify(&failed),
-                            failed,
+                            failed: failed.into(),
                             disconnected,
                         });
                     }
@@ -745,18 +748,12 @@ fn partitioned_reports_equal_the_reference_up_to_k2() {
     assert!(cycles > 0, "the sample reaches the SCC analysis");
 }
 
-/// The stale-buffer check: one explorer answers a shuffled sequence of
-/// failure sets — large state graphs before small ones, hop-zero
-/// blackholes (which return before any buffer is reset) in between, every
-/// set twice — exactly as a fresh explorer answers each alone.
-#[test]
-fn a_reused_explorer_equals_a_fresh_one_on_a_shuffled_sequence() {
-    let topo = rnp28::build();
-    let links = topo.link_count();
+/// Every set of at most two links and every 97th of three, each twice,
+/// in a fixed shuffled order (Fisher–Yates on a splitmix64 stream).
+fn shuffled_sets(links: usize) -> Vec<Vec<LinkId>> {
     let mut sets: Vec<Vec<LinkId>> = (0..=2).flat_map(|s| sets_of(links, s)).collect();
     sets.extend(sets_of(links, 3).into_iter().step_by(97));
     sets.extend(sets.clone());
-    // Fisher–Yates on a splitmix64 stream.
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in (1..sets.len()).rev() {
         x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -765,6 +762,17 @@ fn a_reused_explorer_equals_a_fresh_one_on_a_shuffled_sequence() {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         sets.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
     }
+    sets
+}
+
+/// The stale-buffer check: one explorer answers a shuffled sequence of
+/// failure sets — large state graphs before small ones, hop-zero
+/// blackholes (which return before any buffer is reset) in between, every
+/// set twice — exactly as a fresh explorer answers each alone.
+#[test]
+fn a_reused_explorer_equals_a_fresh_one_on_a_shuffled_sequence() {
+    let topo = rnp28::build();
+    let sets = shuffled_sets(topo.link_count());
     let all = pairs(&topo);
     for technique in DeflectionTechnique::ALL {
         for (src, dst, route) in all.iter().step_by(61) {
@@ -787,6 +795,49 @@ fn a_reused_explorer_equals_a_fresh_one_on_a_shuffled_sequence() {
             assert!(outcomes.len() >= 2, "{technique}: {outcomes:?}");
         }
     }
+}
+
+/// The same check on partitioned routes: one `Explorer<Option<NodeId>>`
+/// over one `Segmented` answers the shuffled sequence on ring/16 in 4
+/// domains, where its step cache holds re-stamped hops across
+/// explorations and a re-stamp consults the planner's segment memo.
+/// Every warm report must equal a fresh `verify_hier_route` on a planner
+/// of its own.
+#[test]
+fn a_reused_explorer_on_partitioned_routes_equals_a_fresh_one() {
+    let topo = gen::ring(16, IdStrategy::SmallestPrimes, LinkParams::default());
+    let partition = Arc::new(Partition::ring(&topo, 4).unwrap());
+    let sets = shuffled_sets(topo.link_count());
+    let hosts = topo.edge_nodes();
+    let mut cycles = 0;
+    for (src, dst) in [
+        (hosts[0], hosts[8]),
+        (hosts[3], hosts[14]),
+        (hosts[5], hosts[6]),
+    ] {
+        for technique in DeflectionTechnique::ALL {
+            let mut warm_planner = Planner::new().with_partition(Arc::clone(&partition));
+            let mut fresh_planner = Planner::new().with_partition(Arc::clone(&partition));
+            let mut route = Segmented::of(&topo, &mut warm_planner, src, dst).unwrap();
+            let mut reused = Explorer::new();
+            for failed in &sets {
+                let set: HashSet<LinkId> = failed.iter().copied().collect();
+                let fresh = verify_hier_route(&topo, &mut fresh_planner, src, dst, technique, &set)
+                    .unwrap();
+                let warm = reused.explore(
+                    &topo,
+                    &mut route,
+                    src,
+                    dst,
+                    technique,
+                    failed.iter().copied(),
+                );
+                assert_eq!(warm, fresh, "{technique} {src}->{dst} under {failed:?}");
+                cycles += usize::from(fresh.has_cycle);
+            }
+        }
+    }
+    assert!(cycles > 0, "the sample reaches the SCC analysis");
 }
 
 /// `min_failure_set` and `verify_failure_sets` run one sweep loop: the
@@ -820,7 +871,7 @@ fn min_failure_set_is_the_first_violation_of_the_sweep() {
                     match (got, expected) {
                         (None, None) => {}
                         (Some(bp), Some(case)) => {
-                            assert_eq!(bp.failed, case.failed, "{label}");
+                            assert_eq!(bp.failed, *case.failed, "{label}");
                             assert_eq!(bp.outcome, case.report.outcome, "{label}");
                             assert_eq!(bp.report, case.report, "{label}");
                             found += 1;
