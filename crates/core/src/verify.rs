@@ -46,6 +46,10 @@
 //! The explorer gives every `(route key, state)` it reaches a persistent
 //! dense id, reduces each `(route key, switch)` residue once, and caches
 //! what each move from each state leads to (a successor id or an edge).
+//! A failure set masks a state's moves only through the ports of the
+//! state's own switch, so each state also keeps its *clean list* (its
+//! distinct successors with every port of its switch up), and a state at
+//! a switch no failed link touches is expanded by copying it.
 //! The one hash probe per state and per move happens on first sight; a
 //! warm exploration is a BFS over ids that reads arrays, and a graph
 //! whose successors all come later in discovery order skips the SCC pass
@@ -418,19 +422,24 @@ const UNKNOWN: u32 = u32::MAX;
 const DELIVERED: u32 = u32::MAX - 1;
 /// A hop that surfaces at another edge.
 const WRONG_EDGE: u32 = u32::MAX - 2;
+/// A state whose clean list is not recorded yet.
+const NO_LIST: u32 = u32::MAX;
 /// Per-state flag: the switch must drop here.
 const DROPS: u8 = 1;
-/// Per-state flag: some move surfaces at an edge node.
-const ESCAPES: u8 = 2;
+/// Per-state flag: some move surfaces at the destination edge.
+const DELIVERS: u8 = 2;
+/// Per-state flag: some move surfaces at another edge.
+const STRAYS: u8 = 4;
 
 /// A `(route key, switch)` an explorer has reached: the residue the key's
-/// route names there, and the exploration that last put the switch's
-/// ports into `relevant`.
+/// route names there, the exploration that last put the switch's ports
+/// into `relevant`, and whether one of those ports is down in it.
 struct Site<K> {
     key: K,
     node: NodeId,
     residue: PortIx,
     seen: u32,
+    dirty: bool,
 }
 
 /// A `(route key, state)` an explorer has reached, under its dense id:
@@ -442,6 +451,9 @@ struct Interned {
     /// Where the state's hops start in [`StateTable::hops`], one per port
     /// of its switch.
     hops: u32,
+    /// Where the state's clean list starts in [`StateTable::lists`], or
+    /// [`NO_LIST`] while it is not recorded.
+    list: u32,
     in_port: PortIx,
     deflected: bool,
 }
@@ -457,9 +469,9 @@ struct Mark {
 
 /// Everything an explorer has learned that no failure set changes: a
 /// dense id per `(route key, state)` ever reached, the residue per
-/// `(route key, switch)`, and what `step` returned for each move taken
-/// from each state. Hash probes happen here, once per state and site on
-/// first sight.
+/// `(route key, switch)`, what `step` returned for each move taken
+/// from each state, and each state's moves with every port of its switch
+/// up. Hash probes happen here, once per state and site on first sight.
 struct StateTable<K> {
     ids: WordMap<(K, State), u32>,
     site_ids: WordMap<(K, NodeId), u32>,
@@ -473,6 +485,12 @@ struct StateTable<K> {
     /// bit, any other port as a deflection — so the bit is a function of
     /// the slot (debug builds re-run `step` on every cached hop).
     hops: Vec<u32>,
+    /// Per interned state whose clean list is recorded, that list: a
+    /// header word `len << 8 | flags` ([`DROPS`] | [`DELIVERS`] |
+    /// [`STRAYS`]), then its `len` distinct successor ids in move order,
+    /// all as its expansion with every port of its switch up gives them
+    /// — and so as any failure set that fails none of those ports does.
+    lists: Vec<u32>,
 }
 
 impl<K: Copy + Eq + Hash> StateTable<K> {
@@ -491,6 +509,7 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
             marks,
             sites,
             hops,
+            lists: _,
         } = self;
         *ids.entry(at).or_insert_with(|| {
             let (key, state) = at;
@@ -501,6 +520,7 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
                     node: state.node,
                     residue,
                     seen: 0,
+                    dirty: false,
                 });
                 sites.len() as u32 - 1
             });
@@ -509,6 +529,7 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
             states.push(Interned {
                 site,
                 hops: first_hop,
+                list: NO_LIST,
                 in_port: state.in_port,
                 deflected: state.deflected,
             });
@@ -533,6 +554,53 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
             Ok(next) => self.intern(topo, active, next),
         }
     }
+
+    /// Whether interned state `id`'s clean list, at `head` in
+    /// [`StateTable::lists`], is what [`possible_moves`] and `step` give
+    /// afresh under the failure test `is_failed` — asked by debug builds
+    /// each time a list is used, without allocating.
+    #[allow(clippy::too_many_arguments)]
+    fn clean_list_agrees<A: ActiveRoute<Key = K>>(
+        &mut self,
+        topo: &Topology,
+        active: &mut A,
+        dst: NodeId,
+        technique: DeflectionTechnique,
+        is_failed: impl Fn(LinkId) -> bool,
+        id: u32,
+        head: usize,
+        moves: &mut Vec<(PortIx, bool)>,
+    ) -> bool {
+        let at = self.states[id as usize];
+        let site = &self.sites[at.site as usize];
+        let key = site.key;
+        let state = State {
+            node: site.node,
+            in_port: at.in_port,
+            deflected: at.deflected,
+        };
+        possible_moves(topo, site.residue, technique, is_failed, state, moves);
+        let header = self.lists[head];
+        let len = (header >> 8) as usize;
+        let mut flags = if moves.is_empty() { DROPS } else { 0 };
+        // How many of the list's successors the moves have matched, in
+        // order.
+        let mut matched = 0;
+        for &mv in moves.iter() {
+            match self.hop(topo, active, dst, (key, state), mv) {
+                DELIVERED => flags |= DELIVERS,
+                WRONG_EDGE => flags |= STRAYS,
+                next if self.lists[head + 1..][..matched].contains(&next) => {}
+                next => {
+                    if matched == len || self.lists[head + 1 + matched] != next {
+                        return false;
+                    }
+                    matched += 1;
+                }
+            }
+        }
+        matched == len && u32::from(flags) == header & 0xff
+    }
 }
 
 /// The exhaustive explorer of one route, reusable across failure sets.
@@ -541,27 +609,39 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
 /// failure set, in its state table: every `(route key, state)` it ever
 /// reached gets a persistent dense id (the one hash probe, on first
 /// sight), with the residue of its `(route key, switch)` reduced once,
-/// and a step cache holding, per id and port it leaves by, the
-/// successor's id or the edge the move surfaces at. An exploration is
-/// then a BFS over ids: a warm one reads arrays and makes no hash probe
-/// per move. An epoch stamp per id gives each reached state its local
-/// index in discovery order, so the local arrays (predecessors, flags,
-/// flat successor lists, the Tarjan input, the witnesses) are the same
-/// as a fresh explorer's; a switch's ports go into `relevant` once per
-/// exploration, also by stamp. When every recorded successor has a
-/// larger local index than its state, the graph is acyclic in discovery
-/// order and the SCC pass is skipped — it could find nothing. Every
-/// buffer is kept from one call to the next, so a warmed explorer
-/// allocates only what the returned report owns. All of it is derived
-/// data: [`Explorer::explore`] returns the same report from a reused
-/// explorer as from a fresh one (`tests/verify_differential.rs`), and
-/// debug builds re-run `step` on every cached hop and assert it agrees.
+/// a step cache holding, per id and port it leaves by, the successor's
+/// id or the edge the move surfaces at, and a *clean list* per id: its
+/// distinct successors and flags with every port of its switch up. A
+/// failure set changes a state's moves only through the ports of the
+/// state's own switch, so an exploration marks a switch *dirty* when one
+/// of its ports is down, expands a state at a clean switch by copying
+/// its clean list, and runs `possible_moves` over the step cache only at
+/// dirty switches or where no list is recorded yet. A state records its
+/// list at its first clean expansion after the exploration that interned
+/// it, copied from the successor slice that expansion wrote, so a fresh
+/// explorer (a [`verify_route`] call) records none. An
+/// exploration is then a BFS over ids: a warm one reads arrays and makes
+/// no hash probe per move. An epoch stamp per id gives each reached
+/// state its local index in discovery order, so the local arrays
+/// (predecessors, flags, flat successor lists, the Tarjan input, the
+/// witnesses) are the same as a fresh explorer's; a switch's ports go
+/// into `relevant` once per exploration, also by stamp. When every
+/// recorded successor has a larger local index than its state, the graph
+/// is acyclic in discovery order and the SCC pass is skipped — it could
+/// find nothing. Every buffer is kept from one call to the next, so a
+/// warmed explorer allocates only what the returned report owns. All of
+/// it is derived data: [`Explorer::explore`] returns the same report
+/// from a reused explorer as from a fresh one
+/// (`tests/verify_differential.rs`), and debug builds re-run `step` on
+/// every cached hop and re-expand every state taken from its clean list
+/// under the real failure set, and assert they agree.
 ///
 /// The tables make an explorer belong to one `(topology, route,
 /// destination)`: hand every call the same `topo`, `active` and `dst`.
 ///
-/// Tables grow with the states reached (one hop per port of each) and
-/// the link count (two bitmaps), never with the node count: a dense
+/// Tables grow with the states reached (one hop per port of each, and a
+/// clean list of at most as many successors) and the link count (two
+/// bitmaps), never with the node count: a dense
 /// per-node table would charge every [`crate::verify_hier_route`] call
 /// on a large ring for the whole topology, so ids are handed out by a
 /// hash map on first sight. A new explorer makes room for 128
@@ -578,7 +658,7 @@ pub struct Explorer<K> {
     order: Vec<u32>,
     /// The state each one was discovered from ([`NO_STATE`] for the first).
     pred: Vec<u32>,
-    /// [`DROPS`] | [`ESCAPES`] per state.
+    /// [`DROPS`] | [`DELIVERS`] | [`STRAYS`] per state.
     flags: Vec<u8>,
     /// Distinct successors of state `i`, in move order:
     /// `succ[succ_start[i]..succ_start[i + 1]]`.
@@ -608,6 +688,7 @@ impl<K: Copy + Eq + Hash> Default for Explorer<K> {
                 marks: Vec::with_capacity(ROOM),
                 sites: Vec::with_capacity(ROOM / 4),
                 hops: Vec::with_capacity(8 * ROOM),
+                lists: Vec::new(),
             },
             epoch: 0,
             failed: LinkBits::default(),
@@ -717,6 +798,9 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         flags.clear();
         succ_start.clear();
         succ.clear();
+        // States interned before this exploration; only those record a
+        // clean list, so that a fresh exploration copies nothing.
+        let known = table.states.len();
         let root = table.intern(topo, active, (active.ingress(), initial));
         table.marks[root as usize] = Mark {
             seen: epoch,
@@ -730,10 +814,13 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         // discovery order — the only way the graph can have a cycle.
         let mut backward = false;
         let mut i = 0;
+        // Flags of every state reached, or-ed.
+        let mut reached = 0;
         while let Some(&id) = order.get(i) {
             let Interned {
                 site,
                 hops,
+                list,
                 in_port,
                 deflected,
             } = table.states[id as usize];
@@ -746,11 +833,15 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             };
             if site.seen != epoch {
                 site.seen = epoch;
-                topo.node(state.node)
-                    .ports
-                    .iter()
-                    .for_each(|&l| relevant.insert(l));
+                site.dirty = false;
+                for &l in &topo.node(state.node).ports {
+                    relevant.insert(l);
+                    site.dirty |= down.contains(l);
+                }
             }
+            // Only the ports of its own switch change a state's moves, so
+            // at a clean site they are its clean list.
+            let clean = !site.dirty;
             let computed = site.residue;
             debug_assert_eq!(
                 computed,
@@ -758,53 +849,87 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                 "an explorer serves one route"
             );
             let is_failed = |l| down.contains(l);
-            possible_moves(topo, computed, technique, is_failed, state, moves);
             succ_start.push(succ.len() as u32);
-            if moves.is_empty() {
-                flags[i] |= DROPS;
+            if clean && list != NO_LIST {
+                let head = list as usize;
+                let len = (table.lists[head] >> 8) as usize;
+                debug_assert!(
+                    table.clean_list_agrees(
+                        topo, active, dst, technique, is_failed, id, head, moves
+                    ),
+                    "a clean list is what the moves under the failure set give"
+                );
+                flags[i] = table.lists[head] as u8;
+                for &next in &table.lists[head + 1..=head + len] {
+                    let mark = &mut table.marks[next as usize];
+                    if mark.seen != epoch {
+                        mark.seen = epoch;
+                        mark.local = order.len() as u32;
+                        order.push(next);
+                        pred.push(i as u32);
+                        flags.push(0);
+                    }
+                    succ.push(mark.local);
+                    backward |= mark.local as usize <= i;
+                }
+            } else {
+                possible_moves(topo, computed, technique, is_failed, state, moves);
+                if moves.is_empty() {
+                    flags[i] |= DROPS;
+                }
+                for &mv in moves.iter() {
+                    let slot = hops as usize + mv.0 as usize;
+                    let mut hop = table.hops[slot];
+                    if hop == UNKNOWN {
+                        hop = table.hop(topo, active, dst, (key, state), mv);
+                        table.hops[slot] = hop;
+                    } else {
+                        debug_assert_eq!(
+                            hop,
+                            table.hop(topo, active, dst, (key, state), mv),
+                            "a cached hop is what step returns"
+                        );
+                    }
+                    match hop {
+                        DELIVERED => flags[i] |= DELIVERS,
+                        WRONG_EDGE => flags[i] |= STRAYS,
+                        next => {
+                            let next = &mut table.marks[next as usize];
+                            if next.seen != epoch {
+                                next.seen = epoch;
+                                next.local = order.len() as u32;
+                                order.push(hop);
+                                pred.push(i as u32);
+                                flags.push(0);
+                            }
+                            let j = next.local;
+                            if !succ[succ_start[i] as usize..].contains(&j) {
+                                succ.push(j);
+                                backward |= j as usize <= i;
+                            }
+                        }
+                    }
+                }
+                if clean && (id as usize) < known {
+                    // The state's first clean expansion after the
+                    // exploration that interned it records its list,
+                    // copied from the successor slice just written.
+                    let local = &succ[succ_start[i] as usize..];
+                    table.states[id as usize].list = table.lists.len() as u32;
+                    table
+                        .lists
+                        .push((local.len() as u32) << 8 | u32::from(flags[i]));
+                    table.lists.extend(local.iter().map(|&j| order[j as usize]));
+                }
+            }
+            if flags[i] & DROPS != 0 {
                 first_drop.get_or_insert(i);
             }
-            for &mv in moves.iter() {
-                let slot = hops as usize + mv.0 as usize;
-                let mut hop = table.hops[slot];
-                if hop == UNKNOWN {
-                    hop = table.hop(topo, active, dst, (key, state), mv);
-                    table.hops[slot] = hop;
-                } else {
-                    debug_assert_eq!(
-                        hop,
-                        table.hop(topo, active, dst, (key, state), mv),
-                        "a cached hop is what step returns"
-                    );
-                }
-                match hop {
-                    DELIVERED => {
-                        report.can_deliver = true;
-                        flags[i] |= ESCAPES;
-                    }
-                    WRONG_EDGE => {
-                        report.can_wrong_edge = true;
-                        flags[i] |= ESCAPES;
-                    }
-                    next => {
-                        let next = &mut table.marks[next as usize];
-                        if next.seen != epoch {
-                            next.seen = epoch;
-                            next.local = order.len() as u32;
-                            order.push(hop);
-                            pred.push(i as u32);
-                            flags.push(0);
-                        }
-                        let j = next.local;
-                        if !succ[succ_start[i] as usize..].contains(&j) {
-                            succ.push(j);
-                            backward |= j as usize <= i;
-                        }
-                    }
-                }
-            }
+            reached |= flags[i];
             i += 1;
         }
+        report.can_deliver = reached & DELIVERS != 0;
+        report.can_wrong_edge = reached & STRAYS != 0;
         succ_start.push(succ.len() as u32);
         report.states = order.len();
         report.relevant_links = relevant.to_sorted_vec();

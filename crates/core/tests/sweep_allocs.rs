@@ -23,15 +23,16 @@ mod counting_alloc;
 use counting_alloc::process_allocations;
 
 /// topo15, k = 2, NIP under full protection: 6 pairs × C(22, 2) = 1 386
-/// cases, 568 of them explored. Measured 3 033 allocations (2.19 per
-/// case) on two workers and 3 026 on one: each exploration's report,
+/// cases, 568 of them explored. Measured 3 069 allocations (2.21 per
+/// case) on two workers and 3 062 on one: each exploration's report,
 /// `Arc` and memo key, the 231 shared sets, and each pair's explorer
-/// and memo. The sweep that copied each set into its row made 4 345
-/// (3.13), and the one that also copied every set it enumerated and
-/// built a projection per case 5 564 (4.01). The ceiling leaves room
-/// for more workers' start-up, not for a copy per row.
+/// (its clean lists grow a few times per pair, not per case) and memo.
+/// The sweep that copied each set into its row made 4 345 (3.13), and
+/// the one that also copied every set it enumerated and built a
+/// projection per case 5 564 (4.01). The ceiling leaves room for up to
+/// six workers' start-up (one per pair), not for a copy per row.
 #[test]
-fn a_k2_sweep_allocates_at_most_2_5_times_per_case() {
+fn a_k2_sweep_allocates_at_most_2_3_times_per_case() {
     let topo = topo15::build();
     let cache = EncodingCache::new();
     let (allocations, sweep) = process_allocations(|| {
@@ -47,7 +48,7 @@ fn a_k2_sweep_allocates_at_most_2_5_times_per_case() {
     let cases = sweep.stats.cases as u64;
     assert_eq!(cases, 6 * 231);
     assert!(
-        allocations * 10 <= cases * 25,
+        allocations * 10 <= cases * 23,
         "{allocations} allocations for {cases} cases ({:.2} per case)",
         allocations as f64 / cases as f64
     );

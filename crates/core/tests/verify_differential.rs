@@ -18,7 +18,9 @@
 //! design invites getting wrong, so one explorer is also driven through
 //! a shuffled sequence of failure sets against a fresh explorer per set,
 //! on rnp28 and on a partitioned ring, where the cached hops include
-//! boundary re-stamps.
+//! boundary re-stamps, and through sets that turn the same switches
+//! dirty and clean in turn, so that states alternate between a fresh
+//! expansion and their recorded clean list.
 //!
 //! `verify_failure_sets` sweeps its pairs on every core, one pair per
 //! unit of work. [`serial`] is the one-core sweep it replaced, kept
@@ -838,6 +840,89 @@ fn a_reused_explorer_on_partitioned_routes_equals_a_fresh_one() {
         }
     }
     assert!(cycles > 0, "the sample reaches the SCC analysis");
+}
+
+/// Drives one explorer through sets under which the same states
+/// alternate between clean and dirty: for each port of the ingress
+/// switch but the uplink, a set failing that port, a set touching no
+/// switch the intact route reaches (empty when every link is relevant),
+/// then the first set again. Every report must equal `fresh`'s. Returns
+/// whether the second set was non-empty.
+fn alternate_clean_and_dirty<A: ActiveRoute>(
+    topo: &Topology,
+    active: &mut A,
+    (src, dst): (NodeId, NodeId),
+    technique: DeflectionTechnique,
+    mut fresh: impl FnMut(&HashSet<LinkId>) -> VerifyReport,
+) -> bool {
+    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
+    let ingress = topo.link(uplink).peer_of(src);
+    let relevant = fresh(&HashSet::new()).relevant_links;
+    let far: Vec<LinkId> = (0..topo.link_count())
+        .map(LinkId)
+        .find(|l| relevant.binary_search(l).is_err())
+        .into_iter()
+        .collect();
+    let mut reused = Explorer::new();
+    for &port in topo.node(ingress).ports.iter().filter(|&&l| l != uplink) {
+        for set in [vec![port], far.clone(), vec![port]] {
+            let want = fresh(&set.iter().copied().collect());
+            let got = reused.explore(topo, active, src, dst, technique, set.iter().copied());
+            assert_eq!(got, want, "{technique} {src}->{dst} under {set:?}");
+        }
+    }
+    !far.is_empty()
+}
+
+/// The clean-list check: a state at a switch no failed link touches is
+/// expanded from the list its earlier clean expansion recorded, any other
+/// state afresh. One explorer per pair and technique alternates the same
+/// states between the two (`alternate_clean_and_dirty`) — every rnp28
+/// pair, and `Segmented` routes on ring/16 in 4 domains, where the lists
+/// hold re-stamped successors.
+#[test]
+fn a_reused_explorer_alternating_clean_and_dirty_switches_equals_fresh_ones() {
+    const DEFLECTING: [DeflectionTechnique; 3] = [
+        DeflectionTechnique::HotPotato,
+        DeflectionTechnique::Avp,
+        DeflectionTechnique::Nip,
+    ];
+    let topo = rnp28::build();
+    let mut far_sets = 0;
+    for technique in DEFLECTING {
+        for (src, dst, route) in pairs(&topo) {
+            let fresh =
+                |set: &HashSet<LinkId>| verify_route(&topo, &route, src, dst, technique, set);
+            let mut active = &route;
+            far_sets += usize::from(alternate_clean_and_dirty(
+                &topo,
+                &mut active,
+                (src, dst),
+                technique,
+                fresh,
+            ));
+        }
+    }
+    assert!(far_sets > 0, "some rnp28 route leaves a link untouched");
+
+    let topo = gen::ring(16, IdStrategy::SmallestPrimes, LinkParams::default());
+    let partition = Arc::new(Partition::ring(&topo, 4).unwrap());
+    let hosts = topo.edge_nodes();
+    for (src, dst) in [
+        (hosts[0], hosts[8]),
+        (hosts[3], hosts[14]),
+        (hosts[5], hosts[6]),
+    ] {
+        for technique in DEFLECTING {
+            let mut warm_planner = Planner::new().with_partition(Arc::clone(&partition));
+            let mut fresh_planner = Planner::new().with_partition(Arc::clone(&partition));
+            let mut route = Segmented::of(&topo, &mut warm_planner, src, dst).unwrap();
+            let fresh = |set: &HashSet<LinkId>| {
+                verify_hier_route(&topo, &mut fresh_planner, src, dst, technique, set).unwrap()
+            };
+            alternate_clean_and_dirty(&topo, &mut route, (src, dst), technique, fresh);
+        }
+    }
 }
 
 /// `min_failure_set` and `verify_failure_sets` run one sweep loop: the
