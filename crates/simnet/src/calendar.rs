@@ -21,19 +21,29 @@
 //!
 //! **Determinism contract:** [`CalendarQueue::pop`] yields entries in
 //! exactly ascending `(at, seq)` order — the same total order the
-//! previous `BinaryHeap<Reverse<HeapEntry>>` produced. The engine's
-//! byte-identical replay guarantee rests on this; proptests in
+//! previous `BinaryHeap<Reverse<HeapEntry>>` produced, and
+//! [`CalendarQueue::pop_before`] yields a prefix of that order. The
+//! engine's byte-identical replay guarantee rests on this; proptests in
 //! `tests/calendar_order.rs` race the two structures on randomized
-//! event trains, including engine-shaped and `run_until`-shaped ones.
+//! event trains, including engine-shaped and `run_until`-shaped ones and
+//! `pop_before` limits on both sides of the head's key.
 //!
 //! Invariants (the first two checked in debug builds):
 //! * every bucketed entry's slot lies in `[cursor, cursor + nbuckets)`,
 //!   so a bucket holds the entries of exactly one slot;
 //! * every overflow entry's slot lies at or beyond `cursor + nbuckets`;
 //! * a bucket's occupancy bit is set iff the bucket holds an entry;
-//! * the cursor moves only on `pop` (forward, to the popped slot) and on
-//!   a push behind it (back, to the pushed slot); [`CalendarQueue::peek_key`]
-//!   leaves it where it is.
+//! * the cursor moves only on a pop that returns an entry (forward, to
+//!   the popped slot) and on a push behind it (back, to the pushed slot).
+//!
+//! **`pop_before` contract:** [`CalendarQueue::pop_before`]`(limit)` pops
+//! the head iff its `(at, seq)` key is below `limit`, with the one
+//! occupancy scan a plain pop does. When the head is not below `limit`
+//! it returns `None` and moves nothing — no entry, no cursor — so the
+//! engine can ask "anything due before this?" (the shared CPU's next
+//! completion, or `run_until`'s end) and then push work at any time at
+//! or after the last popped entry's, which stays in front of the
+//! cursor.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -255,26 +265,42 @@ impl<T> CalendarQueue<T> {
         bucket
     }
 
-    /// The `(at, seq)` key of the next entry, without removing it. The
-    /// cursor stays put, so a push at any time at or after the last
-    /// popped entry's stays in front of it.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.in_buckets == 0 {
-            return self.overflow.peek().map(|Reverse(e)| (e.at, e.seq));
-        }
-        let b = self.bucket_of(self.next_occupied_slot());
-        self.serve_bucket(b).items.last().map(|e| (e.at, e.seq))
-    }
-
     /// Removes and returns the entry with the smallest `(at, seq)` key.
     pub fn pop(&mut self) -> Option<CalendarEntry<T>> {
-        let slot = if self.in_buckets > 0 {
-            self.next_occupied_slot()
+        self.pop_if(|_, _| true)
+    }
+
+    /// Removes and returns the entry with the smallest `(at, seq)` key if
+    /// that key is below `limit`. When it is not (or the queue is empty)
+    /// nothing moves — not the entry, not the cursor — so a push at any
+    /// time at or after the last popped entry's still lands in front of
+    /// the cursor.
+    pub fn pop_before(&mut self, limit: (SimTime, u64)) -> Option<CalendarEntry<T>> {
+        self.pop_if(|at, seq| (at, seq) < limit)
+    }
+
+    /// Pops the head if `due(at, seq)` holds for it. One occupancy scan
+    /// finds the head's slot; the cursor advances to it only once the
+    /// head is known to leave.
+    #[inline]
+    fn pop_if(&mut self, due: impl FnOnce(SimTime, u64) -> bool) -> Option<CalendarEntry<T>> {
+        let (slot, at, seq) = if self.in_buckets > 0 {
+            // Every overflow entry lies past the window, so the earliest
+            // bucketed entry is the head.
+            let slot = self.next_occupied_slot();
+            let b = self.bucket_of(slot);
+            let head = self.serve_bucket(b).items.last().expect("occupied bucket");
+            (slot, head.at, head.seq)
         } else {
             let Reverse(head) = self.overflow.peek()?;
-            self.slot_of(head.at)
+            (self.slot_of(head.at), head.at, head.seq)
         };
+        if !due(at, seq) {
+            return None;
+        }
         if slot != self.cursor {
+            // The entries the slid window now covers land in slots past
+            // `slot`, so the head stays at the back of its bucket.
             self.cursor = slot;
             self.refill();
         }
@@ -377,19 +403,33 @@ mod tests {
     }
 
     #[test]
-    fn peek_leaves_the_cursor_where_it_was() {
+    fn a_refused_pop_before_leaves_the_cursor_where_it_was() {
         let mut q = CalendarQueue::<u32>::with_geometry(4, 8);
         q.push(SimTime(3 * 16), 0, 0);
         q.push(SimTime(1_000_000), 1, 1); // far past the window
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
-        assert_eq!(q.peek_key(), Some((SimTime(1_000_000), 1)));
+        assert!(q.pop_before((SimTime(1_000_000), 1)).is_none());
         assert_eq!(q.cursor, 3);
-        // The `run_until` + `inject` pattern: work at a time the peek
-        // looked past lands in front of the cursor, not behind it.
+        // The `run_until` + `inject` pattern: work at a time the refused
+        // pop looked past lands in front of the cursor, not behind it.
         q.push(SimTime(4 * 16), 2, 2);
         assert_eq!(q.cursor, 3);
         assert_eq!(q.in_buckets, 1);
         assert_eq!(drain(&mut q), vec![(4 * 16, 2), (1_000_000, 1)]);
+    }
+
+    #[test]
+    fn a_refused_pop_before_from_the_overflow_moves_nothing() {
+        let mut q = CalendarQueue::<u32>::with_geometry(4, 8);
+        q.push(SimTime(2 * 16), 0, 0);
+        q.push(SimTime(1_000_000), 1, 1);
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!((q.in_buckets, q.overflow.len()), (0, 1));
+        assert!(q.pop_before((SimTime(999_999), u64::MAX)).is_none());
+        assert_eq!((q.cursor, q.in_buckets, q.overflow.len()), (2, 0, 1));
+        let e = q.pop_before((SimTime(1_000_000), 2)).unwrap();
+        assert_eq!((e.at, e.seq), (SimTime(1_000_000), 1));
+        assert_eq!(q.cursor, 1_000_000 >> 4);
     }
 
     #[test]
@@ -409,13 +449,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_before_pops_only_keys_below_the_limit() {
         let mut q = CalendarQueue::default();
         q.push(SimTime(7), 0, 0);
         q.push(SimTime(3), 1, 1);
-        let key = q.peek_key().unwrap();
-        let e = q.pop().unwrap();
-        assert_eq!(key, (e.at, e.seq));
-        assert_eq!(key, (SimTime(3), 1));
+        assert!(q.pop_before((SimTime(3), 1)).is_none());
+        assert!(q.pop_before((SimTime(2), u64::MAX)).is_none());
+        let e = q.pop_before((SimTime(3), 2)).unwrap();
+        assert_eq!((e.at, e.seq), (SimTime(3), 1));
+        assert!(q.pop_before((SimTime(7), 0)).is_none());
+        assert_eq!(q.pop_before((SimTime(7), u64::MAX)).map(|e| e.seq), Some(0));
+        assert!(q.pop_before((SimTime(u64::MAX), u64::MAX)).is_none());
     }
 }

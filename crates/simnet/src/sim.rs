@@ -8,7 +8,7 @@
 //! every run is reproducible.
 
 use crate::adversary::Behavior;
-use crate::calendar::CalendarQueue;
+use crate::calendar::{CalendarEntry, CalendarQueue};
 use crate::forwarder::{DropReason, ForwardDecision, Forwarder, SwitchCtx};
 use crate::host::{App, AppAction, EdgeLogic, HostCtx, RerouteDecision};
 use crate::packet::{FlowId, Packet, PacketKind};
@@ -40,6 +40,12 @@ pub struct SimConfig {
     /// counts. `Some(t)` models that: every core-switch traversal is
     /// serialized through one shared server taking `t` per packet.
     /// `None` (the default) forwards at infinite speed.
+    ///
+    /// The server's pending completions form a FIFO beside the event
+    /// calendar: the server finishes packets in the order it takes them,
+    /// so their `(at, seq)` keys already ascend, and the engine merges
+    /// the FIFO's head with the calendar's by that key. The dispatch
+    /// order is the one a single sorted queue of both would give.
     pub switch_service: Option<SimTime>,
     /// Record every packet's node path in a [`TraceLog`] (costs memory;
     /// off by default).
@@ -246,6 +252,14 @@ pub struct Sim<'t> {
     /// (see [`crate::calendar`]) that reproduces the old binary heap's
     /// order exactly.
     events: CalendarQueue<Event>,
+    /// The shared switching CPU's pending completions (served arrivals),
+    /// ascending in `(at, seq)` by construction: `cpu_busy_until` never
+    /// decreases and `seq` always grows. Merged with `events` by key in
+    /// [`Sim::next_event`].
+    cpu_queue: VecDeque<CalendarEntry<Event>>,
+    /// Key of the last dispatched event: each next one must be larger.
+    #[cfg(debug_assertions)]
+    last_key: Option<(SimTime, u64)>,
     /// Per-node reduction constants, handed to the forwarder via
     /// [`SwitchCtx::reducer`]: one per core switch, `None` for edges.
     reducers: Vec<Option<Reducer>>,
@@ -308,6 +322,9 @@ impl<'t> Sim<'t> {
             topo,
             now: SimTime::ZERO,
             events: CalendarQueue::default(),
+            cpu_queue: VecDeque::new(),
+            #[cfg(debug_assertions)]
+            last_key: None,
             reducers,
             links,
             port_up: vec![true; port_base[port_base.len() - 1]],
@@ -512,14 +529,9 @@ impl<'t> Sim<'t> {
     /// Runs the event loop until simulated time reaches `until`.
     /// Events at exactly `until` are processed.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some((at, _)) = self.events.peek_key() {
-            if at > until {
-                break;
-            }
-            let entry = self.events.pop().expect("peeked entry exists");
+        while let Some(entry) = self.next_event(Some(until)) {
             debug_assert!(entry.at >= self.now, "time went backwards");
-            self.now = entry.at;
-            self.dispatch(entry.item);
+            self.dispatch(entry);
         }
         self.now = self.now.max(until);
     }
@@ -527,19 +539,60 @@ impl<'t> Sim<'t> {
     /// Runs until the event queue drains completely (useful for letting
     /// in-flight packets settle after traffic stops).
     pub fn run_to_quiescence(&mut self) {
-        while let Some(entry) = self.events.pop() {
-            self.now = entry.at;
-            self.dispatch(entry.item);
+        while let Some(entry) = self.next_event(None) {
+            self.dispatch(entry);
+        }
+    }
+
+    /// Takes the pending event with the smallest `(at, seq)` key from the
+    /// calendar and the CPU queue, if it is due at or before `until`
+    /// (`None`: whenever). The calendar's head leaves only if it is below
+    /// both the CPU head's key and `(until, u64::MAX)`; otherwise the CPU
+    /// head does, if it is due. Keys are unique, so no tie reaches here.
+    fn next_event(&mut self, until: Option<SimTime>) -> Option<CalendarEntry<Event>> {
+        let cpu = self.cpu_queue.front().map(|e| (e.at, e.seq));
+        let end = until.map(|u| (u, u64::MAX));
+        let limit = match (cpu, end) {
+            (None, None) => return self.events.pop(),
+            (Some(c), Some(e)) => c.min(e),
+            (Some(k), None) | (None, Some(k)) => k,
+        };
+        match self.events.pop_before(limit) {
+            Some(entry) => Some(entry),
+            None if cpu.is_some_and(|c| end.is_none_or(|e| c < e)) => self.cpu_queue.pop_front(),
+            None => None,
         }
     }
 
     fn push(&mut self, at: SimTime, ev: Event) {
-        let seq = self.next_event_seq;
-        self.next_event_seq += 1;
+        let seq = self.draw_seq();
         self.events.push(at, seq, ev);
     }
 
-    fn dispatch(&mut self, ev: Event) {
+    /// The next event's tie-break `seq`: one counter for the calendar
+    /// and the CPU queue alike.
+    fn draw_seq(&mut self) -> u64 {
+        let seq = self.next_event_seq;
+        self.next_event_seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `entry` and handles its event. Debug builds
+    /// assert that dispatched keys strictly ascend, so every debug run
+    /// checks the merge of the calendar and the CPU queue.
+    fn dispatch(&mut self, entry: CalendarEntry<Event>) {
+        #[cfg(debug_assertions)]
+        {
+            let key = (entry.at, entry.seq);
+            debug_assert!(
+                self.last_key.is_none_or(|last| last < key),
+                "dispatch order broke: {key:?} after {:?}",
+                self.last_key
+            );
+            self.last_key = Some(key);
+        }
+        self.now = entry.at;
+        let ev = entry.item;
         // Taken and put back rather than cloned: no reference-count
         // traffic per event. Nothing inside dispatch reads the field.
         if let Some(profiler) = self.profiler.take() {
@@ -848,16 +901,17 @@ impl<'t> Sim<'t> {
             if let Some(service) = self.config.switch_service {
                 let start = self.cpu_busy_until.max(self.now);
                 self.cpu_busy_until = start + service;
-                let at = self.cpu_busy_until;
-                self.push(
-                    at,
-                    Event::Arrive {
+                let seq = self.draw_seq();
+                self.cpu_queue.push_back(CalendarEntry {
+                    at: self.cpu_busy_until,
+                    seq,
+                    item: Event::Arrive {
                         pkt,
                         node,
                         in_port,
                         cpu_done: true,
                     },
-                );
+                });
                 return;
             }
         }
@@ -1922,6 +1976,61 @@ mod tests {
             .count() as u64;
         assert_eq!(failure_fates, lost);
         assert_eq!(sim.finalize_traces(), 0); // nothing left in flight
+    }
+
+    /// A link-down due at the exact nanosecond the shared CPU finishes a
+    /// packet is ordered against that completion by `seq`, not by time
+    /// alone: scheduled before the packet, it fails the port first and
+    /// the switch finds no way out; scheduled once the packet waits at
+    /// the switch, the switch forwards first and the link then loses the
+    /// packet it is serializing.
+    #[test]
+    fn a_cpu_completion_and_a_link_down_at_one_instant_order_by_seq() {
+        let service = SimTime::from_micros(5);
+        // S → SW4 takes 80 µs of serialization + 10 µs of propagation.
+        let reaches_sw4 = SimTime::from_micros(90);
+        let served = reaches_sw4 + service;
+        let run = |down_after_arrival: bool| {
+            let (topo, r) = line_world();
+            let mut sim = Sim::new(
+                &topo,
+                Box::new(ModuloDrop),
+                Box::new(FixedTag {
+                    route_id: r,
+                    uplink: 0,
+                }),
+                SimConfig {
+                    switch_service: Some(service),
+                    ..SimConfig::default()
+                },
+            );
+            let out = topo.expect_link("SW4", "SW7");
+            if !down_after_arrival {
+                sim.schedule_link_down(served, out);
+            }
+            sim.inject(
+                topo.expect("S"),
+                topo.expect("D"),
+                FlowId(0),
+                0,
+                PacketKind::Probe,
+                1000,
+            );
+            if down_after_arrival {
+                sim.run_until(reaches_sw4);
+                assert_eq!(sim.in_flight(), 1, "the packet waits for the CPU");
+                sim.schedule_link_down(served, out);
+            }
+            sim.run_until(SimTime::from_millis(1));
+            let stats = sim.stats();
+            (
+                stats.dropped_for(DropReason::PortDown),
+                stats.dropped_for(DropReason::LinkFailure),
+                stats.delivered,
+            )
+        };
+        assert_eq!(run(false), (1, 0, 0), "the earlier link-down goes first");
+        assert_eq!(run(true), (0, 1, 0), "the earlier completion goes first");
     }
 
     #[test]

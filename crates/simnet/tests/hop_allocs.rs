@@ -6,6 +6,9 @@
 //! warm-up has sized the calendar buckets, the overflow heap and the
 //! link queues, a run allocates at most once per injected packet however
 //! many hops each packet takes — which this pins by doubling the hops.
+//! With a shared switching CPU (`SimConfig::switch_service`) the same
+//! holds once the CPU's completion queue has grown to the burst's
+//! backlog.
 //!
 //! The test reads the counting `#[global_allocator]`'s process-wide
 //! counter, so the file holds this one test.
@@ -48,11 +51,12 @@ fn line(k: usize) -> Topology {
 }
 
 /// Allocations of one burst of `packets` across a line of `k` switches,
-/// after two identical bursts have warmed the engine. Each burst starts
-/// on a calendar-window boundary (1024 buckets of 1024 ns), so the last
-/// warm-up and the measured burst fill the same buckets to the same
-/// depth.
-fn burst_allocations(k: usize, packets: u64) -> u64 {
+/// after two identical bursts have warmed the engine, and the burst's
+/// mean delivery latency. Each burst starts on a calendar-window
+/// boundary (1024 buckets of 1024 ns), so the last warm-up and the
+/// measured burst fill the same buckets (and the same CPU backlog) to
+/// the same depth.
+fn burst_allocations(k: usize, packets: u64, switch_service: Option<SimTime>) -> (u64, f64) {
     const WINDOW_NS: u64 = 1 << 20;
     let topo = line(k);
     let (s, d) = (topo.expect("S"), topo.expect("D"));
@@ -60,7 +64,10 @@ fn burst_allocations(k: usize, packets: u64) -> u64 {
         &topo,
         Box::new(ModuloForwarder::new()),
         Box::new(FixedTag(Arc::new(BigUint::from(1u64)))),
-        SimConfig::default(),
+        SimConfig {
+            switch_service,
+            ..SimConfig::default()
+        },
     );
     let burst = |sim: &mut Sim<'_>| {
         let start = (sim.now().as_nanos() / WINDOW_NS + 1) * WINDOW_NS;
@@ -76,17 +83,38 @@ fn burst_allocations(k: usize, packets: u64) -> u64 {
     let stats = sim.stats();
     assert_eq!(stats.delivered, 3 * packets, "line of {k}: {stats:?}");
     assert_eq!(stats.max_hops as usize, k);
-    count
+    (
+        count,
+        stats.mean_latency_s().expect("packets were delivered"),
+    )
 }
 
 #[test]
 fn a_warm_hop_allocates_nothing_and_a_packet_once() {
     const PACKETS: u64 = 32;
-    let short = burst_allocations(8, PACKETS);
-    let long = burst_allocations(16, PACKETS);
+    let (short, plain_latency) = burst_allocations(8, PACKETS, None);
+    let (long, _) = burst_allocations(16, PACKETS, None);
     assert!(
         short <= PACKETS,
         "{short} allocations for {PACKETS} packets of 8 hops"
     );
     assert_eq!(short, long, "doubling the hops changed the allocations");
+
+    // 20 µs a packet, the Fig. 7 setting: half a 1000-byte packet's
+    // serialization, so up to 8 or 16 switches' hops queue for the CPU.
+    let service = Some(SimTime::from_micros(20));
+    let (short, cpu_latency) = burst_allocations(8, PACKETS, service);
+    let (long, _) = burst_allocations(16, PACKETS, service);
+    assert!(
+        cpu_latency > plain_latency + 8.0 * 20e-6,
+        "the CPU served every hop: {cpu_latency} s against {plain_latency} s"
+    );
+    assert!(
+        short <= PACKETS,
+        "{short} allocations for {PACKETS} packets of 8 hops with switch service"
+    );
+    assert_eq!(
+        short, long,
+        "with switch service, doubling the hops changed the allocations"
+    );
 }

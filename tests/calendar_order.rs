@@ -9,8 +9,11 @@
 //!    overflow entries, pushes behind the serving cursor, and trains
 //!    shaped like the engine's own: each pop schedules 0–3 successors
 //!    (same instant, 1–20 µs, across the 1 ms window edge, timers), and
-//!    `run_until` + inject rounds that push at a time the last peek
-//!    looked past.
+//!    `run_until` + inject rounds that push at a time a refused
+//!    `pop_before` looked past. `pop_before` is raced with limits below,
+//!    at and above the head's exact `(at, seq)`, from the overflow-only
+//!    state and with heads on the window's last slot, on three
+//!    geometries.
 //! 2. [`Reducer`] computes the same residue as naive BigUint division for
 //!    every switch ID the shipped topologies actually deploy (topo15 and
 //!    rnp28), on limb-boundary route IDs.
@@ -47,8 +50,16 @@ impl HeapSched {
     fn pop(&mut self) -> Option<(u64, u64, u32)> {
         self.heap.pop().map(|Reverse(e)| e)
     }
-    fn peek_key(&self) -> Option<(u64, u64)> {
+    fn head_key(&self) -> Option<(u64, u64)> {
         self.heap.peek().map(|Reverse((at, seq, _))| (*at, *seq))
+    }
+    /// Pops the head iff its key is below `limit`.
+    fn pop_before(&mut self, limit: (u64, u64)) -> Option<(u64, u64, u32)> {
+        if self.head_key()? < limit {
+            self.pop()
+        } else {
+            None
+        }
     }
 }
 
@@ -81,6 +92,13 @@ struct Race {
 }
 
 impl Race {
+    fn with_geometry(width_shift: u32, nbuckets: usize) -> Self {
+        Race {
+            cal: CalendarQueue::with_geometry(width_shift, nbuckets),
+            ..Race::default()
+        }
+    }
+
     fn push(&mut self, at: u64) {
         let item = self.seq as u32;
         self.cal.push(SimTime(at), self.seq, item);
@@ -96,12 +114,16 @@ impl Race {
         Ok(expect.map(|(at, _, _)| at))
     }
 
-    /// Peeks both; they must agree on the key.
-    fn peek(&mut self) -> Result<Option<u64>, TestCaseError> {
-        let expect = self.heap.peek_key();
-        let got = self.cal.peek_key().map(|(at, seq)| (at.0, seq));
-        prop_assert_eq!(got, expect);
-        Ok(expect.map(|(at, _)| at))
+    /// `pop_before` on both; they must agree on the whole entry, or on
+    /// popping nothing.
+    fn pop_before(&mut self, limit: (u64, u64)) -> Result<Option<u64>, TestCaseError> {
+        let expect = self.heap.pop_before(limit);
+        let got = self
+            .cal
+            .pop_before((SimTime(limit.0), limit.1))
+            .map(|e| (e.at.0, e.seq, e.item));
+        prop_assert_eq!(got, expect, "limit {:?}", limit);
+        Ok(expect.map(|(at, _, _)| at))
     }
 
     fn drain(&mut self) -> Result<(), TestCaseError> {
@@ -128,26 +150,137 @@ fn race_engine_train(train: &[Vec<u64>]) -> Result<(), TestCaseError> {
     race.drain()
 }
 
-/// `ProbeRun`'s loop: `run_until(until)` peeks, and pops while the peeked
-/// key is due, the first pops scheduling the train's successors; then
-/// probes are injected at `until`, which the last peek looked past.
+/// `ProbeRun`'s loop: `run_until(until)` pops while the head is below
+/// `(until, u64::MAX)`, the first pops scheduling the train's
+/// successors; then probes are injected at `until`, which the refused
+/// `pop_before` looked past.
 fn race_probe_run(rounds: &[(u64, u32)], train: &[Vec<u64>]) -> Result<(), TestCaseError> {
     let mut race = Race::default();
     let mut successors = train.iter();
     let mut until = 0;
     for &(gap, probes) in rounds {
         until += gap;
-        while let Some(at) = race.peek()? {
-            if at > until {
-                break;
-            }
-            prop_assert_eq!(race.pop()?, Some(at));
+        while let Some(at) = race.pop_before((until, u64::MAX))? {
             for &delay in successors.next().into_iter().flatten() {
                 race.push(at + delay);
             }
         }
         for _ in 0..probes {
             race.push(until);
+        }
+    }
+    race.drain()
+}
+
+/// One successor of a handled event in a `pop_before` train.
+#[derive(Debug, Clone, Copy)]
+enum Succ {
+    /// `delay` after the last popped time.
+    After(u64),
+    /// Past the window that starts at the last popped slot: the
+    /// overflow heap.
+    Beyond(u64),
+    /// On the last slot of that window (`offset` into the slot).
+    LastSlot(u64),
+}
+
+/// Where a `pop_before` limit lies relative to the head's exact key.
+#[derive(Debug, Clone, Copy)]
+enum Limit {
+    /// `d` ns earlier (any seq); `d = 0`: the same time, the seq before.
+    Below(u64),
+    /// The head's own key: not below it, so nothing pops.
+    At,
+    /// `d` ns later (seq 0); `d = 0`: the same time, the seq after.
+    Above(u64),
+    /// `run_until`'s bound: `(until, u64::MAX)` at `d` ns after the
+    /// last popped time.
+    Until(u64),
+}
+
+impl Limit {
+    fn around(self, head: Option<(u64, u64)>, now: u64) -> (u64, u64) {
+        let (at, seq) = head.unwrap_or((now, 0));
+        match self {
+            Limit::Below(0) => (at, seq.saturating_sub(1)),
+            Limit::Below(d) => (at.saturating_sub(d), u64::MAX),
+            Limit::At => (at, seq),
+            Limit::Above(0) => (at, seq + 1),
+            Limit::Above(d) => (at + d, 0),
+            Limit::Until(d) => (now + d, u64::MAX),
+        }
+    }
+}
+
+/// A limit's distance from its anchor: none, within a bucket or two,
+/// across the default window's edge.
+fn offset() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..2_000, 1_000_000u64..1_300_001]
+}
+
+fn limit() -> impl Strategy<Value = Limit> {
+    prop_oneof![
+        offset().prop_map(Limit::Below),
+        Just(Limit::At),
+        offset().prop_map(Limit::Above),
+        offset().prop_map(Limit::Until),
+    ]
+}
+
+/// Calendar geometries `(width_shift, nbuckets)`: the engine's (sixteen
+/// occupancy words), one word, and eight buckets in a part-used word.
+fn geometry() -> impl Strategy<Value = (u32, usize)> {
+    prop_oneof![Just((10u32, 1024usize)), Just((6, 64)), Just((4, 8))]
+}
+
+/// Steps of a `pop_before` train: a limit, then the successors pushed
+/// after it (at or after the last popped time, popped or not).
+fn pop_before_train(succ: BoxedStrategy<Succ>) -> impl Strategy<Value = Vec<(Limit, Vec<Succ>)>> {
+    proptest::collection::vec((limit(), proptest::collection::vec(succ, 0..4)), 1..400)
+}
+
+fn any_succ() -> BoxedStrategy<Succ> {
+    prop_oneof![
+        successor_delay().prop_map(Succ::After),
+        (0u64..1_000_000).prop_map(Succ::Beyond),
+        (0u64..1_024).prop_map(Succ::LastSlot),
+    ]
+    .boxed()
+}
+
+/// Only successors past the window at the time they are pushed, so the
+/// buckets are often empty and the head is the overflow heap's (about
+/// half of this train's `pop_before` calls; the mixed train gets there
+/// rarely).
+fn beyond_succ() -> BoxedStrategy<Succ> {
+    (0u64..1_000_000).prop_map(Succ::Beyond).boxed()
+}
+
+/// Races `pop_before` against the heap on one train. The cursor sits on
+/// the last popped slot (every push is at or after the last popped
+/// time), so `Succ` can aim at that window's last slot and past its end.
+fn race_pop_before(
+    (shift, nbuckets): (u32, usize),
+    train: &[(Limit, Vec<Succ>)],
+) -> Result<(), TestCaseError> {
+    let mut race = Race::with_geometry(shift, nbuckets);
+    let window = (nbuckets as u64) << shift;
+    for at in [0, 1_000, window - 1, window] {
+        race.push(at);
+    }
+    let mut now = 0;
+    for (limit, successors) in train {
+        let limit = limit.around(race.heap.head_key(), now);
+        if let Some(at) = race.pop_before(limit)? {
+            now = at;
+        }
+        let last_slot = ((now >> shift) + nbuckets as u64 - 1) << shift;
+        for succ in successors {
+            race.push(match *succ {
+                Succ::After(delay) => now + delay,
+                Succ::Beyond(delay) => now + window + delay,
+                Succ::LastSlot(offset) => last_slot + offset % (1 << shift),
+            });
         }
     }
     race.drain()
@@ -166,8 +299,8 @@ proptest! {
             heap.push(at, seq as u64, item);
         }
         while let Some((at, seq, item)) = heap.pop() {
-            let key = cal.peek_key();
-            prop_assert_eq!(key, Some((SimTime(at), seq)));
+            // The head's own key is not below it: nothing leaves.
+            prop_assert!(cal.pop_before((SimTime(at), seq)).is_none());
             let e = cal.pop().expect("calendar has as many entries as the heap");
             prop_assert_eq!((e.at.0, e.seq, e.item), (at, seq, item));
         }
@@ -244,6 +377,26 @@ proptest! {
         race_probe_run(&rounds, &train)?;
     }
 
+    /// `pop_before` pops exactly what the heap pops below the limit, with
+    /// limits on both sides of the head's key and at it.
+    #[test]
+    fn calendar_pop_before_follows_the_heap(
+        geometry in geometry(),
+        train in pop_before_train(any_succ()),
+    ) {
+        race_pop_before(geometry, &train)?;
+    }
+
+    /// The same from the overflow-only state: nothing bucketed, so the
+    /// head is the overflow heap's.
+    #[test]
+    fn calendar_pop_before_follows_the_heap_from_the_overflow(
+        geometry in geometry(),
+        train in pop_before_train(beyond_succ()),
+    ) {
+        race_pop_before(geometry, &train)?;
+    }
+
     /// Every switch ID deployed by topo15 and rnp28 reduces limb-boundary
     /// route IDs to exactly the residue naive division computes.
     #[test]
@@ -279,5 +432,25 @@ proptest! {
     #[ignore]
     fn calendar_follows_the_heap_on_many_engine_trains(train in engine_train()) {
         race_engine_train(&train)?;
+    }
+
+    /// The `pop_before` property at 20 000 cases.
+    #[test]
+    #[ignore]
+    fn calendar_pop_before_follows_the_heap_on_many_trains(
+        geometry in geometry(),
+        train in pop_before_train(any_succ()),
+    ) {
+        race_pop_before(geometry, &train)?;
+    }
+
+    /// The overflow-only `pop_before` property at 20 000 cases.
+    #[test]
+    #[ignore]
+    fn calendar_pop_before_follows_the_heap_from_the_overflow_many_times(
+        geometry in geometry(),
+        train in pop_before_train(beyond_succ()),
+    ) {
+        race_pop_before(geometry, &train)?;
     }
 }
