@@ -6,8 +6,16 @@
 //! packet be driven to the destination (§2.1), and what fraction of a
 //! failure's deflection candidates is covered by the protection paths
 //! (the 1/3–2/3 argument of §3.1 and the 1/5–2/5 argument of §3.2)?
+//!
+//! Both are asked of the verifier's move relation under NIP
+//! (`possible_moves` and `step` in [`crate::verify`]), not of a copy: a
+//! walk follows a packet while NIP leaves it exactly one move, and a
+//! failure's candidates are the moves of the deflecting switch's state —
+//! a host among them exactly when NIP would deflect into it.
 
+use crate::deflect::DeflectionTechnique::Nip;
 use crate::route::EncodedRoute;
+use crate::verify::{possible_moves, residue_at, step, State, Terminal};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::collections::HashSet;
 
@@ -19,15 +27,18 @@ pub enum DrivenOutcome {
         /// Hops taken.
         hops: usize,
     },
-    /// The walk hit a switch whose residue names an invalid or failed
-    /// port (a deflecting switch would go random here).
+    /// The walk hit a switch where NIP has no move (it drops) or more
+    /// than one (it deflects at random): the residue names an invalid,
+    /// failed or input port, and NIP's deflection set there is empty or
+    /// holds several ports.
     InvalidPort {
         /// Where the walk got stuck.
         at: NodeId,
     },
-    /// The walk entered a cycle.
+    /// The walk revisited a `(switch, input port, deflected)` state, so
+    /// it cycles forever.
     Loop {
-        /// First revisited node.
+        /// The switch of the first revisited state.
         at: NodeId,
     },
     /// The walk surfaced at an edge node other than the destination.
@@ -44,16 +55,16 @@ impl DrivenOutcome {
     }
 }
 
-/// Follows `route`'s residues from `from` until `dst` (an edge node or
-/// core switch), a dead end, or a loop. `failed` links are treated as
-/// unavailable ports.
+/// Follows `route` under NIP from switch `from` until the destination
+/// edge `dst`, a wrong edge, a switch without exactly one move, or a
+/// loop. `failed` links are treated as unavailable ports.
 ///
 /// This is the *deterministic* part of forwarding — what a packet does
-/// between deflections. A switch not folded into the route ID still
-/// yields a residue; if that residue happens to name a healthy port the
-/// walk follows it, exactly as a real KAR switch would (§2.1: a deflected
-/// packet "may arrive at a node included in the route ID; from there, it
-/// will follow the computed path once again").
+/// between random deflections. A switch not folded into the route ID
+/// still yields a residue; if that residue happens to name a healthy
+/// port the walk follows it, exactly as a real KAR switch would (§2.1: a
+/// deflected packet "may arrive at a node included in the route ID; from
+/// there, it will follow the computed path once again").
 pub fn driven_walk(
     topo: &Topology,
     route: &EncodedRoute,
@@ -64,11 +75,13 @@ pub fn driven_walk(
     driven_walk_from(topo, route, from, None, dst, failed)
 }
 
-/// [`driven_walk`], additionally modelling NIP's *forced* choices: when
-/// a switch's residue is unusable but exactly one healthy core-facing
-/// non-input port exists, NIP takes it deterministically — the paper's
-/// "the only alternative path is to SW11 and, then, to SW17". `entered`
-/// is the node the walk came from (excluded as NIP input), if any.
+/// [`driven_walk`] for a packet that entered `from` from the neighbour
+/// `entered`, if any. NIP never sends a packet back out of its input
+/// port, so that port is excluded both from the residue rule and from
+/// the deflection set; when the residue is unusable and the deflection
+/// set (core-facing ports when any exist) holds one port, NIP takes it
+/// deterministically — the paper's "the only alternative path is to SW11
+/// and, then, to SW17".
 pub fn driven_walk_from(
     topo: &Topology,
     route: &EncodedRoute,
@@ -77,50 +90,43 @@ pub fn driven_walk_from(
     dst: NodeId,
     failed: &HashSet<LinkId>,
 ) -> DrivenOutcome {
+    if from == dst {
+        return DrivenOutcome::Reached { hops: 0 };
+    }
+    if topo.switch_id(from).is_none() {
+        return DrivenOutcome::WrongEdge { at: from };
+    }
+    let state = State::arrived(topo, from, entered, true);
+    walk(topo, route, dst, failed, state)
+}
+
+/// The walk behind [`driven_walk`], from `state`.
+fn walk(
+    topo: &Topology,
+    mut route: &EncodedRoute,
+    dst: NodeId,
+    failed: &HashSet<LinkId>,
+    mut state: State,
+) -> DrivenOutcome {
     let mut visited = HashSet::new();
-    let mut cur = from;
-    let mut prev = entered;
-    let mut hops = 0usize;
+    let mut moves = Vec::new();
+    let mut hops = 0;
     loop {
-        if cur == dst {
-            return DrivenOutcome::Reached { hops };
+        if !visited.insert(state) {
+            return DrivenOutcome::Loop { at: state.node };
         }
-        let Some(switch_id) = topo.switch_id(cur) else {
-            return DrivenOutcome::WrongEdge { at: cur };
+        let computed = residue_at(topo, route, state.node);
+        let is_failed = |l| failed.contains(&l);
+        possible_moves(topo, computed, Nip, is_failed, state, &mut moves);
+        let [mv] = moves[..] else {
+            return DrivenOutcome::InvalidPort { at: state.node };
         };
-        if !visited.insert(cur) {
-            return DrivenOutcome::Loop { at: cur };
-        }
-        let port = route.port_at(switch_id);
-        let usable = |p: u64| {
-            topo.node(cur)
-                .ports
-                .get(p as usize)
-                .map(|l| !failed.contains(l))
-                .unwrap_or(false)
-        };
-        let in_port = prev.and_then(|p| topo.port_towards(cur, p));
-        let next_port = if usable(port) && Some(port) != in_port {
-            port
-        } else {
-            // NIP would pick among healthy core non-input ports at
-            // random; only a *unique* candidate is deterministic.
-            let candidates: Vec<u64> = topo
-                .neighbors(cur)
-                .filter(|&(p, l, peer)| {
-                    Some(p) != in_port && !failed.contains(&l) && topo.switch_id(peer).is_some()
-                })
-                .map(|(p, _, _)| p)
-                .collect();
-            match candidates.as_slice() {
-                [only] => *only,
-                _ => return DrivenOutcome::InvalidPort { at: cur },
-            }
-        };
-        let link = topo.node(cur).ports[next_port as usize];
-        prev = Some(cur);
-        cur = topo.link(link).peer_of(cur);
         hops += 1;
+        match step(topo, &mut route, dst, ((), state), mv) {
+            Ok(((), next)) => state = next,
+            Err(Terminal::Delivered) => return DrivenOutcome::Reached { hops },
+            Err(Terminal::WrongEdge(at)) => return DrivenOutcome::WrongEdge { at },
+        }
     }
 }
 
@@ -130,8 +136,9 @@ pub fn driven_walk_from(
 pub struct CoverageReport {
     /// The switch that deflects (upstream endpoint of the failed link).
     pub deflecting_switch: NodeId,
-    /// Healthy next-hop candidates under NIP (input and failed port
-    /// excluded).
+    /// Where NIP's moves at the deflecting switch lead, in port order:
+    /// its healthy non-input ports, core-facing ones only when any
+    /// exist. A host appears only when no core-facing port is left.
     pub candidates: Vec<NodeId>,
     /// The subset of candidates from which the route ID drives the packet
     /// to the destination.
@@ -140,7 +147,9 @@ pub struct CoverageReport {
 
 impl CoverageReport {
     /// `driven.len() / candidates.len()`, `1.0` when there are no
-    /// candidates (nothing to protect).
+    /// candidates — which happens only when the deflecting switch has no
+    /// healthy port but its input, so the packet is dropped there and
+    /// nothing can protect it.
     pub fn fraction(&self) -> f64 {
         if self.candidates.is_empty() {
             return 1.0;
@@ -153,9 +162,10 @@ impl CoverageReport {
 /// following `route` along `primary` toward `dst`.
 ///
 /// The deflecting switch is the primary-path endpoint of the failed link
-/// that the packet reaches first; its NIP candidates are its healthy
-/// neighbours minus the input (previous primary node) and the failed
-/// link.
+/// that the packet reaches first; its candidates are NIP's moves from
+/// the state the packet arrives in there (from the previous primary
+/// node), and a candidate is driven when that move, then the
+/// [`driven_walk`] from where it lands, reaches `dst`.
 ///
 /// # Panics
 ///
@@ -174,25 +184,23 @@ pub fn failure_coverage(
         .position(|&n| link.touches(n) && topo.switch_id(n).is_some())
         .expect("failed link must touch a primary-path switch");
     let deflecting = primary[pos];
-    let input = if pos > 0 {
-        Some(primary[pos - 1])
-    } else {
-        None
-    };
+    let entered = pos.checked_sub(1).map(|i| primary[i]);
+    let state = State::arrived(topo, deflecting, entered, false);
     let failed: HashSet<LinkId> = [failed_link].into_iter().collect();
+    let computed = residue_at(topo, route, deflecting);
+    let mut moves = Vec::new();
+    possible_moves(topo, computed, Nip, |l| l == failed_link, state, &mut moves);
     let mut candidates = Vec::new();
     let mut driven = Vec::new();
-    for (_, l, peer) in topo.neighbors(deflecting) {
-        if l == failed_link || Some(peer) == input {
-            continue;
-        }
-        // Deflecting into an edge host is possible but pointless; the
-        // paper's scenarios never include host ports as candidates.
-        if topo.switch_id(peer).is_none() && peer != dst {
-            continue;
-        }
+    let mut active = route;
+    for mv in moves {
+        let (peer, reached) = match step(topo, &mut active, dst, ((), state), mv) {
+            Ok(((), next)) => (next.node, walk(topo, route, dst, &failed, next).reached()),
+            Err(Terminal::Delivered) => (dst, true),
+            Err(Terminal::WrongEdge(at)) => (at, false),
+        };
         candidates.push(peer);
-        if driven_walk_from(topo, route, peer, Some(deflecting), dst, &failed).reached() {
+        if reached {
             driven.push(peer);
         }
     }
@@ -201,57 +209,6 @@ pub fn failure_coverage(
         candidates,
         driven,
     }
-}
-
-/// [`failure_coverage`] generalized to a failure *set*: finds the first
-/// primary-path switch whose primary next-hop link is in `failed` (the
-/// switch that deflects first) and reports its NIP candidates and
-/// driven subset under the *entire* set — a second failure can both
-/// remove candidates and block a driven walk that a single-failure
-/// analysis would count as covered.
-///
-/// Returns `None` when no primary next-hop link is failed: the packet
-/// rides the primary path untouched and nothing deflects (other failed
-/// links may still matter to deflected traffic, but there is no
-/// deflecting switch to analyze).
-pub fn failure_set_coverage(
-    topo: &Topology,
-    route: &EncodedRoute,
-    primary: &[NodeId],
-    failed: &HashSet<LinkId>,
-    dst: NodeId,
-) -> Option<CoverageReport> {
-    let pos = (0..primary.len().saturating_sub(1)).find(|&i| {
-        topo.switch_id(primary[i]).is_some()
-            && topo
-                .link_between(primary[i], primary[i + 1])
-                .is_some_and(|l| failed.contains(&l))
-    })?;
-    let deflecting = primary[pos];
-    let input = if pos > 0 {
-        Some(primary[pos - 1])
-    } else {
-        None
-    };
-    let mut candidates = Vec::new();
-    let mut driven = Vec::new();
-    for (_, l, peer) in topo.neighbors(deflecting) {
-        if failed.contains(&l) || Some(peer) == input {
-            continue;
-        }
-        if topo.switch_id(peer).is_none() && peer != dst {
-            continue;
-        }
-        candidates.push(peer);
-        if driven_walk_from(topo, route, peer, Some(deflecting), dst, failed).reached() {
-            driven.push(peer);
-        }
-    }
-    Some(CoverageReport {
-        deflecting_switch: deflecting,
-        candidates,
-        driven,
-    })
 }
 
 /// One row of [`residue_table`]: what a route ID means at one switch.
@@ -323,8 +280,11 @@ pub fn render_residue_table(topo: &Topology, route: &EncodedRoute) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protection::{encode_with_protection, Protection};
     use crate::route::RouteSpec;
-    use kar_topology::topo15;
+    use crate::verify::{verify_route, Outcome};
+    use kar_rns::IdStrategy;
+    use kar_topology::{gen, paths, topo15, LinkParams};
 
     fn route_with(
         protection: &[(&str, &str)],
@@ -455,46 +415,31 @@ mod tests {
     }
 
     #[test]
-    fn set_coverage_agrees_with_single_failure_coverage() {
-        let (topo, route, primary) = route_with(&topo15::PARTIAL_PROTECTION);
-        let dst = topo.expect("AS3");
-        for (a, b) in [("SW10", "SW7"), ("SW7", "SW13"), ("SW13", "SW29")] {
-            let link = topo.expect_link(a, b);
-            let single = failure_coverage(&topo, &route, &primary, link, dst);
-            let set: HashSet<LinkId> = [link].into_iter().collect();
-            let multi = failure_set_coverage(&topo, &route, &primary, &set, dst)
-                .unwrap_or_else(|| panic!("{a}-{b} is a primary link"));
-            assert_eq!(multi.deflecting_switch, single.deflecting_switch, "{a}-{b}");
-            assert_eq!(multi.candidates, single.candidates, "{a}-{b}");
-            assert_eq!(multi.driven, single.driven, "{a}-{b}");
-        }
-    }
-
-    #[test]
-    fn second_failure_shrinks_candidates_and_coverage() {
-        let (topo, route, primary) = route_with(&topo15::PARTIAL_PROTECTION);
-        let dst = topo.expect("AS3");
-        let primary_cut = topo.expect_link("SW10", "SW7");
-        // Alone, SW10 deflects with 3 candidates (1 driven).
-        let alone: HashSet<LinkId> = [primary_cut].into_iter().collect();
-        let base = failure_set_coverage(&topo, &route, &primary, &alone, dst).unwrap();
-        assert_eq!(base.candidates.len(), 3);
-        // Also cutting SW10-SW17 removes one candidate entirely.
-        let both: HashSet<LinkId> = [primary_cut, topo.expect_link("SW10", "SW17")]
-            .into_iter()
-            .collect();
-        let cov = failure_set_coverage(&topo, &route, &primary, &both, dst).unwrap();
-        assert_eq!(cov.deflecting_switch, topo.expect("SW10"));
-        assert_eq!(cov.candidates.len(), 2, "{cov:?}");
-        assert!(cov.candidates.len() < base.candidates.len());
-    }
-
-    #[test]
-    fn off_primary_failure_set_has_no_deflecting_switch() {
-        let (topo, route, primary) = route_with(&[]);
-        let dst = topo.expect("AS3");
-        let off: HashSet<LinkId> = [topo.expect_link("SW11", "SW19")].into_iter().collect();
-        assert!(failure_set_coverage(&topo, &route, &primary, &off, dst).is_none());
+    fn a_ring_switch_deflects_into_its_own_host() {
+        // A middle ring switch has three ports: its input, its failed
+        // next hop and its host. NIP deflects into the host, so AutoFull
+        // cannot cover this failure and the packet surfaces at a wrong
+        // edge.
+        let topo = gen::ring(8, IdStrategy::SmallestPrimes, LinkParams::default());
+        let (src, dst) = (topo.expect("H0"), topo.expect("H4"));
+        let primary = paths::bfs_shortest_path(&topo, src, dst).unwrap();
+        let route = encode_with_protection(&topo, primary.clone(), &Protection::AutoFull).unwrap();
+        let middle = primary[primary.len() / 2];
+        let failed = topo
+            .link_between(middle, primary[primary.len() / 2 + 1])
+            .unwrap();
+        let host = topo
+            .neighbors(middle)
+            .map(|(_, _, peer)| peer)
+            .find(|&peer| topo.switch_id(peer).is_none())
+            .unwrap();
+        let cov = failure_coverage(&topo, &route, &primary, failed, dst);
+        assert_eq!(cov.deflecting_switch, middle);
+        assert_eq!(cov.candidates, vec![host]);
+        assert_eq!(cov.fraction(), 0.0);
+        let set: HashSet<LinkId> = [failed].into_iter().collect();
+        let report = verify_route(&topo, &route, src, dst, Nip, &set);
+        assert_ne!(report.outcome, Outcome::Delivered);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! bit budget ([`plan_with_budget`], the paper's §2.3 partial-protection
 //! idea).
 
+use crate::deflect::DeflectionTechnique::Nip;
 use crate::route::{EncodedRoute, RouteSpec};
+use crate::verify::{possible_moves, State, NO_PORT};
 use kar_rns::route_id_bit_length;
 use kar_topology::{NodeId, Topology};
 use std::collections::HashSet;
@@ -55,21 +57,23 @@ fn tree_toward(topo: &Topology, root: NodeId, forbidden: &HashSet<NodeId>) -> Ve
     next
 }
 
-/// The deflection candidates a primary switch has when its downstream
-/// primary link fails (NIP view: input and failed ports excluded; edge
-/// hosts ignored).
+/// The deflection candidates of primary switch `primary[idx]`: NIP's
+/// moves there with its next-hop link down (the last switch of a path has
+/// no residue port). Core-facing only when any exist; a host candidate is
+/// in no tree, so it never yields a segment.
 fn candidates_of(topo: &Topology, primary: &[NodeId], idx: usize) -> Vec<NodeId> {
     let node = primary[idx];
-    let input = if idx > 0 {
-        Some(primary[idx - 1])
-    } else {
-        None
-    };
-    let failed_towards = primary.get(idx + 1).copied();
-    topo.neighbors(node)
-        .map(|(_, _, peer)| peer)
-        .filter(|&peer| Some(peer) != input && Some(peer) != failed_towards)
-        .filter(|&peer| topo.switch_id(peer).is_some())
+    let state = State::arrived(topo, node, idx.checked_sub(1).map(|i| primary[i]), false);
+    let next = primary
+        .get(idx + 1)
+        .and_then(|&n| topo.link_between(node, n));
+    let residue = next.map_or(NO_PORT, |l| topo.link(l).port_on(node));
+    let mut moves = Vec::new();
+    possible_moves(topo, residue, Nip, |l| Some(l) == next, state, &mut moves);
+    let ports = &topo.node(node).ports;
+    moves
+        .into_iter()
+        .map(|(p, _)| topo.link(ports[p as usize]).peer_of(node))
         .collect()
 }
 

@@ -123,16 +123,40 @@ use std::{panic, thread};
 /// from, and whether it has ever been deflected (the only bit of header
 /// state the techniques consult).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
-    node: NodeId,
-    in_port: PortIx,
-    deflected: bool,
+pub(crate) struct State {
+    pub(crate) node: NodeId,
+    pub(crate) in_port: PortIx,
+    pub(crate) deflected: bool,
+}
+
+/// A port no switch has: the input port of a packet that entered from
+/// nowhere in particular, and the residue of a switch the route does not
+/// leave through. [`possible_moves`] only compares `in_port` and `get`s
+/// `computed`, so it never indexes with this.
+pub(crate) const NO_PORT: PortIx = PortIx::MAX;
+
+impl State {
+    /// A packet at switch `node` that came from its neighbour `from`, or
+    /// from nowhere in particular ([`NO_PORT`]).
+    pub(crate) fn arrived(
+        topo: &Topology,
+        node: NodeId,
+        from: Option<NodeId>,
+        deflected: bool,
+    ) -> State {
+        let in_port = from.and_then(|f| topo.port_towards(node, f));
+        State {
+            node,
+            in_port: in_port.unwrap_or(NO_PORT),
+            deflected,
+        }
+    }
 }
 
 /// The edge node a move surfaces at. (A forced drop is not a move: it is
 /// [`possible_moves`] leaving its buffer empty.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Terminal {
+pub(crate) enum Terminal {
     Delivered,
     WrongEdge(NodeId),
 }
@@ -234,7 +258,7 @@ pub struct VerifyReport {
 }
 
 /// The port the route's residue names at core switch `node` (Eq. 3).
-fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
+pub(crate) fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
     let switch_id = topo
         .switch_id(node)
         .expect("packets only take moves at core switches");
@@ -248,10 +272,12 @@ fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
 /// AVP/NIP, input port excluded for NIP, unrestricted for hot-potato's
 /// random walk), in ascending port order.
 ///
-/// This is the one move generator: the explorer, the trajectory NFA and
-/// the sampled-forwarder test all call it, each with its own
-/// representation of the failure set behind `is_failed`.
-fn possible_moves(
+/// This is the one move generator: the explorer, the trajectory NFA,
+/// the sampled-forwarder test, [`crate::analysis`]'s driven walks and
+/// coverage, and the protection planner's deflection candidates all call
+/// it, each with its own representation of the failure set behind
+/// `is_failed`.
+pub(crate) fn possible_moves(
     topo: &Topology,
     computed: PortIx,
     technique: DeflectionTechnique,
@@ -314,7 +340,7 @@ fn possible_moves(
 /// Where the move `(port, deflected)` from `state` lands: a successor
 /// state with the route it then carries (a re-stamp is a fresh tag, so
 /// the deflected bit clears too) or the edge node it surfaces at.
-fn step<A: ActiveRoute>(
+pub(crate) fn step<A: ActiveRoute>(
     topo: &Topology,
     active: &mut A,
     dst: NodeId,

@@ -31,7 +31,15 @@
 //! a plain search that shares no code with either `CutTest`. Within a
 //! pair, rows share one `Arc` per distinct report: on rnp28 at k = 2 the
 //! held reports are counted against the distinct answers.
+//!
+//! `kar::analysis` asks the same move relation where a deflected packet
+//! goes, so its answers must be ones the verifier allows: on every
+//! primary core-link failure of topo15, rnp28, ring/8 and the 3 × 3
+//! grid, full coverage is `Delivered`, no candidate is a `Blackhole`,
+//! and a driven walk's end is an end the report can reach.
 
+use kar::analysis::{driven_walk_from, failure_coverage, DrivenOutcome};
+use kar::protection::encode_with_protection;
 use kar::verify::{
     min_failure_set, verify_failure_sets, ActiveRoute, Explorer, KSweep, Outcome, VerifyReport,
 };
@@ -1100,4 +1108,91 @@ fn sweep_equals_the_serial_oracle_on_rings_and_grids() {
 #[ignore = "four k = 3 sweeps of rnp28 through the serial oracle: run in release"]
 fn sweep_equals_the_serial_oracle_on_rnp28_at_k3() {
     compare_sweeps(&rnp28::build(), 3, &[Protection::AutoFull]);
+}
+
+/// What `kar::analysis` says about one failure, and what the verifier
+/// says: `(cases, full, host, wrong)` counts every primary core link of
+/// every ordered edge pair under `None` and `AutoFull`, the cases whose
+/// candidates are all driven (and not empty), the cases where NIP
+/// deflects into a host because no core-facing port is left (a ring's
+/// middle switch), and the candidates whose driven walk surfaces at a
+/// wrong edge.
+///
+/// Coverage is a lower bound on delivery, so a full one must be
+/// `Delivered` under NIP. No candidate means the deflecting switch has no
+/// healthy port but its input, so the packet the primary path brings
+/// there must be dropped: `Blackhole`, never a `WrongEdge` through a host
+/// port the analysis overlooked. A walk from a candidate is one
+/// trajectory of the relation, so its end is one the verifier allows.
+fn coverage_against_the_verifier(topo: &Topology) -> (usize, usize, usize, usize) {
+    let (mut cases, mut full, mut host, mut wrong) = (0, 0, 0, 0);
+    let edges = topo.edge_nodes();
+    for &src in &edges {
+        for &dst in edges.iter().filter(|&&d| d != src) {
+            let primary = paths::bfs_shortest_path(topo, src, dst).expect("connected");
+            let core_links: Vec<LinkId> = paths::links_along(topo, &primary)
+                .expect("a path")
+                .into_iter()
+                .filter(|&l| {
+                    let link = topo.link(l);
+                    topo.switch_id(link.a).is_some() && topo.switch_id(link.b).is_some()
+                })
+                .collect();
+            for protection in &BOTH {
+                let route = encode_with_protection(topo, primary.clone(), protection)
+                    .expect("routes encode");
+                for &link in &core_links {
+                    let cov = failure_coverage(topo, &route, &primary, link, dst);
+                    let failed: HashSet<LinkId> = [link].into_iter().collect();
+                    let report =
+                        verify_route(topo, &route, src, dst, DeflectionTechnique::Nip, &failed);
+                    let label = format!("{src}->{dst} {protection:?} without {link:?}: {cov:?}");
+                    cases += 1;
+                    if cov.candidates.is_empty() {
+                        assert_eq!(report.outcome, Outcome::Blackhole, "{label}");
+                    } else if cov.fraction() == 1.0 {
+                        full += 1;
+                        assert_eq!(report.outcome, Outcome::Delivered, "{label}");
+                    }
+                    if cov.candidates.iter().any(|&c| topo.switch_id(c).is_none()) {
+                        host += 1;
+                    }
+                    for &c in &cov.candidates {
+                        let from = Some(cov.deflecting_switch);
+                        match driven_walk_from(topo, &route, c, from, dst, &failed) {
+                            DrivenOutcome::Reached { .. } => assert!(report.can_deliver, "{label}"),
+                            DrivenOutcome::WrongEdge { .. } => {
+                                wrong += 1;
+                                assert!(report.can_wrong_edge, "{label}");
+                            }
+                            DrivenOutcome::Loop { .. } => assert!(report.has_cycle, "{label}"),
+                            DrivenOutcome::InvalidPort { .. } => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (cases, full, host, wrong)
+}
+
+#[test]
+fn analysis_agrees_with_the_verifier_on_single_failures() {
+    let params = LinkParams::default();
+    for (name, topo, want) in [
+        ("topo15", topo15::build(), (32, 18, 0, 0)),
+        ("rnp28", rnp28::build(), (64, 23, 0, 0)),
+        (
+            "ring/8",
+            gen::ring(8, IdStrategy::SmallestPrimes, params),
+            (256, 94, 144, 162),
+        ),
+        (
+            "grid 3x3",
+            gen::grid(3, 3, IdStrategy::SmallestPrimes, params),
+            (64, 28, 8, 8),
+        ),
+    ] {
+        assert_eq!(coverage_against_the_verifier(&topo), want, "{name}");
+    }
 }

@@ -7,7 +7,6 @@ use kar::{DeflectionTechnique, KarNetwork, Protection};
 use kar_rns::IdStrategy;
 use kar_simnet::{FlowId, PacketKind, SimTime};
 use kar_topology::{gen, paths, LinkParams};
-use std::collections::HashSet;
 
 fn main() {
     let min_seed: u64 = std::env::args()
@@ -43,17 +42,8 @@ fn main() {
                     .collect();
                 for (li, &failed) in core_links.iter().enumerate() {
                     // The failure must not disconnect src from dst.
-                    let mut seen = HashSet::new();
-                    let mut stack = vec![src];
-                    seen.insert(src);
-                    while let Some(x) = stack.pop() {
-                        for (_, l, peer) in topo.neighbors(x) {
-                            if l != failed && seen.insert(peer) {
-                                stack.push(peer);
-                            }
-                        }
-                    }
-                    if !seen.contains(&dst) {
+                    if paths::bfs_shortest_path_where(&topo, src, dst, |_, l| l != failed).is_none()
+                    {
                         continue;
                     }
                     let route = kar::protection::encode_with_protection(

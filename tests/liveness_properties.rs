@@ -2,10 +2,14 @@
 //! topologies (DESIGN.md invariants 4–6).
 
 use kar::analysis::{driven_walk, DrivenOutcome};
-use kar::{DeflectionTechnique, EncodeRequest, EncodedRoute, KarNetwork, Protection, RouteSpec};
+use kar::verify::Outcome;
+use kar::{
+    verify_route, DeflectionTechnique, EncodeRequest, EncodedRoute, KarNetwork, Protection,
+    RouteSpec,
+};
 use kar_rns::IdStrategy;
 use kar_simnet::{FlowId, PacketKind, SimTime};
-use kar_topology::{gen, paths, LinkParams, NodeId};
+use kar_topology::{gen, paths, LinkId, LinkParams, NodeId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -14,88 +18,15 @@ proptest! {
 
     /// Liveness (invariant 5): on a random connected topology with full
     /// protection and a single primary-link failure, NIP delivers every
-    /// probe — the paper's hitless claim.
+    /// probe — the paper's hitless claim. The body is [`hitless_replay`].
     #[test]
     fn nip_full_protection_is_hitless_on_random_graphs(
         n in 6usize..16,
         extra in 3usize..12,
         seed in 0u64..500,
-        fail_idx in any::<proptest::sample::Index>(),
+        fail_bits in any::<u64>(),
     ) {
-        let topo = gen::random_connected(
-            n, extra, seed, IdStrategy::SmallestPrimes, LinkParams::default(),
-        );
-        let src = topo.expect("H0");
-        let dst = topo.expect("H1");
-        let primary = paths::bfs_shortest_path(&topo, src, dst).expect("connected");
-        // Fail one core-core link of the primary path (never a host
-        // access link — that would disconnect the endpoint).
-        let core_links: Vec<_> = paths::links_along(&topo, &primary)
-            .unwrap()
-            .into_iter()
-            .filter(|&l| {
-                let link = topo.link(l);
-                topo.switch_id(link.a).is_some() && topo.switch_id(link.b).is_some()
-            })
-            .collect();
-        prop_assume!(!core_links.is_empty());
-        let failed = core_links[fail_idx.index(core_links.len())];
-        // The failure must not disconnect src from dst.
-        let still_connected = {
-            let link = topo.link(failed);
-            let mut seen = HashSet::new();
-            let mut stack = vec![src];
-            seen.insert(src);
-            while let Some(x) = stack.pop() {
-                for (_, l, peer) in topo.neighbors(x) {
-                    if l != failed && seen.insert(peer) {
-                        stack.push(peer);
-                    }
-                }
-            }
-            let _ = link;
-            seen.contains(&dst)
-        };
-        prop_assume!(still_connected);
-
-        // The paper's hitless claim holds when the protection paths
-        // enclose every deflection alternative of the failure. A random
-        // graph can contain stub switches that cannot be protected (their
-        // only neighbour is the primary path itself — a packet deflected
-        // there is stuck, the intrinsic limitation behind Fig. 8), so we
-        // assert hitlessness exactly when static coverage is complete.
-        let route = kar::protection::encode_with_protection(
-            &topo,
-            primary.clone(),
-            &Protection::AutoFull,
-        )
-        .unwrap();
-        let coverage =
-            kar::analysis::failure_coverage(&topo, &route, &primary, failed, dst);
-        // `fraction() == 1.0` with an *empty* candidate set means the
-        // deflecting switch is a dead end (nothing can be protected) —
-        // packets are necessarily lost there, so hitlessness requires at
-        // least one driven candidate.
-        prop_assume!(!coverage.candidates.is_empty());
-        prop_assume!((coverage.fraction() - 1.0).abs() < 1e-9);
-
-        let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
-            .seed(seed ^ 0xabcd)
-            .ttl(255)
-        .build();
-        net.install_explicit(primary, &Protection::AutoFull).unwrap();
-        let mut sim = net.into_sim();
-        sim.schedule_link_down(SimTime::ZERO, failed);
-        for i in 0..40 {
-            sim.run_until(SimTime(i * 200_000));
-            sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 300);
-        }
-        sim.run_to_quiescence();
-        let s = sim.stats();
-        prop_assert_eq!(
-            s.delivered, 40,
-            "full coverage must be hitless on seed {}: {:?}", seed, s
-        );
+        prop_assume!(hitless_replay(n, extra, seed, fail_bits));
     }
 
     /// Safety (driven-deflection tree property): AutoFull protection
@@ -185,14 +116,11 @@ proptest! {
     }
 }
 
-/// Replays one pinned input of the hitless property (same body as
-/// `nip_full_protection_is_hitless_on_random_graphs`, minus the
-/// proptest plumbing). `fail_bits` selects the failed link the way
-/// `proptest::sample::Index` does: `⌊bits · len / 2⁶⁴⌋`.
+/// The hitless property for one input. `fail_bits` selects the failed
+/// link the way `proptest::sample::Index` does: `⌊bits · len / 2⁶⁴⌋`.
 ///
-/// Returns `false` if the input does not qualify (the property would
-/// have `prop_assume`d it away); panics if a qualifying input loses a
-/// probe.
+/// Returns `false` if the input does not qualify (the property
+/// `prop_assume`s it away); panics if a qualifying input loses a probe.
 fn hitless_replay(n: usize, extra: usize, seed: u64, fail_bits: u64) -> bool {
     let topo = gen::random_connected(
         n,
@@ -204,6 +132,8 @@ fn hitless_replay(n: usize, extra: usize, seed: u64, fail_bits: u64) -> bool {
     let src = topo.expect("H0");
     let dst = topo.expect("H1");
     let primary = paths::bfs_shortest_path(&topo, src, dst).expect("connected");
+    // Fail one core-core link of the primary path (never a host access
+    // link — that would disconnect the endpoint).
     let core_links: Vec<_> = paths::links_along(&topo, &primary)
         .unwrap()
         .into_iter()
@@ -217,22 +147,18 @@ fn hitless_replay(n: usize, extra: usize, seed: u64, fail_bits: u64) -> bool {
     }
     let idx = ((fail_bits as u128 * core_links.len() as u128) >> 64) as usize;
     let failed = core_links[idx];
-    let still_connected = {
-        let mut seen = HashSet::new();
-        let mut stack = vec![src];
-        seen.insert(src);
-        while let Some(x) = stack.pop() {
-            for (_, l, peer) in topo.neighbors(x) {
-                if l != failed && seen.insert(peer) {
-                    stack.push(peer);
-                }
-            }
-        }
-        seen.contains(&dst)
-    };
-    if !still_connected {
+    // The failure must not disconnect src from dst.
+    if paths::bfs_shortest_path_where(&topo, src, dst, |_, l| l != failed).is_none() {
         return false;
     }
+    // The paper's hitless claim holds when the protection paths enclose
+    // every deflection alternative of the failure. A random graph can
+    // contain stub switches that cannot be protected (their only
+    // neighbour is the primary path itself — a packet deflected there is
+    // stuck, the intrinsic limitation behind Fig. 8), so hitlessness is
+    // asserted exactly when static coverage is complete. An *empty*
+    // candidate set (`fraction() == 1.0` vacuously) means the deflecting
+    // switch is a dead end and packets are necessarily lost there.
     let route =
         kar::protection::encode_with_protection(&topo, primary.clone(), &Protection::AutoFull)
             .unwrap();
@@ -240,6 +166,22 @@ fn hitless_replay(n: usize, extra: usize, seed: u64, fail_bits: u64) -> bool {
     if coverage.candidates.is_empty() || (coverage.fraction() - 1.0).abs() >= 1e-9 {
         return false;
     }
+    // Full coverage is a claim about every trajectory, so the verifier
+    // must agree before the simulator samples some of them.
+    let failed_set: HashSet<LinkId> = [failed].into_iter().collect();
+    let report = verify_route(
+        &topo,
+        &route,
+        src,
+        dst,
+        DeflectionTechnique::Nip,
+        &failed_set,
+    );
+    assert_eq!(
+        report.outcome,
+        Outcome::Delivered,
+        "full coverage must verify for n={n} extra={extra} seed={seed}: {report:?}"
+    );
     let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Nip)
         .seed(seed ^ 0xabcd)
         .ttl(255)
