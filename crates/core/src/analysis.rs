@@ -169,8 +169,10 @@ impl CoverageReport {
 ///
 /// # Panics
 ///
-/// Panics if `failed_link` does not touch the primary path (no deflection
-/// would happen there).
+/// Panics if `failed_link` does not join two core switches, or does not
+/// touch the primary path (no deflection would happen there). An edge's
+/// uplink is refused: its failure kills the packet at the edge, before
+/// any switch could deflect it.
 pub fn failure_coverage(
     topo: &Topology,
     route: &EncodedRoute,
@@ -179,6 +181,10 @@ pub fn failure_coverage(
     dst: NodeId,
 ) -> CoverageReport {
     let link = topo.link(failed_link);
+    assert!(
+        topo.switch_id(link.a).is_some() && topo.switch_id(link.b).is_some(),
+        "failed link must join two core switches"
+    );
     let pos = primary
         .iter()
         .position(|&n| link.touches(n) && topo.switch_id(n).is_some())
@@ -386,18 +392,38 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "failed link must join two core switches")]
+    fn an_ingress_uplink_is_refused() {
+        let topo = topo15::build();
+        let primary = topo15::primary_route(&topo);
+        let route = encode_with_protection(&topo, primary.clone(), &Protection::AutoFull).unwrap();
+        let uplink = topo.link_between(primary[0], primary[1]).unwrap();
+        failure_coverage(&topo, &route, &primary, uplink, *primary.last().unwrap());
+    }
+
+    #[test]
     fn walk_detects_loops_and_wrong_edges() {
         let (topo, route, _) = route_with(&[]);
-        // Walking toward a node that is not on any residue path must end
-        // somewhere recognizable (loop, invalid port, or wrong edge).
-        let out = driven_walk(
-            &topo,
-            &route,
-            topo.expect("SW43"),
-            topo.expect("AS3"),
-            &HashSet::new(),
+        let dst = topo.expect("AS3");
+        // SW43 is off the primary path; its residue leads to SW41, where
+        // NIP has no single move left.
+        let out = driven_walk(&topo, &route, topo.expect("SW43"), dst, &HashSet::new());
+        assert_eq!(
+            out,
+            DrivenOutcome::InvalidPort {
+                at: topo.expect("SW41")
+            }
         );
-        assert!(!out.reached() || matches!(out, DrivenOutcome::Reached { .. }));
+        // With SW10–SW37 down, the walk from SW17 comes back to a state
+        // it has been in.
+        let failed: HashSet<LinkId> = [topo.expect_link("SW10", "SW37")].into_iter().collect();
+        let out = driven_walk(&topo, &route, topo.expect("SW17"), dst, &failed);
+        assert_eq!(
+            out,
+            DrivenOutcome::Loop {
+                at: topo.expect("SW41")
+            }
+        );
         // A walk that starts at the wrong edge reports it.
         let out = driven_walk(
             &topo,

@@ -52,14 +52,21 @@
 //! dense id, reduces each `(route key, switch)` residue once, and caches
 //! what each move from each state leads to (a successor id or an edge).
 //! A failure set masks a state's moves only through the ports of the
-//! state's own switch, so each state also keeps its *clean list* (its
-//! distinct successors with every port of its switch up), and a state at
-//! a switch no failed link touches is expanded by copying it.
+//! state's own switch, so each state also keeps its *clean list* (where
+//! each of its moves leads with every port of its switch up), and a
+//! state at a switch no failed link touches is expanded by copying it.
 //! The one hash probe per state and per move happens on first sight; a
-//! warm exploration is a BFS over ids that reads arrays, and a graph
-//! whose successors all come later in discovery order skips the SCC pass
-//! (it is acyclic). The tables grow with the states reached, never with
-//! the node count.
+//! warm exploration is a BFS over ids that reads arrays.
+//!
+//! That BFS builds the state graph as a value, and the report is read
+//! off it afterwards. The graph has one edge per move, and three
+//! absorbing sinks stand for the ends of a trajectory: delivered, wrong
+//! edge and dropped. A state whose switch must drop has one edge, into
+//! the drop sink. So a reached sink is a `can_*` flag, the drop sink's
+//! predecessor chain is the blackhole witness, and a trap is a cyclic
+//! SCC that no edge leaves. A graph whose edges between states all go
+//! forward in discovery order skips the SCC pass (it is acyclic). The
+//! tables grow with the states reached, never with the node count.
 //!
 //! One further pruning is *sound*: **disconnection is monotone**. Any
 //! superset of a set that physically disconnects `src` from `dst` also
@@ -455,14 +462,19 @@ const UNKNOWN: u32 = u32::MAX;
 const DELIVERED: u32 = u32::MAX - 1;
 /// A hop that surfaces at another edge.
 const WRONG_EDGE: u32 = u32::MAX - 2;
+/// The one edge out of a state whose switch must drop.
+const DROPPED: u32 = u32::MAX - 3;
+/// The absorbing sinks of a [`StateGraph`], one per code above.
+const SINKS: usize = 3;
 /// A state whose clean list is not recorded yet.
 const NO_LIST: u32 = u32::MAX;
-/// Per-state flag: the switch must drop here.
-const DROPS: u8 = 1;
-/// Per-state flag: some move surfaces at the destination edge.
-const DELIVERS: u8 = 2;
-/// Per-state flag: some move surfaces at another edge.
-const STRAYS: u8 = 4;
+
+/// The local index of the sink whose code is `code` ([`DELIVERED`],
+/// [`WRONG_EDGE`] or [`DROPPED`]: 0, 1, 2), or an index past the sinks
+/// for an interned id.
+fn sink(code: u32) -> usize {
+    (DELIVERED - code) as usize
+}
 
 /// A `(route key, switch)` an explorer has reached: the residue the key's
 /// route names there, the exploration that last put the switch's ports
@@ -518,11 +530,12 @@ struct StateTable<K> {
     /// bit, any other port as a deflection — so the bit is a function of
     /// the slot (debug builds re-run `step` on every cached hop).
     hops: Vec<u32>,
-    /// Per interned state whose clean list is recorded, that list: a
-    /// header word `len << 8 | flags` ([`DROPS`] | [`DELIVERS`] |
-    /// [`STRAYS`]), then its `len` distinct successor ids in move order,
-    /// all as its expansion with every port of its switch up gives them
-    /// — and so as any failure set that fails none of those ports does.
+    /// Per interned state whose clean list is recorded, that list: its
+    /// length, then the code of each of its edges in move order — a
+    /// successor's id, [`DELIVERED`], [`WRONG_EDGE`], or [`DROPPED`]
+    /// alone at a switch that must drop — as its expansion with every
+    /// port of its switch up gives them, and so as any failure set that
+    /// fails none of those ports does.
     lists: Vec<u32>,
 }
 
@@ -613,26 +626,157 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
             deflected: at.deflected,
         };
         possible_moves(topo, site.residue, technique, is_failed, state, moves);
-        let header = self.lists[head];
-        let len = (header >> 8) as usize;
-        let mut flags = if moves.is_empty() { DROPS } else { 0 };
-        // How many of the list's successors the moves have matched, in
-        // order.
-        let mut matched = 0;
-        for &mv in moves.iter() {
-            match self.hop(topo, active, dst, (key, state), mv) {
-                DELIVERED => flags |= DELIVERS,
-                WRONG_EDGE => flags |= STRAYS,
-                next if self.lists[head + 1..][..matched].contains(&next) => {}
-                next => {
-                    if matched == len || self.lists[head + 1 + matched] != next {
-                        return false;
+        let len = self.lists[head] as usize;
+        let dropped = moves.is_empty() && len == 1 && self.lists[head + 1] == DROPPED;
+        dropped
+            || len == moves.len()
+                && (0..len).all(|k| {
+                    self.hop(topo, active, dst, (key, state), moves[k]) == self.lists[head + 1 + k]
+                })
+    }
+}
+
+/// The state graph one exploration reached, over local indices: three
+/// absorbing sinks first (delivered, wrong edge, drop: local
+/// [`sink`] of [`DELIVERED`], [`WRONG_EDGE`], [`DROPPED`]), then the
+/// states in discovery order. Each move is one edge, into the state or
+/// the sink it leads to; a state whose switch must drop has one edge,
+/// into the drop sink; a sink has none.
+struct StateGraph {
+    /// The code of each local: the sinks' own, then the states'
+    /// interned ids — the vector is its own BFS queue, a cursor chasing
+    /// its end.
+    order: Vec<u32>,
+    /// The local each was first reached from ([`NO_STATE`] for the root
+    /// and for a sink not reached).
+    pred: Vec<u32>,
+    /// The edges out of local `i`, in move order:
+    /// `succ[succ_start[i]..succ_start[i + 1]]`.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    /// Whether some edge between states does not go forward in
+    /// discovery order — the only way the graph can have a cycle.
+    backward: bool,
+    /// Scratch of [`StateGraph::classify`]: the components, and the two
+    /// witness walks' states visited and each state's position in that
+    /// walk.
+    sccs: Sccs,
+    walk: Vec<u32>,
+    walk_pos: Vec<u32>,
+}
+
+impl StateGraph {
+    /// Adds the edge with code `code` out of the state being expanded
+    /// (the last one `succ_start` opened), reaching its target on first
+    /// sight.
+    fn edge(&mut self, marks: &mut [Mark], epoch: u32, code: u32) {
+        let from = self.succ_start.len() as u32 - 1;
+        let to = match sink(code) {
+            s if s < SINKS => {
+                if self.pred[s] == NO_STATE {
+                    self.pred[s] = from;
+                }
+                s as u32
+            }
+            _ => {
+                let mark = &mut marks[code as usize];
+                if mark.seen != epoch {
+                    mark.seen = epoch;
+                    mark.local = self.order.len() as u32;
+                    self.order.push(code);
+                    self.pred.push(from);
+                }
+                self.backward |= mark.local <= from;
+                mark.local
+            }
+        };
+        self.succ.push(to);
+    }
+
+    /// Reads the report off the graph: a reached sink sets its `can_*`,
+    /// the drop sink's predecessor chain is the blackhole witness, and a
+    /// cyclic SCC that no edge leaves is a trap — an inescapable loop.
+    /// `node` names the switch of an interned state.
+    fn classify(
+        &mut self,
+        src: NodeId,
+        relevant_links: Vec<LinkId>,
+        node: impl Fn(u32) -> NodeId,
+    ) -> VerifyReport {
+        let pred = &self.pred;
+        let reached = |code: u32| pred[sink(code)] != NO_STATE;
+        let mut report = VerifyReport {
+            outcome: Outcome::Delivered,
+            can_deliver: reached(DELIVERED),
+            can_wrong_edge: reached(WRONG_EDGE),
+            can_blackhole: reached(DROPPED),
+            has_cycle: false,
+            states: self.order.len() - SINKS,
+            loop_witness: None,
+            blackhole_witness: None,
+            relevant_links,
+        };
+        let node_of = |i: u32| node(self.order[i as usize]);
+
+        if report.can_blackhole {
+            self.walk.clear();
+            let mut cur = pred[sink(DROPPED)];
+            while cur != NO_STATE {
+                self.walk.push(cur);
+                cur = pred[cur as usize];
+            }
+            let hops = self.walk.iter().rev().map(|&i| node_of(i));
+            report.blackhole_witness = Some(std::iter::once(src).chain(hops).collect());
+        }
+
+        if self.backward {
+            let succs_of = |i: u32| {
+                let start = &self.succ_start[i as usize..];
+                &self.succ[start[0] as usize..start[1] as usize]
+            };
+            self.sccs.run(&self.succ_start, &self.succ);
+            for (sid, scc) in self.sccs.iter().enumerate() {
+                if scc.len() == 1 && !succs_of(scc[0]).contains(&scc[0]) {
+                    continue;
+                }
+                report.has_cycle = true;
+                let inside = |&j: &u32| self.sccs.of[j as usize] == sid as u32;
+                let trapped = scc.iter().all(|&i| succs_of(i).iter().all(inside));
+                if trapped && report.loop_witness.is_none() {
+                    // One concrete cycle through the trap: from its first
+                    // member, always the first successor that stays inside,
+                    // until a state repeats.
+                    self.walk.clear();
+                    self.walk_pos.clear();
+                    self.walk_pos.resize(self.order.len(), NO_STATE);
+                    let mut cur = scc[0];
+                    while self.walk_pos[cur as usize] == NO_STATE {
+                        self.walk_pos[cur as usize] = self.walk.len() as u32;
+                        self.walk.push(cur);
+                        cur = *succs_of(cur)
+                            .iter()
+                            .find(|j| inside(j))
+                            .expect("trap SCC members stay inside the SCC");
                     }
-                    matched += 1;
+                    let cycle = &self.walk[self.walk_pos[cur as usize] as usize..];
+                    report.loop_witness = Some(cycle.iter().map(|&i| node_of(i)).collect());
                 }
             }
         }
-        matched == len && u32::from(flags) == header & 0xff
+
+        report.outcome = if report.loop_witness.is_some() {
+            Outcome::Loop
+        } else if report.can_blackhole {
+            Outcome::Blackhole
+        } else if report.has_cycle {
+            Outcome::TtlExceeded
+        } else if report.can_wrong_edge {
+            Outcome::WrongEdge
+        } else {
+            debug_assert!(report.can_deliver, "acyclic, lossless, on-target graph");
+            Outcome::Delivered
+        };
+        report
     }
 }
 
@@ -643,28 +787,29 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
 /// reached gets a persistent dense id (the one hash probe, on first
 /// sight), with the residue of its `(route key, switch)` reduced once,
 /// a step cache holding, per id and port it leaves by, the successor's
-/// id or the edge the move surfaces at, and a *clean list* per id: its
-/// distinct successors and flags with every port of its switch up. A
-/// failure set changes a state's moves only through the ports of the
-/// state's own switch, so an exploration marks a switch *dirty* when one
-/// of its ports is down, expands a state at a clean switch by copying
-/// its clean list, and runs `possible_moves` over the step cache only at
+/// id or the edge the move surfaces at, and a *clean list* per id: the
+/// codes of its edges with every port of its switch up. A failure set
+/// changes a state's moves only through the ports of the state's own
+/// switch, so an exploration marks a switch *dirty* when one of its
+/// ports is down, expands a state at a clean switch by copying its
+/// clean list, and runs `possible_moves` over the step cache only at
 /// dirty switches or where no list is recorded yet. A state records its
 /// list at its first clean expansion after the exploration that interned
-/// it, copied from the successor slice that expansion wrote, so a fresh
-/// explorer (a [`verify_route`] call) records none. An
-/// exploration is then a BFS over ids: a warm one reads arrays and makes
-/// no hash probe per move. An epoch stamp per id gives each reached
-/// state its local index in discovery order, so the local arrays
-/// (predecessors, flags, flat successor lists, the Tarjan input, the
-/// witnesses) are the same as a fresh explorer's; a switch's ports go
-/// into `relevant` once per exploration, also by stamp. When every
-/// recorded successor has a larger local index than its state, the graph
-/// is acyclic in discovery order and the SCC pass is skipped — it could
-/// find nothing. Every buffer is kept from one call to the next, so a
-/// warmed explorer allocates only what the returned report owns. All of
-/// it is derived data: [`Explorer::explore`] returns the same report
-/// from a reused explorer as from a fresh one
+/// it, copied from the edges that expansion wrote, so a fresh explorer
+/// (a [`verify_route`] call) records none.
+///
+/// An exploration is a BFS that fills one `StateGraph` over ids — a
+/// warm one reads arrays and makes no hash probe per move — and then
+/// classifies that graph. An epoch stamp per id gives each reached state
+/// its local index in discovery order, so the graph and everything read
+/// off it (the Tarjan input, the witnesses) are the same as a fresh
+/// explorer's; a switch's ports go into `relevant` once per exploration,
+/// also by stamp. When every edge between states goes forward in
+/// discovery order, the graph is acyclic and the SCC pass is skipped —
+/// it could find nothing. Every buffer is kept from one call to the
+/// next, so a warmed explorer allocates only what the returned report
+/// owns. All of it is derived data: [`Explorer::explore`] returns the
+/// same report from a reused explorer as from a fresh one
 /// (`tests/verify_differential.rs`), and debug builds re-run `step` on
 /// every cached hop and re-expand every state taken from its clean list
 /// under the real failure set, and assert they agree.
@@ -673,7 +818,7 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
 /// destination)`: hand every call the same `topo`, `active` and `dst`.
 ///
 /// Tables grow with the states reached (one hop per port of each, and a
-/// clean list of at most as many successors) and the link count (two
+/// clean list of at most as many edges) and the link count (two
 /// bitmaps), never with the node count: a dense
 /// per-node table would charge every [`crate::verify_hier_route`] call
 /// on a large ring for the whole topology, so ids are handed out by a
@@ -686,23 +831,8 @@ pub struct Explorer<K> {
     epoch: u32,
     failed: LinkBits,
     relevant: LinkBits,
-    /// Interned ids of the reached states in discovery order — the
-    /// vector is its own BFS queue, a cursor chasing its end.
-    order: Vec<u32>,
-    /// The state each one was discovered from ([`NO_STATE`] for the first).
-    pred: Vec<u32>,
-    /// [`DROPS`] | [`DELIVERS`] | [`STRAYS`] per state.
-    flags: Vec<u8>,
-    /// Distinct successors of state `i`, in move order:
-    /// `succ[succ_start[i]..succ_start[i + 1]]`.
-    succ_start: Vec<u32>,
-    succ: Vec<u32>,
+    graph: StateGraph,
     moves: Vec<(PortIx, bool)>,
-    sccs: Sccs,
-    /// Scratch of the two witness walks: the states visited, and each
-    /// state's position in that walk.
-    walk: Vec<u32>,
-    walk_pos: Vec<u32>,
 }
 
 /// The states a new explorer makes room for at once. An rnp28
@@ -726,15 +856,17 @@ impl<K: Copy + Eq + Hash> Default for Explorer<K> {
             epoch: 0,
             failed: LinkBits::default(),
             relevant: LinkBits::default(),
-            order: Vec::with_capacity(ROOM),
-            pred: Vec::with_capacity(ROOM),
-            flags: Vec::with_capacity(ROOM),
-            succ_start: Vec::with_capacity(ROOM + 1),
-            succ: Vec::with_capacity(4 * ROOM),
+            graph: StateGraph {
+                order: Vec::with_capacity(ROOM),
+                pred: Vec::with_capacity(ROOM),
+                succ_start: Vec::with_capacity(ROOM + 1),
+                succ: Vec::with_capacity(4 * ROOM),
+                backward: false,
+                sccs: Sccs::default(),
+                walk: Vec::new(),
+                walk_pos: Vec::new(),
+            },
             moves: Vec::new(),
-            sccs: Sccs::default(),
-            walk: Vec::new(),
-            walk_pos: Vec::new(),
         }
     }
 }
@@ -756,31 +888,13 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         technique: DeflectionTechnique,
         failed: impl IntoIterator<Item = LinkId>,
     ) -> VerifyReport {
-        let mut report = VerifyReport {
-            outcome: Outcome::Delivered,
-            can_deliver: false,
-            can_wrong_edge: false,
-            can_blackhole: false,
-            has_cycle: false,
-            states: 0,
-            loop_witness: None,
-            blackhole_witness: None,
-            relevant_links: Vec::new(),
-        };
         let Explorer {
             table,
             epoch,
             failed: down,
             relevant,
-            order,
-            pred,
-            flags,
-            succ_start,
-            succ,
+            graph,
             moves,
-            sccs,
-            walk,
-            walk_pos,
         } = self;
         down.reset(topo.link_count());
         // A link id the topology does not have fails nothing.
@@ -793,11 +907,17 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         // every packet of the flow at hop zero.
         let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
         if down.contains(uplink) {
-            report.can_blackhole = true;
-            report.outcome = Outcome::Blackhole;
-            report.blackhole_witness = Some(vec![src]);
-            report.relevant_links = vec![uplink];
-            return report;
+            return VerifyReport {
+                outcome: Outcome::Blackhole,
+                can_deliver: false,
+                can_wrong_edge: false,
+                can_blackhole: true,
+                has_cycle: false,
+                states: 0,
+                loop_witness: None,
+                blackhole_witness: Some(vec![src]),
+                relevant_links: vec![uplink],
+            };
         }
         let first = topo.link(uplink).peer_of(src);
         debug_assert!(
@@ -818,51 +938,39 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         }
         let epoch = *epoch;
 
-        // Reachability sweep, recording the move relation and a predecessor
-        // per state for witness reconstruction. Everything the sweep
-        // consults goes into `relevant`: `possible_moves` reads the status
-        // of every port of the current switch, and `step` follows a port
-        // of that same switch — so the uplink plus the full port list of
-        // each reachable switch covers every status read.
+        // Reachability sweep, recording one edge per move and a
+        // predecessor per state and sink for the witnesses. Everything the
+        // sweep consults goes into `relevant`: `possible_moves` reads the
+        // status of every port of the current switch, and `step` follows a
+        // port of that same switch — so the uplink plus the full port list
+        // of each reachable switch covers every status read.
         relevant.reset(topo.link_count());
         relevant.insert(uplink);
-        order.clear();
-        pred.clear();
-        flags.clear();
-        succ_start.clear();
-        succ.clear();
         // States interned before this exploration; only those record a
         // clean list, so that a fresh exploration copies nothing.
         let known = table.states.len();
         let root = table.intern(topo, active, (active.ingress(), initial));
         table.marks[root as usize] = Mark {
             seen: epoch,
-            local: 0,
+            local: SINKS as u32,
         };
-        order.push(root);
-        pred.push(NO_STATE);
-        flags.push(0);
-        let mut first_drop = None;
-        // Whether some recorded successor does not come later in
-        // discovery order — the only way the graph can have a cycle.
-        let mut backward = false;
-        let mut i = 0;
-        // Flags of every state reached, or-ed.
-        let mut reached = 0;
-        while let Some(&id) = order.get(i) {
-            let Interned {
-                site,
-                hops,
-                list,
-                in_port,
-                deflected,
-            } = table.states[id as usize];
-            let site = &mut table.sites[site as usize];
+        graph.order.clear();
+        graph.order.extend([DELIVERED, WRONG_EDGE, DROPPED, root]);
+        graph.pred.clear();
+        graph.pred.resize(SINKS + 1, NO_STATE);
+        graph.succ_start.clear();
+        graph.succ_start.resize(SINKS, 0);
+        graph.succ.clear();
+        graph.backward = false;
+        let mut i = SINKS;
+        while let Some(&id) = graph.order.get(i) {
+            let at = table.states[id as usize];
+            let site = &mut table.sites[at.site as usize];
             let key = site.key;
             let state = State {
                 node: site.node,
-                in_port,
-                deflected,
+                in_port: at.in_port,
+                deflected: at.deflected,
             };
             if site.seen != epoch {
                 site.seen = epoch;
@@ -882,165 +990,59 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                 "an explorer serves one route"
             );
             let is_failed = |l| down.contains(l);
-            succ_start.push(succ.len() as u32);
-            if clean && list != NO_LIST {
-                let head = list as usize;
-                let len = (table.lists[head] >> 8) as usize;
+            graph.succ_start.push(graph.succ.len() as u32);
+            if clean && at.list != NO_LIST {
+                let head = at.list as usize;
                 debug_assert!(
                     table.clean_list_agrees(
                         topo, active, dst, technique, is_failed, id, head, moves
                     ),
                     "a clean list is what the moves under the failure set give"
                 );
-                flags[i] = table.lists[head] as u8;
-                for &next in &table.lists[head + 1..=head + len] {
-                    let mark = &mut table.marks[next as usize];
-                    if mark.seen != epoch {
-                        mark.seen = epoch;
-                        mark.local = order.len() as u32;
-                        order.push(next);
-                        pred.push(i as u32);
-                        flags.push(0);
-                    }
-                    succ.push(mark.local);
-                    backward |= mark.local as usize <= i;
+                for &code in &table.lists[head + 1..][..table.lists[head] as usize] {
+                    graph.edge(&mut table.marks, epoch, code);
                 }
             } else {
                 possible_moves(topo, computed, technique, is_failed, state, moves);
                 if moves.is_empty() {
-                    flags[i] |= DROPS;
+                    graph.edge(&mut table.marks, epoch, DROPPED);
                 }
                 for &mv in moves.iter() {
-                    let slot = hops as usize + mv.0 as usize;
-                    let mut hop = table.hops[slot];
-                    if hop == UNKNOWN {
-                        hop = table.hop(topo, active, dst, (key, state), mv);
-                        table.hops[slot] = hop;
-                    } else {
-                        debug_assert_eq!(
-                            hop,
-                            table.hop(topo, active, dst, (key, state), mv),
-                            "a cached hop is what step returns"
-                        );
+                    let slot = at.hops as usize + mv.0 as usize;
+                    let mut code = table.hops[slot];
+                    if code == UNKNOWN {
+                        code = table.hop(topo, active, dst, (key, state), mv);
+                        table.hops[slot] = code;
                     }
-                    match hop {
-                        DELIVERED => flags[i] |= DELIVERS,
-                        WRONG_EDGE => flags[i] |= STRAYS,
-                        next => {
-                            let next = &mut table.marks[next as usize];
-                            if next.seen != epoch {
-                                next.seen = epoch;
-                                next.local = order.len() as u32;
-                                order.push(hop);
-                                pred.push(i as u32);
-                                flags.push(0);
-                            }
-                            let j = next.local;
-                            if !succ[succ_start[i] as usize..].contains(&j) {
-                                succ.push(j);
-                                backward |= j as usize <= i;
-                            }
-                        }
-                    }
+                    debug_assert_eq!(
+                        code,
+                        table.hop(topo, active, dst, (key, state), mv),
+                        "a cached hop is what step returns"
+                    );
+                    graph.edge(&mut table.marks, epoch, code);
                 }
                 if clean && (id as usize) < known {
                     // The state's first clean expansion after the
                     // exploration that interned it records its list,
-                    // copied from the successor slice just written.
-                    let local = &succ[succ_start[i] as usize..];
+                    // copied from the edges just written.
+                    let edges = &graph.succ[graph.succ_start[i] as usize..];
                     table.states[id as usize].list = table.lists.len() as u32;
+                    table.lists.push(edges.len() as u32);
                     table
                         .lists
-                        .push((local.len() as u32) << 8 | u32::from(flags[i]));
-                    table.lists.extend(local.iter().map(|&j| order[j as usize]));
+                        .extend(edges.iter().map(|&j| graph.order[j as usize]));
                 }
             }
-            if flags[i] & DROPS != 0 {
-                first_drop.get_or_insert(i);
-            }
-            reached |= flags[i];
             i += 1;
         }
-        report.can_deliver = reached & DELIVERS != 0;
-        report.can_wrong_edge = reached & STRAYS != 0;
-        succ_start.push(succ.len() as u32);
-        report.states = order.len();
-        report.relevant_links = relevant.to_sorted_vec();
-        let node_of = |i: u32| {
-            let site = table.states[order[i as usize] as usize].site;
-            table.sites[site as usize].node
-        };
-
-        if let Some(die) = first_drop {
-            report.can_blackhole = true;
-            walk.clear();
-            let mut cur = die as u32;
-            while cur != NO_STATE {
-                walk.push(cur);
-                cur = pred[cur as usize];
-            }
-            let hops = walk.iter().rev().map(|&i| node_of(i));
-            report.blackhole_witness = Some(std::iter::once(src).chain(hops).collect());
-        }
-
-        // Cycle and trap analysis on the inter-state relation. An SCC is a
-        // trap when no member can drop (that would be a blackhole, reported
-        // above), escape to an edge, or step outside the SCC.
-        if backward {
-            let succs_of = |i: u32| {
-                &succ[succ_start[i as usize] as usize..succ_start[i as usize + 1] as usize]
-            };
-            sccs.run(succ_start, succ);
-            for (sid, scc) in sccs.iter().enumerate() {
-                let cyclic = scc.len() > 1 || succs_of(scc[0]).contains(&scc[0]);
-                if !cyclic {
-                    continue;
-                }
-                report.has_cycle = true;
-                let inside = |&j: &u32| sccs.of[j as usize] == sid as u32;
-                let trapped = scc
-                    .iter()
-                    .all(|&i| flags[i as usize] == 0 && succs_of(i).iter().all(inside));
-                if trapped && report.loop_witness.is_none() {
-                    // One concrete cycle through the trap: from its first
-                    // member, always the first successor that stays inside,
-                    // until a state repeats.
-                    walk.clear();
-                    walk_pos.clear();
-                    walk_pos.resize(order.len(), NO_STATE);
-                    let mut cur = scc[0];
-                    while walk_pos[cur as usize] == NO_STATE {
-                        walk_pos[cur as usize] = walk.len() as u32;
-                        walk.push(cur);
-                        cur = *succs_of(cur)
-                            .iter()
-                            .find(|j| inside(j))
-                            .expect("trap SCC members stay inside the SCC");
-                    }
-                    let cycle = &walk[walk_pos[cur as usize] as usize..];
-                    report.loop_witness = Some(cycle.iter().map(|&i| node_of(i)).collect());
-                }
-            }
-        }
-
-        report.outcome = if report.loop_witness.is_some() {
-            Outcome::Loop
-        } else if report.can_blackhole {
-            Outcome::Blackhole
-        } else if report.has_cycle {
-            Outcome::TtlExceeded
-        } else if report.can_wrong_edge {
-            Outcome::WrongEdge
-        } else {
-            debug_assert!(report.can_deliver, "acyclic, lossless, on-target graph");
-            Outcome::Delivered
-        };
-        report
+        graph.succ_start.push(graph.succ.len() as u32);
+        let node = |id: u32| table.sites[table.states[id as usize].site as usize].node;
+        graph.classify(src, relevant.to_sorted_vec(), node)
     }
 }
 
 /// Strongly-connected components of the state graph: iterative Tarjan
-/// over the explorer's flat successor lists, its arrays kept between
+/// over the state graph's flat edge lists, its arrays kept between
 /// runs. Iterative because NIP walks on larger topologies can produce
 /// graphs deeper than the default stack would like.
 #[derive(Default)]
@@ -1979,6 +1981,108 @@ mod tests {
             );
             assert!(report.can_deliver);
         }
+    }
+
+    /// Checks every graph an exploration builds on `topo` — every ordered
+    /// pair of edges, every failure set of at most two links, all four
+    /// techniques, unprotected and fully protected, one explorer per
+    /// pair and technique so that clean lists are copied as well as
+    /// computed. Each state has `max(1, |possible_moves|)` edges: one
+    /// per move, into what `step` gives, or the one into the drop sink.
+    /// A sink has none, and a sink is reached exactly when the report
+    /// says the packet can end there. Returns how many graphs were
+    /// checked, and how many states have two edges into one sink.
+    fn check_one_edge_per_move(topo: &Topology) -> (usize, usize) {
+        let cache = EncodingCache::new();
+        let ends = topo.edge_nodes();
+        let sets: Vec<Vec<LinkId>> = (0..=2)
+            .flat_map(|k| all_sets(topo.link_count(), k))
+            .map(|set| set.into_iter().map(LinkId).collect())
+            .collect();
+        let (mut graphs, mut shared, mut moves) = (0, 0, Vec::new());
+        for protection in [Protection::None, Protection::AutoFull] {
+            for (&src, &dst) in ends.iter().flat_map(|s| ends.iter().map(move |d| (s, d))) {
+                if src == dst {
+                    continue;
+                }
+                let primary = paths::bfs_shortest_path(topo, src, dst).unwrap();
+                let route = cache
+                    .encode_with_protection(topo, primary, &protection)
+                    .unwrap();
+                for technique in DeflectionTechnique::ALL {
+                    let mut explorer = Explorer::new();
+                    for failed in &sets {
+                        let case =
+                            format!("{protection:?} {technique} {src:?}->{dst:?} {failed:?}");
+                        let is_failed = |l| failed.contains(&l);
+                        let links = failed.iter().copied();
+                        let report =
+                            explorer.explore(topo, &mut &route, src, dst, technique, links);
+                        if report.states == 0 {
+                            // A failed uplink: the packet dies at the edge.
+                            assert!(report.can_blackhole, "{case}");
+                            continue;
+                        }
+                        graphs += 1;
+                        let (table, graph) = (&explorer.table, &explorer.graph);
+                        let reached = |code: u32| graph.succ.contains(&(sink(code) as u32));
+                        assert_eq!(reached(DELIVERED), report.can_deliver, "{case}");
+                        assert_eq!(reached(WRONG_EDGE), report.can_wrong_edge, "{case}");
+                        assert_eq!(reached(DROPPED), report.can_blackhole, "{case}");
+                        assert_eq!(graph.succ_start[SINKS], 0, "{case}: a sink has no edge");
+                        assert_eq!(graph.order.len() - SINKS, report.states, "{case}");
+                        for i in SINKS..graph.order.len() {
+                            let at = table.states[graph.order[i] as usize];
+                            let state = State {
+                                node: table.sites[at.site as usize].node,
+                                in_port: at.in_port,
+                                deflected: at.deflected,
+                            };
+                            let computed = residue_at(topo, &route, state.node);
+                            possible_moves(topo, computed, technique, is_failed, state, &mut moves);
+                            let edges =
+                                graph.succ_start[i] as usize..graph.succ_start[i + 1] as usize;
+                            let out = &graph.succ[edges];
+                            assert_eq!(out.len(), moves.len().max(1), "{case}: {state:?}");
+                            let codes: Vec<u32> =
+                                out.iter().map(|&j| graph.order[j as usize]).collect();
+                            let mut want: Vec<u32> = moves
+                                .iter()
+                                .map(|&mv| match step(topo, &mut &route, dst, ((), state), mv) {
+                                    Ok(next) => table.ids[&next],
+                                    Err(Terminal::Delivered) => DELIVERED,
+                                    Err(Terminal::WrongEdge(_)) => WRONG_EDGE,
+                                })
+                                .collect();
+                            if want.is_empty() {
+                                want.push(DROPPED);
+                            }
+                            assert_eq!(codes, want, "{case}: {state:?}");
+                            let into = |s: u32| out.iter().filter(|&&j| j == s).count();
+                            shared += usize::from((0..SINKS as u32).any(|s| into(s) > 1));
+                        }
+                    }
+                }
+            }
+        }
+        (graphs, shared)
+    }
+
+    #[test]
+    fn one_edge_per_move_and_reached_sinks_match_the_report() {
+        // topo15 gives every switch at most one host, so no state has
+        // two moves into one sink there.
+        assert_eq!(check_one_edge_per_move(&topo15::build()), (11_136, 0));
+        // Switch A has two hosts: with A's other ports down, HP and AVP
+        // deflect into both, two edges into the wrong-edge sink.
+        let mut b = kar_topology::TopologyBuilder::new();
+        let (a, s, c) = (b.core("A", 5), b.core("B", 7), b.core("C", 11));
+        let hosts = [(b.edge("H0"), a), (b.edge("H1"), a), (b.edge("H2"), c)];
+        for (x, y) in [(a, s), (s, c), (a, c)].into_iter().chain(hosts) {
+            b.link(x, y, kar_topology::LinkParams::default());
+        }
+        let (graphs, shared) = check_one_edge_per_move(&b.build().unwrap());
+        assert!(graphs > 0 && shared > 0, "{graphs} graphs, {shared} shared");
     }
 
     /// The verifier's move relation must match the sampled dataplane: at
