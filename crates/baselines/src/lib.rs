@@ -8,9 +8,6 @@
 //! * **No deflection** — KAR's modulo dataplane that drops on failure
 //!   (the Fig. 4 reference; re-exported from `kar_simnet` as
 //!   [`ModuloForwarder`], or use `DeflectionTechnique::None`);
-//! * [`NotifyRerouteEdge`] — source routing whose only failure reaction
-//!   is a controller notification: everything in flight before the
-//!   switchover dies (the paper's "first approach");
 //! * [`FastFailover`] — a stateful per-destination primary/backup table
 //!   in every switch (OpenFlow 1.3 Fast Failover / MPLS FRR class);
 //! * [`SlickForwarder`] / [`SlickEdge`] — a Slick-Packets-style scheme:
@@ -31,7 +28,6 @@
 
 mod fast_failover;
 mod feature_matrix;
-mod notify;
 mod scheme;
 mod slick;
 mod splicing;
@@ -41,7 +37,6 @@ pub use feature_matrix::{
     check_fast_failover_state, check_kar_row, render_table2, table2_rows, CoreState, FeatureRow,
 };
 pub use kar_simnet::ModuloForwarder;
-pub use notify::NotifyRerouteEdge;
 pub use scheme::TableScheme;
 pub use slick::{SlickEdge, SlickEntry, SlickForwarder, SlickHeader};
 pub use splicing::PathSplicing;

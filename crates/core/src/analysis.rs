@@ -7,15 +7,17 @@
 //! failure's deflection candidates is covered by the protection paths
 //! (the 1/3–2/3 argument of §3.1 and the 1/5–2/5 argument of §3.2)?
 //!
-//! Both are asked of the verifier's move relation under NIP
-//! (`possible_moves` and `step` in [`crate::verify`]), not of a copy: a
-//! walk follows a packet while NIP leaves it exactly one move, and a
-//! failure's candidates are the moves of the deflecting switch's state —
-//! a host among them exactly when NIP would deflect into it.
+//! Both are queries on the verifier's state graph under NIP: one search
+//! of the move relation on a fresh [`crate::verify::Explorer`], rooted
+//! where the question starts. A walk follows the graph while a state
+//! has exactly one move, and a failure's candidates are the moves of the
+//! deflecting switch's state — a host among them exactly when NIP would
+//! deflect into it. All wrong edges share one sink there, so which host
+//! a move surfaces at is read off its port.
 
 use crate::deflect::DeflectionTechnique::Nip;
 use crate::route::EncodedRoute;
-use crate::verify::{possible_moves, residue_at, step, State, Terminal};
+use crate::verify::{Explorer, State, Terminal, ROOT};
 use kar_topology::{LinkId, NodeId, Topology};
 use std::collections::HashSet;
 
@@ -96,34 +98,29 @@ pub fn driven_walk_from(
     if topo.switch_id(from).is_none() {
         return DrivenOutcome::WrongEdge { at: from };
     }
-    let state = State::arrived(topo, from, entered, true);
-    walk(topo, route, dst, failed, state)
+    let root = State::arrived(topo, from, entered, true);
+    let graph = Explorer::searched(topo, &mut &*route, dst, Nip, failed, ((), root));
+    follow(&graph, topo, ROOT)
 }
 
-/// The walk behind [`driven_walk`], from `state`.
-fn walk(
-    topo: &Topology,
-    mut route: &EncodedRoute,
-    dst: NodeId,
-    failed: &HashSet<LinkId>,
-    mut state: State,
-) -> DrivenOutcome {
+/// The driven walk on a searched graph from its state local `from`:
+/// while a state has exactly one move, take it. A revisited state is a
+/// loop; a state with no move or several stops the walk.
+fn follow(graph: &Explorer<()>, topo: &Topology, from: u32) -> DrivenOutcome {
     let mut visited = HashSet::new();
-    let mut moves = Vec::new();
-    let mut hops = 0;
+    let (mut at, mut hops) = (from, 0);
     loop {
-        if !visited.insert(state) {
-            return DrivenOutcome::Loop { at: state.node };
+        let node = graph.node_of(at);
+        if !visited.insert(at) {
+            return DrivenOutcome::Loop { at: node };
         }
-        let computed = residue_at(topo, route, state.node);
-        let is_failed = |l| failed.contains(&l);
-        possible_moves(topo, computed, Nip, is_failed, state, &mut moves);
-        let [mv] = moves[..] else {
-            return DrivenOutcome::InvalidPort { at: state.node };
+        let mut moves = graph.moves_of(topo, at);
+        let (Some(mv), None) = (moves.next(), moves.next()) else {
+            return DrivenOutcome::InvalidPort { at: node };
         };
         hops += 1;
-        match step(topo, &mut route, dst, ((), state), mv) {
-            Ok(((), next)) => state = next,
+        match mv {
+            Ok(next) => at = next,
             Err(Terminal::Delivered) => return DrivenOutcome::Reached { hops },
             Err(Terminal::WrongEdge(at)) => return DrivenOutcome::WrongEdge { at },
         }
@@ -165,7 +162,9 @@ impl CoverageReport {
 /// that the packet reaches first; its candidates are NIP's moves from
 /// the state the packet arrives in there (from the previous primary
 /// node), and a candidate is driven when that move, then the
-/// [`driven_walk`] from where it lands, reaches `dst`.
+/// [`driven_walk`] from where it lands, reaches `dst`. One search,
+/// rooted at that state, answers both: the candidates are the root's
+/// moves in order, and each walk runs on the same graph.
 ///
 /// # Panics
 ///
@@ -191,17 +190,13 @@ pub fn failure_coverage(
         .expect("failed link must touch a primary-path switch");
     let deflecting = primary[pos];
     let entered = pos.checked_sub(1).map(|i| primary[i]);
-    let state = State::arrived(topo, deflecting, entered, false);
-    let failed: HashSet<LinkId> = [failed_link].into_iter().collect();
-    let computed = residue_at(topo, route, deflecting);
-    let mut moves = Vec::new();
-    possible_moves(topo, computed, Nip, |l| l == failed_link, state, &mut moves);
-    let mut candidates = Vec::new();
-    let mut driven = Vec::new();
-    let mut active = route;
-    for mv in moves {
-        let (peer, reached) = match step(topo, &mut active, dst, ((), state), mv) {
-            Ok(((), next)) => (next.node, walk(topo, route, dst, &failed, next).reached()),
+    let root = State::arrived(topo, deflecting, entered, false);
+    let failed = HashSet::from([failed_link]);
+    let graph = Explorer::searched(topo, &mut &*route, dst, Nip, &failed, ((), root));
+    let (mut candidates, mut driven) = (Vec::new(), Vec::new());
+    for mv in graph.moves_of(topo, ROOT) {
+        let (peer, reached) = match mv {
+            Ok(next) => (graph.node_of(next), follow(&graph, topo, next).reached()),
             Err(Terminal::Delivered) => (dst, true),
             Err(Terminal::WrongEdge(at)) => (at, false),
         };

@@ -68,6 +68,17 @@
 //! forward in discovery order skips the SCC pass (it is acyclic). The
 //! tables grow with the states reached, never with the node count.
 //!
+//! That BFS is the one traversal of the move relation. It starts from
+//! any `(route key, state)`: an exploration roots it at the switch past
+//! the source uplink, and every per-case query roots one fresh
+//! explorer's search where the query starts and then walks the graph.
+//! [`check_trajectory`] walks the subset of states consistent with each
+//! prefix of a traced path, and [`crate::analysis`]'s driven walks and
+//! coverage follow states with exactly one move. All wrong edges share
+//! one sink, so a query that needs the host reads it off the move's port
+//! (the state's filled step-cache slots, in a fresh explorer exactly its
+//! moves).
+//!
 //! One further pruning is *sound*: **disconnection is monotone**. Any
 //! superset of a set that physically disconnects `src` from `dst` also
 //! disconnects them, so supersets of known disconnecting sets skip the
@@ -169,8 +180,9 @@ pub(crate) enum Terminal {
 }
 
 /// Which route a packet carries after each hop — the move relation's
-/// one degree of freedom, shared by the explorer ([`verify_route`]) and
-/// the trajectory checker ([`check_trajectory`]). A flat route
+/// one degree of freedom, read by the explorer's search, whose graph
+/// both [`verify_route`] and the trajectory checker
+/// ([`check_trajectory`]) walk. A flat route
 /// (`&EncodedRoute`) is carried end to end; a partitioned one
 /// ([`crate::hier::Segmented`]) is replaced at boundary links.
 pub trait ActiveRoute {
@@ -265,7 +277,7 @@ pub struct VerifyReport {
 }
 
 /// The port the route's residue names at core switch `node` (Eq. 3).
-pub(crate) fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
+fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
     let switch_id = topo
         .switch_id(node)
         .expect("packets only take moves at core switches");
@@ -279,11 +291,12 @@ pub(crate) fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) ->
 /// AVP/NIP, input port excluded for NIP, unrestricted for hot-potato's
 /// random walk), in ascending port order.
 ///
-/// This is the one move generator: the explorer, the trajectory NFA,
-/// the sampled-forwarder test, [`crate::analysis`]'s driven walks and
-/// coverage, and the protection planner's deflection candidates all call
-/// it, each with its own representation of the failure set behind
-/// `is_failed`.
+/// This is the one move generator. The explorer's search calls it, and
+/// the trajectory checker and [`crate::analysis`]'s driven walks and
+/// coverage walk that search's graph; besides, only the sampled-forwarder
+/// test and the protection planner's deflection candidates (one hop, no
+/// `step`) call it, each with its own representation of the failure set
+/// behind `is_failed`.
 pub(crate) fn possible_moves(
     topo: &Topology,
     computed: PortIx,
@@ -347,7 +360,7 @@ pub(crate) fn possible_moves(
 /// Where the move `(port, deflected)` from `state` lands: a successor
 /// state with the route it then carries (a re-stamp is a fresh tag, so
 /// the deflected bit clears too) or the edge node it surfaces at.
-pub(crate) fn step<A: ActiveRoute>(
+fn step<A: ActiveRoute>(
     topo: &Topology,
     active: &mut A,
     dst: NodeId,
@@ -370,6 +383,20 @@ pub(crate) fn step<A: ActiveRoute>(
         deflected: deflected && restamp.is_none(),
     };
     Ok((restamp.unwrap_or(key), next))
+}
+
+/// The link the ingress edge `src` transmits into, and the state a
+/// packet enters the core in through it.
+fn entry<A: ActiveRoute>(topo: &Topology, active: &A, src: NodeId) -> (LinkId, State) {
+    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
+    let first = topo.link(uplink).peer_of(src);
+    let in_port = topo.link(uplink).port_on(first);
+    let state = State {
+        node: first,
+        in_port,
+        deflected: false,
+    };
+    (uplink, state)
 }
 
 /// Exhaustively classifies one route under one failure set.
@@ -466,6 +493,8 @@ const WRONG_EDGE: u32 = u32::MAX - 2;
 const DROPPED: u32 = u32::MAX - 3;
 /// The absorbing sinks of a [`StateGraph`], one per code above.
 const SINKS: usize = 3;
+/// The local index of a search's root: the first past the sinks.
+pub(crate) const ROOT: u32 = SINKS as u32;
 /// A state whose clean list is not recorded yet.
 const NO_LIST: u32 = u32::MAX;
 
@@ -800,8 +829,11 @@ impl StateGraph {
 ///
 /// An exploration is a BFS that fills one `StateGraph` over ids — a
 /// warm one reads arrays and makes no hash probe per move — and then
-/// classifies that graph. An epoch stamp per id gives each reached state
-/// its local index in discovery order, so the graph and everything read
+/// classifies that graph. The BFS is a search from any root; the
+/// crate's per-case queries (the trajectory checker, driven walks and
+/// coverage) each run it once on a fresh explorer and walk the graph.
+/// An epoch stamp per id gives each reached state its local index in
+/// discovery order, so the graph and everything read
 /// off it (the Tarjan input, the witnesses) are the same as a fresh
 /// explorer's; a switch's ports go into `relevant` once per exploration,
 /// also by stamp. When every edge between states goes forward in
@@ -888,25 +920,11 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         technique: DeflectionTechnique,
         failed: impl IntoIterator<Item = LinkId>,
     ) -> VerifyReport {
-        let Explorer {
-            table,
-            epoch,
-            failed: down,
-            relevant,
-            graph,
-            moves,
-        } = self;
-        down.reset(topo.link_count());
-        // A link id the topology does not have fails nothing.
-        failed
-            .into_iter()
-            .filter(|l| l.0 < topo.link_count())
-            .for_each(|l| down.insert(l));
-
+        self.fail(topo, failed);
         // The edge transmits blindly into its uplink; a failed uplink kills
         // every packet of the flow at hop zero.
-        let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
-        if down.contains(uplink) {
+        let (uplink, initial) = entry(topo, active, src);
+        if self.failed.contains(uplink) {
             return VerifyReport {
                 outcome: Outcome::Blackhole,
                 can_deliver: false,
@@ -919,17 +937,53 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                 relevant_links: vec![uplink],
             };
         }
-        let first = topo.link(uplink).peer_of(src);
         debug_assert!(
-            topo.switch_id(first).is_some(),
+            topo.switch_id(initial.node).is_some(),
             "uplink peer is a core switch"
         );
-        let initial = State {
-            node: first,
-            in_port: topo.link(uplink).port_on(first),
-            deflected: false,
-        };
+        self.search(topo, active, dst, technique, (active.ingress(), initial));
+        // The search consulted the ports of every switch it reached; the
+        // uplink's status was read above.
+        self.relevant.insert(uplink);
+        let table = &self.table;
+        let node = |id: u32| table.sites[table.states[id as usize].site as usize].node;
+        self.graph
+            .classify(src, self.relevant.to_sorted_vec(), node)
+    }
 
+    /// Makes `failed` the failure set the next search runs under.
+    fn fail(&mut self, topo: &Topology, failed: impl IntoIterator<Item = LinkId>) {
+        self.failed.reset(topo.link_count());
+        // A link id the topology does not have fails nothing.
+        failed
+            .into_iter()
+            .filter(|l| l.0 < topo.link_count())
+            .for_each(|l| self.failed.insert(l));
+    }
+
+    /// The one search of the move relation: a BFS from `root` under the
+    /// failure set last given to [`Explorer::fail`] that fills the state
+    /// graph, one edge per move and a predecessor per state and sink for
+    /// the witnesses, and puts into `relevant` every link it consults —
+    /// `possible_moves` reads the status of every port of the current
+    /// switch, and `step` follows a port of that same switch, so the full
+    /// port list of each reached switch covers every status read.
+    fn search<A: ActiveRoute<Key = K>>(
+        &mut self,
+        topo: &Topology,
+        active: &mut A,
+        dst: NodeId,
+        technique: DeflectionTechnique,
+        root: (K, State),
+    ) {
+        let Explorer {
+            table,
+            epoch,
+            failed: down,
+            relevant,
+            graph,
+            moves,
+        } = self;
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
             table.marks.iter_mut().for_each(|m| m.seen = 0);
@@ -937,22 +991,14 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             *epoch = 1;
         }
         let epoch = *epoch;
-
-        // Reachability sweep, recording one edge per move and a
-        // predecessor per state and sink for the witnesses. Everything the
-        // sweep consults goes into `relevant`: `possible_moves` reads the
-        // status of every port of the current switch, and `step` follows a
-        // port of that same switch — so the uplink plus the full port list
-        // of each reachable switch covers every status read.
         relevant.reset(topo.link_count());
-        relevant.insert(uplink);
-        // States interned before this exploration; only those record a
-        // clean list, so that a fresh exploration copies nothing.
+        // States interned before this search; only those record a clean
+        // list, so that a fresh search copies nothing.
         let known = table.states.len();
-        let root = table.intern(topo, active, (active.ingress(), initial));
+        let root = table.intern(topo, active, root);
         table.marks[root as usize] = Mark {
             seen: epoch,
-            local: SINKS as u32,
+            local: ROOT,
         };
         graph.order.clear();
         graph.order.extend([DELIVERED, WRONG_EDGE, DROPPED, root]);
@@ -1036,8 +1082,131 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             i += 1;
         }
         graph.succ_start.push(graph.succ.len() as u32);
-        let node = |id: u32| table.sites[table.states[id as usize].site as usize].node;
-        graph.classify(src, relevant.to_sorted_vec(), node)
+    }
+
+    /// A fresh explorer that has searched everything reachable from
+    /// `root` under `failed`: the graph a per-case query walks
+    /// ([`check_trajectory`], and [`crate::analysis`]'s driven walks and
+    /// coverage). Its root is local [`ROOT`].
+    pub(crate) fn searched<A: ActiveRoute<Key = K>>(
+        topo: &Topology,
+        active: &mut A,
+        dst: NodeId,
+        technique: DeflectionTechnique,
+        failed: &HashSet<LinkId>,
+        root: (K, State),
+    ) -> Self {
+        let mut explorer = Explorer::new();
+        explorer.fail(topo, failed.iter().copied());
+        explorer.search(topo, active, dst, technique, root);
+        explorer
+    }
+
+    /// The switch of state local `i` of the last search.
+    pub(crate) fn node_of(&self, i: u32) -> NodeId {
+        let id = self.graph.order[i as usize];
+        self.table.sites[self.table.states[id as usize].site as usize].node
+    }
+
+    /// The moves out of state local `i` of the last search, in move
+    /// order, read off its edges as `step` gave them: the local of the
+    /// state a move lands in, or the edge node it surfaces at. A state
+    /// whose switch must drop has none (its one edge is into the drop
+    /// sink).
+    ///
+    /// All wrong edges share one sink, so the host a move surfaces at is
+    /// the peer of the port it leaves by. In a fresh explorer's search
+    /// the state's filled step-cache slots are exactly its moves, and
+    /// moves are in ascending port order, so the k-th filled slot is the
+    /// k-th edge's port; debug builds assert that the slots' codes are
+    /// the edges'. A reused explorer's slots also hold other searches'
+    /// moves: only [`Explorer::searched`] graphs are read this way.
+    pub(crate) fn moves_of<'a>(
+        &'a self,
+        topo: &'a Topology,
+        i: u32,
+    ) -> impl Iterator<Item = Result<u32, Terminal>> + 'a {
+        let graph = &self.graph;
+        let at = self.table.states[graph.order[i as usize] as usize];
+        let node = self.table.sites[at.site as usize].node;
+        let ports = &topo.node(node).ports;
+        let slots = &self.table.hops[at.hops as usize..][..ports.len()];
+        let start = &graph.succ_start[i as usize..];
+        let edges = &graph.succ[start[0] as usize..start[1] as usize];
+        let taken = (0..).zip(slots).filter(|&(_, &code)| code != UNKNOWN);
+        let codes = edges.iter().map(|&j| graph.order[j as usize]);
+        debug_assert!(
+            codes.clone().eq(taken.clone().map(|(_, &code)| code))
+                || codes.eq([DROPPED]) && taken.clone().next().is_none(),
+            "a fresh search's filled slots are the state's moves"
+        );
+        taken
+            .zip(edges)
+            .map(move |((port, _), &to)| match graph.order[to as usize] {
+                DELIVERED => Err(Terminal::Delivered),
+                WRONG_EDGE => Err(Terminal::WrongEdge(
+                    topo.link(ports[port as usize]).peer_of(node),
+                )),
+                _ => Ok(to),
+            })
+    }
+
+    /// Whether `path[skip..]` is a trajectory of the last search from its
+    /// root, at `path[skip - 1]`, that ends the way `end` claims. The
+    /// deflected flag and input port are not in the path, so this walks
+    /// the subset of locals consistent with each prefix: a core hop
+    /// follows moves into states at that switch, an edge hop needs a move
+    /// that surfaces at that very edge, and a forced drop needs a state
+    /// with no move.
+    fn explains(
+        &self,
+        topo: &Topology,
+        dst: NodeId,
+        technique: DeflectionTechnique,
+        path: &[NodeId],
+        skip: usize,
+        end: TrajectoryEnd,
+    ) -> Result<(), String> {
+        let mut frontier = vec![ROOT];
+        let mut terminal = None;
+        for (i, &next) in path.iter().enumerate().skip(skip) {
+            if terminal.is_some() {
+                return Err(format!("path continues past an edge at hop {}", i - 1));
+            }
+            let mut reached = Vec::new();
+            for mv in frontier.iter().flat_map(|&j| self.moves_of(topo, j)) {
+                match mv {
+                    Ok(to) if self.node_of(to) == next && !reached.contains(&to) => {
+                        reached.push(to)
+                    }
+                    Err(t @ Terminal::Delivered) if next == dst => terminal = Some(t),
+                    Err(t @ Terminal::WrongEdge(at)) if next == at => terminal = Some(t),
+                    _ => {}
+                }
+            }
+            if reached.is_empty() && terminal.is_none() {
+                return Err(format!(
+                    "no move of {technique} explains hop {:?} -> {next:?} (index {i})",
+                    path[i - 1]
+                ));
+            }
+            frontier = reached;
+        }
+        let drops = |&j: &u32| self.moves_of(topo, j).next().is_none();
+        let explained = match end {
+            TrajectoryEnd::Delivered => terminal == Some(Terminal::Delivered),
+            TrajectoryEnd::WrongEdge => matches!(terminal, Some(Terminal::WrongEdge(_))),
+            TrajectoryEnd::ForcedDrop => frontier.iter().any(drops),
+            TrajectoryEnd::TtlExpired | TrajectoryEnd::Truncated => terminal.is_none(),
+        };
+        if explained {
+            Ok(())
+        } else {
+            Err(format!(
+                "no consistent state ends {end:?} where the path ends, at {:?}",
+                path.last()
+            ))
+        }
     }
 }
 
@@ -1660,10 +1829,11 @@ pub enum TrajectoryEnd {
 ///
 /// `path` is the node sequence as the simulator's tracer records it,
 /// starting at the ingress edge `src`. The deflected flag and input
-/// port are not in the trace, so the check runs the move relation as an
-/// NFA: it keeps every `(switch, in-port, deflected)` state consistent
-/// with the observed prefix and demands at least one of them explains
-/// each next hop — and, at the end, the claimed fate.
+/// port are not in the trace, so the check searches the move relation
+/// from the switch past the uplink on a fresh [`Explorer`] and walks its
+/// graph as an NFA: it keeps every `(switch, in-port, deflected)` state
+/// consistent with the observed prefix and demands at least one of them
+/// explains each next hop — and, at the end, the claimed fate.
 ///
 /// This is the bridge the differential tests stand on: any divergence
 /// between `KarForwarder` and [`verify_route`]'s `possible_moves`
@@ -1671,7 +1841,7 @@ pub enum TrajectoryEnd {
 #[allow(clippy::too_many_arguments)] // mirrors verify_route's surface plus the observed path
 pub fn check_trajectory<A: ActiveRoute>(
     topo: &Topology,
-    active: A,
+    mut active: A,
     src: NodeId,
     dst: NodeId,
     technique: DeflectionTechnique,
@@ -1682,47 +1852,36 @@ pub fn check_trajectory<A: ActiveRoute>(
     if path.first() != Some(&src) {
         return Err(format!("path must start at src {src:?}, got {path:?}"));
     }
-    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
-    if failed.contains(&uplink) {
-        // The edge transmits blindly into its dead uplink: the packet
-        // dies on hop zero, whatever the technique.
-        return if path.len() == 1
-            && matches!(end, TrajectoryEnd::ForcedDrop | TrajectoryEnd::Truncated)
-        {
+    let (uplink, root) = entry(topo, &active, src);
+    let dead = failed.contains(&uplink);
+    if dead || path.len() == 1 {
+        // The edge transmits blindly into a dead uplink: the packet dies
+        // on hop zero, whatever the technique.
+        let ends = end == TrajectoryEnd::Truncated || dead && end == TrajectoryEnd::ForcedDrop;
+        return if path.len() == 1 && ends {
             Ok(())
         } else {
             Err(format!(
-                "uplink is failed: expected a hop-zero drop, got {path:?} ending {end:?}"
+                "{path:?} cannot end {end:?} (uplink failed: {dead})"
             ))
         };
     }
-    if path.len() == 1 {
-        return if end == TrajectoryEnd::Truncated {
-            Ok(())
-        } else {
-            Err(format!("one-node path cannot end {end:?}"))
-        };
-    }
-    let first = topo.link(uplink).peer_of(src);
-    if path[1] != first {
+    if path[1] != root.node {
         return Err(format!(
-            "first hop must follow the uplink to {first:?}, got {:?}",
-            path[1]
+            "first hop must follow the uplink to {:?}, got {:?}",
+            root.node, path[1]
         ));
     }
-    let frontier = vec![State {
-        node: first,
-        in_port: topo.link(uplink).port_on(first),
-        deflected: false,
-    }];
-    walk_frontier(topo, active, dst, technique, failed, frontier, path, 2, end)
+    let root = (active.ingress(), root);
+    Explorer::searched(topo, &mut active, dst, technique, failed, root)
+        .explains(topo, dst, technique, path, 2, end)
 }
 
 /// Checks a traced path *suffix* beginning at a core switch against the
 /// move relation, from an explicit starting state.
 ///
 /// [`check_trajectory`] always enters the network through `route`'s
-/// ingress uplink; this variant instead seeds the NFA at `path[0]` (a
+/// ingress uplink; this variant instead roots the search at `path[0]` (a
 /// core switch) with the given input port and deflection flag. It
 /// exists for the Byzantine fixtures: a misforwarding switch pushes a
 /// packet out a port the honest algorithm never chose, and the claim to
@@ -1744,123 +1903,18 @@ pub fn check_trajectory_from(
     let Some(&start) = path.first() else {
         return Err("suffix path must contain its starting switch".into());
     };
-    if topo.switch_id(start).is_none() {
-        return Err(format!("suffix must start at a core switch, got {start:?}"));
-    }
-    if (in_port as usize) >= topo.node(start).ports.len() {
+    if topo.switch_id(start).is_none() || in_port as usize >= topo.node(start).ports.len() {
         return Err(format!(
-            "in_port {in_port} out of range at {start:?} ({} ports)",
-            topo.node(start).ports.len()
+            "suffix must start at a core switch's port, got {start:?}/{in_port}"
         ));
     }
-    let frontier = vec![State {
+    let root = State {
         node: start,
         in_port,
         deflected,
-    }];
-    walk_frontier(topo, route, dst, technique, failed, frontier, path, 1, end)
-}
-
-/// The shared NFA walk: advances `frontier` along `path[skip..]`,
-/// demanding every observed hop (and the claimed end) is explained by
-/// at least one consistent `(switch, in-port, deflected)` state.
-#[allow(clippy::too_many_arguments)]
-fn walk_frontier<A: ActiveRoute>(
-    topo: &Topology,
-    mut active: A,
-    dst: NodeId,
-    technique: DeflectionTechnique,
-    failed: &HashSet<LinkId>,
-    frontier: Vec<State>,
-    path: &[NodeId],
-    skip: usize,
-    end: TrajectoryEnd,
-) -> Result<(), String> {
-    let mut frontier: Vec<_> = frontier.iter().map(|&s| (active.ingress(), s)).collect();
-    let mut terminal: Option<Terminal> = None;
-    let is_failed = |l| failed.contains(&l);
-    let mut moves = Vec::new();
-    for (i, &next) in path.iter().enumerate().skip(skip) {
-        if terminal.is_some() {
-            return Err(format!("path continues past an edge at hop {}", i - 1));
-        }
-        let next_is_core = topo.switch_id(next).is_some();
-        let mut new_frontier: Vec<(A::Key, State)> = Vec::new();
-        let mut reached_terminal = None;
-        for &(key, s) in &frontier {
-            let computed = residue_at(topo, active.route(key), s.node);
-            possible_moves(topo, computed, technique, is_failed, s, &mut moves);
-            for &mv in &moves {
-                match step(topo, &mut active, dst, (key, s), mv) {
-                    Ok(ns) => {
-                        if next_is_core && ns.1.node == next && !new_frontier.contains(&ns) {
-                            new_frontier.push(ns);
-                        }
-                    }
-                    Err(t) => {
-                        let lands = match t {
-                            Terminal::Delivered => dst,
-                            Terminal::WrongEdge(e) => e,
-                        };
-                        if !next_is_core && lands == next {
-                            reached_terminal = Some(t);
-                        }
-                    }
-                }
-            }
-        }
-        if next_is_core {
-            if new_frontier.is_empty() {
-                return Err(format!(
-                    "no move of {technique} explains hop {:?} -> {next:?} (index {i})",
-                    path[i - 1]
-                ));
-            }
-            frontier = new_frontier;
-        } else {
-            let Some(t) = reached_terminal else {
-                return Err(format!(
-                    "no move of {technique} surfaces at edge {next:?} (index {i})"
-                ));
-            };
-            terminal = Some(t);
-        }
-    }
-    match end {
-        TrajectoryEnd::Delivered => match terminal {
-            Some(Terminal::Delivered) => Ok(()),
-            _ => Err(format!("claimed delivered, path ends {:?}", path.last())),
-        },
-        TrajectoryEnd::WrongEdge => match terminal {
-            Some(Terminal::WrongEdge(_)) => Ok(()),
-            _ => Err(format!("claimed wrong-edge, path ends {:?}", path.last())),
-        },
-        TrajectoryEnd::ForcedDrop => {
-            if terminal.is_some() {
-                return Err("claimed a forced drop but the path ends at an edge".into());
-            }
-            let must_drop = |&(key, s): &(A::Key, State)| {
-                let computed = residue_at(topo, active.route(key), s.node);
-                possible_moves(topo, computed, technique, is_failed, s, &mut moves);
-                moves.is_empty()
-            };
-            if frontier.iter().any(must_drop) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "claimed a forced drop at {:?} but every consistent state can move",
-                    path.last()
-                ))
-            }
-        }
-        TrajectoryEnd::TtlExpired | TrajectoryEnd::Truncated => {
-            if terminal.is_some() {
-                Err(format!("claimed {end:?} but the path ends at an edge"))
-            } else {
-                Ok(())
-            }
-        }
-    }
+    };
+    Explorer::searched(topo, &mut &*route, dst, technique, failed, ((), root))
+        .explains(topo, dst, technique, path, 1, end)
 }
 
 /// Aggregate view of a sweep.
@@ -2075,14 +2129,61 @@ mod tests {
         assert_eq!(check_one_edge_per_move(&topo15::build()), (11_136, 0));
         // Switch A has two hosts: with A's other ports down, HP and AVP
         // deflect into both, two edges into the wrong-edge sink.
+        let (graphs, shared) = check_one_edge_per_move(&two_host_triangle(&[]));
+        assert!(graphs > 0 && shared > 0, "{graphs} graphs, {shared} shared");
+    }
+
+    /// Three switches A, B and C (ids 5, 7, 11) in a triangle, A with
+    /// two hosts H0 and H1, C with H2, and B with the hosts `on_b` names.
+    fn two_host_triangle(on_b: &[&str]) -> Topology {
         let mut b = kar_topology::TopologyBuilder::new();
         let (a, s, c) = (b.core("A", 5), b.core("B", 7), b.core("C", 11));
-        let hosts = [(b.edge("H0"), a), (b.edge("H1"), a), (b.edge("H2"), c)];
+        let mut hosts = vec![(b.edge("H0"), a), (b.edge("H1"), a), (b.edge("H2"), c)];
+        for name in on_b {
+            hosts.push((b.edge(name), s));
+        }
         for (x, y) in [(a, s), (s, c), (a, c)].into_iter().chain(hosts) {
             b.link(x, y, kar_topology::LinkParams::default());
         }
-        let (graphs, shared) = check_one_edge_per_move(&b.build().unwrap());
-        assert!(graphs > 0 && shared > 0, "{graphs} graphs, {shared} shared");
+        b.build().unwrap()
+    }
+
+    /// Every wrong edge goes into one sink of the state graph, so which
+    /// host a packet surfaces at is read off the move's port. A's two
+    /// hosts must stay apart in the trajectory check, the driven walk and
+    /// coverage.
+    #[test]
+    fn a_wrong_edge_names_the_host_the_move_reaches() {
+        use crate::analysis::{driven_walk_from, failure_coverage, DrivenOutcome};
+        use DeflectionTechnique::Nip;
+        let topo = two_host_triangle(&["H3"]);
+        let [a, b, c] = ["A", "B", "C"].map(|name| topo.expect(name));
+        let [h0, h1, h2, h3] = ["H0", "H1", "H2", "H3"].map(|name| topo.expect(name));
+        // With both of A's core links down, NIP can only deflect a
+        // packet from one of A's hosts into the other.
+        let cut: HashSet<LinkId> = [topo.expect_link("A", "B"), topo.expect_link("A", "C")]
+            .into_iter()
+            .collect();
+        for (src, other) in [(h0, h1), (h1, h0)] {
+            let spec = RouteSpec::unprotected(vec![src, a, c, h2]);
+            let route = EncodedRoute::encode(&topo, &spec).unwrap();
+            let check = |path: &[NodeId]| {
+                let end = TrajectoryEnd::WrongEdge;
+                check_trajectory(&topo, &route, src, h2, Nip, &cut, path, end)
+            };
+            check(&[src, a, other]).unwrap();
+            assert!(check(&[src, a, src]).is_err(), "{src:?} is the input");
+            let walk = driven_walk_from(&topo, &route, a, Some(src), h2, &cut);
+            assert_eq!(walk, DrivenOutcome::WrongEdge { at: other });
+        }
+        // Entered from B with A–C down, A has no core port left: NIP's
+        // candidates are both its hosts, in port order.
+        let primary = vec![h3, b, a, c, h2];
+        let route = EncodedRoute::encode(&topo, &RouteSpec::unprotected(primary.clone())).unwrap();
+        let cov = failure_coverage(&topo, &route, &primary, topo.expect_link("A", "C"), h2);
+        assert_eq!(cov.deflecting_switch, a);
+        assert_eq!(cov.candidates, vec![h0, h1]);
+        assert!(cov.driven.is_empty());
     }
 
     /// The verifier's move relation must match the sampled dataplane: at

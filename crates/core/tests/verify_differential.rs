@@ -37,35 +37,47 @@
 //! primary core-link failure of topo15, rnp28, ring/8 and the 3 × 3
 //! grid, full coverage is `Delivered`, no candidate is a `Blackhole`,
 //! and a driven walk's end is an end the report can reach.
+//!
+//! `check_trajectory` and `check_trajectory_from` search the relation
+//! once and walk the explorer's graph. [`reference_check_trajectory`]
+//! and [`reference_check_trajectory_from`] are the NFA they replaced,
+//! kept verbatim but on the [`reference`] move relation: on every pair
+//! of topo15, rnp28 and a two-host triangle, every technique and every
+//! failure set of at most one link, both must accept or both reject
+//! each simulated journey, each of its one-hop mutations, and each of
+//! its suffixes from a core switch.
 
 use kar::analysis::{driven_walk_from, failure_coverage, DrivenOutcome};
 use kar::protection::encode_with_protection;
 use kar::verify::{
-    min_failure_set, verify_failure_sets, ActiveRoute, Explorer, KSweep, Outcome, VerifyReport,
+    check_trajectory, check_trajectory_from, min_failure_set, verify_failure_sets, ActiveRoute,
+    Explorer, KSweep, Outcome, TrajectoryEnd, VerifyReport,
 };
 use kar::{
-    verify_hier_route, verify_route, DeflectionTechnique, EncodedRoute, EncodingCache, Planner,
-    Protection, Segmented, SweepStats,
+    verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, EncodedRoute,
+    EncodingCache, KarNetwork, Planner, Protection, ReroutePolicy, Segmented, SweepStats,
 };
 use kar_rns::IdStrategy;
-use kar_topology::{gen, paths, rnp28, topo15, LinkId, LinkParams, NodeId, Partition, Topology};
+use kar_simnet::{DropReason, FlowId, PacketFate, PacketKind, SimTime};
+use kar_topology::{
+    gen, paths, rnp28, topo15, LinkId, LinkParams, NodeId, Partition, PortIx, Topology,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 mod reference {
     use super::*;
-    use kar_topology::PortIx;
     use std::collections::VecDeque;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    struct State {
-        node: NodeId,
-        in_port: PortIx,
-        deflected: bool,
+    pub(super) struct State {
+        pub(super) node: NodeId,
+        pub(super) in_port: PortIx,
+        pub(super) deflected: bool,
     }
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Terminal {
+    pub(super) enum Terminal {
         Delivered,
         WrongEdge(NodeId),
         Drop,
@@ -75,7 +87,7 @@ mod reference {
     /// [`crate::KarForwarder`]: residue first, then the deflection candidate
     /// set (core-facing ports preferred for AVP/NIP, input port excluded for
     /// NIP, unrestricted for hot-potato's random walk).
-    fn possible_moves(
+    pub(super) fn possible_moves(
         topo: &Topology,
         route: &EncodedRoute,
         technique: DeflectionTechnique,
@@ -162,7 +174,7 @@ mod reference {
     /// Where the move `(port, deflected)` from `state` lands: a successor
     /// state with the route it then carries (a re-stamp is a fresh tag, so
     /// the deflected bit clears too) or a terminal (an edge node).
-    fn step<A: ActiveRoute>(
+    pub(super) fn step<A: ActiveRoute>(
         topo: &Topology,
         active: &mut A,
         dst: NodeId,
@@ -615,6 +627,195 @@ mod serial {
             }
         }
         Ok(KSweep { results, stats })
+    }
+}
+
+/// `check_trajectory` as it was before it walked the explorer's graph,
+/// kept as the oracle: an NFA over the [`reference`] move relation that
+/// keeps every `(route key, state)` consistent with the observed prefix
+/// and demands at least one of them explains each next hop — and, at the
+/// end, the claimed fate.
+#[allow(clippy::too_many_arguments)]
+fn reference_check_trajectory<A: ActiveRoute>(
+    topo: &Topology,
+    active: A,
+    src: NodeId,
+    dst: NodeId,
+    technique: DeflectionTechnique,
+    failed: &HashSet<LinkId>,
+    path: &[NodeId],
+    end: TrajectoryEnd,
+) -> Result<(), String> {
+    if path.first() != Some(&src) {
+        return Err(format!("path must start at src {src:?}, got {path:?}"));
+    }
+    let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
+    if failed.contains(&uplink) {
+        // The edge transmits blindly into its dead uplink: the packet
+        // dies on hop zero, whatever the technique.
+        return if path.len() == 1
+            && matches!(end, TrajectoryEnd::ForcedDrop | TrajectoryEnd::Truncated)
+        {
+            Ok(())
+        } else {
+            Err(format!(
+                "uplink is failed: expected a hop-zero drop, got {path:?} ending {end:?}"
+            ))
+        };
+    }
+    if path.len() == 1 {
+        return if end == TrajectoryEnd::Truncated {
+            Ok(())
+        } else {
+            Err(format!("one-node path cannot end {end:?}"))
+        };
+    }
+    let first = topo.link(uplink).peer_of(src);
+    if path[1] != first {
+        return Err(format!(
+            "first hop must follow the uplink to {first:?}, got {:?}",
+            path[1]
+        ));
+    }
+    let frontier = vec![reference::State {
+        node: first,
+        in_port: topo.link(uplink).port_on(first),
+        deflected: false,
+    }];
+    reference_walk_frontier(topo, active, dst, technique, failed, frontier, path, 2, end)
+}
+
+/// `check_trajectory_from` as it was before it walked the explorer's
+/// graph: the same NFA, seeded at `path[0]` with the given input port and
+/// deflection flag.
+#[allow(clippy::too_many_arguments)]
+fn reference_check_trajectory_from(
+    topo: &Topology,
+    route: &EncodedRoute,
+    dst: NodeId,
+    technique: DeflectionTechnique,
+    failed: &HashSet<LinkId>,
+    in_port: PortIx,
+    deflected: bool,
+    path: &[NodeId],
+    end: TrajectoryEnd,
+) -> Result<(), String> {
+    let Some(&start) = path.first() else {
+        return Err("suffix path must contain its starting switch".into());
+    };
+    if topo.switch_id(start).is_none() {
+        return Err(format!("suffix must start at a core switch, got {start:?}"));
+    }
+    if (in_port as usize) >= topo.node(start).ports.len() {
+        return Err(format!(
+            "in_port {in_port} out of range at {start:?} ({} ports)",
+            topo.node(start).ports.len()
+        ));
+    }
+    let frontier = vec![reference::State {
+        node: start,
+        in_port,
+        deflected,
+    }];
+    reference_walk_frontier(topo, route, dst, technique, failed, frontier, path, 1, end)
+}
+
+/// The shared NFA walk: advances `frontier` along `path[skip..]`,
+/// demanding every observed hop (and the claimed end) is explained by
+/// at least one consistent `(switch, in-port, deflected)` state.
+#[allow(clippy::too_many_arguments)]
+fn reference_walk_frontier<A: ActiveRoute>(
+    topo: &Topology,
+    mut active: A,
+    dst: NodeId,
+    technique: DeflectionTechnique,
+    failed: &HashSet<LinkId>,
+    frontier: Vec<reference::State>,
+    path: &[NodeId],
+    skip: usize,
+    end: TrajectoryEnd,
+) -> Result<(), String> {
+    use reference::{possible_moves, step, State, Terminal};
+    let mut frontier: Vec<_> = frontier.iter().map(|&s| (active.ingress(), s)).collect();
+    let mut terminal: Option<Terminal> = None;
+    for (i, &next) in path.iter().enumerate().skip(skip) {
+        if terminal.is_some() {
+            return Err(format!("path continues past an edge at hop {}", i - 1));
+        }
+        let next_is_core = topo.switch_id(next).is_some();
+        let mut new_frontier: Vec<(A::Key, State)> = Vec::new();
+        let mut reached_terminal = None;
+        for &(key, s) in &frontier {
+            let moves = possible_moves(topo, active.route(key), technique, failed, s);
+            for mv in moves.unwrap_or_default() {
+                match step(topo, &mut active, dst, (key, s), mv) {
+                    Ok(ns) => {
+                        if next_is_core && ns.1.node == next && !new_frontier.contains(&ns) {
+                            new_frontier.push(ns);
+                        }
+                    }
+                    Err(t) => {
+                        let lands = match t {
+                            Terminal::Delivered => dst,
+                            Terminal::WrongEdge(e) => e,
+                            Terminal::Drop => unreachable!("step never drops"),
+                        };
+                        if !next_is_core && lands == next {
+                            reached_terminal = Some(t);
+                        }
+                    }
+                }
+            }
+        }
+        if next_is_core {
+            if new_frontier.is_empty() {
+                return Err(format!(
+                    "no move of {technique} explains hop {:?} -> {next:?} (index {i})",
+                    path[i - 1]
+                ));
+            }
+            frontier = new_frontier;
+        } else {
+            let Some(t) = reached_terminal else {
+                return Err(format!(
+                    "no move of {technique} surfaces at edge {next:?} (index {i})"
+                ));
+            };
+            terminal = Some(t);
+        }
+    }
+    match end {
+        TrajectoryEnd::Delivered => match terminal {
+            Some(Terminal::Delivered) => Ok(()),
+            _ => Err(format!("claimed delivered, path ends {:?}", path.last())),
+        },
+        TrajectoryEnd::WrongEdge => match terminal {
+            Some(Terminal::WrongEdge(_)) => Ok(()),
+            _ => Err(format!("claimed wrong-edge, path ends {:?}", path.last())),
+        },
+        TrajectoryEnd::ForcedDrop => {
+            if terminal.is_some() {
+                return Err("claimed a forced drop but the path ends at an edge".into());
+            }
+            let must_drop = |&(key, s): &(A::Key, State)| {
+                possible_moves(topo, active.route(key), technique, failed, s).is_err()
+            };
+            if frontier.iter().any(must_drop) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "claimed a forced drop at {:?} but every consistent state can move",
+                    path.last()
+                ))
+            }
+        }
+        TrajectoryEnd::TtlExpired | TrajectoryEnd::Truncated => {
+            if terminal.is_some() {
+                Err(format!("claimed {end:?} but the path ends at an edge"))
+            } else {
+                Ok(())
+            }
+        }
     }
 }
 
@@ -1195,4 +1396,215 @@ fn analysis_agrees_with_the_verifier_on_single_failures() {
     ] {
         assert_eq!(coverage_against_the_verifier(&topo), want, "{name}");
     }
+}
+
+/// How the simulator's record of a packet's fate reads as a claimed end.
+fn fate_to_end(fate: &PacketFate) -> TrajectoryEnd {
+    match fate {
+        PacketFate::Delivered => TrajectoryEnd::Delivered,
+        PacketFate::Dropped(DropReason::Misdelivery) => TrajectoryEnd::WrongEdge,
+        PacketFate::Dropped(
+            DropReason::PortDown | DropReason::NoRoute | DropReason::ResidueOutOfRange,
+        ) => TrajectoryEnd::ForcedDrop,
+        PacketFate::Dropped(DropReason::TtlExpired) => TrajectoryEnd::TtlExpired,
+        PacketFate::Dropped(_) | PacketFate::InFlight | PacketFate::TruncatedAtSimEnd => {
+            TrajectoryEnd::Truncated
+        }
+    }
+}
+
+/// The route the network encodes for `src → dst` under full protection,
+/// and the distinct journeys its simulator records for a few probes
+/// under `failed` (links down from time zero; a misdelivered packet ends
+/// at the wrong edge).
+fn simulated_traces(
+    topo: &Topology,
+    technique: DeflectionTechnique,
+    (src, dst): (NodeId, NodeId),
+    failed: &[LinkId],
+) -> (EncodedRoute, Vec<(Vec<NodeId>, TrajectoryEnd)>) {
+    let mut net = KarNetwork::builder(topo, technique)
+        .seed(src.0 as u64 * 1_000 + dst.0 as u64)
+        .ttl(64)
+        .tracing()
+        .reroute(ReroutePolicy::Drop)
+        .build();
+    let request = EncodeRequest::new(src, dst).with_protection(Protection::AutoFull);
+    let route = net.encode(&request).expect("routes encode").route;
+    let mut sim = net.into_sim();
+    for &l in failed {
+        sim.schedule_link_down(SimTime::ZERO, l);
+    }
+    for i in 0..4 {
+        sim.run_until(SimTime(i * 500_000));
+        sim.inject(src, dst, FlowId(0), i, PacketKind::Probe, 500);
+    }
+    sim.run_to_quiescence();
+    let mut traces = Vec::new();
+    for (_, trace) in sim.trace().iter() {
+        let journey = (trace.path.clone(), fate_to_end(&trace.fate));
+        if !traces.contains(&journey) {
+            traces.push(journey);
+        }
+    }
+    (route, traces)
+}
+
+/// The end a path that stops at `last` claims when nothing else is known:
+/// delivered or wrong edge at an edge node, truncated at a switch.
+fn implied_end(topo: &Topology, dst: NodeId, last: NodeId) -> TrajectoryEnd {
+    if topo.switch_id(last).is_some() {
+        TrajectoryEnd::Truncated
+    } else if last == dst {
+        TrajectoryEnd::Delivered
+    } else {
+        TrajectoryEnd::WrongEdge
+    }
+}
+
+/// A recorded journey and its one-hop mutations: every other claimed
+/// end; each hop swapped for another neighbour of the node before it —
+/// once keeping the rest of the path and its end, once cut right after
+/// the swapped hop with the end that hop implies; and, for a journey
+/// that surfaces at an edge, every other edge of the topology in its
+/// place (on topologies with one host per switch this is the only
+/// mutation that names a host the last switch could not reach).
+fn mutations(
+    topo: &Topology,
+    dst: NodeId,
+    (path, end): (Vec<NodeId>, TrajectoryEnd),
+) -> Vec<(Vec<NodeId>, TrajectoryEnd)> {
+    const ENDS: [TrajectoryEnd; 5] = [
+        TrajectoryEnd::Delivered,
+        TrajectoryEnd::WrongEdge,
+        TrajectoryEnd::ForcedDrop,
+        TrajectoryEnd::TtlExpired,
+        TrajectoryEnd::Truncated,
+    ];
+    let mut out: Vec<_> = ENDS.iter().map(|&e| (path.clone(), e)).collect();
+    for j in 1..path.len() {
+        for (_, _, peer) in topo.neighbors(path[j - 1]) {
+            if peer == path[j] {
+                continue;
+            }
+            let mut swapped = path.clone();
+            swapped[j] = peer;
+            out.push((swapped, end));
+            let cut = [&path[..j], &[peer]].concat();
+            out.push((cut, implied_end(topo, dst, peer)));
+        }
+    }
+    if let [rest @ .., last] = &path[..] {
+        if !rest.is_empty() && topo.switch_id(*last).is_none() {
+            for other in topo.edge_nodes().into_iter().filter(|e| e != last) {
+                let moved = [rest, &[other]].concat();
+                out.push((moved, implied_end(topo, dst, other)));
+            }
+        }
+    }
+    out
+}
+
+/// Compares `check_trajectory` with the pre-graph NFA on every pair of
+/// `topo`, every technique and every failure set of at most one link:
+/// each simulated journey and each of its [`mutations`], and
+/// `check_trajectory_from` on every suffix of a journey that starts at a
+/// core switch, with either deflected bit. Both must accept or both
+/// reject. Returns the checks compared and how many were accepted.
+fn trajectory_checks_against_the_nfa(topo: &Topology) -> (usize, usize) {
+    let (mut checks, mut accepted) = (0, 0);
+    let mut tally = |got: &Result<(), String>| {
+        checks += 1;
+        accepted += usize::from(got.is_ok());
+    };
+    let edges = topo.edge_nodes();
+    let sets: Vec<Vec<LinkId>> = (0..=1)
+        .flat_map(|k| sets_of(topo.link_count(), k))
+        .collect();
+    for &src in &edges {
+        for &dst in edges.iter().filter(|&&d| d != src) {
+            for technique in DeflectionTechnique::ALL {
+                for failed in &sets {
+                    let (route, traces) = simulated_traces(topo, technique, (src, dst), failed);
+                    let set: HashSet<LinkId> = failed.iter().copied().collect();
+                    let case = format!("{technique} {src}->{dst} {failed:?}");
+                    for journey in &traces {
+                        for (path, end) in mutations(topo, dst, journey.clone()) {
+                            let got = check_trajectory(
+                                topo, &route, src, dst, technique, &set, &path, end,
+                            );
+                            let want = reference_check_trajectory(
+                                topo, &route, src, dst, technique, &set, &path, end,
+                            );
+                            assert_eq!(
+                                got.is_ok(),
+                                want.is_ok(),
+                                "{case} {path:?} {end:?}: {got:?} vs the NFA's {want:?}"
+                            );
+                            tally(&got);
+                        }
+                        let (path, end) = journey;
+                        for j in (1..path.len()).filter(|&j| topo.switch_id(path[j]).is_some()) {
+                            let in_port =
+                                topo.port_towards(path[j], path[j - 1]).expect("adjacent");
+                            for deflected in [false, true] {
+                                let suffix = &path[j..];
+                                let got = check_trajectory_from(
+                                    topo, &route, dst, technique, &set, in_port, deflected, suffix,
+                                    *end,
+                                );
+                                let want = reference_check_trajectory_from(
+                                    topo, &route, dst, technique, &set, in_port, deflected, suffix,
+                                    *end,
+                                );
+                                assert_eq!(
+                                    got.is_ok(),
+                                    want.is_ok(),
+                                    "{case} {suffix:?} from port {in_port}, deflected \
+                                     {deflected}: {got:?} vs the NFA's {want:?}"
+                                );
+                                tally(&got);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (checks, accepted)
+}
+
+#[test]
+fn trajectory_checks_equal_the_nfa_on_topo15() {
+    assert_eq!(
+        trajectory_checks_against_the_nfa(&topo15::build()),
+        (54_704, 23_784)
+    );
+}
+
+/// The triangle A–B–C (switch ids 5, 7, 11) with two hosts on A and
+/// one on each of B and C: the only input here where one switch can
+/// surface a packet at two different hosts, so the only one that tells
+/// the hosts of the shared wrong-edge sink apart.
+#[test]
+fn trajectory_checks_equal_the_nfa_on_a_two_host_triangle() {
+    let mut b = kar_topology::TopologyBuilder::new();
+    let (a, s, c) = (b.core("A", 5), b.core("B", 7), b.core("C", 11));
+    let hosts = [("H0", a), ("H1", a), ("H2", c), ("H3", s)].map(|(name, at)| (b.edge(name), at));
+    for (x, y) in [(a, s), (s, c), (a, c)].into_iter().chain(hosts) {
+        b.link(x, y, LinkParams::default());
+    }
+    assert_eq!(
+        trajectory_checks_against_the_nfa(&b.build().unwrap()),
+        (35_328, 13_689)
+    );
+}
+
+#[test]
+#[ignore = "186 k trajectory checks on rnp28 through the slow NFA: run in release"]
+fn trajectory_checks_equal_the_nfa_on_rnp28() {
+    assert_eq!(
+        trajectory_checks_against_the_nfa(&rnp28::build()),
+        (186_277, 70_399)
+    );
 }

@@ -53,11 +53,6 @@ impl IntervalMeter {
         self.last_event
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> SimTime {
-        self.bin
-    }
-
     /// Goodput of each bin in Mbit/s, padded with zeros up to `until`.
     pub fn series_mbps(&self, until: SimTime) -> Vec<f64> {
         let n = (until.as_nanos() / self.bin.as_nanos()) as usize;

@@ -22,9 +22,7 @@
 use crate::meter::SharedMeter;
 use kar_simnet::{App, FlowId, HostCtx, Packet, PacketKind, SimTime};
 use kar_topology::NodeId;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Congestion-control algorithm for the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,8 +117,6 @@ pub struct RenoSender {
     reorder_est: u32,
     /// Counters for assertions and experiment output.
     stats: SenderStats,
-    /// Optional mirror of `stats` readable from outside the simulation.
-    shared: Option<Rc<RefCell<SenderStats>>>,
     /// Pre-reduction state for DSACK undo: `(cwnd, ssthresh, expiry)` —
     /// a DSACK arriving after the expiry refers to some older duplicate
     /// and must not restore the window.
@@ -148,10 +144,6 @@ pub struct SenderStats {
     pub undos: u64,
     /// Highest cumulatively acknowledged byte.
     pub acked_bytes: u64,
-    /// Congestion window at the last snapshot, in bytes.
-    pub cwnd_bytes: u64,
-    /// Duplicate-ACK threshold in force at the last snapshot.
-    pub dupack_threshold: u32,
 }
 
 impl RenoSender {
@@ -175,27 +167,10 @@ impl RenoSender {
             reorder_est: 0,
             cfg,
             stats: SenderStats::default(),
-            shared: None,
             undo: None,
             recovery_dsack: false,
             cubic_wmax: 0.0,
             cubic_epoch: None,
-        }
-    }
-
-    /// Mirrors the sender's counters into a shared cell that remains
-    /// readable after the sender moves into the simulation.
-    pub fn with_shared_stats(mut self, cell: Rc<RefCell<SenderStats>>) -> Self {
-        self.shared = Some(cell);
-        self
-    }
-
-    fn publish(&mut self) {
-        if let Some(cell) = &self.shared {
-            let mut snap = self.stats;
-            snap.cwnd_bytes = self.cwnd as u64;
-            snap.dupack_threshold = self.dupack_threshold();
-            *cell.borrow_mut() = snap;
         }
     }
 
@@ -446,7 +421,6 @@ impl App for RenoSender {
                 }
             }
             self.on_ack(ctx, ack);
-            self.publish();
         }
     }
 
@@ -474,7 +448,6 @@ impl App for RenoSender {
         self.timed = None;
         self.send_segment(ctx, self.snd_una, true);
         self.arm_rto(ctx);
-        self.publish();
     }
 }
 
