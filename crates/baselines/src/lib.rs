@@ -6,8 +6,8 @@
 //! needs:
 //!
 //! * **No deflection** — KAR's modulo dataplane that drops on failure
-//!   (the Fig. 4 reference; re-exported from `kar_simnet` as
-//!   [`ModuloForwarder`], or use `DeflectionTechnique::None`);
+//!   (the Fig. 4 reference): `kar::DeflectionTechnique::None`, which
+//!   every experiment runs;
 //! * [`FastFailover`] — a stateful per-destination primary/backup table
 //!   in every switch (OpenFlow 1.3 Fast Failover / MPLS FRR class);
 //! * [`SlickForwarder`] / [`SlickEdge`] — a Slick-Packets-style scheme:
@@ -36,7 +36,6 @@ pub use fast_failover::{FailoverEntry, FastFailover, TableEdge};
 pub use feature_matrix::{
     check_fast_failover_state, check_kar_row, render_table2, table2_rows, CoreState, FeatureRow,
 };
-pub use kar_simnet::ModuloForwarder;
 pub use scheme::TableScheme;
 pub use slick::{SlickEdge, SlickEntry, SlickForwarder, SlickHeader};
 pub use splicing::PathSplicing;

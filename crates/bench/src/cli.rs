@@ -11,6 +11,8 @@
 //!
 //! Of the common flags only `--seed` changes a result: jobs and
 //! checkpoints schedule work, metrics and traces are pure observation.
+//! `kar-bench inspect` ([`crate::inspect`]) is an entry like the others
+//! but simulates nothing, so it takes none of them.
 
 use crate::experiments::REGISTRY;
 use crate::{obs, runner, sweep};
@@ -66,6 +68,10 @@ pub struct Experiment {
     /// Whether the entry runs on [`crate::sweep`] and so takes
     /// `--checkpoint` and `--out`.
     pub sweep: bool,
+    /// Whether the entry simulates and so takes the common flags
+    /// (`--jobs`, `--seed`, `--metrics`, `--trace`, `--events-cap`);
+    /// `inspect`, which reads a finished run's dump, does not.
+    pub simulates: bool,
     /// The entry's own flags.
     pub flags: &'static [Flag],
     /// The experiment; the flags are already validated.
@@ -76,7 +82,8 @@ pub struct Experiment {
 /// [`Args::wants_topo`]).
 pub const TOPO: Flag = flag("--topo", "both", "topo15|rnp28|both");
 
-/// Flags every entry takes (`--seed`'s default is the entry's).
+/// Flags every simulating entry takes (`--seed`'s default is the
+/// entry's).
 const COMMON: [Flag; 5] = [
     flag("--jobs", "0", "worker threads (0 = every core)"),
     flag("--seed", "0", "base RNG seed"),
@@ -104,6 +111,7 @@ impl Experiment {
             about,
             seed: 1,
             sweep: false,
+            simulates: true,
             flags,
             run,
         }
@@ -121,14 +129,21 @@ impl Experiment {
         self
     }
 
+    /// The entry as a reader of finished runs: no common flags.
+    pub const fn reader(mut self) -> Experiment {
+        self.simulates = false;
+        self
+    }
+
     /// Every flag the entry accepts with its default, common ones first.
     fn declared(&self) -> Vec<(&'static Flag, String)> {
+        let common: &[Flag] = if self.simulates { &COMMON } else { &[] };
         let sweep: &[Flag] = if self.sweep { &SWEEP } else { &[] };
         let default = |f: &Flag| match f.name {
             "--seed" => self.seed.to_string(),
             _ => f.default.to_string(),
         };
-        let flags = COMMON.iter().chain(sweep).chain(self.flags);
+        let flags = common.iter().chain(sweep).chain(self.flags);
         flags.map(|f| (f, default(f))).collect()
     }
 
@@ -276,6 +291,9 @@ pub fn main(argv: &[String]) -> ExitCode {
         Ok(args) => args,
         Err(why) => return refuse(&format!("{name}: {why}")),
     };
+    if !exp.simulates {
+        return (exp.run)(&args);
+    }
     obs::init(
         args.opt("--metrics").map(Path::new),
         args.opt("--trace").map(Path::new),

@@ -22,7 +22,8 @@ pub mod table1;
 pub mod table2;
 pub mod verify_resilience;
 
-/// Every experiment `kar-bench` can run, in `kar-bench list` order.
+/// Every entry `kar-bench` can run, in `kar-bench list` order: the
+/// experiments, then `inspect`, which renders their `--metrics` dumps.
 pub const REGISTRY: &[Experiment] = &[
     table1::EXPERIMENT,
     table2::EXPERIMENT,
@@ -48,6 +49,7 @@ pub const REGISTRY: &[Experiment] = &[
     demo::RESIDUES,
     demo::PROBE,
     demo::DOT,
+    crate::inspect::EXPERIMENT,
 ];
 
 /// The repetition knobs of the TCP figures (5, 7, 8).

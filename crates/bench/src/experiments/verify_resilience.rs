@@ -69,7 +69,7 @@ fn record<'c>(
 /// `note` event per offending case (src node, dst in `aux`, first
 /// failed link, outcome as tag), then a `verifier-gate` capture — so a
 /// failed CI gate ships its own black box inside the metrics dump
-/// (`kar-inspect forensics` renders it).
+/// (`kar-bench inspect --view forensics` renders it).
 fn record_gate_mismatch(topo: &Topology, label: &str, offenders: &[&FailureSetResult]) {
     let run = RunObs::begin();
     let Some(o) = run.handle.get() else { return };

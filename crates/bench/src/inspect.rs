@@ -1,12 +1,13 @@
-//! `kar-inspect`: renders a `--metrics` dump back into tables.
+//! `kar-bench inspect`: renders a `--metrics` dump back into tables.
 //!
-//! Usage: `kar-inspect <dump.jsonl> [forensics] [--run <substring>]
-//! [--pkt <id>] [--json]`
+//! Usage: `kar-bench inspect --dump <dump.jsonl>
+//! [--view tables|forensics|json] [--run <substring>] [--pkt <id>]`
 //!
 //! The dump file holds one or more labeled runs (see `kar_obs::dump`).
 //! With no `--run` filter the tool lists every run and renders the
 //! first; `--run` selects the first run whose label contains the given
-//! substring. For the selected run it prints:
+//! substring. For the selected run the `tables` view (the default)
+//! prints:
 //!
 //! - a per-switch table (injected / forwarded / delivered / deflections
 //!   by technique),
@@ -18,62 +19,41 @@
 //!   `--pkt` to pick another),
 //! - the sim profiler table, when the run carried one.
 //!
-//! `kar-inspect <dump> forensics` instead renders the flight-recorder
-//! captures (anomaly-frozen event windows plus the causal chain from
-//! fault to drop, with detection-lag / re-encode-latency / blind-window
-//! annotations). `--json` switches the run list, run summaries and
-//! per-switch tables to a machine-readable JSON document on stdout.
+//! `--view forensics` instead renders the flight-recorder captures
+//! (anomaly-frozen event windows plus the causal chain from fault to
+//! drop, with detection-lag / re-encode-latency / blind-window
+//! annotations). `--view json` prints the run list, run summaries and
+//! per-switch tables of every run as one machine-readable JSON
+//! document. A flag the chosen view does not read is refused: `--run`
+//! with `json`, `--pkt` with anything but `tables`.
 //!
-//! Either view warns when a run's event ring overflowed
+//! Both text views warn when a run's event ring overflowed
 //! (`evicted > 0`): timelines and forensics are then missing their
-//! oldest events, and `--events-cap` on the producing binary raises the
-//! ring size.
+//! oldest events, and `--events-cap` on the producing experiment raises
+//! the ring size.
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
+use crate::cli::{flag, Args, Experiment};
 use kar_obs::json::{Json, Obj};
 use kar_obs::{fmt_ns, read_dumps, DumpRecord, RunDump};
 use kar_simnet::DropReason;
 
-struct Args {
-    path: String,
-    run: Option<String>,
-    pkt: Option<u64>,
-    forensics: bool,
-    json: bool,
-}
-
-fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Args, String> {
-    let mut path = None;
-    let mut run = None;
-    let mut pkt = None;
-    let mut forensics = false;
-    let mut json = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--run" => run = Some(args.next().ok_or("--run needs a value")?),
-            "--pkt" => {
-                let v = args.next().ok_or("--pkt needs a value")?;
-                pkt = Some(v.parse().map_err(|_| format!("bad --pkt value: {v}"))?);
-            }
-            "forensics" => forensics = true,
-            "--json" => json = true,
-            _ if path.is_none() => path = Some(arg),
-            _ => return Err(format!("unexpected argument: {arg}")),
-        }
-    }
-    Ok(Args {
-        path: path.ok_or(
-            "usage: kar-inspect <dump.jsonl> [forensics] [--run <substring>] [--pkt <id>] [--json]",
-        )?,
-        run,
-        pkt,
-        forensics,
-        json,
-    })
-}
+/// `kar-bench inspect`: reads a finished run's dump, runs nothing.
+pub const EXPERIMENT: Experiment = Experiment::new(
+    "inspect",
+    "A --metrics dump rendered as tables, forensics or JSON",
+    &[
+        flag("--dump", "", "the dump to read (required)"),
+        flag("--view", "tables", "tables|forensics|json"),
+        flag("--run", "", "the first run whose label contains this"),
+        flag("--pkt", "", "packet whose timeline the tables view shows"),
+    ],
+    run,
+)
+.reader();
 
 /// The run's `ring` accounting record: `(pushed, evicted, cap)`.
 fn ring_stats(run: &RunDump) -> Option<(u64, u64, u64)> {
@@ -106,37 +86,49 @@ fn warn_evicted(run: &RunDump) {
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("kar-inspect: {msg}");
-            return ExitCode::from(2);
-        }
+fn run(args: &Args) -> ExitCode {
+    let Some(path) = args.opt("--dump") else {
+        return args.refuse("--dump <path> is required");
     };
-    let file = match File::open(&args.path) {
+    let view: String = args.get("--view");
+    let pkt = match args.opt("--pkt") {
+        None => None,
+        Some(p) => match p.parse::<u64>() {
+            Ok(pkt) => Some(pkt),
+            Err(_) => return args.refuse(&format!("--pkt takes a number, not {p}")),
+        },
+    };
+    if view == "json" && args.opt("--run").is_some() {
+        return args.refuse("--run picks the run of the tables or forensics view, not json");
+    }
+    if view != "tables" && pkt.is_some() {
+        return args.refuse(&format!(
+            "--pkt picks a timeline of the tables view, not {view}"
+        ));
+    }
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(err) => {
-            eprintln!("kar-inspect: cannot open {}: {err}", args.path);
+            eprintln!("kar-bench inspect: cannot open {path}: {err}");
             return ExitCode::FAILURE;
         }
     };
     let dumps = match read_dumps(BufReader::new(file)) {
         Ok(d) => d,
         Err(err) => {
-            eprintln!("kar-inspect: cannot read {}: {err}", args.path);
+            eprintln!("kar-bench inspect: cannot read {path}: {err}");
             return ExitCode::FAILURE;
         }
     };
     if dumps.is_empty() {
-        eprintln!("kar-inspect: {} holds no dump records", args.path);
+        eprintln!("kar-bench inspect: {path} holds no dump records");
         return ExitCode::FAILURE;
     }
-    if args.json {
-        println!("{}", json_report(&args.path, &dumps));
+    if view == "json" {
+        println!("{}", json_report(path, &dumps));
         return ExitCode::SUCCESS;
     }
-    println!("{}: {} run(s)", args.path, dumps.len());
+    println!("{path}: {} run(s)", dumps.len());
     for d in &dumps {
         let overflow = match ring_stats(d) {
             Some((_, evicted, _)) if evicted > 0 => format!(" [ring evicted {evicted}]"),
@@ -145,22 +137,22 @@ fn main() -> ExitCode {
         println!("  {} ({} records){overflow}", d.label, d.records.len());
     }
     println!();
-    let selected = match &args.run {
-        Some(needle) => match dumps.iter().find(|d| d.label.contains(needle.as_str())) {
+    let selected = match args.opt("--run") {
+        Some(needle) => match dumps.iter().find(|d| d.label.contains(needle)) {
             Some(d) => d,
             None => {
-                eprintln!("kar-inspect: no run label contains {needle:?}");
+                eprintln!("kar-bench inspect: no run label contains {needle:?}");
                 return ExitCode::FAILURE;
             }
         },
         None => &dumps[0],
     };
-    if args.forensics {
+    if view == "forensics" {
         warn_evicted(selected);
         print!("{}", kar_obs::forensics::render_forensics(selected));
         return ExitCode::SUCCESS;
     }
-    render(selected, args.pkt);
+    render(selected, pkt);
     ExitCode::SUCCESS
 }
 
@@ -219,7 +211,7 @@ fn json_report(path: &str, dumps: &[RunDump]) -> String {
 }
 
 /// Node-scoped counters per switch: `name -> metric -> value`, the
-/// shared source for the rendered table and `--json`.
+/// shared source for the rendered table and the json view.
 fn switch_counters(run: &RunDump) -> BTreeMap<&str, BTreeMap<&str, u64>> {
     let mut nodes: BTreeMap<&str, BTreeMap<&str, u64>> = BTreeMap::new();
     for r in &run.records {
@@ -615,23 +607,6 @@ fn render_profile(run: &RunDump) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn args_parse() {
-        let parse = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()));
-        let args = parse(&["d.jsonl", "--run", "fig4", "--pkt", "7"]).unwrap();
-        assert_eq!(args.path, "d.jsonl");
-        assert_eq!(args.run.as_deref(), Some("fig4"));
-        assert_eq!(args.pkt, Some(7));
-        assert!(!args.forensics);
-        assert!(!args.json);
-        let args = parse(&["d.jsonl", "forensics", "--json"]).unwrap();
-        assert!(args.forensics);
-        assert!(args.json);
-        assert!(parse(&[]).is_err());
-        assert!(parse(&["d.jsonl", "extra"]).is_err());
-        assert!(parse(&["d.jsonl", "--pkt", "x"]).is_err());
-    }
 
     #[test]
     fn event_lines_render_all_fields() {

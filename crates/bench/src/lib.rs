@@ -5,15 +5,17 @@
 //! `fig8`, `table2`) and our extensions; `kar-bench list` names them all
 //! and the command line is the whole configuration ([`cli`]). The
 //! experiment logic lives in [`experiments`] so tests can run
-//! scaled-down versions. `kar-inspect` renders the `--metrics` dumps
-//! ([`obs`]; each run's own result line rides in the dump as its
-//! `summary` record). Criterion microbenchmarks cover the encoding and
-//! forwarding hot paths.
+//! scaled-down versions. `kar-bench inspect` ([`inspect`]) renders the
+//! `--metrics` dumps ([`obs`]; each run's own result line rides in the
+//! dump as its `summary` record). The microbenchmarks are the `kar-perf`
+//! ledger in `benchmark/`, not this crate.
 //!
 //! One of each:
 //!
 //! * [`cli`] — the registry entry type, the one argument parser and
 //!   `kar-bench`'s `main`; what it was not told about it refuses.
+//! * [`inspect`] — the one reader of `--metrics` dumps: tables,
+//!   forensics or JSON.
 //! * [`harness`] — the three run shapes: [`harness::TcpRun`] (one bulk
 //!   TCP flow across a failure window), [`harness::ProbeRun`] (paced
 //!   probes over KAR or a table baseline under faults and Byzantine
@@ -42,6 +44,7 @@ pub mod campaign;
 pub mod cli;
 pub mod experiments;
 pub mod harness;
+pub mod inspect;
 pub mod obs;
 pub mod record;
 pub mod runner;

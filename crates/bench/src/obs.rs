@@ -2,7 +2,8 @@
 //!
 //! Every experiment accepts `--metrics <path>` to collect a [`kar_obs`]
 //! dump: per-run metrics snapshots, event traces and profiler tables,
-//! written as JSON lines that `kar-inspect` renders back. The flow is:
+//! written as JSON lines that `kar-bench inspect` renders back. The flow
+//! is:
 //!
 //! 1. [`crate::cli::main`] calls [`init`] with the observability flags —
 //!    when a path was requested, the process-global [`kar_obs::sink`]

@@ -38,7 +38,7 @@ fn stdout(output: &Output) -> String {
 
 #[test]
 fn what_the_front_end_does_not_know_it_refuses() {
-    let refusals: [(&[&str], &str); 8] = [
+    let refusals: [(&[&str], &str); 12] = [
         (&["nosuch"], "nosuch"),
         (&[], "missing experiment"),
         (
@@ -53,6 +53,10 @@ fn what_the_front_end_does_not_know_it_refuses() {
             "topo16",
         ),
         (&["probe", "--technique", "hpp"], "hpp"),
+        (&["inspect", "--view", "json"], "--dump"),
+        (&["inspect", "--dump", "d.jsonl", "forensics"], "forensics"),
+        (&["inspect", "--dump", "d.jsonl", "--view", "html"], "html"),
+        (&["inspect", "--dump", "d.jsonl", "--pkt", "x"], "x"),
     ];
     for (i, (args, token)) in refusals.iter().enumerate() {
         let (output, left) = kar_bench(&format!("refuse{i}"), args, &[]);
@@ -69,6 +73,18 @@ fn what_the_front_end_does_not_know_it_refuses() {
         &["fig_adversary", "--out", "a.json", "--intensities", "1,x"][..],
         &["probe", "--from", "NOPE"],
         &["probe", "--fail", "SW7"],
+        &[
+            "inspect", "--dump", "d.jsonl", "--view", "json", "--run", "fig4",
+        ],
+        &[
+            "inspect",
+            "--dump",
+            "d.jsonl",
+            "--view",
+            "forensics",
+            "--pkt",
+            "3",
+        ],
     ] {
         let (output, left) = kar_bench("judged", args, &[]);
         assert_eq!(output.status.code(), Some(2), "{args:?}");
@@ -111,10 +127,12 @@ fn list_and_help_are_rendered_from_the_registry() {
                 exp.name
             );
         }
+        // Only entries that simulate take the common flags.
         for common in ["--jobs 0", "--metrics (unset)", "--events-cap 65536"] {
-            assert!(help.contains(common), "{help}");
+            assert_eq!(help.contains(common), exp.simulates, "{help}");
         }
-        assert!(help.contains(&format!("--seed {}", exp.seed)), "{help}");
+        let seed = format!("--seed {}", exp.seed);
+        assert_eq!(help.contains(&seed), exp.simulates, "{help}");
         assert_eq!(help.contains("--checkpoint"), exp.sweep, "{help}");
         assert_eq!(help.contains("--out"), exp.sweep, "{help}");
     }

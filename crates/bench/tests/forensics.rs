@@ -5,8 +5,9 @@
 //! `SW107-SW113` and every probe random-walks into a TTL-bounded loop
 //! (seed 11, 20 injected, 20 TTL drops). That makes it the canonical
 //! smoke case for the anomaly-triggered flight recorder: each TTL drop
-//! must freeze a "loop" capture, and `kar-inspect forensics` must
-//! render the full causal chain from the fault to the dropped packet.
+//! must freeze a "loop" capture, and `kar-bench inspect --view
+//! forensics` must render the full causal chain from the fault to the
+//! dropped packet.
 
 use kar::{DeflectionTechnique, Protection};
 use kar_bench::harness::{ProbeRun, ProbeScheme};
@@ -72,7 +73,7 @@ fn avp_rnp28_loop_freezes_forensic_captures_with_the_causal_chain() {
     }
 
     // Round-trip through the dump (what `--metrics` writes) and render
-    // the same view `kar-inspect forensics` prints.
+    // the same view `kar-bench inspect --view forensics` prints.
     let labeler = TopoLabeler::new(&topo);
     let dump = RunDump::collect_obs("breaking/rnp28/E_BH-E_113/AVP", &bundle, &[], &labeler);
     let text = kar_obs::forensics::render_forensics(&dump);

@@ -1,7 +1,7 @@
 //! Dump format: flat JSON lines, one record per line.
 //!
 //! Every line carries a `"run"` label so dumps from many runs can share
-//! one file; `kar-inspect` groups them back. Entities are resolved to
+//! one file; `kar-bench inspect` groups them back. Entities are resolved to
 //! human names (`node:SW7`, `link:SW7-SW13`) at dump time via a
 //! [`TopoLabeler`], so the reader never needs the topology. Lines are
 //! written and read through [`crate::json`].

@@ -5,7 +5,7 @@
 //! re-encode, time-stamped in simulation time. The packet id doubles as
 //! a **span id** — all events of one packet's journey share it, and each
 //! carries the flow id, so a post-run tool can stitch a flow's hop
-//! timeline back together (`kar-inspect` does exactly that).
+//! timeline back together (`kar-bench inspect` does exactly that).
 //!
 //! The ring is bounded: when full, the oldest events are overwritten and
 //! the overflow is counted, so long runs keep the *recent* window — the

@@ -8,8 +8,8 @@
 //! packet (walking [`span`](crate::span) parent links back through
 //! stamp → re-encode → detection → fault) into a self-contained
 //! [`ForensicCapture`]. Captures ride in the normal dump
-//! (`kar-inspect forensics` renders them), so a CI failure ships its
-//! own black box.
+//! (`kar-bench inspect --view forensics` renders them), so a CI failure
+//! ships its own black box.
 //!
 //! Like everything in this crate the recorder is pure observation: it
 //! reads the event ring, never the simulation, and is only invoked

@@ -2,10 +2,11 @@
 //!
 //! There is no serde here (offline vendored deps only), and every
 //! document this repository emits — dump lines, `BENCH_*.json`, sweep
-//! checkpoints, `kar-inspect --json` — is flat enough to write with
-//! [`Obj`] and read back with [`Json::parse`]. Numbers stay the raw text
-//! they were written with, so a `u64` seed such as 11981841711409792483
-//! survives a round trip that an `f64` would corrupt.
+//! checkpoints, `kar-bench inspect --view json` — is flat enough to
+//! write with [`Obj`] and read back with [`Json::parse`]. Numbers stay
+//! the raw text they were written with, so a `u64` seed such as
+//! 11981841711409792483 survives a round trip that an `f64` would
+//! corrupt.
 
 use std::fmt::{Display, Write as _};
 use std::str::FromStr;

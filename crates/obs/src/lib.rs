@@ -16,8 +16,8 @@
 //! * a sim [`Profiler`] timing the discrete-event loop per event type,
 //! * a JSON-lines dump format ([`RunDump`]), whose `summary` record
 //!   carries each run's own result line, plus the [`sink`] that
-//!   experiment binaries flush to `--metrics <path>`; `kar-inspect` (in
-//!   `kar-bench`) renders the dumps,
+//!   experiment binaries flush to `--metrics <path>`; `kar-bench
+//!   inspect` renders the dumps,
 //! * [`json`] — the workspace's one JSON writer and reader.
 //!
 //! Metrics are **pure observation**: nothing here feeds back into

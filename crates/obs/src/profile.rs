@@ -79,38 +79,6 @@ impl Profiler {
         let slots = self.slots.lock().expect("profiler lock");
         slots.values().map(|acc| acc.count).sum()
     }
-
-    /// Renders the self-time table (empty string when nothing recorded).
-    pub fn report(&self) -> String {
-        let rows = self.rows();
-        if rows.is_empty() {
-            return String::new();
-        }
-        let grand: u64 = rows.iter().map(|r| r.total_ns).sum();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<14} {:>10} {:>12} {:>10} {:>10} {:>6}\n",
-            "event", "count", "total", "mean", "max", "share"
-        ));
-        for r in &rows {
-            let mean = r.total_ns / r.count.max(1);
-            let share = if grand > 0 {
-                100.0 * r.total_ns as f64 / grand as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:<14} {:>10} {:>12} {:>10} {:>10} {:>5.1}%\n",
-                r.label,
-                r.count,
-                fmt_ns(r.total_ns),
-                fmt_ns(mean),
-                fmt_ns(r.max_ns),
-                share
-            ));
-        }
-        out
-    }
 }
 
 /// Human-readable nanoseconds (`17ns`, `4.2µs`, `1.3ms`, `2.10s`,
@@ -120,8 +88,8 @@ impl Profiler {
 /// *rounded* text would reach the next unit is bumped into that unit
 /// (`999_960ns` → `1.0ms`, never `1000.0µs`), and durations past a
 /// minute switch to minute/hour units so the widest possible output
-/// (`u64::MAX` → `5124095.6h`) still fits the profiler table's
-/// 10-character columns.
+/// (`u64::MAX` → `5124095.6h`) still fits a 10-character column (the
+/// time column of `kar-bench inspect`'s timelines).
 pub fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
         return format!("{ns}ns");
@@ -162,9 +130,6 @@ mod tests {
         assert_eq!(rows[0].max_ns, 300);
         assert_eq!(rows[1].label, "timer");
         assert_eq!(p.total_events(), 3);
-        let report = p.report();
-        assert!(report.contains("arrive"));
-        assert!(report.contains("share"));
     }
 
     #[test]
@@ -190,25 +155,5 @@ mod tests {
         let widest = fmt_ns(u64::MAX);
         assert_eq!(widest, "5124095.6h");
         assert!(widest.chars().count() <= 10, "must fit a 10-wide column");
-    }
-
-    #[test]
-    fn report_columns_stay_aligned_across_extremes() {
-        let p = Profiler::new();
-        p.record("zero", Duration::from_nanos(0));
-        p.record("huge", Duration::from_secs(4_000));
-        p.record("tiny", Duration::from_nanos(3));
-        let report = p.report();
-        let widths: Vec<usize> = report.lines().map(|l| l.chars().count()).collect();
-        assert!(widths.len() >= 4, "header + 3 rows");
-        assert!(
-            widths.windows(2).all(|w| w[0] == w[1]),
-            "ragged columns:\n{report}"
-        );
-    }
-
-    #[test]
-    fn empty_report_is_empty() {
-        assert_eq!(Profiler::new().report(), "");
     }
 }

@@ -8,8 +8,8 @@
 //! detection triggers a controller *re-encode*, and the re-encoded
 //! route is *stamped* onto packets at ingress. Post-run tools
 //! ([`chrome`](crate::chrome), [`forensics`](crate::forensics),
-//! `kar-inspect`) walk the parent links to answer "why did this packet
-//! take that path".
+//! `kar-bench inspect`) walk the parent links to answer "why did this
+//! packet take that path".
 //!
 //! Span ids live in two disjoint namespaces so packet spans need no
 //! allocation or shared state:

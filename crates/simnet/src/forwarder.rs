@@ -141,8 +141,8 @@ impl DropReason {
         }
     }
 
-    /// Every reason, in declaration order (drives `kar-inspect`'s drop
-    /// table and the verifier's counters).
+    /// Every reason, in declaration order (drives `kar-bench inspect`'s
+    /// drop table and the verifier's counters).
     pub const ALL: [DropReason; 11] = [
         DropReason::NoRoute,
         DropReason::MissingTag,
