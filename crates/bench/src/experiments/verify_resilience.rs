@@ -15,10 +15,12 @@
 use crate::cli::{flag, Experiment, TOPO};
 use crate::harness::link_names;
 use crate::obs::RunObs;
-use kar::verify::{summarize_sets, FailureSetResult, SweepStats, VerifySummary};
+use kar::verify::{
+    summarize_sets, FailureSetResult, PairSweep, SweepStats, VerifySummary, OFFENDERS,
+};
 use kar::{verify_failure_sets, DeflectionTechnique, EncodingCache, Outcome, Protection};
 use kar_obs::Entity;
-use kar_topology::{rnp28, topo15, LinkId, Topology};
+use kar_topology::{rnp28, topo15, Topology};
 use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
@@ -26,13 +28,9 @@ use std::process::ExitCode;
 /// global outcome counters plus per-failed-link blackhole/loop counters
 /// (the link-heat view of where the dataplane is fragile). The verifier
 /// is symbolic — there is no `Sim` to attach to — so the counters are
-/// recorded directly from the case results.
-fn record<'c>(
-    topo: &Topology,
-    label: &str,
-    cases: impl Iterator<Item = (Outcome, &'c [LinkId])>,
-    s: &VerifySummary,
-) {
+/// recorded directly from the pairs' per-link counts. A link no case
+/// blackholes (or loops) gets no counter of that kind.
+fn record(topo: &Topology, label: &str, pairs: &[PairSweep], s: &VerifySummary) {
     let run = RunObs::begin();
     let Some(o) = run.handle.get() else { return };
     let m = &o.metrics;
@@ -52,14 +50,14 @@ fn record<'c>(
         m.counter(Entity::Global, metric)
             .add(s.count(outcome) as u64);
     }
-    for (outcome, failed) in cases {
-        let metric = match outcome {
-            Outcome::Blackhole => "verify.blackhole",
-            Outcome::Loop => "verify.loop",
-            _ => continue,
-        };
-        for link in failed {
-            m.counter(Entity::Link(link.0 as u32), metric).inc();
+    for pair in pairs {
+        for (metric, per_link) in [
+            ("verify.blackhole", &pair.blackholes),
+            ("verify.loop", &pair.loops),
+        ] {
+            for (link, &n) in per_link.iter().enumerate().filter(|(_, &n)| n > 0) {
+                m.counter(Entity::Link(link as u32), metric).add(n as u64);
+            }
         }
     }
     run.submit(label, topo);
@@ -159,13 +157,7 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
             .expect("verification runs");
         let s = summarize_sets(&sweep.results);
         let label = format!("verify/{scope}/{}", technique.label());
-        let cases = sweep.results.iter();
-        record(
-            topo,
-            &label,
-            cases.map(|c| (c.report.outcome, &*c.failed)),
-            &s,
-        );
+        record(topo, &label, &sweep.results, &s);
         print_row(technique, &s);
         stats += sweep.stats;
         let Some(allowed) = allowed_violations(name, k, technique) else {
@@ -180,12 +172,13 @@ fn check(topo: &Topology, name: &str, k: usize) -> bool {
             technique.label(),
             s.violations
         );
+        // A pair keeps its first `OFFENDERS` violations, so the sweep's
+        // first `OFFENDERS` head the pairs' lists taken in pair order.
         let offenders: Vec<&FailureSetResult> = sweep
             .results
             .iter()
-            .filter(|c| !c.disconnected)
-            .filter(|c| matches!(c.report.outcome, Outcome::Blackhole | Outcome::Loop))
-            .take(10)
+            .flat_map(|pair| &pair.offenders)
+            .take(OFFENDERS)
             .collect();
         record_gate_mismatch(topo, &format!("{label}/gate-mismatch"), &offenders);
         for case in offenders {

@@ -101,8 +101,9 @@ pub use protection::Protection;
 pub use recovery::{FlowRecovery, RecoveryConfig, RecoveryLog};
 pub use route::{EncodedRoute, RouteSpec};
 pub use verify::{
-    min_failure_set, verify_failure_sets, verify_route, ActiveRoute, BreakingPoint,
-    FailureSetResult, KSweep, Outcome, PairVerifier, SweepStats, VerifyReport, VerifySummary,
+    fold_failure_sets, min_failure_set, verify_failure_sets, verify_route, ActiveRoute,
+    BreakingPoint, FailureSetResult, KSweep, Outcome, PairFold, PairSweep, PairVerifier,
+    SweepStats, VerifyReport, VerifySummary,
 };
 pub use wire::{RouteHeader, WireError, WireMode};
 

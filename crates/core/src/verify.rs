@@ -42,7 +42,7 @@
 //! explorations give 722 distinct reports over its 12 pairs), so the
 //! verifier also interns each new report by content: a pair holds one
 //! report per distinct answer, however many explorations found it, and
-//! a sweep's rows share those. Cycle detection
+//! every case it classifies is lent that report. Cycle detection
 //! is by seen-state Tarjan SCCs, never TTL exhaustion, so the cost per
 //! exploration is bounded by the state count, not the hop budget.
 //!
@@ -108,15 +108,28 @@
 //! pair is one unit of work on every topology. [`verify_failure_sets`]
 //! hands the pairs to [`std::thread::available_parallelism`] workers,
 //! the caller among them; a worker runs its pairs in pair order, exactly
-//! as the one-core loop did. Each pair returns compact rows (a
-//! report and a verdict per failure set) and its counters, and the
-//! caller lays them out in pair order, each row sharing its failure set
-//! (built once per set, not once per row). Nothing a worker computes
-//! depends on another worker or on timing, so the `KSweep` — rows,
-//! reports and all four [`SweepStats`] counters — is the same at any
-//! worker count;
+//! as the one-core loop did. Nothing a worker computes depends on
+//! another worker or on timing, so the `KSweep` — every pair's fold and
+//! all four [`SweepStats`] counters — is the same at any worker count;
 //! `crates/core/tests/verify_differential.rs` holds the one-core sweep
 //! as the oracle.
+//!
+//! ### What a sweep keeps
+//!
+//! A sweep has C(L, k) cases per pair (158 928 on rnp28 at k = 3), and
+//! exact verification is coNP-hard, so what it keeps must not grow with
+//! them. It does not store a row per case: each pair *folds* its cases
+//! as they are classified, through a [`PairFold`] that the sweep lends
+//! every `(failed set, disconnected, report)` in set order. The
+//! production fold, [`PairSweep`], keeps the pair's [`VerifySummary`],
+//! per failed link how many cases blackhole or loop, and the first
+//! [`OFFENDERS`] connected violations with their reports — every answer
+//! a caller reads, in O(links) per pair. When the pair is done, its
+//! verifier (memo, explorer and interned reports) is dropped; only the
+//! offenders' reports outlive it, because they are the witnesses a
+//! failed gate prints. A test that needs every row folds into a
+//! `Vec` of [`FailureSetResult`]s through the same loop
+//! ([`fold_failure_sets`]).
 //!
 //! [`min_failure_set`] is the breaking-point search built on the same
 //! machinery: the lexicographically smallest failure set of minimum size
@@ -1354,15 +1367,6 @@ impl Combinations {
     }
 }
 
-/// `C(n, k)`: how many sets a [`Combinations`] lends.
-fn binomial(n: usize, k: usize) -> usize {
-    if k > n {
-        return 0;
-    }
-    // Each step is C(n, i) · (n − i) / (i + 1) = C(n, i + 1), exact.
-    (0..k).fold(1, |c, i| c * (n - i) / (i + 1))
-}
-
 /// Memoizing classifier for one `(src, dst, route, technique)`: answers
 /// [`verify_route`] queries for arbitrary failure sets by projecting
 /// them onto the links the exploration actually consults.
@@ -1481,15 +1485,15 @@ impl<'a> PairVerifier<'a> {
     }
 }
 
-/// One entry of a [`verify_failure_sets`] sweep.
+/// One `(pair, failure set)` case of a sweep: what [`PairSweep`] keeps
+/// of each offender, and the row a test's [`PairFold`] collects.
 #[derive(Debug, Clone)]
 pub struct FailureSetResult {
     /// Ingress edge.
     pub src: NodeId,
     /// Destination edge.
     pub dst: NodeId,
-    /// The simultaneously failed links, ascending — one allocation per
-    /// set, shared by every pair's row for it.
+    /// The simultaneously failed links, ascending.
     pub failed: Arc<[LinkId]>,
     /// `true` when the set physically disconnects `src` from `dst`.
     pub disconnected: bool,
@@ -1522,13 +1526,89 @@ impl AddAssign for SweepStats {
     }
 }
 
+/// What a sweep keeps of one pair's cases: [`fold_failure_sets`] makes
+/// one per pair and lends it every case of size k, sets lexicographic.
+/// A case is lent, not given: a fold that keeps the set copies it, and
+/// one that keeps the report clones the `Arc` (the pair's one report
+/// for that answer).
+pub trait PairFold {
+    /// An empty fold for the pair `src → dst` of a topology with `links`
+    /// links.
+    fn new(src: NodeId, dst: NodeId, links: usize) -> Self;
+
+    /// Folds one case: the failed links (ascending), whether they
+    /// disconnect the pair, and the case's classification.
+    fn case(&mut self, failed: &[LinkId], disconnected: bool, report: &Arc<VerifyReport>);
+}
+
+/// How many connected violations a [`PairSweep`] keeps, with their
+/// reports.
+pub const OFFENDERS: usize = 10;
+
+/// The production [`PairFold`]: one pair's share of a
+/// [`verify_failure_sets`] sweep, in O(links) whatever the case count.
+#[derive(Debug, Clone)]
+pub struct PairSweep {
+    /// Ingress edge.
+    pub src: NodeId,
+    /// Destination edge.
+    pub dst: NodeId,
+    /// The pair's cases, counted.
+    pub summary: VerifySummary,
+    /// What the pair's sweep cost.
+    pub stats: SweepStats,
+    /// Per failed link (indexed by [`LinkId`]), the cases classified
+    /// [`Outcome::Blackhole`] that fail it, disconnected ones included.
+    pub blackholes: Vec<usize>,
+    /// The same for [`Outcome::Loop`].
+    pub loops: Vec<usize>,
+    /// The first [`OFFENDERS`] connected blackhole or loop cases, in set
+    /// order — the only cases whose reports outlive the pair's verifier.
+    pub offenders: Vec<FailureSetResult>,
+}
+
+impl PairFold for PairSweep {
+    fn new(src: NodeId, dst: NodeId, links: usize) -> Self {
+        PairSweep {
+            src,
+            dst,
+            summary: VerifySummary::default(),
+            stats: SweepStats::default(),
+            blackholes: vec![0; links],
+            loops: vec![0; links],
+            offenders: Vec::new(),
+        }
+    }
+
+    fn case(&mut self, failed: &[LinkId], disconnected: bool, report: &Arc<VerifyReport>) {
+        self.summary.record(report.outcome, disconnected);
+        let per_link = match report.outcome {
+            Outcome::Blackhole => &mut self.blackholes,
+            Outcome::Loop => &mut self.loops,
+            _ => return,
+        };
+        for l in failed {
+            per_link[l.0] += 1;
+        }
+        if !disconnected && self.offenders.len() < OFFENDERS {
+            self.offenders.push(FailureSetResult {
+                src: self.src,
+                dst: self.dst,
+                failed: failed.into(),
+                disconnected,
+                report: Arc::clone(report),
+            });
+        }
+    }
+}
+
 /// A k-failure sweep over every ordered edge pair.
 #[derive(Debug, Clone)]
 pub struct KSweep {
-    /// One entry per `(pair, failure set)` case, pairs in edge order,
-    /// sets lexicographic.
-    pub results: Vec<FailureSetResult>,
-    /// What the sweep cost and what the prunings saved.
+    /// One fold per pair, in edge order.
+    pub results: Vec<PairSweep>,
+    /// What the sweep cost and what the prunings saved: the pairs'
+    /// counters, summed.
     pub stats: SweepStats,
 }
 
@@ -1574,7 +1654,7 @@ impl<'t> CutTest<'t> {
     }
 }
 
-/// The one sweep loop of a pair, behind [`verify_failure_sets`] and
+/// The one sweep loop of a pair, behind [`fold_failure_sets`] and
 /// [`min_failure_set`]: enumerates the failure sets of sizes `1..=k`
 /// (sizes ascending, sets lexicographic), settles whether each
 /// disconnects the pair — supersets of a smaller disconnecting set by
@@ -1611,35 +1691,21 @@ fn sweep_pair<B>(
     None
 }
 
-/// One pair's share of a [`verify_failure_sets`] sweep: a report and the
-/// disconnection verdict per k-set, sets lexicographic (the caller
-/// attaches the sets themselves), and the pair's counters.
-struct PairRows {
-    rows: Vec<(Arc<VerifyReport>, bool)>,
-    stats: SweepStats,
-}
-
 /// Exhaustively verifies every ordered edge pair of `topo` against
 /// every failure set of exactly `k` links, with shortest-path routes
-/// under `protection`. `k = 1` is the single-link-failure sweep, the
-/// paper's resilience claim.
+/// under `protection`, and folds each pair's cases into a
+/// [`PairSweep`]. `k = 1` is the single-link-failure sweep, the paper's
+/// resilience claim.
 ///
 /// See the module docs for why this scales: projection memoization
 /// (most sets are equivalent to a much smaller one), monotone
 /// disconnection pruning seeded from the smaller set sizes (swept only
-/// for that), and the path-witness connectivity test.
-///
-/// The pairs are swept on [`std::thread::available_parallelism`]
-/// workers, the calling thread among them (the count follows the
-/// process's CPU affinity: under `taskset -c 0` the caller sweeps
-/// alone, through the same loop). Routes are encoded first,
-/// in pair order, so the cache and the error returned are a serial
-/// sweep's. The unit of work is one pair: a worker runs its pairs in
-/// pair order, and every pair has its own [`PairVerifier`] and path
-/// witness — so no answer and no counter depends on which worker ran
-/// what, or when.
-/// The result is a pure function of `(topo, technique, protection,
-/// k)`: the same `KSweep` at any worker count, results in pair order.
+/// for that), and the path-witness connectivity test. What it returns
+/// does not grow with the cases: per pair, the summary, per-link
+/// blackhole and loop counts and the first [`OFFENDERS`] connected
+/// violations — the only reports kept, since a report is what a reader
+/// of a violation needs and the counts are all a reader of the rest
+/// does. [`fold_failure_sets`] runs the same sweep with another fold.
 ///
 /// # Errors
 ///
@@ -1657,6 +1723,48 @@ pub fn verify_failure_sets(
     cache: &EncodingCache,
     k: usize,
 ) -> Result<KSweep, KarError> {
+    let mut sweep = KSweep {
+        results: Vec::new(),
+        stats: SweepStats::default(),
+    };
+    for (mut pair, stats) in fold_failure_sets::<PairSweep>(topo, technique, protection, cache, k)?
+    {
+        pair.stats = stats;
+        sweep.stats += stats;
+        sweep.results.push(pair);
+    }
+    Ok(sweep)
+}
+
+/// The one k-failure sweep, generic over what each pair keeps: every
+/// ordered edge pair of `topo` with a route (in edge order) and its
+/// fold of every `k`-set, with the pair's counters.
+///
+/// The pairs are swept on [`std::thread::available_parallelism`]
+/// workers, the calling thread among them (the count follows the
+/// process's CPU affinity: under `taskset -c 0` the caller sweeps
+/// alone, through the same loop). Routes are encoded first,
+/// in pair order, so the cache and the error returned are a serial
+/// sweep's. The unit of work is one pair: a worker runs its pairs in
+/// pair order, and every pair has its own [`PairVerifier`], path
+/// witness and fold — so no answer and no counter depends on which
+/// worker ran what, or when. The result is a pure function of `(topo,
+/// technique, protection, k)`: the same folds at any worker count.
+///
+/// # Errors
+///
+/// As [`verify_failure_sets`].
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn fold_failure_sets<F: PairFold + Send>(
+    topo: &Topology,
+    technique: DeflectionTechnique,
+    protection: &Protection,
+    cache: &EncodingCache,
+    k: usize,
+) -> Result<Vec<(F, SweepStats)>, KarError> {
     assert!(k >= 1, "a failure sweep needs at least one failure");
     let edges = topo.edge_nodes();
     let mut ends = Vec::new();
@@ -1674,25 +1782,26 @@ pub fn verify_failure_sets(
         }
     }
     let links = topo.link_count();
-    let sets = binomial(links, k);
     let sweep = |i: usize| {
         let (src, dst) = ends[i];
         let mut pv = PairVerifier::new(topo, routes[i].clone(), src, dst, technique);
         let mut cut = CutTest::new(topo, src, dst);
+        let mut fold = F::new(src, dst, links);
         let mut stats = SweepStats::default();
-        let mut rows = Vec::with_capacity(sets);
+        let mut cases = 0;
         let is_cut = |failed: &[LinkId]| cut.is_cut(failed);
         let visit = |failed: &[LinkId], disconnected| {
             if failed.len() == k {
-                rows.push((pv.classify(failed), disconnected));
+                cases += 1;
+                fold.case(failed, disconnected, &pv.classify(failed));
             }
             ControlFlow::<()>::Continue(())
         };
         sweep_pair(links, k, &mut stats.disconnect_pruned, is_cut, visit);
-        stats.cases = rows.len();
+        stats.cases = cases;
         stats.explored = pv.explored;
         stats.memo_hits = pv.memo_hits;
-        PairRows { rows, stats }
+        (fold, stats)
     };
     // Pair i goes to worker i mod `workers`, the caller being worker 0.
     // The split is fixed, not claimed from a shared counter, because a
@@ -1710,7 +1819,7 @@ pub fn verify_failure_sets(
             .map(|i| (i, sweep(i)))
             .collect::<Vec<_>>()
     };
-    let mut swept: Vec<Option<PairRows>> = ends.iter().map(|_| None).collect();
+    let mut swept: Vec<Option<(F, SweepStats)>> = ends.iter().map(|_| None).collect();
     thread::scope(|scope| {
         let helpers: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
         let mine = work(0);
@@ -1721,28 +1830,10 @@ pub fn verify_failure_sets(
             swept[i] = Some(pair);
         }
     });
-    // The rows come back compact; the long-lived results are built here,
-    // in pair order, each row sharing its failure set, built once.
-    let mut enumeration = Combinations::new(links, k);
-    let failure_sets: Vec<Arc<[LinkId]>> =
-        std::iter::from_fn(|| enumeration.advance().map(Arc::from)).collect();
-    let mut stats = SweepStats::default();
-    let mut results = Vec::with_capacity(ends.len() * sets);
-    for (&(src, dst), pair) in ends.iter().zip(swept) {
-        let pair = pair.expect("every pair has a worker");
-        assert_eq!(pair.rows.len(), sets, "one row per failure set");
-        stats += pair.stats;
-        for ((report, disconnected), failed) in pair.rows.into_iter().zip(&failure_sets) {
-            results.push(FailureSetResult {
-                src,
-                dst,
-                failed: Arc::clone(failed),
-                disconnected,
-                report,
-            });
-        }
-    }
-    Ok(KSweep { results, stats })
+    Ok(swept
+        .into_iter()
+        .map(|pair| pair.expect("every pair has a worker"))
+        .collect())
 }
 
 /// A breaking point found by [`min_failure_set`]: the smallest failure
@@ -1952,12 +2043,23 @@ impl VerifySummary {
     }
 }
 
-/// Folds sweep results into counts; `violations` are connected cases
-/// that still black-hole or loop.
-pub fn summarize_sets(results: &[FailureSetResult]) -> VerifySummary {
+impl AddAssign<&VerifySummary> for VerifySummary {
+    fn add_assign(&mut self, other: &VerifySummary) {
+        self.total += other.total;
+        for (mine, theirs) in self.by_outcome.iter_mut().zip(other.by_outcome) {
+            *mine += theirs;
+        }
+        self.disconnected += other.disconnected;
+        self.violations += other.violations;
+    }
+}
+
+/// A sweep's counts: its pairs' summaries, added up. `violations` are
+/// connected cases that still black-hole or loop.
+pub fn summarize_sets(results: &[PairSweep]) -> VerifySummary {
     let mut s = VerifySummary::default();
-    for case in results {
-        s.record(case.report.outcome, case.disconnected);
+    for pair in results {
+        s += &pair.summary;
     }
     s
 }
@@ -2297,7 +2399,6 @@ mod tests {
         );
         for (n, k, count) in [(5, 3, 10), (3, 4, 0), (3, 3, 1), (22, 2, 231), (6, 0, 1)] {
             assert_eq!(all_sets(n, k).len(), count, "C({n}, {k})");
-            assert_eq!(binomial(n, k), count, "C({n}, {k})");
         }
         // Exhausted stays exhausted.
         let mut sets = Combinations::new(3, 3);
@@ -2351,8 +2452,9 @@ mod tests {
         )
         .unwrap();
         // 6 ordered pairs × C(22, 2) sets.
-        assert_eq!(sweep.results.len(), 6 * 231);
+        assert_eq!(sweep.results.len(), 6);
         assert_eq!(sweep.stats.cases, 6 * 231);
+        assert_eq!(summarize_sets(&sweep.results).total, 6 * 231);
         // A classify call either ends on a memo hit or ran at least one
         // exploration, so hits + explorations bound the cases from
         // below; the memo must still collapse a strict majority.
@@ -2362,7 +2464,7 @@ mod tests {
             sweep.stats
         );
         assert!(
-            sweep.stats.explored < sweep.results.len() / 2,
+            sweep.stats.explored < sweep.stats.cases / 2,
             "projection memo should collapse most cases: {:?}",
             sweep.stats
         );
@@ -2549,7 +2651,7 @@ mod tests {
         )
         .unwrap();
         // 3 edges → 6 ordered pairs × 22 links.
-        assert_eq!(sweep.results.len(), 6 * 22);
+        assert_eq!(sweep.results.len(), 6);
         let summary = summarize_sets(&sweep.results);
         assert_eq!(summary.total, 132);
         // No-deflection blackholes exactly when one of its own primary
@@ -2604,16 +2706,15 @@ mod tests {
             assert_eq!(s.violations, violations, "{technique}: {s:?}");
             // The resilience guarantee, stated directly: every connected
             // case under a deflecting dataplane ends lossless or
-            // TTL-bounded — never a blackhole, never a loop.
+            // TTL-bounded — no pair keeps a blackhole or loop offender.
             if technique != DeflectionTechnique::None {
-                for case in results.iter().filter(|c| !c.disconnected) {
+                for pair in &results {
                     assert!(
-                        !matches!(case.report.outcome, Outcome::Blackhole | Outcome::Loop),
-                        "{technique}: {:?} -> {:?} failing {:?}: {:?}",
-                        case.src,
-                        case.dst,
-                        case.failed,
-                        case.report.outcome
+                        pair.offenders.is_empty(),
+                        "{technique}: {:?} -> {:?}: {:?}",
+                        pair.src,
+                        pair.dst,
+                        pair.offenders
                     );
                 }
             }

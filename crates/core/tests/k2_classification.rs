@@ -99,14 +99,18 @@ fn hp_full_protection_survives_every_k2_set_on_topo15() {
         2,
     )
     .unwrap();
-    for case in sweep.results.iter().filter(|c| !c.disconnected) {
+    for pair in &sweep.results {
+        assert_eq!(
+            pair.summary.violations, 0,
+            "{:?} -> {:?}: {:?}",
+            pair.src, pair.dst, pair.summary
+        );
         assert!(
-            !matches!(case.report.outcome, Outcome::Blackhole | Outcome::Loop),
-            "{:?} -> {:?} failing {:?}: {:?}",
-            case.src,
-            case.dst,
-            case.failed,
-            case.report.outcome
+            pair.offenders.is_empty(),
+            "{:?} -> {:?}: {:?}",
+            pair.src,
+            pair.dst,
+            pair.offenders
         );
     }
 }

@@ -23,14 +23,19 @@
 //! expansion and their recorded clean list.
 //!
 //! `verify_failure_sets` sweeps its pairs on every core, one pair per
-//! unit of work. [`serial`] is the one-core sweep it replaced, kept
-//! verbatim (its `Combinations`, `CutTest` and `sweep_pair` with it): the
-//! whole `KSweep` — every row's pair, failure set, verdict and report,
-//! and all four counters — must compare equal, on topo15, rnp28, a ring
-//! and a grid. Every row's disconnection verdict is also checked against
-//! a plain search that shares no code with either `CutTest`. Within a
-//! pair, rows share one `Arc` per distinct report: on rnp28 at k = 2 the
-//! held reports are counted against the distinct answers.
+//! unit of work, and folds each pair's cases as they are classified.
+//! [`serial`] is the one-core sweep it replaced, kept verbatim (its
+//! `Combinations`, `CutTest` and `sweep_pair` with it) but for the type
+//! it returns: its rows, as a [`RowSweep`]. The parallel sweep keeps every row through
+//! [`Rows`], a [`PairFold`] that collects them: every row's pair,
+//! failure set, verdict and report, and all four counters, must compare
+//! equal, on topo15, rnp28, a ring and a grid. Every row's disconnection
+//! verdict is also checked against a plain search that shares no code
+//! with either `CutTest`. Within a pair, rows share one `Arc` per
+//! distinct report: on rnp28 at k = 2 the held reports are counted
+//! against the distinct answers. The production fold, `PairSweep`,
+//! must hold what the oracle's rows fold to by hand: each pair's
+//! summary, per-link blackhole and loop counts, and first violations.
 //!
 //! `kar::analysis` asks the same move relation where a deflected packet
 //! goes, so its answers must be ones the verifier allows: on every
@@ -50,8 +55,9 @@
 use kar::analysis::{driven_walk_from, failure_coverage, DrivenOutcome};
 use kar::protection::encode_with_protection;
 use kar::verify::{
-    check_trajectory, check_trajectory_from, min_failure_set, verify_failure_sets, ActiveRoute,
-    Explorer, KSweep, Outcome, TrajectoryEnd, VerifyReport,
+    check_trajectory, check_trajectory_from, fold_failure_sets, min_failure_set,
+    verify_failure_sets, ActiveRoute, Explorer, FailureSetResult, Outcome, PairFold, TrajectoryEnd,
+    VerifyReport, VerifySummary, OFFENDERS,
 };
 use kar::{
     verify_hier_route, verify_route, DeflectionTechnique, EncodeRequest, EncodedRoute,
@@ -450,10 +456,64 @@ mod reference {
     }
 }
 
+/// A sweep as rows: one [`FailureSetResult`] per `(pair, failure set)`
+/// case, pairs in edge order, sets lexicographic, and the counters.
+pub struct RowSweep {
+    pub results: Vec<FailureSetResult>,
+    pub stats: SweepStats,
+}
+
+/// The row collector: a [`PairFold`] that keeps every case of its pair.
+struct Rows {
+    src: NodeId,
+    dst: NodeId,
+    rows: Vec<FailureSetResult>,
+}
+
+impl PairFold for Rows {
+    fn new(src: NodeId, dst: NodeId, _links: usize) -> Self {
+        Rows {
+            src,
+            dst,
+            rows: Vec::new(),
+        }
+    }
+
+    fn case(&mut self, failed: &[LinkId], disconnected: bool, report: &Arc<VerifyReport>) {
+        self.rows.push(FailureSetResult {
+            src: self.src,
+            dst: self.dst,
+            failed: failed.into(),
+            disconnected,
+            report: Arc::clone(report),
+        });
+    }
+}
+
+/// The parallel sweep with every row kept.
+fn row_sweep(
+    topo: &Topology,
+    technique: DeflectionTechnique,
+    protection: &Protection,
+    cache: &EncodingCache,
+    k: usize,
+) -> RowSweep {
+    let mut sweep = RowSweep {
+        results: Vec::new(),
+        stats: SweepStats::default(),
+    };
+    for (pair, stats) in fold_failure_sets::<Rows>(topo, technique, protection, cache, k).unwrap() {
+        sweep.results.extend(pair.rows);
+        sweep.stats += stats;
+    }
+    sweep
+}
+
 mod serial {
+    use super::RowSweep;
     use kar::{
-        DeflectionTechnique, EncodingCache, FailureSetResult, KSweep, KarError, PairVerifier,
-        Protection, SweepStats,
+        DeflectionTechnique, EncodingCache, FailureSetResult, KarError, PairVerifier, Protection,
+        SweepStats,
     };
     use kar_topology::{paths, LinkId, NodeId, Topology};
     use std::ops::ControlFlow;
@@ -590,7 +650,7 @@ mod serial {
         protection: &Protection,
         cache: &EncodingCache,
         k: usize,
-    ) -> Result<KSweep, KarError> {
+    ) -> Result<RowSweep, KarError> {
         assert!(k >= 1, "a failure sweep needs at least one failure");
         let mut stats = SweepStats::default();
         let mut results = Vec::new();
@@ -626,7 +686,7 @@ mod serial {
                 stats.memo_hits += pv.memo_hits;
             }
         }
-        Ok(KSweep { results, stats })
+        Ok(RowSweep { results, stats })
     }
 }
 
@@ -1149,7 +1209,7 @@ fn min_failure_set_is_the_first_violation_of_the_sweep() {
         for technique in DeflectionTechnique::ALL {
             let cache = EncodingCache::new();
             let sweeps: Vec<_> = (1..=MAX_K)
-                .map(|k| verify_failure_sets(&topo, technique, &protection, &cache, k).unwrap())
+                .map(|k| row_sweep(&topo, technique, &protection, &cache, k))
                 .collect();
             for &src in &edges {
                 for &dst in edges.iter().filter(|&&d| d != src) {
@@ -1190,8 +1250,7 @@ fn compare_sweeps(topo: &Topology, k: usize, protections: &[Protection]) -> Swee
     for protection in protections {
         for technique in DeflectionTechnique::ALL {
             let label = format!("{technique} {protection:?} k = {k}");
-            let got =
-                verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k).unwrap();
+            let got = row_sweep(topo, technique, protection, &EncodingCache::new(), k);
             let want =
                 serial::verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k)
                     .unwrap();
@@ -1211,7 +1270,7 @@ fn compare_sweeps(topo: &Topology, k: usize, protections: &[Protection]) -> Swee
     total
 }
 
-fn assert_same_sweep(got: &KSweep, want: &KSweep, label: &str) {
+fn assert_same_sweep(got: &RowSweep, want: &RowSweep, label: &str) {
     assert_eq!(got.stats, want.stats, "{label}");
     assert_eq!(got.results.len(), want.results.len(), "{label}");
     for (i, (g, w)) in got.results.iter().zip(&want.results).enumerate() {
@@ -1256,8 +1315,7 @@ fn rnp28_k2_rows_hold_one_report_per_distinct_answer() {
     ] {
         let protection = Protection::AutoFull;
         let label = format!("{technique} {protection:?} k = 2");
-        let got =
-            verify_failure_sets(&topo, technique, &protection, &EncodingCache::new(), 2).unwrap();
+        let got = row_sweep(&topo, technique, &protection, &EncodingCache::new(), 2);
         let want =
             serial::verify_failure_sets(&topo, technique, &protection, &EncodingCache::new(), 2)
                 .unwrap();
@@ -1289,6 +1347,87 @@ fn rnp28_k2_rows_hold_one_report_per_distinct_answer() {
         [158, 417, 775],
         "distinct reports of HP, AVP, NIP"
     );
+}
+
+/// Sweeps `topo` at `k` through `verify_failure_sets` and the serial
+/// oracle for every technique under `protections`, and requires each
+/// `PairSweep` to hold what the pair's oracle rows fold to by hand: the
+/// summary, per-link blackhole and loop counts, the first `OFFENDERS`
+/// connected violations, and the counters. Returns how many pairs had
+/// more violations than they keep.
+fn compare_folds(topo: &Topology, k: usize, protections: &[Protection]) -> usize {
+    let mut truncated = 0;
+    for protection in protections {
+        for technique in DeflectionTechnique::ALL {
+            let label = format!("{technique} {protection:?} k = {k}");
+            let got =
+                verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k).unwrap();
+            let want =
+                serial::verify_failure_sets(topo, technique, protection, &EncodingCache::new(), k)
+                    .unwrap();
+            assert_eq!(got.stats, want.stats, "{label}");
+            let pairs: Vec<&[FailureSetResult]> = want
+                .results
+                .chunk_by(|a, b| (a.src, a.dst) == (b.src, b.dst))
+                .collect();
+            assert_eq!(got.results.len(), pairs.len(), "{label}");
+            let mut stats = SweepStats::default();
+            for (pair, rows) in got.results.iter().zip(pairs) {
+                let case = format!("{label}: {}->{}", rows[0].src, rows[0].dst);
+                assert_eq!((pair.src, pair.dst), (rows[0].src, rows[0].dst), "{case}");
+                let mut summary = VerifySummary::default();
+                let mut blackholes = vec![0; topo.link_count()];
+                let mut loops = vec![0; topo.link_count()];
+                for r in rows {
+                    summary.record(r.report.outcome, r.disconnected);
+                    let per_link = match r.report.outcome {
+                        Outcome::Blackhole => &mut blackholes,
+                        Outcome::Loop => &mut loops,
+                        _ => continue,
+                    };
+                    for l in r.failed.iter() {
+                        per_link[l.0] += 1;
+                    }
+                }
+                let offenders: Vec<&FailureSetResult> = rows
+                    .iter()
+                    .filter(|r| !r.disconnected)
+                    .filter(|r| matches!(r.report.outcome, Outcome::Blackhole | Outcome::Loop))
+                    .take(OFFENDERS)
+                    .collect();
+                assert_eq!(pair.summary, summary, "{case}");
+                assert_eq!(pair.blackholes, blackholes, "{case}");
+                assert_eq!(pair.loops, loops, "{case}");
+                assert_eq!(pair.stats.cases, rows.len(), "{case}");
+                assert_eq!(pair.offenders.len(), offenders.len(), "{case}");
+                for (g, w) in pair.offenders.iter().zip(offenders) {
+                    let case = format!("{case} {:?}", w.failed);
+                    assert_eq!((g.src, g.dst), (w.src, w.dst), "{case}");
+                    assert_eq!(g.failed, w.failed, "{case}");
+                    assert_eq!(g.disconnected, w.disconnected, "{case}");
+                    assert_eq!(g.report, w.report, "{case}");
+                }
+                truncated += usize::from(summary.violations > OFFENDERS);
+                stats += pair.stats;
+            }
+            assert_eq!(stats, got.stats, "{label}: the pairs' counters add up");
+        }
+    }
+    truncated
+}
+
+/// What a sweep keeps instead of rows is what the rows fold to: topo15
+/// up to k = 3 (where pairs without protection have more violations
+/// than they keep) and rnp28 at k = 2.
+#[test]
+fn pair_sweeps_hold_the_oracle_rows_folded() {
+    let topo = topo15::build();
+    let truncated: usize = (1..=3).map(|k| compare_folds(&topo, k, &BOTH)).sum();
+    assert!(
+        truncated > 0,
+        "some pair keeps only its first {OFFENDERS} violations"
+    );
+    compare_folds(&rnp28::build(), 2, &[Protection::AutoFull]);
 }
 
 /// Generated topologies: ring/8, where any two failed ring links split

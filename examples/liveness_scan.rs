@@ -1,22 +1,47 @@
 //! Exhaustive scan for counterexamples to the hitless-delivery property
 //! (used to pin down liveness regressions; see tests/liveness_properties.rs).
 //!
-//! Usage: cargo run --release --example liveness_scan [min_seed] [max_seed]
+//! Usage: cargo run --release --example liveness_scan -- [min_seed] [max_seed]
+//!
+//! Scans seeds `min_seed..max_seed` (defaults 0 and `min_seed + 60`). A
+//! seed that is not a number, a third argument or `min_seed > max_seed`
+//! is refused: exit 2, the usage line on stderr, nothing scanned.
 
 use kar::{DeflectionTechnique, KarNetwork, Protection};
 use kar_rns::IdStrategy;
 use kar_simnet::{FlowId, PacketKind, SimTime};
 use kar_topology::{gen, paths, LinkParams};
+use std::process::ExitCode;
 
-fn main() {
-    let min_seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let max_seed: u64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(min_seed + 60);
+const USAGE: &str = "usage: cargo run --release --example liveness_scan -- [min_seed] [max_seed]";
+
+/// The seed range the command line asks for.
+fn seed_range(args: &[String]) -> Result<(u64, u64), String> {
+    let seed = |s: &String| s.parse::<u64>().map_err(|_| format!("not a seed: {s:?}"));
+    let (min_seed, max_seed) = match args {
+        [] => (0, 60),
+        [min] => {
+            let min = seed(min)?;
+            (min, min.saturating_add(60))
+        }
+        [min, max] => (seed(min)?, seed(max)?),
+        [_, _, extra, ..] => return Err(format!("unexpected argument {extra:?}")),
+    };
+    if min_seed > max_seed {
+        return Err(format!("min_seed {min_seed} is above max_seed {max_seed}"));
+    }
+    Ok((min_seed, max_seed))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (min_seed, max_seed) = match seed_range(&args) {
+        Ok(range) => range,
+        Err(e) => {
+            eprintln!("liveness_scan: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let mut tested = 0u64;
     let mut failures = 0u64;
     for n in 6usize..16 {
@@ -86,4 +111,5 @@ fn main() {
         }
     }
     println!("scanned: {tested} qualifying cases, {failures} failures");
+    ExitCode::SUCCESS
 }
