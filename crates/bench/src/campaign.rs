@@ -28,12 +28,11 @@ use crate::record::{record, Record};
 use crate::sweep::{self, cell_text, keyed_seed};
 use kar::{verify_route, DeflectionTechnique, Outcome, Protection};
 use kar_obs::json::{Json, Obj};
-use kar_obs::{Entity, HistogramSummary, ObsHandle, Profiler};
+use kar_obs::{Entity, HistogramSummary, ObsHandle};
 use kar_rns::{route_id_bit_length, IdAllocator, IdStrategy};
 use kar_topology::{gen, paths, LinkParams, Topology};
 use std::collections::HashSet;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 /// Topology family of a campaign cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,7 +381,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let protection = cell.prot.protection();
     let obs = RunObs {
         handle: ObsHandle::enabled(),
-        profiler: Some(Arc::new(Profiler::new())),
+        profiler: None,
     };
     let outcome = FleetRun {
         topo: &topo,
@@ -408,7 +407,7 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
             .summary();
         record.hops = bundle.metrics.histogram(Entity::Global, "hops").summary();
     }
-    record.events = obs.profiler.as_ref().map_or(0, |p| p.total_events());
+    record.events = outcome.events;
 
     // Sampled verification: exhaustive single-failure verification is
     // O(pairs × links) and intractable here, so classify the first
@@ -417,12 +416,8 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &Cell) -> CellRecord {
     let (src0, dst0) = pairs[0];
     let primary = paths::bfs_shortest_path(&topo, src0, dst0).expect("installed routes have paths");
     let core_links = core_links_along(&topo, &primary);
-    let spec = kar::RouteSpec::unprotected(primary.clone());
-    let route = match &protection {
-        Protection::None => kar::EncodedRoute::encode(&topo, &spec),
-        _ => kar::protection::encode_with_protection(&topo, primary.clone(), &protection),
-    }
-    .expect("first route re-encodes");
+    let route = kar::protection::encode_with_protection(&topo, primary, &protection)
+        .expect("first route re-encodes");
     for link in core_links.iter().take(6) {
         let report = verify_route(
             &topo,

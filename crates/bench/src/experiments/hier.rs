@@ -774,6 +774,7 @@ mod tests {
             nominal_hops_mean: point.nominal_hops_mean,
             traffic: Some(FleetOutcome {
                 stats: sim.stats().clone(),
+                events: sim.events_scheduled(),
                 routes: point.distinct.len(),
                 header_bits_max: 0,
                 planned_reencodes: 0,

@@ -618,6 +618,9 @@ pub struct FleetRun<'a> {
 pub struct FleetOutcome {
     /// The simulator's statistics at quiescence.
     pub stats: Stats,
+    /// Events the simulator dispatched ([`Sim::events_scheduled`] at
+    /// quiescence).
+    pub events: u64,
     /// Distinct `(src, dst)` routes installed.
     pub routes: usize,
     /// Widest header a packet carries: the largest route ID, or the
@@ -685,6 +688,7 @@ impl FleetRun<'_> {
         sim.run_to_quiescence();
         FleetOutcome {
             stats: sim.stats().clone(),
+            events: sim.events_scheduled(),
             routes: distinct.len(),
             header_bits_max,
             planned_reencodes,

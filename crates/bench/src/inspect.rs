@@ -38,7 +38,7 @@ use std::process::ExitCode;
 
 use crate::cli::{flag, Args, Experiment};
 use kar_obs::json::{Json, Obj};
-use kar_obs::{fmt_ns, read_dumps, DumpRecord, RunDump};
+use kar_obs::{fmt_ns, read_dumps, DumpEvent, DumpRecord, RunDump};
 use kar_simnet::DropReason;
 
 /// `kar-bench inspect`: reads a finished run's dump, runs nothing.
@@ -474,10 +474,8 @@ fn render_global(run: &RunDump) {
 fn render_timeline(run: &RunDump, wanted: Option<u64>) {
     // Count events per packet span to pick the busiest by default.
     let mut per_pkt: BTreeMap<u64, usize> = BTreeMap::new();
-    for r in &run.records {
-        if let DumpRecord::Event { pkt: Some(p), .. } = r {
-            *per_pkt.entry(*p).or_insert(0) += 1;
-        }
+    for p in run.events().filter_map(|e| e.pkt) {
+        *per_pkt.entry(p).or_insert(0) += 1;
     }
     let chosen = match wanted {
         Some(p) => Some(p),
@@ -488,21 +486,14 @@ fn render_timeline(run: &RunDump, wanted: Option<u64>) {
     };
     let Some(chosen) = chosen else {
         // No packet spans; show unscoped events (faults, re-encodes).
-        let mut rows: Vec<&DumpRecord> = run
-            .records
-            .iter()
-            .filter(|r| matches!(r, DumpRecord::Event { .. }))
-            .collect();
+        let mut rows: Vec<&DumpEvent> = run.events().collect();
         if rows.is_empty() {
             return;
         }
-        rows.sort_by_key(|r| match r {
-            DumpRecord::Event { at_ns, .. } => *at_ns,
-            _ => 0,
-        });
+        rows.sort_by_key(|e| e.at_ns);
         println!("events (no packet spans):");
-        for r in rows.iter().take(30) {
-            println!("{}", event_line(r));
+        for e in rows.iter().take(30) {
+            println!("{}", event_line(e));
         }
         if rows.len() > 30 {
             println!("(… {} more events)", rows.len() - 30);
@@ -510,60 +501,38 @@ fn render_timeline(run: &RunDump, wanted: Option<u64>) {
         println!();
         return;
     };
-    let mut rows: Vec<&DumpRecord> = run
-        .records
-        .iter()
-        .filter(|r| matches!(r, DumpRecord::Event { pkt: Some(p), .. } if *p == chosen))
-        .collect();
+    let mut rows: Vec<&DumpEvent> = run.events().filter(|e| e.pkt == Some(chosen)).collect();
     if rows.is_empty() {
         println!("packet {chosen}: no events in this run");
         println!();
         return;
     }
-    rows.sort_by_key(|r| match r {
-        DumpRecord::Event { at_ns, .. } => *at_ns,
-        _ => 0,
-    });
+    rows.sort_by_key(|e| e.at_ns);
     println!("packet {chosen} timeline ({} events):", rows.len());
-    for r in &rows {
-        println!("{}", event_line(r));
+    for e in &rows {
+        println!("{}", event_line(e));
     }
     println!();
 }
 
-fn event_line(r: &DumpRecord) -> String {
-    let DumpRecord::Event {
-        at_ns,
-        kind,
-        flow,
-        node,
-        link,
-        aux,
-        tag,
-        span,
-        parent,
-        ..
-    } = r
-    else {
-        return String::new();
-    };
-    let mut line = format!("  {:>10} {kind:<9}", fmt_ns(*at_ns));
-    if !node.is_empty() {
-        line.push_str(&format!(" at {node}"));
+fn event_line(e: &DumpEvent) -> String {
+    let mut line = format!("  {:>10} {:<9}", fmt_ns(e.at_ns), e.kind);
+    if !e.node.is_empty() {
+        line.push_str(&format!(" at {}", e.node));
     }
-    if !link.is_empty() {
-        line.push_str(&format!(" on {link}"));
+    if !e.link.is_empty() {
+        line.push_str(&format!(" on {}", e.link));
     }
-    if let Some(f) = flow {
+    if let Some(f) = e.flow {
         line.push_str(&format!(" flow {f}"));
     }
-    if !tag.is_empty() {
-        line.push_str(&format!(" [{tag}]"));
+    if !e.tag.is_empty() {
+        line.push_str(&format!(" [{}]", e.tag));
     }
-    if *aux != 0 {
-        line.push_str(&format!(" aux={aux}"));
+    if e.aux != 0 {
+        line.push_str(&format!(" aux={}", e.aux));
     }
-    match (span, parent) {
+    match (e.span, e.parent) {
         (Some(s), Some(p)) => line.push_str(&format!(" (span {s} ← {p})")),
         (Some(s), None) => line.push_str(&format!(" (span {s})")),
         _ => {}
@@ -610,7 +579,7 @@ mod tests {
 
     #[test]
     fn event_lines_render_all_fields() {
-        let line = event_line(&DumpRecord::Event {
+        let line = event_line(&DumpEvent {
             at_ns: 1_500_000,
             kind: "deflect".into(),
             pkt: Some(3),

@@ -119,7 +119,7 @@ impl RunObs {
         };
         let labeler = TopoLabeler::new(topo);
         let rows = self.profiler.as_ref().map(|p| p.rows()).unwrap_or_default();
-        let mut dump = RunDump::collect_obs(label, obs, &rows, &labeler);
+        let mut dump = RunDump::collect(label, obs, &rows, &labeler);
         if !summary.is_empty() {
             dump.records.push(DumpRecord::Summary { fields: summary });
         }

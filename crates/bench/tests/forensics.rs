@@ -12,7 +12,7 @@
 use kar::{DeflectionTechnique, Protection};
 use kar_bench::harness::{ProbeRun, ProbeScheme};
 use kar_bench::obs::RunObs;
-use kar_obs::{Obs, ObsHandle, RunDump, TopoLabeler};
+use kar_obs::{read_dumps, Obs, ObsHandle, RunDump, TopoLabeler};
 use kar_topology::rnp28;
 use std::sync::Arc;
 
@@ -75,7 +75,13 @@ fn avp_rnp28_loop_freezes_forensic_captures_with_the_causal_chain() {
     // Round-trip through the dump (what `--metrics` writes) and render
     // the same view `kar-bench inspect --view forensics` prints.
     let labeler = TopoLabeler::new(&topo);
-    let dump = RunDump::collect_obs("breaking/rnp28/E_BH-E_113/AVP", &bundle, &[], &labeler);
+    let dump = RunDump::collect("breaking/rnp28/E_BH-E_113/AVP", &bundle, &[], &labeler);
+    // The dump's bytes survive a read: `fevent` lines included.
+    let lines = dump.to_lines();
+    assert!(lines.contains(r#""type":"fevent""#), "no fevent lines");
+    let back = read_dumps(lines.as_bytes()).expect("in-memory read");
+    assert_eq!(back.len(), 1);
+    assert_eq!(back[0].to_lines(), lines);
     let text = kar_obs::forensics::render_forensics(&dump);
     assert!(text.contains("FORENSICS —"), "missing header: {text}");
     assert!(text.contains("trigger=loop"), "missing trigger: {text}");

@@ -135,14 +135,8 @@ fn metrics_collection_never_changes_results() {
     // span chain fault → detect → re-encode → stamped packet.
     let full_chain = dumps.iter().any(|d| {
         let events: Vec<(&str, Option<u64>, Option<u64>)> = d
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                DumpRecord::Event {
-                    kind, span, parent, ..
-                } => Some((kind.as_str(), *span, *parent)),
-                _ => None,
-            })
+            .events()
+            .map(|e| (e.kind.as_str(), e.span, e.parent))
             .collect();
         let fault_spans: Vec<u64> = events
             .iter()

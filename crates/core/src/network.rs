@@ -198,7 +198,8 @@ impl<'t> KarNetwork<'t> {
 
     /// Handle onto the recovery-latency log, when the failure-reactive
     /// controller loop is enabled (see [`KarNetworkBuilder::recovery`]).
-    pub fn recovery_log(&self) -> Option<Arc<Mutex<RecoveryLog>>> {
+    /// The first call attaches the log (see [`Planner::log_handle`]).
+    pub fn recovery_log(&mut self) -> Option<Arc<Mutex<RecoveryLog>>> {
         matches!(self.planner.view(), LinkView::Notices(_)).then(|| self.planner.log_handle())
     }
 
@@ -622,7 +623,7 @@ mod tests {
     #[test]
     fn builder_knobs() {
         let topo = topo15::build();
-        let net = KarNetwork::builder(&topo, DeflectionTechnique::Avp)
+        let mut net = KarNetwork::builder(&topo, DeflectionTechnique::Avp)
             .seed(9)
             .ttl(32)
             .reroute(ReroutePolicy::Drop)

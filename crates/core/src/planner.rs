@@ -50,7 +50,7 @@ use kar_simnet::{EdgeLogic, Packet, RerouteDecision, RouteTag, SimTime};
 use kar_topology::{paths, LinkId, NodeId, Partition, PortIx, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// What the planner does with link-state notices (see the module table).
 #[derive(Debug, Clone, Default)]
@@ -159,7 +159,8 @@ pub struct Planner {
     /// to a fresh one, so this only affects speed.
     cache: Option<Arc<EncodingCache>>,
     obs: ObsHandle,
-    log: Arc<Mutex<RecoveryLog>>,
+    /// The recovery log, once [`Planner::log_handle`] asked for one.
+    log: Option<Arc<Mutex<RecoveryLog>>>,
     stats: Arc<HierStats>,
     /// `(node, dst)` → what `node` stamps for `dst`. At an edge: its
     /// install, detour or wrong-edge rescue; at a core switch: the piece
@@ -254,16 +255,12 @@ impl Planner {
     }
 
     /// Handle onto the recovery log: take it before the run, read it
-    /// after. The planner records only while a handle is held — a
-    /// long-lived daemon never takes one, and must not grow a record per
-    /// notice and per detour forever.
-    pub fn log_handle(&self) -> Arc<Mutex<RecoveryLog>> {
-        Arc::clone(&self.log)
-    }
-
-    /// The recovery log, while anyone outside the planner can read it.
-    fn watched(log: &Arc<Mutex<RecoveryLog>>) -> Option<MutexGuard<'_, RecoveryLog>> {
-        (Arc::strong_count(log) > 1).then(|| lock_log(log))
+    /// after. The first call attaches the log and the planner records
+    /// into it from then on; a planner never asked — a long-lived
+    /// daemon's — records nothing, so it cannot grow a record per notice
+    /// and per detour forever.
+    pub fn log_handle(&mut self) -> Arc<Mutex<RecoveryLog>> {
+        Arc::clone(self.log.get_or_insert_with(Default::default))
     }
 
     /// Marks `link` down or up; `true` when the set of links known down
@@ -572,8 +569,8 @@ impl Planner {
                 // failure set are stale now.
                 self.entries.clear();
             }
-            if let Some(mut log) = Self::watched(&self.log) {
-                log.notices.push(next);
+            if let Some(log) = &self.log {
+                lock_log(log).notices.push(next);
             }
             if let Some(obs) = self.obs.get() {
                 obs.metrics
@@ -649,8 +646,8 @@ impl Planner {
         let mut span = if detour { rec.live.span } else { None };
         if detour && !was_detour {
             if let Some(failed_at) = self.last_failure_observed {
-                if let Some(mut log) = Self::watched(&self.log) {
-                    log.flows.push(FlowRecovery {
+                if let Some(log) = &self.log {
+                    lock_log(log).flows.push(FlowRecovery {
                         src,
                         dst,
                         failed_at,

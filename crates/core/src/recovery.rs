@@ -88,7 +88,7 @@ impl FlowRecovery {
 /// Everything the recovery loop did during a run.
 ///
 /// Shared via [`crate::Planner::log_handle`] — taken before the run,
-/// since recording happens only while a handle is held — so the
+/// since a planner records only once the log is attached — so the
 /// telemetry can read it after the simulation (which owns the planner)
 /// finishes.
 #[derive(Debug, Clone, Default)]

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::dump::{DumpRecord, RunDump};
+use crate::dump::{DumpEvent, RunDump};
 use crate::json::escape;
 
 /// Microsecond timestamp with sub-µs precision preserved.
@@ -61,16 +61,10 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
 
         // tid per node, first-seen order; 0 is the control plane.
         let mut tids: HashMap<&str, usize> = HashMap::new();
-        let events: Vec<&DumpRecord> = dump
-            .records
-            .iter()
-            .filter(|r| matches!(r, DumpRecord::Event { .. }))
-            .collect();
-        for r in &events {
-            let DumpRecord::Event { node, .. } = r else {
-                continue;
-            };
-            if !node.is_empty() && !tids.contains_key(node.as_str()) {
+        let events: Vec<&DumpEvent> = dump.events().collect();
+        for ev in &events {
+            let node = ev.node.as_str();
+            if !node.is_empty() && !tids.contains_key(node) {
                 let tid = tids.len() + 1;
                 tids.insert(node, tid);
                 push_obj(
@@ -102,37 +96,29 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
         }
         let mut extents: Vec<(u64, Extent)> = Vec::new();
         let mut by_span: HashMap<u64, usize> = HashMap::new();
-        for r in &events {
-            let DumpRecord::Event {
-                at_ns,
-                kind,
-                pkt,
-                node,
-                span: Some(span),
-                ..
-            } = r
-            else {
+        for ev in &events {
+            let Some(span) = ev.span else {
                 continue;
             };
-            match by_span.get(span) {
+            match by_span.get(&span) {
                 Some(&i) => {
                     let e = &mut extents[i].1;
-                    e.last_ns = (*at_ns).max(e.last_ns);
+                    e.last_ns = ev.at_ns.max(e.last_ns);
                     e.count += 1;
                     if e.pkt.is_none() {
-                        e.pkt = *pkt;
+                        e.pkt = ev.pkt;
                     }
                 }
                 None => {
-                    by_span.insert(*span, extents.len());
+                    by_span.insert(span, extents.len());
                     extents.push((
-                        *span,
+                        span,
                         Extent {
-                            first_ns: *at_ns,
-                            last_ns: *at_ns,
-                            first_kind: kind,
-                            first_node: node,
-                            pkt: *pkt,
+                            first_ns: ev.at_ns,
+                            last_ns: ev.at_ns,
+                            first_kind: &ev.kind,
+                            first_node: &ev.node,
+                            pkt: ev.pkt,
                             count: 1,
                         },
                     ));
@@ -170,42 +156,27 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
 
         // Instants + flow arrows for parent links.
         let mut arrows = 0u64;
-        for r in &events {
-            let DumpRecord::Event {
-                at_ns,
-                kind,
-                pkt,
-                flow,
-                node,
-                link,
-                aux,
-                tag,
-                span,
-                parent,
-            } = r
-            else {
-                continue;
-            };
-            let tid = tid_of(node);
-            let name = if tag.is_empty() {
-                kind.clone()
+        for ev in &events {
+            let tid = tid_of(&ev.node);
+            let name = if ev.tag.is_empty() {
+                ev.kind.clone()
             } else {
-                format!("{kind} {tag}")
+                format!("{} {}", ev.kind, ev.tag)
             };
-            let mut args = format!("\"aux\":{aux}");
-            if let Some(p) = pkt {
+            let mut args = format!("\"aux\":{}", ev.aux);
+            if let Some(p) = ev.pkt {
                 let _ = write!(args, ",\"pkt\":{p}");
             }
-            if let Some(f) = flow {
+            if let Some(f) = ev.flow {
                 let _ = write!(args, ",\"flow\":{f}");
             }
-            if !link.is_empty() {
-                let _ = write!(args, ",\"link\":\"{}\"", escape(link));
+            if !ev.link.is_empty() {
+                let _ = write!(args, ",\"link\":\"{}\"", escape(&ev.link));
             }
-            if let Some(s) = span {
+            if let Some(s) = ev.span {
                 let _ = write!(args, ",\"span\":{s}");
             }
-            if let Some(p) = parent {
+            if let Some(p) = ev.parent {
                 let _ = write!(args, ",\"parent\":{p}");
             }
             push_obj(
@@ -213,13 +184,13 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
                 &format!(
                     "\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\
                      \"name\":\"{}\",\"args\":{{{args}}}",
-                    ts_us(*at_ns),
+                    ts_us(ev.at_ns),
                     escape(&name)
                 ),
             );
             // Flow arrow: parent span's first event → this event.
-            if let Some(parent) = parent {
-                if let Some(&i) = by_span.get(parent) {
+            if let Some(parent) = ev.parent {
+                if let Some(&i) = by_span.get(&parent) {
                     let (_, pe) = &extents[i];
                     arrows += 1;
                     // Unique arrow id within the run; runs are separate pids.
@@ -238,7 +209,7 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
                         &format!(
                             "\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"cause\",\"id\":\"{id}\",\
                              \"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"cause\"",
-                            ts_us(*at_ns)
+                            ts_us(ev.at_ns)
                         ),
                     );
                 }
@@ -252,6 +223,7 @@ pub fn trace_json(dumps: &[RunDump]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dump::DumpRecord;
 
     fn ev(
         at_ns: u64,
@@ -261,18 +233,15 @@ mod tests {
         span: Option<u64>,
         parent: Option<u64>,
     ) -> DumpRecord {
-        DumpRecord::Event {
+        DumpRecord::Event(DumpEvent {
             at_ns,
             kind: kind.into(),
             pkt,
-            flow: None,
             node: node.into(),
-            link: String::new(),
-            aux: 0,
-            tag: String::new(),
             span,
             parent,
-        }
+            ..DumpEvent::default()
+        })
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! human names (`node:SW7`, `link:SW7-SW13`) at dump time via a
 //! [`TopoLabeler`], so the reader never needs the topology. Lines are
 //! written and read through [`crate::json`].
+//!
+//! A traced event has one definition, [`DumpEvent`]: an `event` line is
+//! its ten members, and a flight-recorder `fevent` line is the same ten
+//! behind the capture index and section it belongs to. A field added to
+//! [`DumpEvent`] — its conversion, writer and reader — reaches both line
+//! types and every reader of either.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead};
@@ -13,7 +19,7 @@ use kar_topology::{LinkId, NodeId, Topology};
 
 use crate::events::Event;
 use crate::json::{json_f64, Json, Obj};
-use crate::metrics::{Entity, HistSnapshot, MetricsSnapshot};
+use crate::metrics::{Entity, HistSnapshot};
 use crate::profile::ProfileRow;
 
 /// Resolves raw entity indexes to topology names at dump time.
@@ -121,29 +127,8 @@ pub enum DumpRecord {
         /// `(t_ns, value)` samples.
         samples: Vec<(u64, f64)>,
     },
-    /// One traced event.
-    Event {
-        /// Simulation time in nanoseconds.
-        at_ns: u64,
-        /// Event kind name (see `EventKind::as_str`).
-        kind: String,
-        /// Packet span id, if any.
-        pkt: Option<u64>,
-        /// Flow id, if any.
-        flow: Option<u64>,
-        /// Node name ("" when not applicable).
-        node: String,
-        /// Link name ("" when not applicable).
-        link: String,
-        /// Kind-specific scalar.
-        aux: u64,
-        /// Kind-specific label.
-        tag: String,
-        /// Causal span id, if any.
-        span: Option<u64>,
-        /// Parent span id, if any.
-        parent: Option<u64>,
-    },
+    /// One traced event (an `event` line).
+    Event(DumpEvent),
     /// Event-ring occupancy for the run: total pushed, evicted by the
     /// bound, and the configured capacity.
     Ring {
@@ -170,32 +155,14 @@ pub enum DumpRecord {
         /// Captures suppressed by the recorder bounds (whole run).
         suppressed: u64,
     },
-    /// One event frozen inside a forensic capture.
+    /// One event frozen inside a forensic capture (an `fevent` line).
     ForensicEvent {
         /// Capture index this event belongs to.
         capture: u64,
         /// `"chain"` (causal chain) or `"recent"` (ring window).
         section: String,
-        /// Simulation time in nanoseconds.
-        at_ns: u64,
-        /// Event kind name.
-        kind: String,
-        /// Packet id, if any.
-        pkt: Option<u64>,
-        /// Flow id, if any.
-        flow: Option<u64>,
-        /// Node name ("" when not applicable).
-        node: String,
-        /// Link name ("" when not applicable).
-        link: String,
-        /// Kind-specific scalar.
-        aux: u64,
-        /// Kind-specific label.
-        tag: String,
-        /// Causal span id, if any.
-        span: Option<u64>,
-        /// Parent span id, if any.
-        parent: Option<u64>,
+        /// The event.
+        event: DumpEvent,
     },
     /// One profiler row.
     Profile {
@@ -216,6 +183,82 @@ pub enum DumpRecord {
     },
 }
 
+/// One traced event as a dump carries it: the body of an `event` line
+/// ([`DumpRecord::Event`]) and of an `fevent` line
+/// ([`DumpRecord::ForensicEvent`]) alike.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DumpEvent {
+    /// Simulation time in nanoseconds.
+    pub at_ns: u64,
+    /// Event kind name (see `EventKind::as_str`).
+    pub kind: String,
+    /// Packet span id, if any.
+    pub pkt: Option<u64>,
+    /// Flow id, if any.
+    pub flow: Option<u64>,
+    /// Node name ("" when not applicable).
+    pub node: String,
+    /// Link name ("" when not applicable).
+    pub link: String,
+    /// Kind-specific scalar.
+    pub aux: u64,
+    /// Kind-specific label.
+    pub tag: String,
+    /// Causal span id, if any.
+    pub span: Option<u64>,
+    /// Parent span id, if any.
+    pub parent: Option<u64>,
+}
+
+impl DumpEvent {
+    /// `ev` with its node and link named by `labeler` (`""` when absent).
+    pub fn labeled(ev: &Event, labeler: &TopoLabeler) -> Self {
+        DumpEvent {
+            at_ns: ev.at_ns,
+            kind: ev.kind.as_str().to_string(),
+            pkt: ev.pkt,
+            flow: ev.flow.map(u64::from),
+            node: ev.node.map(|n| labeler.node(n)).unwrap_or_default(),
+            link: ev.link.map(|l| labeler.link(l)).unwrap_or_default(),
+            aux: ev.aux,
+            tag: ev.tag.to_string(),
+            span: ev.span,
+            parent: ev.parent,
+        }
+    }
+
+    /// Appends the ten members to `obj` in line order; an absent id is
+    /// `null`.
+    fn write(&self, obj: Obj) -> Obj {
+        obj.num("at_ns", self.at_ns)
+            .str("kind", &self.kind)
+            .num("pkt", or_null(self.pkt))
+            .num("flow", or_null(self.flow))
+            .str("node", &self.node)
+            .str("link", &self.link)
+            .num("aux", self.aux)
+            .str("tag", &self.tag)
+            .num("span", or_null(self.span))
+            .num("parent", or_null(self.parent))
+    }
+
+    /// Reads the ten members of a parsed line.
+    fn read(m: &Members) -> Self {
+        DumpEvent {
+            at_ns: m.u64("at_ns"),
+            kind: m.text("kind"),
+            pkt: m.opt_u64("pkt"),
+            flow: m.opt_u64("flow"),
+            node: m.text("node"),
+            link: m.text("link"),
+            aux: m.u64("aux"),
+            tag: m.text("tag"),
+            span: m.opt_u64("span"),
+            parent: m.opt_u64("parent"),
+        }
+    }
+}
+
 /// Everything one run dumped, under one label.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunDump {
@@ -226,15 +269,16 @@ pub struct RunDump {
 }
 
 impl RunDump {
-    /// Builds a dump from live observations: metrics snapshot first,
-    /// then events in time order, then profiler rows.
+    /// Builds a dump from a run's [`Obs`](crate::Obs) bundle: the
+    /// metrics snapshot first, then events in time order, `profile`'s
+    /// rows, ring occupancy and the flight-recorder captures.
     pub fn collect(
         label: &str,
-        snap: &MetricsSnapshot,
-        events: &[Event],
+        obs: &crate::Obs,
         profile: &[ProfileRow],
         labeler: &TopoLabeler,
     ) -> Self {
+        let snap = obs.metrics.snapshot();
         let mut records = Vec::new();
         for (e, metric, value) in &snap.counters {
             records.push(DumpRecord::Counter {
@@ -278,19 +322,8 @@ impl RunDump {
                 samples: samples.clone(),
             });
         }
-        for ev in events {
-            records.push(DumpRecord::Event {
-                at_ns: ev.at_ns,
-                kind: ev.kind.as_str().to_string(),
-                pkt: ev.pkt,
-                flow: ev.flow.map(u64::from),
-                node: ev.node.map(|n| labeler.node(n)).unwrap_or_default(),
-                link: ev.link.map(|l| labeler.link(l)).unwrap_or_default(),
-                aux: ev.aux,
-                tag: ev.tag.to_string(),
-                span: ev.span,
-                parent: ev.parent,
-            });
+        for ev in &obs.events.events() {
+            records.push(DumpRecord::Event(DumpEvent::labeled(ev, labeler)));
         }
         for r in profile {
             records.push(DumpRecord::Profile {
@@ -300,28 +333,7 @@ impl RunDump {
                 max_ns: r.max_ns,
             });
         }
-        RunDump {
-            label: label.to_string(),
-            records,
-        }
-    }
-
-    /// Builds a dump from a whole [`Obs`](crate::Obs) bundle: metrics,
-    /// events, ring occupancy and flight-recorder captures.
-    pub fn collect_obs(
-        label: &str,
-        obs: &crate::Obs,
-        profile: &[ProfileRow],
-        labeler: &TopoLabeler,
-    ) -> Self {
-        let mut dump = Self::collect(
-            label,
-            &obs.metrics.snapshot(),
-            &obs.events.events(),
-            profile,
-            labeler,
-        );
-        dump.records.push(DumpRecord::Ring {
+        records.push(DumpRecord::Ring {
             pushed: obs.events.pushed(),
             evicted: obs.events.evicted(),
             cap: obs.events.capacity() as u64,
@@ -329,7 +341,7 @@ impl RunDump {
         let suppressed = obs.forensics.suppressed();
         for (i, c) in obs.forensics.captures().iter().enumerate() {
             let capture = i as u64;
-            dump.records.push(DumpRecord::Forensic {
+            records.push(DumpRecord::Forensic {
                 capture,
                 trigger: c.trigger.to_string(),
                 at_ns: c.at_ns,
@@ -339,24 +351,26 @@ impl RunDump {
             });
             for (section, evs) in [("chain", &c.chain), ("recent", &c.recent)] {
                 for ev in evs {
-                    dump.records.push(DumpRecord::ForensicEvent {
+                    records.push(DumpRecord::ForensicEvent {
                         capture,
                         section: section.to_string(),
-                        at_ns: ev.at_ns,
-                        kind: ev.kind.as_str().to_string(),
-                        pkt: ev.pkt,
-                        flow: ev.flow.map(u64::from),
-                        node: ev.node.map(|n| labeler.node(n)).unwrap_or_default(),
-                        link: ev.link.map(|l| labeler.link(l)).unwrap_or_default(),
-                        aux: ev.aux,
-                        tag: ev.tag.to_string(),
-                        span: ev.span,
-                        parent: ev.parent,
+                        event: DumpEvent::labeled(ev, labeler),
                     });
                 }
             }
         }
-        dump
+        RunDump {
+            label: label.to_string(),
+            records,
+        }
+    }
+
+    /// The run's `event` records, in dump order.
+    pub fn events(&self) -> impl Iterator<Item = &DumpEvent> {
+        self.records.iter().filter_map(|r| match r {
+            DumpRecord::Event(event) => Some(event),
+            _ => None,
+        })
     }
 
     /// Serializes to JSON lines (one per record, each carrying the run
@@ -373,7 +387,6 @@ impl RunDump {
 
 fn record_line(run: &str, r: &DumpRecord) -> String {
     let head = |kind: &str| Obj::new().str("run", run).str("type", kind);
-    let opt_num = |v: &Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
     match r {
         DumpRecord::Counter {
             entity,
@@ -426,50 +439,16 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
                 .str("metric", metric)
                 .str("samples", &packed.join(";"))
         }
-        DumpRecord::Event {
-            at_ns,
-            kind,
-            pkt,
-            flow,
-            node,
-            link,
-            aux,
-            tag,
-            span,
-            parent,
-        }
-        | DumpRecord::ForensicEvent {
-            at_ns,
-            kind,
-            pkt,
-            flow,
-            node,
-            link,
-            aux,
-            tag,
-            span,
-            parent,
-            ..
-        } => {
-            let head = match r {
-                DumpRecord::ForensicEvent {
-                    capture, section, ..
-                } => head("fevent")
-                    .num("capture", capture)
-                    .str("section", section),
-                _ => head("event"),
-            };
-            head.num("at_ns", at_ns)
-                .str("kind", kind)
-                .num("pkt", opt_num(pkt))
-                .num("flow", opt_num(flow))
-                .str("node", node)
-                .str("link", link)
-                .num("aux", aux)
-                .str("tag", tag)
-                .num("span", opt_num(span))
-                .num("parent", opt_num(parent))
-        }
+        DumpRecord::Event(event) => event.write(head("event")),
+        DumpRecord::ForensicEvent {
+            capture,
+            section,
+            event,
+        } => event.write(
+            head("fevent")
+                .num("capture", capture)
+                .str("section", section),
+        ),
         DumpRecord::Ring {
             pushed,
             evicted,
@@ -489,7 +468,7 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
             .num("capture", capture)
             .str("trigger", trigger)
             .num("at_ns", at_ns)
-            .num("pkt", opt_num(pkt))
+            .num("pkt", or_null(*pkt))
             .num("evicted", evicted)
             .num("suppressed", suppressed),
         DumpRecord::Profile {
@@ -509,6 +488,11 @@ fn record_line(run: &str, r: &DumpRecord) -> String {
     .finish()
 }
 
+/// `v`, or `null` when absent.
+fn or_null(v: Option<u64>) -> String {
+    v.map_or("null".to_string(), |v| v.to_string())
+}
+
 /// A dump value as text: strings as they are, numbers as written.
 fn text_of(v: &Json) -> &str {
     match v {
@@ -517,9 +501,28 @@ fn text_of(v: &Json) -> &str {
     }
 }
 
-fn u64_of(v: &Json) -> Option<u64> {
-    // Scientific notation (a foreign writer's) falls back through f64.
-    v.as_num().or_else(|| v.as_f64().map(|f| f as u64))
+/// A parsed line's members, read leniently: an absent or mistyped
+/// member reads as `""`, `0` or `None`.
+struct Members(Json);
+
+impl Members {
+    fn text(&self, k: &str) -> String {
+        self.0.get(k).map(text_of).unwrap_or_default().to_string()
+    }
+
+    fn opt_u64(&self, k: &str) -> Option<u64> {
+        // Scientific notation (a foreign writer's) falls back through f64.
+        let v = self.0.get(k)?;
+        v.as_num().or_else(|| v.as_f64().map(|f| f as u64))
+    }
+
+    fn u64(&self, k: &str) -> u64 {
+        self.opt_u64(k).unwrap_or(0)
+    }
+
+    fn i64(&self, k: &str) -> i64 {
+        self.0.get(k).and_then(Json::as_num).unwrap_or(0)
+    }
 }
 
 fn parse_pairs_u64(packed: &str) -> Vec<(u64, u64)> {
@@ -547,85 +550,62 @@ fn parse_pairs_f64(packed: &str) -> Vec<(u64, f64)> {
 /// Parses one dump line into `(run label, record)`. Lines that are not
 /// dump records yield `None`.
 pub fn parse_line(line: &str) -> Option<(String, DumpRecord)> {
-    let map = Json::parse(line).ok()?;
-    let run = text_of(map.get("run")?).to_string();
-    let get = |k: &str| map.get(k).map(text_of).unwrap_or_default().to_string();
-    let opt_u64 = |k: &str| map.get(k).and_then(u64_of);
-    let get_u64 = |k: &str| opt_u64(k).unwrap_or(0);
-    let get_i64 = |k: &str| map.get(k).and_then(Json::as_num).unwrap_or(0);
-    let rec = match text_of(map.get("type")?) {
+    let m = Members(Json::parse(line).ok()?);
+    let run = text_of(m.0.get("run")?).to_string();
+    let rec = match text_of(m.0.get("type")?) {
         "counter" => DumpRecord::Counter {
-            entity: get("entity"),
-            metric: get("metric"),
-            value: get_u64("value"),
+            entity: m.text("entity"),
+            metric: m.text("metric"),
+            value: m.u64("value"),
         },
         "gauge" => DumpRecord::Gauge {
-            entity: get("entity"),
-            metric: get("metric"),
-            value: get_i64("value"),
-            max: get_i64("max"),
+            entity: m.text("entity"),
+            metric: m.text("metric"),
+            value: m.i64("value"),
+            max: m.i64("max"),
         },
         "hist" => DumpRecord::Hist {
-            entity: get("entity"),
-            metric: get("metric"),
-            count: get_u64("count"),
-            sum: get_u64("sum"),
-            min: get_u64("min"),
-            max: get_u64("max"),
-            buckets: parse_pairs_u64(&get("buckets")),
+            entity: m.text("entity"),
+            metric: m.text("metric"),
+            count: m.u64("count"),
+            sum: m.u64("sum"),
+            min: m.u64("min"),
+            max: m.u64("max"),
+            buckets: parse_pairs_u64(&m.text("buckets")),
         },
         "series" => DumpRecord::Series {
-            entity: get("entity"),
-            metric: get("metric"),
-            samples: parse_pairs_f64(&get("samples")),
+            entity: m.text("entity"),
+            metric: m.text("metric"),
+            samples: parse_pairs_f64(&m.text("samples")),
         },
-        "event" => DumpRecord::Event {
-            at_ns: get_u64("at_ns"),
-            kind: get("kind"),
-            pkt: opt_u64("pkt"),
-            flow: opt_u64("flow"),
-            node: get("node"),
-            link: get("link"),
-            aux: get_u64("aux"),
-            tag: get("tag"),
-            span: opt_u64("span"),
-            parent: opt_u64("parent"),
-        },
+        "event" => DumpRecord::Event(DumpEvent::read(&m)),
         "ring" => DumpRecord::Ring {
-            pushed: get_u64("pushed"),
-            evicted: get_u64("evicted"),
-            cap: get_u64("cap"),
+            pushed: m.u64("pushed"),
+            evicted: m.u64("evicted"),
+            cap: m.u64("cap"),
         },
         "forensic" => DumpRecord::Forensic {
-            capture: get_u64("capture"),
-            trigger: get("trigger"),
-            at_ns: get_u64("at_ns"),
-            pkt: opt_u64("pkt"),
-            evicted: get_u64("evicted"),
-            suppressed: get_u64("suppressed"),
+            capture: m.u64("capture"),
+            trigger: m.text("trigger"),
+            at_ns: m.u64("at_ns"),
+            pkt: m.opt_u64("pkt"),
+            evicted: m.u64("evicted"),
+            suppressed: m.u64("suppressed"),
         },
         "fevent" => DumpRecord::ForensicEvent {
-            capture: get_u64("capture"),
-            section: get("section"),
-            at_ns: get_u64("at_ns"),
-            kind: get("kind"),
-            pkt: opt_u64("pkt"),
-            flow: opt_u64("flow"),
-            node: get("node"),
-            link: get("link"),
-            aux: get_u64("aux"),
-            tag: get("tag"),
-            span: opt_u64("span"),
-            parent: opt_u64("parent"),
+            capture: m.u64("capture"),
+            section: m.text("section"),
+            event: DumpEvent::read(&m),
         },
         "profile" => DumpRecord::Profile {
-            label: get("label"),
-            count: get_u64("count"),
-            total_ns: get_u64("total_ns"),
-            max_ns: get_u64("max_ns"),
+            label: m.text("label"),
+            count: m.u64("count"),
+            total_ns: m.u64("total_ns"),
+            max_ns: m.u64("max_ns"),
         },
         "summary" => DumpRecord::Summary {
-            fields: map
+            fields: m
+                .0
                 .as_obj()?
                 .iter()
                 .filter(|(k, _)| k != "run" && k != "type")
@@ -664,20 +644,24 @@ pub fn read_dumps<R: BufRead>(reader: R) -> io::Result<Vec<RunDump>> {
 mod tests {
     use super::*;
     use crate::events::EventKind;
-    use crate::metrics::MetricsRegistry;
 
     #[test]
     fn dump_round_trips_through_lines() {
-        let reg = MetricsRegistry::new();
-        reg.counter(Entity::Node(0), "deflect.hp").add(3);
-        reg.gauge(Entity::Link(1), "queue").set(-2);
-        reg.histogram(Entity::Flow(7), "latency_ns").observe(12345);
-        reg.series(Entity::Link(1), "util").sample(10, 0.5);
+        let obs = crate::Obs::new();
+        obs.metrics.counter(Entity::Node(0), "deflect.hp").add(3);
+        obs.metrics.gauge(Entity::Link(1), "queue").set(-2);
+        obs.metrics
+            .histogram(Entity::Flow(7), "latency_ns")
+            .observe(12345);
+        obs.metrics.series(Entity::Link(1), "util").sample(10, 0.5);
         let mut ev = Event::new(42, EventKind::Deflect);
         ev.pkt = Some(9);
         ev.flow = Some(7);
         ev.node = Some(0);
         ev.tag = "hp";
+        ev.span = Some(crate::span::pkt_span(9));
+        obs.events.push(ev);
+        obs.forensics.capture("loop", 50, Some(9), &obs.events);
         let profile = vec![ProfileRow {
             label: "arrive",
             count: 4,
@@ -686,11 +670,16 @@ mod tests {
         }];
         let dump = RunDump::collect(
             "test/run \"quoted\"",
-            &reg.snapshot(),
-            &[ev],
+            &obs,
             &profile,
             &TopoLabeler::anonymous(),
         );
+        let fevents = dump
+            .records
+            .iter()
+            .filter(|r| matches!(r, DumpRecord::ForensicEvent { .. }))
+            .count();
+        assert_eq!((dump.events().count(), fevents), (1, 2), "{dump:?}");
         let lines = dump.to_lines();
         let back = read_dumps(lines.as_bytes()).unwrap();
         assert_eq!(back.len(), 1);
@@ -702,18 +691,17 @@ mod tests {
         let dump = RunDump {
             label: "r".into(),
             records: vec![
-                DumpRecord::Event {
+                DumpRecord::Event(DumpEvent {
                     at_ns: 10,
                     kind: "detect".into(),
-                    pkt: None,
-                    flow: None,
                     node: "SW7".into(),
                     link: "SW7-SW13".into(),
                     aux: 1,
                     tag: "down".into(),
                     span: Some(4),
                     parent: Some(2),
-                },
+                    ..DumpEvent::default()
+                }),
                 DumpRecord::Ring {
                     pushed: 100,
                     evicted: 36,
@@ -730,16 +718,14 @@ mod tests {
                 DumpRecord::ForensicEvent {
                     capture: 0,
                     section: "chain".into(),
-                    at_ns: 10,
-                    kind: "fault".into(),
-                    pkt: None,
-                    flow: None,
-                    node: String::new(),
-                    link: "SW7-SW13".into(),
-                    aux: 0,
-                    tag: "down".into(),
-                    span: Some(2),
-                    parent: None,
+                    event: DumpEvent {
+                        at_ns: 10,
+                        kind: "fault".into(),
+                        link: "SW7-SW13".into(),
+                        tag: "down".into(),
+                        span: Some(2),
+                        ..DumpEvent::default()
+                    },
                 },
                 DumpRecord::Summary {
                     fields: vec![
@@ -754,6 +740,108 @@ mod tests {
         let back = read_dumps(dump.to_lines().as_bytes()).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0], dump);
+    }
+
+    /// The line format itself, not only its round trip: one line of
+    /// each record type, byte for byte.
+    #[test]
+    fn every_record_type_keeps_its_line_bytes() {
+        let records = vec![
+            DumpRecord::Counter {
+                entity: "node:SW7".into(),
+                metric: "deflect.hp".into(),
+                value: 3,
+            },
+            DumpRecord::Gauge {
+                entity: "link:SW7-SW13".into(),
+                metric: "queue".into(),
+                value: -2,
+                max: 5,
+            },
+            DumpRecord::Hist {
+                entity: "flow:7".into(),
+                metric: "latency_ns".into(),
+                count: 2,
+                sum: 300,
+                min: 100,
+                max: 200,
+                buckets: vec![(96, 1), (192, 1)],
+            },
+            DumpRecord::Series {
+                entity: "link:SW7-SW13".into(),
+                metric: "util".into(),
+                samples: vec![(10, 0.5), (20, 1.0)],
+            },
+            DumpRecord::Event(DumpEvent {
+                at_ns: 42,
+                kind: "deflect".into(),
+                pkt: Some(9),
+                flow: Some(7),
+                node: "SW7".into(),
+                aux: 2,
+                tag: "hp".into(),
+                span: Some(19),
+                ..DumpEvent::default()
+            }),
+            DumpRecord::Ring {
+                pushed: 100,
+                evicted: 36,
+                cap: 64,
+            },
+            DumpRecord::Forensic {
+                capture: 0,
+                trigger: "loop".into(),
+                at_ns: 999,
+                pkt: Some(7),
+                evicted: 36,
+                suppressed: 3,
+            },
+            DumpRecord::ForensicEvent {
+                capture: 0,
+                section: "chain".into(),
+                event: DumpEvent {
+                    at_ns: 10,
+                    kind: "fault".into(),
+                    link: "SW7-SW13".into(),
+                    tag: "down".into(),
+                    span: Some(2),
+                    ..DumpEvent::default()
+                },
+            },
+            DumpRecord::Profile {
+                label: "arrive".into(),
+                count: 4,
+                total_ns: 1000,
+                max_ns: 400,
+            },
+            DumpRecord::Summary {
+                fields: vec![
+                    ("experiment".into(), Json::Str("fig5".into())),
+                    ("seed".into(), Json::Num(u64::MAX.to_string())),
+                    ("latency".into(), Json::Null),
+                ],
+            },
+        ];
+        let dump = RunDump {
+            label: "fig/\"q\"".into(),
+            records,
+        };
+        let text = dump.to_lines();
+        let expected = [
+            r#"{"run":"fig/\"q\"","type":"counter","entity":"node:SW7","metric":"deflect.hp","value":3}"#,
+            r#"{"run":"fig/\"q\"","type":"gauge","entity":"link:SW7-SW13","metric":"queue","value":-2,"max":5}"#,
+            r#"{"run":"fig/\"q\"","type":"hist","entity":"flow:7","metric":"latency_ns","count":2,"sum":300,"min":100,"max":200,"buckets":"96:1;192:1"}"#,
+            r#"{"run":"fig/\"q\"","type":"series","entity":"link:SW7-SW13","metric":"util","samples":"10:0.5;20:1"}"#,
+            r#"{"run":"fig/\"q\"","type":"event","at_ns":42,"kind":"deflect","pkt":9,"flow":7,"node":"SW7","link":"","aux":2,"tag":"hp","span":19,"parent":null}"#,
+            r#"{"run":"fig/\"q\"","type":"ring","pushed":100,"evicted":36,"cap":64}"#,
+            r#"{"run":"fig/\"q\"","type":"forensic","capture":0,"trigger":"loop","at_ns":999,"pkt":7,"evicted":36,"suppressed":3}"#,
+            r#"{"run":"fig/\"q\"","type":"fevent","capture":0,"section":"chain","at_ns":10,"kind":"fault","pkt":null,"flow":null,"node":"","link":"SW7-SW13","aux":0,"tag":"down","span":2,"parent":null}"#,
+            r#"{"run":"fig/\"q\"","type":"profile","label":"arrive","count":4,"total_ns":1000,"max_ns":400}"#,
+            r#"{"run":"fig/\"q\"","type":"summary","experiment":"fig5","seed":18446744073709551615,"latency":null}"#,
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(text.ends_with('\n'));
+        assert_eq!(read_dumps(text.as_bytes()).unwrap(), vec![dump]);
     }
 
     #[test]

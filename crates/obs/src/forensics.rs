@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-use crate::dump::{DumpRecord, RunDump};
+use crate::dump::{DumpEvent, DumpRecord, RunDump};
 use crate::events::{Event, EventRing};
 use crate::profile::fmt_ns;
 use crate::span::pkt_span;
@@ -140,57 +140,40 @@ pub fn causal_chain(events: &[Event], root: u64) -> Vec<Event> {
 }
 
 /// One capture parsed back out of a dump.
-#[derive(Debug, Clone, Default)]
-pub struct CaptureView {
-    /// Capture index within the run.
-    pub capture: u64,
-    /// Trigger name.
-    pub trigger: String,
-    /// Trigger time (ns).
-    pub at_ns: u64,
-    /// Offending packet, if any.
-    pub pkt: Option<u64>,
-    /// Ring evictions at capture time.
-    pub evicted: u64,
-    /// Suppressed-capture count for the whole run.
-    pub suppressed: u64,
-    /// Events in the capture: `(section, record)` where section is
+#[derive(Debug, Clone)]
+pub struct CaptureView<'a> {
+    /// The [`DumpRecord::Forensic`] record the capture was read from.
+    pub record: &'a DumpRecord,
+    /// Events in the capture: `(section, event)` where section is
     /// `"chain"` or `"recent"`.
-    pub events: Vec<(String, DumpRecord)>,
+    pub events: Vec<(&'a str, &'a DumpEvent)>,
 }
 
 /// Groups a run's forensic records back into [`CaptureView`]s.
-pub fn captures_in(run: &RunDump) -> Vec<CaptureView> {
-    let mut views: Vec<CaptureView> = Vec::new();
-    for rec in &run.records {
-        match rec {
-            DumpRecord::Forensic {
-                capture,
-                trigger,
-                at_ns,
-                pkt,
-                evicted,
-                suppressed,
-            } => views.push(CaptureView {
-                capture: *capture,
-                trigger: trigger.clone(),
-                at_ns: *at_ns,
-                pkt: *pkt,
-                evicted: *evicted,
-                suppressed: *suppressed,
-                events: Vec::new(),
-            }),
+pub fn captures_in(run: &RunDump) -> Vec<CaptureView<'_>> {
+    let mut views: Vec<(u64, CaptureView)> = Vec::new();
+    for record in &run.records {
+        match record {
+            DumpRecord::Forensic { capture, .. } => views.push((
+                *capture,
+                CaptureView {
+                    record,
+                    events: Vec::new(),
+                },
+            )),
             DumpRecord::ForensicEvent {
-                capture, section, ..
+                capture,
+                section,
+                event,
             } => {
-                if let Some(v) = views.iter_mut().find(|v| v.capture == *capture) {
-                    v.events.push((section.clone(), rec.clone()));
+                if let Some((_, v)) = views.iter_mut().find(|(c, _)| c == capture) {
+                    v.events.push((section, event));
                 }
             }
             _ => {}
         }
     }
-    views
+    views.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Renders one capture as the fault → detection → re-encode → packet
@@ -198,78 +181,36 @@ pub fn captures_in(run: &RunDump) -> Vec<CaptureView> {
 /// packets lost in the blind window).
 pub fn render_capture(v: &CaptureView) -> String {
     use std::fmt::Write as _;
+    let DumpRecord::Forensic {
+        capture,
+        trigger,
+        at_ns,
+        pkt,
+        evicted,
+        ..
+    } = v.record
+    else {
+        return String::new();
+    };
     let mut out = String::new();
-    let pkt_str = v.pkt.map(|p| format!(" pkt={p}")).unwrap_or_default();
+    let pkt_str = pkt.map(|p| format!(" pkt={p}")).unwrap_or_default();
     let _ = writeln!(
         out,
-        "capture {}: trigger={}{} at {}  (ring evicted: {})",
-        v.capture,
-        v.trigger,
-        pkt_str,
-        fmt_ns(v.at_ns),
-        v.evicted
+        "capture {capture}: trigger={trigger}{pkt_str} at {}  (ring evicted: {evicted})",
+        fmt_ns(*at_ns),
     );
 
-    let chain: Vec<&DumpRecord> = v
-        .events
-        .iter()
-        .filter(|(s, _)| s == "chain")
-        .map(|(_, r)| r)
-        .collect();
-    let recent: Vec<&DumpRecord> = v
-        .events
-        .iter()
-        .filter(|(s, _)| s == "recent")
-        .map(|(_, r)| r)
-        .collect();
-
-    // (at_ns, kind, pkt, node, link, tag, span, parent)
-    type EvFields = (
-        u64,
-        String,
-        Option<u64>,
-        String,
-        String,
-        String,
-        Option<u64>,
-        Option<u64>,
-    );
-    let field = |r: &DumpRecord| -> Option<EvFields> {
-        if let DumpRecord::ForensicEvent {
-            at_ns,
-            kind,
-            pkt,
-            node,
-            link,
-            tag,
-            span,
-            parent,
-            ..
-        } = r
-        {
-            Some((
-                *at_ns,
-                kind.clone(),
-                *pkt,
-                node.clone(),
-                link.clone(),
-                tag.clone(),
-                *span,
-                *parent,
-            ))
-        } else {
-            None
-        }
+    let section = |want: &str| -> Vec<&DumpEvent> {
+        v.events
+            .iter()
+            .filter(|(s, _)| *s == want)
+            .map(|(_, e)| *e)
+            .collect()
     };
+    let (chain, recent) = (section("chain"), section("recent"));
 
     // Anchor times for the gap annotations.
-    let time_of = |want: &str| -> Option<u64> {
-        chain
-            .iter()
-            .filter_map(|r| field(r))
-            .find(|(_, kind, ..)| kind == want)
-            .map(|(at, ..)| at)
-    };
+    let time_of = |want: &str| chain.iter().find(|e| e.kind == want).map(|e| e.at_ns);
     let fault_at = time_of("fault");
     let detect_at = time_of("detect");
     let reencode_at = time_of("reencode");
@@ -279,24 +220,22 @@ pub fn render_capture(v: &CaptureView) -> String {
     } else {
         let _ = writeln!(out, "  causal chain ({} events):", chain.len());
     }
-    for r in &chain {
-        let Some((at, kind, pkt, node, link, tag, span, parent)) = field(r) else {
-            continue;
-        };
-        let mut line = format!("    {:>10}  {:<8}", fmt_ns(at), kind);
-        if let Some(p) = pkt {
+    for e in &chain {
+        let at = e.at_ns;
+        let mut line = format!("    {:>10}  {:<8}", fmt_ns(at), e.kind);
+        if let Some(p) = e.pkt {
             let _ = write!(line, " pkt {p}");
         }
-        if !node.is_empty() {
-            let _ = write!(line, " @{node}");
+        if !e.node.is_empty() {
+            let _ = write!(line, " @{}", e.node);
         }
-        if !link.is_empty() {
-            let _ = write!(line, " link {link}");
+        if !e.link.is_empty() {
+            let _ = write!(line, " link {}", e.link);
         }
-        if !tag.is_empty() {
-            let _ = write!(line, " [{tag}]");
+        if !e.tag.is_empty() {
+            let _ = write!(line, " [{}]", e.tag);
         }
-        match (span, parent) {
+        match (e.span, e.parent) {
             (Some(s), Some(p)) => {
                 let _ = write!(line, "  (span {s} ← {p})");
             }
@@ -306,7 +245,7 @@ pub fn render_capture(v: &CaptureView) -> String {
             _ => {}
         }
         // Gap annotations on the chain's control-plane milestones.
-        match kind.as_str() {
+        match e.kind.as_str() {
             "detect" => {
                 if let Some(f) = fault_at {
                     let _ = write!(line, "   detection lag {}", fmt_ns(at.saturating_sub(f)));
@@ -340,8 +279,7 @@ pub fn render_capture(v: &CaptureView) -> String {
     if let (Some(f), Some(d)) = (fault_at, detect_at) {
         let lost = recent
             .iter()
-            .filter_map(|r| field(r))
-            .filter(|(at, kind, ..)| kind == "drop" && *at >= f && *at <= d)
+            .filter(|e| e.kind == "drop" && (f..=d).contains(&e.at_ns))
             .count();
         let _ = writeln!(
             out,
@@ -363,7 +301,14 @@ pub fn render_forensics(run: &RunDump) -> String {
         return String::new();
     }
     let mut out = String::new();
-    let suppressed = views.iter().map(|v| v.suppressed).max().unwrap_or(0);
+    let suppressed = views
+        .iter()
+        .filter_map(|v| match v.record {
+            DumpRecord::Forensic { suppressed, .. } => Some(*suppressed),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
     let _ = writeln!(
         out,
         "FORENSICS — {} capture(s), {} suppressed",

@@ -14,10 +14,13 @@
 //!   (hop, deflection, drop, fault, detection, re-encode) whose packet
 //!   ids act as span ids linking a packet's hops to its flow,
 //! * a sim [`Profiler`] timing the discrete-event loop per event type,
-//! * a JSON-lines dump format ([`RunDump`]), whose `summary` record
-//!   carries each run's own result line, plus the [`sink`] that
-//!   experiment binaries flush to `--metrics <path>`; `kar-bench
-//!   inspect` renders the dumps,
+//! * an anomaly-triggered flight recorder ([`forensics`]) and a Chrome
+//!   trace exporter ([`chrome`]),
+//! * a JSON-lines dump format ([`RunDump`]), whose `event` and
+//!   flight-recorder `fevent` lines share one [`DumpEvent`] and whose
+//!   `summary` record carries each run's own result line, plus the
+//!   [`sink`] that experiment binaries flush to `--metrics <path>`;
+//!   `kar-bench inspect` renders the dumps,
 //! * [`json`] — the workspace's one JSON writer and reader.
 //!
 //! Metrics are **pure observation**: nothing here feeds back into
@@ -37,7 +40,7 @@ mod profile;
 pub mod sink;
 pub mod span;
 
-pub use dump::{parse_line, read_dumps, DumpRecord, RunDump, TopoLabeler};
+pub use dump::{parse_line, read_dumps, DumpEvent, DumpRecord, RunDump, TopoLabeler};
 pub use events::{Event, EventKind, EventRing, EVENT_RING_CAP};
 pub use forensics::{ForensicCapture, ForensicLog};
 pub use json::{escape, json_f64};

@@ -73,8 +73,7 @@ impl Profiler {
 
     /// Total dispatches across every label. Unlike the timing columns
     /// this is a *simulated* quantity (one dispatch per event) and is
-    /// deterministic per seed — campaigns divide it by wall-clock to get
-    /// an events/sec throughput figure.
+    /// deterministic per seed.
     pub fn total_events(&self) -> u64 {
         let slots = self.slots.lock().expect("profiler lock");
         slots.values().map(|acc| acc.count).sum()

@@ -488,6 +488,12 @@ impl<'t> Sim<'t> {
         &self.stats
     }
 
+    /// Events ever scheduled, on the calendar and the CPU queue alike;
+    /// once the run is quiescent, every one of them has been dispatched.
+    pub fn events_scheduled(&self) -> u64 {
+        self.next_event_seq
+    }
+
     /// Packets currently inside the network (queued, serializing,
     /// propagating, or awaiting controller reinjection). Together with
     /// [`Stats`] this gives the conservation invariant

@@ -1,11 +1,8 @@
-//! Path computation over a [`Topology`]: BFS (hop count), Dijkstra
-//! (delay-weighted), and helpers that turn node paths into the
-//! `(switch_id, port)` pairs KAR encodes.
+//! Path computation over a [`Topology`]: BFS (hop count) and helpers
+//! that turn node paths into the `(switch_id, port)` pairs KAR encodes.
 
 use crate::graph::{Adj, LinkId, NodeId, PortIx, Topology};
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A simple path as a node sequence (first = source, last = destination).
 pub type NodePath = Vec<NodeId>;
@@ -250,53 +247,6 @@ impl Scratch {
     }
 }
 
-/// Shortest path by accumulated link propagation delay (Dijkstra).
-/// Returns `None` if unreachable.
-pub fn dijkstra_by_delay(topo: &Topology, src: NodeId, dst: NodeId) -> Option<NodePath> {
-    let mut dist: Vec<u128> = vec![u128::MAX; topo.node_count()];
-    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[src.0] = 0;
-    heap.push(Reverse((0u128, src)));
-    while let Some(Reverse((d, n))) = heap.pop() {
-        if d > dist[n.0] {
-            continue;
-        }
-        if n == dst {
-            break;
-        }
-        for (_, l, peer) in topo.neighbors(n) {
-            let w = topo.link(l).params.delay_ns as u128 + 1; // +1 keeps hops relevant
-            let nd = d + w;
-            if nd < dist[peer.0] {
-                dist[peer.0] = nd;
-                prev[peer.0] = Some(n);
-                heap.push(Reverse((nd, peer)));
-            }
-        }
-    }
-    if dist[dst.0] == u128::MAX {
-        return None;
-    }
-    Some(reconstruct(&prev, src, dst))
-}
-
-fn reconstruct(prev: &[Option<NodeId>], src: NodeId, dst: NodeId) -> NodePath {
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur.0].expect("reconstruction reached a node with no predecessor");
-        path.push(cur);
-    }
-    path.reverse();
-    path
-}
-
-/// Hop count of a node path (`len - 1`), `0` for trivial paths.
-pub fn hop_count(path: &[NodeId]) -> usize {
-    path.len().saturating_sub(1)
-}
-
 /// Converts a node path into KAR `(switch_id, output_port)` pairs for the
 /// core switches along it.
 ///
@@ -395,7 +345,6 @@ mod tests {
         let p = bfs_shortest_path(&t, t.expect("S"), t.expect("D")).unwrap();
         let names: Vec<&str> = p.iter().map(|&n| t.node(n).name.as_str()).collect();
         assert_eq!(names, vec!["S", "A", "B", "D"]);
-        assert_eq!(hop_count(&p), 3);
     }
 
     #[test]
@@ -409,33 +358,6 @@ mod tests {
         let t2 = b.build().unwrap();
         let _ = (x, y);
         assert_eq!(bfs_shortest_path(&t2, t2.expect("X"), t2.expect("Y")), None);
-    }
-
-    #[test]
-    fn dijkstra_prefers_low_delay() {
-        let mut b = TopologyBuilder::new();
-        let s = b.edge("S");
-        let a = b.core("A", 7);
-        let c = b.core("C", 11);
-        let d = b.edge("D");
-        // Direct link is slow (10 ms), detour via C is 2×1 µs.
-        b.link(s, a, LinkParams::new(100, 1));
-        b.link(a, d, LinkParams::new(100, 10_000));
-        b.link(a, c, LinkParams::new(100, 1));
-        b.link(c, d, LinkParams::new(100, 1));
-        let t = b.build().unwrap();
-        let p = dijkstra_by_delay(&t, s, d).unwrap();
-        let names: Vec<&str> = p.iter().map(|&n| t.node(n).name.as_str()).collect();
-        assert_eq!(names, vec!["S", "A", "C", "D"]);
-    }
-
-    #[test]
-    fn dijkstra_unreachable_is_none() {
-        let mut b = TopologyBuilder::new();
-        b.edge("X");
-        b.edge("Y");
-        let t = b.build().unwrap();
-        assert_eq!(dijkstra_by_delay(&t, t.expect("X"), t.expect("Y")), None);
     }
 
     #[test]
