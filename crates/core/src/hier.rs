@@ -35,7 +35,8 @@
 //!
 //! [`Segmented`] is the partitioned instance of the verifier's
 //! [`ActiveRoute`]: the one exhaustive explorer of [`crate::verify`]
-//! then walks `(active segment, switch, in-port, deflected)` states,
+//! then walks `(active segment, state)` pairs, each state holding what
+//! the technique reads of `(switch, in-port, deflected)`,
 //! switching segments at boundary crossings exactly as the planner
 //! would, with the same [`crate::Outcome`] precedence, witnesses and
 //! `relevant_links`. Whether hierarchy introduces any *new* violation

@@ -4,11 +4,18 @@
 //! explores *all* of them. A packet inside the core is fully described
 //! by `(switch, input port, deflected-flag)` — KAR cores are stateless,
 //! so the forwarding relation over those states is finite and can be
-//! enumerated. [`verify_route`] builds that state graph for one encoded
-//! route under one failure set, mirroring [`KarForwarder`]'s decision
-//! procedure choice-for-choice (residue first, then the technique's
-//! deflection candidate set), and classifies what can happen to a
-//! packet:
+//! enumerated. Each technique reads only part of that triple, so the
+//! explorer keeps only that part: `(switch, deflected)` for HP, the
+//! switch alone for AVP and `None`, `(switch, input port)` for NIP
+//! (`State::canonical`). States that differ only in a field the
+//! technique does not read have the same moves and the same successors,
+//! so the smaller graph is a bisimulation quotient of the full one and
+//! every answer read off it but the state count and the choice of
+//! loop-witness cycle is the full graph's. [`verify_route`] builds that
+//! state graph for one encoded route under one failure set, mirroring
+//! [`KarForwarder`]'s decision procedure choice-for-choice (residue
+//! first, then the technique's deflection candidate set), and classifies
+//! what can happen to a packet:
 //!
 //! * [`Outcome::Delivered`] — every trajectory reaches the destination.
 //! * [`Outcome::WrongEdge`] — no trajectory is lost in the core, but
@@ -39,7 +46,7 @@
 //! cases without running the state-graph search at all — every case of
 //! a projection shares the memo's one report (an `Arc`). Many distinct
 //! projections still give equal reports (on rnp28 at k = 3, HP's 38 725
-//! explorations give 722 distinct reports over its 12 pairs), so the
+//! explorations give 642 distinct reports over its 12 pairs), so the
 //! verifier also interns each new report by content: a pair holds one
 //! report per distinct answer, however many explorations found it, and
 //! every case it classifies is lent that report. Cycle detection
@@ -150,9 +157,10 @@ use std::ops::{AddAssign, ControlFlow};
 use std::sync::Arc;
 use std::{panic, thread};
 
-/// A packet's complete core-network state: where it is, where it came
-/// from, and whether it has ever been deflected (the only bit of header
-/// state the techniques consult).
+/// A packet's core-network state: where it is, where it came from, and
+/// whether it has ever been deflected (the only bit of header state the
+/// techniques consult). The explorer keeps each state in its
+/// [`State::canonical`] form, which holds only what the technique reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct State {
     pub(crate) node: NodeId,
@@ -180,6 +188,35 @@ impl State {
             node,
             in_port: in_port.unwrap_or(NO_PORT),
             deflected,
+        }
+    }
+
+    /// The state with only what `technique`'s [`possible_moves`] reads,
+    /// the other fields set to [`NO_PORT`] and `false`: HP reads the
+    /// deflected bit and not the input port, AVP and `None` read
+    /// neither, and NIP reads the input port and not the bit. `None`,
+    /// AVP and NIP copy the bit into their residue move's flag, but
+    /// `step` hands that flag to a successor that drops it here again.
+    /// So two states with one canonical form have
+    /// the same moves and the same canonical successors: the canonical
+    /// states are a bisimulation quotient of the full ones, and every
+    /// report field but `states` and the choice of loop-witness cycle is
+    /// the same on either.
+    pub(crate) fn canonical(self, technique: DeflectionTechnique) -> State {
+        match technique {
+            DeflectionTechnique::HotPotato => State {
+                in_port: NO_PORT,
+                ..self
+            },
+            DeflectionTechnique::None | DeflectionTechnique::Avp => State {
+                in_port: NO_PORT,
+                deflected: false,
+                ..self
+            },
+            DeflectionTechnique::Nip => State {
+                deflected: false,
+                ..self
+            },
         }
     }
 }
@@ -275,7 +312,9 @@ pub struct VerifyReport {
     pub can_blackhole: bool,
     /// The state graph contains a cycle (escapable or not).
     pub has_cycle: bool,
-    /// Reachable `(switch, in-port, deflected)` states explored.
+    /// Reachable states explored, each holding only what the technique
+    /// reads: `(switch, deflected)` for HP, the switch for AVP and
+    /// `None`, `(switch, in-port)` for NIP.
     pub states: usize,
     /// For [`Outcome::Loop`]: the switches of one inescapable cycle.
     pub loop_witness: Option<Vec<NodeId>>,
@@ -371,12 +410,14 @@ pub(crate) fn possible_moves(
 }
 
 /// Where the move `(port, deflected)` from `state` lands: a successor
-/// state with the route it then carries (a re-stamp is a fresh tag, so
-/// the deflected bit clears too) or the edge node it surfaces at.
+/// state, canonical for `technique`, with the route it then carries (a
+/// re-stamp is a fresh tag, so the deflected bit clears too) or the edge
+/// node it surfaces at.
 fn step<A: ActiveRoute>(
     topo: &Topology,
     active: &mut A,
     dst: NodeId,
+    technique: DeflectionTechnique,
     (key, state): (A::Key, State),
     (port, deflected): (PortIx, bool),
 ) -> Result<(A::Key, State), Terminal> {
@@ -395,12 +436,17 @@ fn step<A: ActiveRoute>(
         in_port: topo.link(link).port_on(peer),
         deflected: deflected && restamp.is_none(),
     };
-    Ok((restamp.unwrap_or(key), next))
+    Ok((restamp.unwrap_or(key), next.canonical(technique)))
 }
 
-/// The link the ingress edge `src` transmits into, and the state a
-/// packet enters the core in through it.
-fn entry<A: ActiveRoute>(topo: &Topology, active: &A, src: NodeId) -> (LinkId, State) {
+/// The link the ingress edge `src` transmits into, and the state,
+/// canonical for `technique`, a packet enters the core in through it.
+fn entry<A: ActiveRoute>(
+    topo: &Topology,
+    active: &A,
+    src: NodeId,
+    technique: DeflectionTechnique,
+) -> (LinkId, State) {
     let uplink = topo.node(src).ports[active.route(active.ingress()).uplink as usize];
     let first = topo.link(uplink).peer_of(src);
     let in_port = topo.link(uplink).port_on(first);
@@ -409,7 +455,7 @@ fn entry<A: ActiveRoute>(topo: &Topology, active: &A, src: NodeId) -> (LinkId, S
         in_port,
         deflected: false,
     };
-    (uplink, state)
+    (uplink, state.canonical(technique))
 }
 
 /// Exhaustively classifies one route under one failure set.
@@ -567,10 +613,11 @@ struct StateTable<K> {
     sites: Vec<Site<K>>,
     /// Per interned state and port, what the move out of that port
     /// does: the successor's id, [`DELIVERED`], [`WRONG_EDGE`] or
-    /// [`UNKNOWN`]. One slot serves both deflected bits because a state
-    /// takes each port with one bit only — its residue port with its own
-    /// bit, any other port as a deflection — so the bit is a function of
-    /// the slot (debug builds re-run `step` on every cached hop).
+    /// [`UNKNOWN`]. One slot per port suffices because a state takes
+    /// each port with one flag only — its residue port with its own bit,
+    /// any other port as a deflection — so the flag is a function of the
+    /// slot, and `step` keeps it only where the technique reads it, HP
+    /// (debug builds re-run `step` on every cached hop).
     hops: Vec<u32>,
     /// Per interned state whose clean list is recorded, that list: its
     /// length, then the code of each of its edges in move order — a
@@ -633,10 +680,11 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
         topo: &Topology,
         active: &mut A,
         dst: NodeId,
+        technique: DeflectionTechnique,
         at: (K, State),
         mv: (PortIx, bool),
     ) -> u32 {
-        match step(topo, active, dst, at, mv) {
+        match step(topo, active, dst, technique, at, mv) {
             Err(Terminal::Delivered) => DELIVERED,
             Err(Terminal::WrongEdge(_)) => WRONG_EDGE,
             Ok(next) => self.intern(topo, active, next),
@@ -673,7 +721,8 @@ impl<K: Copy + Eq + Hash> StateTable<K> {
         dropped
             || len == moves.len()
                 && (0..len).all(|k| {
-                    self.hop(topo, active, dst, (key, state), moves[k]) == self.lists[head + 1 + k]
+                    let code = self.hop(topo, active, dst, technique, (key, state), moves[k]);
+                    code == self.lists[head + 1 + k]
                 })
     }
 }
@@ -860,7 +909,9 @@ impl StateGraph {
 /// under the real failure set, and assert they agree.
 ///
 /// The tables make an explorer belong to one `(topology, route,
-/// destination)`: hand every call the same `topo`, `active` and `dst`.
+/// destination, technique)`: hand every call the same `topo`, `active`,
+/// `dst` and `technique` (debug builds assert the last; the interned
+/// states are canonical for it).
 ///
 /// Tables grow with the states reached (one hop per port of each, and a
 /// clean list of at most as many edges) and the link count (two
@@ -878,10 +929,13 @@ pub struct Explorer<K> {
     relevant: LinkBits,
     graph: StateGraph,
     moves: Vec<(PortIx, bool)>,
+    /// The technique of the first search, which debug builds hold every
+    /// later search to: the interned states are canonical for it.
+    technique: Option<DeflectionTechnique>,
 }
 
 /// The states a new explorer makes room for at once. An rnp28
-/// exploration reaches 33–70 states on average at k = 3, and growing the
+/// exploration reaches 16–46 states on average at k = 3, and growing the
 /// tables and local arrays from empty, one doubling at a time, made a
 /// fresh [`verify_route`] there about a third dearer.
 const ROOM: usize = 128;
@@ -912,6 +966,7 @@ impl<K: Copy + Eq + Hash> Default for Explorer<K> {
                 walk_pos: Vec::new(),
             },
             moves: Vec::new(),
+            technique: None,
         }
     }
 }
@@ -936,7 +991,7 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
         self.fail(topo, failed);
         // The edge transmits blindly into its uplink; a failed uplink kills
         // every packet of the flow at hop zero.
-        let (uplink, initial) = entry(topo, active, src);
+        let (uplink, initial) = entry(topo, active, src, technique);
         if self.failed.contains(uplink) {
             return VerifyReport {
                 outcome: Outcome::Blackhole,
@@ -996,7 +1051,18 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
             relevant,
             graph,
             moves,
+            technique: seen,
         } = self;
+        debug_assert_eq!(
+            *seen.get_or_insert(technique),
+            technique,
+            "an explorer serves one technique"
+        );
+        debug_assert_eq!(
+            root.1,
+            root.1.canonical(technique),
+            "a search starts canonical"
+        );
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
             table.marks.iter_mut().for_each(|m| m.seen = 0);
@@ -1070,12 +1136,12 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
                     let slot = at.hops as usize + mv.0 as usize;
                     let mut code = table.hops[slot];
                     if code == UNKNOWN {
-                        code = table.hop(topo, active, dst, (key, state), mv);
+                        code = table.hop(topo, active, dst, technique, (key, state), mv);
                         table.hops[slot] = code;
                     }
                     debug_assert_eq!(
                         code,
-                        table.hop(topo, active, dst, (key, state), mv),
+                        table.hop(topo, active, dst, technique, (key, state), mv),
                         "a cached hop is what step returns"
                     );
                     graph.edge(&mut table.marks, epoch, code);
@@ -1111,6 +1177,7 @@ impl<K: Copy + Eq + Hash> Explorer<K> {
     ) -> Self {
         let mut explorer = Explorer::new();
         explorer.fail(topo, failed.iter().copied());
+        let root = (root.0, root.1.canonical(technique));
         explorer.search(topo, active, dst, technique, root);
         explorer
     }
@@ -1922,7 +1989,7 @@ pub enum TrajectoryEnd {
 /// starting at the ingress edge `src`. The deflected flag and input
 /// port are not in the trace, so the check searches the move relation
 /// from the switch past the uplink on a fresh [`Explorer`] and walks its
-/// graph as an NFA: it keeps every `(switch, in-port, deflected)` state
+/// graph as an NFA: it keeps every state (canonical for `technique`)
 /// consistent with the observed prefix and demands at least one of them
 /// explains each next hop — and, at the end, the claimed fate.
 ///
@@ -1943,7 +2010,7 @@ pub fn check_trajectory<A: ActiveRoute>(
     if path.first() != Some(&src) {
         return Err(format!("path must start at src {src:?}, got {path:?}"));
     }
-    let (uplink, root) = entry(topo, &active, src);
+    let (uplink, root) = entry(topo, &active, src, technique);
     let dead = failed.contains(&uplink);
     if dead || path.len() == 1 {
         // The edge transmits blindly into a dead uplink: the packet dies
@@ -2103,6 +2170,16 @@ mod tests {
     }
 
     #[test]
+    fn only_delivered_and_wrong_edge_are_lossless() {
+        use Outcome::*;
+        let lossless: Vec<Outcome> = [Delivered, WrongEdge, TtlExceeded, Blackhole, Loop]
+            .into_iter()
+            .filter(|o| o.is_lossless())
+            .collect();
+        assert_eq!(lossless, [Delivered, WrongEdge]);
+    }
+
+    #[test]
     fn failed_uplink_is_an_immediate_blackhole() {
         let topo = topo15::build();
         let primary = topo15::primary_route(&topo);
@@ -2204,10 +2281,12 @@ mod tests {
                                 out.iter().map(|&j| graph.order[j as usize]).collect();
                             let mut want: Vec<u32> = moves
                                 .iter()
-                                .map(|&mv| match step(topo, &mut &route, dst, ((), state), mv) {
-                                    Ok(next) => table.ids[&next],
-                                    Err(Terminal::Delivered) => DELIVERED,
-                                    Err(Terminal::WrongEdge(_)) => WRONG_EDGE,
+                                .map(|&mv| {
+                                    match step(topo, &mut &route, dst, technique, ((), state), mv) {
+                                        Ok(next) => table.ids[&next],
+                                        Err(Terminal::Delivered) => DELIVERED,
+                                        Err(Terminal::WrongEdge(_)) => WRONG_EDGE,
+                                    }
                                 })
                                 .collect();
                             if want.is_empty() {
@@ -2286,6 +2365,85 @@ mod tests {
         assert_eq!(cov.deflecting_switch, a);
         assert_eq!(cov.candidates, vec![h0, h1]);
         assert!(cov.driven.is_empty());
+    }
+
+    /// The route a packet carries in the projection proptest: key 0 from
+    /// the ingress, key 1 once it crosses a link whose bit the mask sets
+    /// (a fresh tag, so `step` clears the deflected bit).
+    struct Restamps(u16);
+
+    impl ActiveRoute for Restamps {
+        type Key = u8;
+        fn ingress(&self) -> u8 {
+            0
+        }
+        fn route(&self, _: u8) -> &EncodedRoute {
+            unreachable!("step reads no route")
+        }
+        fn restamp(&mut self, _: &Topology, link: LinkId, _: NodeId) -> Option<u8> {
+            (self.0 >> link.0 & 1 == 1).then_some(1)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 2_000,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// A switch of degree 1–12 whose neighbours are switches or hosts
+        /// by `hosts`, its ports up by `up`, the links `restamps` names
+        /// re-stamping, its residue `computed` and a packet in it from
+        /// `in_port` (either past the degree names no port) with the bit
+        /// `deflected`: under every technique the state and its canonical
+        /// form have the same moves, and each move leads to the same
+        /// canonical successor or edge.
+        #[test]
+        fn a_canonical_state_moves_like_the_full_one(
+            degree in 1usize..13,
+            hosts in proptest::prelude::any::<u16>(),
+            up in proptest::prelude::any::<u16>(),
+            restamps in proptest::prelude::any::<u16>(),
+            computed in 0u64..14,
+            (in_port, deflected) in (0u64..14, proptest::prelude::any::<bool>()),
+        ) {
+            const IDS: [u64; 13] = [41, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+            let mut b = kar_topology::TopologyBuilder::new();
+            let a = b.core("A", IDS[0]);
+            for i in 0..degree {
+                let name = format!("N{i}");
+                let peer = if hosts >> i & 1 == 1 {
+                    b.edge(&name)
+                } else {
+                    b.core(&name, IDS[i + 1])
+                };
+                b.link(a, peer, kar_topology::LinkParams::default());
+            }
+            let topo = b.build().unwrap();
+            let dst = topo.link(topo.node(a).ports[0]).peer_of(a);
+            let down = |l: LinkId| up >> l.0 & 1 == 0;
+            let full = State {
+                node: a,
+                in_port: if (in_port as usize) < degree { in_port } else { NO_PORT },
+                deflected,
+            };
+            let mut active = Restamps(restamps);
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for technique in DeflectionTechnique::ALL {
+                let canonical = full.canonical(technique);
+                possible_moves(&topo, computed, technique, down, full, &mut want);
+                possible_moves(&topo, computed, technique, down, canonical, &mut got);
+                let ports = |moves: &[(PortIx, bool)]| moves.iter().map(|mv| mv.0).collect();
+                let (got_ports, want_ports): (Vec<_>, Vec<_>) = (ports(&got), ports(&want));
+                proptest::prop_assert_eq!(got_ports, want_ports, "{} {:?}", technique, full);
+                for (&mv, &canonical_mv) in want.iter().zip(&got) {
+                    let from_full = step(&topo, &mut active, dst, technique, (0, full), mv);
+                    let from_canonical =
+                        step(&topo, &mut active, dst, technique, (0, canonical), canonical_mv);
+                    proptest::prop_assert_eq!(from_canonical, from_full, "{} {:?}", technique, full);
+                }
+            }
+        }
     }
 
     /// The verifier's move relation must match the sampled dataplane: at

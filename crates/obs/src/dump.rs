@@ -863,6 +863,31 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_writers_scientific_notation_reads_back() {
+        let text = "{\"run\":\"a\",\"type\":\"counter\",\"entity\":\"global\",\"metric\":\"x\",\"value\":1.5e3}\n\
+                    {\"run\":\"a\",\"type\":\"forensic\",\"capture\":0,\"trigger\":\"loop\",\"at_ns\":2E6,\"pkt\":1.5e3,\"evicted\":0,\"suppressed\":0}\n";
+        let dumps = read_dumps(text.as_bytes()).unwrap();
+        assert_eq!(
+            dumps[0].records,
+            vec![
+                DumpRecord::Counter {
+                    entity: "global".into(),
+                    metric: "x".into(),
+                    value: 1500,
+                },
+                DumpRecord::Forensic {
+                    capture: 0,
+                    trigger: "loop".into(),
+                    at_ns: 2_000_000,
+                    pkt: Some(1500),
+                    evicted: 0,
+                    suppressed: 0,
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn foreign_lines_are_skipped() {
         let text = "{\"type\":\"run\",\"experiment\":\"fig4\"}\nnot json\n\
                     {\"run\":\"a\",\"type\":\"counter\",\"entity\":\"global\",\"metric\":\"x\",\"value\":1}\n";

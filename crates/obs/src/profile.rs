@@ -118,8 +118,10 @@ mod tests {
     #[test]
     fn rows_accumulate_and_sort_by_total() {
         let p = Profiler::new();
-        p.record("arrive", Duration::from_nanos(100));
+        // The larger sample first, so that a max that keeps the last
+        // sample reads 100.
         p.record("arrive", Duration::from_nanos(300));
+        p.record("arrive", Duration::from_nanos(100));
         p.record("timer", Duration::from_nanos(250));
         let rows = p.rows();
         assert_eq!(rows.len(), 2);
