@@ -127,6 +127,70 @@ fn memo_hits_and_warm_explorations_allocate_only_what_they_return() {
     }
 }
 
+/// An exploration whose answer the verifier already holds shares the
+/// held report: it builds no report, no relevant-link list and no
+/// witness, and its memo key is held inline. A single-link set explores
+/// only its final projection, so the report `classify` returns is that
+/// exploration's, and a report `classify` returned before is one the
+/// verifier held when it explored. On two rnp28 pairs, all four
+/// techniques, 52 window explorations find a held answer, and each
+/// allocates nothing; a verifier that builds every exploration's report
+/// and heap memo key before looking for a held one allocates two or more
+/// for each. The window is too short to grow the memo's table, which
+/// would be one allocation of the whole table.
+#[test]
+fn an_exploration_whose_answer_is_held_allocates_nothing() {
+    let topo = rnp28::build();
+    let edges = topo.edge_nodes();
+    let mut held = 0;
+    for dst in [edges[edges.len() / 2], edges[edges.len() - 1]] {
+        let src = edges[0];
+        let primary = paths::bfs_shortest_path(&topo, src, dst).expect("rnp28 is connected");
+        let route = EncodingCache::new()
+            .encode_with_protection(&topo, primary, &Protection::AutoFull)
+            .expect("rnp28 routes encode");
+        for technique in DeflectionTechnique::ALL {
+            // The window: every other link the intact exploration reads.
+            // The warm-up classifies every pair of the other links, so
+            // that the explorer's buffers are sized and the verifier
+            // holds reports, and explores no projection of the window.
+            let intact = kar::verify_route(&topo, &route, src, dst, technique, &Default::default());
+            let window: Vec<LinkId> = intact
+                .relevant_links
+                .iter()
+                .copied()
+                .skip(1)
+                .step_by(2)
+                .collect();
+            let rest: Vec<LinkId> = (0..topo.link_count())
+                .map(LinkId)
+                .filter(|l| !window.contains(l))
+                .collect();
+            let mut verifier = PairVerifier::new(&topo, route.clone(), src, dst, technique);
+            let mut returned = std::collections::HashSet::new();
+            for (i, &a) in rest.iter().enumerate() {
+                for &b in &rest[i + 1..] {
+                    returned.insert(Arc::as_ptr(&verifier.classify(&[a, b])));
+                }
+            }
+            for &l in &window {
+                let explored = verifier.explored;
+                let (count, bytes, report) = footprint(|| verifier.classify(&[l]));
+                let fresh = returned.insert(Arc::as_ptr(&report));
+                if verifier.explored == explored + 1 && !fresh {
+                    held += 1;
+                    assert_eq!(
+                        (count, bytes),
+                        (0, 0),
+                        "{technique} {dst:?} {l:?}: a held answer allocated"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(held, 52, "explorations that found a held answer");
+}
+
 #[test]
 fn a_warm_deflecting_forward_allocates_nothing() {
     use kar::KarForwarder;
