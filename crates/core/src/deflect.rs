@@ -20,7 +20,7 @@
 //! `kar_simnet::ModuloForwarder`.
 
 use kar_simnet::{DropReason, ForwardDecision, Forwarder, Packet, SwitchCtx};
-use kar_topology::PortIx;
+use kar_topology::{NodeId, PortIx, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::fmt;
@@ -66,92 +66,121 @@ impl fmt::Display for DeflectionTechnique {
     }
 }
 
+/// A port no switch has: the input port of a packet that entered from
+/// nowhere in particular, and the residue of a switch the route does not
+/// leave through. [`rule`] only compares the input port with others and
+/// asks `port_up` about the residue, so it never indexes with this.
+pub(crate) const NO_PORT: PortIx = PortIx::MAX;
+
+/// What a switch's rule does with a packet ([`rule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Move {
+    /// Take the residue's port: the one move there is.
+    Residue(PortIx),
+    /// Deflect: every port of the set the rule wrote is a move.
+    Deflect,
+    /// No move: the switch drops the packet.
+    Drop,
+}
+
+/// The rule of one switch (paper §2.1): the residue's port when the
+/// technique may take it, or else the technique's deflection set, or a
+/// drop when that set is empty. The forwarder and the verifier both read
+/// it; they differ only in how each reads a port's status (`port_up`)
+/// and where the set goes (`deflect_to`, called once per port of the set,
+/// in ascending port order, and never for a residue move or a drop).
+///
+/// * `None` takes the residue's port or drops.
+/// * HP takes the residue's port until the packet was deflected
+///   (`deflected`); then, and on any failure, it deflects to every
+///   healthy port.
+/// * AVP takes the residue's port when it is up, else deflects to the
+///   healthy ports, `in_port` included.
+/// * NIP takes the residue's port when it is up and not `in_port`, else
+///   deflects to the healthy ports but `in_port` (Algorithm 1).
+///
+/// AVP and NIP deflect only to core-facing ports while any is a
+/// candidate. A switch knows which of its ports lead to hosts (in
+/// OpenFlow terms, edge ports), and deflecting a transit packet into a
+/// host port cannot help it: the paper's §3 candidate enumerations (five
+/// candidates at SW13, the SW109-or-SW71 coin at SW73) count only
+/// switch-to-switch links. Host ports stay a last resort. HP's "complete
+/// random path" may stumble into any edge, where the controller
+/// re-encodes the packet (delivery "by chance", §2.1).
+#[allow(clippy::too_many_arguments)] // one switch's whole input, plus the two readers' views
+pub(crate) fn rule(
+    topo: &Topology,
+    node: NodeId,
+    technique: DeflectionTechnique,
+    residue: PortIx,
+    in_port: PortIx,
+    deflected: bool,
+    port_up: impl Fn(PortIx) -> bool,
+    mut deflect_to: impl FnMut(PortIx),
+) -> Move {
+    let (exclude, prefer_core) = match technique {
+        DeflectionTechnique::None if port_up(residue) => return Move::Residue(residue),
+        DeflectionTechnique::None => return Move::Drop,
+        DeflectionTechnique::HotPotato if !deflected && port_up(residue) => {
+            return Move::Residue(residue)
+        }
+        // "Once a packet is deflected, it follows a complete random path
+        // in network."
+        DeflectionTechnique::HotPotato => (NO_PORT, false),
+        DeflectionTechnique::Avp if port_up(residue) => return Move::Residue(residue),
+        DeflectionTechnique::Avp => (NO_PORT, true),
+        DeflectionTechnique::Nip if port_up(residue) && residue != in_port => {
+            return Move::Residue(residue)
+        }
+        DeflectionTechnique::Nip => (in_port, true),
+    };
+    let ports = &topo.node(node).ports;
+    let candidates = || (0..ports.len() as PortIx).filter(|&p| p != exclude && port_up(p));
+    let core_facing = |p: PortIx| {
+        topo.switch_id(topo.link(ports[p as usize]).peer_of(node))
+            .is_some()
+    };
+    let core_only = prefer_core && candidates().any(core_facing);
+    let mut any = false;
+    for p in candidates().filter(|&p| !core_only || core_facing(p)) {
+        deflect_to(p);
+        any = true;
+    }
+    if any {
+        Move::Deflect
+    } else {
+        Move::Drop
+    }
+}
+
 /// The KAR core dataplane: stateless modulo forwarding with the chosen
 /// deflection technique.
 ///
 /// One instance serves every switch in the network — KAR switches hold no
 /// per-switch state ([`Forwarder::state_entries`] is 0), which is the
-/// Table 2 "stateless core" property.
-#[derive(Debug, Clone, Copy)]
+/// Table 2 "stateless core" property. The one buffer it owns holds the
+/// current hop's deflection set, so a warm hop allocates nothing.
+#[derive(Debug, Clone)]
 pub struct KarForwarder {
     technique: DeflectionTechnique,
+    set: Vec<PortIx>,
 }
 
 impl KarForwarder {
     /// Creates a dataplane with the given technique.
     pub fn new(technique: DeflectionTechnique) -> Self {
-        KarForwarder { technique }
-    }
-
-    /// The configured technique.
-    pub fn technique(&self) -> DeflectionTechnique {
-        self.technique
-    }
-
-    /// Uniformly random healthy port, optionally excluding one port.
-    /// Returns `None` when no candidate exists.
-    ///
-    /// With `prefer_core`, core-facing ports are preferred: a switch
-    /// knows which of its ports lead to hosts (in OpenFlow terms, edge
-    /// ports), and deflecting a transit packet into a host port cannot
-    /// help it — the paper's §3 candidate enumerations (e.g. five
-    /// candidates at SW13, the SW109-or-SW71 coin at SW73) count only
-    /// switch-to-switch links. AVP and NIP use this preference; host
-    /// ports remain a last resort when no core port is available.
-    /// Hot-potato passes `prefer_core = false` — its "complete random
-    /// path" may stumble into any edge, where the controller re-encodes
-    /// the packet (delivery "by chance", §2.1).
-    fn random_port(
-        ctx: &SwitchCtx<'_>,
-        exclude: Option<PortIx>,
-        prefer_core: bool,
-        rng: &mut StdRng,
-    ) -> Option<PortIx> {
-        let healthy = || ctx.healthy_ports().filter(move |&p| Some(p) != exclude);
-        let ports = &ctx.topo.node(ctx.node).ports;
-        let core_facing = |p: &PortIx| {
-            ports.get(*p as usize).is_some_and(|&l| {
-                let peer = ctx.topo.link(l).peer_of(ctx.node);
-                ctx.topo.switch_id(peer).is_some()
-            })
-        };
-        // Count the candidates, draw, and take the drawn one: the same
-        // draw and port as collecting the set, without collecting it.
-        let core = if prefer_core {
-            healthy().filter(core_facing).count()
-        } else {
-            0
-        };
-        if core > 0 {
-            return healthy().filter(core_facing).nth(rng.gen_range(0..core));
-        }
-        match healthy().count() {
-            0 => None,
-            n => healthy().nth(rng.gen_range(0..n)),
-        }
-    }
-
-    fn deflect(
-        ctx: &SwitchCtx<'_>,
-        pkt: &mut Packet,
-        exclude: Option<PortIx>,
-        prefer_core: bool,
-        rng: &mut StdRng,
-    ) -> ForwardDecision {
-        match Self::random_port(ctx, exclude, prefer_core, rng) {
-            Some(p) => {
-                pkt.deflections = pkt.deflections.saturating_add(1);
-                if let Some(tag) = &mut pkt.route {
-                    tag.deflected = true;
-                }
-                ForwardDecision::Output(p)
-            }
-            None => ForwardDecision::Drop(DropReason::NoRoute),
+        KarForwarder {
+            technique,
+            set: Vec::new(),
         }
     }
 }
 
 impl Forwarder for KarForwarder {
+    /// The switch's rule (`deflect::rule`) over the ports `ctx` reports
+    /// up. A deflection draws its port uniformly from the set (one draw,
+    /// even from a set of one), counts itself and marks the tag
+    /// deflected.
     fn forward(
         &mut self,
         ctx: &SwitchCtx<'_>,
@@ -161,43 +190,31 @@ impl Forwarder for KarForwarder {
         let Some(tag) = &mut pkt.route else {
             return ForwardDecision::Drop(DropReason::MissingTag);
         };
-        let computed = ctx.residue(tag);
-        let was_deflected = tag.deflected;
-        match self.technique {
-            DeflectionTechnique::None => {
-                if ctx.port_available(computed) {
-                    ForwardDecision::Output(computed)
-                } else if (computed as usize) < ctx.ports.len() {
-                    ForwardDecision::Drop(DropReason::PortDown)
-                } else {
-                    ForwardDecision::Drop(DropReason::ResidueOutOfRange)
-                }
+        let residue = ctx.residue(tag);
+        self.set.clear();
+        match rule(
+            ctx.topo,
+            ctx.node,
+            self.technique,
+            residue,
+            ctx.in_port.unwrap_or(NO_PORT),
+            tag.deflected,
+            |p| ctx.port_available(p),
+            |p| self.set.push(p),
+        ) {
+            Move::Residue(p) => ForwardDecision::Output(p),
+            Move::Deflect => {
+                pkt.deflections = pkt.deflections.saturating_add(1);
+                tag.deflected = true;
+                ForwardDecision::Output(self.set[rng.gen_range(0..self.set.len())])
             }
-            DeflectionTechnique::HotPotato => {
-                if was_deflected {
-                    // "Once a packet is deflected, it follows a complete
-                    // random path in network."
-                    Self::deflect(ctx, pkt, None, false, rng)
-                } else if ctx.port_available(computed) {
-                    ForwardDecision::Output(computed)
-                } else {
-                    Self::deflect(ctx, pkt, None, false, rng)
-                }
+            Move::Drop if self.technique != DeflectionTechnique::None => {
+                ForwardDecision::Drop(DropReason::NoRoute)
             }
-            DeflectionTechnique::Avp => {
-                if ctx.port_available(computed) {
-                    ForwardDecision::Output(computed)
-                } else {
-                    Self::deflect(ctx, pkt, None, true, rng)
-                }
+            Move::Drop if (residue as usize) < ctx.ports.len() => {
+                ForwardDecision::Drop(DropReason::PortDown)
             }
-            DeflectionTechnique::Nip => {
-                if ctx.port_available(computed) && Some(computed) != ctx.in_port {
-                    ForwardDecision::Output(computed)
-                } else {
-                    Self::deflect(ctx, pkt, ctx.in_port, true, rng)
-                }
-            }
+            Move::Drop => ForwardDecision::Drop(DropReason::ResidueOutOfRange),
         }
     }
 
@@ -469,11 +486,17 @@ mod tests {
         for route_id in [7, 8, 5] {
             // Residues 0 (input), 1 (the other port), 5 (out of range).
             let mut p = pkt(route_id, false);
+            let mut after = rng.clone();
             assert_eq!(
                 fwd.forward(&ctx(&topo, a, Some(0), &up), &mut p, &mut rng),
                 ForwardDecision::Output(1),
                 "route_id {route_id}"
             );
+            if route_id == 7 {
+                // A deflection set of one still draws: one word.
+                after.next_u64();
+                assert_eq!(after.next_u64(), rng.clone().next_u64());
+            }
             let mut p = pkt(route_id, false);
             assert_eq!(
                 fwd.forward(&ctx(&topo, a, Some(1), &up), &mut p, &mut rng),
@@ -548,91 +571,6 @@ mod tests {
             fwd.forward(&ctx(&topo, a, None, &up), &mut p, &mut rng),
             ForwardDecision::Drop(DropReason::MissingTag)
         );
-    }
-
-    /// `random_port` as it was before it stopped collecting its
-    /// candidates, kept verbatim as the oracle of the counting one.
-    fn reference_random_port(
-        ctx: &SwitchCtx<'_>,
-        exclude: Option<PortIx>,
-        prefer_core: bool,
-        rng: &mut StdRng,
-    ) -> Option<PortIx> {
-        let healthy: Vec<PortIx> = ctx
-            .healthy_ports()
-            .filter(|&p| Some(p) != exclude)
-            .collect();
-        let core: Vec<PortIx> = if prefer_core {
-            healthy
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    ctx.topo
-                        .neighbors(ctx.node)
-                        .find(|&(port, _, _)| port == p)
-                        .map(|(_, _, peer)| ctx.topo.switch_id(peer).is_some())
-                        .unwrap_or(false)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let candidates = if core.is_empty() { &healthy } else { &core };
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[rng.gen_range(0..candidates.len())])
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 2_000,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        /// A switch of degree 1–12 whose neighbours are switches or hosts
-        /// by `hosts`, its ports up by `up`, and every `exclude` (an
-        /// index past the degree excludes nothing) and `prefer_core`:
-        /// the counting `random_port` draws the reference's port and
-        /// leaves the generator where the reference leaves it.
-        #[test]
-        fn random_port_draws_what_the_collecting_reference_draws(
-            degree in 1usize..13,
-            hosts in proptest::prelude::any::<u16>(),
-            up in proptest::prelude::any::<u16>(),
-            exclude in 0u64..14,
-            prefer_core in proptest::prelude::any::<bool>(),
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            const IDS: [u64; 13] = [41, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
-            let mut b = TopologyBuilder::new();
-            let a = b.core("A", IDS[0]);
-            for i in 0..degree {
-                let name = format!("N{i}");
-                let peer = if hosts >> i & 1 == 1 {
-                    b.edge(&name)
-                } else {
-                    b.core(&name, IDS[i + 1])
-                };
-                b.link(a, peer, LinkParams::default());
-            }
-            let topo = b.build().unwrap();
-            let ports: Vec<bool> = (0..degree).map(|i| up >> i & 1 == 1).collect();
-            let ctx = SwitchCtx {
-                switch_id: IDS[0],
-                ..ctx(&topo, a, None, &ports)
-            };
-            let exclude = Some(exclude).filter(|&p| (p as usize) < degree);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut oracle = rng.clone();
-            for draw in 0..4 {
-                let got = KarForwarder::random_port(&ctx, exclude, prefer_core, &mut rng);
-                let want = reference_random_port(&ctx, exclude, prefer_core, &mut oracle);
-                proptest::prop_assert_eq!(got, want, "draw {}", draw);
-            }
-            proptest::prop_assert_eq!(rng.next_u64(), oracle.next_u64());
-        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! idea).
 
 use crate::deflect::DeflectionTechnique::Nip;
+use crate::deflect::NO_PORT;
 use crate::route::{EncodedRoute, RouteSpec};
-use crate::verify::{possible_moves, State, NO_PORT};
+use crate::verify::{possible_moves, State};
 use kar_rns::route_id_bit_length;
 use kar_topology::{NodeId, Topology};
 use std::collections::HashSet;

@@ -12,8 +12,8 @@
 //! so the smaller graph is a bisimulation quotient of the full one and
 //! every answer read off it but the state count and the choice of
 //! loop-witness cycle is the full graph's. [`verify_route`] builds that
-//! state graph for one encoded route under one failure set, mirroring
-//! [`KarForwarder`]'s decision procedure choice-for-choice (residue
+//! state graph for one encoded route under one failure set, taking every
+//! move of the switch rule [`KarForwarder`] draws one move from (residue
 //! first, then the technique's deflection candidate set), and classifies
 //! what can happen to a packet:
 //!
@@ -153,7 +153,7 @@
 //! [`KarForwarder`]: crate::KarForwarder
 
 use crate::cache::EncodingCache;
-use crate::deflect::DeflectionTechnique;
+use crate::deflect::{rule, DeflectionTechnique, Move, NO_PORT};
 use crate::error::KarError;
 use crate::protection::Protection;
 use crate::route::EncodedRoute;
@@ -175,12 +175,6 @@ pub(crate) struct State {
     pub(crate) in_port: PortIx,
     pub(crate) deflected: bool,
 }
-
-/// A port no switch has: the input port of a packet that entered from
-/// nowhere in particular, and the residue of a switch the route does not
-/// leave through. [`possible_moves`] only compares `in_port` and `get`s
-/// `computed`, so it never indexes with this.
-pub(crate) const NO_PORT: PortIx = PortIx::MAX;
 
 impl State {
     /// A packet at switch `node` that came from its neighbour `from`, or
@@ -345,18 +339,17 @@ fn residue_at(topo: &Topology, route: &EncodedRoute, node: NodeId) -> PortIx {
 }
 
 /// All moves the technique allows from one state, written into `moves`
-/// (cleared first; left empty when the switch must drop). Mirrors
-/// [`crate::KarForwarder`]: the route's residue `computed` first, then
-/// the deflection candidate set (core-facing ports preferred for
-/// AVP/NIP, input port excluded for NIP, unrestricted for hot-potato's
-/// random walk), in ascending port order.
+/// (cleared first; left empty when the switch must drop): the switch's
+/// [`rule`], the one [`crate::KarForwarder`] draws from, over the ports
+/// whose link `is_failed` does not name. The residue's port keeps the
+/// state's deflected bit; each port of a deflection set sets it.
 ///
 /// This is the one move generator. The explorer's search calls it, and
 /// the trajectory checker and [`crate::analysis`]'s driven walks and
-/// coverage walk that search's graph; besides, only the sampled-forwarder
-/// test and the protection planner's deflection candidates (one hop, no
-/// `step`) call it, each with its own representation of the failure set
-/// behind `is_failed`.
+/// coverage walk that search's graph; besides, only the protection
+/// planner's deflection candidates (one hop, no `step`) and the tests
+/// call it, each with its own representation of the failure set behind
+/// `is_failed`.
 pub(crate) fn possible_moves(
     topo: &Topology,
     computed: PortIx,
@@ -368,52 +361,18 @@ pub(crate) fn possible_moves(
     moves.clear();
     let ports = &topo.node(state.node).ports;
     let port_up = |p: PortIx| ports.get(p as usize).is_some_and(|&l| !is_failed(l));
-    let residue_ok =
-        |exclude_input: bool| port_up(computed) && !(exclude_input && computed == state.in_port);
-    // The deflection candidate set of `random_port`: healthy ports minus
-    // `exclude`, restricted to core-facing ports when any exist and the
-    // technique prefers them. Each candidate's flag holds whether it is
-    // core-facing until the restriction is settled.
-    let deflection_set =
-        |exclude: Option<PortIx>, prefer_core: bool, moves: &mut Vec<(PortIx, bool)>| {
-            let healthy = (0..ports.len() as PortIx).filter(|&p| port_up(p) && Some(p) != exclude);
-            let core_facing = |p: PortIx| {
-                let peer = topo.link(ports[p as usize]).peer_of(state.node);
-                prefer_core && topo.switch_id(peer).is_some()
-            };
-            moves.extend(healthy.map(|p| (p, core_facing(p))));
-            if moves.iter().any(|&(_, core)| core) {
-                moves.retain(|&(_, core)| core);
-            }
-            moves.iter_mut().for_each(|mv| mv.1 = true);
-        };
-    match technique {
-        DeflectionTechnique::None => {
-            if residue_ok(false) {
-                moves.push((computed, state.deflected));
-            }
-        }
-        DeflectionTechnique::HotPotato => {
-            if !state.deflected && residue_ok(false) {
-                moves.push((computed, false));
-            } else {
-                deflection_set(None, false, moves);
-            }
-        }
-        DeflectionTechnique::Avp => {
-            if residue_ok(false) {
-                moves.push((computed, state.deflected));
-            } else {
-                deflection_set(None, true, moves);
-            }
-        }
-        DeflectionTechnique::Nip => {
-            if residue_ok(true) {
-                moves.push((computed, state.deflected));
-            } else {
-                deflection_set(Some(state.in_port), true, moves);
-            }
-        }
+    let answer = rule(
+        topo,
+        state.node,
+        technique,
+        computed,
+        state.in_port,
+        state.deflected,
+        port_up,
+        |p| moves.push((p, true)),
+    );
+    if let Move::Residue(p) = answer {
+        moves.push((p, state.deflected));
     }
 }
 
@@ -2195,9 +2154,11 @@ pub enum TrajectoryEnd {
 /// consistent with the observed prefix and demands at least one of them
 /// explains each next hop — and, at the end, the claimed fate.
 ///
-/// This is the bridge the differential tests stand on: any divergence
-/// between `KarForwarder` and [`verify_route`]'s `possible_moves`
-/// surfaces here as an inexplicable hop.
+/// This is the bridge the differential tests stand on. `KarForwarder`
+/// and [`verify_route`]'s `possible_moves` read one switch rule, so what
+/// a divergence here exposes is the engine around it: the port status a
+/// switch observed, the input port, the deflected bit or a re-stamp,
+/// surfacing as an inexplicable hop.
 #[allow(clippy::too_many_arguments)] // mirrors verify_route's surface plus the observed path
 pub fn check_trajectory<A: ActiveRoute>(
     topo: &Topology,
@@ -2518,9 +2479,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deflect::KarForwarder;
     use crate::route::RouteSpec;
-    use kar_simnet::{ForwardDecision, Forwarder, Packet, RouteTag, SwitchCtx};
     use kar_topology::topo15;
 
     #[test]
@@ -2825,92 +2784,6 @@ mod tests {
                     let from_canonical =
                         step(&topo, &mut active, dst, technique, (0, canonical), canonical_mv);
                     proptest::prop_assert_eq!(from_canonical, from_full, "{} {:?}", technique, full);
-                }
-            }
-        }
-    }
-
-    /// The verifier's move relation must match the sampled dataplane: at
-    /// every reachable state the set of ports `KarForwarder` can emit
-    /// over many RNG draws equals the verifier's `possible_moves`.
-    #[test]
-    fn moves_match_the_sampled_forwarder() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let topo = topo15::build();
-        let primary = topo15::primary_route(&topo);
-        let cache = EncodingCache::new();
-        let route = cache
-            .encode_with_protection(&topo, primary, &Protection::AutoFull)
-            .unwrap();
-        let failed: HashSet<LinkId> = [topo.expect_link("SW7", "SW13")].into_iter().collect();
-        let mut rng = StdRng::seed_from_u64(77);
-        for technique in DeflectionTechnique::ALL {
-            let mut fwd = KarForwarder::new(technique);
-            for node in topo.core_nodes() {
-                let ports = topo.node(node).ports.clone();
-                let statuses: Vec<bool> = ports.iter().map(|l| !failed.contains(l)).collect();
-                for in_port in 0..ports.len() as PortIx {
-                    for deflected in [false, true] {
-                        let state = State {
-                            node,
-                            in_port,
-                            deflected,
-                        };
-                        let computed = residue_at(&topo, &route, node);
-                        let is_failed = |l| failed.contains(&l);
-                        let mut expected = Vec::new();
-                        possible_moves(&topo, computed, technique, is_failed, state, &mut expected);
-                        let mut sampled = HashSet::new();
-                        let mut dropped = false;
-                        for _ in 0..200 {
-                            let mut tag = RouteTag::new(route.route_id.clone());
-                            tag.deflected = deflected;
-                            let mut pkt = Packet {
-                                id: 0,
-                                flow: kar_simnet::FlowId(0),
-                                seq: 0,
-                                kind: kar_simnet::PacketKind::Probe,
-                                size_bytes: 64,
-                                src: NodeId(0),
-                                dst: NodeId(1),
-                                route: Some(tag),
-                                ttl: 64,
-                                hops: 0,
-                                deflections: 0,
-                                created: kar_simnet::SimTime::ZERO,
-                            };
-                            let ctx = SwitchCtx {
-                                topo: &topo,
-                                node,
-                                switch_id: topo.switch_id(node).unwrap(),
-                                in_port: Some(in_port),
-                                ports: &statuses,
-                                now: kar_simnet::SimTime::ZERO,
-                                reducer: None,
-                                behavior: kar_simnet::Behavior::Honest,
-                            };
-                            match fwd.forward(&ctx, &mut pkt, &mut rng) {
-                                ForwardDecision::Output(p) => {
-                                    sampled.insert(p);
-                                }
-                                ForwardDecision::Drop(_) => dropped = true,
-                            }
-                        }
-                        if expected.is_empty() {
-                            assert!(
-                                dropped && sampled.is_empty(),
-                                "{technique} at {node:?}/{in_port}/{deflected}"
-                            );
-                        } else {
-                            let ports: HashSet<PortIx> = expected.iter().map(|&(p, _)| p).collect();
-                            assert!(!dropped, "{technique} at {node:?}/{in_port}");
-                            assert_eq!(
-                                sampled, ports,
-                                "{technique} at {node:?}/{in_port}/{deflected}"
-                            );
-                        }
-                    }
                 }
             }
         }

@@ -14,8 +14,9 @@
 //!   the path it returns, and a planner read of an installed pair is one
 //!   record: a cold install owns its route and entry, not a search's
 //!   arrays, and a stale read after a notice owns nothing.
-//! * A deflection counts its candidates and takes the drawn one, so a
-//!   warm `KarForwarder::forward` that deflects owns nothing.
+//! * A deflection writes its candidate set into the forwarder's one
+//!   buffer and draws from it, so once that buffer has grown, a
+//!   `KarForwarder::forward` that deflects owns nothing.
 //!
 //! The counting `#[global_allocator]` sees every allocation of the
 //! process, and the bytes asked for; these tests read its per-thread
@@ -244,7 +245,8 @@ fn a_warm_deflecting_forward_allocates_nothing() {
                 deflections: 0,
                 created: SimTime::ZERO,
             };
-            // The first visit memoizes the residue in the tag.
+            // The first visit memoizes the residue in the tag and grows
+            // the forwarder's deflection buffer.
             fwd.forward(&ctx, &mut pkt, &mut rng);
             for _ in 0..8 {
                 let before = pkt.deflections;
